@@ -615,7 +615,7 @@ class RestrictedPencilData:
     w2_sub: FormField
     p1_sub: PoissonField
     p2_sub: PoissonField
-    fd_step: float
+    fd_step: float          # step of the central-difference bracket differentials
     _ambient: tuple | None = field(default=None, repr=False)
 
     def pad_coords(self, sub_coords) -> np.ndarray:
@@ -637,8 +637,8 @@ class RestrictedPencilData:
     def ambient_fields(self):
         """Lazily built ambient form fields and their inverses."""
         if self._ambient is None:
-            w1 = canonical_form_field(self.ambient_chart, self.fd_step)
-            w2 = combined_form_field(self.ambient_chart, self.fd_step)
+            w1 = canonical_form_field(self.ambient_chart)
+            w2 = combined_form_field(self.ambient_chart)
             self._ambient = (w1, w2, invert_form(w1), invert_form(w2))
         return self._ambient
 
@@ -664,8 +664,8 @@ def restricted_pencil(setup: ReductionSetup, base_point: TangentBundlePoint,
     ambient_frame = np.hstack([sub_frame, rest.basis])
     sub_chart = Chart(cfg, base_v=base_point.v, frame=sub_frame)
     ambient_chart = Chart(cfg, base_v=base_point.v, frame=ambient_frame)
-    w1 = canonical_form_field(sub_chart, fd_step)
-    w2 = combined_form_field(sub_chart, fd_step)
+    w1 = canonical_form_field(sub_chart)
+    w2 = combined_form_field(sub_chart)
     return RestrictedPencilData(
         setup=setup,
         ambient_chart=ambient_chart,

@@ -261,7 +261,8 @@ def kernel(mat: np.ndarray, rtol: float = RANK_RTOL) -> Subspace:
     rows, cols = mat.shape
     if rows == 0 or cols == 0:
         return full_subspace(cols)
-    _, s, vt = np.linalg.svd(mat, full_matrices=True)
+    # A tall matrix has an economy V^T that is already square, i.e. the full V.
+    _, s, vt = np.linalg.svd(mat, full_matrices=rows < cols)
     if s.size == 0:
         return full_subspace(cols)
     rank = int(np.sum(s > rtol * max(s[0], 1.0)))
@@ -460,7 +461,12 @@ def random_invariant_product(alg: LieAlgebra, sub: Subspace, seed: int) -> Invar
     0.1 times the base one, which keeps every sampled product well
     conditioned.  Deterministic for a fixed seed.
     """
-    sols = invariant_product_space(alg, sub)
+    return _draw_invariant_product(alg, sub, invariant_product_space(alg, sub), seed)
+
+
+def _draw_invariant_product(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarray],
+                            seed: int) -> InvariantProduct:
+    """:func:`random_invariant_product` over a prebuilt ``invariant_product_space``."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 0x1A7D]))
     weights = rng.standard_normal(len(sols))
     perturb = sum(w * s for w, s in zip(weights, sols))
@@ -501,15 +507,17 @@ def complement_independence(alg: LieAlgebra, sub: Subspace, seed: int, trials: i
 
     For each trial draws two invariant products, takes the complements of
     the normalizer of ``sub`` with respect to each, and measures how far the
-    sums (complement + sub) differ as subspaces.
+    sums (complement + sub) differ as subspaces.  The invariant product
+    space is solved once and every product is drawn from it.
     """
     _require_subalgebra(alg, sub)
     norm = normalizer(alg, sub)
+    sols = invariant_product_space(alg, sub)
     paired = 0.0
     unpaired = 0.0
     for t in range(trials):
-        alpha = random_invariant_product(alg, sub, seed=(seed << 12) + 2 * t)
-        beta = random_invariant_product(alg, sub, seed=(seed << 12) + 2 * t + 1)
+        alpha = _draw_invariant_product(alg, sub, sols, seed=(seed << 12) + 2 * t)
+        beta = _draw_invariant_product(alg, sub, sols, seed=(seed << 12) + 2 * t + 1)
         comp_a = orthogonal_complement(alg, norm, alpha)
         comp_b = orthogonal_complement(alg, norm, beta)
         paired = max(paired, projector_distance(subspace_sum(comp_a, sub), subspace_sum(comp_b, sub)))

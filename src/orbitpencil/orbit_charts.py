@@ -20,13 +20,16 @@ M = ad(xi(u)) and Delta_i = ad(m_i),
     d/du_i exp(M) = exp(M) . dexp(-M, Delta_i),
     dexp(Y, Z) = sum_{k>=0} ad_Y^k(Z) / (k+1)!,
 
-the series truncated once a term drops below 1e-16.  Finite differences
-appear only in the single outer exterior derivative of 2-form fields.
+the series truncated once a term drops below 1e-16.
 
 Two invariant 2-forms are realised as matrix fields in chart coordinates:
 the canonical form (exterior derivative of theta) and the canonical form
 plus the pullback of the orbit form  omega_x([x,s1],[x,s2]) = -<x,[s1,s2]>
-under the bundle projection.
+under the bundle projection.  Both are exact from the pushforward: with
+P = (Px; Pv) the stacked x- and v-rows, d theta = sum dv ^ dx has matrix
+Pv^T Px - Px^T Pv.  Finite differences remain only in outer derivatives
+(closedness and Jacobi residuals, differentials of invariant functions),
+where they are the independent check.
 """
 
 from __future__ import annotations
@@ -272,14 +275,6 @@ class Chart:
         return push
 
 
-def chart_map(chart: Chart, coords) -> TangentBundlePoint:
-    return chart.point(coords)
-
-
-def chart_pushforward(chart: Chart, coords) -> np.ndarray:
-    return chart.pushforward(coords)
-
-
 def shifted(coords: np.ndarray, index: int, step: float) -> np.ndarray:
     """Copy of coords with one entry shifted; single addition per component."""
     out = np.array(coords, dtype=float, copy=True)
@@ -311,29 +306,18 @@ def _check_fd_step(fd_step: float) -> float:
     return float(fd_step)
 
 
-def _theta_components(chart: Chart, coords: np.ndarray) -> np.ndarray:
-    """theta applied to every pushforward column at the given coordinates."""
-    push = chart.pushforward(coords)
-    n = chart.config.alg.dim
-    v = chart.point(coords).v
-    return push[:n].T @ v
-
-
-def canonical_form_matrix(chart: Chart, coords, fd_step: float = FD_STEP_DEFAULT) -> np.ndarray:
+def canonical_form_matrix(chart: Chart, coords) -> np.ndarray:
     """Canonical 2-form (exterior derivative of theta) in chart coordinates.
 
-    W_ij = d_i theta_j - d_j theta_i with the outer derivatives taken by
-    central differences of size ``fd_step``; skew by construction.
+    Exact from the pushforward: d theta = sum dv ^ dx, so W = A - A^T with
+    A = Pv^T Px; skew by construction, and no finite differences (those
+    remain only in outer derivatives such as :func:`closedness_residual`).
+    Works for any chart exposing ``pushforward`` and ``config``.
     """
-    h = _check_fd_step(fd_step)
-    c = chart._coords(np.asarray(coords, dtype=float))
-    d = chart.coord_dim
-    grad = np.zeros((d, d))
-    for i in range(d):
-        plus = _theta_components(chart, shifted(c, i, +h))
-        minus = _theta_components(chart, shifted(c, i, -h))
-        grad[i] = (plus - minus) / (2.0 * h)
-    return grad - grad.T
+    push = chart.pushforward(coords)
+    n = chart.config.alg.dim
+    a = push[n:].T @ push[:n]
+    return a - a.T
 
 
 def kks_form(config: OrbitConfig, x: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> float:
@@ -363,13 +347,13 @@ def orbit_form_pullback_matrix(chart: Chart, coords) -> np.ndarray:
     push_x = chart.pushforward(c)[:n]
     ad_x = alg.ad(point.x)
     lifts = np.linalg.lstsq(ad_x, push_x, rcond=None)[0]
-    matrix = -np.einsum("ai,bj,abk,k->ij", lifts, lifts, alg.structure, point.x)
+    matrix = -lifts.T @ (alg.structure @ point.x) @ lifts
     return 0.5 * (matrix - matrix.T)
 
 
-def omega2_matrix(chart: Chart, coords, fd_step: float = FD_STEP_DEFAULT) -> np.ndarray:
+def omega2_matrix(chart: Chart, coords) -> np.ndarray:
     """Canonical form plus the pullback of the orbit form, in chart coords."""
-    return canonical_form_matrix(chart, coords, fd_step) + orbit_form_pullback_matrix(chart, coords)
+    return canonical_form_matrix(chart, coords) + orbit_form_pullback_matrix(chart, coords)
 
 
 class FormField:
@@ -391,14 +375,12 @@ class FormField:
         return hit
 
 
-def canonical_form_field(chart: Chart, fd_step: float = FD_STEP_DEFAULT) -> FormField:
-    h = _check_fd_step(fd_step)
-    return FormField(lambda c: canonical_form_matrix(chart, c, h), chart.coord_dim, "canonical")
+def canonical_form_field(chart: Chart) -> FormField:
+    return FormField(lambda c: canonical_form_matrix(chart, c), chart.coord_dim, "canonical")
 
 
-def combined_form_field(chart: Chart, fd_step: float = FD_STEP_DEFAULT) -> FormField:
-    h = _check_fd_step(fd_step)
-    return FormField(lambda c: omega2_matrix(chart, c, h), chart.coord_dim, "combined")
+def combined_form_field(chart: Chart) -> FormField:
+    return FormField(lambda c: omega2_matrix(chart, c), chart.coord_dim, "combined")
 
 
 def closedness_residual(form_field, coords, fd_step: float = FD_STEP_DEFAULT) -> float:
@@ -413,20 +395,3 @@ def closedness_residual(form_field, coords, fd_step: float = FD_STEP_DEFAULT) ->
         partials[l] = (plus - minus) / (2.0 * h)
     cyc = partials + np.transpose(partials, (1, 2, 0)) + np.transpose(partials, (2, 0, 1))
     return float(np.max(np.abs(cyc)))
-
-
-def form_on_ambient_vectors(chart: Chart, coords, matrix: np.ndarray, vectors: np.ndarray,
-                            tol: float = 1e-8) -> np.ndarray:
-    """Chart-frame coordinates of ambient tangent vectors (columns).
-
-    Solves push @ cvec = vector in the least-squares sense and insists the
-    vectors actually lie in the tangent image; combine with the form matrix
-    as cvec.T @ matrix @ cvec to evaluate the form on ambient vectors.
-    """
-    push = chart.pushforward(coords)
-    cvecs, *_ = np.linalg.lstsq(push, vectors, rcond=None)
-    resid = np.linalg.norm(push @ cvecs - vectors, axis=0)
-    scale = np.maximum(np.linalg.norm(vectors, axis=0), 1.0)
-    if np.any(resid > tol * scale):
-        raise DomainError("vector is not in the chart tangent image")
-    return cvecs

@@ -368,7 +368,7 @@ def _form_invariance(ctx):
         rot = scipy.linalg.expm(ctx.alg.ad(zeta))
         moved = oc.Chart(ctx.orbit, base_v=chart.base_v, frame=chart.frame, rotation=rot)
         coords = ctx.ambient_coords[i % len(ctx.ambient_coords)]
-        w1_moved = oc.canonical_form_matrix(moved, coords, ctx.fd)
+        w1_moved = oc.canonical_form_matrix(moved, coords)
         w2_moved = w1_moved + oc.orbit_form_pullback_matrix(moved, coords)
         worst = max(
             worst,
@@ -499,7 +499,7 @@ def _adapted_reports(ctx, offsets):
     for s in ctx.regular_coords[:5]:
         for y in offsets:
             coords = np.concatenate([y, s]) if p_dim else np.asarray(s, dtype=float)
-            w1 = oc.canonical_form_matrix(ctx.adapted, coords, ctx.fd)
+            w1 = oc.canonical_form_matrix(ctx.adapted, coords)
             w2 = w1 + oc.orbit_form_pullback_matrix(ctx.adapted, coords)
             reports.append(dr.adapted_block_report(ctx.adapted, coords, w1))
             reports.append(dr.adapted_block_report(ctx.adapted, coords, w2))
@@ -525,7 +525,7 @@ def _control_adapted_off(ctx):
     reports = []
     for y in offsets:
         coords = np.concatenate([y, ctx.regular_coords[0]])
-        w1 = oc.canonical_form_matrix(ctx.adapted, coords, ctx.fd)
+        w1 = oc.canonical_form_matrix(ctx.adapted, coords)
         reports.append(dr.adapted_block_report(ctx.adapted, coords, w1))
     return max(r.off_diagonal for r in reports)
 

@@ -138,6 +138,18 @@ def test_kernel_of_noise_matrix_is_full():
     assert lc.kernel(noise).dim == 6
 
 
+@pytest.mark.parametrize("shape,rank", [((30, 6), 4), ((4, 9), 3), ((7, 7), 5)])
+def test_kernel_economy_and_full_paths(shape, rank):
+    # tall matrices take the economy SVD, wide ones the full one
+    rng = np.random.default_rng(8)
+    rows, cols = shape
+    mat = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    ker = lc.kernel(mat)
+    assert ker.dim == cols - rank
+    assert np.allclose(ker.basis.T @ ker.basis, np.eye(cols - rank), atol=1e-12)
+    assert np.max(np.abs(mat @ ker.basis)) <= 1e-10 * np.linalg.norm(mat)
+
+
 def test_double_complement_roundtrip(su3):
     rng = np.random.default_rng(6)
     for _ in range(10):
@@ -348,6 +360,20 @@ def test_complement_independence_su2(su2, pauli_elements):
     assert report.paired <= 1e-8
     # here both complements coincide outright (single isotypic block)
     assert report.unpaired <= 1e-8
+
+
+def test_complement_independence_builds_one_product_space(su3, setup_cp2, monkeypatch):
+    calls = []
+    original = lc.invariant_product_space
+
+    def counting(alg, sub):
+        calls.append(sub.dim)
+        return original(alg, sub)
+
+    monkeypatch.setattr(lc, "invariant_product_space", counting)
+    report = lc.complement_independence(su3, setup_cp2.isotropy, seed=11, trials=20)
+    assert len(calls) == 1
+    assert report.paired <= 1e-8
 
 
 def so3_block_subalgebra(so4_alg):

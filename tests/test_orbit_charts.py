@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from orbitpencil import dirac_reduction as dr
 from orbitpencil import families
 from orbitpencil import lie_core as lc
 from orbitpencil import orbit_charts as oc
@@ -232,6 +233,52 @@ def test_canonical_form_closedness(setup_su2):
         assert oc.closedness_residual(field, coords, 1e-4) <= 1e-5
 
 
+def fd_canonical_form_matrix(chart, coords, h=1e-4):
+    """Reference d theta: central differences of theta_j = <v, Px_j>, antisymmetrised."""
+    n = chart.config.alg.dim
+    c = np.asarray(coords, dtype=float)
+
+    def theta(cc):
+        return chart.pushforward(cc)[:n].T @ chart.point(cc).v
+
+    grad = np.stack([
+        (theta(oc.shifted(c, i, +h)) - theta(oc.shifted(c, i, -h))) / (2.0 * h)
+        for i in range(chart.coord_dim)
+    ])
+    return grad - grad.T
+
+
+def test_canonical_form_matches_finite_difference_reference(setup_su2, setup_cp2, data_cp2):
+    adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
+    assert adapted.transversal_dim > 0
+    rng = np.random.default_rng(9)
+    for chart in (make_chart(setup_su2), make_chart(setup_cp2), data_cp2.ambient_chart, adapted):
+        for _ in range(2):
+            coords = rng.uniform(-0.1, 0.1, chart.coord_dim)
+            exact = oc.canonical_form_matrix(chart, coords)
+            reference = fd_canonical_form_matrix(chart, coords)
+            assert np.max(np.abs(exact - reference)) <= 1e-8
+
+
+class SabotagedChart(oc.Chart):
+    """Chart whose pushforward column 0 is scaled by 1 + 0.5 c[1]: no longer a derivative."""
+
+    def pushforward(self, coords):
+        push = np.array(super().pushforward(coords), copy=True)
+        push[:, 0] *= 1.0 + 0.5 * np.asarray(coords, dtype=float)[1]
+        return push
+
+
+def test_canonical_closedness_catches_sabotaged_pushforward(setup_cp2, data_cp2, ambient_coords):
+    chart = data_cp2.ambient_chart
+    bad = SabotagedChart(setup_cp2.config, base_v=chart.base_v, frame=chart.frame)
+    coords_list = ambient_coords(chart, 3)
+    good_res = max(oc.closedness_residual(oc.canonical_form_field(chart), c, 1e-4) for c in coords_list)
+    bad_res = max(oc.closedness_residual(oc.canonical_form_field(bad), c, 1e-4) for c in coords_list)
+    assert good_res <= 1e-5
+    assert bad_res > 1e-2
+
+
 def test_kks_form(su2, pauli_elements):
     e1, e2, e3 = pauli_elements
     config = oc.orbit_config(su2, e3)
@@ -276,6 +323,20 @@ def test_pullback_matrix_kills_fiber_directions(setup_cp2):
     f = chart.frame_dim
     assert np.max(np.abs(pull[f:, f:])) <= 1e-12
     assert np.max(np.abs(pull[:f, f:])) <= 1e-12
+
+
+def test_pullback_matrix_matches_einsum_reference(setup_cp2, data_cp2):
+    # reference: the four-operand contraction -lifts_ai lifts_bj c_abk x_k
+    adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
+    alg = setup_cp2.alg
+    rng = np.random.default_rng(10)
+    for chart in (make_chart(setup_cp2), adapted):
+        coords = rng.uniform(-0.08, 0.08, chart.coord_dim)
+        x = chart.point(coords).x
+        lifts = np.linalg.lstsq(alg.ad(x), chart.pushforward(coords)[:alg.dim], rcond=None)[0]
+        ref = -np.einsum("ai,bj,abk,k->ij", lifts, lifts, alg.structure, x)
+        ref = 0.5 * (ref - ref.T)
+        assert np.max(np.abs(oc.orbit_form_pullback_matrix(chart, coords) - ref)) <= 1e-12
 
 
 def test_combined_form_base_dependence_only(setup_cp2):
