@@ -1,7 +1,7 @@
 """Command line front end.
 
     workbench verify --config cfg.json [--seed N] [--out report.json]
-                     [--format json|text] [--checks a,b,c] [--parallel]
+                     [--format json|text] [--checks a,b,c]
     workbench list-checks
 
 Exit codes: 0 all checks passed, 1 a check failed or a stage errored,
@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .errors import ConfigError
-from .workbench import REGISTRY, emit_report, load_config, run_pipeline
+from .workbench import REGISTRY, emit_report, load_config, run_pipeline, validate_config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,7 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default=None, help="write the report to this path")
     verify.add_argument("--format", choices=("json", "text"), default="json")
     verify.add_argument("--checks", default=None, help="comma-separated subset of check names")
-    verify.add_argument("--parallel", action="store_true", help="fan independent checks out to threads")
 
     sub.add_parser("list-checks", help="print every check with its claim and default tolerance")
     return parser
@@ -50,14 +49,12 @@ def _cmd_verify(args) -> int:
             cfg.seed = int(args.seed)
         if args.checks is not None:
             cfg.checks = [name.strip() for name in args.checks.split(",") if name.strip()]
-        from .workbench import validate_config
-
         validate_config(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    report = run_pipeline(cfg, parallel=args.parallel)
+    report = run_pipeline(cfg)
     rendered = report.to_json() if args.format == "json" else report.to_text()
     if args.out:
         try:

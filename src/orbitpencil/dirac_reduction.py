@@ -43,6 +43,7 @@ from .lie_core import (
     Subspace,
     centralizer,
     complement_within,
+    fixed_vector_space,
     full_subspace,
     kernel,
     normalizer,
@@ -58,6 +59,7 @@ from .lie_core import (
 from .orbit_charts import (
     FD_STEP_DEFAULT,
     Chart,
+    CoordinateMemo,
     FormField,
     OrbitConfig,
     TangentBundlePoint,
@@ -211,7 +213,7 @@ def reduction_setup(config: OrbitConfig, samples: int = 16, seed: int = 0) -> Re
     sub_tan = complement_within(sub_stab, cent)
     moved = span(alg.ad(x0) @ config.stabilizer.basis) if config.stabilizer.dim else zero_subspace(alg.dim)
     slice_space = complement_within(moved, config.tangent)
-    center = fixed_subspace_within(alg, cent, cent)
+    center = fixed_vector_space(alg, cent, cent)
     setup = ReductionSetup(
         config=config,
         x0=x0,
@@ -228,15 +230,6 @@ def reduction_setup(config: OrbitConfig, samples: int = 16, seed: int = 0) -> Re
         if value > _SETUP_TOLERANCES[name]:
             raise SetupError(f"setup identity '{name}' failed with residual {value:.3e}")
     return setup
-
-
-def fixed_subspace_within(alg: LieAlgebra, sub: Subspace, ambient: Subspace) -> Subspace:
-    """Joint kernel of ad over sub, restricted to ambient (no invariance check)."""
-    if sub.dim == 0 or ambient.dim == 0:
-        return Subspace(basis=ambient.basis.copy())
-    stacked = np.vstack([alg.ad(sub.basis[:, j]) @ ambient.basis for j in range(sub.dim)])
-    coeffs = kernel(stacked)
-    return span(ambient.basis @ coeffs.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +503,8 @@ class AdaptedChart:
         self.sub_chart = sub_chart
         self.config = sub_chart.config
         self.box = float(box)
-        self._points: dict[bytes, TangentBundlePoint] = {}
-        self._pushes: dict[bytes, np.ndarray] = {}
+        self._points = CoordinateMemo(self._point_at)
+        self._pushes = CoordinateMemo(self._pushforward_at)
 
     @property
     def transversal_dim(self) -> int:
@@ -534,25 +527,19 @@ class AdaptedChart:
         return c[:p], c[p:]
 
     def point(self, coords) -> TangentBundlePoint:
-        c = self._coords(coords)
-        key = c.tobytes()
-        hit = self._points.get(key)
-        if hit is not None:
-            return hit
+        return self._points(self._coords(coords))
+
+    def pushforward(self, coords) -> np.ndarray:
+        return self._pushes(self._coords(coords))
+
+    def _point_at(self, c: np.ndarray) -> TangentBundlePoint:
         y, s = self._split(c)
         alg = self.setup.alg
         big = scipy.linalg.expm(alg.ad(self.setup.transversal.basis @ y))
         inner = self.sub_chart.point(s)
-        result = TangentBundlePoint(x=big @ inner.x, v=big @ inner.v)
-        self._points[key] = result
-        return result
+        return TangentBundlePoint(x=big @ inner.x, v=big @ inner.v)
 
-    def pushforward(self, coords) -> np.ndarray:
-        c = self._coords(coords)
-        key = c.tobytes()
-        hit = self._pushes.get(key)
-        if hit is not None:
-            return hit
+    def _pushforward_at(self, c: np.ndarray) -> np.ndarray:
         y, s = self._split(c)
         alg = self.setup.alg
         n = alg.dim
@@ -571,7 +558,6 @@ class AdaptedChart:
         sub_push = self.sub_chart.pushforward(s)
         push[:n, p:] = big @ sub_push[:n]
         push[n:, p:] = big @ sub_push[n:]
-        self._pushes[key] = push
         return push
 
 

@@ -49,14 +49,12 @@ class LieAlgebra:
         structure: (n, n, n) real array c with [E_i, E_j] = sum_k c[i,j,k] E_k.
         ad_basis: (n, n, n) real array; ad_basis[i] is the matrix of ad(E_i)
             acting on coefficient vectors.
-        product: the Gram matrix of the basis, the identity by construction.
     """
 
     name: str
     basis: np.ndarray
     structure: np.ndarray
     ad_basis: np.ndarray
-    product: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -120,7 +118,6 @@ def algebra_from_matrices(name, matrices, check_tol: float = 1e-12) -> LieAlgebr
     mats = np.asarray(matrices, dtype=complex)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise InputError("basis must be a list of square matrices of equal size")
-    n = mats.shape[0]
 
     herm = np.linalg.norm(mats + np.conj(np.transpose(mats, (0, 2, 1))), axis=(1, 2))
     scale = np.linalg.norm(mats, axis=(1, 2))
@@ -164,7 +161,6 @@ def algebra_from_matrices(name, matrices, check_tol: float = 1e-12) -> LieAlgebr
         basis=basis,
         structure=structure,
         ad_basis=ad_basis,
-        product=np.eye(n),
     )
 
 
@@ -314,14 +310,6 @@ def _require_subalgebra(alg: LieAlgebra, sub: Subspace, tol: float = 1e-10) -> N
 # ---------------------------------------------------------------------------
 # Centralizers, normalizers, complements
 # ---------------------------------------------------------------------------
-
-
-def bracket(alg: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return alg.bracket(x, y)
-
-
-def adjoint_operator(alg: LieAlgebra, x: np.ndarray) -> np.ndarray:
-    return alg.ad(x)
 
 
 def centralizer(alg: LieAlgebra, sub: Subspace) -> Subspace:

@@ -172,6 +172,27 @@ def dexp_apply(m: np.ndarray, deltas: np.ndarray, tol: float = DEXP_TOL) -> np.n
 # ---------------------------------------------------------------------------
 
 
+class CoordinateMemo:
+    """``fn`` of a float coordinate array, evaluated once per coordinate tuple.
+
+    Keyed by the bytes of the array; values live as long as the memo, so
+    whatever ``fn`` reads must not change.  Callers pass arrays already
+    converted to float of one fixed shape.
+    """
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._values: dict[bytes, object] = {}
+
+    def __call__(self, c: np.ndarray):
+        key = c.tobytes()
+        hit = self._values.get(key)
+        if hit is None:
+            hit = self._fn(c)
+            self._values[key] = hit
+        return hit
+
+
 class Chart:
     """Local coordinates on TO around a base point (see module docstring).
 
@@ -199,8 +220,8 @@ class Chart:
         self.frame = frame
         self.rotation = None if rotation is None else np.asarray(rotation, dtype=float)
         self.box = float(box)
-        self._points: dict[bytes, TangentBundlePoint] = {}
-        self._pushes: dict[bytes, np.ndarray] = {}
+        self._points = CoordinateMemo(self._point_at)
+        self._pushes = CoordinateMemo(self._pushforward_at)
 
     @property
     def frame_dim(self) -> int:
@@ -223,11 +244,17 @@ class Chart:
         return c
 
     def point(self, coords) -> TangentBundlePoint:
-        c = self._coords(coords)
-        key = c.tobytes()
-        hit = self._points.get(key)
-        if hit is not None:
-            return hit
+        return self._points(self._coords(coords))
+
+    def pushforward(self, coords) -> np.ndarray:
+        """Ambient derivative matrix, (2n) x coord_dim.
+
+        Column i < f is the u_i-derivative (conjugation direction), column
+        f + i the w_i-derivative (fiber direction).
+        """
+        return self._pushes(self._coords(coords))
+
+    def _point_at(self, c: np.ndarray) -> TangentBundlePoint:
         f = self.frame_dim
         alg = self.config.alg
         xi = self.frame @ c[:f]
@@ -236,21 +263,9 @@ class Chart:
             big = self.rotation @ big
         x = big @ self.config.seed
         v = big @ (self.base_v + self.frame @ c[f:])
-        result = TangentBundlePoint(x=x, v=v)
-        self._points[key] = result
-        return result
+        return TangentBundlePoint(x=x, v=v)
 
-    def pushforward(self, coords) -> np.ndarray:
-        """Ambient derivative matrix, (2n) x coord_dim.
-
-        Column i < f is the u_i-derivative (conjugation direction), column
-        f + i the w_i-derivative (fiber direction).
-        """
-        c = self._coords(coords)
-        key = c.tobytes()
-        hit = self._pushes.get(key)
-        if hit is not None:
-            return hit
+    def _pushforward_at(self, c: np.ndarray) -> np.ndarray:
         f = self.frame_dim
         alg = self.config.alg
         n = alg.dim
@@ -271,7 +286,6 @@ class Chart:
         sig = np.linalg.svd(push, compute_uv=False)
         if sig[-1] <= RANK_RTOL * sig[0]:
             raise ChartDegeneracyError("chart pushforward lost column rank")
-        self._pushes[key] = push
         return push
 
 
@@ -360,19 +374,12 @@ class FormField:
     """A cached matrix field coords -> skew matrix over a fixed chart."""
 
     def __init__(self, fn, dim: int, name: str):
-        self._fn = fn
         self.dim = int(dim)
         self.name = name
-        self._cache: dict[bytes, np.ndarray] = {}
+        self._values = CoordinateMemo(fn)
 
     def __call__(self, coords) -> np.ndarray:
-        c = np.asarray(coords, dtype=float)
-        key = c.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._fn(c)
-            self._cache[key] = hit
-        return hit
+        return self._values(np.asarray(coords, dtype=float))
 
 
 def canonical_form_field(chart: Chart) -> FormField:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, InputError
-from .orbit_charts import FD_STEP_DEFAULT, FormField, _check_fd_step, shifted
+from .orbit_charts import FD_STEP_DEFAULT, CoordinateMemo, FormField, _check_fd_step, shifted
 
 logger = logging.getLogger(__name__)
 
@@ -51,20 +51,17 @@ class PoissonField:
     """A cached skew matrix field with a provenance label."""
 
     def __init__(self, evaluator, dim: int, provenance: str):
-        self._fn = evaluator
         self.dim = int(dim)
         self.provenance = provenance
-        self._cache: dict[bytes, np.ndarray] = {}
+        self._values = CoordinateMemo(lambda c: _skew(evaluator(c)))
 
     def __call__(self, coords) -> np.ndarray:
-        c = np.asarray(coords, dtype=float)
-        key = c.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            mat = np.asarray(self._fn(c), dtype=float)
-            hit = 0.5 * (mat - mat.T)
-            self._cache[key] = hit
-        return hit
+        return self._values(np.asarray(coords, dtype=float))
+
+
+def _skew(mat) -> np.ndarray:
+    mat = np.asarray(mat, dtype=float)
+    return 0.5 * (mat - mat.T)
 
 
 def invert_form(form_field: FormField, provenance: str = "inverse-of-form") -> PoissonField:

@@ -2,7 +2,8 @@
 
 One master seed; every consumer derives an independent stream from the
 (stage name, sample index) pair.  Streams are independent of evaluation
-order, so parallel and serial runs draw identical numbers.
+order, so a run draws the same numbers whichever checks it selects and in
+whatever order they run.
 """
 
 from __future__ import annotations

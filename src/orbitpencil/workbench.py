@@ -1,10 +1,15 @@
 """Configuration, check registry, pipeline orchestration and reports.
 
 A run is fully determined by (configuration, master seed): every random
-draw comes from a stream keyed by a stage label and sample index, so
-serial and parallel executions produce identical numbers and the JSON
-report is byte-identical across reruns.  Wall-clock timings are kept out
-of the JSON for that reason; the text rendering shows them.
+draw comes from a stream keyed by a stage label and sample index, so the
+numbers do not depend on which checks are selected and the JSON report is
+byte-identical across reruns.  Wall-clock timings are kept out of the JSON
+for that reason; the text rendering shows them.
+
+Checks run one after another on a shared :class:`PipelineContext`.  Data
+that several rows read (splitting reports, adapted block reports, slice
+normal forms, setup residuals) is computed by the first row that needs it
+and kept on the context for the rest of the run.
 
 Check rows carry a short ``anchor`` sentence stating the mathematical
 claim being certified, a ``mode`` saying whether the value is an upper
@@ -80,29 +85,36 @@ def encode_complex_matrix(mat: np.ndarray) -> list:
     return [[[float(np.real(e)), float(np.imag(e))] for e in row] for row in np.asarray(mat, dtype=complex)]
 
 
+# Conversion of each JSON field into its WorkbenchConfig value; fields that
+# are absent take the dataclass default.
+_FIELD_PARSERS = {
+    "algebra": lambda v: v,
+    "seed_element": lambda v: v,
+    "samples": int,
+    "fd_step": float,
+    "tolerances": dict,
+    "t_samples": lambda v: [(float(t[0]), float(t[1])) for t in v],
+    "seed": int,
+    "checks": lambda v: v,
+}
+
+
 def config_from_dict(raw: dict) -> WorkbenchConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
-    known = {"algebra", "seed_element", "samples", "fd_step", "tolerances", "t_samples", "seed", "checks"}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_FIELD_PARSERS)
     if unknown:
         raise ConfigError(f"unknown configuration fields: {sorted(unknown)}")
     for required in ("algebra", "seed_element"):
         if required not in raw:
             raise ConfigError(f"missing required field '{required}'")
-    cfg = WorkbenchConfig(
-        algebra=raw["algebra"],
-        seed_element=raw["seed_element"],
-        samples=int(raw.get("samples", 10)),
-        fd_step=float(raw.get("fd_step", 1e-4)),
-        tolerances=dict(raw.get("tolerances", {})),
-        t_samples=[
-            (float(t[0]), float(t[1]))
-            for t in raw.get("t_samples", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7), (1.0, -1.0)])
-        ],
-        seed=int(raw.get("seed", 0)),
-        checks=raw.get("checks", "all"),
-    )
+    values = {}
+    for name, value in raw.items():
+        try:
+            values[name] = _FIELD_PARSERS[name](value)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ConfigError(f"malformed value for '{name}': {exc}") from exc
+    cfg = WorkbenchConfig(**values)
     validate_config(cfg)
     return cfg
 
@@ -112,6 +124,8 @@ def validate_config(cfg: WorkbenchConfig) -> None:
         raise ConfigError(f"fd_step must lie in [{oc.FD_STEP_MIN}, {oc.FD_STEP_MAX}]")
     if cfg.samples < 8:
         raise ConfigError("samples must be at least 8")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     alg_spec = cfg.algebra
     if not isinstance(alg_spec, dict):
         raise ConfigError("algebra must be an object")
@@ -131,8 +145,12 @@ def validate_config(cfg: WorkbenchConfig) -> None:
     se = cfg.seed_element
     if not isinstance(se, dict) or not ({"diag_spectrum", "coeffs"} & set(se)):
         raise ConfigError("seed_element must give diag_spectrum or coeffs")
+    try:
+        spec = np.asarray(se.get("diag_spectrum", []), dtype=float)
+        np.asarray(se.get("coeffs", []), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed_element entries must be numbers: {exc}") from exc
     if "diag_spectrum" in se:
-        spec = np.asarray(se["diag_spectrum"], dtype=float)
         if spec.size == 0:
             raise ConfigError("diag_spectrum is empty")
         if alg_spec.get("family") == "so":
@@ -146,7 +164,7 @@ def validate_config(cfg: WorkbenchConfig) -> None:
     if all(abs(t[0] + t[1]) <= 1e-12 for t in cfg.t_samples):
         raise ConfigError("t_samples needs at least one parameter off the degenerate line t1 + t2 = 0")
     if cfg.checks != "all":
-        if not isinstance(cfg.checks, (list, tuple)):
+        if not isinstance(cfg.checks, (list, tuple)) or not all(isinstance(n, str) for n in cfg.checks):
             raise ConfigError("checks must be 'all' or a list of names")
         names = {spec.name for spec in REGISTRY}
         unknown = set(cfg.checks) - names
@@ -155,6 +173,11 @@ def validate_config(cfg: WorkbenchConfig) -> None:
     unknown_tols = set(cfg.tolerances) - {spec.name for spec in REGISTRY}
     if unknown_tols:
         raise ConfigError(f"tolerances for unknown checks: {sorted(unknown_tols)}")
+    for name, tol in cfg.tolerances.items():
+        try:
+            float(tol)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"tolerance for '{name}' must be a number: {exc}") from exc
 
 
 def load_config(path) -> WorkbenchConfig:
@@ -212,6 +235,17 @@ class PipelineContext:
     p2: pp.PoissonField
     w1: oc.FormField
     w2: oc.FormField
+    _shared: dict = field(default_factory=dict, init=False, repr=False)
+
+    def once(self, compute):
+        """compute(self), evaluated on first request and shared for the rest of the run.
+
+        ``compute`` is the key, so pass a module-level function, never a
+        fresh lambda.
+        """
+        if compute not in self._shared:
+            self._shared[compute] = compute(self)
+        return self._shared[compute]
 
     @property
     def fd(self) -> float:
@@ -339,9 +373,13 @@ def _spectrum_preservation(ctx):
     return worst
 
 
+def _setup_residuals(ctx):
+    return dr.setup_residuals(ctx.setup)
+
+
 def _setup_residual(name):
     def fn(ctx):
-        return dr.setup_residuals(ctx.setup)[name]
+        return ctx.once(_setup_residuals)[name]
     return fn
 
 
@@ -486,37 +524,32 @@ def _splitting_reports(ctx):
 
 
 def _splitting_pairing(ctx):
-    return max(r.pairing for r in _splitting_reports(ctx))
+    return max(r.pairing for r in ctx.once(_splitting_reports))
 
 
 def _splitting_nondegeneracy(ctx):
-    return min(min(r.sigma_complement, r.sigma_stratum) for r in _splitting_reports(ctx))
+    return min(min(r.sigma_complement, r.sigma_stratum) for r in ctx.once(_splitting_reports))
 
 
-def _adapted_reports(ctx, offsets):
-    p_dim = ctx.setup.transversal.dim
+def _adapted_reports(ctx):
+    # Block reports of both forms on the stratum, i.e. at zero transversal offset.
+    offset = np.zeros(ctx.setup.transversal.dim)
     reports = []
     for s in ctx.regular_coords[:5]:
-        for y in offsets:
-            coords = np.concatenate([y, s]) if p_dim else np.asarray(s, dtype=float)
-            w1 = oc.canonical_form_matrix(ctx.adapted, coords)
-            w2 = w1 + oc.orbit_form_pullback_matrix(ctx.adapted, coords)
-            reports.append(dr.adapted_block_report(ctx.adapted, coords, w1))
-            reports.append(dr.adapted_block_report(ctx.adapted, coords, w2))
+        coords = np.concatenate([offset, s])
+        w1 = oc.canonical_form_matrix(ctx.adapted, coords)
+        w2 = w1 + oc.orbit_form_pullback_matrix(ctx.adapted, coords)
+        reports.append(dr.adapted_block_report(ctx.adapted, coords, w1))
+        reports.append(dr.adapted_block_report(ctx.adapted, coords, w2))
     return reports
 
 
-def _adapted_zero_offsets(ctx):
-    p_dim = ctx.setup.transversal.dim
-    return [np.zeros(p_dim)] if p_dim else [np.zeros(0)]
-
-
 def _adapted_off_diagonal(ctx):
-    return max(r.off_diagonal for r in _adapted_reports(ctx, _adapted_zero_offsets(ctx)))
+    return max(r.off_diagonal for r in ctx.once(_adapted_reports))
 
 
 def _adapted_nondegeneracy(ctx):
-    return min(min(r.sigma_transversal, r.sigma_stratum) for r in _adapted_reports(ctx, _adapted_zero_offsets(ctx)))
+    return min(min(r.sigma_transversal, r.sigma_stratum) for r in ctx.once(_adapted_reports))
 
 
 def _control_adapted_off(ctx):
@@ -630,26 +663,28 @@ def _control_zero_section_transversality(ctx):
     return float(dr.transversality_deficiency(ctx.setup, zero))
 
 
-def _slice_normalization(ctx):
-    moved = lc.span(ctx.alg.ad(ctx.setup.x0) @ ctx.orbit.stabilizer.basis)
-    worst = 0.0
+def _slice_pairs(ctx):
+    # (y, slice normal form of y) for random unit tangent vectors y.
+    pairs = []
     for i in range(ctx.samples):
         rng = stream(ctx.seed, "slice-normalization", i)
         y = ctx.orbit.tangent.basis @ unit_vector(rng, ctx.orbit.tangent.dim)
         z, _ = dr.slice_normal_form(ctx.setup, y, max_iter=200, tol=1e-8)
+        pairs.append((y, z))
+    return pairs
+
+
+def _slice_normalization(ctx):
+    moved = lc.span(ctx.alg.ad(ctx.setup.x0) @ ctx.orbit.stabilizer.basis)
+    worst = 0.0
+    for _, z in ctx.once(_slice_pairs):
         resid = float(np.linalg.norm(moved.basis.T @ z)) if moved.dim else 0.0
         worst = max(worst, resid)
     return worst
 
 
 def _slice_isometry(ctx):
-    worst = 0.0
-    for i in range(ctx.samples):
-        rng = stream(ctx.seed, "slice-normalization", i)
-        y = ctx.orbit.tangent.basis @ unit_vector(rng, ctx.orbit.tangent.dim)
-        z, _ = dr.slice_normal_form(ctx.setup, y, max_iter=200, tol=1e-8)
-        worst = max(worst, abs(np.linalg.norm(z) - np.linalg.norm(y)))
-    return worst
+    return max(abs(np.linalg.norm(z) - np.linalg.norm(y)) for y, z in ctx.once(_slice_pairs))
 
 
 def _has_transversal(ctx):
@@ -781,7 +816,7 @@ def _finite(value) -> float:
     return value
 
 
-def run_pipeline(cfg: WorkbenchConfig, parallel: bool = False) -> ReductionReport:
+def run_pipeline(cfg: WorkbenchConfig) -> ReductionReport:
     """Run every enabled check and assemble the report.
 
     Raises ConfigError for invalid configurations; any other stage failure
@@ -803,40 +838,20 @@ def run_pipeline(cfg: WorkbenchConfig, parallel: bool = False) -> ReductionRepor
 
     specs = [s for s in REGISTRY if s.name in selected and (s.applicable is None or s.applicable(ctx))]
 
-    def run_one(spec: CheckSpec):
+    finished: list[tuple[CheckSpec, CheckResult]] = []
+    error = None
+    for spec in specs:
         start = time.perf_counter()
-        value = _finite(spec.fn(ctx))
-        elapsed = (time.perf_counter() - start) * 1e3
+        try:
+            value = _finite(spec.fn(ctx))
+        except Exception as exc:  # report the stage, fail the run
+            error = {"stage": spec.stage, "check": spec.name, "message": str(exc)}
+            break
+        timing[spec.stage] = timing.get(spec.stage, 0.0) + (time.perf_counter() - start) * 1e3
         tol = float(cfg.tolerances.get(spec.name, spec.tolerance))
         passed = value <= tol if spec.mode == "max" else value >= tol
-        return CheckResult(spec.name, spec.anchor, value, tol, spec.mode, passed), elapsed
+        finished.append((spec, CheckResult(spec.name, spec.anchor, value, tol, spec.mode, passed)))
 
-    results: dict[str, CheckResult] = {}
-    error = None
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [(spec, pool.submit(run_one, spec)) for spec in specs]
-            for spec, fut in futures:
-                try:
-                    result, elapsed = fut.result()
-                except Exception as exc:  # report the stage, fail the run
-                    error = {"stage": spec.stage, "check": spec.name, "message": str(exc)}
-                    break
-                results[spec.name] = result
-                timing[spec.stage] = timing.get(spec.stage, 0.0) + elapsed
-    else:
-        for spec in specs:
-            try:
-                result, elapsed = run_one(spec)
-            except Exception as exc:  # report the stage, fail the run
-                error = {"stage": spec.stage, "check": spec.name, "message": str(exc)}
-                break
-            results[spec.name] = result
-            timing[spec.stage] = timing.get(spec.stage, 0.0) + elapsed
-
-    finished = [(s, results[s.name]) for s in specs if s.name in results]
     checks = [r for s, r in finished if s.kind == "check"]
     controls = [r for s, r in finished if s.kind == "control"]
     verdict = "pass" if error is None and all(r.passed for _, r in finished) else "fail"

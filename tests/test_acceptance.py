@@ -16,6 +16,7 @@ from orbitpencil import lie_core as lc
 from orbitpencil import orbit_charts as oc
 from orbitpencil import poisson_pencil as pp
 from orbitpencil import workbench as wb
+from orbitpencil.cli import main as cli_main
 from orbitpencil.seeding import stream, unit_vector
 
 
@@ -249,20 +250,24 @@ def test_criterion_10_local_freeness(triple):
             ok, f"max isotropy excess over the center {worst} == 0 at 10 points per configuration")
 
 
-def test_criterion_11_determinism():
+def test_criterion_11_determinism(tmp_path):
     cfg_dict = {
         "algebra": {"family": "su", "n": 2},
         "seed_element": {"diag_spectrum": [1, -1]},
         "samples": 8,
         "seed": 7,
     }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_dict))
+    out_path = tmp_path / "report.json"
+    code = cli_main(["verify", "--config", str(cfg_path), "--out", str(out_path)])
     runs = [
         wb.run_pipeline(wb.config_from_dict(cfg_dict)).to_json(),
         wb.run_pipeline(wb.config_from_dict(cfg_dict)).to_json(),
-        wb.run_pipeline(wb.config_from_dict(cfg_dict), parallel=True).to_json(),
+        out_path.read_text(encoding="utf-8"),
     ]
     identical = runs[0] == runs[1] == runs[2]
-    passes = json.loads(runs[0])["verdict"] == "pass"
+    passes = json.loads(runs[0])["verdict"] == "pass" and code == 0
     ok = identical and passes
-    verdict(11, "reports are byte-identical across reruns and parallel mode",
+    verdict(11, "reports are byte-identical across reruns, in process and through the CLI",
             ok, f"3 runs, identical={identical}, verdict pass={passes}")

@@ -1,0 +1,58 @@
+"""The names the benchmark trace (perfbench/probe.py) hooks must keep existing.
+
+The probe reports a hook whose target is gone as ``absent`` instead of
+failing, so a rename would silently drop a per-layer metric.  This test
+loads the probe by path and resolves every target without attaching.
+"""
+
+import importlib.util
+import pathlib
+
+import numpy as np
+import pytest
+
+from orbitpencil import dirac_reduction, families, lie_core, orbit_charts, poisson_pencil, workbench
+
+PROBE_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "probe.py"
+
+MODULES = {"workbench": workbench, "lie_core": lie_core, "orbit_charts": orbit_charts,
+           "poisson_pencil": poisson_pencil, "dirac_reduction": dirac_reduction, "families": families}
+
+# Targets the probe's ``attach`` and ``main`` replace besides its SPANS list.
+OTHER_HOOKS = [
+    ("families", "su"), ("families", "so"), ("families", "diagonal_seed"),
+    ("workbench", "run_pipeline"), ("workbench", "prepare_context"), ("workbench", "REGISTRY"),
+    ("dirac_reduction", "slice_normal_form"), ("dirac_reduction", "sample_regular_coords"),
+    ("dirac_reduction", "is_regular"), ("orbit_charts", "dexp_apply"),
+    ("orbit_charts", "FormField.__init__"), ("orbit_charts", "FormField.__call__"),
+    ("poisson_pencil", "PoissonField.__init__"), ("poisson_pencil", "PoissonField.__call__"),
+]
+
+
+@pytest.fixture(scope="module")
+def probe():
+    spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves(probe):
+    missing = [f"{module}.{path}" for module, path in list(probe.SPANS) + OTHER_HOOKS
+               if probe._lookup(MODULES[module], path) is None]
+    assert missing == []
+
+
+@pytest.mark.parametrize("cls", [orbit_charts.FormField, poisson_pencil.PoissonField])
+def test_memo_fields_take_the_evaluator_first_and_call_it_once_per_point(cls):
+    # The probe counts memo misses by wrapping the first constructor argument.
+    calls = []
+
+    def evaluator(c):
+        calls.append(1)
+        return np.outer(c, c[::-1])
+
+    field = cls(evaluator, 2, "probe")
+    for coords in ([0.1, 0.2], [0.1, 0.2], [0.3, 0.2], [0.1, 0.2]):
+        field(coords)
+    assert len(calls) == 2

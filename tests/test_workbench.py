@@ -191,12 +191,6 @@ def test_cli_seed_override(tmp_path):
                      "--checks", "algebra_closure"]) == 0
 
 
-def test_cli_parallel_flag(tmp_path):
-    cfg_path = write_config(tmp_path, SU2_CONFIG)
-    assert cli_main(["verify", "--config", cfg_path, "--parallel",
-                     "--checks", "algebra_closure,orbit_splitting"]) == 0
-
-
 def test_shipped_configs_are_valid():
     import pathlib
 
@@ -233,12 +227,71 @@ def test_pipeline_nonabelian_isotropy_with_trivial_transversal():
     assert "control_adapted_off_submanifold" not in control_names  # vacuous here
 
 
-def test_determinism_serial_and_parallel():
+def test_determinism_repeated_runs(tmp_path):
     cfg = wb.config_from_dict(SU2_CONFIG)
     first = wb.run_pipeline(cfg).to_json()
     second = wb.run_pipeline(cfg).to_json()
-    third = wb.run_pipeline(cfg, parallel=True).to_json()
+    out_path = tmp_path / "report.json"
+    assert cli_main(["verify", "--config", write_config(tmp_path, SU2_CONFIG), "--out", str(out_path)]) == 0
+    third = out_path.read_text(encoding="utf-8")
     assert first == second == third
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_shared_row_data_is_computed_once(monkeypatch):
+    from orbitpencil import dirac_reduction as dr
+
+    splitting = _counting(monkeypatch, dr, "splitting_orthogonality")
+    normal_forms = _counting(monkeypatch, dr, "slice_normal_form")
+    residuals = _counting(monkeypatch, dr, "setup_residuals")
+    report = wb.run_pipeline(wb.config_from_dict(SU2_CONFIG))
+    assert report.verdict == "pass"
+    samples = SU2_CONFIG["samples"]
+    # splitting_pairing and splitting_nondegeneracy share one pass over
+    # samples regular points x 5 pencil members
+    assert len(splitting) == samples * 5
+    # slice_normalization and slice_isometry share one normal form per sample
+    assert len(normal_forms) == samples
+    # one call validates the setup in reduction_setup; the ten setup rows share one more
+    assert len(residuals) == 2
+
+
+_MEMO_SHARING_ROWS = [
+    ["splitting_pairing", "splitting_nondegeneracy"],
+    ["adapted_off_diagonal", "adapted_nondegeneracy"],
+    ["slice_normalization", "slice_isometry"],
+    ["isotropy_in_stabilizer", "subalgebras_closed"],
+]
+
+
+def test_check_subsets_read_the_same_shared_data(tmp_path):
+    # su(3) projective plane: a nontrivial transversal, so every shared
+    # quantity is nonvacuous
+    payload = {"algebra": {"family": "su", "n": 3}, "seed_element": {"diag_spectrum": [2, -1, -1]},
+               "samples": 8, "seed": 0}
+    cfg_path = write_config(tmp_path, payload)
+    full = {row.name: row.residual for row in wb.run_pipeline(wb.config_from_dict(payload)).checks}
+    for position in (0, 1):
+        # each subset fills the shared data from a different row of each pair
+        names = [pair[position] for pair in _MEMO_SHARING_ROWS]
+        out_path = tmp_path / f"subset{position}.json"
+        assert cli_main(["verify", "--config", cfg_path, "--checks", ",".join(names),
+                         "--out", str(out_path)]) == 0
+        rows = json.loads(out_path.read_text())["checks"]
+        assert sorted(row["name"] for row in rows) == sorted(names)
+        for row in rows:
+            assert row["residual"] == full[row["name"]], row["name"]
 
 
 def test_seed_changes_report_but_not_verdict():
@@ -286,6 +339,36 @@ def test_cli_checks_flag_and_text_format(tmp_path, capsys):
 def test_cli_unknown_check_is_config_error(tmp_path):
     cfg_path = write_config(tmp_path, SU2_CONFIG)
     assert cli_main(["verify", "--config", cfg_path, "--checks", "nope"]) == 2
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    assert cli_main(["verify", "--config", write_config(tmp_path, SU2_CONFIG), "--seed", "-1"]) == 2
+    assert cli_main(["verify", "--config", write_config(tmp_path, dict(SU2_CONFIG, seed=-3), "neg.json")]) == 2
+    assert capsys.readouterr().err.count("seed must be a nonnegative integer") == 2
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        {"t_samples": [[1]]},
+        {"t_samples": 5},
+        {"t_samples": [["a", 1]]},
+        {"fd_step": "x"},
+        {"fd_step": None},
+        {"samples": "many"},
+        {"samples": [8]},
+        {"seed": "zero"},
+        {"tolerances": "tight"},
+        {"tolerances": {"algebra_closure": "tight"}},
+        {"checks": [["algebra_closure"]]},
+        {"seed_element": {"diag_spectrum": ["a", "b"]}},
+        {"seed_element": {"coeffs": ["a", "b", "c"]}},
+    ],
+)
+def test_cli_malformed_field_values_exit_2(tmp_path, capsys, mutation):
+    cfg_path = write_config(tmp_path, dict(SU2_CONFIG, **mutation))
+    assert cli_main(["verify", "--config", cfg_path]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_cli_list_checks(capsys):
