@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .errors import ConfigError
-from .workbench import REGISTRY, emit_report, load_config, run_pipeline, validate_config
+from .workbench import REGISTRY, emit_report, load_config, run_pipeline
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,12 +49,11 @@ def _cmd_verify(args) -> int:
             cfg.seed = int(args.seed)
         if args.checks is not None:
             cfg.checks = [name.strip() for name in args.checks.split(",") if name.strip()]
-        validate_config(cfg)
+        report = run_pipeline(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    report = run_pipeline(cfg)
     rendered = report.to_json() if args.format == "json" else report.to_text()
     if args.out:
         try:

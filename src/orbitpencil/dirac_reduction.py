@@ -57,19 +57,16 @@ from .lie_core import (
     zero_subspace,
 )
 from .orbit_charts import (
-    FD_STEP_DEFAULT,
     Chart,
     CoordinateMemo,
     FormField,
     OrbitConfig,
     TangentBundlePoint,
-    _check_fd_step,
     ambient_tangent_space,
     canonical_form_field,
     combined_form_field,
     dexp_apply,
     infinitesimal_action,
-    shifted,
 )
 from .poisson_pencil import PoissonField, invert_form
 from .seeding import stream, unit_vector
@@ -601,8 +598,8 @@ class RestrictedPencilData:
     w2_sub: FormField
     p1_sub: PoissonField
     p2_sub: PoissonField
-    fd_step: float          # step of the central-difference bracket differentials
     _ambient: tuple | None = field(default=None, repr=False)
+    _differentials: dict = field(default_factory=dict, init=False, repr=False)
 
     def pad_coords(self, sub_coords) -> np.ndarray:
         """Ambient-chart coordinates of a sub-chart point.
@@ -628,16 +625,31 @@ class RestrictedPencilData:
             self._ambient = (w1, w2, invert_form(w1), invert_form(w2))
         return self._ambient
 
+    def differentials(self, fns, sub_coords) -> tuple[np.ndarray, np.ndarray]:
+        """(D_amb, D_sub): differentials of fns at a sub-chart point in both charts.
 
-def restricted_pencil(setup: ReductionSetup, base_point: TangentBundlePoint,
-                      fd_step: float = FD_STEP_DEFAULT) -> RestrictedPencilData:
+        Rows follow ``fns``; D_amb is taken at the padded ambient coordinates.
+        Computed once per (function list, point), so every pencil parameter
+        at that point reuses them.
+        """
+        key = tuple(fns)
+        memo = self._differentials.get(key)
+        if memo is None:
+            memo = CoordinateMemo(lambda s: (
+                chart_differentials(self.ambient_chart, key, self.pad_coords(s)),
+                chart_differentials(self.sub_chart, key, s),
+            ))
+            self._differentials[key] = memo
+        return memo(np.asarray(sub_coords, dtype=float))
+
+
+def restricted_pencil(setup: ReductionSetup, base_point: TangentBundlePoint) -> RestrictedPencilData:
     """Charts and form fields for the pencil restricted to the sub-orbit bundle.
 
     The base point must be (a, y) with y in the slice; the sub chart uses
     the moving part of the centralizer as frame, the ambient chart extends
     that frame to all of m so that sub coordinates embed by zero padding.
     """
-    fd_step = _check_fd_step(fd_step)
     cfg = setup.config
     if np.linalg.norm(base_point.x - cfg.seed) > 1e-10 * max(1.0, np.linalg.norm(cfg.seed)):
         raise DomainError("restriction base must sit over the orbit seed")
@@ -660,7 +672,6 @@ def restricted_pencil(setup: ReductionSetup, base_point: TangentBundlePoint,
         w2_sub=w2,
         p1_sub=invert_form(w1, provenance="restricted"),
         p2_sub=invert_form(w2, provenance="restricted"),
-        fd_step=fd_step,
     )
 
 
@@ -692,54 +703,94 @@ def invariant_function(alg: LieAlgebra, word):
 
     ``word`` is a nonempty sequence over {"x", "v"}; conjugation-invariance
     of the trace makes the function invariant under the group action.
+
+    ``fn.gradient(point)`` is the exact ambient gradient, a 2n-vector of
+    d/dx_a then d/dv_a (the row order of a chart pushforward).  With
+    M_1..M_L the matrices of the word, cyclicity of the trace gives
+
+        d/dx_a Re tr(M_1..M_L) = sum over positions k holding x of
+                                 Re tr(B_a M_{k+1}..M_L M_1..M_{k-1}),
+
+    B_a the basis matrices; likewise for v.
     """
     symbols = tuple(word)
     if not symbols or any(s not in ("x", "v") for s in symbols):
         raise InputError("word must be a nonempty sequence over {'x', 'v'}")
 
-    def fn(point: TangentBundlePoint) -> float:
+    def matrices(point: TangentBundlePoint) -> list[np.ndarray]:
         mats = {"x": alg.matrix_of(point.x), "v": alg.matrix_of(point.v)}
-        acc = mats[symbols[0]]
-        for s in symbols[1:]:
-            acc = acc @ mats[s]
+        return [mats[s] for s in symbols]
+
+    def fn(point: TangentBundlePoint) -> float:
+        mats = matrices(point)
+        acc = mats[0]
+        for m in mats[1:]:
+            acc = acc @ m
         return float(np.real(np.trace(acc)))
 
+    def gradient(point: TangentBundlePoint) -> np.ndarray:
+        mats = matrices(point)
+        eye = np.eye(alg.matrix_dim, dtype=complex)
+        cofactors = {"x": np.zeros_like(eye), "v": np.zeros_like(eye)}
+        for k, s in enumerate(symbols):
+            acc = eye
+            for m in mats[k + 1:] + mats[:k]:
+                acc = acc @ m
+            cofactors[s] += acc
+        # Re tr(B_a C) = Re sum_ij B_a[i, j] C[j, i]
+        return np.concatenate([
+            np.real(np.einsum("aij,ji->a", alg.basis, cofactors["x"])),
+            np.real(np.einsum("aij,ji->a", alg.basis, cofactors["v"])),
+        ])
+
     fn.word = symbols
+    fn.gradient = gradient
     return fn
 
 
-def chart_differential(chart, fn, coords, fd_step: float = FD_STEP_DEFAULT) -> np.ndarray:
-    """Central-difference differential of fn composed with the chart."""
-    h = _check_fd_step(fd_step)
-    c = np.asarray(coords, dtype=float)
-    out = np.empty(chart.coord_dim)
-    for i in range(chart.coord_dim):
-        plus = fn(chart.point(shifted(c, i, +h)))
-        minus = fn(chart.point(shifted(c, i, -h)))
-        out[i] = (plus - minus) / (2.0 * h)
-    return out
+def chart_differentials(chart, fns, coords) -> np.ndarray:
+    """k x coord_dim matrix whose row i is d(fns[i] o chart) at coords.
+
+    Chain rule: each function's exact ambient gradient times the chart
+    pushforward, so no chart point besides ``coords`` is evaluated.
+    """
+    point = chart.point(coords)
+    grads = np.stack([fn.gradient(point) for fn in fns])
+    return grads @ chart.pushforward(coords)
 
 
 @dataclass(frozen=True)
 class BracketAgreement:
-    ambient: float
-    restricted: float
+    """Ambient and restricted bracket matrices {f_i, f_j}_t at one point."""
+
+    ambient: np.ndarray
+    restricted: np.ndarray
+
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(|ambient - restricted|, |ambient|) over the pairs i < j."""
+        upper = np.triu_indices(self.ambient.shape[0], k=1)
+        return np.abs(self.ambient - self.restricted)[upper], np.abs(self.ambient)[upper]
 
     @property
     def residual(self) -> float:
-        return abs(self.ambient - self.restricted)
+        diff, _ = self._pairs()
+        return float(np.max(diff, initial=0.0))
 
     @property
     def relative_residual(self) -> float:
-        return self.residual / (1.0 + abs(self.ambient))
+        diff, size = self._pairs()
+        return float(np.max(diff / (1.0 + size), initial=0.0))
 
 
-def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, f, g,
+def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, fns,
                       coords, t) -> BracketAgreement:
-    """Ambient versus restricted pencil bracket of two invariant functions.
+    """Ambient versus restricted pencil brackets of a list of invariant functions.
 
-    ``coords`` are sub-chart coordinates of a regular point; ``t`` is a
-    pencil parameter with t1 + t2 != 0 so both members are invertible.
+    ``fns`` are functions on TO with a ``gradient`` (see
+    :func:`invariant_function`); ``coords`` are sub-chart coordinates of a
+    regular point; ``t`` is a pencil parameter with t1 + t2 != 0 so both
+    members are invertible.  Both bracket matrices are D Pi_t D^T, each
+    side with its own chart's differentials and bivector.
     """
     t1, t2 = (float(v) for v in (t.t1, t.t2)) if hasattr(t, "t1") else (float(t[0]), float(t[1]))
     if abs(t1 + t2) < 1e-12:
@@ -750,14 +801,9 @@ def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, f, g,
         raise DomainError("image point is not regular")
     c = data.pad_coords(s)
     _, _, p1a, p2a = data.ambient_fields()
-    pt_ambient = t1 * p1a(c) + t2 * p2a(c)
-    df = chart_differential(data.ambient_chart, f, c, data.fd_step)
-    dg = chart_differential(data.ambient_chart, g, c, data.fd_step)
-    ambient = float(df @ pt_ambient @ dg)
-    pt_sub = t1 * data.p1_sub(s) + t2 * data.p2_sub(s)
-    dfs = chart_differential(data.sub_chart, f, s, data.fd_step)
-    dgs = chart_differential(data.sub_chart, g, s, data.fd_step)
-    restricted = float(dfs @ pt_sub @ dgs)
+    d_amb, d_sub = data.differentials(fns, s)
+    ambient = d_amb @ (t1 * p1a(c) + t2 * p2a(c)) @ d_amb.T
+    restricted = d_sub @ (t1 * data.p1_sub(s) + t2 * data.p2_sub(s)) @ d_sub.T
     return BracketAgreement(ambient=ambient, restricted=restricted)
 
 

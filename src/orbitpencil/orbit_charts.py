@@ -28,8 +28,8 @@ plus the pullback of the orbit form  omega_x([x,s1],[x,s2]) = -<x,[s1,s2]>
 under the bundle projection.  Both are exact from the pushforward: with
 P = (Px; Pv) the stacked x- and v-rows, d theta = sum dv ^ dx has matrix
 Pv^T Px - Px^T Pv.  Finite differences remain only in outer derivatives
-(closedness and Jacobi residuals, differentials of invariant functions),
-where they are the independent check.
+(closedness and Jacobi residuals) and in the check of the pushforward
+itself, where they are the independent check.
 """
 
 from __future__ import annotations

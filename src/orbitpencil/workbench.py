@@ -21,7 +21,6 @@ check to pass and every control to fail as designed.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -266,7 +265,7 @@ def prepare_context(cfg: WorkbenchConfig) -> PipelineContext:
     orbit = oc.orbit_config(alg, seed_elt)
     setup = dr.reduction_setup(orbit, samples=max(8, cfg.samples), seed=cfg.seed)
     base = oc.TangentBundlePoint(x=orbit.seed, v=setup.x0)
-    data = dr.restricted_pencil(setup, base, fd_step=cfg.fd_step)
+    data = dr.restricted_pencil(setup, base)
     adapted = dr.AdaptedChart(setup, data.sub_chart)
     w1, w2, p1, p2 = data.ambient_fields()
     ambient_coords = [
@@ -610,12 +609,11 @@ _BRACKET_WORDS = [("v", "v"), ("x", "x", "v", "v"), ("x", "v", "x", "v"), ("v", 
 def _bracket_agreement(ctx):
     fns = [dr.invariant_function(ctx.alg, w) for w in _BRACKET_WORDS]
     params = [t for t in ctx.config.t_samples if abs(t[0] + t[1]) > 1e-12]
-    worst = 0.0
-    for f, g in itertools.combinations(fns, 2):
-        for t in params:
-            for s in ctx.regular_coords[:5]:
-                worst = max(worst, dr.bracket_agreement(ctx.setup, ctx.data, f, g, s, t).relative_residual)
-    return worst
+    return max(
+        dr.bracket_agreement(ctx.setup, ctx.data, fns, s, t).relative_residual
+        for s in ctx.regular_coords[:5]
+        for t in params
+    )
 
 
 def _invariant_function_invariance(ctx):
@@ -828,6 +826,8 @@ def run_pipeline(cfg: WorkbenchConfig) -> ReductionReport:
     t0 = time.perf_counter()
     try:
         ctx = prepare_context(cfg)
+    except ConfigError:
+        raise  # e.g. a seed the algebra rejects: the caller's input, not a stage failure
     except WorkbenchError as exc:
         return ReductionReport(
             config=cfg.resolved(), dims={}, reduction="unknown", checks=[],

@@ -138,10 +138,10 @@ def test_criterion_05_bracket_agreement(setup_cp2, data_cp2, regular_coords_cp2)
     pairs = list(itertools.combinations(fns, 2))
     assert len(pairs) >= 6
     worst = 0.0
-    for f, g in pairs:
-        for t in params:
-            for coords in regular_coords_cp2[:5]:
-                worst = max(worst, dr.bracket_agreement(setup_cp2, data_cp2, f, g, coords, t).relative_residual)
+    for t in params:
+        for coords in regular_coords_cp2[:5]:
+            # relative residual is the max over every pair i < j of fns
+            worst = max(worst, dr.bracket_agreement(setup_cp2, data_cp2, fns, coords, t).relative_residual)
     ok = worst <= 1e-5
     verdict(5, "ambient and restricted brackets agree on invariant functions",
             ok, f"max relative residual {worst:.2e} <= 1e-5 over {len(pairs)} pairs x 4 parameters x 5 points")

@@ -333,11 +333,90 @@ def test_invariant_function_rejects_bad_word(su3):
         dr.invariant_function(su3, ("x", "y"))
 
 
+_BRACKET_WORDS = [("v", "v"), ("x", "x", "v", "v"), ("x", "v", "x", "v"), ("v", "v", "v", "v")]
+
+
+def _fd_differential(chart, fn, coords, h=1e-4):
+    """Central-difference differential of fn composed with the chart."""
+    c = np.asarray(coords, dtype=float)
+    out = np.empty(chart.coord_dim)
+    for i in range(chart.coord_dim):
+        step = np.zeros_like(c)
+        step[i] = h
+        out[i] = (fn(chart.point(c + step)) - fn(chart.point(c - step))) / (2.0 * h)
+    return out
+
+
+@pytest.mark.parametrize(
+    "setup_name, data_name, which",
+    [
+        ("setup_su2", "data_su2", "sub"),
+        ("setup_su2", "data_su2", "ambient"),
+        ("setup_cp2", "data_cp2", "sub"),
+        ("setup_cp2", "data_cp2", "ambient"),
+        ("setup_cp3", "data_cp3", "ambient"),
+    ],
+)
+def test_exact_differentials_match_finite_differences(request, setup_name, data_name, which):
+    setup = request.getfixturevalue(setup_name)
+    data = request.getfixturevalue(data_name)
+    chart = data.sub_chart if which == "sub" else data.ambient_chart
+    fns = [dr.invariant_function(setup.alg, w) for w in _BRACKET_WORDS]
+    rng = np.random.default_rng(21)
+    for _ in range(2):
+        coords = rng.uniform(-0.1, 0.1, chart.coord_dim)
+        exact = dr.chart_differentials(chart, fns, coords)
+        assert exact.shape == (len(fns), chart.coord_dim)
+        for row, fn in zip(exact, fns):
+            ref = _fd_differential(chart, fn, coords)
+            assert np.max(np.abs(row - ref)) <= 1e-7 * (1.0 + np.max(np.abs(ref))), fn.word
+
+
+def test_gradient_of_vv_is_minus_twice_v(su3, data_cp2, regular_coords_cp2):
+    # orthonormal basis: tr(VV) = -|v|^2, so the gradient is (0, -2v)
+    f = dr.invariant_function(su3, ("v", "v"))
+    point = data_cp2.sub_chart.point(regular_coords_cp2[0])
+    expected = np.concatenate([np.zeros(su3.dim), -2.0 * point.v])
+    assert np.max(np.abs(f.gradient(point) - expected)) <= 1e-13
+    assert abs(f(point) + np.dot(point.v, point.v)) <= 1e-13
+
+
+def _linear_function(alg, b, part):
+    """The non-invariant function b . x or b . v, with its exact gradient."""
+    n = alg.dim
+
+    def fn(point):
+        return float(np.dot(b, point.x if part == "x" else point.v))
+
+    def gradient(point):
+        out = np.zeros(2 * n)
+        out[:n] = b if part == "x" else 0.0
+        out[n:] = b if part == "v" else 0.0
+        return out
+
+    fn.gradient = gradient
+    return fn
+
+
+@pytest.mark.parametrize("setup_name, data_name", [("setup_cp2", "data_cp2"), ("setup_cp3", "data_cp3")])
+def test_bracket_agreement_catches_non_invariant_functions(request, setup_name, data_name):
+    # b . v and b . x with b in m but off the sub-orbit tangent: the restricted
+    # chart cannot see their derivatives off the sub-orbit bundle, so the
+    # ambient and restricted brackets must disagree
+    setup = request.getfixturevalue(setup_name)
+    data = request.getfixturevalue(data_name)
+    b = lc.complement_within(setup.sub_tangent, setup.config.tangent).basis[:, 0]
+    fns = [_linear_function(setup.alg, b, "v"), _linear_function(setup.alg, b, "x")]
+    for coords in dr.sample_regular_coords(setup, data, 3, seed=5):
+        for t in ((1.0, 0.0), (1.0, 1.0)):
+            assert dr.bracket_agreement(setup, data, fns, coords, t).relative_residual > 1e-2
+
+
 def test_bracket_agreement_skew_diagonal(setup_cp2, data_cp2, regular_coords_cp2):
     f = dr.invariant_function(setup_cp2.alg, ("v", "v"))
-    report = dr.bracket_agreement(setup_cp2, data_cp2, f, f, regular_coords_cp2[0], (1.0, 1.0))
-    assert abs(report.ambient) <= 1e-10
-    assert abs(report.restricted) <= 1e-10
+    report = dr.bracket_agreement(setup_cp2, data_cp2, [f], regular_coords_cp2[0], (1.0, 1.0))
+    assert abs(report.ambient[0, 0]) <= 1e-10
+    assert abs(report.restricted[0, 0]) <= 1e-10
 
 
 def test_bracket_agreement_trivial_reduction(setup_su2, data_su2):
@@ -350,7 +429,7 @@ def test_bracket_agreement_trivial_reduction(setup_su2, data_su2):
         coords = rng.uniform(-0.08, 0.08, data_su2.sub_chart.coord_dim)
         if not dr.is_regular(setup_su2, data_su2.sub_chart.point(coords)):
             continue
-        report = dr.bracket_agreement(setup_su2, data_su2, f, g, coords, (1.0, 1.0))
+        report = dr.bracket_agreement(setup_su2, data_su2, [f, g], coords, (1.0, 1.0))
         assert report.residual <= 1e-10
 
 
@@ -358,7 +437,7 @@ def test_bracket_agreement_rejects_degenerate_parameter(setup_cp2, data_cp2, reg
     f = dr.invariant_function(setup_cp2.alg, ("v", "v"))
     g = dr.invariant_function(setup_cp2.alg, ("x", "x", "v", "v"))
     with pytest.raises(DomainError):
-        dr.bracket_agreement(setup_cp2, data_cp2, f, g, regular_coords_cp2[0], (1.0, -1.0))
+        dr.bracket_agreement(setup_cp2, data_cp2, [f, g], regular_coords_cp2[0], (1.0, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +543,7 @@ def test_nonabelian_reduction_full_chain(setup_cp3, data_cp3):
         assert block.off_diagonal <= 1e-8
         # brackets agree ambient vs restricted
         for t in ((1.0, 1.0), (0.3, 0.7)):
-            assert dr.bracket_agreement(setup, data, f, g, coords, t).relative_residual <= 1e-5
+            assert dr.bracket_agreement(setup, data, [f, g], coords, t).relative_residual <= 1e-5
     points = [data.sub_chart.point(c) for c in coords_list]
     assert dr.isotropy_excess(setup, points) == 0
     base = oc.TangentBundlePoint(x=setup.config.seed, v=setup.x0)

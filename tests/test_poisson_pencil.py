@@ -180,3 +180,19 @@ def test_unit_circle_contains_the_degenerate_direction():
     assert len(on_line) == 2
     for t in params:
         assert abs(np.hypot(*t) - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Outer central differences: truncation error ~ fd_step^2
+# ---------------------------------------------------------------------------
+
+
+def test_outer_derivative_residuals_scale_like_step_squared(data_cp2, ambient_coords):
+    # a tenfold smaller step must shrink the residual about a hundredfold;
+    # rounding would instead make it grow
+    w1, w2, _, p2 = data_cp2.ambient_fields()
+    residuals = [(oc.closedness_residual, w1), (oc.closedness_residual, w2), (pp.jacobi_residual, p2)]
+    for coords in ambient_coords(data_cp2.ambient_chart, 2):
+        for residual, field in residuals:
+            ratio = residual(field, coords, 1e-3) / residual(field, coords, 1e-4)
+            assert 30.0 <= ratio <= 300.0, (field.name, ratio)

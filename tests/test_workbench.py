@@ -267,6 +267,43 @@ def test_shared_row_data_is_computed_once(monkeypatch):
     assert len(residuals) == 2
 
 
+def test_bracket_agreement_takes_one_differential_per_word_point_chart(monkeypatch):
+    import pathlib
+
+    from orbitpencil import dirac_reduction as dr
+    from orbitpencil import orbit_charts as oc
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "su3_projective_plane.json"
+    ctx = wb.prepare_context(wb.load_config(path))
+    gradients = []
+    make_function = dr.invariant_function
+
+    def counted_function(alg, word):
+        fn = make_function(alg, word)
+        gradient = fn.gradient
+        fn.gradient = lambda point: gradients.append(1) or gradient(point)
+        return fn
+
+    evaluated = set()
+
+    def recording(method):
+        def wrapper(chart, coords):
+            evaluated.add((chart.coord_dim, np.asarray(coords, dtype=float).tobytes()))
+            return method(chart, coords)
+        return wrapper
+
+    monkeypatch.setattr(dr, "invariant_function", counted_function)
+    monkeypatch.setattr(oc.Chart, "point", recording(oc.Chart.point))
+    monkeypatch.setattr(oc.Chart, "pushforward", recording(oc.Chart.pushforward))
+    assert wb._bracket_agreement(ctx) <= 1e-5
+    sampled = ctx.regular_coords[:5]
+    # 4 words x 5 points x 2 charts, shared by every pencil parameter
+    assert len(gradients) <= len(wb._BRACKET_WORDS) * len(sampled) * 2
+    allowed = {(len(s), s.tobytes()) for s in sampled}
+    allowed |= {(len(c), c.tobytes()) for c in map(ctx.data.pad_coords, sampled)}
+    assert evaluated <= allowed
+
+
 _MEMO_SHARING_ROWS = [
     ["splitting_pairing", "splitting_nondegeneracy"],
     ["adapted_off_diagonal", "adapted_nondegeneracy"],
@@ -334,6 +371,24 @@ def test_cli_checks_flag_and_text_format(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "algebra_closure" in out and "verdict: pass" in out
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"algebra": {"family": "su", "n": 3}, "seed_element": {"diag_spectrum": [1, -1]}},
+        {"algebra": {"family": "su", "n": 2}, "seed_element": {"coeffs": [1.0, 0.0]}},
+    ],
+)
+def test_cli_seed_rejected_by_the_algebra_exits_2(tmp_path, capsys, payload):
+    # passes validate_config, rejected only when the algebra is built
+    cfg_path = write_config(tmp_path, payload)
+    out_path = tmp_path / "report.json"
+    assert cli_main(["verify", "--config", cfg_path, "--out", str(out_path)]) == 2
+    assert "configuration error: seed element rejected" in capsys.readouterr().err
+    assert not out_path.exists()
+    with pytest.raises(ConfigError):
+        wb.run_pipeline(wb.config_from_dict(payload))
 
 
 def test_cli_unknown_check_is_config_error(tmp_path):
