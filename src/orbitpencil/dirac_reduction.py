@@ -23,10 +23,9 @@ agree at regular points.  All of this is certified numerically here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ChartRangeError,
@@ -50,6 +49,7 @@ from .lie_core import (
     orthogonal_complement,
     projector_distance,
     random_invariant_product,
+    skew_expm,
     span,
     subalgebra_residual,
     subspace_contains,
@@ -65,10 +65,11 @@ from .orbit_charts import (
     ambient_tangent_space,
     canonical_form_field,
     combined_form_field,
+    conjugation_columns,
     dexp_apply,
     infinitesimal_action,
 )
-from .poisson_pencil import PoissonField, invert_form
+from .poisson_pencil import PoissonField, _as_parameter, invert_form
 from .seeding import stream, unit_vector
 
 REGULARITY_TOL = 1e-8
@@ -291,7 +292,7 @@ def slice_normal_form(setup: ReductionSetup, y: np.ndarray, max_iter: int = 200,
             size = np.linalg.norm(delta)
             if size > 1.0:
                 delta *= 1.0 / size
-            yield scipy.linalg.expm(alg.ad(stab_basis @ delta)) @ z
+            yield skew_expm(alg.ad(stab_basis @ delta)) @ z
 
     def ascend(z, budget):
         """Single-start search; returns (iterate, iterations, converged).
@@ -327,7 +328,7 @@ def slice_normal_form(setup: ReductionSetup, y: np.ndarray, max_iter: int = 200,
             step = 0.5
             accepted = False
             while step > 1e-14:
-                cand = scipy.linalg.expm(alg.ad(step * grad)) @ z
+                cand = skew_expm(alg.ad(step * grad)) @ z
                 cand_value = float(np.dot(cand, setup.x0))
                 cand_res = residual(cand)
                 # Near the maximum the objective gain drops under the float
@@ -347,7 +348,7 @@ def slice_normal_form(setup: ReductionSetup, y: np.ndarray, max_iter: int = 200,
     for r in range(1, 8):
         rng = stream(r, "slice-restart-offsets")
         offset = 1.5 * unit_vector(rng, kdim)
-        starts.append(scipy.linalg.expm(alg.ad(stab_basis @ offset)) @ z)
+        starts.append(skew_expm(alg.ad(stab_basis @ offset)) @ z)
     used = 0
     best = residual(z)
     for start in starts:
@@ -402,11 +403,11 @@ def regular_tangent_space(setup: ReductionSetup, point: TangentBundlePoint) -> S
     if iso.dim == 0:
         return ambient
     alg = setup.alg
+    dx, dv = ambient.basis[:alg.dim], ambient.basis[alg.dim:]
     blocks = []
     for j in range(iso.dim):
         op = alg.ad(iso.basis[:, j])
-        big = scipy.linalg.block_diag(op, op)
-        blocks.append(big @ ambient.basis)
+        blocks.append(np.vstack([op @ dx, op @ dv]))
     coeffs = kernel(np.vstack(blocks))
     return span(ambient.basis @ coeffs.basis)
 
@@ -532,7 +533,7 @@ class AdaptedChart:
     def _point_at(self, c: np.ndarray) -> TangentBundlePoint:
         y, s = self._split(c)
         alg = self.setup.alg
-        big = scipy.linalg.expm(alg.ad(self.setup.transversal.basis @ y))
+        big = skew_expm(alg.ad(self.setup.transversal.basis @ y))
         inner = self.sub_chart.point(s)
         return TangentBundlePoint(x=big @ inner.x, v=big @ inner.v)
 
@@ -542,16 +543,12 @@ class AdaptedChart:
         n = alg.dim
         p = self.transversal_dim
         m = alg.ad(self.setup.transversal.basis @ y)
-        big = scipy.linalg.expm(m)
+        big = skew_expm(m)
         inner = self.sub_chart.point(s)
         push = np.zeros((2 * n, self.coord_dim))
         if p:
             deltas = np.stack([alg.ad(self.setup.transversal.basis[:, i]) for i in range(p)])
-            trans = dexp_apply(-m, deltas)
-            for i in range(p):
-                gen = big @ trans[i]
-                push[:n, i] = gen @ inner.x
-                push[n:, i] = gen @ inner.v
+            push[:, :p] = conjugation_columns(big, dexp_apply(-m, deltas), inner.x, inner.v)
         sub_push = self.sub_chart.pushforward(s)
         push[:n, p:] = big @ sub_push[:n]
         push[n:, p:] = big @ sub_push[n:]
@@ -792,7 +789,7 @@ def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, fns,
     members are invertible.  Both bracket matrices are D Pi_t D^T, each
     side with its own chart's differentials and bivector.
     """
-    t1, t2 = (float(v) for v in (t.t1, t.t2)) if hasattr(t, "t1") else (float(t[0]), float(t[1]))
+    t1, t2 = astuple(_as_parameter(t))
     if abs(t1 + t2) < 1e-12:
         raise DomainError("pencil parameter lies on the degenerate line t1 + t2 = 0")
     s = np.asarray(coords, dtype=float)

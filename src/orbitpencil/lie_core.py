@@ -12,6 +12,8 @@ Conventions used throughout the package:
     need a Gram matrix unless a *different* invariant product is in play.
   * Structure constants are computed once from the matrix realisation and
     cached; every bracket afterwards is a tensor contraction.
+  * Every ad(xi) is then a real skew matrix, so Ad(e^xi) = exp(ad xi) has a
+    closed form in the eigenbasis of the Hermitian i*ad(xi) (:func:`skew_expm`).
   * Rank decisions use singular values with the relative cutoff RANK_RTOL.
   * Subspaces are compared through their orthogonal projectors (Frobenius
     distance), which is basis independent.
@@ -171,6 +173,17 @@ def jacobi_residual_of_structure(structure: np.ndarray) -> float:
     return float(np.max(np.abs(total)))
 
 
+def skew_expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a real skew matrix m, such as ad(xi) on coefficients.
+
+    With i*m = u diag(w) u^H (Hermitian), exp(m) = u diag(e^{-iw}) u^H, real and
+    orthogonal up to rounding.  Skewness is a precondition, checked for every
+    ad by :func:`algebra_from_matrices`.
+    """
+    w, u = np.linalg.eigh(1j * m)
+    return ((u * np.exp(-1j * w)) @ u.conj().T).real
+
+
 # ---------------------------------------------------------------------------
 # Subspaces
 # ---------------------------------------------------------------------------
@@ -196,10 +209,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.T

@@ -13,14 +13,14 @@ fiber offset v0 maps coordinates (u, w) to
     ( Ad(e^xi(u)) a,  Ad(e^xi(u)) (v0 + W(w)) ),   xi(u) = sum u_i m_i,
                                                    W(w)  = sum w_i m_i.
 
-Ad(e^xi) is computed as the matrix exponential of ad(xi) on coefficient
-vectors.  Coordinate derivatives of the exponential are exact: with
-M = ad(xi(u)) and Delta_i = ad(m_i),
+Ad(e^xi) is the exponential of the skew matrix ad(xi) on coefficient
+vectors (:func:`lie_core.skew_expm`).  Coordinate derivatives of the
+exponential are exact: with M = ad(xi(u)) and Delta_i = ad(m_i),
 
     d/du_i exp(M) = exp(M) . dexp(-M, Delta_i),
     dexp(Y, Z) = sum_{k>=0} ad_Y^k(Z) / (k+1)!,
 
-the series truncated once a term drops below 1e-16.
+in closed form in the eigenbasis of Y, where ad_Y is diagonal (:func:`dexp_apply`).
 
 Two invariant 2-forms are realised as matrix fields in chart coordinates:
 the canonical form (exterior derivative of theta) and the canonical form
@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ChartDegeneracyError,
@@ -46,10 +45,7 @@ from .errors import (
     DomainError,
     InputError,
 )
-from .lie_core import RANK_RTOL, LieAlgebra, Subspace, kernel, projector_distance, span
-
-DEXP_TOL = 1e-16
-DEXP_MAX_TERMS = 80
+from .lie_core import RANK_RTOL, LieAlgebra, Subspace, kernel, projector_distance, skew_expm, span
 
 FD_STEP_DEFAULT = 1e-4
 FD_STEP_MIN = 1e-6
@@ -154,17 +150,25 @@ def ambient_tangent_space(config: OrbitConfig, point: TangentBundlePoint) -> Sub
 # ---------------------------------------------------------------------------
 
 
-def dexp_apply(m: np.ndarray, deltas: np.ndarray, tol: float = DEXP_TOL) -> np.ndarray:
-    """Apply dexp(m, .) = sum_k ad_m^k(.) / (k+1)! to a stack of matrices."""
-    deltas = np.asarray(deltas, dtype=float)
-    total = deltas.copy()
-    term = deltas.copy()
-    for k in range(1, DEXP_MAX_TERMS):
-        term = (m @ term - term @ m) / (k + 1.0)
-        total += term
-        if np.max(np.abs(term)) < tol:
-            return total
-    raise ChartDegeneracyError("dexp series did not converge; coordinates too large")
+def dexp_apply(m: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Apply dexp(m, .) = sum_k ad_m^k(.) / (k+1)! to a stack of matrices; m skew.
+
+    With i*m = u diag(w) u^H, ad_m multiplies entry (j, k) of u^H D u by
+    i*theta_jk, theta_jk = w_k - w_j, so dexp scales it by (e^{i theta} - 1) /
+    (i theta) = e^{i theta/2} sinc(theta / 2 pi), exactly for any size of m.
+    """
+    w, u = np.linalg.eigh(1j * m)
+    theta = w[None, :] - w[:, None]
+    phi = np.exp(0.5j * theta) * np.sinc(theta / (2.0 * np.pi))
+    uh = u.conj().T
+    return (u @ ((uh @ np.asarray(deltas, dtype=float) @ u) * phi) @ uh).real
+
+
+def conjugation_columns(big: np.ndarray, trans: np.ndarray, *vectors: np.ndarray) -> np.ndarray:
+    """Derivatives of exp(M) @ vec along each Delta_i, one block of rows per vector.
+
+    big = exp(M) and trans = dexp(-M, Delta); column i is (big @ trans[i]) @ vec."""
+    return np.vstack([big @ (trans @ vec).T for vec in vectors])
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +235,6 @@ class Chart:
     def coord_dim(self) -> int:
         return 2 * self.frame.shape[1]
 
-    @property
-    def base(self) -> TangentBundlePoint:
-        return self.point(np.zeros(self.coord_dim))
-
     def _coords(self, coords) -> np.ndarray:
         c = np.asarray(coords, dtype=float)
         if c.shape != (self.coord_dim,):
@@ -254,13 +254,15 @@ class Chart:
         """
         return self._pushes(self._coords(coords))
 
+    def _conjugation(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(ad xi(u), the chart rotation times Ad(e^xi(u)))."""
+        m = self.config.alg.ad(self.frame @ u)
+        big = skew_expm(m)
+        return m, big if self.rotation is None else self.rotation @ big
+
     def _point_at(self, c: np.ndarray) -> TangentBundlePoint:
         f = self.frame_dim
-        alg = self.config.alg
-        xi = self.frame @ c[:f]
-        big = scipy.linalg.expm(alg.ad(xi))
-        if self.rotation is not None:
-            big = self.rotation @ big
+        _, big = self._conjugation(c[:f])
         x = big @ self.config.seed
         v = big @ (self.base_v + self.frame @ c[f:])
         return TangentBundlePoint(x=x, v=v)
@@ -269,20 +271,12 @@ class Chart:
         f = self.frame_dim
         alg = self.config.alg
         n = alg.dim
-        xi = self.frame @ c[:f]
-        m = alg.ad(xi)
-        big = scipy.linalg.expm(m)
-        if self.rotation is not None:
-            big = self.rotation @ big
+        m, big = self._conjugation(c[:f])
         deltas = np.stack([alg.ad(self.frame[:, i]) for i in range(f)])
-        trans = dexp_apply(-m, deltas)
         fiber_at_base = self.base_v + self.frame @ c[f:]
         push = np.zeros((2 * n, 2 * f))
-        for i in range(f):
-            gen = big @ trans[i]
-            push[:n, i] = gen @ self.config.seed
-            push[n:, i] = gen @ fiber_at_base
-            push[n:, f + i] = big @ self.frame[:, i]
+        push[:, :f] = conjugation_columns(big, dexp_apply(-m, deltas), self.config.seed, fiber_at_base)
+        push[n:, f:] = big @ self.frame
         sig = np.linalg.svd(push, compute_uv=False)
         if sig[-1] <= RANK_RTOL * sig[0]:
             raise ChartDegeneracyError("chart pushforward lost column rank")

@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import dirac_reduction as dr
 from . import families
@@ -402,7 +401,7 @@ def _form_invariance(ctx):
     for i in range(3):
         rng = stream(ctx.seed, "form-invariance", i)
         zeta = 0.3 * unit_vector(rng, ctx.alg.dim)
-        rot = scipy.linalg.expm(ctx.alg.ad(zeta))
+        rot = lc.skew_expm(ctx.alg.ad(zeta))
         moved = oc.Chart(ctx.orbit, base_v=chart.base_v, frame=chart.frame, rotation=rot)
         coords = ctx.ambient_coords[i % len(ctx.ambient_coords)]
         w1_moved = oc.canonical_form_matrix(moved, coords)
@@ -622,7 +621,7 @@ def _invariant_function_invariance(ctx):
     worst = 0.0
     for i in range(20):
         rng = stream(ctx.seed, "function-invariance", i)
-        rot = scipy.linalg.expm(ctx.alg.ad(unit_vector(rng, ctx.alg.dim)))
+        rot = lc.skew_expm(ctx.alg.ad(unit_vector(rng, ctx.alg.dim)))
         moved = oc.TangentBundlePoint(x=rot @ point.x, v=rot @ point.v)
         for f in fns:
             worst = max(worst, abs(f(moved) - f(point)))

@@ -48,6 +48,35 @@ def test_orbit_config_rejects_zero_seed(su2):
 
 
 # ---------------------------------------------------------------------------
+# Exponential machinery
+# ---------------------------------------------------------------------------
+
+
+def _xi(alg, kind):
+    if kind == "zero":
+        return np.zeros(alg.dim)
+    if kind == "cartan":
+        # diagonal span: ad(xi) has repeated eigenvalues (0 at least rank-fold)
+        return families.diagonal_seed(alg, [0.7, -0.2, 0.4, -0.9][:alg.matrix_dim])
+    vec = np.random.default_rng(5).standard_normal(alg.dim)
+    return 3.0 * vec / np.linalg.norm(vec)  # |xi| = 3, far outside the chart box
+
+
+@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 4), ("so", 4), ("so", 5)])
+@pytest.mark.parametrize("kind", ["zero", "cartan", "far"])
+def test_exponential_and_dexp_match_scipy(family, n, kind):
+    alg = getattr(families, family)(n)
+    m = alg.ad(_xi(alg, kind))
+    big = lc.skew_expm(m)
+    assert np.max(np.abs(big - scipy.linalg.expm(m))) <= 1e-12
+    assert np.max(np.abs(big.T @ big - np.eye(alg.dim))) <= 1e-13
+    deltas = np.concatenate([alg.ad_basis, np.random.default_rng(6).standard_normal((2, alg.dim, alg.dim))])
+    trans = oc.dexp_apply(-m, deltas)
+    for delta, t in zip(deltas, trans):
+        assert np.max(np.abs(big @ t - scipy.linalg.expm_frechet(m, delta, compute_expm=False))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # Charts
 # ---------------------------------------------------------------------------
 

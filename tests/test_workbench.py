@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -349,6 +353,22 @@ def test_cli_verify_pass_and_report(tmp_path, capsys):
     code = cli_main(["verify", "--config", cfg_path, "--out", str(out_path)])
     assert code == 0
     assert json.loads(out_path.read_text())["verdict"] == "pass"
+
+
+def test_verify_runs_on_numpy_alone(tmp_path):
+    # a fresh interpreter, so modules imported by other tests do not count
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = (
+        "import json, sys\n"
+        "from orbitpencil.cli import main\n"
+        f"code = main(['verify', '--config', {str(root / 'configs' / 'su2_sphere.json')!r},"
+        f" '--out', {str(tmp_path / 'report.json')!r}])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
