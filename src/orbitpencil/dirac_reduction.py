@@ -28,7 +28,6 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .errors import (
-    ChartRangeError,
     ConvergenceError,
     DegeneracyError,
     DomainError,
@@ -49,7 +48,6 @@ from .lie_core import (
     orthogonal_complement,
     projector_distance,
     random_invariant_product,
-    skew_expm,
     span,
     subalgebra_residual,
     subspace_contains,
@@ -65,8 +63,7 @@ from .orbit_charts import (
     ambient_tangent_space,
     canonical_form_field,
     combined_form_field,
-    conjugation_columns,
-    dexp_apply,
+    exp_ad,
     infinitesimal_action,
 )
 from .poisson_pencil import PoissonField, _as_parameter, invert_form
@@ -292,7 +289,7 @@ def slice_normal_form(setup: ReductionSetup, y: np.ndarray, max_iter: int = 200,
             size = np.linalg.norm(delta)
             if size > 1.0:
                 delta *= 1.0 / size
-            yield skew_expm(alg.ad(stab_basis @ delta)) @ z
+            yield exp_ad(alg, stab_basis @ delta) @ z
 
     def ascend(z, budget):
         """Single-start search; returns (iterate, iterations, converged).
@@ -328,7 +325,7 @@ def slice_normal_form(setup: ReductionSetup, y: np.ndarray, max_iter: int = 200,
             step = 0.5
             accepted = False
             while step > 1e-14:
-                cand = skew_expm(alg.ad(step * grad)) @ z
+                cand = exp_ad(alg, step * grad) @ z
                 cand_value = float(np.dot(cand, setup.x0))
                 cand_res = residual(cand)
                 # Near the maximum the objective gain drops under the float
@@ -348,7 +345,7 @@ def slice_normal_form(setup: ReductionSetup, y: np.ndarray, max_iter: int = 200,
     for r in range(1, 8):
         rng = stream(r, "slice-restart-offsets")
         offset = 1.5 * unit_vector(rng, kdim)
-        starts.append(skew_expm(alg.ad(stab_basis @ offset)) @ z)
+        starts.append(exp_ad(alg, stab_basis @ offset) @ z)
     used = 0
     best = residual(z)
     for start in starts:
@@ -458,28 +455,30 @@ class SplittingReport:
 
 
 def splitting_orthogonality(setup: ReductionSetup, chart: Chart, coords,
-                            form_matrix: np.ndarray) -> SplittingReport:
-    """Evaluate an ambient form across the canonical splitting.
+                            form_matrices) -> list[SplittingReport]:
+    """Evaluate ambient forms across the canonical splitting, one report per form.
 
-    ``form_matrix`` is the form in the chart frame at ``coords``; the
-    complement and stratum bases are converted into that frame before
-    pairing.  For a trivial transversal the pairing is vacuously zero and
-    the complement block is reported as nondegenerate by convention.
+    ``form_matrices`` are forms in the chart frame at ``coords``, such as
+    the members of a pencil; the complement and stratum bases are converted
+    into that frame once and paired with each.  For a trivial transversal
+    the pairing is vacuously zero and the complement block is reported as
+    nondegenerate by convention.
     """
     point = chart.point(coords)
     comp = canonical_complement(setup, point)
     strat = regular_tangent_space(setup, point)
     push = chart.pushforward(coords)
     cs, *_ = np.linalg.lstsq(push, strat.basis, rcond=None)
-    block_strat = cs.T @ form_matrix @ cs
-    sigma_strat = float(np.linalg.svd(block_strat, compute_uv=False)[-1])
-    if comp.dim == 0:
-        return SplittingReport(pairing=0.0, sigma_complement=float("inf"), sigma_stratum=sigma_strat)
-    cp, *_ = np.linalg.lstsq(push, comp.basis, rcond=None)
-    pairing = float(np.max(np.abs(cp.T @ form_matrix @ cs)))
-    block_comp = cp.T @ form_matrix @ cp
-    sigma_comp = float(np.linalg.svd(block_comp, compute_uv=False)[-1])
-    return SplittingReport(pairing=pairing, sigma_complement=sigma_comp, sigma_stratum=sigma_strat)
+    cp = np.linalg.lstsq(push, comp.basis, rcond=None)[0] if comp.dim else None
+    reports = []
+    for form in form_matrices:
+        sigma_strat = float(np.linalg.svd(cs.T @ form @ cs, compute_uv=False)[-1])
+        if cp is None:
+            reports.append(SplittingReport(0.0, float("inf"), sigma_strat))
+            continue
+        sigma_comp = float(np.linalg.svd(cp.T @ form @ cp, compute_uv=False)[-1])
+        reports.append(SplittingReport(float(np.max(np.abs(cp.T @ form @ cs))), sigma_comp, sigma_strat))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -487,22 +486,20 @@ def splitting_orthogonality(setup: ReductionSetup, chart: Chart, coords,
 # ---------------------------------------------------------------------------
 
 
-class AdaptedChart:
+class AdaptedChart(Chart):
     """Coordinates (y, s) -> exp(sum y_i p_i) . sub_chart(s).
 
-    The first block of coordinates moves transversally to the regular
-    stratum along the action of p, the rest reuses a chart of the stratum;
-    at y = 0 the coordinate frame splits into the canonical complement and
-    the stratum tangent.  Quacks like Chart for the form-field machinery.
+    A :class:`Chart` whose frame is the transversal p and whose inner map
+    is the sub chart: the first block of coordinates moves transversally to
+    the regular stratum along the action of p, the rest reuses a chart of
+    the stratum; at y = 0 the coordinate frame splits into the canonical
+    complement and the stratum tangent.
     """
 
     def __init__(self, setup: ReductionSetup, sub_chart: Chart, box: float = 0.5):
         self.setup = setup
         self.sub_chart = sub_chart
-        self.config = sub_chart.config
-        self.box = float(box)
-        self._points = CoordinateMemo(self._point_at)
-        self._pushes = CoordinateMemo(self._pushforward_at)
+        self._init_conjugation(sub_chart.config, setup.transversal.basis, None, box)
 
     @property
     def transversal_dim(self) -> int:
@@ -512,47 +509,19 @@ class AdaptedChart:
     def coord_dim(self) -> int:
         return self.transversal_dim + self.sub_chart.coord_dim
 
-    def _coords(self, coords) -> np.ndarray:
-        c = np.asarray(coords, dtype=float)
-        if c.shape != (self.coord_dim,):
-            raise InputError(f"expected {self.coord_dim} coordinates, got {c.shape}")
-        if np.max(np.abs(c), initial=0.0) > self.box:
-            raise ChartRangeError(f"coordinates leave the validity box |c| <= {self.box}")
-        return c
-
-    def _split(self, c):
-        p = self.transversal_dim
-        return c[:p], c[p:]
-
+    # Entry points of its own, so that timing Chart.point and Chart.pushforward
+    # does not count adapted evaluations.
     def point(self, coords) -> TangentBundlePoint:
         return self._points(self._coords(coords))
 
     def pushforward(self, coords) -> np.ndarray:
         return self._pushes(self._coords(coords))
 
-    def _point_at(self, c: np.ndarray) -> TangentBundlePoint:
-        y, s = self._split(c)
-        alg = self.setup.alg
-        big = skew_expm(alg.ad(self.setup.transversal.basis @ y))
-        inner = self.sub_chart.point(s)
-        return TangentBundlePoint(x=big @ inner.x, v=big @ inner.v)
+    def _inner_point(self, s: np.ndarray) -> TangentBundlePoint:
+        return self.sub_chart.point(s)
 
-    def _pushforward_at(self, c: np.ndarray) -> np.ndarray:
-        y, s = self._split(c)
-        alg = self.setup.alg
-        n = alg.dim
-        p = self.transversal_dim
-        m = alg.ad(self.setup.transversal.basis @ y)
-        big = skew_expm(m)
-        inner = self.sub_chart.point(s)
-        push = np.zeros((2 * n, self.coord_dim))
-        if p:
-            deltas = np.stack([alg.ad(self.setup.transversal.basis[:, i]) for i in range(p)])
-            push[:, :p] = conjugation_columns(big, dexp_apply(-m, deltas), inner.x, inner.v)
-        sub_push = self.sub_chart.pushforward(s)
-        push[:n, p:] = big @ sub_push[:n]
-        push[n:, p:] = big @ sub_push[n:]
-        return push
+    def _inner_pushforward(self, s: np.ndarray) -> np.ndarray:
+        return self.sub_chart.pushforward(s)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ Conventions used throughout the package:
     need a Gram matrix unless a *different* invariant product is in play.
   * Structure constants are computed once from the matrix realisation and
     cached; every bracket afterwards is a tensor contraction.
-  * Every ad(xi) is then a real skew matrix, so Ad(e^xi) = exp(ad xi) has a
-    closed form in the eigenbasis of the Hermitian i*ad(xi) (:func:`skew_expm`).
+  * Every ad(xi) is then a real skew matrix; subspace algebra works with
+    these.  Group elements act by conjugating the n x n matrices instead
+    (:mod:`orbitpencil.orbit_charts`), projected back by ``coefficients``.
   * Rank decisions use singular values with the relative cutoff RANK_RTOL.
   * Subspaces are compared through their orthogonal projectors (Frobenius
     distance), which is basis independent.
@@ -71,6 +72,14 @@ class LieAlgebra:
         coeffs = _as_element(self, coeffs)
         return np.tensordot(coeffs, self.basis, axes=(0, 0))
 
+    def coefficients(self, mats: np.ndarray) -> np.ndarray:
+        """Coefficients <B_k, M> = -Re tr(B_k M) of each matrix in a (..., d, d) stack.
+
+        The orthogonal projection onto the basis span; unchecked, so callers
+        pass matrices that lie in the span up to rounding.
+        """
+        return -np.real(np.einsum("kij,...ji->...k", self.basis, mats))
+
     def element_from_matrix(self, mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         """Coefficients of a matrix, which must lie in the basis span."""
         mat = np.asarray(mat, dtype=complex)
@@ -78,7 +87,7 @@ class LieAlgebra:
             raise InputError(
                 f"expected a {self.matrix_dim}x{self.matrix_dim} matrix, got {mat.shape}"
             )
-        coeffs = -np.real(np.einsum("kij,ji->k", self.basis, mat))
+        coeffs = self.coefficients(mat)
         recon = self.matrix_of(coeffs)
         err = np.linalg.norm(recon - mat)
         if err > tol * (1.0 + np.linalg.norm(mat)):
@@ -171,17 +180,6 @@ def jacobi_residual_of_structure(structure: np.ndarray) -> float:
     cyc = np.einsum("ijm,mkl->ijkl", structure, structure)
     total = cyc + np.transpose(cyc, (1, 2, 0, 3)) + np.transpose(cyc, (2, 0, 1, 3))
     return float(np.max(np.abs(total)))
-
-
-def skew_expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a real skew matrix m, such as ad(xi) on coefficients.
-
-    With i*m = u diag(w) u^H (Hermitian), exp(m) = u diag(e^{-iw}) u^H, real and
-    orthogonal up to rounding.  Skewness is a precondition, checked for every
-    ad by :func:`algebra_from_matrices`.
-    """
-    w, u = np.linalg.eigh(1j * m)
-    return ((u * np.exp(-1j * w)) @ u.conj().T).real
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,16 @@ theta_(x,v)(dx, dv) = <v, dx>.
 Charts: a chart with frame {m_1..m_f} (orthonormal, inside m) and base
 fiber offset v0 maps coordinates (u, w) to
 
-    ( Ad(e^xi(u)) a,  Ad(e^xi(u)) (v0 + W(w)) ),   xi(u) = sum u_i m_i,
-                                                   W(w)  = sum w_i m_i.
+    Ad(e^xi(u)) (a, v0 + W(w)),   xi(u) = sum u_i m_i,   W(w) = sum w_i m_i,
 
-Ad(e^xi) is the exponential of the skew matrix ad(xi) on coefficient
-vectors (:func:`lie_core.skew_expm`).  Coordinate derivatives of the
-exponential are exact: with M = ad(xi(u)) and Delta_i = ad(m_i),
-
-    d/du_i exp(M) = exp(M) . dexp(-M, Delta_i),
-    dexp(Y, Z) = sum_{k>=0} ad_Y^k(Z) / (k+1)!,
-
-in closed form in the eigenbasis of Y, where ad_Y is diagonal (:func:`dexp_apply`).
+a conjugation applied to an inner map, here the fiber line; an adapted chart
+(:class:`dirac_reduction.AdaptedChart`) conjugates another chart instead.
+Conjugation runs on the n x n defining matrices: with X the matrix of xi and
+iX = U diag(w) U^H, e^X = U diag(e^{-iw}) U^H and Ad(e^xi) y = e^X Y e^{-X}
+(:func:`exp_ad`).  Coordinate derivatives are exact, d/du_i Ad(e^xi) y =
+Ad(e^xi) [t_i, y] with t_i = dexp_{-X}(M_i) = sum_k (-ad_X)^k M_i / (k+1)!,
+which the same eigenbasis diagonalises into the divided difference
+(e^{i theta} - 1) / (i theta), theta = w_j - w_k (:func:`dexp_apply`).
 
 Two invariant 2-forms are realised as matrix fields in chart coordinates:
 the canonical form (exterior derivative of theta) and the canonical form
@@ -45,7 +44,7 @@ from .errors import (
     DomainError,
     InputError,
 )
-from .lie_core import RANK_RTOL, LieAlgebra, Subspace, kernel, projector_distance, skew_expm, span
+from .lie_core import RANK_RTOL, LieAlgebra, Subspace, kernel, projector_distance, span
 
 FD_STEP_DEFAULT = 1e-4
 FD_STEP_MIN = 1e-6
@@ -150,25 +149,32 @@ def ambient_tangent_space(config: OrbitConfig, point: TangentBundlePoint) -> Sub
 # ---------------------------------------------------------------------------
 
 
-def dexp_apply(m: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Apply dexp(m, .) = sum_k ad_m^k(.) / (k+1)! to a stack of matrices; m skew.
+def _exp_eigh(alg: LieAlgebra, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Ad(e^xi), w, u) with iX = u diag(w) u^H, X the n x n matrix of xi."""
+    w, u = np.linalg.eigh(1j * alg.matrix_of(xi))
+    g = (u * np.exp(-1j * w)) @ u.conj().T
+    return alg.coefficients(g @ alg.basis @ g.conj().T).T, w, u
 
-    With i*m = u diag(w) u^H, ad_m multiplies entry (j, k) of u^H D u by
-    i*theta_jk, theta_jk = w_k - w_j, so dexp scales it by (e^{i theta} - 1) /
-    (i theta) = e^{i theta/2} sinc(theta / 2 pi), exactly for any size of m.
+
+def exp_ad(alg: LieAlgebra, xi: np.ndarray) -> np.ndarray:
+    """Ad(e^xi) on coefficient vectors: column b holds the coefficients of e^X B_b e^{-X}."""
+    return _exp_eigh(alg, xi)[0]
+
+
+def dexp_apply(alg: LieAlgebra, xi: np.ndarray, frame_matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ad(e^xi), coefficient rows t_i of dexp_{-X}(M_i)) from one eigh of i X.
+
+    ``frame_matrices`` is the (f, n, n) stack of the M_i.  In the eigenbasis
+    u of i X, -ad_X multiplies entry (j, k) by i theta_jk, theta_jk = w_j -
+    w_k, so dexp_{-X} scales it by (e^{i theta} - 1) / (i theta) =
+    e^{i theta/2} sinc(theta / 2 pi), exactly for any size of xi.  Then
+    d/du_i Ad(e^{xi + u m_i}) = Ad(e^xi) ad(t_i) at u = 0.
     """
-    w, u = np.linalg.eigh(1j * m)
-    theta = w[None, :] - w[:, None]
+    big, w, u = _exp_eigh(alg, xi)
+    theta = w[:, None] - w[None, :]
     phi = np.exp(0.5j * theta) * np.sinc(theta / (2.0 * np.pi))
     uh = u.conj().T
-    return (u @ ((uh @ np.asarray(deltas, dtype=float) @ u) * phi) @ uh).real
-
-
-def conjugation_columns(big: np.ndarray, trans: np.ndarray, *vectors: np.ndarray) -> np.ndarray:
-    """Derivatives of exp(M) @ vec along each Delta_i, one block of rows per vector.
-
-    big = exp(M) and trans = dexp(-M, Delta); column i is (big @ trans[i]) @ vec."""
-    return np.vstack([big @ (trans @ vec).T for vec in vectors])
+    return big, alg.coefficients(u @ ((uh @ frame_matrices @ u) * phi) @ uh)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +206,8 @@ class CoordinateMemo:
 class Chart:
     """Local coordinates on TO around a base point (see module docstring).
 
+    Coordinates (u, s) give Ad(e^{frame @ u}) applied to the inner map at s;
+    subclasses replace ``_inner_point`` and ``_inner_pushforward``.
     ``rotation`` conjugates the whole chart by a fixed group element, given
     as its adjoint matrix on coefficients; used to transport charts when
     testing invariance.  Evaluations are cached per coordinate tuple, so a
@@ -219,9 +227,16 @@ class Chart:
             raise InputError("frame columns must lie in the tangent space at the seed")
         if np.linalg.norm(frame.T @ frame - np.eye(frame.shape[1])) > 1e-10:
             raise InputError("frame columns must be orthonormal")
-        self.config = config
         self.base_v = base_v
+        self._fiber_push = np.vstack([np.zeros_like(frame), frame])
+        self._init_conjugation(config, frame, rotation, box)
+
+    def _init_conjugation(self, config: OrbitConfig, frame: np.ndarray,
+                          rotation: np.ndarray | None, box: float) -> None:
+        """State of the conjugation block, shared with subclasses; no checks."""
+        self.config = config
         self.frame = frame
+        self.frame_matrices = np.tensordot(frame.T, config.alg.basis, axes=(1, 0))
         self.rotation = None if rotation is None else np.asarray(rotation, dtype=float)
         self.box = float(box)
         self._points = CoordinateMemo(self._point_at)
@@ -249,34 +264,41 @@ class Chart:
     def pushforward(self, coords) -> np.ndarray:
         """Ambient derivative matrix, (2n) x coord_dim.
 
-        Column i < f is the u_i-derivative (conjugation direction), column
-        f + i the w_i-derivative (fiber direction).
+        Column i < f is the u_i-derivative (conjugation direction), the
+        rest are the inner map's columns; for this class column f + i is
+        the w_i-derivative (fiber direction).
         """
         return self._pushes(self._coords(coords))
 
-    def _conjugation(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(ad xi(u), the chart rotation times Ad(e^xi(u)))."""
-        m = self.config.alg.ad(self.frame @ u)
-        big = skew_expm(m)
-        return m, big if self.rotation is None else self.rotation @ big
+    def _inner_point(self, w: np.ndarray) -> TangentBundlePoint:
+        return TangentBundlePoint(x=self.config.seed, v=self.base_v + self.frame @ w)
+
+    def _inner_pushforward(self, w: np.ndarray) -> np.ndarray:
+        return self._fiber_push
 
     def _point_at(self, c: np.ndarray) -> TangentBundlePoint:
         f = self.frame_dim
-        _, big = self._conjugation(c[:f])
-        x = big @ self.config.seed
-        v = big @ (self.base_v + self.frame @ c[f:])
-        return TangentBundlePoint(x=x, v=v)
+        big = exp_ad(self.config.alg, self.frame @ c[:f])
+        if self.rotation is not None:
+            big = self.rotation @ big
+        inner = self._inner_point(c[f:])
+        return TangentBundlePoint(x=big @ inner.x, v=big @ inner.v)
 
     def _pushforward_at(self, c: np.ndarray) -> np.ndarray:
         f = self.frame_dim
         alg = self.config.alg
         n = alg.dim
-        m, big = self._conjugation(c[:f])
-        deltas = np.stack([alg.ad(self.frame[:, i]) for i in range(f)])
-        fiber_at_base = self.base_v + self.frame @ c[f:]
-        push = np.zeros((2 * n, 2 * f))
-        push[:, :f] = conjugation_columns(big, dexp_apply(-m, deltas), self.config.seed, fiber_at_base)
-        push[n:, f:] = big @ self.frame
+        big, trans = dexp_apply(alg, self.frame @ c[:f], self.frame_matrices)
+        if self.rotation is not None:
+            big = self.rotation @ big
+        inner = self._inner_point(c[f:])
+        # Conjugation column i is big @ [t_i, z] for z = x, v; with structure
+        # constants C, [t_i, z]_k = sum_ab t_ia z_b C_abk.
+        z = np.stack([inner.x, inner.v])
+        moved = trans @ np.tensordot(z, alg.structure, axes=(1, 1))
+        blocks = np.concatenate([moved.transpose(0, 2, 1),
+                                 self._inner_pushforward(c[f:]).reshape(2, n, -1)], axis=2)
+        push = (big @ blocks).reshape(2 * n, self.coord_dim)
         sig = np.linalg.svd(push, compute_uv=False)
         if sig[-1] <= RANK_RTOL * sig[0]:
             raise ChartDegeneracyError("chart pushforward lost column rank")

@@ -164,6 +164,8 @@ def validate_config(cfg: WorkbenchConfig) -> None:
     if cfg.checks != "all":
         if not isinstance(cfg.checks, (list, tuple)) or not all(isinstance(n, str) for n in cfg.checks):
             raise ConfigError("checks must be 'all' or a list of names")
+        if not cfg.checks:
+            raise ConfigError("checks must name at least one check")
         names = {spec.name for spec in REGISTRY}
         unknown = set(cfg.checks) - names
         if unknown:
@@ -401,7 +403,7 @@ def _form_invariance(ctx):
     for i in range(3):
         rng = stream(ctx.seed, "form-invariance", i)
         zeta = 0.3 * unit_vector(rng, ctx.alg.dim)
-        rot = lc.skew_expm(ctx.alg.ad(zeta))
+        rot = oc.exp_ad(ctx.alg, zeta)
         moved = oc.Chart(ctx.orbit, base_v=chart.base_v, frame=chart.frame, rotation=rot)
         coords = ctx.ambient_coords[i % len(ctx.ambient_coords)]
         w1_moved = oc.canonical_form_matrix(moved, coords)
@@ -514,10 +516,8 @@ def _splitting_reports(ctx):
         c = ctx.data.pad_coords(s)
         m1 = ctx.w1(c)
         m2 = ctx.w2(c)
-        for t1, t2 in members:
-            reports.append(
-                dr.splitting_orthogonality(ctx.setup, ctx.data.ambient_chart, c, t1 * m1 + t2 * m2)
-            )
+        forms = [t1 * m1 + t2 * m2 for t1, t2 in members]
+        reports.extend(dr.splitting_orthogonality(ctx.setup, ctx.data.ambient_chart, c, forms))
     return reports
 
 
@@ -621,7 +621,7 @@ def _invariant_function_invariance(ctx):
     worst = 0.0
     for i in range(20):
         rng = stream(ctx.seed, "function-invariance", i)
-        rot = lc.skew_expm(ctx.alg.ad(unit_vector(rng, ctx.alg.dim)))
+        rot = oc.exp_ad(ctx.alg, unit_vector(rng, ctx.alg.dim))
         moved = oc.TangentBundlePoint(x=rot @ point.x, v=rot @ point.v)
         for f in fns:
             worst = max(worst, abs(f(moved) - f(point)))
@@ -816,8 +816,9 @@ def _finite(value) -> float:
 def run_pipeline(cfg: WorkbenchConfig) -> ReductionReport:
     """Run every enabled check and assemble the report.
 
-    Raises ConfigError for invalid configurations; any other stage failure
-    is captured inside the report with verdict "fail".
+    Raises ConfigError for invalid configurations; any other stage failure,
+    and a selection of which no check applies, is captured inside the
+    report with verdict "fail".
     """
     validate_config(cfg)
     selected = set(s.name for s in REGISTRY) if cfg.checks == "all" else set(cfg.checks)
@@ -839,6 +840,8 @@ def run_pipeline(cfg: WorkbenchConfig) -> ReductionReport:
 
     finished: list[tuple[CheckSpec, CheckResult]] = []
     error = None
+    if not specs:  # nothing certified is not a pass
+        error = {"stage": "select", "message": "none of the selected checks applies to this configuration"}
     for spec in specs:
         start = time.perf_counter()
         try:

@@ -155,9 +155,8 @@ def test_criterion_06_splitting_orthogonality(setup_cp2, data_cp2, regular_coord
     for coords in regular_coords_cp2:
         padded = data_cp2.pad_coords(coords)
         m1, m2 = w1(padded), w2(padded)
-        for t1, t2 in members:
-            report = dr.splitting_orthogonality(
-                setup_cp2, data_cp2.ambient_chart, padded, t1 * m1 + t2 * m2)
+        forms = [t1 * m1 + t2 * m2 for t1, t2 in members]
+        for report in dr.splitting_orthogonality(setup_cp2, data_cp2.ambient_chart, padded, forms):
             worst_pair = max(worst_pair, report.pairing)
             worst_sigma = min(worst_sigma, report.sigma_complement, report.sigma_stratum)
     ok = worst_pair <= 1e-8 and worst_sigma > 1e-6

@@ -184,8 +184,8 @@ def test_splitting_orthogonality_cp2(setup_cp2, data_cp2, regular_coords_cp2):
     for coords in regular_coords_cp2:
         padded = data_cp2.pad_coords(coords)
         m1, m2 = w1(padded), w2(padded)
-        for t1, t2 in members:
-            report = dr.splitting_orthogonality(setup_cp2, data_cp2.ambient_chart, padded, t1 * m1 + t2 * m2)
+        forms = [t1 * m1 + t2 * m2 for t1, t2 in members]
+        for report in dr.splitting_orthogonality(setup_cp2, data_cp2.ambient_chart, padded, forms):
             assert report.pairing <= 1e-8
             assert report.sigma_complement > 1e-6
             assert report.sigma_stratum > 1e-6
@@ -194,7 +194,7 @@ def test_splitting_orthogonality_cp2(setup_cp2, data_cp2, regular_coords_cp2):
 def test_splitting_orthogonality_trivial_case(setup_su2, data_su2):
     coords = np.zeros(data_su2.ambient_chart.coord_dim)
     w1 = data_su2.ambient_fields()[0]
-    report = dr.splitting_orthogonality(setup_su2, data_su2.ambient_chart, coords, w1(coords))
+    [report] = dr.splitting_orthogonality(setup_su2, data_su2.ambient_chart, coords, [w1(coords)])
     assert report.pairing == 0.0
     assert report.sigma_stratum > 1e-6
 
@@ -534,7 +534,7 @@ def test_nonabelian_reduction_full_chain(setup_cp3, data_cp3):
         assert np.linalg.svd(data.w1_sub(coords), compute_uv=False)[-1] > 1e-6
         # canonical splitting stays form-orthogonal with an 8-dim complement
         padded = data.pad_coords(coords)
-        report = dr.splitting_orthogonality(setup, data.ambient_chart, padded, w1(padded))
+        [report] = dr.splitting_orthogonality(setup, data.ambient_chart, padded, [w1(padded)])
         assert report.pairing <= 1e-8
         assert min(report.sigma_complement, report.sigma_stratum) > 1e-6
         # adapted blocks vanish on the stratum

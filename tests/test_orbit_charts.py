@@ -65,15 +65,20 @@ def _xi(alg, kind):
 @pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 4), ("so", 4), ("so", 5)])
 @pytest.mark.parametrize("kind", ["zero", "cartan", "far"])
 def test_exponential_and_dexp_match_scipy(family, n, kind):
+    # The adjoint-matrix exponential is the independent reference for the
+    # conjugation computed on the defining matrices.
     alg = getattr(families, family)(n)
-    m = alg.ad(_xi(alg, kind))
-    big = lc.skew_expm(m)
+    xi = _xi(alg, kind)
+    m = alg.ad(xi)
+    big = oc.exp_ad(alg, xi)
     assert np.max(np.abs(big - scipy.linalg.expm(m))) <= 1e-12
     assert np.max(np.abs(big.T @ big - np.eye(alg.dim))) <= 1e-13
-    deltas = np.concatenate([alg.ad_basis, np.random.default_rng(6).standard_normal((2, alg.dim, alg.dim))])
-    trans = oc.dexp_apply(-m, deltas)
-    for delta, t in zip(deltas, trans):
-        assert np.max(np.abs(big @ t - scipy.linalg.expm_frechet(m, delta, compute_expm=False))) <= 1e-12
+    directions = np.concatenate([np.eye(alg.dim), np.random.default_rng(6).standard_normal((2, alg.dim))])
+    big_too, trans = oc.dexp_apply(alg, xi, np.array([alg.matrix_of(d) for d in directions]))
+    assert np.max(np.abs(big_too - big)) <= 1e-12
+    for d, t in zip(directions, trans):
+        frechet = scipy.linalg.expm_frechet(m, alg.ad(d), compute_expm=False)
+        assert np.max(np.abs(big @ alg.ad(t) - frechet)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +292,36 @@ def test_canonical_form_matches_finite_difference_reference(setup_su2, setup_cp2
             exact = oc.canonical_form_matrix(chart, coords)
             reference = fd_canonical_form_matrix(chart, coords)
             assert np.max(np.abs(exact - reference)) <= 1e-8
+
+
+def test_pushforward_miss_takes_one_eigh_and_no_adjoint_matrix(monkeypatch, setup_cp2, data_cp2):
+    # one eigendecomposition of the n x n matrix i X serves e^X and dexp; the
+    # frame matrices are built once per chart, not on every miss
+    counts = {"eigh": 0, "ad": 0}
+    eigh, ad = np.linalg.eigh, lc.LieAlgebra.ad
+
+    def counted_eigh(*args, **kwargs):
+        counts["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counted_ad(self, coeffs):
+        counts["ad"] += 1
+        return ad(self, coeffs)
+
+    chart = make_chart(setup_cp2)
+    adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
+    s = np.full(data_cp2.sub_chart.coord_dim, 0.03)
+    data_cp2.sub_chart.point(s)
+    data_cp2.sub_chart.pushforward(s)  # the adapted miss below reuses the sub chart's values
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(lc.LieAlgebra, "ad", counted_ad)
+    for ch, coords in ((chart, np.full(chart.coord_dim, 0.05)),
+                       (adapted, np.concatenate([np.full(adapted.transversal_dim, 0.05), s]))):
+        counts.update(eigh=0, ad=0)
+        ch.pushforward(coords)
+        assert counts == {"eigh": 1, "ad": 0}
+        ch.pushforward(coords)  # memo hit
+        assert counts == {"eigh": 1, "ad": 0}
 
 
 class SabotagedChart(oc.Chart):

@@ -43,6 +43,14 @@ def test_every_traced_name_resolves(probe):
     assert missing == []
 
 
+def test_adapted_chart_has_entry_points_of_its_own():
+    # AdaptedChart subclasses Chart; inherited entry points would put adapted
+    # evaluations into the Chart.point and Chart.pushforward spans.
+    assert issubclass(dirac_reduction.AdaptedChart, orbit_charts.Chart)
+    assert "point" in vars(dirac_reduction.AdaptedChart)
+    assert "pushforward" in vars(dirac_reduction.AdaptedChart)
+
+
 @pytest.mark.parametrize("cls", [orbit_charts.FormField, poisson_pencil.PoissonField])
 def test_memo_fields_take_the_evaluator_first_and_call_it_once_per_point(cls):
     # The probe counts memo misses by wrapping the first constructor argument.

@@ -262,9 +262,9 @@ def test_shared_row_data_is_computed_once(monkeypatch):
     report = wb.run_pipeline(wb.config_from_dict(SU2_CONFIG))
     assert report.verdict == "pass"
     samples = SU2_CONFIG["samples"]
-    # splitting_pairing and splitting_nondegeneracy share one pass over
-    # samples regular points x 5 pencil members
-    assert len(splitting) == samples * 5
+    # splitting_pairing and splitting_nondegeneracy share one pass over the
+    # regular points, which pairs all 5 pencil members at once
+    assert len(splitting) == samples
     # slice_normalization and slice_isometry share one normal form per sample
     assert len(normal_forms) == samples
     # one call validates the setup in reduction_setup; the ten setup rows share one more
@@ -414,6 +414,33 @@ def test_cli_seed_rejected_by_the_algebra_exits_2(tmp_path, capsys, payload):
 def test_cli_unknown_check_is_config_error(tmp_path):
     cfg_path = write_config(tmp_path, SU2_CONFIG)
     assert cli_main(["verify", "--config", cfg_path, "--checks", "nope"]) == 2
+
+
+@pytest.mark.parametrize("selection", ["", ","])
+def test_cli_empty_check_selection_is_config_error(tmp_path, capsys, selection):
+    cfg_path = write_config(tmp_path, SU2_CONFIG)
+    out_path = tmp_path / "report.json"
+    assert cli_main(["verify", "--config", cfg_path, "--checks", selection, "--out", str(out_path)]) == 2
+    assert "checks must name at least one check" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_cli_empty_checks_list_in_config_is_config_error(tmp_path, capsys):
+    assert cli_main(["verify", "--config", write_config(tmp_path, dict(SU2_CONFIG, checks=[]))]) == 2
+    assert "checks must name at least one check" in capsys.readouterr().err
+
+
+def test_cli_selection_with_no_applicable_check_fails(tmp_path):
+    # su(2) has a trivial transversal, so the adapted off-stratum control does not apply
+    cfg_path = write_config(tmp_path, SU2_CONFIG)
+    out_path = tmp_path / "report.json"
+    code = cli_main(["verify", "--config", cfg_path, "--checks", "control_adapted_off_submanifold",
+                     "--out", str(out_path)])
+    assert code == 1
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    assert report["verdict"] == "fail"
+    assert report["checks"] == [] and report["negative_controls"] == []
+    assert report["error"]["stage"] == "select"
 
 
 def test_negative_seed_is_config_error(tmp_path, capsys):
