@@ -23,7 +23,8 @@ agree at regular points.  All of this is certified numerically here.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,13 +42,13 @@ from .lie_core import (
     Subspace,
     centralizer,
     complement_within,
+    draw_invariant_product,
     fixed_vector_space,
     full_subspace,
     kernel,
     normalizer,
     orthogonal_complement,
     projector_distance,
-    random_invariant_product,
     span,
     subalgebra_residual,
     subspace_contains,
@@ -115,7 +116,14 @@ def principal_isotropy(config: OrbitConfig, samples: int = 16, seed: int = 0):
 
 @dataclass(frozen=True)
 class ReductionSetup:
-    """All subalgebra data entering the restriction argument."""
+    """All subalgebra data entering the restriction argument.
+
+    Built once per run by :func:`reduction_setup`, which also keeps what it
+    computed on the way: ``slice_normal``, the subspace the slice is
+    normalised against, and ``residuals``, the :func:`setup_residuals` it
+    validated the setup with.  Readers take both from here instead of
+    recomputing them.
+    """
 
     config: OrbitConfig
     x0: np.ndarray               # generic slice seed in m
@@ -125,8 +133,10 @@ class ReductionSetup:
     centralizer: Subspace        # all y with [y, h] = 0; contains the orbit seed
     sub_stabilizer: Subspace     # centralizer ^ k
     sub_tangent: Subspace        # orthocomplement of sub_stabilizer in the centralizer
+    slice_normal: Subspace       # [x0, k], tangent to the k-orbit of x0
     slice_space: Subspace        # orthocomplement of [x0, k] inside m
     center: Subspace             # center of the centralizer
+    residuals: dict              # name -> residual of each setup identity
 
     @property
     def alg(self) -> LieAlgebra:
@@ -161,7 +171,7 @@ def setup_residuals(setup: ReductionSetup) -> dict:
     alg = setup.alg
     cfg = setup.config
     fixed_plus = subspace_sum(setup.centralizer, setup.isotropy)
-    sub_moved = span(alg.ad(setup.x0) @ setup.sub_stabilizer.basis) if setup.sub_stabilizer.dim else zero_subspace(alg.dim)
+    sub_moved = span(alg.ad(setup.x0) @ setup.sub_stabilizer.basis)
     slice_alt = complement_within(sub_moved, setup.sub_tangent)
     return {
         "isotropy_in_stabilizer": subspace_contains(cfg.stabilizer, setup.isotropy),
@@ -183,7 +193,9 @@ def setup_residuals(setup: ReductionSetup) -> dict:
     }
 
 
-_SETUP_TOLERANCES = {
+# Bound of each setup identity, both for the guard in reduction_setup and
+# for the report rows of the same names.
+SETUP_TOLERANCES = {
     "isotropy_in_stabilizer": 1e-10,
     "seed_commutes_with_isotropy": 1e-10,
     "slice_commutes_with_isotropy": 1e-10,
@@ -206,8 +218,8 @@ def reduction_setup(config: OrbitConfig, samples: int = 16, seed: int = 0) -> Re
     cent = centralizer(alg, iso)
     sub_stab = stabilizer_within(alg, cent, config.seed)
     sub_tan = complement_within(sub_stab, cent)
-    moved = span(alg.ad(x0) @ config.stabilizer.basis) if config.stabilizer.dim else zero_subspace(alg.dim)
-    slice_space = complement_within(moved, config.tangent)
+    slice_normal = span(alg.ad(x0) @ config.stabilizer.basis)
+    slice_space = complement_within(slice_normal, config.tangent)
     center = fixed_vector_space(alg, cent, cent)
     setup = ReductionSetup(
         config=config,
@@ -218,13 +230,16 @@ def reduction_setup(config: OrbitConfig, samples: int = 16, seed: int = 0) -> Re
         centralizer=cent,
         sub_stabilizer=sub_stab,
         sub_tangent=sub_tan,
+        slice_normal=slice_normal,
         slice_space=slice_space,
         center=center,
+        residuals={},
     )
-    for name, value in setup_residuals(setup).items():
-        if value > _SETUP_TOLERANCES[name]:
+    residuals = setup_residuals(setup)
+    for name, value in residuals.items():
+        if value > SETUP_TOLERANCES[name]:
             raise SetupError(f"setup identity '{name}' failed with residual {value:.3e}")
-    return setup
+    return replace(setup, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +271,11 @@ def slice_normal_form(setup: ReductionSetup, y: np.ndarray, max_iter: int = 200,
     y = np.asarray(y, dtype=float)
     if cfg.tangent.residual(y) > 1e-10 * max(1.0, np.linalg.norm(y)):
         raise DomainError("input must lie in the tangent space at the seed")
-    moved = span(alg.ad(setup.x0) @ cfg.stabilizer.basis) if cfg.stabilizer.dim else zero_subspace(alg.dim)
+    normal = setup.slice_normal.basis
     stab_basis = cfg.stabilizer.basis
 
     def residual(z):
-        return float(np.linalg.norm(moved.basis.T @ z)) if moved.dim else 0.0
+        return float(np.linalg.norm(normal.T @ z))
 
     z = y.copy()
     res = residual(z)
@@ -430,15 +445,16 @@ def canonical_complement(setup: ReductionSetup, point: TangentBundlePoint,
 
 
 def complement_product_independence(setup: ReductionSetup, point: TangentBundlePoint,
-                                    seed: int) -> float:
+                                    sols: list[np.ndarray], seed: int) -> float:
     """Canonical complement recomputed from a random invariant product.
 
     Returns the projector distance between the action span of the base
     transversal and of the transversal taken orthogonal with respect to a
-    random h-invariant product; the spans must agree at regular points.
+    random h-invariant product drawn from ``sols``, the
+    ``invariant_product_space`` of h; the spans must agree at regular points.
     """
     alg = setup.alg
-    prod = random_invariant_product(alg, setup.isotropy, seed)
+    prod = draw_invariant_product(alg, setup.isotropy, sols, seed)
     alt = orthogonal_complement(alg, setup.normalizer, prod)
     base_span = canonical_complement(setup, point)
     alt_span = canonical_complement(setup, point, transversal=alt)
@@ -553,18 +569,30 @@ def adapted_block_report(adapted: AdaptedChart, coords, form_matrix: np.ndarray)
 # ---------------------------------------------------------------------------
 
 
+class ChartPencil(NamedTuple):
+    """The two invariant forms on one chart and their inverse bivectors."""
+
+    w1: FormField        # canonical form
+    w2: FormField        # canonical plus pulled-back orbit form
+    p1: PoissonField     # inverse of w1
+    p2: PoissonField     # inverse of w2
+
+
+def chart_pencil(chart: Chart) -> ChartPencil:
+    w1 = canonical_form_field(chart)
+    w2 = combined_form_field(chart)
+    return ChartPencil(w1, w2, invert_form(w1), invert_form(w2))
+
+
 @dataclass
 class RestrictedPencilData:
-    """Charts and fields for the ambient pencil and its restriction."""
+    """The pencil on the ambient chart and its restriction to the sub chart."""
 
     setup: ReductionSetup
     ambient_chart: Chart
     sub_chart: Chart
-    w1_sub: FormField
-    w2_sub: FormField
-    p1_sub: PoissonField
-    p2_sub: PoissonField
-    _ambient: tuple | None = field(default=None, repr=False)
+    ambient: ChartPencil
+    restricted: ChartPencil
     _differentials: dict = field(default_factory=dict, init=False, repr=False)
 
     def pad_coords(self, sub_coords) -> np.ndarray:
@@ -582,14 +610,6 @@ class RestrictedPencilData:
         c[:fh] = s[:fh]
         c[f:f + fh] = s[fh:]
         return c
-
-    def ambient_fields(self):
-        """Lazily built ambient form fields and their inverses."""
-        if self._ambient is None:
-            w1 = canonical_form_field(self.ambient_chart)
-            w2 = combined_form_field(self.ambient_chart)
-            self._ambient = (w1, w2, invert_form(w1), invert_form(w2))
-        return self._ambient
 
     def differentials(self, fns, sub_coords) -> tuple[np.ndarray, np.ndarray]:
         """(D_amb, D_sub): differentials of fns at a sub-chart point in both charts.
@@ -628,16 +648,12 @@ def restricted_pencil(setup: ReductionSetup, base_point: TangentBundlePoint) -> 
     ambient_frame = np.hstack([sub_frame, rest.basis])
     sub_chart = Chart(cfg, base_v=base_point.v, frame=sub_frame)
     ambient_chart = Chart(cfg, base_v=base_point.v, frame=ambient_frame)
-    w1 = canonical_form_field(sub_chart)
-    w2 = combined_form_field(sub_chart)
     return RestrictedPencilData(
         setup=setup,
         ambient_chart=ambient_chart,
         sub_chart=sub_chart,
-        w1_sub=w1,
-        w2_sub=w2,
-        p1_sub=invert_form(w1, provenance="restricted"),
-        p2_sub=invert_form(w2, provenance="restricted"),
+        ambient=chart_pencil(ambient_chart),
+        restricted=chart_pencil(sub_chart),
     )
 
 
@@ -766,10 +782,9 @@ def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, fns,
     if not is_regular(setup, point):
         raise DomainError("image point is not regular")
     c = data.pad_coords(s)
-    _, _, p1a, p2a = data.ambient_fields()
     d_amb, d_sub = data.differentials(fns, s)
-    ambient = d_amb @ (t1 * p1a(c) + t2 * p2a(c)) @ d_amb.T
-    restricted = d_sub @ (t1 * data.p1_sub(s) + t2 * data.p2_sub(s)) @ d_sub.T
+    ambient = d_amb @ (t1 * data.ambient.p1(c) + t2 * data.ambient.p2(c)) @ d_amb.T
+    restricted = d_sub @ (t1 * data.restricted.p1(s) + t2 * data.restricted.p2(s)) @ d_sub.T
     return BracketAgreement(ambient=ambient, restricted=restricted)
 
 

@@ -146,24 +146,20 @@ def algebra_from_matrices(name, matrices, check_tol: float = 1e-12) -> LieAlgebr
     # Rows of inv(chol) recombine the input into an orthonormal basis.
     basis = np.einsum("ai,ijk->ajk", np.linalg.inv(chol), mats)
 
-    comm = np.einsum("aij,bjk->abik", basis, basis)
-    comm = comm - np.transpose(comm, (1, 0, 2, 3))
+    comm = _commutators(basis)
     structure = -np.real(np.einsum("abij,cji->abc", comm, basis))
     structure = 0.5 * (structure - np.transpose(structure, (1, 0, 2)))
+    ad_basis = np.transpose(structure, (0, 2, 1))
 
-    recon = np.einsum("abc,cij->abij", structure, basis)
-    closure = np.linalg.norm(comm - recon, axis=(2, 3))
-    comm_scale = np.maximum(np.linalg.norm(comm, axis=(2, 3)), 1.0)
-    closure_residual = float(np.max(closure / comm_scale))
-    if closure_residual > check_tol:
-        raise InputError(f"matrix brackets leave the basis span (residual {closure_residual:.2e})")
+    closure = closure_residual(basis, structure)
+    if closure > check_tol:
+        raise InputError(f"matrix brackets leave the basis span (residual {closure:.2e})")
 
     jac = jacobi_residual_of_structure(structure)
     if jac > check_tol:
         raise InputError(f"structure constants violate the Jacobi identity ({jac:.2e})")
 
-    ad_basis = np.transpose(structure, (0, 2, 1))
-    skew = float(np.max(np.abs(ad_basis + np.transpose(ad_basis, (0, 2, 1)))))
+    skew = ad_skewness(ad_basis)
     if skew > check_tol:
         raise InputError(f"trace product is not ad-invariant (ad skewness {skew:.2e})")
 
@@ -173,6 +169,29 @@ def algebra_from_matrices(name, matrices, check_tol: float = 1e-12) -> LieAlgebr
         structure=structure,
         ad_basis=ad_basis,
     )
+
+
+def _commutators(basis: np.ndarray) -> np.ndarray:
+    """(n, n, d, d) stack of the matrix commutators [B_a, B_b]."""
+    comm = np.einsum("aij,bjk->abik", basis, basis)
+    return comm - np.transpose(comm, (1, 0, 2, 3))
+
+
+def closure_residual(basis: np.ndarray, structure: np.ndarray) -> float:
+    """Max over basis pairs of |[B_a, B_b] - sum_c structure[a,b,c] B_c|.
+
+    Each pair's residual is relative to |[B_a, B_b]| floored at 1.
+    """
+    comm = _commutators(basis)
+    recon = np.einsum("abc,cij->abij", structure, basis)
+    closure = np.linalg.norm(comm - recon, axis=(2, 3))
+    comm_scale = np.maximum(np.linalg.norm(comm, axis=(2, 3)), 1.0)
+    return float(np.max(closure / comm_scale))
+
+
+def ad_skewness(ad_basis: np.ndarray) -> float:
+    """Max-norm of ad(E_i) + ad(E_i)^T; zero exactly when the base product is invariant."""
+    return float(np.max(np.abs(ad_basis + np.transpose(ad_basis, (0, 2, 1)))))
 
 
 def jacobi_residual_of_structure(structure: np.ndarray) -> float:
@@ -449,19 +468,15 @@ def invariant_product_space(alg: LieAlgebra, sub: Subspace) -> list[np.ndarray]:
     return sols
 
 
-def random_invariant_product(alg: LieAlgebra, sub: Subspace, seed: int) -> InvariantProduct:
-    """Base product plus a seeded random invariant perturbation, kept SPD.
+def draw_invariant_product(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarray],
+                           seed: int) -> InvariantProduct:
+    """Base product plus a seeded random combination of ``sols``, kept SPD.
 
-    The perturbation is halved until the smallest eigenvalue stays above
-    0.1 times the base one, which keeps every sampled product well
-    conditioned.  Deterministic for a fixed seed.
+    ``sols`` is :func:`invariant_product_space` of ``sub``.  The
+    perturbation is halved until the smallest eigenvalue stays above 0.1
+    times the base one, which keeps every sampled product well conditioned.
+    Deterministic for a fixed seed.
     """
-    return _draw_invariant_product(alg, sub, invariant_product_space(alg, sub), seed)
-
-
-def _draw_invariant_product(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarray],
-                            seed: int) -> InvariantProduct:
-    """:func:`random_invariant_product` over a prebuilt ``invariant_product_space``."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 0x1A7D]))
     weights = rng.standard_normal(len(sols))
     perturb = sum(w * s for w, s in zip(weights, sols))
@@ -497,22 +512,21 @@ class ComplementIndependence:
     unpaired: float
 
 
-def complement_independence(alg: LieAlgebra, sub: Subspace, seed: int, trials: int) -> ComplementIndependence:
+def complement_independence(alg: LieAlgebra, sub: Subspace, norm: Subspace, sols: list[np.ndarray],
+                            seed: int, trials: int) -> ComplementIndependence:
     """Compare complements of the normalizer across random invariant products.
 
-    For each trial draws two invariant products, takes the complements of
-    the normalizer of ``sub`` with respect to each, and measures how far the
-    sums (complement + sub) differ as subspaces.  The invariant product
-    space is solved once and every product is drawn from it.
+    ``norm`` is the normalizer of ``sub`` and ``sols`` its
+    :func:`invariant_product_space`.  For each trial draws two invariant
+    products from ``sols``, takes the complements of ``norm`` with respect
+    to each, and measures how far the sums (complement + sub) differ as
+    subspaces.
     """
-    _require_subalgebra(alg, sub)
-    norm = normalizer(alg, sub)
-    sols = invariant_product_space(alg, sub)
     paired = 0.0
     unpaired = 0.0
     for t in range(trials):
-        alpha = _draw_invariant_product(alg, sub, sols, seed=(seed << 12) + 2 * t)
-        beta = _draw_invariant_product(alg, sub, sols, seed=(seed << 12) + 2 * t + 1)
+        alpha = draw_invariant_product(alg, sub, sols, seed=(seed << 12) + 2 * t)
+        beta = draw_invariant_product(alg, sub, sols, seed=(seed << 12) + 2 * t + 1)
         comp_a = orthogonal_complement(alg, norm, alpha)
         comp_b = orthogonal_complement(alg, norm, beta)
         paired = max(paired, projector_distance(subspace_sum(comp_a, sub), subspace_sum(comp_b, sub)))

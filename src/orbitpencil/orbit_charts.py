@@ -74,11 +74,11 @@ class OrbitConfig:
 def orbit_config(alg: LieAlgebra, a: np.ndarray) -> OrbitConfig:
     """Stabilizer splitting for the orbit through ``a``."""
     a = np.asarray(a, dtype=float)
-    if np.linalg.norm(a) < 1e-14:
-        raise DomainError("orbit seed is zero: the orbit is a point")
     ad_a = alg.ad(a)
     stab = kernel(ad_a)
     tang = span(ad_a)
+    if tang.dim == 0:
+        raise DomainError("orbit seed is central (ad(seed) = 0): the orbit is a point")
     if stab.dim + tang.dim != alg.dim:
         raise DomainError("kernel and image of ad(seed) do not split the algebra")
     # For the invariant product, im ad(a) is exactly the orthocomplement of
@@ -107,14 +107,6 @@ def point_residuals(config: OrbitConfig, point: TangentBundlePoint) -> tuple[flo
     fiber = span(ad_x)
     v_err = fiber.residual(point.v)
     return spec_err, v_err
-
-
-def validate_point(config: OrbitConfig, point: TangentBundlePoint, tol: float = 1e-8) -> None:
-    spec_err, v_err = point_residuals(config, point)
-    if spec_err > tol:
-        raise DomainError(f"x is not on the orbit (spectrum mismatch {spec_err:.2e})")
-    if v_err > tol * max(1.0, float(np.linalg.norm(point.v))):
-        raise DomainError(f"v is not tangent at x (fiber residual {v_err:.2e})")
 
 
 def infinitesimal_action(config: OrbitConfig, xi: np.ndarray, point: TangentBundlePoint) -> np.ndarray:
@@ -317,19 +309,6 @@ def shifted(coords: np.ndarray, index: int, step: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def tautological_oneform(config: OrbitConfig, point: TangentBundlePoint, tangent_pair) -> float:
-    """theta at (x, v) applied to an ambient tangent pair (dx, dv): <v, dx>."""
-    pair = np.asarray(tangent_pair, dtype=float)
-    n = config.alg.dim
-    if pair.shape != (2 * n,):
-        raise InputError(f"tangent pair must have length {2 * n}")
-    dx = pair[:n]
-    fiber = span(config.alg.ad(point.x))
-    if fiber.residual(dx) > 1e-6 * max(1.0, np.linalg.norm(dx)):
-        raise DomainError("base component of the tangent pair is not tangent to the orbit")
-    return float(np.dot(point.v, dx))
-
-
 def _check_fd_step(fd_step: float) -> float:
     if not (FD_STEP_MIN <= fd_step <= FD_STEP_MAX):
         raise InputError(f"fd_step must lie in [{FD_STEP_MIN}, {FD_STEP_MAX}]")
@@ -348,24 +327,6 @@ def canonical_form_matrix(chart: Chart, coords) -> np.ndarray:
     n = chart.config.alg.dim
     a = push[n:].T @ push[:n]
     return a - a.T
-
-
-def kks_form(config: OrbitConfig, x: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> float:
-    """Invariant orbit 2-form at x on tangent vectors alpha, beta.
-
-    Vectors are lifted through minimal-norm solutions of [x, s] = alpha and
-    the value is -<x, [s1, s2]>; invariance of the product makes the value
-    independent of the lift.
-    """
-    alg = config.alg
-    ad_x = alg.ad(x)
-    fiber = span(ad_x)
-    for vec in (alpha, beta):
-        if fiber.residual(vec) > 1e-6 * max(1.0, float(np.linalg.norm(vec))):
-            raise DomainError("vector is not tangent to the orbit at x")
-    s1 = np.linalg.lstsq(ad_x, np.asarray(alpha, dtype=float), rcond=None)[0]
-    s2 = np.linalg.lstsq(ad_x, np.asarray(beta, dtype=float), rcond=None)[0]
-    return -float(np.dot(x, alg.bracket(s1, s2)))
 
 
 def orbit_form_pullback_matrix(chart: Chart, coords) -> np.ndarray:

@@ -64,7 +64,7 @@ def _skew(mat) -> np.ndarray:
     return 0.5 * (mat - mat.T)
 
 
-def invert_form(form_field: FormField, provenance: str = "inverse-of-form") -> PoissonField:
+def invert_form(form_field: FormField) -> PoissonField:
     """Pointwise inverse of a nondegenerate form field, re-skew-symmetrised."""
 
     def evaluator(coords):
@@ -83,7 +83,7 @@ def invert_form(form_field: FormField, provenance: str = "inverse-of-form") -> P
             )
         return inv
 
-    return PoissonField(evaluator, form_field.dim, provenance)
+    return PoissonField(evaluator, form_field.dim, "inverse-of-form")
 
 
 def pencil(p1: PoissonField, p2: PoissonField, t) -> PoissonField:

@@ -51,7 +51,7 @@ def test_criterion_01_ambient_symplectic(triple, sample_points):
     worst_closed = 0.0
     worst_sigma = np.inf
     for name, (setup, data) in triple.items():
-        w1, w2, _, _ = data.ambient_fields()
+        w1, w2, _, _ = data.ambient
         for coords in sample_points[name]:
             for form in (w1, w2):
                 worst_closed = max(worst_closed, oc.closedness_residual(form, coords, 1e-4))
@@ -64,7 +64,7 @@ def test_criterion_01_ambient_symplectic(triple, sample_points):
 def test_criterion_02_pencil_compatibility(triple, sample_points):
     worst = 0.0
     for name, (setup, data) in triple.items():
-        _, _, p1, p2 = data.ambient_fields()
+        _, _, p1, p2 = data.ambient
         for coords in sample_points[name]:
             worst = max(
                 worst,
@@ -74,7 +74,7 @@ def test_criterion_02_pencil_compatibility(triple, sample_points):
             )
     # quadratic homogeneity meta-check on a field away from the cancellation
     # floor: scaling the bivector scales the residual by the square
-    _, _, p1, p2 = triple["su(3) projective plane"][1].ambient_fields()
+    _, _, p1, p2 = triple["su(3) projective plane"][1].ambient
     coords = sample_points["su(3) projective plane"][0]
 
     def corrupted(c):
@@ -102,8 +102,8 @@ def test_criterion_03_degeneracy_locus(triple, sample_points):
     assert len(off_circle) == 14
     for name, (setup, data) in triple.items():
         pairs = [
-            (data.ambient_fields()[2], data.ambient_fields()[3], sample_points[name][0]),
-            (data.p1_sub, data.p2_sub, np.zeros(data.sub_chart.coord_dim) + 0.02),
+            (data.ambient.p1, data.ambient.p2, sample_points[name][0]),
+            (data.restricted.p1, data.restricted.p2, np.zeros(data.sub_chart.coord_dim) + 0.02),
         ]
         for p1, p2, coords in pairs:
             raw = pp.degeneracy_profile(p1, p2, coords, [(1.0, -1.0)])[0]
@@ -121,11 +121,11 @@ def test_criterion_04_restricted_pencil(setup_cp2, data_cp2, regular_coords_cp2)
     worst_sigma = np.inf
     worst_jacobi = 0.0
     for coords in regular_coords_cp2:
-        for form in (data_cp2.w1_sub, data_cp2.w2_sub):
+        for form in (data_cp2.restricted.w1, data_cp2.restricted.w2):
             worst_closed = max(worst_closed, oc.closedness_residual(form, coords, 1e-4))
             worst_sigma = min(worst_sigma, np.linalg.svd(form(coords), compute_uv=False)[-1])
         worst_jacobi = max(worst_jacobi, pp.compatibility_residual(
-            data_cp2.p1_sub, data_cp2.p2_sub, coords, 1e-4))
+            data_cp2.restricted.p1, data_cp2.restricted.p2, coords, 1e-4))
     ok = worst_closed <= 1e-5 and worst_sigma > 1e-6 and worst_jacobi <= 1e-5
     verdict(4, "restricted pair stays a compatible symplectic pencil",
             ok, f"closedness {worst_closed:.2e}, min sigma {worst_sigma:.2e}, sum-Jacobi {worst_jacobi:.2e}")
@@ -148,7 +148,7 @@ def test_criterion_05_bracket_agreement(setup_cp2, data_cp2, regular_coords_cp2)
 
 
 def test_criterion_06_splitting_orthogonality(setup_cp2, data_cp2, regular_coords_cp2):
-    w1, w2, _, _ = data_cp2.ambient_fields()
+    w1, w2, _, _ = data_cp2.ambient
     members = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7), (2.0, -1.0)]
     worst_pair = 0.0
     worst_sigma = np.inf
@@ -190,7 +190,8 @@ def test_criterion_08_complement_independence(su2, setup_cp2, so4, pauli_element
     ]
     worst_paired = 0.0
     for alg, sub in subjects:
-        report = lc.complement_independence(alg, sub, seed=5, trials=20)
+        report = lc.complement_independence(alg, sub, lc.normalizer(alg, sub), lc.invariant_product_space(alg, sub),
+                                            seed=5, trials=20)
         worst_paired = max(worst_paired, report.paired)
     # witness configuration: a nonabelian subalgebra whose adjoint-type
     # representation also occurs in its complement, so the complements move
@@ -198,7 +199,8 @@ def test_criterion_08_complement_independence(su2, setup_cp2, so4, pauli_element
     order = [i for i, (a, b) in enumerate(
         [(i, j) for i in range(4) for j in range(i + 1, 4)]) if (a, b) in [(0, 1), (0, 2), (1, 2)]]
     block = lc.span(np.column_stack([so4.element_from_matrix(gens[i]) for i in order]))
-    witness = lc.complement_independence(so4, block, seed=3, trials=20)
+    witness = lc.complement_independence(so4, block, lc.normalizer(so4, block),
+                                         lc.invariant_product_space(so4, block), seed=3, trials=20)
     worst_paired = max(worst_paired, witness.paired)
     ok = worst_paired <= 1e-8 and witness.unpaired > 1e-3
     verdict(8, "complement plus subalgebra is independent of the invariant product",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -80,12 +82,9 @@ def test_slice_normal_form_su2_quarter_turn(su2, pauli_elements):
     config = oc.orbit_config(su2, e3)
     setup = dr.reduction_setup(config, samples=16, seed=0)
     # rebuild with the closed-form slice seed: rotate so x0 = E1 direction
-    setup = dr.ReductionSetup(
-        config=config, x0=e1 / np.linalg.norm(e1), isotropy=setup.isotropy,
-        normalizer=setup.normalizer, transversal=setup.transversal,
-        centralizer=setup.centralizer, sub_stabilizer=setup.sub_stabilizer,
-        sub_tangent=setup.sub_tangent,
-        slice_space=lc.span(e1), center=setup.center,
+    x0 = e1 / np.linalg.norm(e1)
+    setup = dataclasses.replace(
+        setup, x0=x0, slice_normal=lc.span(su2.ad(x0) @ config.stabilizer.basis), slice_space=lc.span(e1),
     )
     z, _ = dr.slice_normal_form(setup, e2)
     overlap = abs(np.dot(z, e1)) / (np.linalg.norm(z) * np.linalg.norm(e1))
@@ -169,8 +168,9 @@ def test_canonical_complement(setup_su2, setup_cp2, data_cp2, regular_coords_cp2
 
 def test_complement_product_independence(setup_cp2, data_cp2, regular_coords_cp2):
     point = data_cp2.sub_chart.point(regular_coords_cp2[0])
+    sols = lc.invariant_product_space(setup_cp2.alg, setup_cp2.isotropy)
     for seed in (3, 17):
-        assert dr.complement_product_independence(setup_cp2, point, seed) <= 1e-8
+        assert dr.complement_product_independence(setup_cp2, point, sols, seed) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_complement_product_independence(setup_cp2, data_cp2, regular_coords_cp2
 
 
 def test_splitting_orthogonality_cp2(setup_cp2, data_cp2, regular_coords_cp2):
-    w1, w2, _, _ = data_cp2.ambient_fields()
+    w1, w2, _, _ = data_cp2.ambient
     members = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7), (2.0, -1.0)]
     for coords in regular_coords_cp2:
         padded = data_cp2.pad_coords(coords)
@@ -193,7 +193,7 @@ def test_splitting_orthogonality_cp2(setup_cp2, data_cp2, regular_coords_cp2):
 
 def test_splitting_orthogonality_trivial_case(setup_su2, data_su2):
     coords = np.zeros(data_su2.ambient_chart.coord_dim)
-    w1 = data_su2.ambient_fields()[0]
+    w1 = data_su2.ambient.w1
     [report] = dr.splitting_orthogonality(setup_su2, data_su2.ambient_chart, coords, [w1(coords)])
     assert report.pairing == 0.0
     assert report.sigma_stratum > 1e-6
@@ -261,8 +261,8 @@ def test_restricted_pencil_trivial_case_is_ambient(setup_su2, data_su2):
     # with trivial isotropy the sub chart and the ambient chart coincide
     assert data_su2.sub_chart.coord_dim == data_su2.ambient_chart.coord_dim
     coords = np.full(data_su2.sub_chart.coord_dim, 0.03)
-    w1_sub = data_su2.w1_sub(coords)
-    w1_amb = data_su2.ambient_fields()[0](data_su2.pad_coords(coords))
+    w1_sub = data_su2.restricted.w1(coords)
+    w1_amb = data_su2.ambient.w1(data_su2.pad_coords(coords))
     assert np.max(np.abs(w1_sub - w1_amb)) <= 1e-12
 
 
@@ -278,16 +278,16 @@ def test_restricted_pencil_base_validation(setup_cp2):
 
 def test_restricted_pencil_certification_cp2(setup_cp2, data_cp2, regular_coords_cp2):
     for coords in regular_coords_cp2:
-        assert oc.closedness_residual(data_cp2.w1_sub, coords, 1e-4) <= 1e-5
-        assert oc.closedness_residual(data_cp2.w2_sub, coords, 1e-4) <= 1e-5
-        for form in (data_cp2.w1_sub, data_cp2.w2_sub):
+        assert oc.closedness_residual(data_cp2.restricted.w1, coords, 1e-4) <= 1e-5
+        assert oc.closedness_residual(data_cp2.restricted.w2, coords, 1e-4) <= 1e-5
+        for form in (data_cp2.restricted.w1, data_cp2.restricted.w2):
             assert np.linalg.svd(form(coords), compute_uv=False)[-1] > 1e-6
-        assert pp.compatibility_residual(data_cp2.p1_sub, data_cp2.p2_sub, coords, 1e-4) <= 1e-5
+        assert pp.compatibility_residual(data_cp2.restricted.p1, data_cp2.restricted.p2, coords, 1e-4) <= 1e-5
 
 
 def test_restricted_degeneracy_profile(data_cp2, regular_coords_cp2):
     profile = pp.degeneracy_profile(
-        data_cp2.p1_sub, data_cp2.p2_sub, regular_coords_cp2[0], pp.unit_circle_parameters(16)
+        data_cp2.restricted.p1, data_cp2.restricted.p2, regular_coords_cp2[0], pp.unit_circle_parameters(16)
     )
     for sample in profile:
         if abs(sample.t[0] + sample.t[1]) < 1e-12:
@@ -493,8 +493,8 @@ def test_restricted_forms_match_intrinsic_suborbit_forms(setup_cp2, data_cp2):
         coords = rng.uniform(-0.08, 0.08, chart_hat.coord_dim)
         w1_intrinsic = oc.canonical_form_matrix(chart_hat, coords)
         w2_intrinsic = oc.omega2_matrix(chart_hat, coords)
-        assert np.max(np.abs(w1_intrinsic - data_cp2.w1_sub(coords))) <= 1e-9
-        assert np.max(np.abs(w2_intrinsic - data_cp2.w2_sub(coords))) <= 1e-9
+        assert np.max(np.abs(w1_intrinsic - data_cp2.restricted.w1(coords))) <= 1e-9
+        assert np.max(np.abs(w2_intrinsic - data_cp2.restricted.w2(coords))) <= 1e-9
 
 
 def test_slice_normal_form_iteration_budget(setup_cp2):
@@ -524,14 +524,14 @@ def test_nonabelian_reduction_full_chain(setup_cp3, data_cp3):
     assert briefly_abelian > 1e-2
 
     coords_list = dr.sample_regular_coords(setup, data, 3, seed=5)
-    w1, w2, p1a, p2a = data.ambient_fields()
+    w1, w2, p1a, p2a = data.ambient
     adapted = dr.AdaptedChart(setup, data.sub_chart)
     f = dr.invariant_function(setup.alg, ("v", "v"))
     g = dr.invariant_function(setup.alg, ("x", "v", "x", "v"))
     for coords in coords_list:
         # restricted pencil stays compatible and symplectic
-        assert pp.compatibility_residual(data.p1_sub, data.p2_sub, coords, 1e-4) <= 1e-5
-        assert np.linalg.svd(data.w1_sub(coords), compute_uv=False)[-1] > 1e-6
+        assert pp.compatibility_residual(data.restricted.p1, data.restricted.p2, coords, 1e-4) <= 1e-5
+        assert np.linalg.svd(data.restricted.w1(coords), compute_uv=False)[-1] > 1e-6
         # canonical splitting stays form-orthogonal with an 8-dim complement
         padded = data.pad_coords(coords)
         [report] = dr.splitting_orthogonality(setup, data.ambient_chart, padded, [w1(padded)])

@@ -327,18 +327,27 @@ def test_invariant_product_space_contains_base(su3, setup_cp2):
     assert resid <= 1e-10
 
 
+def _draw(alg, sub, seed):
+    return lc.draw_invariant_product(alg, sub, lc.invariant_product_space(alg, sub), seed)
+
+
+def _independence(alg, sub, seed):
+    return lc.complement_independence(alg, sub, lc.normalizer(alg, sub), lc.invariant_product_space(alg, sub),
+                                      seed=seed, trials=20)
+
+
 def test_random_invariant_product(su2, pauli_elements):
     _, _, e3 = pauli_elements
     h = lc.span(e3)
-    a = lc.random_invariant_product(su2, h, seed=42)
-    b = lc.random_invariant_product(su2, h, seed=42)
+    a = _draw(su2, h, seed=42)
+    b = _draw(su2, h, seed=42)
     assert np.array_equal(a.matrix, b.matrix)  # determinism
     assert np.min(np.linalg.eigvalsh(a.matrix)) > 0
     assert lc.product_invariance_residual(su2, h, a.matrix) <= 1e-10
     # whole algebra: invariant products unique up to scale on a simple algebra
     full = lc.full_subspace(3)
     assert len(lc.invariant_product_space(su2, full)) == 1
-    c = lc.random_invariant_product(su2, full, seed=3)
+    c = _draw(su2, full, seed=3)
     ratio = c.matrix[0, 0]
     assert np.allclose(c.matrix, ratio * np.eye(3), atol=1e-12)
 
@@ -347,7 +356,7 @@ def test_complement_independence_same_product_is_zero(su2, pauli_elements):
     _, _, e3 = pauli_elements
     h = lc.span(e3)
     norm = lc.normalizer(su2, h)
-    alpha = lc.random_invariant_product(su2, h, seed=1)
+    alpha = _draw(su2, h, seed=1)
     pa = lc.orthogonal_complement(su2, norm, alpha)
     pb = lc.orthogonal_complement(su2, norm, alpha)
     assert lc.projector_distance(pa, pb) == 0.0
@@ -355,24 +364,10 @@ def test_complement_independence_same_product_is_zero(su2, pauli_elements):
 
 def test_complement_independence_su2(su2, pauli_elements):
     _, _, e3 = pauli_elements
-    report = lc.complement_independence(su2, lc.span(e3), seed=5, trials=20)
+    report = _independence(su2, lc.span(e3), seed=5)
     assert report.paired <= 1e-8
     # here both complements coincide outright (single isotypic block)
     assert report.unpaired <= 1e-8
-
-
-def test_complement_independence_builds_one_product_space(su3, setup_cp2, monkeypatch):
-    calls = []
-    original = lc.invariant_product_space
-
-    def counting(alg, sub):
-        calls.append(sub.dim)
-        return original(alg, sub)
-
-    monkeypatch.setattr(lc, "invariant_product_space", counting)
-    report = lc.complement_independence(su3, setup_cp2.isotropy, seed=11, trials=20)
-    assert len(calls) == 1
-    assert report.paired <= 1e-8
 
 
 def so3_block_subalgebra(so4_alg):
@@ -393,7 +388,7 @@ def test_complement_rigidity_with_abelian_isotropy(su3, setup_cp2):
     # with an abelian isotropy algebra the normalizer coincides with the
     # full fixed-point subalgebra, and invariant pairings between distinct
     # isotypic components vanish, so the complement cannot move at all
-    report = lc.complement_independence(su3, setup_cp2.isotropy, seed=11, trials=20)
+    report = _independence(su3, setup_cp2.isotropy, seed=11)
     assert report.paired <= 1e-8
     assert report.unpaired <= 1e-8
 
@@ -404,7 +399,7 @@ def test_complement_independence_witness_on_so4(so4):
     # their sums with the subalgebra agree.
     h = so3_block_subalgebra(so4)
     assert lc.subalgebra_residual(so4, h) <= 1e-12
-    report = lc.complement_independence(so4, h, seed=3, trials=20)
+    report = _independence(so4, h, seed=3)
     assert report.paired <= 1e-8
     assert report.unpaired > 1e-3
 

@@ -45,6 +45,10 @@ def test_orbit_config_dimensions(family, n, spectrum, expected_k, expected_m):
 def test_orbit_config_rejects_zero_seed(su2):
     with pytest.raises(DomainError):
         oc.orbit_config(su2, np.zeros(3))
+    # a nonzero central seed has a point orbit too
+    u1 = lc.algebra_from_matrices("u(1)", [[[1j]]])
+    with pytest.raises(DomainError):
+        oc.orbit_config(u1, np.ones(1))
 
 
 # ---------------------------------------------------------------------------
@@ -196,56 +200,8 @@ def test_pushforward_base_columns(setup_cp2):
 
 
 # ---------------------------------------------------------------------------
-# Tautological 1-form and the two 2-forms
+# The two 2-forms
 # ---------------------------------------------------------------------------
-
-
-def test_tautological_oneform(setup_su2):
-    config = setup_su2.config
-    alg = config.alg
-    chart = make_chart(setup_su2)
-    coords = np.full(chart.coord_dim, 0.05)
-    point = chart.point(coords)
-    push = chart.pushforward(coords)
-    n = alg.dim
-    # v = 0: the form vanishes
-    zero_point = oc.TangentBundlePoint(x=point.x, v=np.zeros(n))
-    assert oc.tautological_oneform(config, zero_point, push[:, 0]) == 0.0
-    # base component orthogonal to v gives zero: build dx in the fiber, normal to v
-    fiber = lc.span(alg.ad(point.x))
-    v_coeffs = fiber.basis.T @ point.v
-    q, _ = np.linalg.qr(np.column_stack([v_coeffs, np.eye(fiber.dim)]))
-    dx = fiber.basis @ q[:, 1]
-    pair = np.concatenate([dx, np.zeros(n)])
-    assert abs(oc.tautological_oneform(config, point, pair)) <= 1e-12
-    # linearity in the tangent argument
-    a_pair = push[:, 0]
-    b_pair = push[:, 1]
-    lhs = oc.tautological_oneform(config, point, 2.0 * a_pair + 0.5 * b_pair)
-    rhs = 2.0 * oc.tautological_oneform(config, point, a_pair) + 0.5 * oc.tautological_oneform(config, point, b_pair)
-    assert abs(lhs - rhs) <= 1e-12
-    # rejects non-tangent base components
-    bad = np.concatenate([config.stabilizer.basis[:, 0], np.zeros(n)])
-    with pytest.raises(DomainError):
-        oc.tautological_oneform(config, point, bad)
-
-
-def test_tautological_invariance(su2, setup_su2):
-    config = setup_su2.config
-    chart = make_chart(setup_su2)
-    coords = np.full(chart.coord_dim, 0.03)
-    point = chart.point(coords)
-    push = chart.pushforward(coords)
-    rng = np.random.default_rng(4)
-    n = su2.dim
-    for _ in range(20):
-        rot = scipy.linalg.expm(su2.ad(rng.standard_normal(n)))
-        moved = oc.TangentBundlePoint(x=rot @ point.x, v=rot @ point.v)
-        pair = push[:, 0]
-        moved_pair = np.concatenate([rot @ pair[:n], rot @ pair[n:]])
-        before = oc.tautological_oneform(config, point, pair)
-        after = oc.tautological_oneform(config, moved, moved_pair)
-        assert abs(before - after) <= 1e-10
 
 
 def test_canonical_form_skew_and_pinned_determinant(setup_su2):
@@ -343,43 +299,6 @@ def test_canonical_closedness_catches_sabotaged_pushforward(setup_cp2, data_cp2,
     assert bad_res > 1e-2
 
 
-def test_kks_form(su2, pauli_elements):
-    e1, e2, e3 = pauli_elements
-    config = oc.orbit_config(su2, e3)
-    a12 = su2.bracket(e1, e3)
-    a22 = su2.bracket(e2, e3)
-    # skewness
-    assert abs(oc.kks_form(config, e3, a12, a12)) <= 1e-14
-    # bracket-table value: -<E3, [E1, E2]> = -<E3, E3>
-    value = oc.kks_form(config, e3, a12, a22)
-    assert abs(value - (-su2.inner(e3, e3))) <= 1e-12
-    # lift independence: perturb a lift by a kernel element of ad(x)
-    ad_x = su2.ad(e3)
-    s2 = np.linalg.lstsq(ad_x, a22, rcond=None)[0]
-    kern = lc.kernel(ad_x)
-    perturbed = s2 + 0.7 * kern.basis[:, 0]
-    direct = -su2.inner(e3, su2.bracket(np.linalg.lstsq(ad_x, a12, rcond=None)[0], perturbed))
-    assert abs(direct - value) <= 1e-12
-    with pytest.raises(DomainError):
-        oc.kks_form(config, e3, e3, a22)  # e3 is not tangent at e3
-
-
-def test_kks_matches_defining_formula(setup_cp2):
-    # at the seed the form on action tangents [a, s1], [a, s2] equals
-    # -<a, [s1, s2]>; the evaluator recovers this through its lifts
-    alg = setup_cp2.alg
-    config = setup_cp2.config
-    a = config.seed
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        s1 = rng.standard_normal(alg.dim)
-        s2 = rng.standard_normal(alg.dim)
-        alpha = alg.bracket(a, s1)
-        beta = alg.bracket(a, s2)
-        direct = -alg.inner(a, alg.bracket(s1, s2))
-        assert abs(oc.kks_form(config, a, alpha, beta) - direct) <= 1e-10
-
-
 def test_pullback_matrix_kills_fiber_directions(setup_cp2):
     chart = make_chart(setup_cp2)
     coords = np.full(chart.coord_dim, 0.04)
@@ -420,7 +339,7 @@ def test_combined_form_base_dependence_only(setup_cp2):
 
 def test_combined_form_nondegenerate_su3_regular(setup_su3_regular, data_su3_regular):
     chart = data_su3_regular.ambient_chart
-    field = data_su3_regular.ambient_fields()[1]
+    field = data_su3_regular.ambient.w2
     rng = np.random.default_rng(7)
     for _ in range(10):
         coords = rng.uniform(-0.1, 0.1, chart.coord_dim)
@@ -449,7 +368,7 @@ def test_closedness_residual_constant_field_and_control(setup_su2):
 def test_form_invariance_under_moved_chart(setup_cp2, data_cp2):
     chart = data_cp2.ambient_chart
     alg = setup_cp2.alg
-    w1_field, w2_field, _, _ = data_cp2.ambient_fields()
+    w1_field, w2_field, _, _ = data_cp2.ambient
     rng = np.random.default_rng(8)
     coords = rng.uniform(-0.08, 0.08, chart.coord_dim)
     for _ in range(3):
@@ -471,16 +390,3 @@ def test_infinitesimal_action(su2, pauli_elements, setup_su2):
     out = oc.infinitesimal_action(config, e3, point)
     assert np.allclose(out[:3], 0.0, atol=1e-14)
     assert np.allclose(out[3:], e2, atol=1e-12)
-    # the 1-form along action directions reproduces <v, [xi, x]>
-    theta = oc.tautological_oneform(config, point, oc.infinitesimal_action(config, e2, point))
-    assert abs(theta - su2.inner(e1, su2.bracket(e2, e3))) <= 1e-12
-
-
-def test_point_validation(setup_su2):
-    config = setup_su2.config
-    good = oc.TangentBundlePoint(x=config.seed, v=setup_su2.x0)
-    oc.validate_point(config, good)
-    with pytest.raises(DomainError):
-        oc.validate_point(config, oc.TangentBundlePoint(x=1.5 * config.seed, v=setup_su2.x0))
-    with pytest.raises(DomainError):
-        oc.validate_point(config, oc.TangentBundlePoint(x=config.seed, v=config.seed))

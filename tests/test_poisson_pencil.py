@@ -32,8 +32,8 @@ def test_invert_standard_block():
 
 def test_invert_twice_roundtrip(data_su2):
     coords = np.full(data_su2.sub_chart.coord_dim, 0.02)
-    w = data_su2.w1_sub(coords)
-    once = pp.invert_form(data_su2.w1_sub)
+    w = data_su2.restricted.w1(coords)
+    once = pp.invert_form(data_su2.restricted.w1)
     field_again = oc.FormField(lambda c: once(c), once.dim, "inv")
     twice = pp.invert_form(field_again)
     assert np.max(np.abs(twice(coords) - w)) <= 1e-10
@@ -42,8 +42,8 @@ def test_invert_twice_roundtrip(data_su2):
 def test_invert_su2_base_residual(data_su2):
     # pinned direct solve: |P W - I| stays at solver precision
     coords = np.zeros(data_su2.sub_chart.coord_dim)
-    p = data_su2.p1_sub(coords)
-    w = data_su2.w1_sub(coords)
+    p = data_su2.restricted.p1(coords)
+    w = data_su2.restricted.w1(coords)
     assert np.linalg.norm(p @ w - np.eye(len(w))) <= 1e-10
     # the base canonical form of the su(2) configuration has determinant 16,
     # so its inverse has determinant 1/16 (pinned)
@@ -70,7 +70,7 @@ def test_pencil_parameter_rules():
 
 def test_pencil_combinations(data_su2):
     coords = np.full(data_su2.sub_chart.coord_dim, 0.01)
-    p1, p2 = data_su2.p1_sub, data_su2.p2_sub
+    p1, p2 = data_su2.restricted.p1, data_su2.restricted.p2
     assert np.array_equal(pp.pencil(p1, p2, (1.0, 0.0))(coords), p1(coords))
     assert np.max(np.abs(pp.pencil(p1, p1, (1.0, -1.0))(coords))) == 0.0
     lhs = pp.pencil(p1, p2, (1.0, 1.0))(coords)
@@ -79,7 +79,7 @@ def test_pencil_combinations(data_su2):
 
 def test_pencil_dim_mismatch(data_su2, data_cp2):
     with pytest.raises(InputError):
-        pp.pencil(data_su2.p1_sub, data_cp2.ambient_fields()[2], (1.0, 1.0))
+        pp.pencil(data_su2.restricted.p1, data_cp2.ambient.p1, (1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,7 @@ def test_jacobi_constant_field_is_zero():
 
 
 def test_jacobi_su2_canonical(data_su2):
-    p1 = data_su2.p1_sub
+    p1 = data_su2.restricted.p1
     rng = np.random.default_rng(0)
     for _ in range(10):
         coords = rng.uniform(-0.1, 0.1, data_su2.sub_chart.coord_dim)
@@ -101,7 +101,7 @@ def test_jacobi_su2_canonical(data_su2):
 
 
 def test_jacobi_negative_control(data_su2):
-    base = data_su2.p1_sub
+    base = data_su2.restricted.p1
 
     def corrupted(c):
         mat = np.array(base(c), copy=True)
@@ -115,7 +115,7 @@ def test_jacobi_negative_control(data_su2):
 
 
 def test_jacobi_quadratic_homogeneity(data_su2):
-    base = data_su2.p1_sub
+    base = data_su2.restricted.p1
 
     def corrupted(c):
         mat = np.array(base(c), copy=True)
@@ -133,7 +133,7 @@ def test_jacobi_quadratic_homogeneity(data_su2):
 
 
 def test_compatibility_su3_regular(data_su3_regular):
-    _, _, p1, p2 = data_su3_regular.ambient_fields()
+    _, _, p1, p2 = data_su3_regular.ambient
     rng = np.random.default_rng(1)
     for _ in range(3):
         coords = rng.uniform(-0.1, 0.1, data_su3_regular.ambient_chart.coord_dim)
@@ -144,7 +144,7 @@ def test_compatibility_su3_regular(data_su3_regular):
 
 def test_pencil_circle_bound(data_su2):
     # three members below tol bound every unit-circle member by 4 tol
-    p1, p2 = data_su2.p1_sub, data_su2.p2_sub
+    p1, p2 = data_su2.restricted.p1, data_su2.restricted.p2
     coords = np.full(data_su2.sub_chart.coord_dim, 0.03)
     tol = max(
         pp.jacobi_residual(p1, coords, 1e-4),
@@ -161,7 +161,7 @@ def test_pencil_circle_bound(data_su2):
 
 
 def test_degeneracy_profile(data_su2):
-    p1, p2 = data_su2.p1_sub, data_su2.p2_sub
+    p1, p2 = data_su2.restricted.p1, data_su2.restricted.p2
     coords = np.full(data_su2.sub_chart.coord_dim, 0.02)
     profile = pp.degeneracy_profile(p1, p2, coords, [(1.0, -1.0), (1.0, 0.0), (0.0, 1.0), (0.6, 0.4)])
     by_t = {s.t: s for s in profile}
@@ -190,7 +190,7 @@ def test_unit_circle_contains_the_degenerate_direction():
 def test_outer_derivative_residuals_scale_like_step_squared(data_cp2, ambient_coords):
     # a tenfold smaller step must shrink the residual about a hundredfold;
     # rounding would instead make it grow
-    w1, w2, _, p2 = data_cp2.ambient_fields()
+    w1, w2, _, p2 = data_cp2.ambient
     residuals = [(oc.closedness_residual, w1), (oc.closedness_residual, w2), (pp.jacobi_residual, p2)]
     for coords in ambient_coords(data_cp2.ambient_chart, 2):
         for residual, field in residuals:

@@ -88,6 +88,9 @@ def test_malformed_json_rejected(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         wb.load_config(str(path))
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ConfigError):
+        wb.load_config(str(path))
 
 
 def test_custom_algebra_roundtrip():
@@ -147,7 +150,7 @@ def test_report_rows_have_anchors_and_full_precision(su2_report):
 def test_report_roundtrip_and_formats(tmp_path, su2_report):
     json_path = tmp_path / "report.json"
     wb.emit_report(su2_report, json_path, fmt="json")
-    loaded = wb.load_report(json_path)
+    loaded = json.loads(json_path.read_text(encoding="utf-8"))
     assert loaded == su2_report.to_dict()
     text_path = tmp_path / "report.txt"
     wb.emit_report(su2_report, text_path, fmt="text")
@@ -267,8 +270,41 @@ def test_shared_row_data_is_computed_once(monkeypatch):
     assert len(splitting) == samples
     # slice_normalization and slice_isometry share one normal form per sample
     assert len(normal_forms) == samples
-    # one call validates the setup in reduction_setup; the ten setup rows share one more
-    assert len(residuals) == 2
+    # reduction_setup validates the setup with one call and keeps it for the ten setup rows
+    assert len(residuals) == 1
+
+
+def test_run_builds_each_setup_object_once(monkeypatch):
+    from orbitpencil import dirac_reduction as dr
+    from orbitpencil import lie_core as lc
+
+    products = _counting(monkeypatch, lc, "invariant_product_space")
+    # reduction_setup calls its own imported name, the lie_core layer the module one
+    normalizers = [_counting(monkeypatch, lc, "normalizer"), _counting(monkeypatch, dr, "normalizer")]
+    residuals = _counting(monkeypatch, dr, "setup_residuals")
+    active, spans_in_normal_form = [], []
+    span, normal_form = dr.span, dr.slice_normal_form
+
+    def counting_span(*args, **kwargs):
+        spans_in_normal_form.extend(active)
+        return span(*args, **kwargs)
+
+    def tracked_normal_form(*args, **kwargs):
+        active.append(1)
+        try:
+            return normal_form(*args, **kwargs)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(dr, "span", counting_span)
+    monkeypatch.setattr(dr, "slice_normal_form", tracked_normal_form)
+    path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "su3_projective_plane.json"
+    report = wb.run_pipeline(wb.load_config(path))
+    assert report.verdict == "pass"
+    assert len(products) == 1
+    assert sum(map(len, normalizers)) == 1
+    assert len(residuals) == 1
+    assert spans_in_normal_form == []
 
 
 def test_bracket_agreement_takes_one_differential_per_word_point_chart(monkeypatch):
@@ -465,11 +501,25 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
         {"checks": [["algebra_closure"]]},
         {"seed_element": {"diag_spectrum": ["a", "b"]}},
         {"seed_element": {"coeffs": ["a", "b", "c"]}},
+        {"samples": 1e400},
+        {"algebra": {"family": "so", "n": 4}, "seed_element": {"diag_spectrum": [[1, 1], [1, 1]]}},
+        {"seed_element": {"coeffs": [0.0, 0.0, float("nan")]}},
+        {"t_samples": [[float("nan"), 1.0]]},
+        {"t_samples": [[1.0, float("inf")], [1.0, 0.0]]},
+        {"tolerances": {"algebra_closure": float("nan")}},
+        {"tolerances": {"algebra_closure": float("inf")}},
     ],
 )
 def test_cli_malformed_field_values_exit_2(tmp_path, capsys, mutation):
     cfg_path = write_config(tmp_path, dict(SU2_CONFIG, **mutation))
     assert cli_main(["verify", "--config", cfg_path]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_config_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"algebra": {"family": "su", "n": 2}, "name": "\xe9t\xe9"}')
+    assert cli_main(["verify", "--config", str(path)]) == 2
     assert "configuration error" in capsys.readouterr().err
 
 
