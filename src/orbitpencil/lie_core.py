@@ -105,10 +105,6 @@ class LieAlgebra:
         y = _as_element(self, y)
         return np.einsum("i,j,ijk->k", x, y, self.structure)
 
-    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Base invariant product; plain dot product in the orthonormal basis."""
-        return float(np.dot(_as_element(self, x), _as_element(self, y)))
-
 
 def _as_element(alg: LieAlgebra, coeffs) -> np.ndarray:
     vec = np.asarray(coeffs, dtype=float)

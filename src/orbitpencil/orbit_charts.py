@@ -233,6 +233,9 @@ class Chart:
         self.box = float(box)
         self._points = CoordinateMemo(self._point_at)
         self._pushes = CoordinateMemo(self._pushforward_at)
+        # (u.tobytes(), Ad(e^xi(u))) of the last point evaluated: central
+        # differences along inner coordinates keep u fixed and reuse it
+        self._last_conjugation = (None, None)
 
     @property
     def frame_dim(self) -> int:
@@ -270,7 +273,11 @@ class Chart:
 
     def _point_at(self, c: np.ndarray) -> TangentBundlePoint:
         f = self.frame_dim
-        big = exp_ad(self.config.alg, self.frame @ c[:f])
+        u = c[:f]
+        key, big = self._last_conjugation
+        if key != u.tobytes():
+            big = exp_ad(self.config.alg, self.frame @ u)
+            self._last_conjugation = (u.tobytes(), big)
         if self.rotation is not None:
             big = self.rotation @ big
         inner = self._inner_point(c[f:])
@@ -302,6 +309,16 @@ def shifted(coords: np.ndarray, index: int, step: float) -> np.ndarray:
     out = np.array(coords, dtype=float, copy=True)
     out[index] += step
     return out
+
+
+def central_partials(fn, coords: np.ndarray, step: float) -> np.ndarray:
+    """Stack whose entry l is (fn(c + step e_l) - fn(c - step e_l)) / (2 step).
+
+    ``fn`` is evaluated at the plus point, then the minus point, for each
+    coordinate l in turn.
+    """
+    return np.stack([(fn(shifted(coords, l, +step)) - fn(shifted(coords, l, -step))) / (2.0 * step)
+                     for l in range(len(coords))])
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +386,6 @@ def combined_form_field(chart: Chart) -> FormField:
 
 def closedness_residual(form_field, coords, fd_step: float = FD_STEP_DEFAULT) -> float:
     """Max cyclic-sum residual d_i W_jk + d_j W_ki + d_k W_ij over index triples."""
-    h = _check_fd_step(fd_step)
-    c = np.asarray(coords, dtype=float)
-    d = len(c)
-    partials = np.empty((d, d, d))
-    for l in range(d):
-        plus = form_field(shifted(c, l, +h))
-        minus = form_field(shifted(c, l, -h))
-        partials[l] = (plus - minus) / (2.0 * h)
+    partials = central_partials(form_field, np.asarray(coords, dtype=float), _check_fd_step(fd_step))
     cyc = partials + np.transpose(partials, (1, 2, 0)) + np.transpose(partials, (2, 0, 1))
     return float(np.max(np.abs(cyc)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, InputError
-from .orbit_charts import FD_STEP_DEFAULT, CoordinateMemo, FormField, _check_fd_step, shifted
+from .orbit_charts import FD_STEP_DEFAULT, CoordinateMemo, FormField, _check_fd_step, central_partials
 
 logger = logging.getLogger(__name__)
 
@@ -102,11 +102,8 @@ def jacobi_residual(field: PoissonField, coords, fd_step: float = FD_STEP_DEFAUL
     """Max Jacobi-identity residual over coordinate-function triples."""
     h = _check_fd_step(fd_step)
     c = np.asarray(coords, dtype=float)
-    d = field.dim
     center = field(c)
-    partials = np.empty((d, d, d))
-    for l in range(d):
-        partials[l] = (field(shifted(c, l, +h)) - field(shifted(c, l, -h))) / (2.0 * h)
+    partials = central_partials(field, c, h)
     mixed = np.einsum("li,ljk->ijk", center, partials)
     cyc = mixed + np.transpose(mixed, (1, 2, 0)) + np.transpose(mixed, (2, 0, 1))
     return float(np.max(np.abs(cyc)))

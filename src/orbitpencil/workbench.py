@@ -36,7 +36,7 @@ from . import families
 from . import lie_core as lc
 from . import orbit_charts as oc
 from . import poisson_pencil as pp
-from .errors import ConfigError, WorkbenchError
+from .errors import ConfigError, DomainError, WorkbenchError
 from .seeding import stream, unit_vector
 
 CHART_SCALE = 0.1  # sampling box for chart coordinates
@@ -274,7 +274,10 @@ class PipelineContext:
 def prepare_context(cfg: WorkbenchConfig) -> PipelineContext:
     alg = build_algebra(cfg)
     seed_elt = build_seed(cfg, alg)
-    orbit = oc.orbit_config(alg, seed_elt)
+    try:
+        orbit = oc.orbit_config(alg, seed_elt)
+    except DomainError as exc:  # e.g. a central seed, whose orbit is a point
+        raise ConfigError(f"seed element rejected: {exc}") from exc
     setup = dr.reduction_setup(orbit, samples=max(8, cfg.samples), seed=cfg.seed)
     base = oc.TangentBundlePoint(x=orbit.seed, v=setup.x0)
     data = dr.restricted_pencil(setup, base)
@@ -349,20 +352,23 @@ def _orbit_splitting(ctx):
     return worst
 
 
-def _chart_exactness(ctx):
-    chart = ctx.data.ambient_chart
-    h = 1e-5
+def _exactness(chart, seed, label, count):
+    """Max |pushforward - central differences of the point| over ``count`` sampled coordinates."""
+    def stacked(c):
+        point = chart.point(c)
+        return np.concatenate([point.x, point.v])
+
     worst = 0.0
-    for i in range(min(ctx.samples, 10)):
-        coords = stream(ctx.seed, "chart-exactness", i).uniform(-CHART_SCALE, CHART_SCALE, chart.coord_dim)
-        push = chart.pushforward(coords)
-        fd = np.empty_like(push)
-        for j in range(chart.coord_dim):
-            plus = chart.point(oc.shifted(coords, j, +h))
-            minus = chart.point(oc.shifted(coords, j, -h))
-            fd[:, j] = np.concatenate([plus.x - minus.x, plus.v - minus.v]) / (2.0 * h)
-        worst = max(worst, float(np.max(np.abs(push - fd))))
+    for i in range(count):
+        coords = stream(seed, label, i).uniform(-CHART_SCALE, CHART_SCALE, chart.coord_dim)
+        fd = oc.central_partials(stacked, coords, 1e-5).T
+        worst = max(worst, float(np.max(np.abs(chart.pushforward(coords) - fd))))
     return worst
+
+
+def _chart_exactness(ctx):
+    return max(_exactness(ctx.data.ambient_chart, ctx.seed, "chart-exactness", min(ctx.samples, 10)),
+               _exactness(ctx.adapted, ctx.seed, "adapted-exactness", min(ctx.samples, 3)))
 
 
 def _spectrum_preservation(ctx):
@@ -439,12 +445,10 @@ def _form_invariance(ctx):
         rot = oc.exp_ad(ctx.alg, zeta)
         moved = oc.Chart(ctx.orbit, base_v=chart.base_v, frame=chart.frame, rotation=rot)
         coords = ctx.ambient_coords[i % len(ctx.ambient_coords)]
-        w1_moved = oc.canonical_form_matrix(moved, coords)
-        w2_moved = w1_moved + oc.orbit_form_pullback_matrix(moved, coords)
         worst = max(
             worst,
-            float(np.max(np.abs(w1_moved - ctx.data.ambient.w1(coords)))),
-            float(np.max(np.abs(w2_moved - ctx.data.ambient.w2(coords)))),
+            float(np.max(np.abs(oc.canonical_form_matrix(moved, coords) - ctx.data.ambient.w1(coords)))),
+            float(np.max(np.abs(oc.omega2_matrix(moved, coords) - ctx.data.ambient.w2(coords)))),
         )
     return worst
 
@@ -482,35 +486,6 @@ def _corrupted_field(ctx) -> pp.PoissonField:
         return mat
 
     return pp.PoissonField(corrupted, base.dim, "pencil")
-
-
-def _jacobi_homogeneity(ctx):
-    # Power-of-two scalings are exact in floating point; for the generic
-    # factor use the corrupted field, whose residual is far from the
-    # cancellation floor.
-    coords = ctx.ambient_coords[0]
-    p1 = ctx.data.ambient.p1
-    worst = 0.0
-    base = pp.jacobi_residual(p1, coords, ctx.fd)
-    scaled = pp.jacobi_residual(pp.PoissonField(lambda c: 2.0 * p1(c), p1.dim, "pencil"), coords, ctx.fd)
-    worst = max(worst, abs(scaled - 4.0 * base) / max(4.0 * base, 1e-300))
-    bad = _corrupted_field(ctx)
-    base = pp.jacobi_residual(bad, coords, ctx.fd)
-    for lam in (2.0, 10.0):
-        scaled = pp.jacobi_residual(
-            pp.PoissonField(lambda c, s=lam: s * bad(c), bad.dim, "pencil"), coords, ctx.fd
-        )
-        worst = max(worst, abs(scaled - lam ** 2 * base) / max(lam ** 2 * base, 1e-300))
-    return worst
-
-
-def _pencil_circle(ctx):
-    coords = ctx.ambient_coords[0]
-    _, _, p1, p2 = ctx.data.ambient
-    worst = 0.0
-    for t in pp.unit_circle_parameters(16):
-        worst = max(worst, pp.jacobi_residual(pp.pencil(p1, p2, t), coords, ctx.fd))
-    return worst
 
 
 def _degeneracy(on_line: bool, chart):
@@ -554,10 +529,8 @@ def _adapted_reports(ctx):
     reports = []
     for s in ctx.regular_coords[:5]:
         coords = np.concatenate([offset, s])
-        w1 = oc.canonical_form_matrix(ctx.adapted, coords)
-        w2 = w1 + oc.orbit_form_pullback_matrix(ctx.adapted, coords)
-        reports.append(dr.adapted_block_report(ctx.adapted, coords, w1))
-        reports.append(dr.adapted_block_report(ctx.adapted, coords, w2))
+        for form in (oc.canonical_form_matrix, oc.omega2_matrix):
+            reports.append(dr.adapted_block_report(ctx.adapted, coords, form(ctx.adapted, coords)))
     return reports
 
 
@@ -707,8 +680,6 @@ REGISTRY: list[CheckSpec] = [
     CheckSpec("pencil_jacobi_canonical", "inverse of the canonical form satisfies the Jacobi identity", 1e-5, "max", "check", "pencil", _jacobi(_ambient, "p1")),
     CheckSpec("pencil_jacobi_combined", "inverse of the combined form satisfies the Jacobi identity", 1e-5, "max", "check", "pencil", _jacobi(_ambient, "p2")),
     CheckSpec("pencil_compatibility", "the sum of the two inverse bivectors satisfies the Jacobi identity", 1e-5, "max", "check", "pencil", _compatibility(_ambient)),
-    CheckSpec("jacobi_homogeneity", "the Jacobi residual scales quadratically under bivector scaling", 1e-6, "max", "check", "pencil", _jacobi_homogeneity),
-    CheckSpec("pencil_circle", "Jacobi residual stays small on the whole unit circle of parameters", 4e-5, "max", "check", "pencil", _pencil_circle),
     CheckSpec("control_corrupted_jacobi", "corrupting one bivector entry breaks the Jacobi identity", 1e-3, "min", "control", "pencil", _control_corrupted_jacobi),
     CheckSpec("splitting_pairing", "invariant forms pair action complement and regular stratum to zero", 1e-8, "max", "check", "splitting", _splitting_pairing),
     CheckSpec("splitting_nondegeneracy", "both restricted blocks of the splitting stay nondegenerate", 1e-6, "min", "check", "splitting", _splitting_nondegeneracy),

@@ -196,3 +196,29 @@ def test_outer_derivative_residuals_scale_like_step_squared(data_cp2, ambient_co
         for residual, field in residuals:
             ratio = residual(field, coords, 1e-3) / residual(field, coords, 1e-4)
             assert 30.0 <= ratio <= 300.0, (field.name, ratio)
+
+
+def _loop_partials(field, c, h):
+    # reference: one central difference per coordinate, plus point first
+    partials = np.empty((len(c), field.dim, field.dim))
+    for l in range(len(c)):
+        plus = field(oc.shifted(c, l, +h))
+        minus = field(oc.shifted(c, l, -h))
+        partials[l] = (plus - minus) / (2.0 * h)
+    return partials
+
+
+def test_residuals_match_the_loop_reference_bit_for_bit(data_cp2, ambient_coords):
+    w1, _, p1, _ = data_cp2.ambient
+    for coords in ambient_coords(data_cp2.ambient_chart, 2):
+        for field in (w1, p1):
+            calls = []
+            counted = oc.FormField(lambda c, f=field: calls.append(1) or f(c), field.dim, "counted")
+            assert np.array_equal(oc.central_partials(counted, coords, 1e-4), _loop_partials(field, coords, 1e-4))
+            assert len(calls) == 2 * len(coords)
+        partials = _loop_partials(w1, coords, 1e-4)
+        cyc = partials + np.transpose(partials, (1, 2, 0)) + np.transpose(partials, (2, 0, 1))
+        assert oc.closedness_residual(w1, coords, 1e-4) == float(np.max(np.abs(cyc)))
+        mixed = np.einsum("li,ljk->ijk", p1(coords), _loop_partials(p1, coords, 1e-4))
+        cyc = mixed + np.transpose(mixed, (1, 2, 0)) + np.transpose(mixed, (2, 0, 1))
+        assert pp.jacobi_residual(p1, coords, 1e-4) == float(np.max(np.abs(cyc)))

@@ -434,10 +434,13 @@ def test_cli_checks_flag_and_text_format(tmp_path, capsys):
     [
         {"algebra": {"family": "su", "n": 3}, "seed_element": {"diag_spectrum": [1, -1]}},
         {"algebra": {"family": "su", "n": 2}, "seed_element": {"coeffs": [1.0, 0.0]}},
+        # central seeds, whose orbit is a point
+        {"algebra": {"family": "su", "n": 2}, "seed_element": {"coeffs": [0, 0, 0]}},
+        {"algebra": {"custom": [[[[0.0, 1.0]]]], "name": "u(1)"}, "seed_element": {"coeffs": [1]}},
     ],
 )
 def test_cli_seed_rejected_by_the_algebra_exits_2(tmp_path, capsys, payload):
-    # passes validate_config, rejected only when the algebra is built
+    # passes validate_config, rejected only when the algebra or the orbit is built
     cfg_path = write_config(tmp_path, payload)
     out_path = tmp_path / "report.json"
     assert cli_main(["verify", "--config", cfg_path, "--out", str(out_path)]) == 2
