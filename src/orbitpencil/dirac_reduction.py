@@ -247,6 +247,13 @@ def reduction_setup(config: OrbitConfig, samples: int = 16, seed: int = 0) -> Re
 # ---------------------------------------------------------------------------
 
 
+def orbit_hessian(alg: LieAlgebra, basis: np.ndarray, z: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """<[k_a, [k_b, z]], x0> over the columns k_a of ``basis`` K, as one contraction:
+    K^T (C x0) (K^T C_z)^T, C x0 and C_z the structure constants contracted in the last and middle slot."""
+    moved = basis.T @ np.tensordot(alg.structure, z, axes=(1, 0))
+    return basis.T @ (alg.structure @ x0) @ moved.T
+
+
 def slice_normal_form(setup: ReductionSetup, y: np.ndarray, max_iter: int = 200,
                       tol: float = 1e-8):
     """Rotate y in m into the slice by stabilizer conjugations.
@@ -291,11 +298,7 @@ def slice_normal_form(setup: ReductionSetup, y: np.ndarray, max_iter: int = 200,
         """
         kdim = stab_basis.shape[1]
         grad_k = stab_basis.T @ alg.bracket(z, setup.x0)
-        hess = np.empty((kdim, kdim))
-        for b in range(kdim):
-            inner = alg.bracket(stab_basis[:, b], z)
-            for a in range(kdim):
-                hess[a, b] = np.dot(alg.bracket(stab_basis[:, a], inner), setup.x0)
+        hess = orbit_hessian(alg, stab_basis, z, setup.x0)
         hess = 0.5 * (hess + hess.T)
         scale = max(float(np.max(np.abs(hess))), 1e-12)
         for damping in (0.0, 0.03, 0.3):
@@ -410,6 +413,10 @@ def regular_tangent_space(setup: ReductionSetup, point: TangentBundlePoint) -> S
     """
     if not is_regular(setup, point):
         raise DomainError("point is not regular: isotropy algebra differs from h")
+    return _stratum_tangent(setup, point)
+
+
+def _stratum_tangent(setup: ReductionSetup, point: TangentBundlePoint) -> Subspace:
     ambient = ambient_tangent_space(setup.config, point)
     iso = setup.isotropy
     if iso.dim == 0:
@@ -429,6 +436,11 @@ def canonical_complement(setup: ReductionSetup, point: TangentBundlePoint,
     """Span of the action vectors of the transversal p at a regular point."""
     if not is_regular(setup, point):
         raise DomainError("point is not regular: isotropy algebra differs from h")
+    return _action_span(setup, point, transversal)
+
+
+def _action_span(setup: ReductionSetup, point: TangentBundlePoint,
+                 transversal: Subspace | None = None) -> Subspace:
     trans = setup.transversal if transversal is None else transversal
     n = setup.alg.dim
     if trans.dim == 0:
@@ -478,11 +490,13 @@ def splitting_orthogonality(setup: ReductionSetup, chart: Chart, coords,
     the members of a pencil; the complement and stratum bases are converted
     into that frame once and paired with each.  For a trivial transversal
     the pairing is vacuously zero and the complement block is reported as
-    nondegenerate by convention.
+    nondegenerate by convention.  Regularity is decided once, for both bases.
     """
     point = chart.point(coords)
-    comp = canonical_complement(setup, point)
-    strat = regular_tangent_space(setup, point)
+    if not is_regular(setup, point):
+        raise DomainError("point is not regular: isotropy algebra differs from h")
+    comp = _action_span(setup, point)
+    strat = _stratum_tangent(setup, point)
     push = chart.pushforward(coords)
     cs, *_ = np.linalg.lstsq(push, strat.basis, rcond=None)
     cp = np.linalg.lstsq(push, comp.basis, rcond=None)[0] if comp.dim else None
@@ -525,16 +539,14 @@ class AdaptedChart(Chart):
     def coord_dim(self) -> int:
         return self.transversal_dim + self.sub_chart.coord_dim
 
-    # Entry points of its own, so that timing Chart.point and Chart.pushforward
-    # does not count adapted evaluations.
-    def point(self, coords) -> TangentBundlePoint:
-        return self._points(self._coords(coords))
+    # Entry points of its own, bound here, so that timing Chart.point and
+    # Chart.pushforward does not count adapted evaluations.
+    point = Chart.point
+    pushforward = Chart.pushforward
 
-    def pushforward(self, coords) -> np.ndarray:
-        return self._pushes(self._coords(coords))
-
-    def _inner_point(self, s: np.ndarray) -> TangentBundlePoint:
-        return self.sub_chart.point(s)
+    def _inner_point(self, s: np.ndarray) -> np.ndarray:
+        inner = self.sub_chart.point(s)
+        return np.stack([inner.x, inner.v], axis=-2)
 
     def _inner_pushforward(self, s: np.ndarray) -> np.ndarray:
         return self.sub_chart.pushforward(s)
@@ -621,10 +633,10 @@ class RestrictedPencilData:
         key = tuple(fns)
         memo = self._differentials.get(key)
         if memo is None:
-            memo = CoordinateMemo(lambda s: (
+            memo = CoordinateMemo(lambda rows: [(
                 chart_differentials(self.ambient_chart, key, self.pad_coords(s)),
                 chart_differentials(self.sub_chart, key, s),
-            ))
+            ) for s in rows])
             self._differentials[key] = memo
         return memo(np.asarray(sub_coords, dtype=float))
 

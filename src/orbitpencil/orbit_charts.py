@@ -21,6 +21,12 @@ Ad(e^xi) [t_i, y] with t_i = dexp_{-X}(M_i) = sum_k (-ad_X)^k M_i / (k+1)!,
 which the same eigenbasis diagonalises into the divided difference
 (e^{i theta} - 1) / (i theta), theta = w_j - w_k (:func:`dexp_apply`).
 
+Stacked coordinates: chart points and pushforwards, both forms and their
+fields take one coordinate row (d,) or a stack (m, d), and the exponential
+machinery takes leading axes.  Each evaluation sits in a :class:`CoordinateMemo`
+whose fn receives, in one call, only the rows it has not seen, so a stencil
+of central differences costs one stacked eigh, SVD and inverse, not 2d each.
+
 Two invariant 2-forms are realised as matrix fields in chart coordinates:
 the canonical form (exterior derivative of theta) and the canonical form
 plus the pullback of the orbit form  omega_x([x,s1],[x,s2]) = -<x,[s1,s2]>
@@ -98,15 +104,17 @@ class TangentBundlePoint:
     v: np.ndarray
 
 
-def point_residuals(config: OrbitConfig, point: TangentBundlePoint) -> tuple[float, float]:
-    """(spectrum mismatch of x, fiber residual of v against im ad(x))."""
+def point_residuals(config: OrbitConfig, point: TangentBundlePoint) -> tuple[np.ndarray, np.ndarray]:
+    """(spectrum mismatch of x, fiber residual of v against im ad(x)), per point of a stack.
+
+    The fiber is span(ad x), with :func:`span`'s rank cutoff for each point."""
     alg = config.alg
-    spec = np.sort(np.linalg.eigvalsh(1j * alg.matrix_of(point.x)))
-    spec_err = float(np.max(np.abs(spec - config.seed_spectrum)))
-    ad_x = alg.ad(point.x)
-    fiber = span(ad_x)
-    v_err = fiber.residual(point.v)
-    return spec_err, v_err
+    spec = np.sort(np.linalg.eigvalsh(1j * _lincomb(point.x, alg.basis)), axis=-1)
+    spec_err = np.max(np.abs(spec - config.seed_spectrum), axis=-1)
+    u, s, _ = np.linalg.svd(_lincomb(point.x, alg.ad_basis))
+    fiber = u * (s > RANK_RTOL * np.maximum(s[..., :1], 1.0))[..., None, :]
+    v = point.v[..., None]
+    return spec_err, np.linalg.norm((v - fiber @ (fiber.mT @ v))[..., 0], axis=-1)
 
 
 def infinitesimal_action(config: OrbitConfig, xi: np.ndarray, point: TangentBundlePoint) -> np.ndarray:
@@ -141,20 +149,41 @@ def ambient_tangent_space(config: OrbitConfig, point: TangentBundlePoint) -> Sub
 # ---------------------------------------------------------------------------
 
 
+def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b one vector a[..., :] at a time, so a row's bits do not depend on the stack around it."""
+    return (a[..., None, :] @ b)[..., 0, :]
+
+
+def _lincomb(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_a coeffs[..., a] stack[a], e.g. the matrices or ad operators of a stack of elements."""
+    return _rowwise(coeffs, stack.reshape(len(stack), -1)).reshape(coeffs.shape[:-1] + stack.shape[1:])
+
+
 def _exp_eigh(alg: LieAlgebra, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Ad(e^xi), w, u) with iX = u diag(w) u^H, X the n x n matrix of xi."""
-    w, u = np.linalg.eigh(1j * alg.matrix_of(xi))
-    g = (u * np.exp(-1j * w)) @ u.conj().T
-    return alg.coefficients(g @ alg.basis @ g.conj().T).T, w, u
+    """(e^X, w, u) with iX = u diag(w) u^H, X the n x n matrix of xi; leading axes of xi stack."""
+    w, u = np.linalg.eigh(1j * _lincomb(xi, alg.basis))
+    return (u * np.exp(-1j * w)[..., None, :]) @ u.conj().mT, w, u
+
+
+def _ad_of(alg: LieAlgebra, g: np.ndarray) -> np.ndarray:
+    """Ad(g) on coefficient vectors: column b holds the coefficients of g B_b g^{-1}."""
+    g = g[..., None, :, :]
+    return alg.coefficients(g @ alg.basis @ g.conj().mT).mT
 
 
 def exp_ad(alg: LieAlgebra, xi: np.ndarray) -> np.ndarray:
-    """Ad(e^xi) on coefficient vectors: column b holds the coefficients of e^X B_b e^{-X}."""
-    return _exp_eigh(alg, xi)[0]
+    """Ad(e^xi) on coefficient vectors, one matrix per vector of the (..., n) stack xi."""
+    return _ad_of(alg, _exp_eigh(alg, xi)[0])
+
+
+def _conjugate(alg: LieAlgebra, xi: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Ad(e^xi) z as e^X Z e^{-X}, without forming Ad(e^xi); z has shape xi.shape[:-1] + (j, n)."""
+    g = _exp_eigh(alg, xi)[0][..., None, :, :]
+    return alg.coefficients(g @ _lincomb(z, alg.basis) @ g.conj().mT)
 
 
 def dexp_apply(alg: LieAlgebra, xi: np.ndarray, frame_matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Ad(e^xi), coefficient rows t_i of dexp_{-X}(M_i)) from one eigh of i X.
+    """(Ad(e^xi), coefficient rows t_i of dexp_{-X}(M_i)) from one eigh of i X, over xi's leading axes.
 
     ``frame_matrices`` is the (f, n, n) stack of the M_i.  In the eigenbasis
     u of i X, -ad_X multiplies entry (j, k) by i theta_jk, theta_jk = w_j -
@@ -162,11 +191,11 @@ def dexp_apply(alg: LieAlgebra, xi: np.ndarray, frame_matrices: np.ndarray) -> t
     e^{i theta/2} sinc(theta / 2 pi), exactly for any size of xi.  Then
     d/du_i Ad(e^{xi + u m_i}) = Ad(e^xi) ad(t_i) at u = 0.
     """
-    big, w, u = _exp_eigh(alg, xi)
-    theta = w[:, None] - w[None, :]
+    g, w, u = _exp_eigh(alg, xi)
+    theta = w[..., :, None] - w[..., None, :]
     phi = np.exp(0.5j * theta) * np.sinc(theta / (2.0 * np.pi))
-    uh = u.conj().T
-    return big, alg.coefficients(u @ ((uh @ frame_matrices @ u) * phi) @ uh)
+    u, uh = u[..., None, :, :], u.conj().mT[..., None, :, :]
+    return _ad_of(alg, g), alg.coefficients(u @ ((uh @ frame_matrices @ u) * phi[..., None, :, :]) @ uh)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +204,13 @@ def dexp_apply(alg: LieAlgebra, xi: np.ndarray, frame_matrices: np.ndarray) -> t
 
 
 class CoordinateMemo:
-    """``fn`` of a float coordinate array, evaluated once per coordinate tuple.
+    """``fn`` of float coordinate rows, evaluated once per row.
 
-    Keyed by the bytes of the array; values live as long as the memo, so
-    whatever ``fn`` reads must not change.  Callers pass arrays already
-    converted to float of one fixed shape.
+    Called with one row (d,), returns its value; with a stack (m, d), the stack
+    of the rows' values.  ``fn`` receives, in one call, the (k, d) stack of the
+    rows not seen before, each once, and returns k values (an array with leading
+    axis k is one).  Keyed by the bytes of the row; values live as long as the
+    memo, so whatever ``fn`` reads must not change.
     """
 
     def __init__(self, fn):
@@ -187,23 +218,27 @@ class CoordinateMemo:
         self._values: dict[bytes, object] = {}
 
     def __call__(self, c: np.ndarray):
-        key = c.tobytes()
-        hit = self._values.get(key)
-        if hit is None:
-            hit = self._fn(c)
-            self._values[key] = hit
-        return hit
+        if c.ndim == 1:
+            key = c.tobytes()
+            if key not in self._values:
+                self._values[key], = self._fn(c[None])
+            return self._values[key]
+        keys = [row.tobytes() for row in c]
+        fresh = {key: row for key, row in zip(keys, c) if key not in self._values}
+        if fresh:
+            self._values.update(zip(fresh, self._fn(np.stack(list(fresh.values()))), strict=True))
+        return np.stack([self._values[key] for key in keys])
 
 
 class Chart:
     """Local coordinates on TO around a base point (see module docstring).
 
     Coordinates (u, s) give Ad(e^{frame @ u}) applied to the inner map at s;
-    subclasses replace ``_inner_point`` and ``_inner_pushforward``.
-    ``rotation`` conjugates the whole chart by a fixed group element, given
-    as its adjoint matrix on coefficients; used to transport charts when
-    testing invariance.  Evaluations are cached per coordinate tuple, so a
-    chart instance must be treated as immutable.
+    subclasses replace ``_inner_point`` and ``_inner_pushforward``, which map
+    (k, d_inner) stacks to stacks.  ``rotation`` conjugates the whole chart by
+    a fixed group element, given as its adjoint matrix on coefficients; used
+    to transport charts when testing invariance.  Evaluations are cached per
+    coordinate row, so a chart instance must be treated as immutable.
     """
 
     def __init__(self, config: OrbitConfig, base_v: np.ndarray, frame: np.ndarray,
@@ -233,9 +268,6 @@ class Chart:
         self.box = float(box)
         self._points = CoordinateMemo(self._point_at)
         self._pushes = CoordinateMemo(self._pushforward_at)
-        # (u.tobytes(), Ad(e^xi(u))) of the last point evaluated: central
-        # differences along inner coordinates keep u fixed and reuse it
-        self._last_conjugation = (None, None)
 
     @property
     def frame_dim(self) -> int:
@@ -247,17 +279,19 @@ class Chart:
 
     def _coords(self, coords) -> np.ndarray:
         c = np.asarray(coords, dtype=float)
-        if c.shape != (self.coord_dim,):
-            raise InputError(f"expected {self.coord_dim} coordinates, got {c.shape}")
+        if c.ndim not in (1, 2) or c.shape[-1] != self.coord_dim:
+            raise InputError(f"expected {self.coord_dim} coordinates or a stack of them, got {c.shape}")
         if np.max(np.abs(c), initial=0.0) > self.box:
             raise ChartRangeError(f"coordinates leave the validity box |c| <= {self.box}")
         return c
 
     def point(self, coords) -> TangentBundlePoint:
-        return self._points(self._coords(coords))
+        """The point at (d,) coordinates; at an (m, d) stack, x and v are (m, n) stacks."""
+        xv = self._points(self._coords(coords))
+        return TangentBundlePoint(x=xv[..., 0, :], v=xv[..., 1, :])
 
     def pushforward(self, coords) -> np.ndarray:
-        """Ambient derivative matrix, (2n) x coord_dim.
+        """Ambient derivative matrix, (2n) x coord_dim; (m, 2n, coord_dim) at an (m, d) stack.
 
         Column i < f is the u_i-derivative (conjugation direction), the
         rest are the inner map's columns; for this class column f + i is
@@ -265,41 +299,35 @@ class Chart:
         """
         return self._pushes(self._coords(coords))
 
-    def _inner_point(self, w: np.ndarray) -> TangentBundlePoint:
-        return TangentBundlePoint(x=self.config.seed, v=self.base_v + self.frame @ w)
+    def _inner_point(self, w: np.ndarray) -> np.ndarray:
+        """(k, 2, n) stack of the inner points [x; v] at the rows of w."""
+        z = np.empty((len(w), 2, self.config.alg.dim))
+        z[:, 0], z[:, 1] = self.config.seed, self.base_v + _rowwise(w, self.frame.T)
+        return z
 
     def _inner_pushforward(self, w: np.ndarray) -> np.ndarray:
         return self._fiber_push
 
-    def _point_at(self, c: np.ndarray) -> TangentBundlePoint:
+    def _point_at(self, c: np.ndarray) -> np.ndarray:
+        """(k, 2, n) stack of [x; v] at the coordinate rows c: one stacked eigh, no Ad(e^xi)."""
         f = self.frame_dim
-        u = c[:f]
-        key, big = self._last_conjugation
-        if key != u.tobytes():
-            big = exp_ad(self.config.alg, self.frame @ u)
-            self._last_conjugation = (u.tobytes(), big)
-        if self.rotation is not None:
-            big = self.rotation @ big
-        inner = self._inner_point(c[f:])
-        return TangentBundlePoint(x=big @ inner.x, v=big @ inner.v)
+        moved = _conjugate(self.config.alg, _rowwise(c[:, :f], self.frame.T), self._inner_point(c[:, f:]))
+        return moved if self.rotation is None else moved @ self.rotation.T
 
     def _pushforward_at(self, c: np.ndarray) -> np.ndarray:
         f = self.frame_dim
         alg = self.config.alg
-        n = alg.dim
-        big, trans = dexp_apply(alg, self.frame @ c[:f], self.frame_matrices)
+        n, k, rest = alg.dim, len(c), self.coord_dim - f
+        big, trans = dexp_apply(alg, _rowwise(c[:, :f], self.frame.T), self.frame_matrices)
         if self.rotation is not None:
             big = self.rotation @ big
-        inner = self._inner_point(c[f:])
-        # Conjugation column i is big @ [t_i, z] for z = x, v; with structure
-        # constants C, [t_i, z]_k = sum_ab t_ia z_b C_abk.
-        z = np.stack([inner.x, inner.v])
-        moved = trans @ np.tensordot(z, alg.structure, axes=(1, 1))
-        blocks = np.concatenate([moved.transpose(0, 2, 1),
-                                 self._inner_pushforward(c[f:]).reshape(2, n, -1)], axis=2)
-        push = (big @ blocks).reshape(2 * n, self.coord_dim)
+        # Conjugation column i is big @ [t_i, z] = -big @ ad(z) t_i for z = x, v.
+        moved = -_lincomb(self._inner_point(c[:, f:]), alg.ad_basis) @ trans[:, None].mT
+        inner = self._inner_pushforward(c[:, f:]).reshape(-1, 2, n, rest)
+        blocks = np.concatenate([moved, np.broadcast_to(inner, (k, 2, n, rest))], axis=-1)
+        push = (big[:, None] @ blocks).reshape(k, 2 * n, self.coord_dim)
         sig = np.linalg.svd(push, compute_uv=False)
-        if sig[-1] <= RANK_RTOL * sig[0]:
+        if np.any(sig[:, -1] <= RANK_RTOL * sig[:, 0]):
             raise ChartDegeneracyError("chart pushforward lost column rank")
         return push
 
@@ -314,11 +342,12 @@ def shifted(coords: np.ndarray, index: int, step: float) -> np.ndarray:
 def central_partials(fn, coords: np.ndarray, step: float) -> np.ndarray:
     """Stack whose entry l is (fn(c + step e_l) - fn(c - step e_l)) / (2 step).
 
-    ``fn`` is evaluated at the plus point, then the minus point, for each
-    coordinate l in turn.
+    ``fn`` is called once, on the (2d, d) stack of the plus point, then the
+    minus point, of each coordinate l in turn, and returns their values
+    stacked.
     """
-    return np.stack([(fn(shifted(coords, l, +step)) - fn(shifted(coords, l, -step))) / (2.0 * step)
-                     for l in range(len(coords))])
+    values = fn(np.stack([shifted(coords, l, s) for l in range(len(coords)) for s in (step, -step)]))
+    return (values[0::2] - values[1::2]) / (2.0 * step)
 
 
 # ---------------------------------------------------------------------------
@@ -338,25 +367,28 @@ def canonical_form_matrix(chart: Chart, coords) -> np.ndarray:
     Exact from the pushforward: d theta = sum dv ^ dx, so W = A - A^T with
     A = Pv^T Px; skew by construction, and no finite differences (those
     remain only in outer derivatives such as :func:`closedness_residual`).
-    Works for any chart exposing ``pushforward`` and ``config``.
+    Works for any chart exposing ``pushforward`` and ``config``, at one
+    coordinate row or over a stack.
     """
     push = chart.pushforward(coords)
     n = chart.config.alg.dim
-    a = push[n:].T @ push[:n]
-    return a - a.T
+    a = push[..., n:, :].mT @ push[..., :n, :]
+    return a - a.mT
 
 
 def orbit_form_pullback_matrix(chart: Chart, coords) -> np.ndarray:
-    """Pullback of the orbit 2-form under the bundle projection, in chart coords."""
-    c = chart._coords(np.asarray(coords, dtype=float))
+    """Pullback of the orbit 2-form under the bundle projection, in chart coords.
+
+    Lifts through ad(x): one stacked pseudo-inverse cut at RANK_RTOL, as ad(seed) was for the orbit
+    (rounding lifts its zero singular values to 2.8e-15 on a rotated so(4) chart, over eps * max(M, N))."""
+    c = chart._coords(coords)
     alg = chart.config.alg
     n = alg.dim
-    point = chart.point(c)
-    push_x = chart.pushforward(c)[:n]
-    ad_x = alg.ad(point.x)
-    lifts = np.linalg.lstsq(ad_x, push_x, rcond=None)[0]
-    matrix = -lifts.T @ (alg.structure @ point.x) @ lifts
-    return 0.5 * (matrix - matrix.T)
+    x = chart.point(c).x
+    ad_x = _lincomb(x, alg.ad_basis)
+    lifts = np.linalg.pinv(ad_x, rtol=RANK_RTOL) @ chart.pushforward(c)[..., :n, :]
+    matrix = -lifts.mT @ _rowwise(x, alg.structure.reshape(-1, n).T).reshape(x.shape + (n,)) @ lifts
+    return 0.5 * (matrix - matrix.mT)
 
 
 def omega2_matrix(chart: Chart, coords) -> np.ndarray:
@@ -365,12 +397,15 @@ def omega2_matrix(chart: Chart, coords) -> np.ndarray:
 
 
 class FormField:
-    """A cached matrix field coords -> skew matrix over a fixed chart."""
+    """A cached matrix field coords -> skew matrix over a fixed chart.
+
+    ``fn`` maps a (k, d) stack of coordinates to (k, dim, dim) matrices, or to
+    one matrix for a field constant in the coordinates."""
 
     def __init__(self, fn, dim: int, name: str):
         self.dim = int(dim)
         self.name = name
-        self._values = CoordinateMemo(fn)
+        self._values = CoordinateMemo(lambda c: np.broadcast_to(fn(c), (len(c), self.dim, self.dim)))
 
     def __call__(self, coords) -> np.ndarray:
         return self._values(np.asarray(coords, dtype=float))

@@ -48,12 +48,12 @@ def _as_parameter(t) -> PencilParameter:
 
 
 class PoissonField:
-    """A cached skew matrix field with a provenance label."""
+    """A cached skew matrix field with a provenance label; ``evaluator`` as for FormField."""
 
     def __init__(self, evaluator, dim: int, provenance: str):
         self.dim = int(dim)
         self.provenance = provenance
-        self._values = CoordinateMemo(lambda c: _skew(evaluator(c)))
+        self._values = CoordinateMemo(lambda c: _skew(np.broadcast_to(evaluator(c), (len(c), self.dim, self.dim))))
 
     def __call__(self, coords) -> np.ndarray:
         return self._values(np.asarray(coords, dtype=float))
@@ -61,25 +61,31 @@ class PoissonField:
 
 def _skew(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
-    return 0.5 * (mat - mat.T)
+    return 0.5 * (mat - mat.mT)
 
 
 def invert_form(form_field: FormField) -> PoissonField:
-    """Pointwise inverse of a nondegenerate form field, re-skew-symmetrised."""
+    """Pointwise inverse of a nondegenerate form field, re-skew-symmetrised.
+
+    One stacked SVD and inverse per stack; both guards act per row and name its coordinates."""
 
     def evaluator(coords):
         w = form_field(coords)
         sig = np.linalg.svd(w, compute_uv=False)
-        if sig[-1] <= FORM_SINGULAR_RTOL * sig[0]:
-            raise DegeneracyError("form matrix is singular at the sampled point", coords=coords)
-        logger.debug("inverting %s form, cond %.3e", form_field.name, sig[0] / sig[-1])
+        singular = sig[:, -1] <= FORM_SINGULAR_RTOL * sig[:, 0]
+        if np.any(singular):
+            raise DegeneracyError("form matrix is singular at the sampled point",
+                                  coords=coords[np.argmax(singular)])
+        logger.debug("inverting %s form at %d points, max cond %.3e", form_field.name, len(w),
+                     np.max(sig[:, 0] / sig[:, -1]))
         inv = np.linalg.inv(w)
-        inv = 0.5 * (inv - inv.T)
-        resid = np.linalg.norm(inv @ w - np.eye(w.shape[0]))
-        if resid > 1e-9:
+        inv = 0.5 * (inv - inv.mT)
+        resid = np.linalg.norm(inv @ w - np.eye(w.shape[-1]), axis=(-2, -1))
+        row = int(np.argmax(resid))
+        if resid[row] > 1e-9:
             raise DegeneracyError(
-                f"inverse inaccurate (|PW - I| = {resid:.2e}); form too ill-conditioned",
-                coords=coords,
+                f"inverse inaccurate (|PW - I| = {resid[row]:.2e}); form too ill-conditioned",
+                coords=coords[row],
             )
         return inv
 

@@ -356,14 +356,12 @@ def _exactness(chart, seed, label, count):
     """Max |pushforward - central differences of the point| over ``count`` sampled coordinates."""
     def stacked(c):
         point = chart.point(c)
-        return np.concatenate([point.x, point.v])
+        return np.concatenate([point.x, point.v], axis=-1)
 
-    worst = 0.0
-    for i in range(count):
-        coords = stream(seed, label, i).uniform(-CHART_SCALE, CHART_SCALE, chart.coord_dim)
-        fd = oc.central_partials(stacked, coords, 1e-5).T
-        worst = max(worst, float(np.max(np.abs(chart.pushforward(coords) - fd))))
-    return worst
+    coords = np.stack([stream(seed, label, i).uniform(-CHART_SCALE, CHART_SCALE, chart.coord_dim)
+                       for i in range(count)])
+    fd = np.stack([oc.central_partials(stacked, c, 1e-5).T for c in coords])
+    return float(np.max(np.abs(chart.pushforward(coords) - fd)))
 
 
 def _chart_exactness(ctx):
@@ -373,12 +371,9 @@ def _chart_exactness(ctx):
 
 def _spectrum_preservation(ctx):
     chart = ctx.data.ambient_chart
-    worst = 0.0
-    for i in range(100):
-        coords = stream(ctx.seed, "spectrum-points", i).uniform(-CHART_SCALE, CHART_SCALE, chart.coord_dim)
-        spec_err, fiber_err = oc.point_residuals(ctx.orbit, chart.point(coords))
-        worst = max(worst, spec_err, fiber_err)
-    return worst
+    coords = np.stack([stream(ctx.seed, "spectrum-points", i).uniform(-CHART_SCALE, CHART_SCALE, chart.coord_dim)
+                       for i in range(100)])
+    return float(max(np.max(err) for err in oc.point_residuals(ctx.orbit, chart.point(coords))))
 
 
 def _setup_row(name, anchor):
@@ -410,8 +405,8 @@ def _closedness(chart, *members):
 def _nondegeneracy(chart, *members):
     def fn(ctx):
         pencil, coords = chart(ctx)
-        return min(float(np.linalg.svd(getattr(pencil, m)(c), compute_uv=False)[-1])
-                   for m in members for c in coords)
+        return min(float(np.min(np.linalg.svd(getattr(pencil, m)(np.stack(coords)), compute_uv=False)[:, -1]))
+                   for m in members)
     return fn
 
 
@@ -466,9 +461,9 @@ def _control_corrupted_closedness(ctx):
 
     def corrupted(c):
         mat = np.array(base(c), copy=True)
-        bump = np.sin(3.0 * c[2])
-        mat[0, 1] += bump
-        mat[1, 0] -= bump
+        bump = np.sin(3.0 * c[..., 2])
+        mat[..., 0, 1] += bump
+        mat[..., 1, 0] -= bump
         return mat
 
     bad = oc.FormField(corrupted, base.dim, "corrupted")
@@ -480,9 +475,9 @@ def _corrupted_field(ctx) -> pp.PoissonField:
 
     def corrupted(c):
         mat = np.array(base(c), copy=True)
-        bump = c[2] * c[3]
-        mat[0, 1] += bump
-        mat[1, 0] -= bump
+        bump = c[..., 2] * c[..., 3]
+        mat[..., 0, 1] += bump
+        mat[..., 1, 0] -= bump
         return mat
 
     return pp.PoissonField(corrupted, base.dim, "pencil")
@@ -506,10 +501,8 @@ def _control_corrupted_jacobi(ctx):
 def _splitting_reports(ctx):
     reports = []
     members = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7), (2.0, -1.0)]
-    for s in ctx.regular_coords:
-        c = ctx.data.pad_coords(s)
-        m1 = ctx.data.ambient.w1(c)
-        m2 = ctx.data.ambient.w2(c)
+    coords = np.stack([ctx.data.pad_coords(s) for s in ctx.regular_coords])
+    for c, m1, m2 in zip(coords, ctx.data.ambient.w1(coords), ctx.data.ambient.w2(coords)):
         forms = [t1 * m1 + t2 * m2 for t1, t2 in members]
         reports.extend(dr.splitting_orthogonality(ctx.setup, ctx.data.ambient_chart, c, forms))
     return reports
@@ -525,13 +518,10 @@ def _splitting_nondegeneracy(ctx):
 
 def _adapted_reports(ctx):
     # Block reports of both forms on the stratum, i.e. at zero transversal offset.
-    offset = np.zeros(ctx.setup.transversal.dim)
-    reports = []
-    for s in ctx.regular_coords[:5]:
-        coords = np.concatenate([offset, s])
-        for form in (oc.canonical_form_matrix, oc.omega2_matrix):
-            reports.append(dr.adapted_block_report(ctx.adapted, coords, form(ctx.adapted, coords)))
-    return reports
+    coords = np.stack([np.concatenate([np.zeros(ctx.setup.transversal.dim), s]) for s in ctx.regular_coords[:5]])
+    return [dr.adapted_block_report(ctx.adapted, c, w)
+            for form in (oc.canonical_form_matrix, oc.omega2_matrix)
+            for c, w in zip(coords, form(ctx.adapted, coords))]
 
 
 def _adapted_off_diagonal(ctx):
@@ -544,13 +534,10 @@ def _adapted_nondegeneracy(ctx):
 
 def _control_adapted_off(ctx):
     p_dim = ctx.setup.transversal.dim
-    offsets = [0.05 * unit_vector(stream(ctx.seed, "adapted-offsets", i), p_dim) for i in range(3)]
-    reports = []
-    for y in offsets:
-        coords = np.concatenate([y, ctx.regular_coords[0]])
-        w1 = oc.canonical_form_matrix(ctx.adapted, coords)
-        reports.append(dr.adapted_block_report(ctx.adapted, coords, w1))
-    return max(r.off_diagonal for r in reports)
+    coords = np.stack([np.concatenate([0.05 * unit_vector(stream(ctx.seed, "adapted-offsets", i), p_dim),
+                                       ctx.regular_coords[0]]) for i in range(3)])
+    return max(dr.adapted_block_report(ctx.adapted, c, w1).off_diagonal
+               for c, w1 in zip(coords, oc.canonical_form_matrix(ctx.adapted, coords)))
 
 
 def _invariant_products(ctx):

@@ -79,8 +79,8 @@ def test_criterion_02_pencil_compatibility(triple, sample_points):
 
     def corrupted(c):
         mat = np.array(p1(c), copy=True)
-        mat[0, 1] += c[2] * c[3]
-        mat[1, 0] -= c[2] * c[3]
+        mat[..., 0, 1] += c[..., 2] * c[..., 3]
+        mat[..., 1, 0] -= c[..., 2] * c[..., 3]
         return mat
 
     bad = pp.PoissonField(corrupted, p1.dim, "pencil")

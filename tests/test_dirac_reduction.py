@@ -109,6 +109,21 @@ def test_slice_normal_form_rejects_offspace_input(setup_cp2):
         dr.slice_normal_form(setup_cp2, setup_cp2.config.seed)
 
 
+@pytest.mark.parametrize("setup_name", ["setup_cp2", "setup_cp3"])
+def test_orbit_hessian_matches_the_bracket_double_loop(request, setup_name):
+    # reference: the kdim^2 + kdim bracket calls the Newton step made before
+    setup = request.getfixturevalue(setup_name)
+    alg, basis = setup.alg, setup.config.stabilizer.basis
+    for i in range(3):
+        z = setup.config.tangent.basis @ unit_vector(stream(5, "hessian", i), setup.config.tangent.dim)
+        ref = np.empty((basis.shape[1], basis.shape[1]))
+        for b in range(basis.shape[1]):
+            inner = alg.bracket(basis[:, b], z)
+            for a in range(basis.shape[1]):
+                ref[a, b] = np.dot(alg.bracket(basis[:, a], inner), setup.x0)
+        assert np.max(np.abs(dr.orbit_hessian(alg, basis, z, setup.x0) - ref)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # Regularity, tangent spaces, complements
 # ---------------------------------------------------------------------------
@@ -189,6 +204,24 @@ def test_splitting_orthogonality_cp2(setup_cp2, data_cp2, regular_coords_cp2):
             assert report.pairing <= 1e-8
             assert report.sigma_complement > 1e-6
             assert report.sigma_stratum > 1e-6
+
+
+def test_splitting_orthogonality_decides_regularity_once(monkeypatch, setup_cp2, data_cp2, regular_coords_cp2):
+    calls = []
+    isotropy = dr.isotropy_algebra
+    monkeypatch.setattr(dr, "isotropy_algebra", lambda setup, point: calls.append(1) or isotropy(setup, point))
+    w1 = data_cp2.ambient.w1
+    for coords in regular_coords_cp2[:3]:
+        padded = data_cp2.pad_coords(coords)
+        calls.clear()
+        dr.splitting_orthogonality(setup_cp2, data_cp2.ambient_chart, padded, [w1(padded)])
+        assert len(calls) == 1
+    # the zero section is irregular: the single decision still refuses it
+    chart = data_cp2.ambient_chart
+    zero_fiber = oc.Chart(setup_cp2.config, base_v=np.zeros(setup_cp2.alg.dim), frame=chart.frame)
+    coords = np.zeros(zero_fiber.coord_dim)
+    with pytest.raises(DomainError):
+        dr.splitting_orthogonality(setup_cp2, zero_fiber, coords, [np.eye(len(coords))])
 
 
 def test_splitting_orthogonality_trivial_case(setup_su2, data_su2):

@@ -6,7 +6,8 @@ from orbitpencil import dirac_reduction as dr
 from orbitpencil import families
 from orbitpencil import lie_core as lc
 from orbitpencil import orbit_charts as oc
-from orbitpencil.errors import ChartRangeError, DomainError
+from orbitpencil import poisson_pencil as pp
+from orbitpencil.errors import ChartDegeneracyError, ChartRangeError, DegeneracyError, DomainError
 
 
 def kernel_dim_oracle(alg, a):
@@ -251,8 +252,8 @@ def test_canonical_form_matches_finite_difference_reference(setup_su2, setup_cp2
 
 
 def test_pushforward_miss_takes_one_eigh_and_no_adjoint_matrix(monkeypatch, setup_cp2, data_cp2):
-    # one eigendecomposition of the n x n matrix i X serves e^X and dexp; the
-    # frame matrices are built once per chart, not on every miss
+    # one stacked eigendecomposition of the n x n matrices i X serves e^X and
+    # dexp for a batch of misses; the frame matrices are built once per chart
     counts = {"eigh": 0, "ad": 0}
     eigh, ad = np.linalg.eigh, lc.LieAlgebra.ad
 
@@ -278,6 +279,10 @@ def test_pushforward_miss_takes_one_eigh_and_no_adjoint_matrix(monkeypatch, setu
         assert counts == {"eigh": 1, "ad": 0}
         ch.pushforward(coords)  # memo hit
         assert counts == {"eigh": 1, "ad": 0}
+        # a batch of misses takes one stacked eigh, and the row seen above none
+        shifted = np.stack([coords, oc.shifted(coords, 0, 0.01), oc.shifted(coords, 1, -0.01)])
+        ch.pushforward(shifted)
+        assert counts == {"eigh": 2, "ad": 0}
 
 
 class SabotagedChart(oc.Chart):
@@ -356,8 +361,8 @@ def test_closedness_residual_constant_field_and_control(setup_su2):
 
     def corrupted(c):
         mat = np.array(base(c), copy=True)
-        mat[0, 1] += np.sin(3.0 * c[2])
-        mat[1, 0] -= np.sin(3.0 * c[2])
+        mat[..., 0, 1] += np.sin(3.0 * c[..., 2])
+        mat[..., 1, 0] -= np.sin(3.0 * c[..., 2])
         return mat
 
     bad = oc.FormField(corrupted, chart.coord_dim, "bad")
@@ -378,6 +383,96 @@ def test_form_invariance_under_moved_chart(setup_cp2, data_cp2):
         w2_moved = w1_moved + oc.orbit_form_pullback_matrix(moved, coords)
         assert np.max(np.abs(w1_moved - w1_field(coords))) <= 1e-8
         assert np.max(np.abs(w2_moved - w2_field(coords))) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Stacked coordinates
+# ---------------------------------------------------------------------------
+
+
+def _fresh_charts(setup, data):
+    """Two unevaluated copies of the ambient chart and of an adapted chart over the sub chart."""
+    chart = data.ambient_chart
+    copies = [oc.Chart(setup.config, base_v=chart.base_v, frame=chart.frame) for _ in range(2)]
+    subs = [oc.Chart(setup.config, base_v=data.sub_chart.base_v, frame=data.sub_chart.frame) for _ in range(2)]
+    return [(copies[0], copies[1]), tuple(dr.AdaptedChart(setup, sub) for sub in subs)]
+
+
+@pytest.mark.parametrize("setup_name,data_name", [("setup_cp2", "data_cp2"), ("setup_cp3", "data_cp3")])
+def test_stacked_evaluation_matches_single_rows(request, setup_name, data_name):
+    # Every row is computed on its own inside the stack, so a stacked result
+    # equals the single-row results bit for bit, well inside 1e-15 relative.
+    setup, data = request.getfixturevalue(setup_name), request.getfixturevalue(data_name)
+    rng = np.random.default_rng(12)
+    for single, stacked in _fresh_charts(setup, data):
+        coords = rng.uniform(-0.1, 0.1, (6, single.coord_dim))
+        points = [single.point(c) for c in coords]
+        point = stacked.point(coords)
+        assert point.x.shape == point.v.shape == (6, setup.alg.dim)
+        assert np.array_equal(point.x, np.stack([p.x for p in points]))
+        assert np.array_equal(point.v, np.stack([p.v for p in points]))
+        assert np.array_equal(stacked.pushforward(coords), np.stack([single.pushforward(c) for c in coords]))
+        for form in (oc.canonical_form_matrix, oc.omega2_matrix):
+            assert np.array_equal(form(stacked, coords), np.stack([form(single, c) for c in coords]))
+        p_single = pp.invert_form(oc.combined_form_field(single))
+        p_stacked = pp.invert_form(oc.combined_form_field(stacked))
+        assert np.array_equal(p_stacked(coords), np.stack([p_single(c) for c in coords]))
+
+
+def test_memo_evaluates_unseen_rows_once_per_batch():
+    batches = []
+
+    def fn(rows):
+        batches.append(rows.tolist())
+        return 2.0 * rows
+
+    memo = oc.CoordinateMemo(fn)
+    a, b, c = [0.1, 0.2], [0.3, 0.4], [0.5, 0.6]
+    assert np.array_equal(memo(np.array([a, b, a])), 2.0 * np.array([a, b, a]))
+    assert batches == [[a, b]]  # the duplicate row is evaluated once
+    assert np.array_equal(memo(np.array(b)), 2.0 * np.array(b))
+    memo(np.array([c, b, a, c]))
+    assert batches == [[a, b], [c]]  # one call, on the unseen row only
+    memo(np.array([b, c]))
+    assert len(batches) == 2
+
+
+def test_stacked_chart_rejects_a_row_outside_the_box(setup_cp2):
+    chart = make_chart(setup_cp2)
+    coords = np.zeros((3, chart.coord_dim))
+    coords[1, 2] = 0.6
+    with pytest.raises(ChartRangeError):
+        chart.point(coords)
+    with pytest.raises(ChartRangeError):
+        chart.pushforward(coords)
+
+
+class _FiberlessWhereW0IsLarge(oc.Chart):
+    """Chart whose fiber columns vanish at rows with w_0 > 0.2: the pushforward loses rank there."""
+
+    def _inner_pushforward(self, w):
+        return self._fiber_push * (w[:, :1, None] <= 0.2)
+
+
+def test_stacked_pushforward_rejects_a_rank_deficient_row(setup_cp2):
+    chart = _FiberlessWhereW0IsLarge(setup_cp2.config, base_v=setup_cp2.x0, frame=setup_cp2.config.tangent.basis)
+    coords = np.full((3, chart.coord_dim), 0.05)
+    assert chart.pushforward(coords).shape == (3, 2 * setup_cp2.alg.dim, chart.coord_dim)
+    coords[1, chart.frame_dim] = 0.3
+    with pytest.raises(ChartDegeneracyError):
+        chart.pushforward(coords)
+
+
+def test_stacked_inverse_names_the_singular_row():
+    # a constant nondegenerate form, except at rows whose first coordinate is 1
+    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    field = oc.FormField(lambda c: block * (c[:, :1, None] != 1.0), 2, "holed")
+    inverse = pp.invert_form(field)
+    coords = np.array([[0.0, 0.5], [0.2, 0.1], [1.0, 0.7], [0.3, 0.3]])
+    with pytest.raises(DegeneracyError) as err:
+        inverse(coords)
+    assert err.value.coords == (1.0, 0.7)
+    assert np.array_equal(inverse(coords[[0, 1, 3]]), np.stack([-block] * 3))
 
 
 def test_infinitesimal_action(su2, pauli_elements, setup_su2):

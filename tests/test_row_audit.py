@@ -68,12 +68,15 @@ def _after_guard(mp, edit):
 
 
 def _in_point_at(mp, exp_ad):
-    """Compute the conjugation of ``Chart._point_at``, and nothing else, with ``exp_ad``."""
+    """Compute the conjugation of ``Chart._point_at``, and nothing else, with the stacked ``exp_ad``."""
     point_at = oc.Chart._point_at
+
+    def conjugate(alg, xi, z):
+        return np.einsum("kab,kjb->kja", exp_ad(alg, xi), z)
 
     def faulty(self, c):
         with pytest.MonkeyPatch.context() as inner:
-            inner.setattr(oc, "exp_ad", exp_ad)
+            inner.setattr(oc, "_conjugate", conjugate)
             return point_at(self, c)
 
     mp.setattr(oc.Chart, "_point_at", faulty)
@@ -97,7 +100,7 @@ def pushforward_column_scaled(mp):
 
     def faulty(self, c):
         push = push_at(self, c).copy()
-        push[:, 0] *= 1.0 + 0.5 * c[1]
+        push[..., 0] *= 1.0 + 0.5 * c[:, 1, None]
         return push
 
     mp.setattr(oc.Chart, "_pushforward_at", faulty)
@@ -105,28 +108,28 @@ def pushforward_column_scaled(mp):
 
 def dexp_phase_flipped(mp):
     def faulty(alg, xi, frame_matrices):
-        big, w, u = oc._exp_eigh(alg, xi)
-        theta = w[:, None] - w[None, :]
+        g, w, u = oc._exp_eigh(alg, xi)
+        theta = w[..., :, None] - w[..., None, :]
         phi = np.exp(-0.5j * theta) * np.sinc(theta / (2.0 * np.pi))
-        uh = u.conj().T
-        return big, alg.coefficients(u @ ((uh @ frame_matrices @ u) * phi) @ uh)
+        u, uh = u[..., None, :, :], u.conj().mT[..., None, :, :]
+        return oc._ad_of(alg, g), alg.coefficients(u @ ((uh @ frame_matrices @ u) * phi[..., None, :, :]) @ uh)
 
     mp.setattr(oc, "dexp_apply", faulty)
 
 
 def point_conjugation_transposed(mp):
     exp_ad = oc.exp_ad
-    _in_point_at(mp, lambda alg, xi: exp_ad(alg, xi).T)
+    _in_point_at(mp, lambda alg, xi: exp_ad(alg, xi).mT)
 
 
 def point_conjugation_first_order(mp):
-    _in_point_at(mp, lambda alg, xi: np.eye(alg.dim) + alg.ad(xi))
+    _in_point_at(mp, lambda alg, xi: np.eye(alg.dim) + np.tensordot(xi, alg.ad_basis, axes=(-1, 0)))
 
 
 def orbit_pullback_scaled(mp):
     pullback = oc.orbit_form_pullback_matrix
     mp.setattr(oc, "orbit_form_pullback_matrix",
-               lambda chart, c: (1.0 + 0.3 * np.asarray(c)[0]) * pullback(chart, c))
+               lambda chart, c: (1.0 + 0.3 * np.asarray(c)[..., 0, None, None]) * pullback(chart, c))
 
 
 def orbit_pullback_negated(mp):
@@ -139,8 +142,8 @@ def canonical_form_from_x_rows(mp):
     def faulty(chart, coords):
         push = chart.pushforward(coords)
         n = chart.config.alg.dim
-        a = push[:n].T @ push[:n]
-        return a - a.T
+        a = push[..., :n, :].mT @ push[..., :n, :]
+        return a - a.mT
 
     mp.setattr(oc, "canonical_form_matrix", faulty)
 
@@ -152,8 +155,8 @@ def canonical_form_non_invariant_weight(mp):
     def faulty(chart, coords):
         push = chart.pushforward(coords)
         n = chart.config.alg.dim
-        extra = 0.1 * np.outer(push[n], push[0])
-        return canonical(chart, coords) + extra - extra.T
+        extra = 0.1 * push[..., n, :, None] * push[..., 0, None, :]
+        return canonical(chart, coords) + extra - extra.mT
 
     mp.setattr(oc, "canonical_form_matrix", faulty)
 
@@ -211,7 +214,7 @@ def adapted_inner_pushforward_sheared(mp):
 
     def faulty(self, s):
         push = np.array(inner(self, s), copy=True)
-        push[:, 0] += 0.05 * push[:, -1]
+        push[..., 0] += 0.05 * push[..., -1]
         return push
 
     mp.setattr(dr.AdaptedChart, "_inner_pushforward", faulty)

@@ -53,14 +53,17 @@ def test_adapted_chart_has_entry_points_of_its_own():
 
 @pytest.mark.parametrize("cls", [orbit_charts.FormField, poisson_pencil.PoissonField])
 def test_memo_fields_take_the_evaluator_first_and_call_it_once_per_point(cls):
-    # The probe counts memo misses by wrapping the first constructor argument.
+    # The probe counts memo misses by wrapping the first constructor argument;
+    # a miss is one evaluator call on the stack of the rows not seen before.
     calls = []
 
     def evaluator(c):
-        calls.append(1)
-        return np.outer(c, c[::-1])
+        calls.append(c.tolist())
+        return c[:, :, None] * c[:, None, ::-1]
 
     field = cls(evaluator, 2, "probe")
     for coords in ([0.1, 0.2], [0.1, 0.2], [0.3, 0.2], [0.1, 0.2]):
         field(coords)
-    assert len(calls) == 2
+    assert calls == [[[0.1, 0.2]], [[0.3, 0.2]]]
+    field([[0.5, 0.6], [0.1, 0.2], [0.5, 0.6], [0.7, 0.8]])
+    assert calls[2:] == [[[0.5, 0.6], [0.7, 0.8]]]
