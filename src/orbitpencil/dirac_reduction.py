@@ -23,7 +23,7 @@ agree at regular points.  All of this is certified numerically here.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +57,6 @@ from .lie_core import (
 )
 from .orbit_charts import (
     Chart,
-    CoordinateMemo,
     FormField,
     OrbitConfig,
     TangentBundlePoint,
@@ -258,20 +257,26 @@ def slice_normal_form(setup: ReductionSetup, y: np.ndarray, max_iter: int = 200,
                       tol: float = 1e-8):
     """Rotate y in m into the slice by stabilizer conjugations.
 
-    Ascends the objective <z, x0> over the adjoint orbit of y under the
-    stabilizer: backtracking gradient steps (initial step 0.5, halved on
-    rejection) carry the iterate into a basin, then Newton steps on the
-    orbit directions finish the job -- the Hessian of the objective along
-    the orbit can be conditioned badly enough (about 40:1 on a full flag
-    configuration) that first-order contraction alone cannot reach 1e-8
-    within the iteration budget.  A start occasionally drifts toward an
-    ill-conditioned non-global critical point; in that case the search
-    restarts from fixed stabilizer rotations of y, which stays inside the
-    orbit of y and therefore inside the contract.  At a critical point the
-    iterate is orthogonal to [x0, k], i.e. it lies in the slice.
-    Conjugation is an isometry, so the norm of y is preserved exactly.
+    Ascends f = <z, x0> over the orbit of y under the stabilizer K, which
+    keeps z in m.  At z moved to exp(ad(K c)) z, the gradient of f in c is
+    g = K^T [z, x0], with entries g_a = <z, [x0, k_a]> by ad-invariance, and
+    the symmetrised :func:`orbit_hessian` H = V diag(lam) V^T is its Hessian.
+    So f is critical exactly where z is orthogonal to [x0, k] inside m, that
+    is where z lies in the slice: any critical point will do, and no start
+    needs to sit in the basin of the maximum.
 
-    Returns (normalised element, total iterations used).
+    Each iteration takes the saddle-free Newton direction
+    delta = V (V^T g / max(|lam|, 1e-3 max |lam|)), capped at norm 1.  It
+    always ascends (g.delta > 0), and where H is negative definite it is the
+    Newton step.  The step starts at 1 and is halved until f gains
+    1e-4 step g.delta or the residual |[x0, k]^T z| drops by the factor
+    1 - 1e-4 step: near the maximum the gain in f falls under the float
+    resolution of an O(1) number, while the residual stays first order in
+    the distance to it.  Conjugation is an isometry, so the norm of y is
+    preserved exactly.
+
+    Returns (normalised element, iterations used); raises ConvergenceError
+    when no step above 1e-14 is acceptable or the budget runs out.
     """
     alg = setup.alg
     cfg = setup.config
@@ -280,105 +285,37 @@ def slice_normal_form(setup: ReductionSetup, y: np.ndarray, max_iter: int = 200,
         raise DomainError("input must lie in the tangent space at the seed")
     normal = setup.slice_normal.basis
     stab_basis = cfg.stabilizer.basis
-
-    def residual(z):
-        return float(np.linalg.norm(normal.T @ z))
-
     z = y.copy()
-    res = residual(z)
-    if res <= tol:
-        return z, 0
-
-    def newton_candidates(z):
-        """Second-order trial steps: full Newton, then damped versions.
-
-        Damping regularises the nearly flat orbit directions that occur
-        close to degenerate critical points, where the pure Newton step
-        overshoots the quadratic model's region of validity.
-        """
-        kdim = stab_basis.shape[1]
-        grad_k = stab_basis.T @ alg.bracket(z, setup.x0)
-        hess = orbit_hessian(alg, stab_basis, z, setup.x0)
-        hess = 0.5 * (hess + hess.T)
-        scale = max(float(np.max(np.abs(hess))), 1e-12)
-        for damping in (0.0, 0.03, 0.3):
-            damped = hess - damping * scale * np.eye(kdim)
-            delta = -np.linalg.lstsq(damped, grad_k, rcond=1e-12)[0]
-            size = np.linalg.norm(delta)
-            if size > 1.0:
-                delta *= 1.0 / size
-            yield exp_ad(alg, stab_basis @ delta) @ z
-
-    def ascend(z, budget):
-        """Single-start search; returns (iterate, iterations, converged).
-
-        Declares a stall when no step is acceptable or when the residual
-        improves by less than ten percent across a 25-iteration window, so
-        the caller can restart instead of feeding a drifting iterate.
-        """
-        res = residual(z)
-        value = float(np.dot(z, setup.x0))
-        window = []
-        for it in range(1, budget + 1):
-            if res <= tol:
-                return z, it - 1, True
-            window.append(res)
-            if len(window) > 25:
-                window.pop(0)
-                if res > 0.9 * window[0]:
-                    return z, it - 1, False
-            if res < 0.3:
-                second_order = False
-                for cand in newton_candidates(z):
-                    cand_res = residual(cand)
-                    if cand_res < 0.5 * res:
-                        z, res = cand, cand_res
-                        value = float(np.dot(z, setup.x0))
-                        second_order = True
-                        break
-                if second_order:
-                    continue
-            grad = stab_basis @ (stab_basis.T @ alg.bracket(z, setup.x0))
-            gnorm2 = float(np.dot(grad, grad))
-            step = 0.5
-            accepted = False
-            while step > 1e-14:
-                cand = exp_ad(alg, step * grad) @ z
-                cand_value = float(np.dot(cand, setup.x0))
-                cand_res = residual(cand)
-                # Near the maximum the objective gain drops under the float
-                # resolution of an O(1) number; the residual is first order
-                # in the distance to the critical point and informative.
-                if cand_value > value + 1e-4 * step * gnorm2 or cand_res < res * (1.0 - 1e-4 * step):
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                return z, it, False
-            z, value, res = cand, cand_value, cand_res
-        return z, budget, res <= tol
-
-    kdim = stab_basis.shape[1]
-    starts = [z]
-    for r in range(1, 8):
-        rng = stream(r, "slice-restart-offsets")
-        offset = 1.5 * unit_vector(rng, kdim)
-        starts.append(exp_ad(alg, stab_basis @ offset) @ z)
-    used = 0
-    best = residual(z)
-    for start in starts:
-        budget = max_iter - used
-        if budget <= 0:
+    value = float(np.dot(z, setup.x0))
+    res = best = float(np.linalg.norm(normal.T @ z))
+    for it in range(max_iter + 1):
+        if res <= tol:
+            return z, it
+        if it == max_iter:
             break
-        out, spent, converged = ascend(start, budget)
-        used += spent
-        best = min(best, residual(out))
-        if converged:
-            return out, used
+        grad = stab_basis.T @ alg.bracket(z, setup.x0)
+        hess = orbit_hessian(alg, stab_basis, z, setup.x0)
+        lam, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
+        size = np.abs(lam)
+        delta = vecs @ (vecs.T @ grad / np.maximum(size, 1e-3 * max(float(np.max(size)), 1e-12)))
+        delta /= max(1.0, float(np.linalg.norm(delta)))
+        gain = float(np.dot(grad, delta))
+        step = 1.0
+        while step > 1e-14:
+            cand = exp_ad(alg, stab_basis @ (step * delta)) @ z
+            cand_value = float(np.dot(cand, setup.x0))
+            cand_res = float(np.linalg.norm(normal.T @ cand))
+            if cand_value > value + 1e-4 * step * gain or cand_res < res * (1.0 - 1e-4 * step):
+                break
+            step *= 0.5
+        else:
+            break
+        z, value, res = cand, cand_value, cand_res
+        best = min(best, res)
     raise ConvergenceError(
         f"slice normalisation stalled at residual {best:.3e}",
         best_residual=best,
-        iterations=used,
+        iterations=it,
     )
 
 
@@ -561,7 +498,7 @@ class BlockReport:
     sigma_stratum: float
 
 
-def adapted_block_report(adapted: AdaptedChart, coords, form_matrix: np.ndarray) -> BlockReport:
+def adapted_block_report(adapted: AdaptedChart, form_matrix: np.ndarray) -> BlockReport:
     p = adapted.transversal_dim
     if p == 0:
         sig = float(np.linalg.svd(form_matrix, compute_uv=False)[-1])
@@ -605,7 +542,6 @@ class RestrictedPencilData:
     sub_chart: Chart
     ambient: ChartPencil
     restricted: ChartPencil
-    _differentials: dict = field(default_factory=dict, init=False, repr=False)
 
     def pad_coords(self, sub_coords) -> np.ndarray:
         """Ambient-chart coordinates of a sub-chart point.
@@ -622,23 +558,6 @@ class RestrictedPencilData:
         c[:fh] = s[:fh]
         c[f:f + fh] = s[fh:]
         return c
-
-    def differentials(self, fns, sub_coords) -> tuple[np.ndarray, np.ndarray]:
-        """(D_amb, D_sub): differentials of fns at a sub-chart point in both charts.
-
-        Rows follow ``fns``; D_amb is taken at the padded ambient coordinates.
-        Computed once per (function list, point), so every pencil parameter
-        at that point reuses them.
-        """
-        key = tuple(fns)
-        memo = self._differentials.get(key)
-        if memo is None:
-            memo = CoordinateMemo(lambda rows: [(
-                chart_differentials(self.ambient_chart, key, self.pad_coords(s)),
-                chart_differentials(self.sub_chart, key, s),
-            ) for s in rows])
-            self._differentials[key] = memo
-        return memo(np.asarray(sub_coords, dtype=float))
 
 
 def restricted_pencil(setup: ReductionSetup, base_point: TangentBundlePoint) -> RestrictedPencilData:
@@ -777,27 +696,30 @@ class BracketAgreement:
 
 
 def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, fns,
-                      coords, t) -> BracketAgreement:
+                      coords, params) -> list[BracketAgreement]:
     """Ambient versus restricted pencil brackets of a list of invariant functions.
 
     ``fns`` are functions on TO with a ``gradient`` (see
     :func:`invariant_function`); ``coords`` are sub-chart coordinates of a
-    regular point; ``t`` is a pencil parameter with t1 + t2 != 0 so both
-    members are invertible.  Both bracket matrices are D Pi_t D^T, each
-    side with its own chart's differentials and bivector.
+    regular point; ``params`` are pencil parameters with t1 + t2 != 0 so
+    both members are invertible.  Both bracket matrices are D Pi_t D^T,
+    each side with its own chart's differentials and bivector.  Regularity
+    and the differentials of both charts are computed once and shared by
+    every parameter; one report per parameter, in order.
     """
-    t1, t2 = astuple(_as_parameter(t))
-    if abs(t1 + t2) < 1e-12:
+    params = [astuple(_as_parameter(t)) for t in params]
+    if any(abs(t1 + t2) < 1e-12 for t1, t2 in params):
         raise DomainError("pencil parameter lies on the degenerate line t1 + t2 = 0")
     s = np.asarray(coords, dtype=float)
-    point = data.sub_chart.point(s)
-    if not is_regular(setup, point):
+    if not is_regular(setup, data.sub_chart.point(s)):
         raise DomainError("image point is not regular")
     c = data.pad_coords(s)
-    d_amb, d_sub = data.differentials(fns, s)
-    ambient = d_amb @ (t1 * data.ambient.p1(c) + t2 * data.ambient.p2(c)) @ d_amb.T
-    restricted = d_sub @ (t1 * data.restricted.p1(s) + t2 * data.restricted.p2(s)) @ d_sub.T
-    return BracketAgreement(ambient=ambient, restricted=restricted)
+    d_amb = chart_differentials(data.ambient_chart, fns, c)
+    d_sub = chart_differentials(data.sub_chart, fns, s)
+    return [BracketAgreement(
+        ambient=d_amb @ (t1 * data.ambient.p1(c) + t2 * data.ambient.p2(c)) @ d_amb.T,
+        restricted=d_sub @ (t1 * data.restricted.p1(s) + t2 * data.restricted.p2(s)) @ d_sub.T,
+    ) for t1, t2 in params]
 
 
 # ---------------------------------------------------------------------------

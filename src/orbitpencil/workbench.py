@@ -519,9 +519,9 @@ def _splitting_nondegeneracy(ctx):
 def _adapted_reports(ctx):
     # Block reports of both forms on the stratum, i.e. at zero transversal offset.
     coords = np.stack([np.concatenate([np.zeros(ctx.setup.transversal.dim), s]) for s in ctx.regular_coords[:5]])
-    return [dr.adapted_block_report(ctx.adapted, c, w)
+    return [dr.adapted_block_report(ctx.adapted, w)
             for form in (oc.canonical_form_matrix, oc.omega2_matrix)
-            for c, w in zip(coords, form(ctx.adapted, coords))]
+            for w in form(ctx.adapted, coords)]
 
 
 def _adapted_off_diagonal(ctx):
@@ -536,8 +536,8 @@ def _control_adapted_off(ctx):
     p_dim = ctx.setup.transversal.dim
     coords = np.stack([np.concatenate([0.05 * unit_vector(stream(ctx.seed, "adapted-offsets", i), p_dim),
                                        ctx.regular_coords[0]]) for i in range(3)])
-    return max(dr.adapted_block_report(ctx.adapted, c, w1).off_diagonal
-               for c, w1 in zip(coords, oc.canonical_form_matrix(ctx.adapted, coords)))
+    return max(dr.adapted_block_report(ctx.adapted, w1).off_diagonal
+               for w1 in oc.canonical_form_matrix(ctx.adapted, coords))
 
 
 def _invariant_products(ctx):
@@ -566,22 +566,23 @@ def _bracket_agreement(ctx):
     fns = [dr.invariant_function(ctx.alg, w) for w in _BRACKET_WORDS]
     params = [t for t in ctx.config.t_samples if abs(t[0] + t[1]) > 1e-12]
     return max(
-        dr.bracket_agreement(ctx.setup, ctx.data, fns, s, t).relative_residual
+        report.relative_residual
         for s in ctx.regular_coords[:5]
-        for t in params
+        for report in dr.bracket_agreement(ctx.setup, ctx.data, fns, s, params)
     )
 
 
 def _invariant_function_invariance(ctx):
     fns = [dr.invariant_function(ctx.alg, w) for w in _BRACKET_WORDS]
     point = ctx.data.sub_chart.point(ctx.regular_coords[0])
+    base = [f(point) for f in fns]
     worst = 0.0
     for i in range(20):
         rng = stream(ctx.seed, "function-invariance", i)
         rot = oc.exp_ad(ctx.alg, unit_vector(rng, ctx.alg.dim))
         moved = oc.TangentBundlePoint(x=rot @ point.x, v=rot @ point.v)
-        for f in fns:
-            worst = max(worst, abs(f(moved) - f(point)))
+        for f, value in zip(fns, base):
+            worst = max(worst, abs(f(moved) - value))
     return worst
 
 

@@ -141,7 +141,7 @@ def test_criterion_05_bracket_agreement(setup_cp2, data_cp2, regular_coords_cp2)
     for t in params:
         for coords in regular_coords_cp2[:5]:
             # relative residual is the max over every pair i < j of fns
-            worst = max(worst, dr.bracket_agreement(setup_cp2, data_cp2, fns, coords, t).relative_residual)
+            worst = max(worst, dr.bracket_agreement(setup_cp2, data_cp2, fns, coords, [t])[0].relative_residual)
     ok = worst <= 1e-5
     verdict(5, "ambient and restricted brackets agree on invariant functions",
             ok, f"max relative residual {worst:.2e} <= 1e-5 over {len(pairs)} pairs x 4 parameters x 5 points")
@@ -171,13 +171,13 @@ def test_criterion_07_adapted_blocks(setup_cp2, data_cp2, regular_coords_cp2):
     for coords in regular_coords_cp2[:5]:
         full = np.concatenate([np.zeros(p_dim), coords])
         for matrix in (oc.canonical_form_matrix(adapted, full), oc.omega2_matrix(adapted, full)):
-            worst_off = max(worst_off, dr.adapted_block_report(adapted, full, matrix).off_diagonal)
+            worst_off = max(worst_off, dr.adapted_block_report(adapted, matrix).off_diagonal)
     control = 0.0
     for i in range(3):
         y = 0.05 * unit_vector(stream(31, "adapted-control", i), p_dim)
         full = np.concatenate([y, regular_coords_cp2[0]])
         matrix = oc.canonical_form_matrix(adapted, full)
-        control = max(control, dr.adapted_block_report(adapted, full, matrix).off_diagonal)
+        control = max(control, dr.adapted_block_report(adapted, matrix).off_diagonal)
     ok = worst_off <= 1e-8 and control > 1e-6
     verdict(7, "adapted coordinates block-diagonalise the forms on the stratum",
             ok, f"on-stratum off-diagonal {worst_off:.2e} <= 1e-8, off-stratum control {control:.2e} > 1e-6")

@@ -344,6 +344,46 @@ def test_bracket_agreement_takes_one_differential_per_word_point_chart(monkeypat
     assert evaluated <= allowed
 
 
+def test_bracket_agreement_decides_regularity_once_per_point(monkeypatch):
+    from orbitpencil import dirac_reduction as dr
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "su3_projective_plane.json"
+    ctx = wb.prepare_context(wb.load_config(path))
+    regularity = _counting(monkeypatch, dr, "is_regular")
+    assert wb._bracket_agreement(ctx) <= 1e-5
+    # 5 points, each shared by the 4 off-line pencil parameters
+    assert len(regularity) == 5
+
+
+SO5_FLAG = {"algebra": {"family": "so", "n": 5}, "seed_element": {"diag_spectrum": [2, 1]}}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_slice_rows_pass_on_so5_flag(seed):
+    # K is a 2-torus and <Ad_k y, x0> has non-global critical points here; each lies in the slice
+    cfg = wb.config_from_dict(dict(SO5_FLAG, seed=seed, checks=["slice_normalization", "slice_isometry"]))
+    report = wb.run_pipeline(cfg)
+    assert [(row.name, row.passed) for row in report.checks] == [
+        ("slice_normalization", True), ("slice_isometry", True)]
+    assert report.verdict == "pass"
+
+
+def test_slice_normal_form_iterations_on_su3_regular():
+    from orbitpencil import dirac_reduction as dr
+    from orbitpencil.seeding import stream, unit_vector
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "su3_regular.json"
+    base = json.loads(path.read_text())
+    worst = 0
+    for seed in range(20):
+        ctx = wb.prepare_context(wb.config_from_dict(dict(base, seed=seed)))
+        for i in range(ctx.samples):
+            rng = stream(seed, "slice-normalization", i)
+            y = ctx.orbit.tangent.basis @ unit_vector(rng, ctx.orbit.tangent.dim)
+            worst = max(worst, dr.slice_normal_form(ctx.setup, y, max_iter=200, tol=1e-8)[1])
+    assert worst <= 30
+
+
 _MEMO_SHARING_ROWS = [
     ["splitting_pairing", "splitting_nondegeneracy"],
     ["adapted_off_diagonal", "adapted_nondegeneracy"],
