@@ -342,18 +342,12 @@ def is_regular(setup: ReductionSetup, point: TangentBundlePoint, tol: float = RE
     return regularity_distance(setup, point) <= tol
 
 
-def regular_tangent_space(setup: ReductionSetup, point: TangentBundlePoint) -> Subspace:
+def _stratum_tangent(setup: ReductionSetup, point: TangentBundlePoint) -> Subspace:
     """Tangent space of the regular stratum at a regular point.
 
     Computed as the joint kernel of the linearised isotropy action
     (dx, dv) -> ([z, dx], [z, dv]) inside the tangent space of TO.
     """
-    if not is_regular(setup, point):
-        raise DomainError("point is not regular: isotropy algebra differs from h")
-    return _stratum_tangent(setup, point)
-
-
-def _stratum_tangent(setup: ReductionSetup, point: TangentBundlePoint) -> Subspace:
     ambient = ambient_tangent_space(setup.config, point)
     iso = setup.isotropy
     if iso.dim == 0:
@@ -486,7 +480,7 @@ class AdaptedChart(Chart):
         return np.stack([inner.x, inner.v], axis=-2)
 
     def _inner_pushforward(self, s: np.ndarray) -> np.ndarray:
-        return self.sub_chart.pushforward(s)
+        return np.concatenate([self.sub_chart.pushforward(s), self.sub_chart.lifts(s)], axis=-2)
 
 
 @dataclass(frozen=True)

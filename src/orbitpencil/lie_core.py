@@ -234,10 +234,6 @@ class Subspace:
         vec = np.asarray(vec, dtype=float)
         return float(np.linalg.norm(vec - self.project(vec)))
 
-    def contains(self, vec: np.ndarray, tol: float = SUBSPACE_TOL) -> bool:
-        vec = np.asarray(vec, dtype=float)
-        return self.residual(vec) <= tol * max(1.0, np.linalg.norm(vec))
-
 
 def span(vectors: np.ndarray, rtol: float = RANK_RTOL) -> Subspace:
     """Orthonormalised span of the columns of ``vectors`` (rank-revealing).

@@ -30,11 +30,12 @@ of central differences costs one stacked eigh, SVD and inverse, not 2d each.
 Two invariant 2-forms are realised as matrix fields in chart coordinates:
 the canonical form (exterior derivative of theta) and the canonical form
 plus the pullback of the orbit form  omega_x([x,s1],[x,s2]) = -<x,[s1,s2]>
-under the bundle projection.  Both are exact from the pushforward: with
+under the bundle projection.  Both are exact from the chart: with
 P = (Px; Pv) the stacked x- and v-rows, d theta = sum dv ^ dx has matrix
-Pv^T Px - Px^T Pv.  Finite differences remain only in outer derivatives
-(closedness and Jacobi residuals) and in the check of the pushforward
-itself, where they are the independent check.
+Pv^T Px - Px^T Pv, and the orbit form reads the lifts zeta, [x, zeta] = dx,
+that the pushforward's evaluation also gives (:meth:`Chart.lifts`).  Finite
+differences remain only in outer derivatives (closedness and Jacobi
+residuals) and in the check of the pushforward itself, the independent check.
 """
 
 from __future__ import annotations
@@ -235,7 +236,8 @@ class Chart:
 
     Coordinates (u, s) give Ad(e^{frame @ u}) applied to the inner map at s;
     subclasses replace ``_inner_point`` and ``_inner_pushforward``, which map
-    (k, d_inner) stacks to stacks.  ``rotation`` conjugates the whole chart by
+    (k, d_inner) stacks to stacks, the latter with 3n rows: the x-, v- and
+    lift rows of each inner column.  ``rotation`` conjugates the whole chart by
     a fixed group element, given as its adjoint matrix on coefficients; used
     to transport charts when testing invariance.  Evaluations are cached per
     coordinate row, so a chart instance must be treated as immutable.
@@ -255,7 +257,7 @@ class Chart:
         if np.linalg.norm(frame.T @ frame - np.eye(frame.shape[1])) > 1e-10:
             raise InputError("frame columns must be orthonormal")
         self.base_v = base_v
-        self._fiber_push = np.vstack([np.zeros_like(frame), frame])
+        self._fiber_push = np.vstack([np.zeros_like(frame), frame, np.zeros_like(frame)])
         self._init_conjugation(config, frame, rotation, box)
 
     def _init_conjugation(self, config: OrbitConfig, frame: np.ndarray,
@@ -297,7 +299,11 @@ class Chart:
         rest are the inner map's columns; for this class column f + i is
         the w_i-derivative (fiber direction).
         """
-        return self._pushes(self._coords(coords))
+        return self._pushes(self._coords(coords))[..., :2 * self.config.alg.dim, :]
+
+    def lifts(self, coords) -> np.ndarray:
+        """Generators zeta with [x, zeta] = dx, one column per coordinate: n x coord_dim, or a stack."""
+        return self._pushes(self._coords(coords))[..., 2 * self.config.alg.dim:, :]
 
     def _inner_point(self, w: np.ndarray) -> np.ndarray:
         """(k, 2, n) stack of the inner points [x; v] at the rows of w."""
@@ -321,12 +327,13 @@ class Chart:
         big, trans = dexp_apply(alg, _rowwise(c[:, :f], self.frame.T), self.frame_matrices)
         if self.rotation is not None:
             big = self.rotation @ big
-        # Conjugation column i is big @ [t_i, z] = -big @ ad(z) t_i for z = x, v.
-        moved = -_lincomb(self._inner_point(c[:, f:]), alg.ad_basis) @ trans[:, None].mT
-        inner = self._inner_pushforward(c[:, f:]).reshape(-1, 2, n, rest)
-        blocks = np.concatenate([moved, np.broadcast_to(inner, (k, 2, n, rest))], axis=-1)
-        push = (big[:, None] @ blocks).reshape(k, 2 * n, self.coord_dim)
-        sig = np.linalg.svd(push, compute_uv=False)
+        # Conjugation column i is big @ [t_i, z] = -big @ ad(z) t_i for z = x, v; its lift is -big @ t_i.
+        trans = trans[:, None].mT
+        moved = -np.concatenate([_lincomb(self._inner_point(c[:, f:]), alg.ad_basis) @ trans, trans], axis=1)
+        inner = self._inner_pushforward(c[:, f:]).reshape(-1, 3, n, rest)
+        blocks = np.concatenate([moved, np.broadcast_to(inner, (k, 3, n, rest))], axis=-1)
+        push = (big[:, None] @ blocks).reshape(k, 3 * n, self.coord_dim)
+        sig = np.linalg.svd(push[:, :2 * n], compute_uv=False)
         if np.any(sig[:, -1] <= RANK_RTOL * sig[:, 0]):
             raise ChartDegeneracyError("chart pushforward lost column rank")
         return push
@@ -379,15 +386,13 @@ def canonical_form_matrix(chart: Chart, coords) -> np.ndarray:
 def orbit_form_pullback_matrix(chart: Chart, coords) -> np.ndarray:
     """Pullback of the orbit 2-form under the bundle projection, in chart coords.
 
-    Lifts through ad(x): one stacked pseudo-inverse cut at RANK_RTOL, as ad(seed) was for the orbit
-    (rounding lifts its zero singular values to 2.8e-15 on a rotated so(4) chart, over eps * max(M, N))."""
+    omega(d_a x, d_b x) = -<x, [zeta_a, zeta_b]> with the chart's lifts, [x, zeta] = dx; a lift is
+    fixed up to the stabilizer of x, which the form does not see."""
     c = chart._coords(coords)
-    alg = chart.config.alg
-    n = alg.dim
+    n = chart.config.alg.dim
     x = chart.point(c).x
-    ad_x = _lincomb(x, alg.ad_basis)
-    lifts = np.linalg.pinv(ad_x, rtol=RANK_RTOL) @ chart.pushforward(c)[..., :n, :]
-    matrix = -lifts.mT @ _rowwise(x, alg.structure.reshape(-1, n).T).reshape(x.shape + (n,)) @ lifts
+    lifts = chart.lifts(c)
+    matrix = -lifts.mT @ _rowwise(x, chart.config.alg.structure.reshape(-1, n).T).reshape(x.shape + (n,)) @ lifts
     return 0.5 * (matrix - matrix.mT)
 
 

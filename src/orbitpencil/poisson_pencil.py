@@ -6,10 +6,12 @@ by the Leibniz rule:
 
     J_ijk = sum_l ( P_li d_l P_jk + P_lj d_l P_ki + P_lk d_l P_ij ) = 0.
 
-The inner derivatives are central differences; residuals land near the
-truncation error ~ fd_step^2 for genuine Poisson fields.  The tolerance
-ladder is: certify below 1e-5, reject (negative controls) above 1e-3; the
-gap guards against silent miscalibration.
+The inner derivatives are the field's partials: dP = -P dW P for P = W^-1,
+with dW the central differences that closedness takes of W (no inverse off
+the centre), and central differences of P for any other field; residuals
+land near the truncation error ~ fd_step^2 for genuine Poisson fields.
+The tolerance ladder is: certify below 1e-5, reject (negative controls)
+above 1e-3; the gap guards against silent miscalibration.
 """
 
 from __future__ import annotations
@@ -48,12 +50,13 @@ def _as_parameter(t) -> PencilParameter:
 
 
 class PoissonField:
-    """A cached skew matrix field with a provenance label; ``evaluator`` as for FormField."""
+    """A cached skew matrix field; ``evaluator`` as for FormField.  ``partials(coords, step)`` gives its
+    (d, dim, dim) derivatives at one row, by default central differences of the field."""
 
-    def __init__(self, evaluator, dim: int, provenance: str):
+    def __init__(self, evaluator, dim: int, *, partials=None):
         self.dim = int(dim)
-        self.provenance = provenance
         self._values = CoordinateMemo(lambda c: _skew(np.broadcast_to(evaluator(c), (len(c), self.dim, self.dim))))
+        self.partials = partials or (lambda c, h: central_partials(self, c, h))
 
     def __call__(self, coords) -> np.ndarray:
         return self._values(np.asarray(coords, dtype=float))
@@ -89,19 +92,21 @@ def invert_form(form_field: FormField) -> PoissonField:
             )
         return inv
 
-    return PoissonField(evaluator, form_field.dim, "inverse-of-form")
+    def partials(coords, step):
+        p = field(coords)
+        return -p @ central_partials(form_field, coords, step) @ p
+
+    field = PoissonField(evaluator, form_field.dim, partials=partials)
+    return field
 
 
 def pencil(p1: PoissonField, p2: PoissonField, t) -> PoissonField:
-    """Pointwise linear combination t1 P1 + t2 P2."""
+    """Pointwise linear combination t1 P1 + t2 P2, with partials t1 dP1 + t2 dP2."""
     param = _as_parameter(t)
     if p1.dim != p2.dim:
         raise InputError(f"pencil members disagree in dimension: {p1.dim} vs {p2.dim}")
-    return PoissonField(
-        lambda c: param.t1 * p1(c) + param.t2 * p2(c),
-        p1.dim,
-        "pencil",
-    )
+    return PoissonField(lambda c: param.t1 * p1(c) + param.t2 * p2(c), p1.dim,
+                        partials=lambda c, h: param.t1 * p1.partials(c, h) + param.t2 * p2.partials(c, h))
 
 
 def jacobi_residual(field: PoissonField, coords, fd_step: float = FD_STEP_DEFAULT) -> float:
@@ -109,7 +114,7 @@ def jacobi_residual(field: PoissonField, coords, fd_step: float = FD_STEP_DEFAUL
     h = _check_fd_step(fd_step)
     c = np.asarray(coords, dtype=float)
     center = field(c)
-    partials = central_partials(field, c, h)
+    partials = field.partials(c, h)
     mixed = np.einsum("li,ljk->ijk", center, partials)
     cyc = mixed + np.transpose(mixed, (1, 2, 0)) + np.transpose(mixed, (2, 0, 1))
     return float(np.max(np.abs(cyc)))

@@ -480,7 +480,7 @@ def _corrupted_field(ctx) -> pp.PoissonField:
         mat[..., 1, 0] -= bump
         return mat
 
-    return pp.PoissonField(corrupted, base.dim, "pencil")
+    return pp.PoissonField(corrupted, base.dim)
 
 
 def _degeneracy(on_line: bool, chart):

@@ -148,13 +148,13 @@ def test_isotropy_algebra_base_cases(setup_su2, setup_cp2):
 def test_regular_tangent_space(setup_su2, setup_cp2, data_cp2, regular_coords_cp2):
     # trivial isotropy: the whole ambient tangent space
     base = oc.TangentBundlePoint(x=setup_su2.config.seed, v=setup_su2.x0)
-    full = dr.regular_tangent_space(setup_su2, base)
+    full = dr._stratum_tangent(setup_su2, base)
     assert full.dim == 2 * setup_su2.config.orbit_dim
     # nontrivial: dimension equals twice the sub-orbit dimension, and the
     # sub-chart tangent image sits inside the fixed space
     for coords in regular_coords_cp2[:3]:
         point = data_cp2.sub_chart.point(coords)
-        fixed = dr.regular_tangent_space(setup_cp2, point)
+        fixed = dr._stratum_tangent(setup_cp2, point)
         assert fixed.dim == 2 * setup_cp2.sub_tangent.dim
         push = data_cp2.sub_chart.pushforward(coords)
         inside = lc.span(push)
@@ -162,9 +162,11 @@ def test_regular_tangent_space(setup_su2, setup_cp2, data_cp2, regular_coords_cp
 
 
 def test_regular_tangent_space_rejects_irregular(setup_cp2):
-    zero_section = oc.TangentBundlePoint(x=setup_cp2.config.seed, v=np.zeros(setup_cp2.alg.dim))
+    # the splitting is taken at regular points only: the zero section is not one
+    cfg = setup_cp2.config
+    zero_section = oc.Chart(cfg, base_v=np.zeros(setup_cp2.alg.dim), frame=cfg.tangent.basis)
     with pytest.raises(DomainError):
-        dr.regular_tangent_space(setup_cp2, zero_section)
+        dr.splitting_orthogonality(setup_cp2, zero_section, np.zeros(zero_section.coord_dim), [])
 
 
 def test_canonical_complement(setup_su2, setup_cp2, data_cp2, regular_coords_cp2):
@@ -174,7 +176,7 @@ def test_canonical_complement(setup_su2, setup_cp2, data_cp2, regular_coords_cp2
         point = data_cp2.sub_chart.point(coords)
         comp = dr.canonical_complement(setup_cp2, point)
         assert comp.dim == setup_cp2.transversal.dim
-        strat = dr.regular_tangent_space(setup_cp2, point)
+        strat = dr._stratum_tangent(setup_cp2, point)
         stacked = np.hstack([comp.basis, strat.basis])
         sig = np.linalg.svd(stacked, compute_uv=False)
         assert sig[-1] > 1e-6  # trivial intersection

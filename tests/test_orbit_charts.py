@@ -327,6 +327,24 @@ def test_pullback_matrix_matches_einsum_reference(setup_cp2, data_cp2):
         assert np.max(np.abs(oc.orbit_form_pullback_matrix(chart, coords) - ref)) <= 1e-12
 
 
+def test_lifts_solve_ad_x_against_the_pushforward(setup_cp2, data_cp2):
+    # [x, zeta] = dx for every column, on the ambient, sub, adapted and a rotated chart;
+    # a fiber column moves v only, and its lift is exactly 0
+    alg = setup_cp2.alg
+    chart, sub = data_cp2.ambient_chart, data_cp2.sub_chart
+    rot = oc.exp_ad(alg, 0.3 * np.random.default_rng(13).standard_normal(alg.dim))
+    charts = [chart, sub, dr.AdaptedChart(setup_cp2, sub),
+              oc.Chart(setup_cp2.config, base_v=chart.base_v, frame=chart.frame, rotation=rot)]
+    rng = np.random.default_rng(14)
+    for ch, fiber in zip(charts, (chart.frame_dim, sub.frame_dim, sub.frame_dim, chart.frame_dim)):
+        coords = rng.uniform(-0.1, 0.1, (3, ch.coord_dim))
+        lifts = ch.lifts(coords)
+        ad_x = np.stack([alg.ad(x) for x in ch.point(coords).x])
+        assert lifts.shape == (3, alg.dim, ch.coord_dim)
+        assert np.max(np.abs(ad_x @ lifts - ch.pushforward(coords)[:, :alg.dim])) <= 1e-13
+        assert not np.any(lifts[..., -fiber:])
+
+
 def test_combined_form_base_dependence_only(setup_cp2):
     # the pullback part depends on the conjugation coordinates only
     chart = make_chart(setup_cp2)

@@ -88,7 +88,7 @@ def test_pencil_dim_mismatch(data_su2, data_cp2):
 
 
 def test_jacobi_constant_field_is_zero():
-    field = pp.PoissonField(lambda c: symplectic_block(2), 4, "pencil")
+    field = pp.PoissonField(lambda c: symplectic_block(2), 4)
     assert pp.jacobi_residual(field, np.zeros(4), 1e-4) <= 1e-15
 
 
@@ -109,7 +109,7 @@ def test_jacobi_negative_control(data_su2):
         mat[..., 1, 0] -= c[..., 2] * c[..., 3]
         return mat
 
-    bad = pp.PoissonField(corrupted, base.dim, "pencil")
+    bad = pp.PoissonField(corrupted, base.dim)
     coords = 0.09 * np.array([1.0, -1.0, 1.0, -1.0])
     assert pp.jacobi_residual(bad, coords, 1e-4) > 1e-3
 
@@ -123,13 +123,43 @@ def test_jacobi_quadratic_homogeneity(data_su2):
         mat[..., 1, 0] -= c[..., 2] * c[..., 3]
         return mat
 
-    bad = pp.PoissonField(corrupted, base.dim, "pencil")
+    bad = pp.PoissonField(corrupted, base.dim)
     coords = 0.09 * np.array([1.0, -1.0, 1.0, -1.0])
     ref = pp.jacobi_residual(bad, coords, 1e-4)
     for lam in (2.0, 10.0):
-        scaled = pp.PoissonField(lambda c, s=lam: s * bad(c), bad.dim, "pencil")
+        scaled = pp.PoissonField(lambda c, s=lam: s * bad(c), bad.dim)
         got = pp.jacobi_residual(scaled, coords, 1e-4)
         assert abs(got - lam ** 2 * ref) <= 1e-6 * lam ** 2 * ref
+
+
+def test_partials_match_central_differences_of_the_field(data_cp3, ambient_coords):
+    # the Jacobi residual is blind to a sign error in dP = -P dW P; this pins dP itself
+    _, _, p1, p2 = data_cp3.ambient
+    coords = ambient_coords(data_cp3.ambient_chart, 1)[0]
+    for field in (p1, p2, pp.pencil(p1, p2, (0.3, 0.7))):
+        fd = oc.central_partials(field, coords, 1e-4)
+        assert np.max(np.abs(field.partials(coords, 1e-4) - fd)) <= 1e-6
+
+
+def test_jacobi_of_inverse_forms_inverts_the_centre_row_only(monkeypatch, data_cp2, ambient_coords):
+    # closedness has put the stencil of W in its memo; dP = -P dW P reads it there
+    chart = data_cp2.ambient_chart
+    rows = []
+    forms = [oc.FormField(lambda c, form=form: rows.append(len(c)) or form(chart, c), chart.coord_dim, "counted")
+             for form in (oc.canonical_form_matrix, oc.omega2_matrix)]
+    coords = ambient_coords(chart, 1, seed=21)[0]
+    for w in forms:
+        w(coords)  # the centre, as the nondegeneracy rows evaluate it
+        oc.closedness_residual(w, coords, 1e-4)
+    seen = sum(rows)
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(len(a)) or inv(a))
+    p1, p2 = (pp.invert_form(w) for w in forms)
+    pp.jacobi_residual(p1, coords, 1e-4)
+    pp.compatibility_residual(p1, p2, coords, 1e-4)
+    assert inverted == [1, 1]  # the centre of P1, then of P2
+    assert sum(rows) == seen
 
 
 def test_compatibility_su3_regular(data_su3_regular):
@@ -219,6 +249,7 @@ def test_residuals_match_the_loop_reference_bit_for_bit(data_cp2, ambient_coords
         partials = _loop_partials(w1, coords, 1e-4)
         cyc = partials + np.transpose(partials, (1, 2, 0)) + np.transpose(partials, (2, 0, 1))
         assert oc.closedness_residual(w1, coords, 1e-4) == float(np.max(np.abs(cyc)))
-        mixed = np.einsum("li,ljk->ijk", p1(coords), _loop_partials(p1, coords, 1e-4))
+        # the partials of an inverse form are -P dW P
+        mixed = np.einsum("li,ljk->ijk", p1(coords), -p1(coords) @ partials @ p1(coords))
         cyc = mixed + np.transpose(mixed, (1, 2, 0)) + np.transpose(mixed, (2, 0, 1))
         assert pp.jacobi_residual(p1, coords, 1e-4) == float(np.max(np.abs(cyc)))

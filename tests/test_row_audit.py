@@ -89,7 +89,7 @@ def _scale_p1(mp, member):
     def faulty(*a, **k):
         data = build(*a, **k)
         p1 = getattr(data, member).p1
-        scaled = dr.PoissonField(lambda c: (1.0 + 1e-3) * p1(c), p1.dim, "scaled")
+        scaled = dr.PoissonField(lambda c: (1.0 + 1e-3) * p1(c), p1.dim)
         return replace(data, **{member: getattr(data, member)._replace(p1=scaled)})
 
     mp.setattr(dr, "restricted_pencil", faulty)
@@ -298,10 +298,12 @@ EXPECTED = {
     "pushforward_column_scaled": _CHART_ROWS,
     "dexp_phase_flipped": _CHART_ROWS,
     "point_conjugation_transposed": {"chart_exactness": TRIPS, **_ORBIT_FORM_ROWS},
+    # the orbit form reads the chart's lifts, not ad(x) of the faulty point: pencil_jacobi_combined passes
     "point_conjugation_first_order": {
         "chart_exactness": TRIPS,
         "spectrum_preservation": TRIPS,
-        **_ORBIT_FORM_ROWS,
+        "combined_closedness": TRIPS,
+        "pencil_compatibility": TRIPS,
         "splitting_pairing": ERRORS,
         "splitting_nondegeneracy": ERRORS,
     },
