@@ -42,7 +42,7 @@ from .lie_core import (
     Subspace,
     centralizer,
     complement_within,
-    draw_invariant_product,
+    draw_invariant_products,
     fixed_vector_space,
     full_subspace,
     kernel,
@@ -53,6 +53,7 @@ from .lie_core import (
     subalgebra_residual,
     subspace_contains,
     subspace_sum,
+    svd_each,
     zero_subspace,
 )
 from .orbit_charts import (
@@ -60,7 +61,9 @@ from .orbit_charts import (
     FormField,
     OrbitConfig,
     TangentBundlePoint,
+    _lincomb,
     ambient_tangent_space,
+    as_stack,
     canonical_form_field,
     combined_form_field,
     exp_ad,
@@ -324,26 +327,27 @@ def slice_normal_form(setup: ReductionSetup, y: np.ndarray, max_iter: int = 200,
 # ---------------------------------------------------------------------------
 
 
-def isotropy_algebra(setup: ReductionSetup, point: TangentBundlePoint) -> Subspace:
-    """All xi with [xi, x] = 0 and [xi, v] = 0."""
+def isotropy_algebra(setup: ReductionSetup, point: TangentBundlePoint):
+    """All xi with [xi, x] = 0 and [xi, v] = 0; the list of them at a stack of points."""
     alg = setup.alg
-    return kernel(np.vstack([alg.ad(point.x), alg.ad(point.v)]))
+    return kernel(np.concatenate([_lincomb(point.x, alg.ad_basis), _lincomb(point.v, alg.ad_basis)], axis=-2))
 
 
-def regularity_distance(setup: ReductionSetup, point: TangentBundlePoint) -> float:
-    """Projector distance between the point's isotropy algebra and h."""
-    iso = isotropy_algebra(setup, point)
-    if iso.dim != setup.isotropy.dim:
-        return float("inf")
-    return projector_distance(iso, setup.isotropy)
+def regularity_distance(setup: ReductionSetup, point: TangentBundlePoint):
+    """Projector distance between the point's isotropy algebra and h; an array of them at a stack."""
+    isos = isotropy_algebra(setup, as_stack(point))
+    dist = np.array([projector_distance(iso, setup.isotropy) if iso.dim == setup.isotropy.dim
+                     else float("inf") for iso in isos])
+    return dist if np.ndim(point.x) == 2 else float(dist[0])
 
 
-def is_regular(setup: ReductionSetup, point: TangentBundlePoint, tol: float = REGULARITY_TOL) -> bool:
+def is_regular(setup: ReductionSetup, point: TangentBundlePoint, tol: float = REGULARITY_TOL):
+    """Whether the point is regular; a boolean array at a stack of points."""
     return regularity_distance(setup, point) <= tol
 
 
-def _stratum_tangent(setup: ReductionSetup, point: TangentBundlePoint) -> Subspace:
-    """Tangent space of the regular stratum at a regular point.
+def _stratum_tangent(setup: ReductionSetup, point: TangentBundlePoint):
+    """Tangent space of the regular stratum at a regular point; the list of them at a stack.
 
     Computed as the joint kernel of the linearised isotropy action
     (dx, dv) -> ([z, dx], [z, dv]) inside the tangent space of TO.
@@ -353,55 +357,66 @@ def _stratum_tangent(setup: ReductionSetup, point: TangentBundlePoint) -> Subspa
     if iso.dim == 0:
         return ambient
     alg = setup.alg
-    dx, dv = ambient.basis[:alg.dim], ambient.basis[alg.dim:]
-    blocks = []
-    for j in range(iso.dim):
-        op = alg.ad(iso.basis[:, j])
-        blocks.append(np.vstack([op @ dx, op @ dv]))
-    coeffs = kernel(np.vstack(blocks))
-    return span(ambient.basis @ coeffs.basis)
+    n = alg.dim
+    ops = [alg.ad(iso.basis[:, j]) for j in range(iso.dim)]
+    spaces = ambient if isinstance(ambient, list) else [ambient]
+    coeffs = kernel([np.vstack([block for op in ops for block in (op @ a.basis[:n], op @ a.basis[n:])])
+                     for a in spaces])
+    out = span([a.basis @ c.basis for a, c in zip(spaces, coeffs)])
+    return out if isinstance(ambient, list) else out[0]
 
 
-def canonical_complement(setup: ReductionSetup, point: TangentBundlePoint,
-                         transversal: Subspace | None = None) -> Subspace:
-    """Span of the action vectors of the transversal p at a regular point."""
-    if not is_regular(setup, point):
+def canonical_complement(setup: ReductionSetup, point: TangentBundlePoint):
+    """Span of the action vectors of the transversal p at a regular point; the list at a stack.
+
+    Regularity is decided once, for every point of the stack."""
+    if not np.all(is_regular(setup, point)):
         raise DomainError("point is not regular: isotropy algebra differs from h")
-    return _action_span(setup, point, transversal)
+    spans = _action_spans(setup, as_stack(point))
+    return spans if np.ndim(point.x) == 2 else spans[0]
 
 
-def _action_span(setup: ReductionSetup, point: TangentBundlePoint,
-                 transversal: Subspace | None = None) -> Subspace:
-    trans = setup.transversal if transversal is None else transversal
+def _action_spans(setup: ReductionSetup, points: TangentBundlePoint, transversals=None) -> list[Subspace]:
+    """Span of the action vectors of a transversal at each point of a stack.
+
+    ``transversals`` gives each point its own complement; by default every
+    point takes p, and the action vectors of all points are one evaluation."""
     n = setup.alg.dim
-    if trans.dim == 0:
-        return zero_subspace(2 * n)
-    cols = np.column_stack([
-        infinitesimal_action(setup.config, trans.basis[:, i], point) for i in range(trans.dim)
-    ])
-    out = span(cols)
-    if out.dim != trans.dim:
-        raise DegeneracyError(
-            f"action of the transversal dropped rank ({out.dim} < {trans.dim}) at the point"
-        )
-    return out
+    m = len(points.x)
+    if transversals is None:
+        transversals = [setup.transversal] * m
+        cols = list(infinitesimal_action(setup.config, setup.transversal.basis, points))
+    else:
+        cols = [infinitesimal_action(setup.config, t.basis, TangentBundlePoint(x, v))
+                for t, x, v in zip(transversals, points.x, points.v)]
+    if not any(t.dim for t in transversals):
+        return [zero_subspace(2 * n)] * m
+    spans = span(cols)
+    for out, trans in zip(spans, transversals):
+        if out.dim != trans.dim:
+            raise DegeneracyError(
+                f"action of the transversal dropped rank ({out.dim} < {trans.dim}) at the point"
+            )
+    return spans
 
 
 def complement_product_independence(setup: ReductionSetup, point: TangentBundlePoint,
-                                    sols: list[np.ndarray], seed: int) -> float:
-    """Canonical complement recomputed from a random invariant product.
+                                    sols: list[np.ndarray], seeds) -> float:
+    """Canonical complement recomputed from random invariant products.
 
-    Returns the projector distance between the action span of the base
-    transversal and of the transversal taken orthogonal with respect to a
-    random h-invariant product drawn from ``sols``, the
-    ``invariant_product_space`` of h; the spans must agree at regular points.
+    Returns the largest projector distance, over the points of a stack (or
+    the one point), between the action span of the base transversal and of
+    the transversal taken orthogonal with respect to a random h-invariant
+    product drawn from ``sols``, the ``invariant_product_space`` of h, with
+    the point's own seed (one seed per point); the spans must agree at
+    regular points.
     """
     alg = setup.alg
-    prod = draw_invariant_product(alg, setup.isotropy, sols, seed)
-    alt = orthogonal_complement(alg, setup.normalizer, prod)
-    base_span = canonical_complement(setup, point)
-    alt_span = canonical_complement(setup, point, transversal=alt)
-    return projector_distance(base_span, alt_span)
+    points = as_stack(point)
+    alts = orthogonal_complement(alg, setup.normalizer, draw_invariant_products(alg, setup.isotropy, sols, seeds))
+    base = canonical_complement(setup, points)
+    alt = _action_spans(setup, points, alts)
+    return max(projector_distance(a, b) for a, b in zip(base, alt))
 
 
 @dataclass(frozen=True)
@@ -415,31 +430,35 @@ class SplittingReport:
 
 def splitting_orthogonality(setup: ReductionSetup, chart: Chart, coords,
                             form_matrices) -> list[SplittingReport]:
-    """Evaluate ambient forms across the canonical splitting, one report per form.
+    """Evaluate ambient forms across the canonical splitting, one report per form and point.
 
-    ``form_matrices`` are forms in the chart frame at ``coords``, such as
-    the members of a pencil; the complement and stratum bases are converted
-    into that frame once and paired with each.  For a trivial transversal
-    the pairing is vacuously zero and the complement block is reported as
-    nondegenerate by convention.  Regularity is decided once, for both bases.
+    ``coords`` is one coordinate row or an (m, d) stack, and
+    ``form_matrices`` the forms in the chart frame at each row, such as the
+    members of a pencil: a sequence of F matrices, or an (m, F, d, d) stack.
+    The complement and stratum bases are converted into that frame once per
+    point and paired with each form; reports run point by point, form by
+    form.  For a trivial transversal the pairing is vacuously zero and the
+    complement block is reported as nondegenerate by convention.
+    Regularity is decided once, for both bases and every point.
     """
-    point = chart.point(coords)
-    if not is_regular(setup, point):
-        raise DomainError("point is not regular: isotropy algebra differs from h")
-    comp = _action_span(setup, point)
-    strat = _stratum_tangent(setup, point)
-    push = chart.pushforward(coords)
-    cs, *_ = np.linalg.lstsq(push, strat.basis, rcond=None)
-    cp = np.linalg.lstsq(push, comp.basis, rcond=None)[0] if comp.dim else None
-    reports = []
-    for form in form_matrices:
-        sigma_strat = float(np.linalg.svd(cs.T @ form @ cs, compute_uv=False)[-1])
-        if cp is None:
-            reports.append(SplittingReport(0.0, float("inf"), sigma_strat))
-            continue
-        sigma_comp = float(np.linalg.svd(cp.T @ form @ cp, compute_uv=False)[-1])
-        reports.append(SplittingReport(float(np.max(np.abs(cp.T @ form @ cs))), sigma_comp, sigma_strat))
-    return reports
+    c = np.atleast_2d(np.asarray(coords, dtype=float))
+    forms = np.reshape(form_matrices, (len(c), -1, c.shape[-1], c.shape[-1]))
+    points = chart.point(c)
+    comps = canonical_complement(setup, points)
+    strats = _stratum_tangent(setup, points)
+    strat_blocks, comp_blocks, pairings = [], [], []
+    for push, comp, strat, point_forms in zip(chart.pushforward(c), comps, strats, forms):
+        cs, *_ = np.linalg.lstsq(push, strat.basis, rcond=None)
+        strat_blocks += [cs.T @ form @ cs for form in point_forms]
+        if comp.dim:
+            cp = np.linalg.lstsq(push, comp.basis, rcond=None)[0]
+            comp_blocks += [cp.T @ form @ cp for form in point_forms]
+            pairings += [float(np.max(np.abs(cp.T @ form @ cs))) for form in point_forms]
+    sigma_strat = [float(sig[-1]) for sig in svd_each(strat_blocks, compute_uv=False)]
+    if not comp_blocks:
+        return [SplittingReport(0.0, float("inf"), sigma) for sigma in sigma_strat]
+    sigma_comp = [float(sig[-1]) for sig in svd_each(comp_blocks, compute_uv=False)]
+    return [SplittingReport(*report) for report in zip(pairings, sigma_comp, sigma_strat)]
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +557,7 @@ class RestrictedPencilData:
     restricted: ChartPencil
 
     def pad_coords(self, sub_coords) -> np.ndarray:
-        """Ambient-chart coordinates of a sub-chart point.
+        """Ambient-chart coordinates of a sub-chart point, or of each row of an (m, d) stack.
 
         The ambient frame starts with the sub frame, so sub coordinates
         embed by zero padding in both the conjugation and fiber blocks.
@@ -546,11 +565,11 @@ class RestrictedPencilData:
         s = np.asarray(sub_coords, dtype=float)
         fh = self.sub_chart.frame_dim
         f = self.ambient_chart.frame_dim
-        if s.shape != (2 * fh,):
-            raise InputError(f"expected {2 * fh} sub-chart coordinates")
-        c = np.zeros(2 * f)
-        c[:fh] = s[:fh]
-        c[f:f + fh] = s[fh:]
+        if s.ndim not in (1, 2) or s.shape[-1] != 2 * fh:
+            raise InputError(f"expected {2 * fh} sub-chart coordinates or a stack of them")
+        c = np.zeros(s.shape[:-1] + (2 * f,))
+        c[..., :fh] = s[..., :fh]
+        c[..., f:f + fh] = s[..., fh:]
         return c
 
 
@@ -609,7 +628,9 @@ def invariant_function(alg: LieAlgebra, word):
     """Trace of a word in the matrices of x and v, as a function on TO.
 
     ``word`` is a nonempty sequence over {"x", "v"}; conjugation-invariance
-    of the trace makes the function invariant under the group action.
+    of the trace makes the function invariant under the group action.  At a
+    stack of points, ``fn`` gives an array of values and ``fn.gradient`` a
+    stack of gradients.
 
     ``fn.gradient(point)`` is the exact ambient gradient, a 2n-vector of
     d/dx_a then d/dv_a (the row order of a chart pushforward).  With
@@ -625,30 +646,31 @@ def invariant_function(alg: LieAlgebra, word):
         raise InputError("word must be a nonempty sequence over {'x', 'v'}")
 
     def matrices(point: TangentBundlePoint) -> list[np.ndarray]:
-        mats = {"x": alg.matrix_of(point.x), "v": alg.matrix_of(point.v)}
+        mats = {"x": _lincomb(point.x, alg.basis), "v": _lincomb(point.v, alg.basis)}
         return [mats[s] for s in symbols]
 
-    def fn(point: TangentBundlePoint) -> float:
+    def fn(point: TangentBundlePoint):
         mats = matrices(point)
         acc = mats[0]
         for m in mats[1:]:
             acc = acc @ m
-        return float(np.real(np.trace(acc)))
+        values = np.real(np.trace(acc, axis1=-2, axis2=-1))
+        return values if values.ndim else float(values)
 
     def gradient(point: TangentBundlePoint) -> np.ndarray:
         mats = matrices(point)
-        eye = np.eye(alg.matrix_dim, dtype=complex)
+        eye = np.broadcast_to(np.eye(alg.matrix_dim, dtype=complex), mats[0].shape)
         cofactors = {"x": np.zeros_like(eye), "v": np.zeros_like(eye)}
         for k, s in enumerate(symbols):
             acc = eye
             for m in mats[k + 1:] + mats[:k]:
                 acc = acc @ m
-            cofactors[s] += acc
+            cofactors[s] = cofactors[s] + acc
         # Re tr(B_a C) = Re sum_ij B_a[i, j] C[j, i]
         return np.concatenate([
-            np.real(np.einsum("aij,ji->a", alg.basis, cofactors["x"])),
-            np.real(np.einsum("aij,ji->a", alg.basis, cofactors["v"])),
-        ])
+            np.real(np.einsum("aij,...ji->...a", alg.basis, cofactors["x"])),
+            np.real(np.einsum("aij,...ji->...a", alg.basis, cofactors["v"])),
+        ], axis=-1)
 
     fn.word = symbols
     fn.gradient = gradient
@@ -656,13 +678,13 @@ def invariant_function(alg: LieAlgebra, word):
 
 
 def chart_differentials(chart, fns, coords) -> np.ndarray:
-    """k x coord_dim matrix whose row i is d(fns[i] o chart) at coords.
+    """k x coord_dim matrix whose row i is d(fns[i] o chart) at coords; (m, k, coord_dim) at a stack.
 
     Chain rule: each function's exact ambient gradient times the chart
     pushforward, so no chart point besides ``coords`` is evaluated.
     """
     point = chart.point(coords)
-    grads = np.stack([fn.gradient(point) for fn in fns])
+    grads = np.stack([fn.gradient(point) for fn in fns], axis=-2)
     return grads @ chart.pushforward(coords)
 
 
@@ -695,25 +717,29 @@ def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, fns,
 
     ``fns`` are functions on TO with a ``gradient`` (see
     :func:`invariant_function`); ``coords`` are sub-chart coordinates of a
-    regular point; ``params`` are pencil parameters with t1 + t2 != 0 so
-    both members are invertible.  Both bracket matrices are D Pi_t D^T,
-    each side with its own chart's differentials and bivector.  Regularity
-    and the differentials of both charts are computed once and shared by
-    every parameter; one report per parameter, in order.
+    regular point, or an (m, d) stack of them; ``params`` are pencil
+    parameters with t1 + t2 != 0 so both members are invertible.  Both
+    bracket matrices are D Pi_t D^T, each side with its own chart's
+    differentials and bivector.  Regularity, the differentials of both
+    charts and the bivectors are evaluated once, on the whole stack, and
+    shared by every parameter; one report per point and parameter, point
+    by point, parameters in order.
     """
     params = [astuple(_as_parameter(t)) for t in params]
     if any(abs(t1 + t2) < 1e-12 for t1, t2 in params):
         raise DomainError("pencil parameter lies on the degenerate line t1 + t2 = 0")
-    s = np.asarray(coords, dtype=float)
-    if not is_regular(setup, data.sub_chart.point(s)):
+    s = np.atleast_2d(np.asarray(coords, dtype=float))
+    if not np.all(is_regular(setup, data.sub_chart.point(s))):
         raise DomainError("image point is not regular")
     c = data.pad_coords(s)
     d_amb = chart_differentials(data.ambient_chart, fns, c)
     d_sub = chart_differentials(data.sub_chart, fns, s)
+    amb = (data.ambient.p1(c), data.ambient.p2(c))
+    sub = (data.restricted.p1(s), data.restricted.p2(s))
     return [BracketAgreement(
-        ambient=d_amb @ (t1 * data.ambient.p1(c) + t2 * data.ambient.p2(c)) @ d_amb.T,
-        restricted=d_sub @ (t1 * data.restricted.p1(s) + t2 * data.restricted.p2(s)) @ d_sub.T,
-    ) for t1, t2 in params]
+        ambient=d_amb[i] @ (t1 * amb[0][i] + t2 * amb[1][i]) @ d_amb[i].T,
+        restricted=d_sub[i] @ (t1 * sub[0][i] + t2 * sub[1][i]) @ d_sub[i].T,
+    ) for i in range(len(s)) for t1, t2 in params]
 
 
 # ---------------------------------------------------------------------------
@@ -721,30 +747,23 @@ def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, fns,
 # ---------------------------------------------------------------------------
 
 
-def isotropy_excess(setup: ReductionSetup, points) -> int:
-    """Max over points of dim(isotropy within the centralizer) - dim(center)."""
+def isotropy_excess(setup: ReductionSetup, points: TangentBundlePoint) -> int:
+    """Max over a point, or the points of a stack, of dim(isotropy within the centralizer) - dim(center)."""
     alg = setup.alg
-    cent = setup.centralizer
-    worst = 0
-    for point in points:
-        stacked = np.vstack([alg.ad(point.x) @ cent.basis, alg.ad(point.v) @ cent.basis])
-        excess = kernel(stacked).dim - setup.center.dim
-        worst = max(worst, excess)
-    return worst
+    stack = as_stack(points)
+    cent = setup.centralizer.basis
+    isos = kernel(np.concatenate([_lincomb(stack.x, alg.ad_basis) @ cent,
+                                  _lincomb(stack.v, alg.ad_basis) @ cent], axis=-2))
+    return max(0, *(iso.dim - setup.center.dim for iso in isos))
 
 
 def transversality_deficiency(setup: ReductionSetup, point: TangentBundlePoint) -> int:
-    """Rank deficit of centralizer action plus slice fibers at a slice point."""
-    alg = setup.alg
-    n = alg.dim
-    cent = setup.centralizer
-    cols = [
-        np.concatenate([alg.bracket(cent.basis[:, i], point.x), alg.bracket(cent.basis[:, i], point.v)])
-        for i in range(cent.dim)
-    ]
-    for j in range(setup.slice_space.dim):
-        cols.append(np.concatenate([np.zeros(n), setup.slice_space.basis[:, j]]))
-    mat = np.column_stack(cols)
-    sig = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(sig > RANK_RTOL * max(sig[0], 1e-300)))
-    return 2 * setup.sub_tangent.dim - rank
+    """Rank deficit of centralizer action plus slice fibers at a slice point; the max over a stack."""
+    stack = as_stack(point)
+    n = setup.alg.dim
+    fibers = np.vstack([np.zeros((n, setup.slice_space.dim)), setup.slice_space.basis])
+    action = infinitesimal_action(setup.config, setup.centralizer.basis, stack)
+    mats = np.concatenate([action, np.broadcast_to(fibers, (len(stack.x),) + fibers.shape)], axis=-1)
+    sig = np.linalg.svd(mats, compute_uv=False)
+    ranks = np.sum(sig > RANK_RTOL * np.maximum(sig[:, :1], 1e-300), axis=-1)
+    return int(2 * setup.sub_tangent.dim - np.min(ranks))

@@ -16,6 +16,9 @@ Conventions used throughout the package:
     these.  Group elements act by conjugating the n x n matrices instead
     (:mod:`orbitpencil.orbit_charts`), projected back by ``coefficients``.
   * Rank decisions use singular values with the relative cutoff RANK_RTOL.
+    ``span`` and ``kernel`` also take a sequence of matrices and return one
+    Subspace each, from one stacked SVD when the shapes agree
+    (:func:`svd_each`); each keeps its own rank cutoff.
   * Subspaces are compared through their orthogonal projectors (Frobenius
     distance), which is basis independent.
 """
@@ -235,24 +238,50 @@ class Subspace:
         return float(np.linalg.norm(vec - self.project(vec)))
 
 
-def span(vectors: np.ndarray, rtol: float = RANK_RTOL) -> Subspace:
+def svd_each(mats, **kwargs) -> list:
+    """``np.linalg.svd(m, **kwargs)`` of each matrix m of a sequence, in order.
+
+    Matrices of one shape go in one stacked call: a stacked SVD factors each
+    matrix exactly as a call on that matrix alone would.
+    """
+    if len(mats) < 2 or len({np.shape(m) for m in mats}) > 1:
+        return [np.linalg.svd(m, **kwargs) for m in mats]
+    parts = np.linalg.svd(np.stack(mats), **kwargs)
+    return list(parts) if isinstance(parts, np.ndarray) else list(zip(*parts))
+
+
+def _rank(s: np.ndarray, rtol: float) -> int:
+    return int(np.sum(s > rtol * max(s[0], 1.0))) if s.size else 0
+
+
+def _matrices(mat) -> tuple[list[np.ndarray], bool]:
+    """(the matrices of ``mat``, whether it is a stack): a sequence or (k, r, c) stack, or one matrix."""
+    stacked = isinstance(mat, (list, tuple)) or np.ndim(mat) == 3
+    return [np.asarray(m, dtype=float) for m in (mat if stacked else [mat])], stacked
+
+
+def span(vectors, rtol: float = RANK_RTOL):
     """Orthonormalised span of the columns of ``vectors`` (rank-revealing).
 
     The rank cutoff is rtol times the largest singular value, floored at
     rtol itself: every meaningful operator here is O(1) after basis
     orthonormalisation, so an all-noise input must have rank zero rather
-    than inherit rank from its own rounding errors.
+    than inherit rank from its own rounding errors.  A sequence (or (k, n, c)
+    stack) of matrices gives the list of their spans.
     """
-    mat = np.asarray(vectors, dtype=float)
-    if mat.ndim == 1:
-        mat = mat[:, None]
-    if mat.ndim != 2:
+    mats, stacked = _matrices(vectors)
+    mats = [m[:, None] if m.ndim == 1 else m for m in mats]
+    if any(m.ndim != 2 for m in mats):
         raise InputError("span expects a matrix of column vectors")
-    if mat.shape[1] == 0:
-        return Subspace(basis=np.zeros((mat.shape[0], 0)))
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > rtol * max(s[0], 1.0))) if s.size else 0
-    return Subspace(basis=u[:, :rank])
+    factored = iter(svd_each([m for m in mats if m.shape[1]], full_matrices=False))
+    out = []
+    for m in mats:
+        if m.shape[1] == 0:
+            out.append(Subspace(basis=np.zeros((m.shape[0], 0))))
+        else:
+            u, s, _ = next(factored)
+            out.append(Subspace(basis=u[:, :_rank(s, rtol)]))
+    return out if stacked else out[0]
 
 
 def zero_subspace(n: int) -> Subspace:
@@ -263,24 +292,27 @@ def full_subspace(n: int) -> Subspace:
     return Subspace(basis=np.eye(n))
 
 
-def kernel(mat: np.ndarray, rtol: float = RANK_RTOL) -> Subspace:
+def kernel(mat, rtol: float = RANK_RTOL):
     """Right null space of a matrix as a Subspace of its column index space.
 
     Rank cutoff as in :func:`span`: rtol times the largest singular value,
     floored at rtol, so a matrix that vanishes to rounding has full kernel.
+    A sequence (or (k, r, c) stack) of matrices gives the list of their kernels.
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2:
+    mats, stacked = _matrices(mat)
+    if any(m.ndim != 2 for m in mats):
         raise InputError("kernel expects a 2-d matrix")
-    rows, cols = mat.shape
-    if rows == 0 or cols == 0:
-        return full_subspace(cols)
     # A tall matrix has an economy V^T that is already square, i.e. the full V.
-    _, s, vt = np.linalg.svd(mat, full_matrices=rows < cols)
-    if s.size == 0:
-        return full_subspace(cols)
-    rank = int(np.sum(s > rtol * max(s[0], 1.0)))
-    return Subspace(basis=vt[rank:].T.copy())
+    groups: dict[bool, list[int]] = {}
+    for i, m in enumerate(mats):
+        if m.size:
+            groups.setdefault(m.shape[0] < m.shape[1], []).append(i)
+    factored = {}
+    for wide, idx in groups.items():
+        factored.update(zip(idx, svd_each([mats[i] for i in idx], full_matrices=wide)))
+    out = [Subspace(basis=factored[i][2][_rank(factored[i][1], rtol):].T.copy()) if i in factored
+           else full_subspace(m.shape[1]) for i, m in enumerate(mats)]
+    return out if stacked else out[0]
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -349,24 +381,27 @@ def normalizer(alg: LieAlgebra, sub: Subspace) -> Subspace:
     return kernel(stacked)
 
 
-def orthogonal_complement(alg: LieAlgebra, sub: Subspace, prod: "InvariantProduct | None" = None) -> Subspace:
+def orthogonal_complement(alg: LieAlgebra, sub: Subspace, prod: "InvariantProduct | None" = None):
     """Complement of ``sub`` with respect to ``prod`` (base product if None).
 
     The returned basis is orthonormal for the *base* product; only the span
-    is determined by ``prod``.
+    is determined by ``prod``.  A stack of products gives the list of their
+    complements, from one stacked SVD.
     """
     n = alg.dim
+    stacked = prod is not None and prod.matrix.ndim == 3
     if sub.dim == 0:
-        return full_subspace(n)
-    if prod is None:
-        comp = kernel(sub.basis.T)
+        comps = [full_subspace(n)] * (len(prod.matrix) if stacked else 1)
+    elif prod is None:
+        comps = [kernel(sub.basis.T)]
     else:
-        comp = kernel(sub.basis.T @ prod.matrix)
-    if comp.dim != n - sub.dim:
-        raise DomainError(
-            f"complement has dimension {comp.dim}, expected {n - sub.dim}"
-        )
-    return comp
+        comps = kernel(sub.basis.T @ prod.matrix) if stacked else [kernel(sub.basis.T @ prod.matrix)]
+    for comp in comps:
+        if comp.dim != n - sub.dim:
+            raise DomainError(
+                f"complement has dimension {comp.dim}, expected {n - sub.dim}"
+            )
+    return comps if stacked else comps[0]
 
 
 def fixed_vector_space(alg: LieAlgebra, sub: Subspace, ambient: Subspace, tol: float = SUBSPACE_TOL) -> Subspace:
@@ -396,15 +431,16 @@ def fixed_vector_space(alg: LieAlgebra, sub: Subspace, ambient: Subspace, tol: f
 
 @dataclass(frozen=True)
 class InvariantProduct:
-    """A symmetric positive-definite matrix representing a scalar product."""
+    """A symmetric positive-definite matrix representing a scalar product, or a (k, n, n) stack of them."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
             raise InputError("product matrix must be square")
-        if np.linalg.norm(mat - mat.T) > 1e-12 * max(1.0, np.linalg.norm(mat)):
+        size = np.linalg.norm(mat, axis=(-2, -1))
+        if np.any(np.linalg.norm(mat - mat.mT, axis=(-2, -1)) > 1e-12 * np.maximum(1.0, size)):
             raise InputError("product matrix must be symmetric")
         if np.min(np.linalg.eigvalsh(mat)) <= 0.0:
             raise InputError("product matrix must be positive definite")
@@ -412,12 +448,12 @@ class InvariantProduct:
 
 
 def product_invariance_residual(alg: LieAlgebra, sub: Subspace, matrix: np.ndarray) -> float:
-    """Max norm of M ad(z) + ad(z)^T M over a basis z of ``sub``."""
-    worst = 0.0
-    for j in range(sub.dim):
-        a = alg.ad(sub.basis[:, j])
-        worst = max(worst, float(np.max(np.abs(matrix @ a + a.T @ matrix))))
-    return worst
+    """Max norm of M ad(z) + ad(z)^T M over a basis z of ``sub``, and over a (k, n, n) stack of M."""
+    if sub.dim == 0:
+        return 0.0
+    ads = np.tensordot(sub.basis.T, alg.ad_basis, axes=(1, 0))
+    moved = np.asarray(matrix)[..., None, :, :] @ ads
+    return float(np.max(np.abs(moved + ads.mT @ np.asarray(matrix)[..., None, :, :])))
 
 
 def invariant_product_space(alg: LieAlgebra, sub: Subspace) -> list[np.ndarray]:
@@ -460,6 +496,41 @@ def invariant_product_space(alg: LieAlgebra, sub: Subspace) -> list[np.ndarray]:
     return sols
 
 
+def draw_invariant_products(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarray],
+                            seeds) -> InvariantProduct:
+    """The stack of products drawn as :func:`draw_invariant_product` does, one per seed.
+
+    Every step runs on the whole stack (one ``eigvalsh`` per halving round,
+    one invariance check), and each product is the one its seed alone gives.
+    """
+    n = alg.dim
+    weights = np.stack([np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 0x1A7D]))
+                        .standard_normal(len(sols)) for seed in seeds])
+    perturb = sum(w[:, None, None] * s for w, s in zip(weights.T, sols))
+    # np.linalg.norm of one matrix is a dot product, not the pairwise sum of a stacked norm.
+    perturb = perturb / np.array([max(1.0, np.linalg.norm(p)) for p in perturb])[:, None, None]
+
+    scale = np.ones(len(perturb))
+    products = np.empty_like(perturb)
+    todo = np.arange(len(perturb))
+    floor = 0.1  # 0.1 x the smallest eigenvalue of the base product (identity)
+    for _ in range(80):
+        candidate = np.eye(n) + scale[todo, None, None] * perturb[todo]
+        done = np.min(np.linalg.eigvalsh(candidate), axis=-1) > floor
+        products[todo[done]] = candidate[done]
+        todo = todo[~done]
+        if not len(todo):
+            break
+        scale[todo] *= 0.5
+    else:  # pragma: no cover - the base product is an interior point
+        products[todo] = np.eye(n)
+
+    inv_res = product_invariance_residual(alg, sub, products)
+    if inv_res > 1e-10:
+        raise DomainError(f"sampled product lost invariance (residual {inv_res:.2e})")
+    return InvariantProduct(matrix=products)
+
+
 def draw_invariant_product(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarray],
                            seed: int) -> InvariantProduct:
     """Base product plus a seeded random combination of ``sols``, kept SPD.
@@ -467,27 +538,10 @@ def draw_invariant_product(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarray
     ``sols`` is :func:`invariant_product_space` of ``sub``.  The
     perturbation is halved until the smallest eigenvalue stays above 0.1
     times the base one, which keeps every sampled product well conditioned.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed; the one-draw case of
+    :func:`draw_invariant_products`.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 0x1A7D]))
-    weights = rng.standard_normal(len(sols))
-    perturb = sum(w * s for w, s in zip(weights, sols))
-    perturb = perturb / max(1.0, np.linalg.norm(perturb))
-
-    scale = 1.0
-    floor = 0.1  # 0.1 x the smallest eigenvalue of the base product (identity)
-    for _ in range(80):
-        candidate = np.eye(alg.dim) + scale * perturb
-        if np.min(np.linalg.eigvalsh(candidate)) > floor:
-            break
-        scale *= 0.5
-    else:  # pragma: no cover - the base product is an interior point
-        candidate = np.eye(alg.dim)
-
-    inv_res = product_invariance_residual(alg, sub, candidate)
-    if inv_res > 1e-10:
-        raise DomainError(f"sampled product lost invariance (residual {inv_res:.2e})")
-    return InvariantProduct(matrix=candidate)
+    return InvariantProduct(matrix=draw_invariant_products(alg, sub, sols, [seed]).matrix[0])
 
 
 @dataclass(frozen=True)
@@ -512,15 +566,14 @@ def complement_independence(alg: LieAlgebra, sub: Subspace, norm: Subspace, sols
     :func:`invariant_product_space`.  For each trial draws two invariant
     products from ``sols``, takes the complements of ``norm`` with respect
     to each, and measures how far the sums (complement + sub) differ as
-    subspaces.
+    subspaces.  All 2 x trials products, complements and sums are one stack.
     """
-    paired = 0.0
-    unpaired = 0.0
-    for t in range(trials):
-        alpha = draw_invariant_product(alg, sub, sols, seed=(seed << 12) + 2 * t)
-        beta = draw_invariant_product(alg, sub, sols, seed=(seed << 12) + 2 * t + 1)
-        comp_a = orthogonal_complement(alg, norm, alpha)
-        comp_b = orthogonal_complement(alg, norm, beta)
-        paired = max(paired, projector_distance(subspace_sum(comp_a, sub), subspace_sum(comp_b, sub)))
-        unpaired = max(unpaired, projector_distance(comp_a, comp_b))
-    return ComplementIndependence(paired=paired, unpaired=unpaired)
+    if trials <= 0:
+        return ComplementIndependence(paired=0.0, unpaired=0.0)
+    prods = draw_invariant_products(alg, sub, sols, [(seed << 12) + i for i in range(2 * trials)])
+    comps = orthogonal_complement(alg, norm, prods)
+    sums = span([np.hstack([comp.basis, sub.basis]) for comp in comps])
+    return ComplementIndependence(
+        paired=max(projector_distance(a, b) for a, b in zip(sums[0::2], sums[1::2])),
+        unpaired=max(projector_distance(a, b) for a, b in zip(comps[0::2], comps[1::2])),
+    )

@@ -24,8 +24,12 @@ which the same eigenbasis diagonalises into the divided difference
 Stacked coordinates: chart points and pushforwards, both forms and their
 fields take one coordinate row (d,) or a stack (m, d), and the exponential
 machinery takes leading axes.  Each evaluation sits in a :class:`CoordinateMemo`
-whose fn receives, in one call, only the rows it has not seen, so a stencil
-of central differences costs one stacked eigh, SVD and inverse, not 2d each.
+whose fn receives, in one call, only the rows it has not seen.  The outer
+derivatives take the stack too: :func:`central_partials` evaluates the
+stencils of all m rows in one call and :func:`closedness_residual` returns the
+max over them, so a row of sample points costs one stacked eigh, SVD and
+inverse, not 2 d m each.  Stacked matmul, SVD and eigh give each row the bits
+it gets alone; stacked reductions need not, so per-row sums stay per row.
 
 Two invariant 2-forms are realised as matrix fields in chart coordinates:
 the canonical form (exterior derivative of theta) and the canonical form
@@ -118,31 +122,44 @@ def point_residuals(config: OrbitConfig, point: TangentBundlePoint) -> tuple[np.
     return spec_err, np.linalg.norm((v - fiber @ (fiber.mT @ v))[..., 0], axis=-1)
 
 
+def as_stack(point: TangentBundlePoint) -> TangentBundlePoint:
+    """The point as a stack: a single point (x, v of shape (n,)) becomes the stack of one."""
+    return TangentBundlePoint(x=np.atleast_2d(point.x), v=np.atleast_2d(point.v))
+
+
 def infinitesimal_action(config: OrbitConfig, xi: np.ndarray, point: TangentBundlePoint) -> np.ndarray:
-    """Action vector field of xi at (x, v): the stacked pair ([xi,x], [xi,v])."""
-    alg = config.alg
-    return np.concatenate([alg.bracket(xi, point.x), alg.bracket(xi, point.v)])
+    """Action vector field of xi at (x, v): the stacked pair ([xi,x], [xi,v]).
+
+    ``xi`` is one generator (n,) or an (n, a) matrix of them as columns, which
+    gives (2n, a); at a stack of m points the result has a leading axis m.
+    """
+    n = config.alg.dim
+    xi = np.asarray(xi, dtype=float)
+    lead = np.shape(point.x)[:-1]
+    y = np.stack([point.x, point.v], axis=-2).reshape(-1, n)
+    pairs = np.einsum("ai,pj,ijk->apk", xi.reshape(n, -1).T, y, config.alg.structure)
+    return np.moveaxis(pairs.reshape((-1,) + lead + (2 * n,)), 0, -1).reshape(lead + (2 * n,) + xi.shape[1:])
 
 
-def ambient_tangent_space(config: OrbitConfig, point: TangentBundlePoint) -> Subspace:
-    """Tangent space of TO at (x, v) inside g + g.
+def ambient_tangent_space(config: OrbitConfig, point: TangentBundlePoint):
+    """Tangent space of TO at (x, v) inside g + g; the list of them at a stack of points.
 
     Spanned by the action pairs ([e_i,x],[e_i,v]) over the algebra basis
     together with the fiber directions (0, t) for t in im ad(x).
     """
     alg = config.alg
-    n = alg.dim
-    ad_x = alg.ad(point.x)
-    ad_v = alg.ad(point.v)
-    action = np.vstack([-ad_x, -ad_v])  # columns: ([e_i,x],[e_i,v]) = -(ad x, ad v) e_i
-    fiber_basis = span(ad_x).basis
-    fiber = np.vstack([np.zeros_like(fiber_basis), fiber_basis])
-    space = span(np.hstack([action, fiber]))
-    if space.dim != 2 * config.orbit_dim:
-        raise DegeneracyError(
-            f"tangent space of TO has rank {space.dim}, expected {2 * config.orbit_dim}"
-        )
-    return space
+    stack = as_stack(point)
+    ad_x = _lincomb(stack.x, alg.ad_basis)
+    # columns: ([e_i,x],[e_i,v]) = -(ad x, ad v) e_i
+    action = -np.concatenate([ad_x, _lincomb(stack.v, alg.ad_basis)], axis=-2)
+    spaces = span([np.hstack([a, np.vstack([np.zeros_like(f.basis), f.basis])])
+                   for a, f in zip(action, span(ad_x))])
+    for space in spaces:
+        if space.dim != 2 * config.orbit_dim:
+            raise DegeneracyError(
+                f"tangent space of TO has rank {space.dim}, expected {2 * config.orbit_dim}"
+            )
+    return spaces if np.ndim(point.x) == 2 else spaces[0]
 
 
 # ---------------------------------------------------------------------------
@@ -339,22 +356,33 @@ class Chart:
         return push
 
 
-def shifted(coords: np.ndarray, index: int, step: float) -> np.ndarray:
-    """Copy of coords with one entry shifted; single addition per component."""
+def shifted(coords: np.ndarray, index, step) -> np.ndarray:
+    """Copy of coords with one entry shifted; single addition per component.
+
+    On an (k, d) stack of rows, ``index`` and ``step`` give each row its own entry and step."""
     out = np.array(coords, dtype=float, copy=True)
-    out[index] += step
+    if out.ndim == 1:
+        out[index] += step
+    else:
+        out[np.arange(len(out)), index] += step
     return out
 
 
 def central_partials(fn, coords: np.ndarray, step: float) -> np.ndarray:
-    """Stack whose entry l is (fn(c + step e_l) - fn(c - step e_l)) / (2 step).
+    """Stack whose entry [..., l] is (fn(c + step e_l) - fn(c - step e_l)) / (2 step), per row c.
 
-    ``fn`` is called once, on the (2d, d) stack of the plus point, then the
-    minus point, of each coordinate l in turn, and returns their values
-    stacked.
+    ``coords`` is one row (d,), giving (d, ...), or an (m, d) stack, giving
+    (m, d, ...).  ``fn`` is called once, on the (2 d m, d) stack of the plus
+    point, then the minus point, of each coordinate l of each row in turn,
+    and returns their values stacked.
     """
-    values = fn(np.stack([shifted(coords, l, s) for l in range(len(coords)) for s in (step, -step)]))
-    return (values[0::2] - values[1::2]) / (2.0 * step)
+    c = np.asarray(coords, dtype=float)
+    rows = c.reshape(-1, c.shape[-1])
+    m, d = rows.shape
+    values = fn(shifted(np.repeat(rows, 2 * d, axis=0), np.tile(np.repeat(np.arange(d), 2), m),
+                        np.tile([step, -step], m * d)))
+    values = values.reshape((m, d, 2) + values.shape[1:])
+    return ((values[:, :, 0] - values[:, :, 1]) / (2.0 * step)).reshape(c.shape + values.shape[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +453,9 @@ def combined_form_field(chart: Chart) -> FormField:
 
 
 def closedness_residual(form_field, coords, fd_step: float = FD_STEP_DEFAULT) -> float:
-    """Max cyclic-sum residual d_i W_jk + d_j W_ki + d_k W_ij over index triples."""
-    partials = central_partials(form_field, np.asarray(coords, dtype=float), _check_fd_step(fd_step))
-    cyc = partials + np.transpose(partials, (1, 2, 0)) + np.transpose(partials, (2, 0, 1))
+    """Max cyclic-sum residual d_i W_jk + d_j W_ki + d_k W_ij over index triples and over the rows
+    of coords, one row (d,) or an (m, d) stack; the whole stencil is one call of ``form_field``."""
+    partials = central_partials(form_field, np.atleast_2d(np.asarray(coords, dtype=float)),
+                                _check_fd_step(fd_step))
+    cyc = partials + np.transpose(partials, (0, 2, 3, 1)) + np.transpose(partials, (0, 3, 1, 2))
     return float(np.max(np.abs(cyc)))

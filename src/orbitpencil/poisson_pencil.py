@@ -10,6 +10,9 @@ The inner derivatives are the field's partials: dP = -P dW P for P = W^-1,
 with dW the central differences that closedness takes of W (no inverse off
 the centre), and central differences of P for any other field; residuals
 land near the truncation error ~ fd_step^2 for genuine Poisson fields.
+Residuals take one coordinate row or an (m, d) stack of rows and return the
+max over all of them; a field and its partials are evaluated on the whole
+stack at once, so a row costs one evaluator call per field.
 The tolerance ladder is: certify below 1e-5, reject (negative controls)
 above 1e-3; the gap guards against silent miscalibration.
 """
@@ -51,7 +54,8 @@ def _as_parameter(t) -> PencilParameter:
 
 class PoissonField:
     """A cached skew matrix field; ``evaluator`` as for FormField.  ``partials(coords, step)`` gives its
-    (d, dim, dim) derivatives at one row, by default central differences of the field."""
+    derivatives, (d, dim, dim) at one row or (m, d, dim, dim) at an (m, d) stack, by default central
+    differences of the field."""
 
     def __init__(self, evaluator, dim: int, *, partials=None):
         self.dim = int(dim)
@@ -79,8 +83,9 @@ def invert_form(form_field: FormField) -> PoissonField:
         if np.any(singular):
             raise DegeneracyError("form matrix is singular at the sampled point",
                                   coords=coords[np.argmax(singular)])
-        logger.debug("inverting %s form at %d points, max cond %.3e", form_field.name, len(w),
-                     np.max(sig[:, 0] / sig[:, -1]))
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("inverting %s form at %d points, max cond %.3e", form_field.name, len(w),
+                         np.max(sig[:, 0] / sig[:, -1]))
         inv = np.linalg.inv(w)
         inv = 0.5 * (inv - inv.mT)
         resid = np.linalg.norm(inv @ w - np.eye(w.shape[-1]), axis=(-2, -1))
@@ -93,7 +98,7 @@ def invert_form(form_field: FormField) -> PoissonField:
         return inv
 
     def partials(coords, step):
-        p = field(coords)
+        p = field(coords)[..., None, :, :]
         return -p @ central_partials(form_field, coords, step) @ p
 
     field = PoissonField(evaluator, form_field.dim, partials=partials)
@@ -110,19 +115,21 @@ def pencil(p1: PoissonField, p2: PoissonField, t) -> PoissonField:
 
 
 def jacobi_residual(field: PoissonField, coords, fd_step: float = FD_STEP_DEFAULT) -> float:
-    """Max Jacobi-identity residual over coordinate-function triples."""
+    """Max Jacobi-identity residual over coordinate-function triples and over the rows of coords.
+
+    The contraction runs one row at a time: a stacked einsum may sum in
+    another order, and each row's residual must not depend on its stack."""
     h = _check_fd_step(fd_step)
-    c = np.asarray(coords, dtype=float)
-    center = field(c)
-    partials = field.partials(c, h)
-    mixed = np.einsum("li,ljk->ijk", center, partials)
-    cyc = mixed + np.transpose(mixed, (1, 2, 0)) + np.transpose(mixed, (2, 0, 1))
+    c = np.atleast_2d(np.asarray(coords, dtype=float))
+    mixed = np.stack([np.einsum("li,ljk->ijk", center, partials)
+                      for center, partials in zip(field(c), field.partials(c, h))])
+    cyc = mixed + np.transpose(mixed, (0, 2, 3, 1)) + np.transpose(mixed, (0, 3, 1, 2))
     return float(np.max(np.abs(cyc)))
 
 
 def compatibility_residual(p1: PoissonField, p2: PoissonField, coords,
                            fd_step: float = FD_STEP_DEFAULT) -> float:
-    """Jacobi residual of the sum; small values certify the pair at the point."""
+    """Jacobi residual of the sum; small values certify the pair at the points."""
     return jacobi_residual(pencil(p1, p2, (1.0, 1.0)), coords, fd_step)
 
 
@@ -136,18 +143,15 @@ class DegeneracySample:
 
 
 def degeneracy_profile(p1: PoissonField, p2: PoissonField, coords, t_samples) -> list[DegeneracySample]:
-    """sigma_min and rank of t1 P1 + t2 P2 at fixed coords, over t samples."""
+    """sigma_min and rank of t1 P1 + t2 P2 at fixed coords, over t samples: one stacked SVD."""
     c = np.asarray(coords, dtype=float)
     m1 = p1(c)
     m2 = p2(c)
-    out = []
-    for t in t_samples:
-        param = _as_parameter(t)
-        mat = param.t1 * m1 + param.t2 * m2
-        sig = np.linalg.svd(mat, compute_uv=False)
-        rank = int(np.sum(sig > FORM_SINGULAR_RTOL * max(sig[0], 1e-300)))
-        out.append(DegeneracySample(t=(param.t1, param.t2), sigma_min=float(sig[-1]), rank=rank))
-    return out
+    params = [_as_parameter(t) for t in t_samples]
+    sig = np.linalg.svd(np.stack([p.t1 * m1 + p.t2 * m2 for p in params]), compute_uv=False)
+    ranks = np.sum(sig > FORM_SINGULAR_RTOL * np.maximum(sig[:, :1], 1e-300), axis=-1)
+    return [DegeneracySample(t=(p.t1, p.t2), sigma_min=float(s[-1]), rank=int(r))
+            for p, s, r in zip(params, sig, ranks)]
 
 
 def unit_circle_parameters(count: int = 16) -> list[tuple[float, float]]:

@@ -360,7 +360,7 @@ def _exactness(chart, seed, label, count):
 
     coords = np.stack([stream(seed, label, i).uniform(-CHART_SCALE, CHART_SCALE, chart.coord_dim)
                        for i in range(count)])
-    fd = np.stack([oc.central_partials(stacked, c, 1e-5).T for c in coords])
+    fd = oc.central_partials(stacked, coords, 1e-5).mT
     return float(np.max(np.abs(chart.pushforward(coords) - fd)))
 
 
@@ -398,7 +398,7 @@ def _restricted(ctx):
 def _closedness(chart, *members):
     def fn(ctx):
         pencil, coords = chart(ctx)
-        return max(oc.closedness_residual(getattr(pencil, m), c, ctx.fd) for m in members for c in coords)
+        return max(oc.closedness_residual(getattr(pencil, m), np.stack(coords), ctx.fd) for m in members)
     return fn
 
 
@@ -413,14 +413,14 @@ def _nondegeneracy(chart, *members):
 def _jacobi(chart, *members):
     def fn(ctx):
         pencil, coords = chart(ctx)
-        return max(pp.jacobi_residual(getattr(pencil, m), c, ctx.fd) for m in members for c in coords)
+        return max(pp.jacobi_residual(getattr(pencil, m), np.stack(coords), ctx.fd) for m in members)
     return fn
 
 
 def _compatibility(chart):
     def fn(ctx):
         pencil, coords = chart(ctx)
-        return max(pp.compatibility_residual(pencil.p1, pencil.p2, c, ctx.fd) for c in coords)
+        return pp.compatibility_residual(pencil.p1, pencil.p2, np.stack(coords), ctx.fd)
     return fn
 
 
@@ -499,13 +499,11 @@ def _control_corrupted_jacobi(ctx):
 
 
 def _splitting_reports(ctx):
-    reports = []
     members = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7), (2.0, -1.0)]
-    coords = np.stack([ctx.data.pad_coords(s) for s in ctx.regular_coords])
-    for c, m1, m2 in zip(coords, ctx.data.ambient.w1(coords), ctx.data.ambient.w2(coords)):
-        forms = [t1 * m1 + t2 * m2 for t1, t2 in members]
-        reports.extend(dr.splitting_orthogonality(ctx.setup, ctx.data.ambient_chart, c, forms))
-    return reports
+    coords = ctx.data.pad_coords(np.stack(ctx.regular_coords))
+    m1, m2 = ctx.data.ambient.w1(coords), ctx.data.ambient.w2(coords)
+    forms = np.stack([t1 * m1 + t2 * m2 for t1, t2 in members], axis=1)
+    return dr.splitting_orthogonality(ctx.setup, ctx.data.ambient_chart, coords, forms)
 
 
 def _splitting_pairing(ctx):
@@ -551,12 +549,9 @@ def _product_complement_independence(ctx):
 
 
 def _action_complement_independence(ctx):
-    sols = ctx.once(_invariant_products)
-    worst = 0.0
-    for i, s in enumerate(ctx.regular_coords[:3]):
-        point = ctx.data.sub_chart.point(s)
-        worst = max(worst, dr.complement_product_independence(ctx.setup, point, sols, seed=(ctx.seed << 8) + i))
-    return worst
+    points = ctx.data.sub_chart.point(np.stack(ctx.regular_coords[:3]))
+    seeds = [(ctx.seed << 8) + i for i in range(len(points.x))]
+    return dr.complement_product_independence(ctx.setup, points, ctx.once(_invariant_products), seeds)
 
 
 _BRACKET_WORDS = [("v", "v"), ("x", "x", "v", "v"), ("x", "v", "x", "v"), ("v", "v", "v", "v")]
@@ -565,52 +560,39 @@ _BRACKET_WORDS = [("v", "v"), ("x", "x", "v", "v"), ("x", "v", "x", "v"), ("v", 
 def _bracket_agreement(ctx):
     fns = [dr.invariant_function(ctx.alg, w) for w in _BRACKET_WORDS]
     params = [t for t in ctx.config.t_samples if abs(t[0] + t[1]) > 1e-12]
-    return max(
-        report.relative_residual
-        for s in ctx.regular_coords[:5]
-        for report in dr.bracket_agreement(ctx.setup, ctx.data, fns, s, params)
-    )
+    return max(report.relative_residual
+               for report in dr.bracket_agreement(ctx.setup, ctx.data, fns, np.stack(ctx.regular_coords[:5]), params))
 
 
 def _invariant_function_invariance(ctx):
     fns = [dr.invariant_function(ctx.alg, w) for w in _BRACKET_WORDS]
     point = ctx.data.sub_chart.point(ctx.regular_coords[0])
-    base = [f(point) for f in fns]
-    worst = 0.0
-    for i in range(20):
-        rng = stream(ctx.seed, "function-invariance", i)
-        rot = oc.exp_ad(ctx.alg, unit_vector(rng, ctx.alg.dim))
-        moved = oc.TangentBundlePoint(x=rot @ point.x, v=rot @ point.v)
-        for f, value in zip(fns, base):
-            worst = max(worst, abs(f(moved) - value))
-    return worst
+    rots = oc.exp_ad(ctx.alg, np.stack([unit_vector(stream(ctx.seed, "function-invariance", i), ctx.alg.dim)
+                                        for i in range(20)]))
+    moved = oc.TangentBundlePoint(x=rots @ point.x, v=rots @ point.v)
+    return max(float(np.max(np.abs(f(moved) - f(point)))) for f in fns)
 
 
 def _local_freeness(ctx):
-    points = [ctx.data.sub_chart.point(s) for s in ctx.regular_coords]
-    return float(dr.isotropy_excess(ctx.setup, points))
+    return float(dr.isotropy_excess(ctx.setup, ctx.data.sub_chart.point(np.stack(ctx.regular_coords))))
 
 
 def _control_zero_section_isotropy(ctx):
     zero = oc.TangentBundlePoint(x=ctx.orbit.seed, v=np.zeros(ctx.alg.dim))
-    return float(dr.isotropy_excess(ctx.setup, [zero]))
+    return float(dr.isotropy_excess(ctx.setup, zero))
 
 
 def _transversality(ctx):
-    worst = 0
-    evaluated = 0
-    for i in range(min(ctx.samples, 5)):
-        rng = stream(ctx.seed, "slice-points", i)
-        y = ctx.setup.slice_space.basis @ unit_vector(rng, ctx.setup.slice_space.dim)
-        point = oc.TangentBundlePoint(x=ctx.orbit.seed, v=y)
-        if not dr.is_regular(ctx.setup, point):
-            continue
-        evaluated += 1
-        worst = max(worst, dr.transversality_deficiency(ctx.setup, point))
-    if evaluated == 0:
+    slice_basis = ctx.setup.slice_space.basis
+    ys = np.stack([slice_basis @ unit_vector(stream(ctx.seed, "slice-points", i), slice_basis.shape[1])
+                   for i in range(min(ctx.samples, 5))])
+    points = oc.TangentBundlePoint(x=np.broadcast_to(ctx.orbit.seed, ys.shape), v=ys)
+    regular = dr.is_regular(ctx.setup, points)
+    if not np.any(regular):
         # a vacuous pass would be meaningless; report an audit failure
         return float(2 * ctx.setup.sub_tangent.dim)
-    return float(worst)
+    regular_points = oc.TangentBundlePoint(x=points.x[regular], v=ys[regular])
+    return float(max(0, dr.transversality_deficiency(ctx.setup, regular_points)))
 
 
 def _control_zero_section_transversality(ctx):

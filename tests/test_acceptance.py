@@ -244,8 +244,7 @@ def test_criterion_10_local_freeness(triple):
     worst = 0
     for name, (setup, data) in triple.items():
         coords_list = dr.sample_regular_coords(setup, data, 10, seed=2024, stage=f"freeness:{name}")
-        points = [data.sub_chart.point(c) for c in coords_list]
-        worst = max(worst, dr.isotropy_excess(setup, points))
+        worst = max(worst, dr.isotropy_excess(setup, data.sub_chart.point(np.stack(coords_list))))
     ok = worst == 0
     verdict(10, "centralizer action is locally free at regular points",
             ok, f"max isotropy excess over the center {worst} == 0 at 10 points per configuration")

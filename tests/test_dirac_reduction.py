@@ -187,7 +187,7 @@ def test_complement_product_independence(setup_cp2, data_cp2, regular_coords_cp2
     point = data_cp2.sub_chart.point(regular_coords_cp2[0])
     sols = lc.invariant_product_space(setup_cp2.alg, setup_cp2.isotropy)
     for seed in (3, 17):
-        assert dr.complement_product_independence(setup_cp2, point, sols, seed) <= 1e-8
+        assert dr.complement_product_independence(setup_cp2, point, sols, [seed]) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +482,10 @@ def test_bracket_agreement_rejects_degenerate_parameter(setup_cp2, data_cp2, reg
 
 def test_isotropy_excess(setup_su2, setup_cp2, data_cp2, regular_coords_cp2):
     base = oc.TangentBundlePoint(x=setup_su2.config.seed, v=setup_su2.x0)
-    assert dr.isotropy_excess(setup_su2, [base]) == 0
-    points = [data_cp2.sub_chart.point(c) for c in regular_coords_cp2]
-    assert dr.isotropy_excess(setup_cp2, points) == 0
+    assert dr.isotropy_excess(setup_su2, base) == 0
+    assert dr.isotropy_excess(setup_cp2, data_cp2.sub_chart.point(np.stack(regular_coords_cp2))) == 0
     zero = oc.TangentBundlePoint(x=setup_cp2.config.seed, v=np.zeros(setup_cp2.alg.dim))
-    assert dr.isotropy_excess(setup_cp2, [zero]) > 0
+    assert dr.isotropy_excess(setup_cp2, zero) > 0
 
 
 def test_transversality(setup_su2, setup_cp2):
@@ -579,8 +578,7 @@ def test_nonabelian_reduction_full_chain(setup_cp3, data_cp3):
         # brackets agree ambient vs restricted
         for t in ((1.0, 1.0), (0.3, 0.7)):
             assert dr.bracket_agreement(setup, data, [f, g], coords, [t])[0].relative_residual <= 1e-5
-    points = [data.sub_chart.point(c) for c in coords_list]
-    assert dr.isotropy_excess(setup, points) == 0
+    assert dr.isotropy_excess(setup, data.sub_chart.point(np.stack(coords_list))) == 0
     base = oc.TangentBundlePoint(x=setup.config.seed, v=setup.x0)
     assert dr.transversality_deficiency(setup, base) == 0
 

@@ -236,8 +236,9 @@ def trace_word_reads_one_entry(mp):
         fn = build(alg, word)
 
         def entry(point):
-            mats = {"x": alg.matrix_of(point.x), "v": alg.matrix_of(point.v)}
-            return float(np.real(functools.reduce(np.matmul, [mats[s] for s in fn.word])[0, 0]))
+            mats = {"x": oc._lincomb(point.x, alg.basis), "v": oc._lincomb(point.v, alg.basis)}
+            values = np.real(functools.reduce(np.matmul, [mats[s] for s in fn.word])[..., 0, 0])
+            return values if values.ndim else float(values)
 
         entry.word, entry.gradient = fn.word, fn.gradient
         return entry

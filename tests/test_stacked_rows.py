@@ -1,0 +1,236 @@
+"""Stacked rows: each residual row evaluates all its sample points in one call.
+
+Every stacked path is compared bit for bit with the per-point calls it
+replaced, on fields and charts of their own, so that no value is read back
+from a memo the other side filled.  The evaluation-count test pins how many
+exponential, form and bivector evaluations one full run makes.
+"""
+
+import collections
+import pathlib
+
+import numpy as np
+import pytest
+
+from orbitpencil import dirac_reduction as dr
+from orbitpencil import lie_core as lc
+from orbitpencil import orbit_charts as oc
+from orbitpencil import poisson_pencil as pp
+from orbitpencil import workbench as wb
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def _fresh(setup):
+    """Charts and pencils of their own: nothing shared with another call's memos."""
+    return dr.restricted_pencil(setup, oc.TangentBundlePoint(x=setup.config.seed, v=setup.x0))
+
+
+@pytest.fixture(scope="module", params=["cp2", "cp3"])
+def stacked_case(request):
+    setup = request.getfixturevalue(f"setup_{request.param}")
+    data = _fresh(setup)
+    sub = np.stack(dr.sample_regular_coords(setup, data, 4, seed=3))
+    rng = np.random.default_rng(5)
+    ambient = rng.uniform(-0.1, 0.1, (4, data.ambient_chart.coord_dim))
+    return setup, {"ambient": ambient, "restricted": sub}
+
+
+@pytest.mark.parametrize("which", ["ambient", "restricted"])
+def test_residuals_on_the_stack_are_the_max_of_the_rows(stacked_case, which):
+    setup, coords = stacked_case
+    stack = coords[which]
+    rows, stacked = getattr(_fresh(setup), which), getattr(_fresh(setup), which)
+    for member in ("w1", "w2"):
+        assert oc.closedness_residual(getattr(stacked, member), stack, 1e-4) == max(
+            oc.closedness_residual(getattr(rows, member), c, 1e-4) for c in stack)
+    for member in ("p1", "p2"):
+        assert pp.jacobi_residual(getattr(stacked, member), stack, 1e-4) == max(
+            pp.jacobi_residual(getattr(rows, member), c, 1e-4) for c in stack)
+    assert pp.compatibility_residual(stacked.p1, stacked.p2, stack, 1e-4) == max(
+        pp.compatibility_residual(rows.p1, rows.p2, c, 1e-4) for c in stack)
+
+
+@pytest.mark.parametrize("which", ["ambient", "restricted"])
+def test_partials_on_the_stack_are_the_rows(stacked_case, which):
+    setup, coords = stacked_case
+    stack = coords[which]
+    rows, stacked = getattr(_fresh(setup), which), getattr(_fresh(setup), which)
+    for member in ("w1", "w2"):
+        calls = []
+        field = getattr(stacked, member)
+        counted = oc.FormField(lambda c, f=field: calls.append(len(c)) or f(c), field.dim, "counted")
+        got = oc.central_partials(counted, stack, 1e-4)
+        assert calls == [2 * stack.size]  # every stencil of every row in one call
+        assert np.array_equal(got, np.stack([oc.central_partials(getattr(rows, member), c, 1e-4) for c in stack]))
+    for member in ("p1", "p2"):
+        got = getattr(stacked, member).partials(stack, 1e-4)
+        assert np.array_equal(got, np.stack([getattr(rows, member).partials(c, 1e-4) for c in stack]))
+    pencil = pp.pencil(stacked.p1, stacked.p2, (0.3, 0.7))
+    reference = pp.pencil(rows.p1, rows.p2, (0.3, 0.7))
+    assert np.array_equal(pencil.partials(stack, 1e-4), np.stack([reference.partials(c, 1e-4) for c in stack]))
+
+
+def test_degeneracy_profile_is_one_svd_matching_one_per_parameter(monkeypatch, data_cp2, regular_coords_cp2):
+    p1, p2 = data_cp2.restricted.p1, data_cp2.restricted.p2
+    coords = regular_coords_cp2[0]
+    params = pp.unit_circle_parameters(16)
+    p1(coords), p2(coords)  # inverted before counting
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    profile = pp.degeneracy_profile(p1, p2, coords, params)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    for sample, (t1, t2) in zip(profile, params):
+        sig = np.linalg.svd(t1 * p1(coords) + t2 * p2(coords), compute_uv=False)
+        assert sample.sigma_min == float(sig[-1])
+        assert sample.rank == int(np.sum(sig > pp.FORM_SINGULAR_RTOL * max(sig[0], 1e-300)))
+
+
+def _loop_complement_independence(alg, sub, norm, sols, seed, trials):
+    # reference: the per-trial loop, two single draws and their complements per trial
+    paired = unpaired = 0.0
+    for t in range(trials):
+        alpha = lc.draw_invariant_product(alg, sub, sols, seed=(seed << 12) + 2 * t)
+        beta = lc.draw_invariant_product(alg, sub, sols, seed=(seed << 12) + 2 * t + 1)
+        comp_a = lc.orthogonal_complement(alg, norm, alpha)
+        comp_b = lc.orthogonal_complement(alg, norm, beta)
+        paired = max(paired, lc.projector_distance(lc.subspace_sum(comp_a, sub), lc.subspace_sum(comp_b, sub)))
+        unpaired = max(unpaired, lc.projector_distance(comp_a, comp_b))
+    return lc.ComplementIndependence(paired=paired, unpaired=unpaired)
+
+
+@pytest.mark.parametrize("case", ["cp2", "cp3", "so4_block"])
+def test_complement_independence_matches_the_per_trial_loop(monkeypatch, request, case, so4):
+    if case == "so4_block":
+        from test_lie_core import so3_block_subalgebra
+        alg, sub = so4, so3_block_subalgebra(so4)
+    else:
+        setup = request.getfixturevalue(f"setup_{case}")
+        alg, sub = setup.alg, setup.isotropy
+    norm, sols = lc.normalizer(alg, sub), lc.invariant_product_space(alg, sub)
+    draw, draws = lc.draw_invariant_products, []
+    monkeypatch.setattr(lc, "draw_invariant_products", lambda *args: draws.append(len(args[3])) or draw(*args))
+    for seed in (0, 7):
+        assert lc.complement_independence(alg, sub, norm, sols, seed, trials=20) == \
+            _loop_complement_independence(alg, sub, norm, sols, seed, trials=20)
+    assert draws[:1] == [40]  # all 2 x 20 products of a run in one stack
+
+
+def test_stacked_draws_are_the_single_draws(setup_cp3):
+    alg, sub = setup_cp3.alg, setup_cp3.isotropy
+    sols = lc.invariant_product_space(alg, sub)
+    seeds = [3, 4, 11, 2 ** 20]
+    stacked = lc.draw_invariant_products(alg, sub, sols, seeds).matrix
+    assert np.array_equal(stacked, np.stack([lc.draw_invariant_product(alg, sub, sols, s).matrix for s in seeds]))
+
+
+@pytest.mark.parametrize("case", ["cp2", "cp3"])
+def test_splitting_and_brackets_on_the_stack_are_the_point_reports(request, case):
+    setup = request.getfixturevalue(f"setup_{case}")
+    sampler = _fresh(setup)
+    sub = np.stack(dr.sample_regular_coords(setup, sampler, 3, seed=9))
+    rows, stacked = _fresh(setup), _fresh(setup)
+    members = [(1.0, 0.0), (0.0, 1.0), (2.0, -1.0)]
+
+    def forms(data, coords):
+        w1, w2 = data.ambient.w1(coords), data.ambient.w2(coords)
+        return np.stack([t1 * w1 + t2 * w2 for t1, t2 in members], axis=-3)
+
+    padded = stacked.pad_coords(sub)
+    got = dr.splitting_orthogonality(setup, stacked.ambient_chart, padded, forms(stacked, padded))
+    want = [report for s in sub
+            for report in dr.splitting_orthogonality(setup, rows.ambient_chart, rows.pad_coords(s),
+                                                     forms(rows, rows.pad_coords(s)))]
+    assert got == want
+
+    words = [("v", "v"), ("x", "x", "v", "v"), ("x", "v", "x", "v")]
+    params = [(1.0, 1.0), (0.3, 0.7)]
+    got = dr.bracket_agreement(setup, stacked, [dr.invariant_function(setup.alg, w) for w in words], sub, params)
+    fns = [dr.invariant_function(setup.alg, w) for w in words]
+    want = [report for s in sub for report in dr.bracket_agreement(setup, rows, fns, s, params)]
+    assert len(got) == len(want) == len(sub) * len(params)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.ambient, b.ambient) and np.array_equal(a.restricted, b.restricted)
+
+
+def test_point_functions_on_the_stack_are_the_point_values(setup_cp3, data_cp3):
+    setup = setup_cp3
+    coords = np.stack(dr.sample_regular_coords(setup, data_cp3, 4, seed=13))
+    points = data_cp3.sub_chart.point(coords)
+    singles = [oc.TangentBundlePoint(x=x, v=v) for x, v in zip(points.x, points.v)]
+    for word in [("v", "v"), ("x", "v", "x", "v"), ("v", "v", "v", "v")]:
+        fn = dr.invariant_function(setup.alg, word)
+        assert np.array_equal(fn(points), [fn(p) for p in singles])
+        assert np.array_equal(fn.gradient(points), np.stack([fn.gradient(p) for p in singles]))
+    assert np.array_equal(dr.regularity_distance(setup, points), [dr.regularity_distance(setup, p) for p in singles])
+    assert dr.isotropy_excess(setup, points) == max(dr.isotropy_excess(setup, p) for p in singles)
+    assert dr.transversality_deficiency(setup, points) == max(dr.transversality_deficiency(setup, p)
+                                                              for p in singles)
+    spans = dr.canonical_complement(setup, points)
+    for span, p in zip(spans, singles):
+        assert np.array_equal(span.basis, dr.canonical_complement(setup, p).basis)
+    strata = dr._stratum_tangent(setup, points)
+    for stratum, p in zip(strata, singles):
+        assert np.array_equal(stratum.basis, dr._stratum_tangent(setup, p).basis)
+
+
+def test_span_and_kernel_of_a_sequence_are_the_single_calls(su4):
+    rng = np.random.default_rng(17)
+    mats = [rng.standard_normal((15, 6)), rng.standard_normal((15, 6)) @ np.diag([1, 1, 1, 0, 0, 1.0]),
+            np.zeros((15, 0)), rng.standard_normal((4, 15)), rng.standard_normal((15, 15))]
+    for fn in (lc.span, lc.kernel):
+        for got, mat in zip(fn(mats), mats):
+            assert np.array_equal(got.basis, fn(mat).basis)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation counts per run
+# ---------------------------------------------------------------------------
+
+
+def _count_evaluations(monkeypatch):
+    """Counter of dexp_apply calls and of evaluator calls, per field and in total."""
+    counts = collections.Counter()
+
+    def counting(cls, key):
+        init = cls.__init__
+
+        def __init__(self, fn, *args, **kwargs):
+            def evaluator(c):
+                counts[key] += 1
+                counts[id(self)] += 1
+                return fn(c)
+            init(self, evaluator, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", __init__)
+
+    counting(oc.FormField, "FormField")
+    counting(pp.PoissonField, "PoissonField")
+    dexp = oc.dexp_apply
+    monkeypatch.setattr(oc, "dexp_apply", lambda *args: counts.update(["dexp_apply"]) or dexp(*args))
+    return counts
+
+
+def test_evaluation_counts_per_run(monkeypatch):
+    # The parent of the stacked rows made 34 dexp_apply calls, 49 FormField and
+    # 74 PoissonField evaluator calls on this run, one chain per sample point.
+    counts = _count_evaluations(monkeypatch)
+    report = wb.run_pipeline(wb.load_config(CONFIGS / "su3_projective_plane.json"))
+    assert report.verdict == "pass"
+    assert (counts["dexp_apply"], counts["FormField"], counts["PoissonField"]) == (16, 13, 12)
+
+
+ROWS = ["canonical_closedness", "combined_closedness", "pencil_jacobi_canonical", "pencil_jacobi_combined",
+        "pencil_compatibility", "restricted_closedness", "restricted_compatibility"]
+
+
+def test_each_outer_derivative_row_calls_each_evaluator_at_most_once(monkeypatch):
+    counts = _count_evaluations(monkeypatch)
+    ctx = wb.prepare_context(wb.load_config(CONFIGS / "su3_projective_plane.json"))
+    for spec in wb.REGISTRY:
+        before = dict(counts)
+        spec.fn(ctx)
+        if spec.name in ROWS:
+            per_field = {key: n - before.get(key, 0) for key, n in counts.items() if isinstance(key, int)}
+            assert max(per_field.values()) <= 1, spec.name

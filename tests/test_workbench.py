@@ -265,9 +265,9 @@ def test_shared_row_data_is_computed_once(monkeypatch):
     report = wb.run_pipeline(wb.config_from_dict(SU2_CONFIG))
     assert report.verdict == "pass"
     samples = SU2_CONFIG["samples"]
-    # splitting_pairing and splitting_nondegeneracy share one pass over the
-    # regular points, which pairs all 5 pencil members at once
-    assert len(splitting) == samples
+    # splitting_pairing and splitting_nondegeneracy share one stacked call
+    # over the regular points, which pairs all 5 pencil members at once
+    assert len(splitting) == 1
     # slice_normalization and slice_isometry share one normal form per sample
     assert len(normal_forms) == samples
     # reduction_setup validates the setup with one call and keeps it for the ten setup rows
@@ -328,7 +328,7 @@ def test_bracket_agreement_takes_one_differential_per_word_point_chart(monkeypat
 
     def recording(method):
         def wrapper(chart, coords):
-            evaluated.add((chart.coord_dim, np.asarray(coords, dtype=float).tobytes()))
+            evaluated.update((chart.coord_dim, row.tobytes()) for row in np.atleast_2d(coords).astype(float))
             return method(chart, coords)
         return wrapper
 
@@ -337,8 +337,8 @@ def test_bracket_agreement_takes_one_differential_per_word_point_chart(monkeypat
     monkeypatch.setattr(oc.Chart, "pushforward", recording(oc.Chart.pushforward))
     assert wb._bracket_agreement(ctx) <= 1e-5
     sampled = ctx.regular_coords[:5]
-    # 4 words x 5 points x 2 charts, shared by every pencil parameter
-    assert len(gradients) <= len(wb._BRACKET_WORDS) * len(sampled) * 2
+    # 4 words x 2 charts, each on the stack of the 5 points, shared by every pencil parameter
+    assert len(gradients) == len(wb._BRACKET_WORDS) * 2
     allowed = {(len(s), s.tobytes()) for s in sampled}
     allowed |= {(len(c), c.tobytes()) for c in map(ctx.data.pad_coords, sampled)}
     assert evaluated <= allowed
@@ -351,8 +351,8 @@ def test_bracket_agreement_decides_regularity_once_per_point(monkeypatch):
     ctx = wb.prepare_context(wb.load_config(path))
     regularity = _counting(monkeypatch, dr, "is_regular")
     assert wb._bracket_agreement(ctx) <= 1e-5
-    # 5 points, each shared by the 4 off-line pencil parameters
-    assert len(regularity) == 5
+    # one decision for the stack of 5 points, shared by the 4 off-line pencil parameters
+    assert len(regularity) == 1
 
 
 SO5_FLAG = {"algebra": {"family": "so", "n": 5}, "seed_element": {"diag_spectrum": [2, 1]}}
