@@ -23,7 +23,6 @@ agree at regular points.  All of this is certified numerically here.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -80,12 +79,17 @@ REGULARITY_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
-def stabilizer_within(alg: LieAlgebra, sub: Subspace, x: np.ndarray) -> Subspace:
-    """{y in sub : [x, y] = 0} via the kernel of ad(x) restricted to sub."""
+def stabilizer_within(alg: LieAlgebra, sub: Subspace, x: np.ndarray):
+    """{y in sub : [x, y] = 0} via the kernel of ad(x) restricted to sub.
+
+    For an (m, n) stack of elements x, the list of their stabilizers, from
+    one stacked kernel and one stacked span."""
+    xs = np.atleast_2d(x)
     if sub.dim == 0:
-        return sub
-    coeffs = kernel(alg.ad(x) @ sub.basis)
-    return span(sub.basis @ coeffs.basis)
+        stabs = [sub] * len(xs)
+    else:
+        stabs = span([sub.basis @ c.basis for c in kernel([alg.ad(row) @ sub.basis for row in xs])])
+    return stabs if np.ndim(x) == 2 else stabs[0]
 
 
 def principal_isotropy(config: OrbitConfig, samples: int = 16, seed: int = 0):
@@ -93,17 +97,14 @@ def principal_isotropy(config: OrbitConfig, samples: int = 16, seed: int = 0):
 
     Draws ``samples`` unit elements of m, keeps the first one whose
     stabilizer dimension matches the minimum, and re-checks the minimum on
-    a doubled draw; a mismatch raises GenericityError.
+    a doubled draw; a mismatch raises GenericityError.  The stabilizers of
+    all 2 x samples draws are one stack.
     """
     if samples < 8:
         raise InputError("principal isotropy sampling needs at least 8 samples")
-    alg = config.alg
-    draws = []
-    for idx in range(2 * samples):
-        rng = stream(seed, "principal-isotropy", idx)
-        x0 = config.tangent.basis @ unit_vector(rng, config.tangent.dim)
-        stab = stabilizer_within(alg, config.stabilizer, x0)
-        draws.append((x0, stab))
+    xs = np.stack([config.tangent.basis @ unit_vector(stream(seed, "principal-isotropy", idx), config.tangent.dim)
+                   for idx in range(2 * samples)])
+    draws = list(zip(xs, stabilizer_within(config.alg, config.stabilizer, xs)))
     first_min = min(s.dim for _, s in draws[:samples])
     full_min = min(s.dim for _, s in draws)
     if first_min != full_min:
@@ -116,8 +117,7 @@ def principal_isotropy(config: OrbitConfig, samples: int = 16, seed: int = 0):
     raise GenericityError("unreachable: no draw achieved the minimum")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class ReductionSetup:
+class ReductionSetup(NamedTuple):
     """All subalgebra data entering the restriction argument.
 
     Built once per run by :func:`reduction_setup`, which also keeps what it
@@ -241,7 +241,7 @@ def reduction_setup(config: OrbitConfig, samples: int = 16, seed: int = 0) -> Re
     for name, value in residuals.items():
         if value > SETUP_TOLERANCES[name]:
             raise SetupError(f"setup identity '{name}' failed with residual {value:.3e}")
-    return replace(setup, residuals=residuals)
+    return setup._replace(residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +419,7 @@ def complement_product_independence(setup: ReductionSetup, point: TangentBundleP
     return max(projector_distance(a, b) for a, b in zip(base, alt))
 
 
-@dataclass(frozen=True)
-class SplittingReport:
+class SplittingReport(NamedTuple):
     """Pairing of a form across the canonical splitting at a regular point."""
 
     pairing: float          # max |form(complement vector, stratum vector)|
@@ -502,8 +501,7 @@ class AdaptedChart(Chart):
         return np.concatenate([self.sub_chart.pushforward(s), self.sub_chart.lifts(s)], axis=-2)
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(NamedTuple):
     """Block structure of a form in adapted coordinates."""
 
     off_diagonal: float      # max |entry| coupling transversal and stratum coords
@@ -546,8 +544,7 @@ def chart_pencil(chart: Chart) -> ChartPencil:
     return ChartPencil(w1, w2, invert_form(w1), invert_form(w2))
 
 
-@dataclass
-class RestrictedPencilData:
+class RestrictedPencilData(NamedTuple):
     """The pencil on the ambient chart and its restriction to the sub chart."""
 
     setup: ReductionSetup
@@ -688,8 +685,7 @@ def chart_differentials(chart, fns, coords) -> np.ndarray:
     return grads @ chart.pushforward(coords)
 
 
-@dataclass(frozen=True)
-class BracketAgreement:
+class BracketAgreement(NamedTuple):
     """Ambient and restricted bracket matrices {f_i, f_j}_t at one point."""
 
     ambient: np.ndarray
@@ -725,7 +721,7 @@ def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, fns,
     shared by every parameter; one report per point and parameter, point
     by point, parameters in order.
     """
-    params = [astuple(_as_parameter(t)) for t in params]
+    params = [tuple(_as_parameter(t)) for t in params]
     if any(abs(t1 + t2) < 1e-12 for t1, t2 in params):
         raise DomainError("pencil parameter lies on the degenerate line t1 + t2 = 0")
     s = np.atleast_2d(np.asarray(coords, dtype=float))

@@ -25,7 +25,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ SUBSPACE_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(NamedTuple):
     """A compact matrix Lie algebra with an orthonormal basis.
 
     Attributes:
@@ -205,14 +204,13 @@ def jacobi_residual_of_structure(structure: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple("Subspace", [("basis", np.ndarray)])):
     """A linear subspace given by an orthonormal column basis (n x k)."""
 
-    basis: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float)
+    def __new__(cls, basis):
+        basis = np.asarray(basis, dtype=float)
         if basis.ndim != 2:
             raise InputError("subspace basis must be a 2-d array of columns")
         k = basis.shape[1]
@@ -220,7 +218,7 @@ class Subspace:
             gram_err = np.linalg.norm(basis.T @ basis - np.eye(k))
             if gram_err > 1e-10:
                 raise InputError(f"subspace basis is not orthonormal (residual {gram_err:.2e})")
-        object.__setattr__(self, "basis", basis)
+        return super().__new__(cls, basis)
 
     @property
     def dim(self) -> int:
@@ -255,7 +253,9 @@ def _rank(s: np.ndarray, rtol: float) -> int:
 
 
 def _matrices(mat) -> tuple[list[np.ndarray], bool]:
-    """(the matrices of ``mat``, whether it is a stack): a sequence or (k, r, c) stack, or one matrix."""
+    """(the matrices of ``mat``, whether it is a stack): a sequence or (k, r, c) stack, or one matrix.
+
+    Any tuple counts as a sequence, so no record (a NamedTuple) may be passed here."""
     stacked = isinstance(mat, (list, tuple)) or np.ndim(mat) == 3
     return [np.asarray(m, dtype=float) for m in (mat if stacked else [mat])], stacked
 
@@ -429,14 +429,13 @@ def fixed_vector_space(alg: LieAlgebra, sub: Subspace, ambient: Subspace, tol: f
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantProduct:
+class InvariantProduct(NamedTuple("InvariantProduct", [("matrix", np.ndarray)])):
     """A symmetric positive-definite matrix representing a scalar product, or a (k, n, n) stack of them."""
 
-    matrix: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+    def __new__(cls, matrix):
+        mat = np.asarray(matrix, dtype=float)
         if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
             raise InputError("product matrix must be square")
         size = np.linalg.norm(mat, axis=(-2, -1))
@@ -444,7 +443,7 @@ class InvariantProduct:
             raise InputError("product matrix must be symmetric")
         if np.min(np.linalg.eigvalsh(mat)) <= 0.0:
             raise InputError("product matrix must be positive definite")
-        object.__setattr__(self, "matrix", mat)
+        return super().__new__(cls, mat)
 
 
 def product_invariance_residual(alg: LieAlgebra, sub: Subspace, matrix: np.ndarray) -> float:
@@ -544,8 +543,7 @@ def draw_invariant_product(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarray
     return InvariantProduct(matrix=draw_invariant_products(alg, sub, sols, [seed]).matrix[0])
 
 
-@dataclass(frozen=True)
-class ComplementIndependence:
+class ComplementIndependence(NamedTuple):
     """Distances observed while varying the invariant product.
 
     paired: max Frobenius distance between projectors onto complement + sub;

@@ -44,7 +44,7 @@ residuals) and in the check of the pushforward itself, the independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +67,7 @@ FD_STEP_MAX = 1e-3
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitConfig:
+class OrbitConfig(NamedTuple):
     """An adjoint orbit: seed element, stabilizer algebra and its complement."""
 
     alg: LieAlgebra
@@ -101,8 +100,7 @@ def orbit_config(alg: LieAlgebra, a: np.ndarray) -> OrbitConfig:
     return OrbitConfig(alg=alg, seed=a, stabilizer=stab, tangent=tang, seed_spectrum=spectrum)
 
 
-@dataclass(frozen=True)
-class TangentBundlePoint:
+class TangentBundlePoint(NamedTuple):
     """A point (x, v) of TO: x on the orbit, v tangent at x."""
 
     x: np.ndarray

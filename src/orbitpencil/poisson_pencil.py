@@ -20,7 +20,7 @@ above 1e-3; the gap guards against silent miscalibration.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,16 +33,15 @@ logger = logging.getLogger(__name__)
 FORM_SINGULAR_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class PencilParameter:
+class PencilParameter(NamedTuple("PencilParameter", [("t1", float), ("t2", float)])):
     """A point (t1, t2) of the pencil plane, away from the origin."""
 
-    t1: float
-    t2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.t1 == 0.0 and self.t2 == 0.0:
+    def __new__(cls, t1, t2):
+        if t1 == 0.0 and t2 == 0.0:
             raise InputError("pencil parameter (0, 0) is excluded")
+        return super().__new__(cls, t1, t2)
 
 
 def _as_parameter(t) -> PencilParameter:
@@ -133,8 +132,7 @@ def compatibility_residual(p1: PoissonField, p2: PoissonField, coords,
     return jacobi_residual(pencil(p1, p2, (1.0, 1.0)), coords, fd_step)
 
 
-@dataclass(frozen=True)
-class DegeneracySample:
+class DegeneracySample(NamedTuple):
     """Smallest singular value and numerical rank of one pencil member."""
 
     t: tuple[float, float]

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,16 +50,18 @@ _FAMILY_LIMITS = {"su": (2, 4), "so": (3, 5)}
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class WorkbenchConfig:
-    algebra: dict
-    seed_element: dict
-    samples: int = 10
-    fd_step: float = 1e-4
-    tolerances: dict = field(default_factory=dict)
-    t_samples: list = field(default_factory=lambda: [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7), (1.0, -1.0)])
-    seed: int = 0
-    checks: object = "all"
+    """The settings of one run; mutable, since the command line overrides ``seed`` and ``checks``."""
+
+    __slots__ = ("algebra", "seed_element", "samples", "fd_step", "tolerances", "t_samples", "seed", "checks")
+
+    def __init__(self, algebra: dict, seed_element: dict, samples: int = 10, fd_step: float = 1e-4,
+                 tolerances: dict | None = None, t_samples: list | None = None, seed: int = 0,
+                 checks: object = "all"):
+        self.algebra, self.seed_element, self.samples, self.fd_step = algebra, seed_element, samples, fd_step
+        self.tolerances = {} if tolerances is None else tolerances
+        self.t_samples = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7), (1.0, -1.0)] if t_samples is None else t_samples
+        self.seed, self.checks = seed, checks
 
     def resolved(self) -> dict:
         """Plain representation echoed into reports."""
@@ -88,7 +91,7 @@ def encode_complex_matrix(mat: np.ndarray) -> list:
 
 
 # Conversion of each JSON field into its WorkbenchConfig value; fields that
-# are absent take the dataclass default.
+# are absent take the default of WorkbenchConfig.__init__.
 _FIELD_PARSERS = {
     "algebra": lambda v: v,
     "seed_element": lambda v: v,
@@ -236,17 +239,17 @@ def build_seed(cfg: WorkbenchConfig, alg: lc.LieAlgebra) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PipelineContext:
-    config: WorkbenchConfig
-    alg: lc.LieAlgebra
-    orbit: oc.OrbitConfig
-    setup: dr.ReductionSetup
-    data: dr.RestrictedPencilData
-    adapted: dr.AdaptedChart
-    ambient_coords: list
-    regular_coords: list
-    _shared: dict = field(default_factory=dict, init=False, repr=False)
+    """Everything the rows read, built once by :func:`prepare_context`, and the objects rows share."""
+
+    __slots__ = ("config", "alg", "orbit", "setup", "data", "adapted", "ambient_coords", "regular_coords", "_shared")
+
+    def __init__(self, config: WorkbenchConfig, alg: lc.LieAlgebra, orbit: oc.OrbitConfig,
+                 setup: dr.ReductionSetup, data: dr.RestrictedPencilData, adapted: dr.AdaptedChart,
+                 ambient_coords: list, regular_coords: list):
+        self.config, self.alg, self.orbit, self.setup, self.data = config, alg, orbit, setup, data
+        self.adapted, self.ambient_coords, self.regular_coords = adapted, ambient_coords, regular_coords
+        self._shared = {}
 
     def once(self, compute):
         """compute(self), evaluated on first request and shared for the rest of the run.
@@ -299,6 +302,7 @@ def prepare_context(cfg: WorkbenchConfig) -> PipelineContext:
 # ---------------------------------------------------------------------------
 
 
+# The package's one dataclass: perfbench/probe.py rewraps each row's fn with dataclasses.replace.
 @dataclass(frozen=True)
 class CheckSpec:
     name: str
@@ -311,8 +315,7 @@ class CheckSpec:
     applicable: object = None  # optional predicate on the context
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     anchor: str
     residual: float
@@ -681,8 +684,7 @@ REGISTRY: list[CheckSpec] = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ReductionReport:
+class ReductionReport(NamedTuple):
     config: dict
     dims: dict
     reduction: str  # "trivial" when the principal isotropy algebra vanishes

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -83,8 +81,8 @@ def test_slice_normal_form_su2_quarter_turn(su2, pauli_elements):
     setup = dr.reduction_setup(config, samples=16, seed=0)
     # rebuild with the closed-form slice seed: rotate so x0 = E1 direction
     x0 = e1 / np.linalg.norm(e1)
-    setup = dataclasses.replace(
-        setup, x0=x0, slice_normal=lc.span(su2.ad(x0) @ config.stabilizer.basis), slice_space=lc.span(e1),
+    setup = setup._replace(
+        x0=x0, slice_normal=lc.span(su2.ad(x0) @ config.stabilizer.basis), slice_space=lc.span(e1),
     )
     z, _ = dr.slice_normal_form(setup, e2)
     overlap = abs(np.dot(z, e1)) / (np.linalg.norm(z) * np.linalg.norm(e1))

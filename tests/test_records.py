@@ -1,0 +1,74 @@
+"""The package's records: plain NamedTuples and classes, no dataclass code generation at import.
+
+A ``@dataclass`` decoration generates and compiles its methods when the
+module is imported, which every ``workbench verify`` process pays again.
+The records below keep the semantics the dataclasses gave them: frozen
+records refuse assignment, validated records keep their checks, and
+mutable defaults are fresh per instance.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import numpy as np
+import pytest
+
+import orbitpencil
+from orbitpencil import lie_core as lc
+from orbitpencil import orbit_charts as oc
+from orbitpencil import poisson_pencil as pp
+from orbitpencil import workbench as wb
+from orbitpencil.errors import InputError
+
+
+def test_check_spec_is_the_only_dataclass():
+    found = []
+    for info in pkgutil.iter_modules(orbitpencil.__path__, orbitpencil.__name__ + "."):
+        module = importlib.import_module(info.name)
+        found += [f"{info.name}.{name}" for name, obj in vars(module).items()
+                  if inspect.isclass(obj) and obj.__module__ == info.name and dataclasses.is_dataclass(obj)]
+    # CheckSpec stays a dataclass: the benchmark probe wraps each row with dataclasses.replace.
+    assert found == ["orbitpencil.workbench.CheckSpec"], (
+        "each @dataclass decoration costs about 1 ms of import in every verify process "
+        "(a typing.NamedTuple about 0.15 ms); use a NamedTuple or a __slots__ class for "
+        + ", ".join(name for name in found if name != "orbitpencil.workbench.CheckSpec"))
+
+
+def test_frozen_records_refuse_assignment(setup_su2):
+    sub = lc.Subspace(np.eye(3)[:, :2])
+    point = oc.TangentBundlePoint(x=np.zeros(3), v=np.ones(3))
+    for record, name in ((sub, "basis"), (setup_su2, "x0"), (point, "v")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_validated_records_keep_their_checks():
+    with pytest.raises(InputError, match="not orthonormal"):
+        lc.Subspace(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(InputError, match="2-d array"):
+        lc.Subspace(np.ones(3))
+    with pytest.raises(InputError, match="positive definite"):
+        lc.InvariantProduct(np.diag([1.0, -1.0]))
+    with pytest.raises(InputError, match="symmetric"):
+        lc.InvariantProduct(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(InputError, match="excluded"):
+        pp.PencilParameter(0.0, 0.0)
+    # validation converts as before: the stored basis is a float array
+    assert lc.Subspace(basis=[[1], [0]]).basis.dtype == float
+    param = pp.PencilParameter(t1=0.0, t2=2.0)
+    assert (param.t1, param.t2) == (0.0, 2.0)
+
+
+def test_workbench_configs_do_not_share_defaults():
+    first = wb.WorkbenchConfig({"family": "su", "n": 2}, {"diag_spectrum": [1, -1]})
+    second = wb.WorkbenchConfig({"family": "su", "n": 2}, {"diag_spectrum": [1, -1]})
+    assert first.tolerances == {} and first.tolerances is not second.tolerances
+    assert first.t_samples == second.t_samples and first.t_samples is not second.t_samples
+    first.tolerances["bracket_agreement"] = 1e-4
+    first.t_samples.append((2.0, 1.0))
+    first.seed = 3  # the command line overrides seed and checks after loading
+    assert second.tolerances == {} and len(second.t_samples) == 5 and second.seed == 0

@@ -31,7 +31,6 @@ print the matrix.
 
 import functools
 import pathlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,7 +89,7 @@ def _scale_p1(mp, member):
         data = build(*a, **k)
         p1 = getattr(data, member).p1
         scaled = dr.PoissonField(lambda c: (1.0 + 1e-3) * p1(c), p1.dim)
-        return replace(data, **{member: getattr(data, member)._replace(p1=scaled)})
+        return data._replace(**{member: getattr(data, member)._replace(p1=scaled)})
 
     mp.setattr(dr, "restricted_pencil", faulty)
 
@@ -167,15 +166,15 @@ def shifted_step_sign_lost(mp):
 
 
 def transversal_turned_into_normalizer(mp):
-    _after_guard(mp, lambda s: replace(s, transversal=_turn(s.transversal, s.normalizer.basis[:, 0])))
+    _after_guard(mp, lambda s: s._replace(transversal=_turn(s.transversal, s.normalizer.basis[:, 0])))
 
 
 def normalizer_missing_a_direction(mp):
-    _after_guard(mp, lambda s: replace(s, normalizer=lc.Subspace(s.normalizer.basis[:, 1:])))
+    _after_guard(mp, lambda s: s._replace(normalizer=lc.Subspace(s.normalizer.basis[:, 1:])))
 
 
 def slice_normal_turned(mp):
-    _after_guard(mp, lambda s: replace(s, slice_normal=_turn(s.slice_normal, s.slice_space.basis[:, 0])))
+    _after_guard(mp, lambda s: s._replace(slice_normal=_turn(s.slice_normal, s.slice_space.basis[:, 0])))
 
 
 def slice_space_turned(mp):
@@ -190,7 +189,7 @@ def slice_space_turned(mp):
 
 
 def slice_space_widened_to_tangent(mp):
-    _after_guard(mp, lambda s: replace(s, slice_space=s.config.tangent))
+    _after_guard(mp, lambda s: s._replace(slice_space=s.config.tangent))
 
 
 def slice_steps_first_order(mp):
@@ -198,15 +197,15 @@ def slice_steps_first_order(mp):
 
 
 def isotropy_missing_a_direction(mp):
-    _after_guard(mp, lambda s: replace(s, isotropy=lc.Subspace(s.isotropy.basis[:, 1:])))
+    _after_guard(mp, lambda s: s._replace(isotropy=lc.Subspace(s.isotropy.basis[:, 1:])))
 
 
 def centralizer_missing_a_direction(mp):
-    _after_guard(mp, lambda s: replace(s, centralizer=lc.Subspace(s.centralizer.basis[:, 1:])))
+    _after_guard(mp, lambda s: s._replace(centralizer=lc.Subspace(s.centralizer.basis[:, 1:])))
 
 
 def center_missing_a_direction(mp):
-    _after_guard(mp, lambda s: replace(s, center=lc.Subspace(s.center.basis[:, 1:])))
+    _after_guard(mp, lambda s: s._replace(center=lc.Subspace(s.center.basis[:, 1:])))
 
 
 def adapted_inner_pushforward_sheared(mp):

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from orbitpencil import dirac_reduction as dr
+from orbitpencil import families
 from orbitpencil import lie_core as lc
 from orbitpencil import orbit_charts as oc
 from orbitpencil import poisson_pencil as pp
 from orbitpencil import workbench as wb
+from orbitpencil.seeding import stream, unit_vector
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -123,6 +125,26 @@ def test_stacked_draws_are_the_single_draws(setup_cp3):
     seeds = [3, 4, 11, 2 ** 20]
     stacked = lc.draw_invariant_products(alg, sub, sols, seeds).matrix
     assert np.array_equal(stacked, np.stack([lc.draw_invariant_product(alg, sub, sols, s).matrix for s in seeds]))
+
+
+@pytest.mark.parametrize("family, n, spectrum", [("su", 2, [1, -1]), ("su", 3, [2, -1, -1]), ("so", 4, [1.0, 1.0])])
+def test_principal_isotropy_stacks_its_draws(monkeypatch, family, n, spectrum):
+    alg = families.su(n) if family == "su" else families.so(n)
+    config = oc.orbit_config(alg, families.diagonal_seed(alg, spectrum))
+    calls = collections.Counter()
+    for name in ("kernel", "span"):
+        fn = getattr(dr, name)
+        monkeypatch.setattr(dr, name, lambda *a, fn=fn, name=name, **k: calls.update([name]) or fn(*a, **k))
+    x0, stab = dr.principal_isotropy(config, samples=8, seed=1)
+    monkeypatch.undo()
+    assert calls == {"kernel": 1, "span": 1}  # all 16 draws in one stack
+    draws = np.stack([config.tangent.basis @ unit_vector(stream(1, "principal-isotropy", i), config.tangent.dim)
+                      for i in range(16)])
+    singles = [dr.stabilizer_within(alg, config.stabilizer, x) for x in draws]
+    for got, want in zip(dr.stabilizer_within(alg, config.stabilizer, draws), singles):
+        assert np.array_equal(got.basis, want.basis)
+    first = [s.dim for s in singles].index(min(s.dim for s in singles))
+    assert np.array_equal(x0, draws[first]) and np.array_equal(stab.basis, singles[first].basis)
 
 
 @pytest.mark.parametrize("case", ["cp2", "cp3"])

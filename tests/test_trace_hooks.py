@@ -5,7 +5,9 @@ failing, so a rename would silently drop a per-layer metric.  This test
 loads the probe by path and resolves every target without attaching.
 """
 
+import dataclasses
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
@@ -67,3 +69,27 @@ def test_memo_fields_take_the_evaluator_first_and_call_it_once_per_point(cls):
     assert calls == [[[0.1, 0.2]], [[0.3, 0.2]]]
     field([[0.5, 0.6], [0.1, 0.2], [0.5, 0.6], [0.7, 0.8]])
     assert calls[2:] == [[[0.5, 0.6], [0.7, 0.8]]]
+
+
+def test_rows_wrapped_as_the_probe_wraps_them_give_the_same_report():
+    # The probe replaces every REGISTRY entry in place with
+    # dataclasses.replace(spec, fn=wrapper); the report must not notice.
+    path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "su2_sphere.json"
+    plain = workbench.run_pipeline(workbench.load_config(path)).to_json()
+    registry, original, calls = workbench.REGISTRY, list(workbench.REGISTRY), []
+
+    def wrap(fn, name):
+        def wrapper(ctx):
+            calls.append(name)
+            return fn(ctx)
+        return wrapper
+
+    try:
+        for i, spec in enumerate(registry):
+            registry[i] = dataclasses.replace(spec, fn=wrap(spec.fn, spec.name))
+        wrapped = workbench.run_pipeline(workbench.load_config(path)).to_json()
+    finally:
+        registry[:] = original
+    assert wrapped == plain
+    reported = {row["name"] for key in ("checks", "negative_controls") for row in json.loads(plain)[key]}
+    assert calls == [spec.name for spec in original if spec.name in reported]  # each reported row ran wrapped
