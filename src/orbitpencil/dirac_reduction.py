@@ -52,7 +52,6 @@ from .lie_core import (
     subalgebra_residual,
     subspace_contains,
     subspace_sum,
-    svd_each,
     zero_subspace,
 )
 from .orbit_charts import (
@@ -69,7 +68,7 @@ from .orbit_charts import (
     infinitesimal_action,
 )
 from .poisson_pencil import PoissonField, _as_parameter, invert_form
-from .seeding import stream, unit_vector
+from .seeding import uniform_rows, unit_rows
 
 REGULARITY_TOL = 1e-8
 
@@ -102,8 +101,7 @@ def principal_isotropy(config: OrbitConfig, samples: int = 16, seed: int = 0):
     """
     if samples < 8:
         raise InputError("principal isotropy sampling needs at least 8 samples")
-    xs = np.stack([config.tangent.basis @ unit_vector(stream(seed, "principal-isotropy", idx), config.tangent.dim)
-                   for idx in range(2 * samples)])
+    xs = unit_rows(seed, "principal-isotropy", range(2 * samples), config.tangent.dim) @ config.tangent.basis.T
     draws = list(zip(xs, stabilizer_within(config.alg, config.stabilizer, xs)))
     first_min = min(s.dim for _, s in draws[:samples])
     full_min = min(s.dim for _, s in draws)
@@ -401,19 +399,20 @@ def _action_spans(setup: ReductionSetup, points: TangentBundlePoint, transversal
 
 
 def complement_product_independence(setup: ReductionSetup, point: TangentBundlePoint,
-                                    sols: list[np.ndarray], seeds) -> float:
+                                    sols: list[np.ndarray], seed: int) -> float:
     """Canonical complement recomputed from random invariant products.
 
     Returns the largest projector distance, over the points of a stack (or
     the one point), between the action span of the base transversal and of
     the transversal taken orthogonal with respect to a random h-invariant
-    product drawn from ``sols``, the ``invariant_product_space`` of h, with
-    the point's own seed (one seed per point); the spans must agree at
-    regular points.
+    product drawn from ``sols``, the ``invariant_product_space`` of h, point
+    i taking its product from the stream (seed, "action-products", i); the
+    spans must agree at regular points.
     """
     alg = setup.alg
     points = as_stack(point)
-    alts = orthogonal_complement(alg, setup.normalizer, draw_invariant_products(alg, setup.isotropy, sols, seeds))
+    prods = draw_invariant_products(alg, setup.isotropy, sols, seed, range(len(points.x)), "action-products")
+    alts = orthogonal_complement(alg, setup.normalizer, prods)
     base = canonical_complement(setup, points)
     alt = _action_spans(setup, points, alts)
     return max(projector_distance(a, b) for a, b in zip(base, alt))
@@ -434,9 +433,13 @@ def splitting_orthogonality(setup: ReductionSetup, chart: Chart, coords,
     ``coords`` is one coordinate row or an (m, d) stack, and
     ``form_matrices`` the forms in the chart frame at each row, such as the
     members of a pencil: a sequence of F matrices, or an (m, F, d, d) stack.
-    The complement and stratum bases are converted into that frame once per
-    point and paired with each form; reports run point by point, form by
-    form.  For a trivial transversal the pairing is vacuously zero and the
+    The stratum and complement bases of every point are lifted into that
+    frame by one stacked least-squares solve (a QR of the pushforward stack,
+    whose full column rank the chart guards), and every form is paired with
+    them in one stacked product; points whose stratum or complement
+    dimension differs from the others' (regular points share both) go in a
+    stack of their own.  Reports run point by point, form by form.
+    For a trivial transversal the pairing is vacuously zero and the
     complement block is reported as nondegenerate by convention.
     Regularity is decided once, for both bases and every point.
     """
@@ -445,19 +448,34 @@ def splitting_orthogonality(setup: ReductionSetup, chart: Chart, coords,
     points = chart.point(c)
     comps = canonical_complement(setup, points)
     strats = _stratum_tangent(setup, points)
-    strat_blocks, comp_blocks, pairings = [], [], []
-    for push, comp, strat, point_forms in zip(chart.pushforward(c), comps, strats, forms):
-        cs, *_ = np.linalg.lstsq(push, strat.basis, rcond=None)
-        strat_blocks += [cs.T @ form @ cs for form in point_forms]
-        if comp.dim:
-            cp = np.linalg.lstsq(push, comp.basis, rcond=None)[0]
-            comp_blocks += [cp.T @ form @ cp for form in point_forms]
-            pairings += [float(np.max(np.abs(cp.T @ form @ cs))) for form in point_forms]
-    sigma_strat = [float(sig[-1]) for sig in svd_each(strat_blocks, compute_uv=False)]
-    if not comp_blocks:
-        return [SplittingReport(0.0, float("inf"), sigma) for sigma in sigma_strat]
-    sigma_comp = [float(sig[-1]) for sig in svd_each(comp_blocks, compute_uv=False)]
-    return [SplittingReport(*report) for report in zip(pairings, sigma_comp, sigma_strat)]
+    pushes = chart.pushforward(c)
+    shapes = [(strat.dim, comp.dim) for strat, comp in zip(strats, comps)]
+    reports = [[]] * len(c)
+    for shape in dict.fromkeys(shapes):
+        group = [i for i, other in enumerate(shapes) if other == shape]
+        bases = np.stack([np.hstack([strats[i].basis, comps[i].basis]) for i in group])
+        for i, point_reports in zip(group, _splitting_reports(pushes[group], bases, forms[group], shape[0])):
+            reports[i] = point_reports
+    return [report for point_reports in reports for report in point_reports]
+
+
+def _splitting_reports(pushes: np.ndarray, bases: np.ndarray, forms: np.ndarray,
+                       s: int) -> list[list[SplittingReport]]:
+    """Reports of a stack of points sharing one shape, a list of F per point.
+
+    ``bases`` stacks each point's [stratum | complement] basis, the first
+    ``s`` columns the stratum, and ``forms`` is the (m, F, d, d) stack."""
+    q, r = np.linalg.qr(pushes)
+    lifts = np.linalg.solve(r, q.mT @ bases)
+    # Each form in the lifted basis [stratum | complement], an (m, F, s + p, s + p) stack.
+    blocks = lifts.mT[:, None] @ forms @ lifts[:, None]
+    sigma_strat = np.linalg.svd(blocks[..., :s, :s], compute_uv=False)[..., -1]
+    if bases.shape[-1] == s:
+        return [[SplittingReport(0.0, float("inf"), float(sigma)) for sigma in row] for row in sigma_strat]
+    sigma_comp = np.linalg.svd(blocks[..., s:, s:], compute_uv=False)[..., -1]
+    pairings = np.max(np.abs(blocks[..., s:, :s]), axis=(-2, -1))
+    return [[SplittingReport(*map(float, report)) for report in zip(*rows)]
+            for rows in zip(pairings, sigma_comp, sigma_strat)]
 
 
 # ---------------------------------------------------------------------------
@@ -601,19 +619,25 @@ def restricted_pencil(setup: ReductionSetup, base_point: TangentBundlePoint) -> 
 def sample_regular_coords(setup: ReductionSetup, data: RestrictedPencilData, count: int,
                           seed: int, stage: str = "regular-points", scale: float = 0.1,
                           max_attempts: int = 400) -> list[np.ndarray]:
-    """Deterministic sub-chart coordinates whose images are regular points."""
+    """Deterministic sub-chart coordinates whose images are regular points.
+
+    Candidate i is the row of the stream (seed, stage, i), uniform in the
+    ``scale`` box.  Candidates go in blocks of ``count``, each block one
+    stacked chart evaluation and regularity test, and the first ``count``
+    regular candidates in index order are kept: the ones a loop testing
+    candidate after candidate would accept.  Only the first
+    ``max_attempts`` candidates are tried.
+    """
     out = []
-    attempt = 0
-    dim = data.sub_chart.coord_dim
-    while len(out) < count:
-        if attempt >= max_attempts:
-            raise GenericityError(f"could not find {count} regular points in {max_attempts} draws")
-        rng = stream(seed, stage, attempt)
-        coords = rng.uniform(-scale, scale, dim)
-        attempt += 1
-        if is_regular(setup, data.sub_chart.point(coords)):
-            out.append(coords)
-    return out
+    for start in range(0, max_attempts, max(count, 1)):
+        if len(out) >= count:
+            break
+        block = uniform_rows(seed, stage, range(start, min(start + count, max_attempts)),
+                             data.sub_chart.coord_dim, scale)
+        out += list(block[is_regular(setup, data.sub_chart.point(block))])
+    if len(out) < count:
+        raise GenericityError(f"could not find {count} regular points in {max_attempts} draws")
+    return out[:count]
 
 
 # ---------------------------------------------------------------------------

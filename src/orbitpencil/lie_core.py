@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InputError
+from .seeding import normal_rows
 
 # Singular values below RANK_RTOL * sigma_max are treated as zero.  All
 # subspace data is O(1) after orthonormalisation, so one cutoff suffices.
@@ -458,53 +459,49 @@ def product_invariance_residual(alg: LieAlgebra, sub: Subspace, matrix: np.ndarr
 def invariant_product_space(alg: LieAlgebra, sub: Subspace) -> list[np.ndarray]:
     """Basis of symmetric solutions of M ad(z) + ad(z)^T M = 0, z in sub.
 
-    The base product (the identity) is always in the span.
+    Works in the orthonormal coordinates of symmetric matrices (E_ii, and
+    (E_ij + E_ji)/sqrt 2 for i < j): the image of each basis element under
+    every ad(z) is symmetric, so only its upper triangle enters the kernel,
+    the off-diagonal entries weighted by sqrt 2.  All images are one stacked
+    product.  The base product (the identity) is always in the span.
     """
     _require_subalgebra(alg, sub)
     n = alg.dim
-    sym_basis = []
-    for i in range(n):
-        for j in range(i, n):
-            mat = np.zeros((n, n))
-            if i == j:
-                mat[i, i] = 1.0
-            else:
-                mat[i, j] = mat[j, i] = 1.0 / np.sqrt(2.0)
-            sym_basis.append(mat)
-    sym_basis = np.asarray(sym_basis)
-
+    rows, cols = np.triu_indices(n)
+    weight = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    sym_basis = np.zeros((len(rows), n, n))
+    sym_basis[np.arange(len(rows)), rows, cols] = 1.0 / weight
+    sym_basis[np.arange(len(rows)), cols, rows] = 1.0 / weight
     if sub.dim == 0:
-        return [m.copy() for m in sym_basis]
+        return list(sym_basis)
 
-    rows = []
-    for z in range(sub.dim):
-        a = alg.ad(sub.basis[:, z])
-        # Each symmetric basis element maps to M a + a^T M, flattened.
-        mapped = np.einsum("sij,jk->sik", sym_basis, a) + np.einsum("ji,sjk->sik", a, sym_basis)
-        rows.append(mapped.reshape(len(sym_basis), n * n).T)
-    coeffs = kernel(np.vstack(rows))
-    sols = [np.tensordot(coeffs.basis[:, c], sym_basis, axes=(0, 0)) for c in range(coeffs.dim)]
+    moved = sym_basis @ np.tensordot(sub.basis.T, alg.ad_basis, axes=(1, 0))[:, None]
+    images = (moved + moved.mT)[..., rows, cols] * weight  # [z, basis element, coordinate]
+    # R of a QR has the singular values and right singular vectors of the tall stack, at half the SVD cost.
+    coeffs = kernel(np.linalg.qr(images.mT.reshape(-1, len(rows)), mode="r"))
 
     # Sanity: the base product satisfies the constraints, so it must project
-    # fully onto the solution span.
-    flat = np.eye(n).reshape(-1)
-    mat = np.asarray([s.reshape(-1) for s in sols]).T
-    resid = np.linalg.norm(flat - mat @ np.linalg.lstsq(mat, flat, rcond=None)[0])
-    if resid > 1e-10 * n:
+    # fully onto the solution span (orthonormal in these coordinates).
+    base = (rows == cols).astype(float)
+    if np.linalg.norm(base - coeffs.basis @ (coeffs.basis.T @ base)) > 1e-10 * n:
         raise DomainError("base product missing from the invariant solution space")
-    return sols
+    return list(np.tensordot(coeffs.basis.T, sym_basis, axes=1))
 
 
-def draw_invariant_products(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarray],
-                            seeds) -> InvariantProduct:
-    """The stack of products drawn as :func:`draw_invariant_product` does, one per seed.
+def draw_invariant_products(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarray], seed: int,
+                            indices, stage: str = "invariant-products") -> InvariantProduct:
+    """Base product plus a seeded random combination of ``sols``, kept SPD, one per index.
 
-    Every step runs on the whole stack (one ``eigvalsh`` per halving round,
-    one invariance check), and each product is the one its seed alone gives.
+    ``sols`` is :func:`invariant_product_space` of ``sub``.  Product i takes
+    its weights from the stream (seed, stage, indices[i]), and its
+    perturbation is halved until the smallest eigenvalue stays above 0.1
+    times the base one, which keeps every sampled product well conditioned.
+    Every step runs on the whole stack (one weight draw, one ``eigvalsh``
+    per halving round, one invariance check), and each product is the one
+    its index alone gives.
     """
     n = alg.dim
-    weights = np.stack([np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 0x1A7D]))
-                        .standard_normal(len(sols)) for seed in seeds])
+    weights = normal_rows(seed, stage, indices, len(sols))
     perturb = sum(w[:, None, None] * s for w, s in zip(weights.T, sols))
     # np.linalg.norm of one matrix is a dot product, not the pairwise sum of a stacked norm.
     perturb = perturb / np.array([max(1.0, np.linalg.norm(p)) for p in perturb])[:, None, None]
@@ -528,19 +525,6 @@ def draw_invariant_products(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarra
     if inv_res > 1e-10:
         raise DomainError(f"sampled product lost invariance (residual {inv_res:.2e})")
     return InvariantProduct(matrix=products)
-
-
-def draw_invariant_product(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarray],
-                           seed: int) -> InvariantProduct:
-    """Base product plus a seeded random combination of ``sols``, kept SPD.
-
-    ``sols`` is :func:`invariant_product_space` of ``sub``.  The
-    perturbation is halved until the smallest eigenvalue stays above 0.1
-    times the base one, which keeps every sampled product well conditioned.
-    Deterministic for a fixed seed; the one-draw case of
-    :func:`draw_invariant_products`.
-    """
-    return InvariantProduct(matrix=draw_invariant_products(alg, sub, sols, [seed]).matrix[0])
 
 
 class ComplementIndependence(NamedTuple):
@@ -568,7 +552,7 @@ def complement_independence(alg: LieAlgebra, sub: Subspace, norm: Subspace, sols
     """
     if trials <= 0:
         return ComplementIndependence(paired=0.0, unpaired=0.0)
-    prods = draw_invariant_products(alg, sub, sols, [(seed << 12) + i for i in range(2 * trials)])
+    prods = draw_invariant_products(alg, sub, sols, seed, range(2 * trials))
     comps = orthogonal_complement(alg, norm, prods)
     sums = span([np.hstack([comp.basis, sub.basis]) for comp in comps])
     return ComplementIndependence(

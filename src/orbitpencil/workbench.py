@@ -38,7 +38,7 @@ from . import lie_core as lc
 from . import orbit_charts as oc
 from . import poisson_pencil as pp
 from .errors import ConfigError, DomainError, WorkbenchError
-from .seeding import stream, unit_vector
+from .seeding import uniform_rows, unit_rows
 
 CHART_SCALE = 0.1  # sampling box for chart coordinates
 
@@ -285,10 +285,8 @@ def prepare_context(cfg: WorkbenchConfig) -> PipelineContext:
     base = oc.TangentBundlePoint(x=orbit.seed, v=setup.x0)
     data = dr.restricted_pencil(setup, base)
     adapted = dr.AdaptedChart(setup, data.sub_chart)
-    ambient_coords = [
-        stream(cfg.seed, "ambient-points", i).uniform(-CHART_SCALE, CHART_SCALE, data.ambient_chart.coord_dim)
-        for i in range(cfg.samples)
-    ]
+    ambient_coords = list(uniform_rows(cfg.seed, "ambient-points", range(cfg.samples),
+                                       data.ambient_chart.coord_dim, CHART_SCALE))
     regular_coords = dr.sample_regular_coords(setup, data, cfg.samples, seed=cfg.seed,
                                               scale=CHART_SCALE)
     return PipelineContext(
@@ -361,8 +359,7 @@ def _exactness(chart, seed, label, count):
         point = chart.point(c)
         return np.concatenate([point.x, point.v], axis=-1)
 
-    coords = np.stack([stream(seed, label, i).uniform(-CHART_SCALE, CHART_SCALE, chart.coord_dim)
-                       for i in range(count)])
+    coords = uniform_rows(seed, label, range(count), chart.coord_dim, CHART_SCALE)
     fd = oc.central_partials(stacked, coords, 1e-5).mT
     return float(np.max(np.abs(chart.pushforward(coords) - fd)))
 
@@ -374,8 +371,7 @@ def _chart_exactness(ctx):
 
 def _spectrum_preservation(ctx):
     chart = ctx.data.ambient_chart
-    coords = np.stack([stream(ctx.seed, "spectrum-points", i).uniform(-CHART_SCALE, CHART_SCALE, chart.coord_dim)
-                       for i in range(100)])
+    coords = uniform_rows(ctx.seed, "spectrum-points", range(100), chart.coord_dim, CHART_SCALE)
     return float(max(np.max(err) for err in oc.point_residuals(ctx.orbit, chart.point(coords))))
 
 
@@ -436,11 +432,9 @@ def _worst(*rows):
 
 def _form_invariance(ctx):
     chart = ctx.data.ambient_chart
+    zetas = 0.3 * unit_rows(ctx.seed, "form-invariance", range(3), ctx.alg.dim)
     worst = 0.0
-    for i in range(3):
-        rng = stream(ctx.seed, "form-invariance", i)
-        zeta = 0.3 * unit_vector(rng, ctx.alg.dim)
-        rot = oc.exp_ad(ctx.alg, zeta)
+    for i, rot in enumerate(oc.exp_ad(ctx.alg, zetas)):
         moved = oc.Chart(ctx.orbit, base_v=chart.base_v, frame=chart.frame, rotation=rot)
         coords = ctx.ambient_coords[i % len(ctx.ambient_coords)]
         worst = max(
@@ -535,8 +529,8 @@ def _adapted_nondegeneracy(ctx):
 
 def _control_adapted_off(ctx):
     p_dim = ctx.setup.transversal.dim
-    coords = np.stack([np.concatenate([0.05 * unit_vector(stream(ctx.seed, "adapted-offsets", i), p_dim),
-                                       ctx.regular_coords[0]]) for i in range(3)])
+    offsets = 0.05 * unit_rows(ctx.seed, "adapted-offsets", range(3), p_dim)
+    coords = np.hstack([offsets, np.tile(ctx.regular_coords[0], (3, 1))])
     return max(dr.adapted_block_report(ctx.adapted, w1).off_diagonal
                for w1 in oc.canonical_form_matrix(ctx.adapted, coords))
 
@@ -553,8 +547,7 @@ def _product_complement_independence(ctx):
 
 def _action_complement_independence(ctx):
     points = ctx.data.sub_chart.point(np.stack(ctx.regular_coords[:3]))
-    seeds = [(ctx.seed << 8) + i for i in range(len(points.x))]
-    return dr.complement_product_independence(ctx.setup, points, ctx.once(_invariant_products), seeds)
+    return dr.complement_product_independence(ctx.setup, points, ctx.once(_invariant_products), ctx.seed)
 
 
 _BRACKET_WORDS = [("v", "v"), ("x", "x", "v", "v"), ("x", "v", "x", "v"), ("v", "v", "v", "v")]
@@ -570,8 +563,7 @@ def _bracket_agreement(ctx):
 def _invariant_function_invariance(ctx):
     fns = [dr.invariant_function(ctx.alg, w) for w in _BRACKET_WORDS]
     point = ctx.data.sub_chart.point(ctx.regular_coords[0])
-    rots = oc.exp_ad(ctx.alg, np.stack([unit_vector(stream(ctx.seed, "function-invariance", i), ctx.alg.dim)
-                                        for i in range(20)]))
+    rots = oc.exp_ad(ctx.alg, unit_rows(ctx.seed, "function-invariance", range(20), ctx.alg.dim))
     moved = oc.TangentBundlePoint(x=rots @ point.x, v=rots @ point.v)
     return max(float(np.max(np.abs(f(moved) - f(point)))) for f in fns)
 
@@ -587,8 +579,7 @@ def _control_zero_section_isotropy(ctx):
 
 def _transversality(ctx):
     slice_basis = ctx.setup.slice_space.basis
-    ys = np.stack([slice_basis @ unit_vector(stream(ctx.seed, "slice-points", i), slice_basis.shape[1])
-                   for i in range(min(ctx.samples, 5))])
+    ys = unit_rows(ctx.seed, "slice-points", range(min(ctx.samples, 5)), slice_basis.shape[1]) @ slice_basis.T
     points = oc.TangentBundlePoint(x=np.broadcast_to(ctx.orbit.seed, ys.shape), v=ys)
     regular = dr.is_regular(ctx.setup, points)
     if not np.any(regular):
@@ -605,13 +596,9 @@ def _control_zero_section_transversality(ctx):
 
 def _slice_pairs(ctx):
     # (y, slice normal form of y) for random unit tangent vectors y.
-    pairs = []
-    for i in range(ctx.samples):
-        rng = stream(ctx.seed, "slice-normalization", i)
-        y = ctx.orbit.tangent.basis @ unit_vector(rng, ctx.orbit.tangent.dim)
-        z, _ = dr.slice_normal_form(ctx.setup, y, max_iter=200, tol=1e-8)
-        pairs.append((y, z))
-    return pairs
+    tangent = ctx.orbit.tangent
+    ys = unit_rows(ctx.seed, "slice-normalization", range(ctx.samples), tangent.dim) @ tangent.basis.T
+    return [(y, dr.slice_normal_form(ctx.setup, y, max_iter=200, tol=1e-8)[0]) for y in ys]
 
 
 def _slice_normalization(ctx):

@@ -17,7 +17,7 @@ from orbitpencil import orbit_charts as oc
 from orbitpencil import poisson_pencil as pp
 from orbitpencil import workbench as wb
 from orbitpencil.cli import main as cli_main
-from orbitpencil.seeding import stream, unit_vector
+from orbitpencil.seeding import uniform_rows, unit_rows
 
 
 def verdict(number, label, ok, detail):
@@ -40,10 +40,7 @@ def sample_points(triple):
     out = {}
     for name, (setup, data) in triple.items():
         chart = data.ambient_chart
-        out[name] = [
-            stream(2024, f"acceptance:{name}", i).uniform(-0.1, 0.1, chart.coord_dim)
-            for i in range(10)
-        ]
+        out[name] = list(uniform_rows(2024, f"acceptance:{name}", range(10), chart.coord_dim, 0.1))
     return out
 
 
@@ -173,8 +170,7 @@ def test_criterion_07_adapted_blocks(setup_cp2, data_cp2, regular_coords_cp2):
         for matrix in (oc.canonical_form_matrix(adapted, full), oc.omega2_matrix(adapted, full)):
             worst_off = max(worst_off, dr.adapted_block_report(adapted, matrix).off_diagonal)
     control = 0.0
-    for i in range(3):
-        y = 0.05 * unit_vector(stream(31, "adapted-control", i), p_dim)
+    for y in 0.05 * unit_rows(31, "adapted-control", range(3), p_dim):
         full = np.concatenate([y, regular_coords_cp2[0]])
         matrix = oc.canonical_form_matrix(adapted, full)
         control = max(control, dr.adapted_block_report(adapted, matrix).off_diagonal)
@@ -220,9 +216,7 @@ def test_criterion_09_slice_identities(triple, setup_cp2, data_cp2):
     moved = lc.span(setup_cp2.alg.ad(setup_cp2.x0) @ config.stabilizer.basis)
     worst_res = 0.0
     worst_iters = 0
-    for i in range(50):
-        rng = stream(2024, "acceptance-slice", i)
-        y = config.tangent.basis @ unit_vector(rng, config.tangent.dim)
+    for y in unit_rows(2024, "acceptance-slice", range(50), config.tangent.dim) @ config.tangent.basis.T:
         z, iterations = dr.slice_normal_form(setup_cp2, y, max_iter=200, tol=1e-8)
         worst_res = max(worst_res, float(np.linalg.norm(moved.basis.T @ z)))
         worst_iters = max(worst_iters, iterations)

@@ -6,7 +6,7 @@ from orbitpencil import lie_core as lc
 from orbitpencil import orbit_charts as oc
 from orbitpencil import poisson_pencil as pp
 from orbitpencil.errors import DomainError
-from orbitpencil.seeding import stream, unit_vector
+from orbitpencil.seeding import unit_rows
 
 
 def stabilizer_dim_oracle(alg, stab_basis, x):
@@ -93,9 +93,7 @@ def test_slice_normal_form_su2_quarter_turn(su2, pauli_elements):
 def test_slice_normal_form_batch_cp2(setup_cp2):
     config = setup_cp2.config
     moved = lc.span(setup_cp2.alg.ad(setup_cp2.x0) @ config.stabilizer.basis)
-    for i in range(50):
-        rng = stream(99, "slice-batch", i)
-        y = config.tangent.basis @ unit_vector(rng, config.tangent.dim)
+    for y in unit_rows(99, "slice-batch", range(50), config.tangent.dim) @ config.tangent.basis.T:
         z, iterations = dr.slice_normal_form(setup_cp2, y, max_iter=200, tol=1e-8)
         assert iterations <= 200
         assert np.linalg.norm(moved.basis.T @ z) <= 1e-8
@@ -112,8 +110,7 @@ def test_orbit_hessian_matches_the_bracket_double_loop(request, setup_name):
     # reference: the kdim^2 + kdim bracket calls the Newton step made before
     setup = request.getfixturevalue(setup_name)
     alg, basis = setup.alg, setup.config.stabilizer.basis
-    for i in range(3):
-        z = setup.config.tangent.basis @ unit_vector(stream(5, "hessian", i), setup.config.tangent.dim)
+    for z in unit_rows(5, "hessian", range(3), setup.config.tangent.dim) @ setup.config.tangent.basis.T:
         ref = np.empty((basis.shape[1], basis.shape[1]))
         for b in range(basis.shape[1]):
             inner = alg.bracket(basis[:, b], z)
@@ -185,7 +182,7 @@ def test_complement_product_independence(setup_cp2, data_cp2, regular_coords_cp2
     point = data_cp2.sub_chart.point(regular_coords_cp2[0])
     sols = lc.invariant_product_space(setup_cp2.alg, setup_cp2.isotropy)
     for seed in (3, 17):
-        assert dr.complement_product_independence(setup_cp2, point, sols, [seed]) <= 1e-8
+        assert dr.complement_product_independence(setup_cp2, point, sols, seed) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +221,36 @@ def test_splitting_orthogonality_decides_regularity_once(monkeypatch, setup_cp2,
         dr.splitting_orthogonality(setup_cp2, zero_fiber, coords, [np.eye(len(coords))])
 
 
+def test_splitting_orthogonality_reports_points_of_mixed_shapes(monkeypatch, setup_cp2, data_cp2,
+                                                                regular_coords_cp2):
+    # Regular points share their stratum and complement dimensions; force three shapes into one stack
+    # (point 1 loses a stratum direction, point 2 its complement) and every point keeps its own reports.
+    chart, w1, w2 = data_cp2.ambient_chart, data_cp2.ambient.w1, data_cp2.ambient.w2
+    coords = np.stack([data_cp2.pad_coords(c) for c in regular_coords_cp2[:4]])
+    xs = chart.point(coords).x
+    stratum, complement, reports = dr._stratum_tangent, dr.canonical_complement, dr._splitting_reports
+
+    def reshaped(spaces, points, target, fn):
+        return [fn(space) if np.allclose(x, target) else space for x, space in zip(points.x, spaces)]
+
+    monkeypatch.setattr(dr, "_stratum_tangent", lambda setup, points: reshaped(
+        stratum(setup, points), points, xs[1], lambda space: lc.Subspace(space.basis[:, :-1])))
+    monkeypatch.setattr(dr, "canonical_complement", lambda setup, points: reshaped(
+        complement(setup, points), points, xs[2], lambda space: lc.zero_subspace(space.basis.shape[0])))
+    groups = []
+    monkeypatch.setattr(dr, "_splitting_reports", lambda pushes, *args: groups.append(len(pushes)) or
+                        reports(pushes, *args))
+    forms = np.stack([[w1(c), w2(c), w1(c) + w2(c)] for c in coords])
+    stacked = dr.splitting_orthogonality(setup_cp2, chart, coords, forms)
+    assert groups == [2, 1, 1]  # one stack per shape, in order of first appearance
+    single = [report for c, f in zip(coords, forms) for report in dr.splitting_orthogonality(setup_cp2, chart, c, f)]
+    assert len(stacked) == len(single) == 12
+    assert np.allclose(np.array(stacked), np.array(single), rtol=1e-10, atol=1e-12)
+    assert [r.sigma_complement for r in stacked[6:9]] == [float("inf")] * 3
+    assert [r.pairing for r in stacked[6:9]] == [0.0] * 3
+    assert all(np.isfinite(r.sigma_complement) for r in stacked[:6] + stacked[9:])
+
+
 def test_splitting_orthogonality_trivial_case(setup_su2, data_su2):
     coords = np.zeros(data_su2.ambient_chart.coord_dim)
     w1 = data_su2.ambient.w1
@@ -251,10 +278,8 @@ def test_adapted_chart_negative_control(setup_cp2, data_cp2, regular_coords_cp2)
     # off the stratum the coupling blocks wake up
     adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
     p_dim = setup_cp2.transversal.dim
-    rng = np.random.default_rng(5)
     best = 0.0
-    for _ in range(3):
-        y = 0.05 * unit_vector(rng, p_dim)
+    for y in 0.05 * unit_rows(5, "negative-control", range(3), p_dim):
         full = np.concatenate([y, regular_coords_cp2[0]])
         matrix = oc.canonical_form_matrix(adapted, full)
         best = max(best, dr.adapted_block_report(adapted, matrix).off_diagonal)
@@ -532,8 +557,7 @@ def test_restricted_forms_match_intrinsic_suborbit_forms(setup_cp2, data_cp2):
 def test_slice_normal_form_iteration_budget(setup_cp2):
     from orbitpencil.errors import ConvergenceError
 
-    rng = np.random.default_rng(4)
-    y = setup_cp2.config.tangent.basis @ unit_vector(rng, setup_cp2.config.tangent.dim)
+    y = setup_cp2.config.tangent.basis @ unit_rows(4, "iteration-budget", [0], setup_cp2.config.tangent.dim)[0]
     with pytest.raises(ConvergenceError) as info:
         dr.slice_normal_form(setup_cp2, y, max_iter=1, tol=1e-14)
     assert info.value.best_residual is not None

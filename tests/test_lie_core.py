@@ -326,8 +326,48 @@ def test_invariant_product_space_contains_base(su3, setup_cp2):
     assert resid <= 1e-10
 
 
+def _full_square_product_space(alg, sub):
+    # reference: the n^2-row map of each symmetric basis element, one ad(z) at a time
+    n = alg.dim
+    sym_basis = []
+    for i in range(n):
+        for j in range(i, n):
+            mat = np.zeros((n, n))
+            mat[i, j] = mat[j, i] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
+            sym_basis.append(mat)
+    sym_basis = np.asarray(sym_basis)
+    rows = []
+    for z in range(sub.dim):
+        a = alg.ad(sub.basis[:, z])
+        mapped = np.einsum("sij,jk->sik", sym_basis, a) + np.einsum("ji,sjk->sik", a, sym_basis)
+        rows.append(mapped.reshape(len(sym_basis), n * n).T)
+    coeffs = lc.kernel(np.vstack(rows))
+    return [np.tensordot(coeffs.basis[:, c], sym_basis, axes=(0, 0)) for c in range(coeffs.dim)]
+
+
+@pytest.mark.parametrize("case", ["su2_axis", "cp2", "cp3", "so4_block"])
+def test_invariant_product_space_spans_the_full_square_solutions(request, case, su2, pauli_elements, so4):
+    if case == "su2_axis":
+        alg, sub = su2, lc.span(pauli_elements[2])
+    elif case == "so4_block":
+        alg, sub = so4, so3_block_subalgebra(so4)
+    else:
+        setup = request.getfixturevalue(f"setup_{case}")
+        alg, sub = setup.alg, setup.isotropy
+
+    def projector(sols):
+        flat = np.stack([s.ravel() for s in sols], axis=1)
+        return flat @ np.linalg.pinv(flat)
+
+    got, want = lc.invariant_product_space(alg, sub), _full_square_product_space(alg, sub)
+    assert len(got) == len(want)
+    assert np.max(np.abs(projector(got) - projector(want))) <= 1e-12
+    assert all(np.array_equal(s, s.T) for s in got)
+
+
 def _draw(alg, sub, seed):
-    return lc.draw_invariant_product(alg, sub, lc.invariant_product_space(alg, sub), seed)
+    drawn = lc.draw_invariant_products(alg, sub, lc.invariant_product_space(alg, sub), seed, [0])
+    return lc.InvariantProduct(matrix=drawn.matrix[0])
 
 
 def _independence(alg, sub, seed):

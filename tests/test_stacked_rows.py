@@ -18,7 +18,8 @@ from orbitpencil import lie_core as lc
 from orbitpencil import orbit_charts as oc
 from orbitpencil import poisson_pencil as pp
 from orbitpencil import workbench as wb
-from orbitpencil.seeding import stream, unit_vector
+from orbitpencil.errors import GenericityError
+from orbitpencil.seeding import uniform_rows, unit_rows
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -91,10 +92,12 @@ def test_degeneracy_profile_is_one_svd_matching_one_per_parameter(monkeypatch, d
 
 def _loop_complement_independence(alg, sub, norm, sols, seed, trials):
     # reference: the per-trial loop, two single draws and their complements per trial
+    def draw(index):
+        return lc.InvariantProduct(matrix=lc.draw_invariant_products(alg, sub, sols, seed, [index]).matrix[0])
+
     paired = unpaired = 0.0
     for t in range(trials):
-        alpha = lc.draw_invariant_product(alg, sub, sols, seed=(seed << 12) + 2 * t)
-        beta = lc.draw_invariant_product(alg, sub, sols, seed=(seed << 12) + 2 * t + 1)
+        alpha, beta = draw(2 * t), draw(2 * t + 1)
         comp_a = lc.orthogonal_complement(alg, norm, alpha)
         comp_b = lc.orthogonal_complement(alg, norm, beta)
         paired = max(paired, lc.projector_distance(lc.subspace_sum(comp_a, sub), lc.subspace_sum(comp_b, sub)))
@@ -112,7 +115,7 @@ def test_complement_independence_matches_the_per_trial_loop(monkeypatch, request
         alg, sub = setup.alg, setup.isotropy
     norm, sols = lc.normalizer(alg, sub), lc.invariant_product_space(alg, sub)
     draw, draws = lc.draw_invariant_products, []
-    monkeypatch.setattr(lc, "draw_invariant_products", lambda *args: draws.append(len(args[3])) or draw(*args))
+    monkeypatch.setattr(lc, "draw_invariant_products", lambda *args: draws.append(len(args[4])) or draw(*args))
     for seed in (0, 7):
         assert lc.complement_independence(alg, sub, norm, sols, seed, trials=20) == \
             _loop_complement_independence(alg, sub, norm, sols, seed, trials=20)
@@ -122,9 +125,10 @@ def test_complement_independence_matches_the_per_trial_loop(monkeypatch, request
 def test_stacked_draws_are_the_single_draws(setup_cp3):
     alg, sub = setup_cp3.alg, setup_cp3.isotropy
     sols = lc.invariant_product_space(alg, sub)
-    seeds = [3, 4, 11, 2 ** 20]
-    stacked = lc.draw_invariant_products(alg, sub, sols, seeds).matrix
-    assert np.array_equal(stacked, np.stack([lc.draw_invariant_product(alg, sub, sols, s).matrix for s in seeds]))
+    indices = [3, 4, 11, 2 ** 20]
+    stacked = lc.draw_invariant_products(alg, sub, sols, 5, indices).matrix
+    assert np.array_equal(stacked, np.stack([lc.draw_invariant_products(alg, sub, sols, 5, [i]).matrix[0]
+                                             for i in indices]))
 
 
 @pytest.mark.parametrize("family, n, spectrum", [("su", 2, [1, -1]), ("su", 3, [2, -1, -1]), ("so", 4, [1.0, 1.0])])
@@ -138,8 +142,7 @@ def test_principal_isotropy_stacks_its_draws(monkeypatch, family, n, spectrum):
     x0, stab = dr.principal_isotropy(config, samples=8, seed=1)
     monkeypatch.undo()
     assert calls == {"kernel": 1, "span": 1}  # all 16 draws in one stack
-    draws = np.stack([config.tangent.basis @ unit_vector(stream(1, "principal-isotropy", i), config.tangent.dim)
-                      for i in range(16)])
+    draws = unit_rows(1, "principal-isotropy", range(16), config.tangent.dim) @ config.tangent.basis.T
     singles = [dr.stabilizer_within(alg, config.stabilizer, x) for x in draws]
     for got, want in zip(dr.stabilizer_within(alg, config.stabilizer, draws), singles):
         assert np.array_equal(got.basis, want.basis)
@@ -256,3 +259,71 @@ def test_each_outer_derivative_row_calls_each_evaluator_at_most_once(monkeypatch
         if spec.name in ROWS:
             per_field = {key: n - before.get(key, 0) for key, n in counts.items() if isinstance(key, int)}
             assert max(per_field.values()) <= 1, spec.name
+
+
+def _one_candidate_at_a_time(setup, data, count, seed, max_attempts=400):
+    # reference: the loop that drew and tested one candidate per step
+    out, attempt = [], 0
+    while len(out) < count:
+        if attempt >= max_attempts:
+            raise GenericityError("exhausted")
+        coords = uniform_rows(seed, "regular-points", [attempt], data.sub_chart.coord_dim, 0.1)[0]
+        attempt += 1
+        if dr.is_regular(setup, data.sub_chart.point(coords)):
+            out.append(coords)
+    return out
+
+
+@pytest.mark.parametrize("reject_half", [False, True])
+def test_sample_regular_coords_accepts_what_the_one_at_a_time_loop_accepts(monkeypatch, setup_cp2, reject_half):
+    data = _fresh(setup_cp2)
+    if reject_half:  # a forced rejection: every point whose first v entry is positive counts as singular
+        regular = dr.is_regular
+        monkeypatch.setattr(dr, "is_regular", lambda setup, point: regular(setup, point) & (point.v[..., 0] <= 0))
+    want = _one_candidate_at_a_time(setup_cp2, data, 6, seed=4)
+    tested = []
+    is_regular = dr.is_regular
+    monkeypatch.setattr(dr, "is_regular", lambda setup, point: tested.append(len(point.x)) or is_regular(setup, point))
+    got = dr.sample_regular_coords(setup_cp2, data, 6, seed=4)
+    assert len(got) == 6 and all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert set(tested) == {6}
+    assert (len(tested) > 1) == reject_half  # one block of six, unless half the candidates are rejected
+    if reject_half:  # the last block stops at max_attempts
+        with pytest.raises(GenericityError):
+            _one_candidate_at_a_time(setup_cp2, data, 6, seed=4, max_attempts=7)
+        with pytest.raises(GenericityError):
+            dr.sample_regular_coords(setup_cp2, data, 6, seed=4, max_attempts=7)
+        assert tested[-1] == 1
+
+
+def _lstsq_splitting(setup, chart, coords, forms):
+    # reference: two np.linalg.lstsq lifts per point, as before the stacked solve
+    points = chart.point(coords)
+    out = []
+    for push, comp, strat, point_forms in zip(chart.pushforward(coords), dr.canonical_complement(setup, points),
+                                              dr._stratum_tangent(setup, points), forms):
+        cs = np.linalg.lstsq(push, strat.basis, rcond=None)[0]
+        cp = np.linalg.lstsq(push, comp.basis, rcond=None)[0]
+        for form in point_forms:
+            sigma = np.linalg.svd(cs.T @ form @ cs, compute_uv=False)[-1]
+            if comp.dim:
+                out.append((np.max(np.abs(cp.T @ form @ cs)),
+                            np.linalg.svd(cp.T @ form @ cp, compute_uv=False)[-1], sigma))
+            else:
+                out.append((0.0, float("inf"), sigma))
+    return out
+
+
+@pytest.mark.parametrize("case", ["cp2", "cp3", "su3_regular"])
+def test_splitting_lifts_agree_with_lstsq(monkeypatch, request, case):
+    setup = request.getfixturevalue(f"setup_{case}")
+    data = _fresh(setup)
+    coords = data.pad_coords(np.stack(dr.sample_regular_coords(setup, data, 4, seed=2)))
+    w1, w2 = data.ambient.w1(coords), data.ambient.w2(coords)
+    forms = np.stack([w1, w2, 0.3 * w1 + 0.7 * w2], axis=1)
+    want = _lstsq_splitting(setup, data.ambient_chart, coords, forms)
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: pytest.fail("lstsq called"))
+    got = dr.splitting_orthogonality(setup, data.ambient_chart, coords, forms)
+    assert len(got) == len(want) == 12
+    for report, ref in zip(got, want):
+        assert np.allclose(tuple(report), ref, rtol=1e-12, atol=1e-12)

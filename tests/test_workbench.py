@@ -370,16 +370,15 @@ def test_slice_rows_pass_on_so5_flag(seed):
 
 def test_slice_normal_form_iterations_on_su3_regular():
     from orbitpencil import dirac_reduction as dr
-    from orbitpencil.seeding import stream, unit_vector
+    from orbitpencil.seeding import unit_rows
 
     path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "su3_regular.json"
     base = json.loads(path.read_text())
     worst = 0
     for seed in range(20):
         ctx = wb.prepare_context(wb.config_from_dict(dict(base, seed=seed)))
-        for i in range(ctx.samples):
-            rng = stream(seed, "slice-normalization", i)
-            y = ctx.orbit.tangent.basis @ unit_vector(rng, ctx.orbit.tangent.dim)
+        tangent = ctx.orbit.tangent
+        for y in unit_rows(seed, "slice-normalization", range(ctx.samples), tangent.dim) @ tangent.basis.T:
             worst = max(worst, dr.slice_normal_form(ctx.setup, y, max_iter=200, tol=1e-8)[1])
     assert worst <= 30
 
