@@ -61,7 +61,6 @@ from .orbit_charts import (
     TangentBundlePoint,
     _lincomb,
     ambient_tangent_space,
-    as_stack,
     canonical_form_field,
     combined_form_field,
     exp_ad,
@@ -78,17 +77,12 @@ REGULARITY_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
-def stabilizer_within(alg: LieAlgebra, sub: Subspace, x: np.ndarray):
-    """{y in sub : [x, y] = 0} via the kernel of ad(x) restricted to sub.
-
-    For an (m, n) stack of elements x, the list of their stabilizers, from
-    one stacked kernel and one stacked span."""
-    xs = np.atleast_2d(x)
+def stabilizer_within(alg: LieAlgebra, sub: Subspace, xs: np.ndarray) -> list[Subspace]:
+    """{y in sub : [x, y] = 0} for each x of the (m, n) stack xs, via the kernel of ad(x)
+    restricted to sub: one stacked kernel and one stacked span."""
     if sub.dim == 0:
-        stabs = [sub] * len(xs)
-    else:
-        stabs = span([sub.basis @ c.basis for c in kernel([alg.ad(row) @ sub.basis for row in xs])])
-    return stabs if np.ndim(x) == 2 else stabs[0]
+        return [sub] * len(xs)
+    return span([sub.basis @ c.basis for c in kernel([alg.ad(row) @ sub.basis for row in xs])])
 
 
 def principal_isotropy(config: OrbitConfig, samples: int = 16, seed: int = 0):
@@ -216,7 +210,7 @@ def reduction_setup(config: OrbitConfig, samples: int = 16, seed: int = 0) -> Re
     norm = normalizer(alg, iso)
     transversal = orthogonal_complement(alg, norm)
     cent = centralizer(alg, iso)
-    sub_stab = stabilizer_within(alg, cent, config.seed)
+    sub_stab, = stabilizer_within(alg, cent, config.seed[None])
     sub_tan = complement_within(sub_stab, cent)
     slice_normal = span(alg.ad(x0) @ config.stabilizer.basis)
     slice_space = complement_within(slice_normal, config.tangent)
@@ -331,21 +325,19 @@ def isotropy_algebra(setup: ReductionSetup, point: TangentBundlePoint):
     return kernel(np.concatenate([_lincomb(point.x, alg.ad_basis), _lincomb(point.v, alg.ad_basis)], axis=-2))
 
 
-def regularity_distance(setup: ReductionSetup, point: TangentBundlePoint):
-    """Projector distance between the point's isotropy algebra and h; an array of them at a stack."""
-    isos = isotropy_algebra(setup, as_stack(point))
-    dist = np.array([projector_distance(iso, setup.isotropy) if iso.dim == setup.isotropy.dim
-                     else float("inf") for iso in isos])
-    return dist if np.ndim(point.x) == 2 else float(dist[0])
+def regularity_distance(setup: ReductionSetup, point: TangentBundlePoint) -> np.ndarray:
+    """Projector distance between each point's isotropy algebra and h, over a stack of points."""
+    return np.array([projector_distance(iso, setup.isotropy) if iso.dim == setup.isotropy.dim
+                     else float("inf") for iso in isotropy_algebra(setup, point)])
 
 
-def is_regular(setup: ReductionSetup, point: TangentBundlePoint, tol: float = REGULARITY_TOL):
-    """Whether the point is regular; a boolean array at a stack of points."""
+def is_regular(setup: ReductionSetup, point: TangentBundlePoint, tol: float = REGULARITY_TOL) -> np.ndarray:
+    """Whether each point of a stack is regular, a boolean array."""
     return regularity_distance(setup, point) <= tol
 
 
-def _stratum_tangent(setup: ReductionSetup, point: TangentBundlePoint):
-    """Tangent space of the regular stratum at a regular point; the list of them at a stack.
+def _stratum_tangent(setup: ReductionSetup, point: TangentBundlePoint) -> list[Subspace]:
+    """Tangent spaces of the regular stratum, one per regular point of a stack.
 
     Computed as the joint kernel of the linearised isotropy action
     (dx, dv) -> ([z, dx], [z, dv]) inside the tangent space of TO.
@@ -357,21 +349,18 @@ def _stratum_tangent(setup: ReductionSetup, point: TangentBundlePoint):
     alg = setup.alg
     n = alg.dim
     ops = [alg.ad(iso.basis[:, j]) for j in range(iso.dim)]
-    spaces = ambient if isinstance(ambient, list) else [ambient]
     coeffs = kernel([np.vstack([block for op in ops for block in (op @ a.basis[:n], op @ a.basis[n:])])
-                     for a in spaces])
-    out = span([a.basis @ c.basis for a, c in zip(spaces, coeffs)])
-    return out if isinstance(ambient, list) else out[0]
+                     for a in ambient])
+    return span([a.basis @ c.basis for a, c in zip(ambient, coeffs)])
 
 
-def canonical_complement(setup: ReductionSetup, point: TangentBundlePoint):
-    """Span of the action vectors of the transversal p at a regular point; the list at a stack.
+def canonical_complement(setup: ReductionSetup, point: TangentBundlePoint) -> list[Subspace]:
+    """Span of the action vectors of the transversal p, one per regular point of a stack.
 
     Regularity is decided once, for every point of the stack."""
     if not np.all(is_regular(setup, point)):
         raise DomainError("point is not regular: isotropy algebra differs from h")
-    spans = _action_spans(setup, as_stack(point))
-    return spans if np.ndim(point.x) == 2 else spans[0]
+    return _action_spans(setup, point)
 
 
 def _action_spans(setup: ReductionSetup, points: TangentBundlePoint, transversals=None) -> list[Subspace]:
@@ -398,19 +387,18 @@ def _action_spans(setup: ReductionSetup, points: TangentBundlePoint, transversal
     return spans
 
 
-def complement_product_independence(setup: ReductionSetup, point: TangentBundlePoint,
+def complement_product_independence(setup: ReductionSetup, points: TangentBundlePoint,
                                     sols: list[np.ndarray], seed: int) -> float:
     """Canonical complement recomputed from random invariant products.
 
-    Returns the largest projector distance, over the points of a stack (or
-    the one point), between the action span of the base transversal and of
-    the transversal taken orthogonal with respect to a random h-invariant
-    product drawn from ``sols``, the ``invariant_product_space`` of h, point
-    i taking its product from the stream (seed, "action-products", i); the
-    spans must agree at regular points.
+    Returns the largest projector distance, over the points of a stack,
+    between the action span of the base transversal and of the transversal
+    taken orthogonal with respect to a random h-invariant product drawn from
+    ``sols``, the ``invariant_product_space`` of h, point i taking its
+    product from the stream (seed, "action-products", i); the spans must
+    agree at regular points.
     """
     alg = setup.alg
-    points = as_stack(point)
     prods = draw_invariant_products(alg, setup.isotropy, sols, seed, range(len(points.x)), "action-products")
     alts = orthogonal_complement(alg, setup.normalizer, prods)
     base = canonical_complement(setup, points)
@@ -430,9 +418,9 @@ def splitting_orthogonality(setup: ReductionSetup, chart: Chart, coords,
                             form_matrices) -> list[SplittingReport]:
     """Evaluate ambient forms across the canonical splitting, one report per form and point.
 
-    ``coords`` is one coordinate row or an (m, d) stack, and
-    ``form_matrices`` the forms in the chart frame at each row, such as the
-    members of a pencil: a sequence of F matrices, or an (m, F, d, d) stack.
+    ``coords`` is an (m, d) stack of coordinate rows, and ``form_matrices``
+    the (m, F, d, d) stack of the forms in the chart frame at each row, such
+    as the members of a pencil.
     The stratum and complement bases of every point are lifted into that
     frame by one stacked least-squares solve (a QR of the pushforward stack,
     whose full column rank the chart guards), and every form is paired with
@@ -443,8 +431,8 @@ def splitting_orthogonality(setup: ReductionSetup, chart: Chart, coords,
     complement block is reported as nondegenerate by convention.
     Regularity is decided once, for both bases and every point.
     """
-    c = np.atleast_2d(np.asarray(coords, dtype=float))
-    forms = np.reshape(form_matrices, (len(c), -1, c.shape[-1], c.shape[-1]))
+    c = np.asarray(coords, dtype=float)
+    forms = np.asarray(form_matrices, dtype=float)
     points = chart.point(c)
     comps = canonical_complement(setup, points)
     strats = _stratum_tangent(setup, points)
@@ -572,7 +560,7 @@ class RestrictedPencilData(NamedTuple):
     restricted: ChartPencil
 
     def pad_coords(self, sub_coords) -> np.ndarray:
-        """Ambient-chart coordinates of a sub-chart point, or of each row of an (m, d) stack.
+        """Ambient-chart coordinates of each row of an (m, d) stack of sub-chart coordinates.
 
         The ambient frame starts with the sub frame, so sub coordinates
         embed by zero padding in both the conjugation and fiber blocks.
@@ -580,11 +568,11 @@ class RestrictedPencilData(NamedTuple):
         s = np.asarray(sub_coords, dtype=float)
         fh = self.sub_chart.frame_dim
         f = self.ambient_chart.frame_dim
-        if s.ndim not in (1, 2) or s.shape[-1] != 2 * fh:
-            raise InputError(f"expected {2 * fh} sub-chart coordinates or a stack of them")
-        c = np.zeros(s.shape[:-1] + (2 * f,))
-        c[..., :fh] = s[..., :fh]
-        c[..., f:f + fh] = s[..., fh:]
+        if s.ndim != 2 or s.shape[1] != 2 * fh:
+            raise InputError(f"expected an (m, {2 * fh}) stack of sub-chart coordinates, got shape {s.shape}")
+        c = np.zeros((len(s), 2 * f))
+        c[:, :fh] = s[:, :fh]
+        c[:, f:f + fh] = s[:, fh:]
         return c
 
 
@@ -600,7 +588,7 @@ def restricted_pencil(setup: ReductionSetup, base_point: TangentBundlePoint) -> 
         raise DomainError("restriction base must sit over the orbit seed")
     if setup.slice_space.residual(base_point.v) > REGULARITY_TOL * max(1.0, np.linalg.norm(base_point.v)):
         raise DomainError("restriction base fiber must lie in the slice")
-    if not is_regular(setup, base_point):
+    if not is_regular(setup, TangentBundlePoint(x=base_point.x[None], v=base_point.v[None]))[0]:
         raise DomainError("restriction base point is not regular")
     sub_frame = setup.sub_tangent.basis
     rest = complement_within(setup.sub_tangent, cfg.tangent)
@@ -618,8 +606,8 @@ def restricted_pencil(setup: ReductionSetup, base_point: TangentBundlePoint) -> 
 
 def sample_regular_coords(setup: ReductionSetup, data: RestrictedPencilData, count: int,
                           seed: int, stage: str = "regular-points", scale: float = 0.1,
-                          max_attempts: int = 400) -> list[np.ndarray]:
-    """Deterministic sub-chart coordinates whose images are regular points.
+                          max_attempts: int = 400) -> np.ndarray:
+    """Deterministic sub-chart coordinates whose images are regular points, a (count, d) stack.
 
     Candidate i is the row of the stream (seed, stage, i), uniform in the
     ``scale`` box.  Candidates go in blocks of ``count``, each block one
@@ -628,13 +616,13 @@ def sample_regular_coords(setup: ReductionSetup, data: RestrictedPencilData, cou
     candidate after candidate would accept.  Only the first
     ``max_attempts`` candidates are tried.
     """
-    out = []
+    out = np.empty((0, data.sub_chart.coord_dim))
     for start in range(0, max_attempts, max(count, 1)):
         if len(out) >= count:
             break
         block = uniform_rows(seed, stage, range(start, min(start + count, max_attempts)),
                              data.sub_chart.coord_dim, scale)
-        out += list(block[is_regular(setup, data.sub_chart.point(block))])
+        out = np.concatenate([out, block[is_regular(setup, data.sub_chart.point(block))]])
     if len(out) < count:
         raise GenericityError(f"could not find {count} regular points in {max_attempts} draws")
     return out[:count]
@@ -650,12 +638,10 @@ def invariant_function(alg: LieAlgebra, word):
 
     ``word`` is a nonempty sequence over {"x", "v"}; conjugation-invariance
     of the trace makes the function invariant under the group action.  At a
-    stack of points, ``fn`` gives an array of values and ``fn.gradient`` a
-    stack of gradients.
-
-    ``fn.gradient(point)`` is the exact ambient gradient, a 2n-vector of
-    d/dx_a then d/dv_a (the row order of a chart pushforward).  With
-    M_1..M_L the matrices of the word, cyclicity of the trace gives
+    stack of points, ``fn`` gives the array of values and ``fn.gradient`` the
+    stack of exact ambient gradients, 2n-vectors of d/dx_a then d/dv_a (the
+    row order of a chart pushforward).  With M_1..M_L the matrices of the
+    word, cyclicity of the trace gives
 
         d/dx_a Re tr(M_1..M_L) = sum over positions k holding x of
                                  Re tr(B_a M_{k+1}..M_L M_1..M_{k-1}),
@@ -670,13 +656,12 @@ def invariant_function(alg: LieAlgebra, word):
         mats = {"x": _lincomb(point.x, alg.basis), "v": _lincomb(point.v, alg.basis)}
         return [mats[s] for s in symbols]
 
-    def fn(point: TangentBundlePoint):
+    def fn(point: TangentBundlePoint) -> np.ndarray:
         mats = matrices(point)
         acc = mats[0]
         for m in mats[1:]:
             acc = acc @ m
-        values = np.real(np.trace(acc, axis1=-2, axis2=-1))
-        return values if values.ndim else float(values)
+        return np.real(np.trace(acc, axis1=-2, axis2=-1))
 
     def gradient(point: TangentBundlePoint) -> np.ndarray:
         mats = matrices(point)
@@ -699,7 +684,7 @@ def invariant_function(alg: LieAlgebra, word):
 
 
 def chart_differentials(chart, fns, coords) -> np.ndarray:
-    """k x coord_dim matrix whose row i is d(fns[i] o chart) at coords; (m, k, coord_dim) at a stack.
+    """(m, k, coord_dim) stack whose row i at point r is d(fns[i] o chart) at row r of coords.
 
     Chain rule: each function's exact ambient gradient times the chart
     pushforward, so no chart point besides ``coords`` is evaluated.
@@ -736,8 +721,8 @@ def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, fns,
     """Ambient versus restricted pencil brackets of a list of invariant functions.
 
     ``fns`` are functions on TO with a ``gradient`` (see
-    :func:`invariant_function`); ``coords`` are sub-chart coordinates of a
-    regular point, or an (m, d) stack of them; ``params`` are pencil
+    :func:`invariant_function`); ``coords`` is an (m, d) stack of sub-chart
+    coordinates of regular points; ``params`` are pencil
     parameters with t1 + t2 != 0 so both members are invertible.  Both
     bracket matrices are D Pi_t D^T, each side with its own chart's
     differentials and bivector.  Regularity, the differentials of both
@@ -748,7 +733,7 @@ def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, fns,
     params = [tuple(_as_parameter(t)) for t in params]
     if any(abs(t1 + t2) < 1e-12 for t1, t2 in params):
         raise DomainError("pencil parameter lies on the degenerate line t1 + t2 = 0")
-    s = np.atleast_2d(np.asarray(coords, dtype=float))
+    s = np.asarray(coords, dtype=float)
     if not np.all(is_regular(setup, data.sub_chart.point(s))):
         raise DomainError("image point is not regular")
     c = data.pad_coords(s)
@@ -768,22 +753,20 @@ def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, fns,
 
 
 def isotropy_excess(setup: ReductionSetup, points: TangentBundlePoint) -> int:
-    """Max over a point, or the points of a stack, of dim(isotropy within the centralizer) - dim(center)."""
+    """Max over the points of a stack of dim(isotropy within the centralizer) - dim(center)."""
     alg = setup.alg
-    stack = as_stack(points)
     cent = setup.centralizer.basis
-    isos = kernel(np.concatenate([_lincomb(stack.x, alg.ad_basis) @ cent,
-                                  _lincomb(stack.v, alg.ad_basis) @ cent], axis=-2))
+    isos = kernel(np.concatenate([_lincomb(points.x, alg.ad_basis) @ cent,
+                                  _lincomb(points.v, alg.ad_basis) @ cent], axis=-2))
     return max(0, *(iso.dim - setup.center.dim for iso in isos))
 
 
-def transversality_deficiency(setup: ReductionSetup, point: TangentBundlePoint) -> int:
-    """Rank deficit of centralizer action plus slice fibers at a slice point; the max over a stack."""
-    stack = as_stack(point)
+def transversality_deficiency(setup: ReductionSetup, points: TangentBundlePoint) -> int:
+    """Max rank deficit of centralizer action plus slice fibers over a stack of slice points."""
     n = setup.alg.dim
     fibers = np.vstack([np.zeros((n, setup.slice_space.dim)), setup.slice_space.basis])
-    action = infinitesimal_action(setup.config, setup.centralizer.basis, stack)
-    mats = np.concatenate([action, np.broadcast_to(fibers, (len(stack.x),) + fibers.shape)], axis=-1)
+    action = infinitesimal_action(setup.config, setup.centralizer.basis, points)
+    mats = np.concatenate([action, np.broadcast_to(fibers, (len(points.x),) + fibers.shape)], axis=-1)
     sig = np.linalg.svd(mats, compute_uv=False)
     ranks = np.sum(sig > RANK_RTOL * np.maximum(sig[:, :1], 1e-300), axis=-1)
     return int(2 * setup.sub_tangent.dim - np.min(ranks))

@@ -22,14 +22,15 @@ which the same eigenbasis diagonalises into the divided difference
 (e^{i theta} - 1) / (i theta), theta = w_j - w_k (:func:`dexp_apply`).
 
 Stacked coordinates: chart points and pushforwards, both forms and their
-fields take one coordinate row (d,) or a stack (m, d), and the exponential
-machinery takes leading axes.  Each evaluation sits in a :class:`CoordinateMemo`
-whose fn receives, in one call, only the rows it has not seen.  The outer
-derivatives take the stack too: :func:`central_partials` evaluates the
-stencils of all m rows in one call and :func:`closedness_residual` returns the
-max over them, so a row of sample points costs one stacked eigh, SVD and
-inverse, not 2 d m each.  Stacked matmul, SVD and eigh give each row the bits
-it gets alone; stacked reductions need not, so per-row sums stay per row.
+fields take an (m, d) stack of coordinate rows, a single row being the stack
+of one, and the exponential machinery takes leading axes.  Each evaluation
+sits in a :class:`CoordinateMemo` whose fn receives, in one call, only the
+rows it has not seen.  The outer derivatives take the stack too:
+:func:`central_partials` evaluates the stencils of all m rows in one call and
+:func:`closedness_residual` returns the max over them, so a row of sample
+points costs one stacked eigh, SVD and inverse, not 2 d m each.  Stacked
+matmul, SVD and eigh give each row the bits it gets alone; stacked reductions
+need not, so per-row sums stay per row.
 
 Two invariant 2-forms are realised as matrix fields in chart coordinates:
 the canonical form (exterior derivative of theta) and the canonical form
@@ -120,11 +121,6 @@ def point_residuals(config: OrbitConfig, point: TangentBundlePoint) -> tuple[np.
     return spec_err, np.linalg.norm((v - fiber @ (fiber.mT @ v))[..., 0], axis=-1)
 
 
-def as_stack(point: TangentBundlePoint) -> TangentBundlePoint:
-    """The point as a stack: a single point (x, v of shape (n,)) becomes the stack of one."""
-    return TangentBundlePoint(x=np.atleast_2d(point.x), v=np.atleast_2d(point.v))
-
-
 def infinitesimal_action(config: OrbitConfig, xi: np.ndarray, point: TangentBundlePoint) -> np.ndarray:
     """Action vector field of xi at (x, v): the stacked pair ([xi,x], [xi,v]).
 
@@ -139,17 +135,16 @@ def infinitesimal_action(config: OrbitConfig, xi: np.ndarray, point: TangentBund
     return np.moveaxis(pairs.reshape((-1,) + lead + (2 * n,)), 0, -1).reshape(lead + (2 * n,) + xi.shape[1:])
 
 
-def ambient_tangent_space(config: OrbitConfig, point: TangentBundlePoint):
-    """Tangent space of TO at (x, v) inside g + g; the list of them at a stack of points.
+def ambient_tangent_space(config: OrbitConfig, point: TangentBundlePoint) -> list[Subspace]:
+    """Tangent spaces of TO inside g + g, one per point (x, v) of the stack.
 
     Spanned by the action pairs ([e_i,x],[e_i,v]) over the algebra basis
     together with the fiber directions (0, t) for t in im ad(x).
     """
     alg = config.alg
-    stack = as_stack(point)
-    ad_x = _lincomb(stack.x, alg.ad_basis)
+    ad_x = _lincomb(point.x, alg.ad_basis)
     # columns: ([e_i,x],[e_i,v]) = -(ad x, ad v) e_i
-    action = -np.concatenate([ad_x, _lincomb(stack.v, alg.ad_basis)], axis=-2)
+    action = -np.concatenate([ad_x, _lincomb(point.v, alg.ad_basis)], axis=-2)
     spaces = span([np.hstack([a, np.vstack([np.zeros_like(f.basis), f.basis])])
                    for a, f in zip(action, span(ad_x))])
     for space in spaces:
@@ -157,7 +152,7 @@ def ambient_tangent_space(config: OrbitConfig, point: TangentBundlePoint):
             raise DegeneracyError(
                 f"tangent space of TO has rank {space.dim}, expected {2 * config.orbit_dim}"
             )
-    return spaces if np.ndim(point.x) == 2 else spaces[0]
+    return spaces
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +214,19 @@ def dexp_apply(alg: LieAlgebra, xi: np.ndarray, frame_matrices: np.ndarray) -> t
 # ---------------------------------------------------------------------------
 
 
+def _check_rows(c: np.ndarray) -> None:
+    if c.ndim != 2:
+        raise InputError(f"expected an (m, d) stack of coordinate rows, got shape {c.shape}")
+
+
 class CoordinateMemo:
     """``fn`` of float coordinate rows, evaluated once per row.
 
-    Called with one row (d,), returns its value; with a stack (m, d), the stack
-    of the rows' values.  ``fn`` receives, in one call, the (k, d) stack of the
-    rows not seen before, each once, and returns k values (an array with leading
-    axis k is one).  Keyed by the bytes of the row; values live as long as the
-    memo, so whatever ``fn`` reads must not change.
+    Called with an (m, d) stack, returns the stack of the rows' values.  ``fn``
+    receives, in one call, the (k, d) stack of the rows not seen before, each
+    once, and returns k values (an array with leading axis k is one).  Keyed by
+    the bytes of the row; values live as long as the memo, so whatever ``fn``
+    reads must not change.
     """
 
     def __init__(self, fn):
@@ -234,11 +234,7 @@ class CoordinateMemo:
         self._values: dict[bytes, object] = {}
 
     def __call__(self, c: np.ndarray):
-        if c.ndim == 1:
-            key = c.tobytes()
-            if key not in self._values:
-                self._values[key], = self._fn(c[None])
-            return self._values[key]
+        _check_rows(c)
         keys = [row.tobytes() for row in c]
         fresh = {key: row for key, row in zip(keys, c) if key not in self._values}
         if fresh:
@@ -296,19 +292,19 @@ class Chart:
 
     def _coords(self, coords) -> np.ndarray:
         c = np.asarray(coords, dtype=float)
-        if c.ndim not in (1, 2) or c.shape[-1] != self.coord_dim:
-            raise InputError(f"expected {self.coord_dim} coordinates or a stack of them, got {c.shape}")
+        if c.ndim != 2 or c.shape[1] != self.coord_dim:
+            raise InputError(f"expected an (m, {self.coord_dim}) stack of coordinate rows, got shape {c.shape}")
         if np.max(np.abs(c), initial=0.0) > self.box:
             raise ChartRangeError(f"coordinates leave the validity box |c| <= {self.box}")
         return c
 
     def point(self, coords) -> TangentBundlePoint:
-        """The point at (d,) coordinates; at an (m, d) stack, x and v are (m, n) stacks."""
+        """The points at an (m, d) stack of coordinates: x and v are (m, n) stacks."""
         xv = self._points(self._coords(coords))
         return TangentBundlePoint(x=xv[..., 0, :], v=xv[..., 1, :])
 
     def pushforward(self, coords) -> np.ndarray:
-        """Ambient derivative matrix, (2n) x coord_dim; (m, 2n, coord_dim) at an (m, d) stack.
+        """Ambient derivative matrices, (m, 2n, coord_dim) at an (m, d) stack.
 
         Column i < f is the u_i-derivative (conjugation direction), the
         rest are the inner map's columns; for this class column f + i is
@@ -317,7 +313,7 @@ class Chart:
         return self._pushes(self._coords(coords))[..., :2 * self.config.alg.dim, :]
 
     def lifts(self, coords) -> np.ndarray:
-        """Generators zeta with [x, zeta] = dx, one column per coordinate: n x coord_dim, or a stack."""
+        """Generators zeta with [x, zeta] = dx, one column per coordinate: (m, n, coord_dim)."""
         return self._pushes(self._coords(coords))[..., 2 * self.config.alg.dim:, :]
 
     def _inner_point(self, w: np.ndarray) -> np.ndarray:
@@ -355,32 +351,27 @@ class Chart:
 
 
 def shifted(coords: np.ndarray, index, step) -> np.ndarray:
-    """Copy of coords with one entry shifted; single addition per component.
-
-    On an (k, d) stack of rows, ``index`` and ``step`` give each row its own entry and step."""
+    """Copy of a (k, d) stack of rows with one entry of each row shifted by a single addition;
+    ``index`` and ``step`` give each row its own entry and step."""
     out = np.array(coords, dtype=float, copy=True)
-    if out.ndim == 1:
-        out[index] += step
-    else:
-        out[np.arange(len(out)), index] += step
+    out[np.arange(len(out)), index] += step
     return out
 
 
 def central_partials(fn, coords: np.ndarray, step: float) -> np.ndarray:
-    """Stack whose entry [..., l] is (fn(c + step e_l) - fn(c - step e_l)) / (2 step), per row c.
+    """(m, d, ...) stack whose entry [r, l] is (fn(c + step e_l) - fn(c - step e_l)) / (2 step), c row r.
 
-    ``coords`` is one row (d,), giving (d, ...), or an (m, d) stack, giving
-    (m, d, ...).  ``fn`` is called once, on the (2 d m, d) stack of the plus
-    point, then the minus point, of each coordinate l of each row in turn,
-    and returns their values stacked.
+    ``coords`` is an (m, d) stack.  ``fn`` is called once, on the (2 d m, d)
+    stack of the plus point, then the minus point, of each coordinate l of
+    each row in turn, and returns their values stacked.
     """
     c = np.asarray(coords, dtype=float)
-    rows = c.reshape(-1, c.shape[-1])
-    m, d = rows.shape
-    values = fn(shifted(np.repeat(rows, 2 * d, axis=0), np.tile(np.repeat(np.arange(d), 2), m),
+    _check_rows(c)
+    m, d = c.shape
+    values = fn(shifted(np.repeat(c, 2 * d, axis=0), np.tile(np.repeat(np.arange(d), 2), m),
                         np.tile([step, -step], m * d)))
     values = values.reshape((m, d, 2) + values.shape[1:])
-    return ((values[:, :, 0] - values[:, :, 1]) / (2.0 * step)).reshape(c.shape + values.shape[3:])
+    return (values[:, :, 0] - values[:, :, 1]) / (2.0 * step)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +391,8 @@ def canonical_form_matrix(chart: Chart, coords) -> np.ndarray:
     Exact from the pushforward: d theta = sum dv ^ dx, so W = A - A^T with
     A = Pv^T Px; skew by construction, and no finite differences (those
     remain only in outer derivatives such as :func:`closedness_residual`).
-    Works for any chart exposing ``pushforward`` and ``config``, at one
-    coordinate row or over a stack.
+    Works for any chart exposing ``pushforward`` and ``config``, over an
+    (m, d) stack of coordinate rows.
     """
     push = chart.pushforward(coords)
     n = chart.config.alg.dim
@@ -430,13 +421,12 @@ def omega2_matrix(chart: Chart, coords) -> np.ndarray:
 class FormField:
     """A cached matrix field coords -> skew matrix over a fixed chart.
 
-    ``fn`` maps a (k, d) stack of coordinates to (k, dim, dim) matrices, or to
-    one matrix for a field constant in the coordinates."""
+    ``fn`` maps a (k, d) stack of coordinates to (k, dim, dim) matrices."""
 
     def __init__(self, fn, dim: int, name: str):
         self.dim = int(dim)
         self.name = name
-        self._values = CoordinateMemo(lambda c: np.broadcast_to(fn(c), (len(c), self.dim, self.dim)))
+        self._values = CoordinateMemo(fn)
 
     def __call__(self, coords) -> np.ndarray:
         return self._values(np.asarray(coords, dtype=float))
@@ -452,8 +442,7 @@ def combined_form_field(chart: Chart) -> FormField:
 
 def closedness_residual(form_field, coords, fd_step: float = FD_STEP_DEFAULT) -> float:
     """Max cyclic-sum residual d_i W_jk + d_j W_ki + d_k W_ij over index triples and over the rows
-    of coords, one row (d,) or an (m, d) stack; the whole stencil is one call of ``form_field``."""
-    partials = central_partials(form_field, np.atleast_2d(np.asarray(coords, dtype=float)),
-                                _check_fd_step(fd_step))
+    of the (m, d) stack coords; the whole stencil is one call of ``form_field``."""
+    partials = central_partials(form_field, coords, _check_fd_step(fd_step))
     cyc = partials + np.transpose(partials, (0, 2, 3, 1)) + np.transpose(partials, (0, 3, 1, 2))
     return float(np.max(np.abs(cyc)))

@@ -10,9 +10,9 @@ The inner derivatives are the field's partials: dP = -P dW P for P = W^-1,
 with dW the central differences that closedness takes of W (no inverse off
 the centre), and central differences of P for any other field; residuals
 land near the truncation error ~ fd_step^2 for genuine Poisson fields.
-Residuals take one coordinate row or an (m, d) stack of rows and return the
-max over all of them; a field and its partials are evaluated on the whole
-stack at once, so a row costs one evaluator call per field.
+Fields and residuals take an (m, d) stack of coordinate rows, and residuals
+return the max over them; a field and its partials are evaluated on the
+whole stack at once, so a row costs one evaluator call per field.
 The tolerance ladder is: certify below 1e-5, reject (negative controls)
 above 1e-3; the gap guards against silent miscalibration.
 """
@@ -52,22 +52,17 @@ def _as_parameter(t) -> PencilParameter:
 
 
 class PoissonField:
-    """A cached skew matrix field; ``evaluator`` as for FormField.  ``partials(coords, step)`` gives its
-    derivatives, (d, dim, dim) at one row or (m, d, dim, dim) at an (m, d) stack, by default central
-    differences of the field."""
+    """A cached skew matrix field; ``evaluator`` as for FormField, and its values must be skew.
+    ``partials(coords, step)`` gives its derivatives, (m, d, dim, dim) at an (m, d) stack, by default
+    central differences of the field."""
 
     def __init__(self, evaluator, dim: int, *, partials=None):
         self.dim = int(dim)
-        self._values = CoordinateMemo(lambda c: _skew(np.broadcast_to(evaluator(c), (len(c), self.dim, self.dim))))
+        self._values = CoordinateMemo(evaluator)
         self.partials = partials or (lambda c, h: central_partials(self, c, h))
 
     def __call__(self, coords) -> np.ndarray:
         return self._values(np.asarray(coords, dtype=float))
-
-
-def _skew(mat) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    return 0.5 * (mat - mat.mT)
 
 
 def invert_form(form_field: FormField) -> PoissonField:
@@ -114,12 +109,12 @@ def pencil(p1: PoissonField, p2: PoissonField, t) -> PoissonField:
 
 
 def jacobi_residual(field: PoissonField, coords, fd_step: float = FD_STEP_DEFAULT) -> float:
-    """Max Jacobi-identity residual over coordinate-function triples and over the rows of coords.
+    """Max Jacobi-identity residual over coordinate-function triples and over the rows of the (m, d) stack coords.
 
     The contraction runs one row at a time: a stacked einsum may sum in
     another order, and each row's residual must not depend on its stack."""
     h = _check_fd_step(fd_step)
-    c = np.atleast_2d(np.asarray(coords, dtype=float))
+    c = np.asarray(coords, dtype=float)
     mixed = np.stack([np.einsum("li,ljk->ijk", center, partials)
                       for center, partials in zip(field(c), field.partials(c, h))])
     cyc = mixed + np.transpose(mixed, (0, 2, 3, 1)) + np.transpose(mixed, (0, 3, 1, 2))
@@ -141,10 +136,11 @@ class DegeneracySample(NamedTuple):
 
 
 def degeneracy_profile(p1: PoissonField, p2: PoissonField, coords, t_samples) -> list[DegeneracySample]:
-    """sigma_min and rank of t1 P1 + t2 P2 at fixed coords, over t samples: one stacked SVD."""
+    """sigma_min and rank of t1 P1 + t2 P2 at the one row of a (1, d) stack, over t samples: one stacked SVD."""
     c = np.asarray(coords, dtype=float)
-    m1 = p1(c)
-    m2 = p2(c)
+    if c.shape[:1] != (1,):
+        raise InputError(f"expected a (1, d) stack of one coordinate row, got shape {c.shape}")
+    (m1,), (m2,) = p1(c), p2(c)
     params = [_as_parameter(t) for t in t_samples]
     sig = np.linalg.svd(np.stack([p.t1 * m1 + p.t2 * m2 for p in params]), compute_uv=False)
     ranks = np.sum(sig > FORM_SINGULAR_RTOL * np.maximum(sig[:, :1], 1e-300), axis=-1)

@@ -246,7 +246,7 @@ class PipelineContext:
 
     def __init__(self, config: WorkbenchConfig, alg: lc.LieAlgebra, orbit: oc.OrbitConfig,
                  setup: dr.ReductionSetup, data: dr.RestrictedPencilData, adapted: dr.AdaptedChart,
-                 ambient_coords: list, regular_coords: list):
+                 ambient_coords: np.ndarray, regular_coords: np.ndarray):
         self.config, self.alg, self.orbit, self.setup, self.data = config, alg, orbit, setup, data
         self.adapted, self.ambient_coords, self.regular_coords = adapted, ambient_coords, regular_coords
         self._shared = {}
@@ -281,12 +281,12 @@ def prepare_context(cfg: WorkbenchConfig) -> PipelineContext:
         orbit = oc.orbit_config(alg, seed_elt)
     except DomainError as exc:  # e.g. a central seed, whose orbit is a point
         raise ConfigError(f"seed element rejected: {exc}") from exc
-    setup = dr.reduction_setup(orbit, samples=max(8, cfg.samples), seed=cfg.seed)
+    setup = dr.reduction_setup(orbit, samples=cfg.samples, seed=cfg.seed)
     base = oc.TangentBundlePoint(x=orbit.seed, v=setup.x0)
     data = dr.restricted_pencil(setup, base)
     adapted = dr.AdaptedChart(setup, data.sub_chart)
-    ambient_coords = list(uniform_rows(cfg.seed, "ambient-points", range(cfg.samples),
-                                       data.ambient_chart.coord_dim, CHART_SCALE))
+    ambient_coords = uniform_rows(cfg.seed, "ambient-points", range(cfg.samples),
+                                  data.ambient_chart.coord_dim, CHART_SCALE)
     regular_coords = dr.sample_regular_coords(setup, data, cfg.samples, seed=cfg.seed,
                                               scale=CHART_SCALE)
     return PipelineContext(
@@ -397,14 +397,14 @@ def _restricted(ctx):
 def _closedness(chart, *members):
     def fn(ctx):
         pencil, coords = chart(ctx)
-        return max(oc.closedness_residual(getattr(pencil, m), np.stack(coords), ctx.fd) for m in members)
+        return max(oc.closedness_residual(getattr(pencil, m), coords, ctx.fd) for m in members)
     return fn
 
 
 def _nondegeneracy(chart, *members):
     def fn(ctx):
         pencil, coords = chart(ctx)
-        return min(float(np.min(np.linalg.svd(getattr(pencil, m)(np.stack(coords)), compute_uv=False)[:, -1]))
+        return min(float(np.min(np.linalg.svd(getattr(pencil, m)(coords), compute_uv=False)[:, -1]))
                    for m in members)
     return fn
 
@@ -412,14 +412,14 @@ def _nondegeneracy(chart, *members):
 def _jacobi(chart, *members):
     def fn(ctx):
         pencil, coords = chart(ctx)
-        return max(pp.jacobi_residual(getattr(pencil, m), np.stack(coords), ctx.fd) for m in members)
+        return max(pp.jacobi_residual(getattr(pencil, m), coords, ctx.fd) for m in members)
     return fn
 
 
 def _compatibility(chart):
     def fn(ctx):
         pencil, coords = chart(ctx)
-        return pp.compatibility_residual(pencil.p1, pencil.p2, np.stack(coords), ctx.fd)
+        return pp.compatibility_residual(pencil.p1, pencil.p2, coords, ctx.fd)
     return fn
 
 
@@ -436,7 +436,7 @@ def _form_invariance(ctx):
     worst = 0.0
     for i, rot in enumerate(oc.exp_ad(ctx.alg, zetas)):
         moved = oc.Chart(ctx.orbit, base_v=chart.base_v, frame=chart.frame, rotation=rot)
-        coords = ctx.ambient_coords[i % len(ctx.ambient_coords)]
+        coords = ctx.ambient_coords[i % len(ctx.ambient_coords)][None]
         worst = max(
             worst,
             float(np.max(np.abs(oc.canonical_form_matrix(moved, coords) - ctx.data.ambient.w1(coords)))),
@@ -448,7 +448,7 @@ def _form_invariance(ctx):
 def _control_coords(ctx) -> np.ndarray:
     # Fixed alternating pattern: controls must trip for every seed.
     dim = ctx.data.ambient_chart.coord_dim
-    return 0.09 * np.array([1.0 if i % 2 == 0 else -1.0 for i in range(dim)])
+    return 0.09 * np.array([[1.0 if i % 2 == 0 else -1.0 for i in range(dim)]])
 
 
 def _control_corrupted_closedness(ctx):
@@ -483,7 +483,7 @@ def _corrupted_field(ctx) -> pp.PoissonField:
 def _degeneracy(on_line: bool, chart):
     def fn(ctx):
         pencil, coords = chart(ctx)
-        profile = pp.degeneracy_profile(pencil.p1, pencil.p2, coords[0], pp.unit_circle_parameters(16))
+        profile = pp.degeneracy_profile(pencil.p1, pencil.p2, coords[:1], pp.unit_circle_parameters(16))
         on = [s.sigma_min for s in profile if abs(s.t[0] + s.t[1]) < 1e-12]
         off = [s.sigma_min for s in profile if abs(s.t[0] + s.t[1]) >= 1e-12]
         return max(on) if on_line else min(off)
@@ -497,7 +497,7 @@ def _control_corrupted_jacobi(ctx):
 
 def _splitting_reports(ctx):
     members = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7), (2.0, -1.0)]
-    coords = ctx.data.pad_coords(np.stack(ctx.regular_coords))
+    coords = ctx.data.pad_coords(ctx.regular_coords)
     m1, m2 = ctx.data.ambient.w1(coords), ctx.data.ambient.w2(coords)
     forms = np.stack([t1 * m1 + t2 * m2 for t1, t2 in members], axis=1)
     return dr.splitting_orthogonality(ctx.setup, ctx.data.ambient_chart, coords, forms)
@@ -513,7 +513,8 @@ def _splitting_nondegeneracy(ctx):
 
 def _adapted_reports(ctx):
     # Block reports of both forms on the stratum, i.e. at zero transversal offset.
-    coords = np.stack([np.concatenate([np.zeros(ctx.setup.transversal.dim), s]) for s in ctx.regular_coords[:5]])
+    stratum = ctx.regular_coords[:5]
+    coords = np.hstack([np.zeros((len(stratum), ctx.setup.transversal.dim)), stratum])
     return [dr.adapted_block_report(ctx.adapted, w)
             for form in (oc.canonical_form_matrix, oc.omega2_matrix)
             for w in form(ctx.adapted, coords)]
@@ -546,7 +547,7 @@ def _product_complement_independence(ctx):
 
 
 def _action_complement_independence(ctx):
-    points = ctx.data.sub_chart.point(np.stack(ctx.regular_coords[:3]))
+    points = ctx.data.sub_chart.point(ctx.regular_coords[:3])
     return dr.complement_product_independence(ctx.setup, points, ctx.once(_invariant_products), ctx.seed)
 
 
@@ -557,23 +558,23 @@ def _bracket_agreement(ctx):
     fns = [dr.invariant_function(ctx.alg, w) for w in _BRACKET_WORDS]
     params = [t for t in ctx.config.t_samples if abs(t[0] + t[1]) > 1e-12]
     return max(report.relative_residual
-               for report in dr.bracket_agreement(ctx.setup, ctx.data, fns, np.stack(ctx.regular_coords[:5]), params))
+               for report in dr.bracket_agreement(ctx.setup, ctx.data, fns, ctx.regular_coords[:5], params))
 
 
 def _invariant_function_invariance(ctx):
     fns = [dr.invariant_function(ctx.alg, w) for w in _BRACKET_WORDS]
-    point = ctx.data.sub_chart.point(ctx.regular_coords[0])
+    point = ctx.data.sub_chart.point(ctx.regular_coords[:1])
     rots = oc.exp_ad(ctx.alg, unit_rows(ctx.seed, "function-invariance", range(20), ctx.alg.dim))
-    moved = oc.TangentBundlePoint(x=rots @ point.x, v=rots @ point.v)
+    moved = oc.TangentBundlePoint(x=rots @ point.x[0], v=rots @ point.v[0])
     return max(float(np.max(np.abs(f(moved) - f(point)))) for f in fns)
 
 
 def _local_freeness(ctx):
-    return float(dr.isotropy_excess(ctx.setup, ctx.data.sub_chart.point(np.stack(ctx.regular_coords))))
+    return float(dr.isotropy_excess(ctx.setup, ctx.data.sub_chart.point(ctx.regular_coords)))
 
 
 def _control_zero_section_isotropy(ctx):
-    zero = oc.TangentBundlePoint(x=ctx.orbit.seed, v=np.zeros(ctx.alg.dim))
+    zero = oc.TangentBundlePoint(x=ctx.orbit.seed[None], v=np.zeros((1, ctx.alg.dim)))
     return float(dr.isotropy_excess(ctx.setup, zero))
 
 
@@ -590,7 +591,7 @@ def _transversality(ctx):
 
 
 def _control_zero_section_transversality(ctx):
-    zero = oc.TangentBundlePoint(x=ctx.orbit.seed, v=np.zeros(ctx.alg.dim))
+    zero = oc.TangentBundlePoint(x=ctx.orbit.seed[None], v=np.zeros((1, ctx.alg.dim)))
     return float(dr.transversality_deficiency(ctx.setup, zero))
 
 

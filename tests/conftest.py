@@ -95,6 +95,6 @@ def regular_coords_cp2(setup_cp2, data_cp2):
 def ambient_coords():
     def make(chart, count, seed=11):
         rng = np.random.default_rng(seed)
-        return [rng.uniform(-0.1, 0.1, chart.coord_dim) for _ in range(count)]
+        return rng.uniform(-0.1, 0.1, (count, chart.coord_dim))
 
     return make

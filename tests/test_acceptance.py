@@ -40,7 +40,7 @@ def sample_points(triple):
     out = {}
     for name, (setup, data) in triple.items():
         chart = data.ambient_chart
-        out[name] = list(uniform_rows(2024, f"acceptance:{name}", range(10), chart.coord_dim, 0.1))
+        out[name] = uniform_rows(2024, f"acceptance:{name}", range(10), chart.coord_dim, 0.1)[:, None]
     return out
 
 
@@ -52,7 +52,7 @@ def test_criterion_01_ambient_symplectic(triple, sample_points):
         for coords in sample_points[name]:
             for form in (w1, w2):
                 worst_closed = max(worst_closed, oc.closedness_residual(form, coords, 1e-4))
-                worst_sigma = min(worst_sigma, np.linalg.svd(form(coords), compute_uv=False)[-1])
+                worst_sigma = min(worst_sigma, np.linalg.svd(form(coords)[0], compute_uv=False)[-1])
     ok = worst_closed <= 1e-5 and worst_sigma > 1e-6
     verdict(1, "ambient forms closed and nondegenerate",
             ok, f"max closedness {worst_closed:.2e} <= 1e-5, min sigma {worst_sigma:.2e} > 1e-6")
@@ -100,7 +100,7 @@ def test_criterion_03_degeneracy_locus(triple, sample_points):
     for name, (setup, data) in triple.items():
         pairs = [
             (data.ambient.p1, data.ambient.p2, sample_points[name][0]),
-            (data.restricted.p1, data.restricted.p2, np.zeros(data.sub_chart.coord_dim) + 0.02),
+            (data.restricted.p1, data.restricted.p2, np.zeros((1, data.sub_chart.coord_dim)) + 0.02),
         ]
         for p1, p2, coords in pairs:
             raw = pp.degeneracy_profile(p1, p2, coords, [(1.0, -1.0)])[0]
@@ -117,10 +117,10 @@ def test_criterion_04_restricted_pencil(setup_cp2, data_cp2, regular_coords_cp2)
     worst_closed = 0.0
     worst_sigma = np.inf
     worst_jacobi = 0.0
-    for coords in regular_coords_cp2:
+    for coords in regular_coords_cp2[:, None]:
         for form in (data_cp2.restricted.w1, data_cp2.restricted.w2):
             worst_closed = max(worst_closed, oc.closedness_residual(form, coords, 1e-4))
-            worst_sigma = min(worst_sigma, np.linalg.svd(form(coords), compute_uv=False)[-1])
+            worst_sigma = min(worst_sigma, np.linalg.svd(form(coords)[0], compute_uv=False)[-1])
         worst_jacobi = max(worst_jacobi, pp.compatibility_residual(
             data_cp2.restricted.p1, data_cp2.restricted.p2, coords, 1e-4))
     ok = worst_closed <= 1e-5 and worst_sigma > 1e-6 and worst_jacobi <= 1e-5
@@ -136,7 +136,7 @@ def test_criterion_05_bracket_agreement(setup_cp2, data_cp2, regular_coords_cp2)
     assert len(pairs) >= 6
     worst = 0.0
     for t in params:
-        for coords in regular_coords_cp2[:5]:
+        for coords in regular_coords_cp2[:5, None]:
             # relative residual is the max over every pair i < j of fns
             worst = max(worst, dr.bracket_agreement(setup_cp2, data_cp2, fns, coords, [t])[0].relative_residual)
     ok = worst <= 1e-5
@@ -149,10 +149,10 @@ def test_criterion_06_splitting_orthogonality(setup_cp2, data_cp2, regular_coord
     members = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7), (2.0, -1.0)]
     worst_pair = 0.0
     worst_sigma = np.inf
-    for coords in regular_coords_cp2:
+    for coords in regular_coords_cp2[:, None]:
         padded = data_cp2.pad_coords(coords)
         m1, m2 = w1(padded), w2(padded)
-        forms = [t1 * m1 + t2 * m2 for t1, t2 in members]
+        forms = np.stack([t1 * m1 + t2 * m2 for t1, t2 in members], axis=1)
         for report in dr.splitting_orthogonality(setup_cp2, data_cp2.ambient_chart, padded, forms):
             worst_pair = max(worst_pair, report.pairing)
             worst_sigma = min(worst_sigma, report.sigma_complement, report.sigma_stratum)
@@ -165,14 +165,14 @@ def test_criterion_07_adapted_blocks(setup_cp2, data_cp2, regular_coords_cp2):
     adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
     p_dim = setup_cp2.transversal.dim
     worst_off = 0.0
-    for coords in regular_coords_cp2[:5]:
-        full = np.concatenate([np.zeros(p_dim), coords])
-        for matrix in (oc.canonical_form_matrix(adapted, full), oc.omega2_matrix(adapted, full)):
+    for coords in regular_coords_cp2[:5, None]:
+        full = np.hstack([np.zeros((1, p_dim)), coords])
+        for matrix in (oc.canonical_form_matrix(adapted, full)[0], oc.omega2_matrix(adapted, full)[0]):
             worst_off = max(worst_off, dr.adapted_block_report(adapted, matrix).off_diagonal)
     control = 0.0
     for y in 0.05 * unit_rows(31, "adapted-control", range(3), p_dim):
-        full = np.concatenate([y, regular_coords_cp2[0]])
-        matrix = oc.canonical_form_matrix(adapted, full)
+        full = np.concatenate([y, regular_coords_cp2[0]])[None]
+        matrix = oc.canonical_form_matrix(adapted, full)[0]
         control = max(control, dr.adapted_block_report(adapted, matrix).off_diagonal)
     ok = worst_off <= 1e-8 and control > 1e-6
     verdict(7, "adapted coordinates block-diagonalise the forms on the stratum",
@@ -222,9 +222,9 @@ def test_criterion_09_slice_identities(triple, setup_cp2, data_cp2):
         worst_iters = max(worst_iters, iterations)
     deficiency = 0
     for name, (setup, data) in triple.items():
-        point = oc.TangentBundlePoint(x=setup.config.seed, v=setup.x0)
+        point = oc.TangentBundlePoint(x=setup.config.seed[None], v=setup.x0[None])
         deficiency = max(deficiency, dr.transversality_deficiency(setup, point))
-    zero = oc.TangentBundlePoint(x=setup_cp2.config.seed, v=np.zeros(setup_cp2.alg.dim))
+    zero = oc.TangentBundlePoint(x=setup_cp2.config.seed[None], v=np.zeros((1, setup_cp2.alg.dim)))
     zero_deficiency = dr.transversality_deficiency(setup_cp2, zero)
     ok = (worst_commute <= 1e-10 and worst_res <= 1e-8 and worst_iters <= 200
           and deficiency == 0 and zero_deficiency > 0)
@@ -238,7 +238,7 @@ def test_criterion_10_local_freeness(triple):
     worst = 0
     for name, (setup, data) in triple.items():
         coords_list = dr.sample_regular_coords(setup, data, 10, seed=2024, stage=f"freeness:{name}")
-        worst = max(worst, dr.isotropy_excess(setup, data.sub_chart.point(np.stack(coords_list))))
+        worst = max(worst, dr.isotropy_excess(setup, data.sub_chart.point(coords_list)))
     ok = worst == 0
     verdict(10, "centralizer action is locally free at regular points",
             ok, f"max isotropy excess over the center {worst} == 0 at 10 points per configuration")

@@ -9,6 +9,11 @@ from orbitpencil.errors import DomainError
 from orbitpencil.seeding import unit_rows
 
 
+def stack_of_one(x, v):
+    """The point (x, v) as a stack of one."""
+    return oc.TangentBundlePoint(x=x[None], v=v[None])
+
+
 def stabilizer_dim_oracle(alg, stab_basis, x):
     """dim {y in span : [x, y] = 0} via matrix commutators and an SVD."""
     mx = alg.matrix_of(x)
@@ -137,41 +142,41 @@ def test_isotropy_algebra_base_cases(setup_su2, setup_cp2):
     iso2 = dr.isotropy_algebra(setup_cp2, point2)
     assert iso2.dim == setup_cp2.isotropy.dim
     assert lc.projector_distance(iso2, setup_cp2.isotropy) <= 1e-8
-    assert dr.is_regular(setup_cp2, point2)
+    assert dr.is_regular(setup_cp2, stack_of_one(point2.x, point2.v))[0]
 
 
-def test_regular_tangent_space(setup_su2, setup_cp2, data_cp2, regular_coords_cp2):
+def test_stratum_tangent(setup_su2, setup_cp2, data_cp2, regular_coords_cp2):
     # trivial isotropy: the whole ambient tangent space
-    base = oc.TangentBundlePoint(x=setup_su2.config.seed, v=setup_su2.x0)
-    full = dr._stratum_tangent(setup_su2, base)
+    base = stack_of_one(setup_su2.config.seed, setup_su2.x0)
+    [full] = dr._stratum_tangent(setup_su2, base)
     assert full.dim == 2 * setup_su2.config.orbit_dim
     # nontrivial: dimension equals twice the sub-orbit dimension, and the
     # sub-chart tangent image sits inside the fixed space
-    for coords in regular_coords_cp2[:3]:
+    for coords in regular_coords_cp2[:3, None]:
         point = data_cp2.sub_chart.point(coords)
-        fixed = dr._stratum_tangent(setup_cp2, point)
+        [fixed] = dr._stratum_tangent(setup_cp2, point)
         assert fixed.dim == 2 * setup_cp2.sub_tangent.dim
-        push = data_cp2.sub_chart.pushforward(coords)
+        push = data_cp2.sub_chart.pushforward(coords)[0]
         inside = lc.span(push)
         assert lc.subspace_contains(fixed, inside) <= 1e-8
 
 
-def test_regular_tangent_space_rejects_irregular(setup_cp2):
+def test_splitting_rejects_irregular_points(setup_cp2):
     # the splitting is taken at regular points only: the zero section is not one
     cfg = setup_cp2.config
     zero_section = oc.Chart(cfg, base_v=np.zeros(setup_cp2.alg.dim), frame=cfg.tangent.basis)
-    with pytest.raises(DomainError):
-        dr.splitting_orthogonality(setup_cp2, zero_section, np.zeros(zero_section.coord_dim), [])
+    with pytest.raises(DomainError, match="not regular"):
+        dr.splitting_orthogonality(setup_cp2, zero_section, np.zeros((1, zero_section.coord_dim)), [])
 
 
 def test_canonical_complement(setup_su2, setup_cp2, data_cp2, regular_coords_cp2):
-    base = oc.TangentBundlePoint(x=setup_su2.config.seed, v=setup_su2.x0)
-    assert dr.canonical_complement(setup_su2, base).dim == 0
-    for coords in regular_coords_cp2[:3]:
+    base = stack_of_one(setup_su2.config.seed, setup_su2.x0)
+    assert dr.canonical_complement(setup_su2, base)[0].dim == 0
+    for coords in regular_coords_cp2[:3, None]:
         point = data_cp2.sub_chart.point(coords)
-        comp = dr.canonical_complement(setup_cp2, point)
+        [comp] = dr.canonical_complement(setup_cp2, point)
         assert comp.dim == setup_cp2.transversal.dim
-        strat = dr._stratum_tangent(setup_cp2, point)
+        [strat] = dr._stratum_tangent(setup_cp2, point)
         stacked = np.hstack([comp.basis, strat.basis])
         sig = np.linalg.svd(stacked, compute_uv=False)
         assert sig[-1] > 1e-6  # trivial intersection
@@ -179,7 +184,7 @@ def test_canonical_complement(setup_su2, setup_cp2, data_cp2, regular_coords_cp2
 
 
 def test_complement_product_independence(setup_cp2, data_cp2, regular_coords_cp2):
-    point = data_cp2.sub_chart.point(regular_coords_cp2[0])
+    point = data_cp2.sub_chart.point(regular_coords_cp2[:1])
     sols = lc.invariant_product_space(setup_cp2.alg, setup_cp2.isotropy)
     for seed in (3, 17):
         assert dr.complement_product_independence(setup_cp2, point, sols, seed) <= 1e-8
@@ -193,10 +198,10 @@ def test_complement_product_independence(setup_cp2, data_cp2, regular_coords_cp2
 def test_splitting_orthogonality_cp2(setup_cp2, data_cp2, regular_coords_cp2):
     w1, w2, _, _ = data_cp2.ambient
     members = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7), (2.0, -1.0)]
-    for coords in regular_coords_cp2:
+    for coords in regular_coords_cp2[:, None]:
         padded = data_cp2.pad_coords(coords)
         m1, m2 = w1(padded), w2(padded)
-        forms = [t1 * m1 + t2 * m2 for t1, t2 in members]
+        forms = np.stack([t1 * m1 + t2 * m2 for t1, t2 in members], axis=1)
         for report in dr.splitting_orthogonality(setup_cp2, data_cp2.ambient_chart, padded, forms):
             assert report.pairing <= 1e-8
             assert report.sigma_complement > 1e-6
@@ -208,17 +213,17 @@ def test_splitting_orthogonality_decides_regularity_once(monkeypatch, setup_cp2,
     isotropy = dr.isotropy_algebra
     monkeypatch.setattr(dr, "isotropy_algebra", lambda setup, point: calls.append(1) or isotropy(setup, point))
     w1 = data_cp2.ambient.w1
-    for coords in regular_coords_cp2[:3]:
+    for coords in regular_coords_cp2[:3, None]:
         padded = data_cp2.pad_coords(coords)
         calls.clear()
-        dr.splitting_orthogonality(setup_cp2, data_cp2.ambient_chart, padded, [w1(padded)])
+        dr.splitting_orthogonality(setup_cp2, data_cp2.ambient_chart, padded, w1(padded)[:, None])
         assert len(calls) == 1
     # the zero section is irregular: the single decision still refuses it
     chart = data_cp2.ambient_chart
     zero_fiber = oc.Chart(setup_cp2.config, base_v=np.zeros(setup_cp2.alg.dim), frame=chart.frame)
-    coords = np.zeros(zero_fiber.coord_dim)
+    coords = np.zeros((1, zero_fiber.coord_dim))
     with pytest.raises(DomainError):
-        dr.splitting_orthogonality(setup_cp2, zero_fiber, coords, [np.eye(len(coords))])
+        dr.splitting_orthogonality(setup_cp2, zero_fiber, coords, np.eye(coords.shape[1])[None, None])
 
 
 def test_splitting_orthogonality_reports_points_of_mixed_shapes(monkeypatch, setup_cp2, data_cp2,
@@ -226,7 +231,7 @@ def test_splitting_orthogonality_reports_points_of_mixed_shapes(monkeypatch, set
     # Regular points share their stratum and complement dimensions; force three shapes into one stack
     # (point 1 loses a stratum direction, point 2 its complement) and every point keeps its own reports.
     chart, w1, w2 = data_cp2.ambient_chart, data_cp2.ambient.w1, data_cp2.ambient.w2
-    coords = np.stack([data_cp2.pad_coords(c) for c in regular_coords_cp2[:4]])
+    coords = data_cp2.pad_coords(regular_coords_cp2[:4])
     xs = chart.point(coords).x
     stratum, complement, reports = dr._stratum_tangent, dr.canonical_complement, dr._splitting_reports
 
@@ -240,10 +245,11 @@ def test_splitting_orthogonality_reports_points_of_mixed_shapes(monkeypatch, set
     groups = []
     monkeypatch.setattr(dr, "_splitting_reports", lambda pushes, *args: groups.append(len(pushes)) or
                         reports(pushes, *args))
-    forms = np.stack([[w1(c), w2(c), w1(c) + w2(c)] for c in coords])
+    forms = np.stack([w1(coords), w2(coords), w1(coords) + w2(coords)], axis=1)
     stacked = dr.splitting_orthogonality(setup_cp2, chart, coords, forms)
     assert groups == [2, 1, 1]  # one stack per shape, in order of first appearance
-    single = [report for c, f in zip(coords, forms) for report in dr.splitting_orthogonality(setup_cp2, chart, c, f)]
+    single = [report for c, f in zip(coords[:, None], forms[:, None])
+              for report in dr.splitting_orthogonality(setup_cp2, chart, c, f)]
     assert len(stacked) == len(single) == 12
     assert np.allclose(np.array(stacked), np.array(single), rtol=1e-10, atol=1e-12)
     assert [r.sigma_complement for r in stacked[6:9]] == [float("inf")] * 3
@@ -252,9 +258,9 @@ def test_splitting_orthogonality_reports_points_of_mixed_shapes(monkeypatch, set
 
 
 def test_splitting_orthogonality_trivial_case(setup_su2, data_su2):
-    coords = np.zeros(data_su2.ambient_chart.coord_dim)
+    coords = np.zeros((1, data_su2.ambient_chart.coord_dim))
     w1 = data_su2.ambient.w1
-    [report] = dr.splitting_orthogonality(setup_su2, data_su2.ambient_chart, coords, [w1(coords)])
+    [report] = dr.splitting_orthogonality(setup_su2, data_su2.ambient_chart, coords, w1(coords)[:, None])
     assert report.pairing == 0.0
     assert report.sigma_stratum > 1e-6
 
@@ -262,11 +268,11 @@ def test_splitting_orthogonality_trivial_case(setup_su2, data_su2):
 def test_adapted_chart_blocks(setup_cp2, data_cp2, regular_coords_cp2):
     adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
     p_dim = setup_cp2.transversal.dim
-    for coords in regular_coords_cp2[:5]:
-        full = np.concatenate([np.zeros(p_dim), coords])
+    for coords in regular_coords_cp2[:5, None]:
+        full = np.hstack([np.zeros((1, p_dim)), coords])
         for matrix in (
-            oc.canonical_form_matrix(adapted, full),
-            oc.omega2_matrix(adapted, full),
+            oc.canonical_form_matrix(adapted, full)[0],
+            oc.omega2_matrix(adapted, full)[0],
         ):
             report = dr.adapted_block_report(adapted, matrix)
             assert report.off_diagonal <= 1e-8
@@ -280,8 +286,8 @@ def test_adapted_chart_negative_control(setup_cp2, data_cp2, regular_coords_cp2)
     p_dim = setup_cp2.transversal.dim
     best = 0.0
     for y in 0.05 * unit_rows(5, "negative-control", range(3), p_dim):
-        full = np.concatenate([y, regular_coords_cp2[0]])
-        matrix = oc.canonical_form_matrix(adapted, full)
+        full = np.concatenate([y, regular_coords_cp2[0]])[None]
+        matrix = oc.canonical_form_matrix(adapted, full)[0]
         best = max(best, dr.adapted_block_report(adapted, matrix).off_diagonal)
     assert best > 1e-6
 
@@ -289,7 +295,7 @@ def test_adapted_chart_negative_control(setup_cp2, data_cp2, regular_coords_cp2)
 def test_adapted_chart_trivial_case(setup_su2, data_su2):
     adapted = dr.AdaptedChart(setup_su2, data_su2.sub_chart)
     assert adapted.coord_dim == data_su2.sub_chart.coord_dim
-    coords = np.full(adapted.coord_dim, 0.02)
+    coords = np.full((1, adapted.coord_dim), 0.02)
     direct = data_su2.sub_chart.point(coords)
     via = adapted.point(coords)
     assert np.allclose(via.x, direct.x, atol=1e-14)
@@ -299,14 +305,14 @@ def test_adapted_chart_trivial_case(setup_su2, data_su2):
 def test_adapted_pushforward_matches_finite_differences(setup_cp2, data_cp2):
     adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
     rng = np.random.default_rng(6)
-    coords = rng.uniform(-0.05, 0.05, adapted.coord_dim)
-    push = adapted.pushforward(coords)
+    coords = rng.uniform(-0.05, 0.05, (1, adapted.coord_dim))
+    push = adapted.pushforward(coords)[0]
     h = 1e-5
     fd = np.empty_like(push)
     for j in range(adapted.coord_dim):
         plus = adapted.point(oc.shifted(coords, j, +h))
         minus = adapted.point(oc.shifted(coords, j, -h))
-        fd[:, j] = np.concatenate([plus.x - minus.x, plus.v - minus.v]) / (2 * h)
+        fd[:, j] = np.concatenate([plus.x - minus.x, plus.v - minus.v], axis=-1)[0] / (2 * h)
     assert np.max(np.abs(push - fd)) <= 1e-8
 
 
@@ -318,7 +324,7 @@ def test_adapted_pushforward_matches_finite_differences(setup_cp2, data_cp2):
 def test_restricted_pencil_trivial_case_is_ambient(setup_su2, data_su2):
     # with trivial isotropy the sub chart and the ambient chart coincide
     assert data_su2.sub_chart.coord_dim == data_su2.ambient_chart.coord_dim
-    coords = np.full(data_su2.sub_chart.coord_dim, 0.03)
+    coords = np.full((1, data_su2.sub_chart.coord_dim), 0.03)
     w1_sub = data_su2.restricted.w1(coords)
     w1_amb = data_su2.ambient.w1(data_su2.pad_coords(coords))
     assert np.max(np.abs(w1_sub - w1_amb)) <= 1e-12
@@ -335,17 +341,17 @@ def test_restricted_pencil_base_validation(setup_cp2):
 
 
 def test_restricted_pencil_certification_cp2(setup_cp2, data_cp2, regular_coords_cp2):
-    for coords in regular_coords_cp2:
+    for coords in regular_coords_cp2[:, None]:
         assert oc.closedness_residual(data_cp2.restricted.w1, coords, 1e-4) <= 1e-5
         assert oc.closedness_residual(data_cp2.restricted.w2, coords, 1e-4) <= 1e-5
         for form in (data_cp2.restricted.w1, data_cp2.restricted.w2):
-            assert np.linalg.svd(form(coords), compute_uv=False)[-1] > 1e-6
+            assert np.linalg.svd(form(coords)[0], compute_uv=False)[-1] > 1e-6
         assert pp.compatibility_residual(data_cp2.restricted.p1, data_cp2.restricted.p2, coords, 1e-4) <= 1e-5
 
 
 def test_restricted_degeneracy_profile(data_cp2, regular_coords_cp2):
     profile = pp.degeneracy_profile(
-        data_cp2.restricted.p1, data_cp2.restricted.p2, regular_coords_cp2[0], pp.unit_circle_parameters(16)
+        data_cp2.restricted.p1, data_cp2.restricted.p2, regular_coords_cp2[:1], pp.unit_circle_parameters(16)
     )
     for sample in profile:
         if abs(sample.t[0] + sample.t[1]) < 1e-12:
@@ -363,7 +369,7 @@ def test_invariant_function_basics(su3, setup_cp2, data_cp2, regular_coords_cp2)
     f_xx = dr.invariant_function(su3, ("x", "x"))
     f_xv = dr.invariant_function(su3, ("x", "v"))
     vals = []
-    for coords in regular_coords_cp2[:5]:
+    for coords in regular_coords_cp2[:5, None]:
         point = data_cp2.sub_chart.point(coords)
         vals.append(f_xx(point))
         assert abs(f_xv(point)) <= 1e-12  # v is orthogonal to ker ad(x), x included
@@ -375,11 +381,11 @@ def test_invariant_function_conjugation_invariance(su3, data_cp2, regular_coords
 
     words = [("v", "v"), ("x", "x", "v", "v"), ("x", "v", "x", "v"), ("v", "v", "v", "v")]
     fns = [dr.invariant_function(su3, w) for w in words]
-    point = data_cp2.sub_chart.point(regular_coords_cp2[0])
+    point = data_cp2.sub_chart.point(regular_coords_cp2[:1])
     rng = np.random.default_rng(8)
     for _ in range(20):
         rot = scipy.linalg.expm(su3.ad(rng.standard_normal(su3.dim)))
-        moved = oc.TangentBundlePoint(x=rot @ point.x, v=rot @ point.v)
+        moved = oc.TangentBundlePoint(x=point.x @ rot.T, v=point.v @ rot.T)
         for f in fns:
             assert abs(f(moved) - f(point)) <= 1e-10
 
@@ -395,13 +401,13 @@ _BRACKET_WORDS = [("v", "v"), ("x", "x", "v", "v"), ("x", "v", "x", "v"), ("v", 
 
 
 def _fd_differential(chart, fn, coords, h=1e-4):
-    """Central-difference differential of fn composed with the chart."""
+    """Central-difference differential of fn composed with the chart, at a (1, d) stack."""
     c = np.asarray(coords, dtype=float)
     out = np.empty(chart.coord_dim)
     for i in range(chart.coord_dim):
         step = np.zeros_like(c)
-        step[i] = h
-        out[i] = (fn(chart.point(c + step)) - fn(chart.point(c - step))) / (2.0 * h)
+        step[0, i] = h
+        out[i] = ((fn(chart.point(c + step)) - fn(chart.point(c - step))) / (2.0 * h))[0]
     return out
 
 
@@ -422,8 +428,8 @@ def test_exact_differentials_match_finite_differences(request, setup_name, data_
     fns = [dr.invariant_function(setup.alg, w) for w in _BRACKET_WORDS]
     rng = np.random.default_rng(21)
     for _ in range(2):
-        coords = rng.uniform(-0.1, 0.1, chart.coord_dim)
-        exact = dr.chart_differentials(chart, fns, coords)
+        coords = rng.uniform(-0.1, 0.1, (1, chart.coord_dim))
+        exact = dr.chart_differentials(chart, fns, coords)[0]
         assert exact.shape == (len(fns), chart.coord_dim)
         for row, fn in zip(exact, fns):
             ref = _fd_differential(chart, fn, coords)
@@ -433,24 +439,24 @@ def test_exact_differentials_match_finite_differences(request, setup_name, data_
 def test_gradient_of_vv_is_minus_twice_v(su3, data_cp2, regular_coords_cp2):
     # orthonormal basis: tr(VV) = -|v|^2, so the gradient is (0, -2v)
     f = dr.invariant_function(su3, ("v", "v"))
-    point = data_cp2.sub_chart.point(regular_coords_cp2[0])
-    expected = np.concatenate([np.zeros(su3.dim), -2.0 * point.v])
+    point = data_cp2.sub_chart.point(regular_coords_cp2[:1])
+    expected = np.concatenate([np.zeros(su3.dim), -2.0 * point.v[0]])
     assert np.max(np.abs(f.gradient(point) - expected)) <= 1e-13
-    assert abs(f(point) + np.dot(point.v, point.v)) <= 1e-13
+    assert abs(f(point) + np.dot(point.v[0], point.v[0])) <= 1e-13
 
 
 def _linear_function(alg, b, part):
-    """The non-invariant function b . x or b . v, with its exact gradient."""
+    """The non-invariant function b . x or b . v on a stack of points, with its exact gradient."""
     n = alg.dim
 
     def fn(point):
-        return float(np.dot(b, point.x if part == "x" else point.v))
+        return (point.x if part == "x" else point.v) @ b
 
     def gradient(point):
         out = np.zeros(2 * n)
         out[:n] = b if part == "x" else 0.0
         out[n:] = b if part == "v" else 0.0
-        return out
+        return np.broadcast_to(out, point.x.shape[:-1] + (2 * n,))
 
     fn.gradient = gradient
     return fn
@@ -465,14 +471,14 @@ def test_bracket_agreement_catches_non_invariant_functions(request, setup_name, 
     data = request.getfixturevalue(data_name)
     b = lc.complement_within(setup.sub_tangent, setup.config.tangent).basis[:, 0]
     fns = [_linear_function(setup.alg, b, "v"), _linear_function(setup.alg, b, "x")]
-    for coords in dr.sample_regular_coords(setup, data, 3, seed=5):
+    for coords in dr.sample_regular_coords(setup, data, 3, seed=5)[:, None]:
         for t in ((1.0, 0.0), (1.0, 1.0)):
             assert dr.bracket_agreement(setup, data, fns, coords, [t])[0].relative_residual > 1e-2
 
 
 def test_bracket_agreement_skew_diagonal(setup_cp2, data_cp2, regular_coords_cp2):
     f = dr.invariant_function(setup_cp2.alg, ("v", "v"))
-    [report] = dr.bracket_agreement(setup_cp2, data_cp2, [f], regular_coords_cp2[0], [(1.0, 1.0)])
+    [report] = dr.bracket_agreement(setup_cp2, data_cp2, [f], regular_coords_cp2[:1], [(1.0, 1.0)])
     assert abs(report.ambient[0, 0]) <= 1e-10
     assert abs(report.restricted[0, 0]) <= 1e-10
 
@@ -484,8 +490,8 @@ def test_bracket_agreement_trivial_reduction(setup_su2, data_su2):
     g = dr.invariant_function(alg, ("x", "v", "x", "v"))
     rng = np.random.default_rng(9)
     for _ in range(3):
-        coords = rng.uniform(-0.08, 0.08, data_su2.sub_chart.coord_dim)
-        if not dr.is_regular(setup_su2, data_su2.sub_chart.point(coords)):
+        coords = rng.uniform(-0.08, 0.08, (1, data_su2.sub_chart.coord_dim))
+        if not dr.is_regular(setup_su2, data_su2.sub_chart.point(coords))[0]:
             continue
         [report] = dr.bracket_agreement(setup_su2, data_su2, [f, g], coords, [(1.0, 1.0)])
         assert report.residual <= 1e-10
@@ -495,7 +501,7 @@ def test_bracket_agreement_rejects_degenerate_parameter(setup_cp2, data_cp2, reg
     f = dr.invariant_function(setup_cp2.alg, ("v", "v"))
     g = dr.invariant_function(setup_cp2.alg, ("x", "x", "v", "v"))
     with pytest.raises(DomainError):
-        dr.bracket_agreement(setup_cp2, data_cp2, [f, g], regular_coords_cp2[0], [(1.0, -1.0)])
+        dr.bracket_agreement(setup_cp2, data_cp2, [f, g], regular_coords_cp2[:1], [(1.0, -1.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +510,10 @@ def test_bracket_agreement_rejects_degenerate_parameter(setup_cp2, data_cp2, reg
 
 
 def test_isotropy_excess(setup_su2, setup_cp2, data_cp2, regular_coords_cp2):
-    base = oc.TangentBundlePoint(x=setup_su2.config.seed, v=setup_su2.x0)
+    base = stack_of_one(setup_su2.config.seed, setup_su2.x0)
     assert dr.isotropy_excess(setup_su2, base) == 0
-    assert dr.isotropy_excess(setup_cp2, data_cp2.sub_chart.point(np.stack(regular_coords_cp2))) == 0
-    zero = oc.TangentBundlePoint(x=setup_cp2.config.seed, v=np.zeros(setup_cp2.alg.dim))
+    assert dr.isotropy_excess(setup_cp2, data_cp2.sub_chart.point(regular_coords_cp2)) == 0
+    zero = stack_of_one(setup_cp2.config.seed, np.zeros(setup_cp2.alg.dim))
     assert dr.isotropy_excess(setup_cp2, zero) > 0
 
 
@@ -515,9 +521,9 @@ def test_transversality(setup_su2, setup_cp2):
     for setup in (setup_su2, setup_cp2):
         for scale in (0.6, 1.0, 1.4):
             y = scale * setup.x0
-            point = oc.TangentBundlePoint(x=setup.config.seed, v=y)
+            point = stack_of_one(setup.config.seed, y)
             assert dr.transversality_deficiency(setup, point) == 0
-        zero = oc.TangentBundlePoint(x=setup.config.seed, v=np.zeros(setup.alg.dim))
+        zero = stack_of_one(setup.config.seed, np.zeros(setup.alg.dim))
         assert dr.transversality_deficiency(setup, zero) > 0
 
 
@@ -547,7 +553,7 @@ def test_restricted_forms_match_intrinsic_suborbit_forms(setup_cp2, data_cp2):
     chart_hat = oc.Chart(cfg_hat, base_v=v_hat, frame=frame_hat)
     rng = np.random.default_rng(3)
     for _ in range(3):
-        coords = rng.uniform(-0.08, 0.08, chart_hat.coord_dim)
+        coords = rng.uniform(-0.08, 0.08, (1, chart_hat.coord_dim))
         w1_intrinsic = oc.canonical_form_matrix(chart_hat, coords)
         w2_intrinsic = oc.omega2_matrix(chart_hat, coords)
         assert np.max(np.abs(w1_intrinsic - data_cp2.restricted.w1(coords))) <= 1e-9
@@ -584,24 +590,24 @@ def test_nonabelian_reduction_full_chain(setup_cp3, data_cp3):
     adapted = dr.AdaptedChart(setup, data.sub_chart)
     f = dr.invariant_function(setup.alg, ("v", "v"))
     g = dr.invariant_function(setup.alg, ("x", "v", "x", "v"))
-    for coords in coords_list:
+    for coords in coords_list[:, None]:
         # restricted pencil stays compatible and symplectic
         assert pp.compatibility_residual(data.restricted.p1, data.restricted.p2, coords, 1e-4) <= 1e-5
-        assert np.linalg.svd(data.restricted.w1(coords), compute_uv=False)[-1] > 1e-6
+        assert np.linalg.svd(data.restricted.w1(coords)[0], compute_uv=False)[-1] > 1e-6
         # canonical splitting stays form-orthogonal with an 8-dim complement
         padded = data.pad_coords(coords)
-        [report] = dr.splitting_orthogonality(setup, data.ambient_chart, padded, [w1(padded)])
+        [report] = dr.splitting_orthogonality(setup, data.ambient_chart, padded, w1(padded)[:, None])
         assert report.pairing <= 1e-8
         assert min(report.sigma_complement, report.sigma_stratum) > 1e-6
         # adapted blocks vanish on the stratum
-        full = np.concatenate([np.zeros(setup.transversal.dim), coords])
-        block = dr.adapted_block_report(adapted, oc.canonical_form_matrix(adapted, full))
+        full = np.hstack([np.zeros((1, setup.transversal.dim)), coords])
+        block = dr.adapted_block_report(adapted, oc.canonical_form_matrix(adapted, full)[0])
         assert block.off_diagonal <= 1e-8
         # brackets agree ambient vs restricted
         for t in ((1.0, 1.0), (0.3, 0.7)):
             assert dr.bracket_agreement(setup, data, [f, g], coords, [t])[0].relative_residual <= 1e-5
-    assert dr.isotropy_excess(setup, data.sub_chart.point(np.stack(coords_list))) == 0
-    base = oc.TangentBundlePoint(x=setup.config.seed, v=setup.x0)
+    assert dr.isotropy_excess(setup, data.sub_chart.point(coords_list)) == 0
+    base = stack_of_one(setup.config.seed, setup.x0)
     assert dr.transversality_deficiency(setup, base) == 0
 
 

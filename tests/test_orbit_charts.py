@@ -98,7 +98,7 @@ def make_chart(setup_like):
 
 def test_chart_map_base_point(setup_su2):
     chart = make_chart(setup_su2)
-    base = chart.point(np.zeros(chart.coord_dim))
+    base = chart.point(np.zeros((1, chart.coord_dim)))
     assert np.allclose(base.x, setup_su2.config.seed, atol=1e-14)
     assert np.allclose(base.v, setup_su2.x0, atol=1e-14)
 
@@ -110,15 +110,15 @@ def test_chart_map_against_matrix_conjugation(setup_cp2):
     rng = np.random.default_rng(0)
     for _ in range(5):
         coords = rng.uniform(-0.1, 0.1, chart.coord_dim)
-        point = chart.point(coords)
+        point = chart.point(coords[None])
         f = chart.frame_dim
         xi_mat = alg.matrix_of(chart.frame @ coords[:f])
         g = scipy.linalg.expm(xi_mat)
         ginv = scipy.linalg.expm(-xi_mat)
         x_mat = g @ alg.matrix_of(setup_cp2.config.seed) @ ginv
         v_mat = g @ alg.matrix_of(setup_cp2.x0 + chart.frame @ coords[f:]) @ ginv
-        assert np.allclose(alg.matrix_of(point.x), x_mat, atol=1e-12)
-        assert np.allclose(alg.matrix_of(point.v), v_mat, atol=1e-12)
+        assert np.allclose(alg.matrix_of(point.x[0]), x_mat, atol=1e-12)
+        assert np.allclose(alg.matrix_of(point.v[0]), v_mat, atol=1e-12)
 
 
 def test_chart_spectrum_preservation(setup_su3_regular):
@@ -126,7 +126,7 @@ def test_chart_spectrum_preservation(setup_su3_regular):
     config = setup_su3_regular.config
     rng = np.random.default_rng(1)
     for _ in range(100):
-        point = chart.point(rng.uniform(-0.1, 0.1, chart.coord_dim))
+        point = chart.point(rng.uniform(-0.1, 0.1, (1, chart.coord_dim)))
         spec_err, fiber_err = oc.point_residuals(config, point)
         assert spec_err <= 1e-8
         assert fiber_err <= 1e-8
@@ -140,15 +140,15 @@ def test_chart_injectivity_spot_check(setup_su2):
         c2 = rng.uniform(-0.1, 0.1, chart.coord_dim)
         if np.linalg.norm(c1 - c2) < 1e-6:
             continue
-        p1, p2 = chart.point(c1), chart.point(c2)
+        p1, p2 = chart.point(c1[None]), chart.point(c2[None])
         gap = np.linalg.norm(np.concatenate([p1.x - p2.x, p1.v - p2.v]))
         assert gap > 1e-8 * np.linalg.norm(c1 - c2)
 
 
 def test_chart_range_error(setup_su2):
     chart = make_chart(setup_su2)
-    coords = np.zeros(chart.coord_dim)
-    coords[0] = 0.6
+    coords = np.zeros((1, chart.coord_dim))
+    coords[0, 0] = 0.6
     with pytest.raises(ChartRangeError):
         chart.point(coords)
 
@@ -165,7 +165,7 @@ def test_su2_one_parameter_great_circle(su2, pauli_elements):
     w = su2.bracket(u_dir, e3)
     rate = np.linalg.norm(w) / np.linalg.norm(e3)
     for u in np.linspace(-0.4, 0.4, 9):
-        x = chart.point(np.array([u, 0.0, 0.0, 0.0])).x
+        x = chart.point(np.array([[u, 0.0, 0.0, 0.0]])).x[0]
         assert abs(np.linalg.norm(x) - np.linalg.norm(e3)) <= 1e-12
         exact = np.cos(rate * u) * e3 + np.sin(rate * u) * w / rate
         assert np.allclose(x, exact, atol=1e-10)
@@ -176,13 +176,13 @@ def test_pushforward_matches_finite_differences(setup_su3_regular):
     rng = np.random.default_rng(3)
     h = 1e-5
     for _ in range(20):
-        coords = rng.uniform(-0.1, 0.1, chart.coord_dim)
-        push = chart.pushforward(coords)
+        coords = rng.uniform(-0.1, 0.1, (1, chart.coord_dim))
+        push = chart.pushforward(coords)[0]
         fd = np.empty_like(push)
         for j in range(chart.coord_dim):
             plus = chart.point(oc.shifted(coords, j, +h))
             minus = chart.point(oc.shifted(coords, j, -h))
-            fd[:, j] = np.concatenate([plus.x - minus.x, plus.v - minus.v]) / (2 * h)
+            fd[:, j] = np.concatenate([plus.x - minus.x, plus.v - minus.v], axis=-1)[0] / (2 * h)
         assert np.max(np.abs(push - fd)) <= 1e-8
 
 
@@ -191,7 +191,7 @@ def test_pushforward_base_columns(setup_cp2):
     alg = setup_cp2.alg
     n = alg.dim
     f = chart.frame_dim
-    push = chart.pushforward(np.zeros(chart.coord_dim))
+    push = chart.pushforward(np.zeros((1, chart.coord_dim)))[0]
     for i in range(f):
         mi = chart.frame[:, i]
         assert np.allclose(push[:n, i], alg.bracket(mi, setup_cp2.config.seed), atol=1e-13)
@@ -207,7 +207,7 @@ def test_pushforward_base_columns(setup_cp2):
 
 def test_canonical_form_skew_and_pinned_determinant(setup_su2):
     chart = make_chart(setup_su2)
-    w = oc.canonical_form_matrix(chart, np.zeros(chart.coord_dim))
+    w = oc.canonical_form_matrix(chart, np.zeros((1, chart.coord_dim)))[0]
     assert np.max(np.abs(w + w.T)) == 0.0
     det = np.linalg.det(w)
     assert abs(det) > 1e-6
@@ -220,17 +220,17 @@ def test_canonical_form_closedness(setup_su2):
     field = oc.canonical_form_field(chart)
     rng = np.random.default_rng(5)
     for _ in range(10):
-        coords = rng.uniform(-0.1, 0.1, chart.coord_dim)
+        coords = rng.uniform(-0.1, 0.1, (1, chart.coord_dim))
         assert oc.closedness_residual(field, coords, 1e-4) <= 1e-5
 
 
 def fd_canonical_form_matrix(chart, coords, h=1e-4):
-    """Reference d theta: central differences of theta_j = <v, Px_j>, antisymmetrised."""
+    """Reference d theta at a (1, d) stack: central differences of theta_j = <v, Px_j>, antisymmetrised."""
     n = chart.config.alg.dim
     c = np.asarray(coords, dtype=float)
 
     def theta(cc):
-        return chart.pushforward(cc)[:n].T @ chart.point(cc).v
+        return chart.pushforward(cc)[0, :n].T @ chart.point(cc).v[0]
 
     grad = np.stack([
         (theta(oc.shifted(c, i, +h)) - theta(oc.shifted(c, i, -h))) / (2.0 * h)
@@ -245,8 +245,8 @@ def test_canonical_form_matches_finite_difference_reference(setup_su2, setup_cp2
     rng = np.random.default_rng(9)
     for chart in (make_chart(setup_su2), make_chart(setup_cp2), data_cp2.ambient_chart, adapted):
         for _ in range(2):
-            coords = rng.uniform(-0.1, 0.1, chart.coord_dim)
-            exact = oc.canonical_form_matrix(chart, coords)
+            coords = rng.uniform(-0.1, 0.1, (1, chart.coord_dim))
+            exact = oc.canonical_form_matrix(chart, coords)[0]
             reference = fd_canonical_form_matrix(chart, coords)
             assert np.max(np.abs(exact - reference)) <= 1e-8
 
@@ -267,47 +267,47 @@ def test_pushforward_miss_takes_one_eigh_and_no_adjoint_matrix(monkeypatch, setu
 
     chart = make_chart(setup_cp2)
     adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
-    s = np.full(data_cp2.sub_chart.coord_dim, 0.03)
+    s = np.full((1, data_cp2.sub_chart.coord_dim), 0.03)
     data_cp2.sub_chart.point(s)
     data_cp2.sub_chart.pushforward(s)  # the adapted miss below reuses the sub chart's values
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(lc.LieAlgebra, "ad", counted_ad)
-    for ch, coords in ((chart, np.full(chart.coord_dim, 0.05)),
-                       (adapted, np.concatenate([np.full(adapted.transversal_dim, 0.05), s]))):
+    for ch, coords in ((chart, np.full((1, chart.coord_dim), 0.05)),
+                       (adapted, np.hstack([np.full((1, adapted.transversal_dim), 0.05), s]))):
         counts.update(eigh=0, ad=0)
         ch.pushforward(coords)
         assert counts == {"eigh": 1, "ad": 0}
         ch.pushforward(coords)  # memo hit
         assert counts == {"eigh": 1, "ad": 0}
         # a batch of misses takes one stacked eigh, and the row seen above none
-        shifted = np.stack([coords, oc.shifted(coords, 0, 0.01), oc.shifted(coords, 1, -0.01)])
+        shifted = np.concatenate([coords, oc.shifted(coords, 0, 0.01), oc.shifted(coords, 1, -0.01)])
         ch.pushforward(shifted)
         assert counts == {"eigh": 2, "ad": 0}
 
 
 class SabotagedChart(oc.Chart):
-    """Chart whose pushforward column 0 is scaled by 1 + 0.5 c[1]: no longer a derivative."""
+    """Chart whose pushforward column 0 is scaled by 1 + 0.5 c[1] at each row c: no longer a derivative."""
 
     def pushforward(self, coords):
         push = np.array(super().pushforward(coords), copy=True)
-        push[:, 0] *= 1.0 + 0.5 * np.asarray(coords, dtype=float)[1]
+        push[..., 0] *= 1.0 + 0.5 * np.asarray(coords, dtype=float)[:, 1:2]
         return push
 
 
 def test_canonical_closedness_catches_sabotaged_pushforward(setup_cp2, data_cp2, ambient_coords):
     chart = data_cp2.ambient_chart
     bad = SabotagedChart(setup_cp2.config, base_v=chart.base_v, frame=chart.frame)
-    coords_list = ambient_coords(chart, 3)
-    good_res = max(oc.closedness_residual(oc.canonical_form_field(chart), c, 1e-4) for c in coords_list)
-    bad_res = max(oc.closedness_residual(oc.canonical_form_field(bad), c, 1e-4) for c in coords_list)
+    coords = ambient_coords(chart, 3)
+    good_res = oc.closedness_residual(oc.canonical_form_field(chart), coords, 1e-4)
+    bad_res = oc.closedness_residual(oc.canonical_form_field(bad), coords, 1e-4)
     assert good_res <= 1e-5
     assert bad_res > 1e-2
 
 
 def test_pullback_matrix_kills_fiber_directions(setup_cp2):
     chart = make_chart(setup_cp2)
-    coords = np.full(chart.coord_dim, 0.04)
-    pull = oc.orbit_form_pullback_matrix(chart, coords)
+    coords = np.full((1, chart.coord_dim), 0.04)
+    pull = oc.orbit_form_pullback_matrix(chart, coords)[0]
     f = chart.frame_dim
     assert np.max(np.abs(pull[f:, f:])) <= 1e-12
     assert np.max(np.abs(pull[:f, f:])) <= 1e-12
@@ -319,12 +319,12 @@ def test_pullback_matrix_matches_einsum_reference(setup_cp2, data_cp2):
     alg = setup_cp2.alg
     rng = np.random.default_rng(10)
     for chart in (make_chart(setup_cp2), adapted):
-        coords = rng.uniform(-0.08, 0.08, chart.coord_dim)
-        x = chart.point(coords).x
-        lifts = np.linalg.lstsq(alg.ad(x), chart.pushforward(coords)[:alg.dim], rcond=None)[0]
+        coords = rng.uniform(-0.08, 0.08, (1, chart.coord_dim))
+        x = chart.point(coords).x[0]
+        lifts = np.linalg.lstsq(alg.ad(x), chart.pushforward(coords)[0, :alg.dim], rcond=None)[0]
         ref = -np.einsum("ai,bj,abk,k->ij", lifts, lifts, alg.structure, x)
         ref = 0.5 * (ref - ref.T)
-        assert np.max(np.abs(oc.orbit_form_pullback_matrix(chart, coords) - ref)) <= 1e-12
+        assert np.max(np.abs(oc.orbit_form_pullback_matrix(chart, coords)[0] - ref)) <= 1e-12
 
 
 def test_lifts_solve_ad_x_against_the_pushforward(setup_cp2, data_cp2):
@@ -353,8 +353,8 @@ def test_combined_form_base_dependence_only(setup_cp2):
     u = rng.uniform(-0.08, 0.08, f)
     w1 = rng.uniform(-0.08, 0.08, f)
     w2 = rng.uniform(-0.08, 0.08, f)
-    c1 = np.concatenate([u, w1])
-    c2 = np.concatenate([u, w2])
+    c1 = np.concatenate([u, w1])[None]
+    c2 = np.concatenate([u, w2])[None]
     d1 = oc.omega2_matrix(chart, c1) - oc.canonical_form_matrix(chart, c1)
     d2 = oc.omega2_matrix(chart, c2) - oc.canonical_form_matrix(chart, c2)
     assert np.max(np.abs(d1 - d2)) <= 1e-9
@@ -365,15 +365,15 @@ def test_combined_form_nondegenerate_su3_regular(setup_su3_regular, data_su3_reg
     field = data_su3_regular.ambient.w2
     rng = np.random.default_rng(7)
     for _ in range(10):
-        coords = rng.uniform(-0.1, 0.1, chart.coord_dim)
-        sig = np.linalg.svd(field(coords), compute_uv=False)
+        coords = rng.uniform(-0.1, 0.1, (1, chart.coord_dim))
+        sig = np.linalg.svd(field(coords)[0], compute_uv=False)
         assert sig[-1] > 1e-4
 
 
 def test_closedness_residual_constant_field_and_control(setup_su2):
     chart = make_chart(setup_su2)
-    const = oc.FormField(lambda c: np.array([[0.0, 1.0], [-1.0, 0.0]]), 2, "const")
-    coords = np.zeros(2)
+    const = oc.FormField(lambda c: np.broadcast_to([[0.0, 1.0], [-1.0, 0.0]], (len(c), 2, 2)), 2, "const")
+    coords = np.zeros((1, 2))
     assert oc.closedness_residual(const, coords, 1e-4) <= 1e-12
     base = oc.canonical_form_field(chart)
 
@@ -384,7 +384,7 @@ def test_closedness_residual_constant_field_and_control(setup_su2):
         return mat
 
     bad = oc.FormField(corrupted, chart.coord_dim, "bad")
-    coords = np.full(chart.coord_dim, 0.05)
+    coords = np.full((1, chart.coord_dim), 0.05)
     assert oc.closedness_residual(bad, coords, 1e-4) > 1e-2
 
 
@@ -393,7 +393,7 @@ def test_form_invariance_under_moved_chart(setup_cp2, data_cp2):
     alg = setup_cp2.alg
     w1_field, w2_field, _, _ = data_cp2.ambient
     rng = np.random.default_rng(8)
-    coords = rng.uniform(-0.08, 0.08, chart.coord_dim)
+    coords = rng.uniform(-0.08, 0.08, (1, chart.coord_dim))
     for _ in range(3):
         rot = scipy.linalg.expm(alg.ad(0.4 * rng.standard_normal(alg.dim)))
         moved = oc.Chart(setup_cp2.config, base_v=chart.base_v, frame=chart.frame, rotation=rot)
@@ -419,22 +419,23 @@ def _fresh_charts(setup, data):
 @pytest.mark.parametrize("setup_name,data_name", [("setup_cp2", "data_cp2"), ("setup_cp3", "data_cp3")])
 def test_stacked_evaluation_matches_single_rows(request, setup_name, data_name):
     # Every row is computed on its own inside the stack, so a stacked result
-    # equals the single-row results bit for bit, well inside 1e-15 relative.
+    # equals the results at each stack of one bit for bit, well inside 1e-15 relative.
     setup, data = request.getfixturevalue(setup_name), request.getfixturevalue(data_name)
     rng = np.random.default_rng(12)
     for single, stacked in _fresh_charts(setup, data):
         coords = rng.uniform(-0.1, 0.1, (6, single.coord_dim))
-        points = [single.point(c) for c in coords]
+        rows = coords[:, None]
+        points = [single.point(c) for c in rows]
         point = stacked.point(coords)
         assert point.x.shape == point.v.shape == (6, setup.alg.dim)
-        assert np.array_equal(point.x, np.stack([p.x for p in points]))
-        assert np.array_equal(point.v, np.stack([p.v for p in points]))
-        assert np.array_equal(stacked.pushforward(coords), np.stack([single.pushforward(c) for c in coords]))
+        assert np.array_equal(point.x, np.concatenate([p.x for p in points]))
+        assert np.array_equal(point.v, np.concatenate([p.v for p in points]))
+        assert np.array_equal(stacked.pushforward(coords), np.concatenate([single.pushforward(c) for c in rows]))
         for form in (oc.canonical_form_matrix, oc.omega2_matrix):
-            assert np.array_equal(form(stacked, coords), np.stack([form(single, c) for c in coords]))
+            assert np.array_equal(form(stacked, coords), np.concatenate([form(single, c) for c in rows]))
         p_single = pp.invert_form(oc.combined_form_field(single))
         p_stacked = pp.invert_form(oc.combined_form_field(stacked))
-        assert np.array_equal(p_stacked(coords), np.stack([p_single(c) for c in coords]))
+        assert np.array_equal(p_stacked(coords), np.concatenate([p_single(c) for c in rows]))
 
 
 def test_memo_evaluates_unseen_rows_once_per_batch():
@@ -448,7 +449,7 @@ def test_memo_evaluates_unseen_rows_once_per_batch():
     a, b, c = [0.1, 0.2], [0.3, 0.4], [0.5, 0.6]
     assert np.array_equal(memo(np.array([a, b, a])), 2.0 * np.array([a, b, a]))
     assert batches == [[a, b]]  # the duplicate row is evaluated once
-    assert np.array_equal(memo(np.array(b)), 2.0 * np.array(b))
+    assert np.array_equal(memo(np.array([b])), 2.0 * np.array([b]))
     memo(np.array([c, b, a, c]))
     assert batches == [[a, b], [c]]  # one call, on the unseen row only
     memo(np.array([b, c]))

@@ -7,7 +7,7 @@ from orbitpencil.errors import DegeneracyError, InputError
 
 
 def constant_field(mat, dim):
-    return oc.FormField(lambda c: np.array(mat, dtype=float), dim, "const")
+    return oc.FormField(lambda c: np.broadcast_to(np.array(mat, dtype=float), (len(c), dim, dim)), dim, "const")
 
 
 def symplectic_block(n):
@@ -26,12 +26,12 @@ def test_invert_standard_block():
     j = symplectic_block(2)
     field = constant_field(j, 4)
     inv = pp.invert_form(field)
-    coords = np.zeros(4)
+    coords = np.zeros((1, 4))
     assert np.allclose(inv(coords), -j, atol=1e-14)
 
 
 def test_invert_twice_roundtrip(data_su2):
-    coords = np.full(data_su2.sub_chart.coord_dim, 0.02)
+    coords = np.full((1, data_su2.sub_chart.coord_dim), 0.02)
     w = data_su2.restricted.w1(coords)
     once = pp.invert_form(data_su2.restricted.w1)
     field_again = oc.FormField(lambda c: once(c), once.dim, "inv")
@@ -41,9 +41,9 @@ def test_invert_twice_roundtrip(data_su2):
 
 def test_invert_su2_base_residual(data_su2):
     # pinned direct solve: |P W - I| stays at solver precision
-    coords = np.zeros(data_su2.sub_chart.coord_dim)
-    p = data_su2.restricted.p1(coords)
-    w = data_su2.restricted.w1(coords)
+    coords = np.zeros((1, data_su2.sub_chart.coord_dim))
+    p = data_su2.restricted.p1(coords)[0]
+    w = data_su2.restricted.w1(coords)[0]
     assert np.linalg.norm(p @ w - np.eye(len(w))) <= 1e-10
     # the base canonical form of the su(2) configuration has determinant 16,
     # so its inverse has determinant 1/16 (pinned)
@@ -54,7 +54,7 @@ def test_invert_singular_field_raises():
     singular = constant_field(np.zeros((4, 4)), 4)
     bad = pp.invert_form(singular)
     with pytest.raises(DegeneracyError):
-        bad(np.zeros(4))
+        bad(np.zeros((1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +69,7 @@ def test_pencil_parameter_rules():
 
 
 def test_pencil_combinations(data_su2):
-    coords = np.full(data_su2.sub_chart.coord_dim, 0.01)
+    coords = np.full((1, data_su2.sub_chart.coord_dim), 0.01)
     p1, p2 = data_su2.restricted.p1, data_su2.restricted.p2
     assert np.array_equal(pp.pencil(p1, p2, (1.0, 0.0))(coords), p1(coords))
     assert np.max(np.abs(pp.pencil(p1, p1, (1.0, -1.0))(coords))) == 0.0
@@ -88,15 +88,15 @@ def test_pencil_dim_mismatch(data_su2, data_cp2):
 
 
 def test_jacobi_constant_field_is_zero():
-    field = pp.PoissonField(lambda c: symplectic_block(2), 4)
-    assert pp.jacobi_residual(field, np.zeros(4), 1e-4) <= 1e-15
+    field = pp.PoissonField(lambda c: np.broadcast_to(symplectic_block(2), (len(c), 4, 4)), 4)
+    assert pp.jacobi_residual(field, np.zeros((1, 4)), 1e-4) <= 1e-15
 
 
 def test_jacobi_su2_canonical(data_su2):
     p1 = data_su2.restricted.p1
     rng = np.random.default_rng(0)
     for _ in range(10):
-        coords = rng.uniform(-0.1, 0.1, data_su2.sub_chart.coord_dim)
+        coords = rng.uniform(-0.1, 0.1, (1, data_su2.sub_chart.coord_dim))
         assert pp.jacobi_residual(p1, coords, 1e-4) <= 1e-5
 
 
@@ -110,7 +110,7 @@ def test_jacobi_negative_control(data_su2):
         return mat
 
     bad = pp.PoissonField(corrupted, base.dim)
-    coords = 0.09 * np.array([1.0, -1.0, 1.0, -1.0])
+    coords = 0.09 * np.array([[1.0, -1.0, 1.0, -1.0]])
     assert pp.jacobi_residual(bad, coords, 1e-4) > 1e-3
 
 
@@ -124,7 +124,7 @@ def test_jacobi_quadratic_homogeneity(data_su2):
         return mat
 
     bad = pp.PoissonField(corrupted, base.dim)
-    coords = 0.09 * np.array([1.0, -1.0, 1.0, -1.0])
+    coords = 0.09 * np.array([[1.0, -1.0, 1.0, -1.0]])
     ref = pp.jacobi_residual(bad, coords, 1e-4)
     for lam in (2.0, 10.0):
         scaled = pp.PoissonField(lambda c, s=lam: s * bad(c), bad.dim)
@@ -135,7 +135,7 @@ def test_jacobi_quadratic_homogeneity(data_su2):
 def test_partials_match_central_differences_of_the_field(data_cp3, ambient_coords):
     # the Jacobi residual is blind to a sign error in dP = -P dW P; this pins dP itself
     _, _, p1, p2 = data_cp3.ambient
-    coords = ambient_coords(data_cp3.ambient_chart, 1)[0]
+    coords = ambient_coords(data_cp3.ambient_chart, 1)
     for field in (p1, p2, pp.pencil(p1, p2, (0.3, 0.7))):
         fd = oc.central_partials(field, coords, 1e-4)
         assert np.max(np.abs(field.partials(coords, 1e-4) - fd)) <= 1e-6
@@ -147,7 +147,7 @@ def test_jacobi_of_inverse_forms_inverts_the_centre_row_only(monkeypatch, data_c
     rows = []
     forms = [oc.FormField(lambda c, form=form: rows.append(len(c)) or form(chart, c), chart.coord_dim, "counted")
              for form in (oc.canonical_form_matrix, oc.omega2_matrix)]
-    coords = ambient_coords(chart, 1, seed=21)[0]
+    coords = ambient_coords(chart, 1, seed=21)
     for w in forms:
         w(coords)  # the centre, as the nondegeneracy rows evaluate it
         oc.closedness_residual(w, coords, 1e-4)
@@ -166,7 +166,7 @@ def test_compatibility_su3_regular(data_su3_regular):
     _, _, p1, p2 = data_su3_regular.ambient
     rng = np.random.default_rng(1)
     for _ in range(3):
-        coords = rng.uniform(-0.1, 0.1, data_su3_regular.ambient_chart.coord_dim)
+        coords = rng.uniform(-0.1, 0.1, (1, data_su3_regular.ambient_chart.coord_dim))
         assert pp.compatibility_residual(p1, p2, coords, 1e-4) <= 1e-5
         # a third generic parameter certifies the whole pencil
         assert pp.jacobi_residual(pp.pencil(p1, p2, (0.3, 0.7)), coords, 1e-4) <= 1e-5
@@ -175,7 +175,7 @@ def test_compatibility_su3_regular(data_su3_regular):
 def test_pencil_circle_bound(data_su2):
     # three members below tol bound every unit-circle member by 4 tol
     p1, p2 = data_su2.restricted.p1, data_su2.restricted.p2
-    coords = np.full(data_su2.sub_chart.coord_dim, 0.03)
+    coords = np.full((1, data_su2.sub_chart.coord_dim), 0.03)
     tol = max(
         pp.jacobi_residual(p1, coords, 1e-4),
         pp.jacobi_residual(p2, coords, 1e-4),
@@ -192,7 +192,7 @@ def test_pencil_circle_bound(data_su2):
 
 def test_degeneracy_profile(data_su2):
     p1, p2 = data_su2.restricted.p1, data_su2.restricted.p2
-    coords = np.full(data_su2.sub_chart.coord_dim, 0.02)
+    coords = np.full((1, data_su2.sub_chart.coord_dim), 0.02)
     profile = pp.degeneracy_profile(p1, p2, coords, [(1.0, -1.0), (1.0, 0.0), (0.0, 1.0), (0.6, 0.4)])
     by_t = {s.t: s for s in profile}
     assert by_t[(1.0, -1.0)].sigma_min <= 1e-8
@@ -201,7 +201,7 @@ def test_degeneracy_profile(data_su2):
     assert by_t[(0.6, 0.4)].sigma_min > 1e-4
     # the degenerate member keeps half rank here (rank recorded, only
     # singularity asserted)
-    assert by_t[(1.0, -1.0)].rank < len(p1(coords))
+    assert by_t[(1.0, -1.0)].rank < len(p1(coords)[0])
 
 
 def test_unit_circle_contains_the_degenerate_direction():
@@ -222,34 +222,35 @@ def test_outer_derivative_residuals_scale_like_step_squared(data_cp2, ambient_co
     # rounding would instead make it grow
     w1, w2, _, p2 = data_cp2.ambient
     residuals = [(oc.closedness_residual, w1), (oc.closedness_residual, w2), (pp.jacobi_residual, p2)]
-    for coords in ambient_coords(data_cp2.ambient_chart, 2):
+    for coords in ambient_coords(data_cp2.ambient_chart, 2)[:, None]:
         for residual, field in residuals:
             ratio = residual(field, coords, 1e-3) / residual(field, coords, 1e-4)
             assert 30.0 <= ratio <= 300.0, (field.name, ratio)
 
 
 def _loop_partials(field, c, h):
-    # reference: one central difference per coordinate, plus point first
-    partials = np.empty((len(c), field.dim, field.dim))
-    for l in range(len(c)):
+    # reference: one central difference per coordinate of the one row of c, plus point first
+    partials = np.empty((1, c.shape[1], field.dim, field.dim))
+    for l in range(c.shape[1]):
         plus = field(oc.shifted(c, l, +h))
         minus = field(oc.shifted(c, l, -h))
-        partials[l] = (plus - minus) / (2.0 * h)
+        partials[:, l] = (plus - minus) / (2.0 * h)
     return partials
 
 
 def test_residuals_match_the_loop_reference_bit_for_bit(data_cp2, ambient_coords):
     w1, _, p1, _ = data_cp2.ambient
-    for coords in ambient_coords(data_cp2.ambient_chart, 2):
+    for coords in ambient_coords(data_cp2.ambient_chart, 2)[:, None]:
         for field in (w1, p1):
             calls = []
             counted = oc.FormField(lambda c, f=field: calls.append(len(c)) or f(c), field.dim, "counted")
             assert np.array_equal(oc.central_partials(counted, coords, 1e-4), _loop_partials(field, coords, 1e-4))
-            assert calls == [2 * len(coords)]  # the whole stencil in one call
-        partials = _loop_partials(w1, coords, 1e-4)
+            assert calls == [2 * coords.size]  # the whole stencil in one call
+        partials, = _loop_partials(w1, coords, 1e-4)
         cyc = partials + np.transpose(partials, (1, 2, 0)) + np.transpose(partials, (2, 0, 1))
         assert oc.closedness_residual(w1, coords, 1e-4) == float(np.max(np.abs(cyc)))
         # the partials of an inverse form are -P dW P
-        mixed = np.einsum("li,ljk->ijk", p1(coords), -p1(coords) @ partials @ p1(coords))
+        p, = p1(coords)
+        mixed = np.einsum("li,ljk->ijk", p, -p @ partials @ p)
         cyc = mixed + np.transpose(mixed, (1, 2, 0)) + np.transpose(mixed, (2, 0, 1))
         assert pp.jacobi_residual(p1, coords, 1e-4) == float(np.max(np.abs(cyc)))

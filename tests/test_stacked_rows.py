@@ -1,7 +1,7 @@
 """Stacked rows: each residual row evaluates all its sample points in one call.
 
-Every stacked path is compared bit for bit with the per-point calls it
-replaced, on fields and charts of their own, so that no value is read back
+Every stacked path is compared bit for bit with its calls on each stack of
+one, the per-point calls it replaced, on fields and charts of their own, so that no value is read back
 from a memo the other side filled.  The evaluation-count test pins how many
 exponential, form and bivector evaluations one full run makes.
 """
@@ -18,7 +18,7 @@ from orbitpencil import lie_core as lc
 from orbitpencil import orbit_charts as oc
 from orbitpencil import poisson_pencil as pp
 from orbitpencil import workbench as wb
-from orbitpencil.errors import GenericityError
+from orbitpencil.errors import GenericityError, InputError
 from orbitpencil.seeding import uniform_rows, unit_rows
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -33,7 +33,7 @@ def _fresh(setup):
 def stacked_case(request):
     setup = request.getfixturevalue(f"setup_{request.param}")
     data = _fresh(setup)
-    sub = np.stack(dr.sample_regular_coords(setup, data, 4, seed=3))
+    sub = dr.sample_regular_coords(setup, data, 4, seed=3)
     rng = np.random.default_rng(5)
     ambient = rng.uniform(-0.1, 0.1, (4, data.ambient_chart.coord_dim))
     return setup, {"ambient": ambient, "restricted": sub}
@@ -46,12 +46,12 @@ def test_residuals_on_the_stack_are_the_max_of_the_rows(stacked_case, which):
     rows, stacked = getattr(_fresh(setup), which), getattr(_fresh(setup), which)
     for member in ("w1", "w2"):
         assert oc.closedness_residual(getattr(stacked, member), stack, 1e-4) == max(
-            oc.closedness_residual(getattr(rows, member), c, 1e-4) for c in stack)
+            oc.closedness_residual(getattr(rows, member), c, 1e-4) for c in stack[:, None])
     for member in ("p1", "p2"):
         assert pp.jacobi_residual(getattr(stacked, member), stack, 1e-4) == max(
-            pp.jacobi_residual(getattr(rows, member), c, 1e-4) for c in stack)
+            pp.jacobi_residual(getattr(rows, member), c, 1e-4) for c in stack[:, None])
     assert pp.compatibility_residual(stacked.p1, stacked.p2, stack, 1e-4) == max(
-        pp.compatibility_residual(rows.p1, rows.p2, c, 1e-4) for c in stack)
+        pp.compatibility_residual(rows.p1, rows.p2, c, 1e-4) for c in stack[:, None])
 
 
 @pytest.mark.parametrize("which", ["ambient", "restricted"])
@@ -65,18 +65,20 @@ def test_partials_on_the_stack_are_the_rows(stacked_case, which):
         counted = oc.FormField(lambda c, f=field: calls.append(len(c)) or f(c), field.dim, "counted")
         got = oc.central_partials(counted, stack, 1e-4)
         assert calls == [2 * stack.size]  # every stencil of every row in one call
-        assert np.array_equal(got, np.stack([oc.central_partials(getattr(rows, member), c, 1e-4) for c in stack]))
+        assert np.array_equal(got, np.concatenate([oc.central_partials(getattr(rows, member), c, 1e-4)
+                                                   for c in stack[:, None]]))
     for member in ("p1", "p2"):
         got = getattr(stacked, member).partials(stack, 1e-4)
-        assert np.array_equal(got, np.stack([getattr(rows, member).partials(c, 1e-4) for c in stack]))
+        assert np.array_equal(got, np.concatenate([getattr(rows, member).partials(c, 1e-4) for c in stack[:, None]]))
     pencil = pp.pencil(stacked.p1, stacked.p2, (0.3, 0.7))
     reference = pp.pencil(rows.p1, rows.p2, (0.3, 0.7))
-    assert np.array_equal(pencil.partials(stack, 1e-4), np.stack([reference.partials(c, 1e-4) for c in stack]))
+    assert np.array_equal(pencil.partials(stack, 1e-4),
+                          np.concatenate([reference.partials(c, 1e-4) for c in stack[:, None]]))
 
 
 def test_degeneracy_profile_is_one_svd_matching_one_per_parameter(monkeypatch, data_cp2, regular_coords_cp2):
     p1, p2 = data_cp2.restricted.p1, data_cp2.restricted.p2
-    coords = regular_coords_cp2[0]
+    coords = regular_coords_cp2[:1]
     params = pp.unit_circle_parameters(16)
     p1(coords), p2(coords)  # inverted before counting
     svd, calls = np.linalg.svd, []
@@ -85,7 +87,7 @@ def test_degeneracy_profile_is_one_svd_matching_one_per_parameter(monkeypatch, d
     monkeypatch.undo()
     assert len(calls) == 1
     for sample, (t1, t2) in zip(profile, params):
-        sig = np.linalg.svd(t1 * p1(coords) + t2 * p2(coords), compute_uv=False)
+        sig = np.linalg.svd(t1 * p1(coords)[0] + t2 * p2(coords)[0], compute_uv=False)
         assert sample.sigma_min == float(sig[-1])
         assert sample.rank == int(np.sum(sig > pp.FORM_SINGULAR_RTOL * max(sig[0], 1e-300)))
 
@@ -143,7 +145,7 @@ def test_principal_isotropy_stacks_its_draws(monkeypatch, family, n, spectrum):
     monkeypatch.undo()
     assert calls == {"kernel": 1, "span": 1}  # all 16 draws in one stack
     draws = unit_rows(1, "principal-isotropy", range(16), config.tangent.dim) @ config.tangent.basis.T
-    singles = [dr.stabilizer_within(alg, config.stabilizer, x) for x in draws]
+    singles = [dr.stabilizer_within(alg, config.stabilizer, x)[0] for x in draws[:, None]]
     for got, want in zip(dr.stabilizer_within(alg, config.stabilizer, draws), singles):
         assert np.array_equal(got.basis, want.basis)
     first = [s.dim for s in singles].index(min(s.dim for s in singles))
@@ -154,7 +156,7 @@ def test_principal_isotropy_stacks_its_draws(monkeypatch, family, n, spectrum):
 def test_splitting_and_brackets_on_the_stack_are_the_point_reports(request, case):
     setup = request.getfixturevalue(f"setup_{case}")
     sampler = _fresh(setup)
-    sub = np.stack(dr.sample_regular_coords(setup, sampler, 3, seed=9))
+    sub = dr.sample_regular_coords(setup, sampler, 3, seed=9)
     rows, stacked = _fresh(setup), _fresh(setup)
     members = [(1.0, 0.0), (0.0, 1.0), (2.0, -1.0)]
 
@@ -164,7 +166,7 @@ def test_splitting_and_brackets_on_the_stack_are_the_point_reports(request, case
 
     padded = stacked.pad_coords(sub)
     got = dr.splitting_orthogonality(setup, stacked.ambient_chart, padded, forms(stacked, padded))
-    want = [report for s in sub
+    want = [report for s in sub[:, None]
             for report in dr.splitting_orthogonality(setup, rows.ambient_chart, rows.pad_coords(s),
                                                      forms(rows, rows.pad_coords(s)))]
     assert got == want
@@ -173,7 +175,7 @@ def test_splitting_and_brackets_on_the_stack_are_the_point_reports(request, case
     params = [(1.0, 1.0), (0.3, 0.7)]
     got = dr.bracket_agreement(setup, stacked, [dr.invariant_function(setup.alg, w) for w in words], sub, params)
     fns = [dr.invariant_function(setup.alg, w) for w in words]
-    want = [report for s in sub for report in dr.bracket_agreement(setup, rows, fns, s, params)]
+    want = [report for s in sub[:, None] for report in dr.bracket_agreement(setup, rows, fns, s, params)]
     assert len(got) == len(want) == len(sub) * len(params)
     for a, b in zip(got, want):
         assert np.array_equal(a.ambient, b.ambient) and np.array_equal(a.restricted, b.restricted)
@@ -181,23 +183,24 @@ def test_splitting_and_brackets_on_the_stack_are_the_point_reports(request, case
 
 def test_point_functions_on_the_stack_are_the_point_values(setup_cp3, data_cp3):
     setup = setup_cp3
-    coords = np.stack(dr.sample_regular_coords(setup, data_cp3, 4, seed=13))
+    coords = dr.sample_regular_coords(setup, data_cp3, 4, seed=13)
     points = data_cp3.sub_chart.point(coords)
-    singles = [oc.TangentBundlePoint(x=x, v=v) for x, v in zip(points.x, points.v)]
+    singles = [oc.TangentBundlePoint(x=x, v=v) for x, v in zip(points.x[:, None], points.v[:, None])]
     for word in [("v", "v"), ("x", "v", "x", "v"), ("v", "v", "v", "v")]:
         fn = dr.invariant_function(setup.alg, word)
-        assert np.array_equal(fn(points), [fn(p) for p in singles])
-        assert np.array_equal(fn.gradient(points), np.stack([fn.gradient(p) for p in singles]))
-    assert np.array_equal(dr.regularity_distance(setup, points), [dr.regularity_distance(setup, p) for p in singles])
+        assert np.array_equal(fn(points), np.concatenate([fn(p) for p in singles]))
+        assert np.array_equal(fn.gradient(points), np.concatenate([fn.gradient(p) for p in singles]))
+    assert np.array_equal(dr.regularity_distance(setup, points),
+                          np.concatenate([dr.regularity_distance(setup, p) for p in singles]))
     assert dr.isotropy_excess(setup, points) == max(dr.isotropy_excess(setup, p) for p in singles)
     assert dr.transversality_deficiency(setup, points) == max(dr.transversality_deficiency(setup, p)
                                                               for p in singles)
     spans = dr.canonical_complement(setup, points)
     for span, p in zip(spans, singles):
-        assert np.array_equal(span.basis, dr.canonical_complement(setup, p).basis)
+        assert np.array_equal(span.basis, dr.canonical_complement(setup, p)[0].basis)
     strata = dr._stratum_tangent(setup, points)
     for stratum, p in zip(strata, singles):
-        assert np.array_equal(stratum.basis, dr._stratum_tangent(setup, p).basis)
+        assert np.array_equal(stratum.basis, dr._stratum_tangent(setup, p)[0].basis)
 
 
 def test_span_and_kernel_of_a_sequence_are_the_single_calls(su4):
@@ -267,10 +270,10 @@ def _one_candidate_at_a_time(setup, data, count, seed, max_attempts=400):
     while len(out) < count:
         if attempt >= max_attempts:
             raise GenericityError("exhausted")
-        coords = uniform_rows(seed, "regular-points", [attempt], data.sub_chart.coord_dim, 0.1)[0]
+        coords = uniform_rows(seed, "regular-points", [attempt], data.sub_chart.coord_dim, 0.1)
         attempt += 1
-        if dr.is_regular(setup, data.sub_chart.point(coords)):
-            out.append(coords)
+        if dr.is_regular(setup, data.sub_chart.point(coords))[0]:
+            out.append(coords[0])
     return out
 
 
@@ -318,7 +321,7 @@ def _lstsq_splitting(setup, chart, coords, forms):
 def test_splitting_lifts_agree_with_lstsq(monkeypatch, request, case):
     setup = request.getfixturevalue(f"setup_{case}")
     data = _fresh(setup)
-    coords = data.pad_coords(np.stack(dr.sample_regular_coords(setup, data, 4, seed=2)))
+    coords = data.pad_coords(dr.sample_regular_coords(setup, data, 4, seed=2))
     w1, w2 = data.ambient.w1(coords), data.ambient.w2(coords)
     forms = np.stack([w1, w2, 0.3 * w1 + 0.7 * w2], axis=1)
     want = _lstsq_splitting(setup, data.ambient_chart, coords, forms)
@@ -327,3 +330,20 @@ def test_splitting_lifts_agree_with_lstsq(monkeypatch, request, case):
     assert len(got) == len(want) == 12
     for report, ref in zip(got, want):
         assert np.allclose(tuple(report), ref, rtol=1e-12, atol=1e-12)
+
+
+def test_a_bare_coordinate_row_is_refused(setup_cp2, data_cp2):
+    # Coordinates are (m, d) stacks only; a (d,) row raises InputError naming that shape.
+    chart, (w1, _, p1, _) = data_cp2.ambient_chart, data_cp2.ambient
+    adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
+    row = np.zeros(chart.coord_dim)
+    calls = [lambda: chart.point(row), lambda: chart.pushforward(row),
+             lambda: adapted.pushforward(np.zeros(adapted.coord_dim)), lambda: w1(row), lambda: p1(row),
+             lambda: oc.closedness_residual(w1, row), lambda: pp.jacobi_residual(p1, row),
+             lambda: data_cp2.pad_coords(np.zeros(data_cp2.sub_chart.coord_dim))]
+    for call in calls:
+        with pytest.raises(InputError, match=r"expected an \(m, (d|\d+)\) stack"):
+            call()
+    # the degeneracy profile is taken at one point, a stack of one
+    with pytest.raises(InputError, match=r"expected a \(1, d\) stack"):
+        pp.degeneracy_profile(p1, data_cp2.ambient.p2, np.zeros((2, chart.coord_dim)), [(1.0, 0.0)])

@@ -64,7 +64,7 @@ def test_memo_fields_take_the_evaluator_first_and_call_it_once_per_point(cls):
         return c[:, :, None] * c[:, None, ::-1]
 
     field = cls(evaluator, 2, "probe") if cls is orbit_charts.FormField else cls(evaluator, 2)
-    for coords in ([0.1, 0.2], [0.1, 0.2], [0.3, 0.2], [0.1, 0.2]):
+    for coords in ([[0.1, 0.2]], [[0.1, 0.2]], [[0.3, 0.2]], [[0.1, 0.2]]):
         field(coords)
     assert calls == [[[0.1, 0.2]], [[0.3, 0.2]]]
     field([[0.5, 0.6], [0.1, 0.2], [0.5, 0.6], [0.7, 0.8]])

@@ -328,7 +328,7 @@ def test_bracket_agreement_takes_one_differential_per_word_point_chart(monkeypat
 
     def recording(method):
         def wrapper(chart, coords):
-            evaluated.update((chart.coord_dim, row.tobytes()) for row in np.atleast_2d(coords).astype(float))
+            evaluated.update((chart.coord_dim, row.tobytes()) for row in np.asarray(coords, dtype=float))
             return method(chart, coords)
         return wrapper
 
@@ -340,7 +340,7 @@ def test_bracket_agreement_takes_one_differential_per_word_point_chart(monkeypat
     # 4 words x 2 charts, each on the stack of the 5 points, shared by every pencil parameter
     assert len(gradients) == len(wb._BRACKET_WORDS) * 2
     allowed = {(len(s), s.tobytes()) for s in sampled}
-    allowed |= {(len(c), c.tobytes()) for c in map(ctx.data.pad_coords, sampled)}
+    allowed |= {(len(c), c.tobytes()) for c in ctx.data.pad_coords(sampled)}
     assert evaluated <= allowed
 
 
