@@ -45,10 +45,12 @@ from .lie_core import (
     fixed_vector_space,
     full_subspace,
     kernel,
+    kernels,
     normalizer,
-    orthogonal_complement,
+    orthogonal_complements,
     projector_distance,
     span,
+    spans,
     subalgebra_residual,
     subspace_contains,
     subspace_sum,
@@ -82,7 +84,7 @@ def stabilizer_within(alg: LieAlgebra, sub: Subspace, xs: np.ndarray) -> list[Su
     restricted to sub: one stacked kernel and one stacked span."""
     if sub.dim == 0:
         return [sub] * len(xs)
-    return span([sub.basis @ c.basis for c in kernel([alg.ad(row) @ sub.basis for row in xs])])
+    return spans([sub.basis @ c.basis for c in kernels([alg.ad(row) @ sub.basis for row in xs])])
 
 
 def principal_isotropy(config: OrbitConfig, samples: int = 16, seed: int = 0):
@@ -169,7 +171,7 @@ def setup_residuals(setup: ReductionSetup) -> dict:
     slice_alt = complement_within(sub_moved, setup.sub_tangent)
     return {
         "isotropy_in_stabilizer": subspace_contains(cfg.stabilizer, setup.isotropy),
-        "seed_commutes_with_isotropy": _max_bracket_norm(alg, span(setup.x0), setup.isotropy),
+        "seed_commutes_with_isotropy": _max_bracket_norm(alg, span(setup.x0[:, None]), setup.isotropy),
         "slice_commutes_with_isotropy": _max_bracket_norm(alg, setup.slice_space, setup.isotropy),
         "slice_inside_sub_tangent": subspace_contains(setup.sub_tangent, setup.slice_space),
         "slice_matches_sub_complement": projector_distance(setup.slice_space, slice_alt),
@@ -208,7 +210,7 @@ def reduction_setup(config: OrbitConfig, samples: int = 16, seed: int = 0) -> Re
     alg = config.alg
     x0, iso = principal_isotropy(config, samples=samples, seed=seed)
     norm = normalizer(alg, iso)
-    transversal = orthogonal_complement(alg, norm)
+    transversal = kernel(norm.basis.T)
     cent = centralizer(alg, iso)
     sub_stab, = stabilizer_within(alg, cent, config.seed[None])
     sub_tan = complement_within(sub_stab, cent)
@@ -322,7 +324,7 @@ def slice_normal_form(setup: ReductionSetup, y: np.ndarray, max_iter: int = 200,
 def isotropy_algebra(setup: ReductionSetup, point: TangentBundlePoint):
     """All xi with [xi, x] = 0 and [xi, v] = 0; the list of them at a stack of points."""
     alg = setup.alg
-    return kernel(np.concatenate([_lincomb(point.x, alg.ad_basis), _lincomb(point.v, alg.ad_basis)], axis=-2))
+    return kernels(np.concatenate([_lincomb(point.x, alg.ad_basis), _lincomb(point.v, alg.ad_basis)], axis=-2))
 
 
 def regularity_distance(setup: ReductionSetup, point: TangentBundlePoint) -> np.ndarray:
@@ -349,9 +351,9 @@ def _stratum_tangent(setup: ReductionSetup, point: TangentBundlePoint) -> list[S
     alg = setup.alg
     n = alg.dim
     ops = [alg.ad(iso.basis[:, j]) for j in range(iso.dim)]
-    coeffs = kernel([np.vstack([block for op in ops for block in (op @ a.basis[:n], op @ a.basis[n:])])
-                     for a in ambient])
-    return span([a.basis @ c.basis for a, c in zip(ambient, coeffs)])
+    coeffs = kernels([np.vstack([block for op in ops for block in (op @ a.basis[:n], op @ a.basis[n:])])
+                      for a in ambient])
+    return spans([a.basis @ c.basis for a, c in zip(ambient, coeffs)])
 
 
 def canonical_complement(setup: ReductionSetup, point: TangentBundlePoint) -> list[Subspace]:
@@ -378,13 +380,13 @@ def _action_spans(setup: ReductionSetup, points: TangentBundlePoint, transversal
                 for t, x, v in zip(transversals, points.x, points.v)]
     if not any(t.dim for t in transversals):
         return [zero_subspace(2 * n)] * m
-    spans = span(cols)
-    for out, trans in zip(spans, transversals):
+    spaces = spans(cols)
+    for out, trans in zip(spaces, transversals):
         if out.dim != trans.dim:
             raise DegeneracyError(
                 f"action of the transversal dropped rank ({out.dim} < {trans.dim}) at the point"
             )
-    return spans
+    return spaces
 
 
 def complement_product_independence(setup: ReductionSetup, points: TangentBundlePoint,
@@ -400,7 +402,7 @@ def complement_product_independence(setup: ReductionSetup, points: TangentBundle
     """
     alg = setup.alg
     prods = draw_invariant_products(alg, setup.isotropy, sols, seed, range(len(points.x)), "action-products")
-    alts = orthogonal_complement(alg, setup.normalizer, prods)
+    alts = orthogonal_complements(setup.normalizer, prods)
     base = canonical_complement(setup, points)
     alt = _action_spans(setup, points, alts)
     return max(projector_distance(a, b) for a, b in zip(base, alt))
@@ -756,8 +758,8 @@ def isotropy_excess(setup: ReductionSetup, points: TangentBundlePoint) -> int:
     """Max over the points of a stack of dim(isotropy within the centralizer) - dim(center)."""
     alg = setup.alg
     cent = setup.centralizer.basis
-    isos = kernel(np.concatenate([_lincomb(points.x, alg.ad_basis) @ cent,
-                                  _lincomb(points.v, alg.ad_basis) @ cent], axis=-2))
+    isos = kernels(np.concatenate([_lincomb(points.x, alg.ad_basis) @ cent,
+                                   _lincomb(points.v, alg.ad_basis) @ cent], axis=-2))
     return max(0, *(iso.dim - setup.center.dim for iso in isos))
 
 

@@ -16,9 +16,10 @@ Conventions used throughout the package:
     these.  Group elements act by conjugating the n x n matrices instead
     (:mod:`orbitpencil.orbit_charts`), projected back by ``coefficients``.
   * Rank decisions use singular values with the relative cutoff RANK_RTOL.
-    ``span`` and ``kernel`` also take a sequence of matrices and return one
-    Subspace each, from one stacked SVD when the shapes agree
-    (:func:`svd_each`); each keeps its own rank cutoff.
+    ``span`` and ``kernel`` take one 2-d matrix and return one Subspace;
+    ``spans`` and ``kernels`` take a list of them (ragged allowed) or a
+    (k, r, c) stack and return a list, from one SVD per shape
+    (:func:`svd_each`), each with its own rank cutoff.
   * Subspaces are compared through their orthogonal projectors (Frobenius
     distance), which is basis independent.
 """
@@ -253,36 +254,38 @@ def _rank(s: np.ndarray, rtol: float) -> int:
     return int(np.sum(s > rtol * max(s[0], 1.0))) if s.size else 0
 
 
-def _matrices(mat) -> tuple[list[np.ndarray], bool]:
-    """(the matrices of ``mat``, whether it is a stack): a sequence or (k, r, c) stack, or one matrix.
+def _stack(mats, one: bool = False) -> list[np.ndarray]:
+    """The float matrices of a list of 2-d arrays or a (k, r, c) array, or of one 2-d array if ``one``.
 
-    Any tuple counts as a sequence, so no record (a NamedTuple) may be passed here."""
-    stacked = isinstance(mat, (list, tuple)) or np.ndim(mat) == 3
-    return [np.asarray(m, dtype=float) for m in (mat if stacked else [mat])], stacked
+    Anything else raises InputError: a tuple is no list, so a record (a NamedTuple) is refused."""
+    if one and isinstance(mats, np.ndarray) and mats.ndim == 2:
+        return [np.asarray(mats, dtype=float)]
+    if not one and (isinstance(mats, np.ndarray) and mats.ndim == 3 or type(mats) is list
+                    and all(isinstance(m, np.ndarray) and m.ndim == 2 for m in mats)):
+        return [np.asarray(m, dtype=float) for m in mats]
+    want = "one 2-d matrix" if one else "a list of 2-d matrices or a (k, r, c) stack"
+    got = f"shape {mats.shape}" if isinstance(mats, np.ndarray) else type(mats).__name__
+    raise InputError(f"expected {want}, got {got}")
 
 
-def span(vectors, rtol: float = RANK_RTOL):
-    """Orthonormalised span of the columns of ``vectors`` (rank-revealing).
+def spans(mats, rtol: float = RANK_RTOL) -> list[Subspace]:
+    """Orthonormalised span of the columns of each matrix of a list or (k, n, c) stack (rank-revealing).
 
     The rank cutoff is rtol times the largest singular value, floored at
     rtol itself: every meaningful operator here is O(1) after basis
     orthonormalisation, so an all-noise input must have rank zero rather
-    than inherit rank from its own rounding errors.  A sequence (or (k, n, c)
-    stack) of matrices gives the list of their spans.
+    than inherit rank from its own rounding errors.
     """
-    mats, stacked = _matrices(vectors)
-    mats = [m[:, None] if m.ndim == 1 else m for m in mats]
-    if any(m.ndim != 2 for m in mats):
-        raise InputError("span expects a matrix of column vectors")
-    factored = iter(svd_each([m for m in mats if m.shape[1]], full_matrices=False))
-    out = []
-    for m in mats:
-        if m.shape[1] == 0:
-            out.append(Subspace(basis=np.zeros((m.shape[0], 0))))
-        else:
-            u, s, _ = next(factored)
-            out.append(Subspace(basis=u[:, :_rank(s, rtol)]))
-    return out if stacked else out[0]
+    mats = _stack(mats)
+    idx = [i for i, m in enumerate(mats) if m.shape[1]]
+    factored = dict(zip(idx, svd_each([mats[i] for i in idx], full_matrices=False)))
+    return [Subspace(basis=factored[i][0][:, :_rank(factored[i][1], rtol)]) if i in factored
+            else zero_subspace(m.shape[0]) for i, m in enumerate(mats)]
+
+
+def span(mat, rtol: float = RANK_RTOL) -> Subspace:
+    """Span of the columns of one 2-d matrix: :func:`spans` of the stack of one."""
+    return spans(_stack(mat, one=True), rtol)[0]
 
 
 def zero_subspace(n: int) -> Subspace:
@@ -293,16 +296,13 @@ def full_subspace(n: int) -> Subspace:
     return Subspace(basis=np.eye(n))
 
 
-def kernel(mat, rtol: float = RANK_RTOL):
-    """Right null space of a matrix as a Subspace of its column index space.
+def kernels(mats, rtol: float = RANK_RTOL) -> list[Subspace]:
+    """Right null space of each matrix of a list or (k, r, c) stack, as a Subspace of its column index space.
 
-    Rank cutoff as in :func:`span`: rtol times the largest singular value,
+    Rank cutoff as in :func:`spans`: rtol times the largest singular value,
     floored at rtol, so a matrix that vanishes to rounding has full kernel.
-    A sequence (or (k, r, c) stack) of matrices gives the list of their kernels.
     """
-    mats, stacked = _matrices(mat)
-    if any(m.ndim != 2 for m in mats):
-        raise InputError("kernel expects a 2-d matrix")
+    mats = _stack(mats)
     # A tall matrix has an economy V^T that is already square, i.e. the full V.
     groups: dict[bool, list[int]] = {}
     for i, m in enumerate(mats):
@@ -311,9 +311,13 @@ def kernel(mat, rtol: float = RANK_RTOL):
     factored = {}
     for wide, idx in groups.items():
         factored.update(zip(idx, svd_each([mats[i] for i in idx], full_matrices=wide)))
-    out = [Subspace(basis=factored[i][2][_rank(factored[i][1], rtol):].T.copy()) if i in factored
-           else full_subspace(m.shape[1]) for i, m in enumerate(mats)]
-    return out if stacked else out[0]
+    return [Subspace(basis=factored[i][2][_rank(factored[i][1], rtol):].T.copy()) if i in factored
+            else full_subspace(m.shape[1]) for i, m in enumerate(mats)]
+
+
+def kernel(mat, rtol: float = RANK_RTOL) -> Subspace:
+    """Right null space of one 2-d matrix: :func:`kernels` of the stack of one."""
+    return kernels(_stack(mat, one=True), rtol)[0]
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -382,27 +386,18 @@ def normalizer(alg: LieAlgebra, sub: Subspace) -> Subspace:
     return kernel(stacked)
 
 
-def orthogonal_complement(alg: LieAlgebra, sub: Subspace, prod: "InvariantProduct | None" = None):
-    """Complement of ``sub`` with respect to ``prod`` (base product if None).
+def orthogonal_complements(sub: Subspace, prods: InvariantProduct) -> list[Subspace]:
+    """Complement of ``sub`` with respect to each product of the stack ``prods``, from one stacked SVD.
 
-    The returned basis is orthonormal for the *base* product; only the span
-    is determined by ``prod``.  A stack of products gives the list of their
-    complements, from one stacked SVD.
+    Each returned basis is orthonormal for the *base* product; only its span
+    is determined by the product.  The base-product complement is
+    ``kernel(sub.basis.T)``.
     """
-    n = alg.dim
-    stacked = prod is not None and prod.matrix.ndim == 3
-    if sub.dim == 0:
-        comps = [full_subspace(n)] * (len(prod.matrix) if stacked else 1)
-    elif prod is None:
-        comps = [kernel(sub.basis.T)]
-    else:
-        comps = kernel(sub.basis.T @ prod.matrix) if stacked else [kernel(sub.basis.T @ prod.matrix)]
+    comps = kernels(sub.basis.T @ prods.matrix)
     for comp in comps:
-        if comp.dim != n - sub.dim:
-            raise DomainError(
-                f"complement has dimension {comp.dim}, expected {n - sub.dim}"
-            )
-    return comps if stacked else comps[0]
+        if comp.dim + sub.dim != len(sub.basis):
+            raise DomainError(f"complement has dimension {comp.dim}, expected {len(sub.basis) - sub.dim}")
+    return comps
 
 
 def fixed_vector_space(alg: LieAlgebra, sub: Subspace, ambient: Subspace, tol: float = SUBSPACE_TOL) -> Subspace:
@@ -431,14 +426,14 @@ def fixed_vector_space(alg: LieAlgebra, sub: Subspace, ambient: Subspace, tol: f
 
 
 class InvariantProduct(NamedTuple("InvariantProduct", [("matrix", np.ndarray)])):
-    """A symmetric positive-definite matrix representing a scalar product, or a (k, n, n) stack of them."""
+    """A (k, n, n) stack of symmetric positive-definite matrices, each representing a scalar product."""
 
     __slots__ = ()
 
     def __new__(cls, matrix):
         mat = np.asarray(matrix, dtype=float)
-        if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
-            raise InputError("product matrix must be square")
+        if mat.ndim != 3 or mat.shape[-2] != mat.shape[-1]:
+            raise InputError("product matrix must be a (k, n, n) stack of square matrices")
         size = np.linalg.norm(mat, axis=(-2, -1))
         if np.any(np.linalg.norm(mat - mat.mT, axis=(-2, -1)) > 1e-12 * np.maximum(1.0, size)):
             raise InputError("product matrix must be symmetric")
@@ -448,7 +443,7 @@ class InvariantProduct(NamedTuple("InvariantProduct", [("matrix", np.ndarray)]))
 
 
 def product_invariance_residual(alg: LieAlgebra, sub: Subspace, matrix: np.ndarray) -> float:
-    """Max norm of M ad(z) + ad(z)^T M over a basis z of ``sub``, and over a (k, n, n) stack of M."""
+    """Max norm of M ad(z) + ad(z)^T M over a basis z of ``sub`` and over the (k, n, n) stack of M."""
     if sub.dim == 0:
         return 0.0
     ads = np.tensordot(sub.basis.T, alg.ad_basis, axes=(1, 0))
@@ -553,8 +548,8 @@ def complement_independence(alg: LieAlgebra, sub: Subspace, norm: Subspace, sols
     if trials <= 0:
         return ComplementIndependence(paired=0.0, unpaired=0.0)
     prods = draw_invariant_products(alg, sub, sols, seed, range(2 * trials))
-    comps = orthogonal_complement(alg, norm, prods)
-    sums = span([np.hstack([comp.basis, sub.basis]) for comp in comps])
+    comps = orthogonal_complements(norm, prods)
+    sums = spans([np.hstack([comp.basis, sub.basis]) for comp in comps])
     return ComplementIndependence(
         paired=max(projector_distance(a, b) for a, b in zip(sums[0::2], sums[1::2])),
         unpaired=max(projector_distance(a, b) for a, b in zip(comps[0::2], comps[1::2])),

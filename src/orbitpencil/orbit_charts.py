@@ -56,7 +56,7 @@ from .errors import (
     DomainError,
     InputError,
 )
-from .lie_core import RANK_RTOL, LieAlgebra, Subspace, kernel, projector_distance, span
+from .lie_core import RANK_RTOL, LieAlgebra, Subspace, kernel, projector_distance, span, spans
 
 FD_STEP_DEFAULT = 1e-4
 FD_STEP_MIN = 1e-6
@@ -145,8 +145,8 @@ def ambient_tangent_space(config: OrbitConfig, point: TangentBundlePoint) -> lis
     ad_x = _lincomb(point.x, alg.ad_basis)
     # columns: ([e_i,x],[e_i,v]) = -(ad x, ad v) e_i
     action = -np.concatenate([ad_x, _lincomb(point.v, alg.ad_basis)], axis=-2)
-    spaces = span([np.hstack([a, np.vstack([np.zeros_like(f.basis), f.basis])])
-                   for a, f in zip(action, span(ad_x))])
+    spaces = spans([np.hstack([a, np.vstack([np.zeros_like(f.basis), f.basis])])
+                    for a, f in zip(action, spans(ad_x))])
     for space in spaces:
         if space.dim != 2 * config.orbit_dim:
             raise DegeneracyError(

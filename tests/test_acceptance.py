@@ -181,7 +181,7 @@ def test_criterion_07_adapted_blocks(setup_cp2, data_cp2, regular_coords_cp2):
 
 def test_criterion_08_complement_independence(su2, setup_cp2, so4, pauli_elements):
     subjects = [
-        (su2, lc.span(pauli_elements[2])),
+        (su2, lc.span(pauli_elements[2][:, None])),
         (setup_cp2.alg, setup_cp2.isotropy),
     ]
     worst_paired = 0.0

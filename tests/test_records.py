@@ -52,9 +52,9 @@ def test_validated_records_keep_their_checks():
     with pytest.raises(InputError, match="2-d array"):
         lc.Subspace(np.ones(3))
     with pytest.raises(InputError, match="positive definite"):
-        lc.InvariantProduct(np.diag([1.0, -1.0]))
+        lc.InvariantProduct([np.diag([1.0, -1.0])])
     with pytest.raises(InputError, match="symmetric"):
-        lc.InvariantProduct(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        lc.InvariantProduct([np.array([[1.0, 0.5], [0.0, 1.0]])])
     with pytest.raises(InputError, match="excluded"):
         pp.PencilParameter(0.0, 0.0)
     # validation converts as before: the stored basis is a float array

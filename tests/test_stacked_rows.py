@@ -94,14 +94,13 @@ def test_degeneracy_profile_is_one_svd_matching_one_per_parameter(monkeypatch, d
 
 def _loop_complement_independence(alg, sub, norm, sols, seed, trials):
     # reference: the per-trial loop, two single draws and their complements per trial
-    def draw(index):
-        return lc.InvariantProduct(matrix=lc.draw_invariant_products(alg, sub, sols, seed, [index]).matrix[0])
+    def complement(index):
+        [comp] = lc.orthogonal_complements(norm, lc.draw_invariant_products(alg, sub, sols, seed, [index]))
+        return comp
 
     paired = unpaired = 0.0
     for t in range(trials):
-        alpha, beta = draw(2 * t), draw(2 * t + 1)
-        comp_a = lc.orthogonal_complement(alg, norm, alpha)
-        comp_b = lc.orthogonal_complement(alg, norm, beta)
+        comp_a, comp_b = complement(2 * t), complement(2 * t + 1)
         paired = max(paired, lc.projector_distance(lc.subspace_sum(comp_a, sub), lc.subspace_sum(comp_b, sub)))
         unpaired = max(unpaired, lc.projector_distance(comp_a, comp_b))
     return lc.ComplementIndependence(paired=paired, unpaired=unpaired)
@@ -138,12 +137,12 @@ def test_principal_isotropy_stacks_its_draws(monkeypatch, family, n, spectrum):
     alg = families.su(n) if family == "su" else families.so(n)
     config = oc.orbit_config(alg, families.diagonal_seed(alg, spectrum))
     calls = collections.Counter()
-    for name in ("kernel", "span"):
+    for name in ("kernel", "kernels", "span", "spans"):
         fn = getattr(dr, name)
         monkeypatch.setattr(dr, name, lambda *a, fn=fn, name=name, **k: calls.update([name]) or fn(*a, **k))
     x0, stab = dr.principal_isotropy(config, samples=8, seed=1)
     monkeypatch.undo()
-    assert calls == {"kernel": 1, "span": 1}  # all 16 draws in one stack
+    assert calls == {"kernels": 1, "spans": 1}  # all 16 draws in one stack
     draws = unit_rows(1, "principal-isotropy", range(16), config.tangent.dim) @ config.tangent.basis.T
     singles = [dr.stabilizer_within(alg, config.stabilizer, x)[0] for x in draws[:, None]]
     for got, want in zip(dr.stabilizer_within(alg, config.stabilizer, draws), singles):
@@ -207,9 +206,12 @@ def test_span_and_kernel_of_a_sequence_are_the_single_calls(su4):
     rng = np.random.default_rng(17)
     mats = [rng.standard_normal((15, 6)), rng.standard_normal((15, 6)) @ np.diag([1, 1, 1, 0, 0, 1.0]),
             np.zeros((15, 0)), rng.standard_normal((4, 15)), rng.standard_normal((15, 15))]
-    for fn in (lc.span, lc.kernel):
-        for got, mat in zip(fn(mats), mats):
-            assert np.array_equal(got.basis, fn(mat).basis)
+    for many, one in ((lc.spans, lc.span), (lc.kernels, lc.kernel)):
+        for got, mat in zip(many(mats), mats, strict=True):
+            assert np.array_equal(got.basis, one(mat).basis)
+        # a (k, r, c) array is the list of its matrices
+        for got, mat in zip(many(np.stack(mats[:2])), mats[:2], strict=True):
+            assert np.array_equal(got.basis, one(mat).basis)
 
 
 # ---------------------------------------------------------------------------
@@ -347,3 +349,20 @@ def test_a_bare_coordinate_row_is_refused(setup_cp2, data_cp2):
     # the degeneracy profile is taken at one point, a stack of one
     with pytest.raises(InputError, match=r"expected a \(1, d\) stack"):
         pp.degeneracy_profile(p1, data_cp2.ambient.p2, np.zeros((2, chart.coord_dim)), [(1.0, 0.0)])
+
+
+def test_subspace_functions_take_one_shape(su2):
+    # span/kernel take one 2-d matrix, spans/kernels a list of them or a (k, r, c) array, products a stack;
+    # a record is a tuple, and a tuple is refused rather than read as a sequence
+    mat = np.eye(3)[:, :2]
+    not_one_matrix = (lc.Subspace(mat), lc.InvariantProduct([np.eye(3)]), su2, np.ones(3), np.ones((2, 3, 3)), [mat])
+    for fn in (lc.span, lc.kernel):
+        for bad in not_one_matrix:
+            with pytest.raises(InputError, match="expected one 2-d matrix"):
+                fn(bad)
+    for fn in (lc.spans, lc.kernels):
+        for bad in (mat, (mat, mat), [mat, np.ones(3)]):
+            with pytest.raises(InputError, match=r"expected a list of 2-d matrices or a \(k, r, c\) stack"):
+                fn(bad)
+    with pytest.raises(InputError, match=r"\(k, n, n\) stack"):
+        lc.InvariantProduct(np.eye(3))

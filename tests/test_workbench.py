@@ -282,12 +282,15 @@ def test_run_builds_each_setup_object_once(monkeypatch):
     # reduction_setup calls its own imported name, the lie_core layer the module one
     normalizers = [_counting(monkeypatch, lc, "normalizer"), _counting(monkeypatch, dr, "normalizer")]
     residuals = _counting(monkeypatch, dr, "setup_residuals")
-    active, spans_in_normal_form = [], []
-    span, normal_form = dr.span, dr.slice_normal_form
+    active, subspaces_in_normal_form, subspace_calls = [], [], set()
+    normal_form = dr.slice_normal_form
 
-    def counting_span(*args, **kwargs):
-        spans_in_normal_form.extend(active)
-        return span(*args, **kwargs)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            subspace_calls.add(name)
+            subspaces_in_normal_form.extend(active)
+            return fn(*args, **kwargs)
+        return wrapper
 
     def tracked_normal_form(*args, **kwargs):
         active.append(1)
@@ -296,7 +299,8 @@ def test_run_builds_each_setup_object_once(monkeypatch):
         finally:
             active.pop()
 
-    monkeypatch.setattr(dr, "span", counting_span)
+    for name in ("span", "spans", "kernel", "kernels"):
+        monkeypatch.setattr(dr, name, counting(name, getattr(dr, name)))
     monkeypatch.setattr(dr, "slice_normal_form", tracked_normal_form)
     path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "su3_projective_plane.json"
     report = wb.run_pipeline(wb.load_config(path))
@@ -304,7 +308,9 @@ def test_run_builds_each_setup_object_once(monkeypatch):
     assert len(products) == 1
     assert sum(map(len, normalizers)) == 1
     assert len(residuals) == 1
-    assert spans_in_normal_form == []
+    # every counter is reached by the run, and none from inside a slice normal form
+    assert subspace_calls == {"span", "spans", "kernel", "kernels"}
+    assert subspaces_in_normal_form == []
 
 
 def test_bracket_agreement_takes_one_differential_per_word_point_chart(monkeypatch):
