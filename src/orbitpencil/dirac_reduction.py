@@ -21,8 +21,6 @@ brackets of invariant functions computed ambiently or after restriction
 agree at regular points.  All of this is certified numerically here.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +37,7 @@ from .lie_core import (
     RANK_RTOL,
     LieAlgebra,
     Subspace,
+    _rowwise,
     centralizer,
     complement_within,
     draw_invariant_products,
@@ -244,15 +243,24 @@ def reduction_setup(config: OrbitConfig, samples: int = 16, seed: int = 0) -> Re
 
 
 def orbit_hessian(alg: LieAlgebra, basis: np.ndarray, z: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """<[k_a, [k_b, z]], x0> over the columns k_a of ``basis`` K, as one contraction:
+    """<[k_a, [k_b, z]], x0> over the columns k_a of ``basis`` K, as one contraction per leading index of z:
     K^T (C x0) (K^T C_z)^T, C x0 and C_z the structure constants contracted in the last and middle slot."""
-    moved = basis.T @ np.tensordot(alg.structure, z, axes=(1, 0))
-    return basis.T @ (alg.structure @ x0) @ moved.T
+    moved = basis.T @ _lincomb(z, np.moveaxis(alg.structure, 1, 0))
+    return basis.T @ (alg.structure @ x0) @ moved.mT
 
 
-def slice_normal_form(setup: ReductionSetup, y: np.ndarray, max_iter: int = 200,
-                      tol: float = 1e-8):
-    """Rotate y in m into the slice by stabilizer conjugations.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b, one row at a time."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_row_dots(a, a))
+
+
+def slice_normal_form(setup: ReductionSetup, ys: np.ndarray, max_iter: int = 200,
+                      tol: float = 1e-8) -> tuple[np.ndarray, int]:
+    """Rotate each row y of the (m, n) stack ys, in m, into the slice by stabilizer conjugations.
 
     Ascends f = <z, x0> over the orbit of y under the stabilizer K, which
     keeps z in m.  At z moved to exp(ad(K c)) z, the gradient of f in c is
@@ -272,46 +280,66 @@ def slice_normal_form(setup: ReductionSetup, y: np.ndarray, max_iter: int = 200,
     the distance to it.  Conjugation is an isometry, so the norm of y is
     preserved exactly.
 
-    Returns (normalised element, iterations used); raises ConvergenceError
-    when no step above 1e-14 is acceptable or the budget runs out.
+    All rows share one loop, each with its own step, stop rule and
+    iteration count; every product is taken row by row, so a row's normal
+    form and iterations are those it gets as a stack of one.
+    Returns (normalised stack, iterations summed over the rows); raises
+    ConvergenceError when a row finds no acceptable step above 1e-14 or the
+    budget runs out.
     """
     alg = setup.alg
     cfg = setup.config
-    y = np.asarray(y, dtype=float)
-    if cfg.tangent.residual(y) > 1e-10 * max(1.0, np.linalg.norm(y)):
+    y = np.asarray(ys, dtype=float)
+    if y.ndim != 2 or y.shape[1] != alg.dim:
+        raise InputError(f"expected an (m, {alg.dim}) stack of tangent vectors, got shape {y.shape}")
+    tangent = cfg.tangent.basis
+    off_tangent = y - _rowwise(_rowwise(y, tangent), tangent.T)
+    if np.any(_row_norms(off_tangent) > 1e-10 * np.maximum(1.0, _row_norms(y))):
         raise DomainError("input must lie in the tangent space at the seed")
     normal = setup.slice_normal.basis
     stab_basis = cfg.stabilizer.basis
+    grad_map = alg.ad(setup.x0) @ stab_basis  # column a is [x0, k_a]
     z = y.copy()
-    value = float(np.dot(z, setup.x0))
-    res = best = float(np.linalg.norm(normal.T @ z))
+    value = _rowwise(z, setup.x0[:, None])[:, 0]
+    res = _row_norms(_rowwise(z, normal))
+    best = res.copy()
+    todo = np.arange(len(z))
+    total = 0
     for it in range(max_iter + 1):
-        if res <= tol:
-            return z, it
+        todo = todo[res[todo] > tol]
+        if not len(todo):
+            return z, total
         if it == max_iter:
             break
-        grad = stab_basis.T @ alg.bracket(z, setup.x0)
-        hess = orbit_hessian(alg, stab_basis, z, setup.x0)
-        lam, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
+        zt = z[todo]
+        grad = _rowwise(zt, grad_map)
+        hess = orbit_hessian(alg, stab_basis, zt, setup.x0)
+        lam, vecs = np.linalg.eigh(0.5 * (hess + hess.mT))
         size = np.abs(lam)
-        delta = vecs @ (vecs.T @ grad / np.maximum(size, 1e-3 * max(float(np.max(size)), 1e-12)))
-        delta /= max(1.0, float(np.linalg.norm(delta)))
-        gain = float(np.dot(grad, delta))
-        step = 1.0
-        while step > 1e-14:
-            cand = exp_ad(alg, stab_basis @ (step * delta)) @ z
-            cand_value = float(np.dot(cand, setup.x0))
-            cand_res = float(np.linalg.norm(normal.T @ cand))
-            if cand_value > value + 1e-4 * step * gain or cand_res < res * (1.0 - 1e-4 * step):
-                break
+        floor = 1e-3 * np.maximum(np.max(size, axis=-1), 1e-12)
+        delta = (vecs @ (_rowwise(grad, vecs) / np.maximum(size, floor[:, None]))[..., None])[..., 0]
+        delta /= np.maximum(1.0, _row_norms(delta))[:, None]
+        gain = _row_dots(grad, delta)
+        step, search = 1.0, np.arange(len(todo))
+        while len(search) and step > 1e-14:
+            cand = (exp_ad(alg, _rowwise(step * delta[search], stab_basis.T)) @ zt[search, :, None])[..., 0]
+            cand_value = _rowwise(cand, setup.x0[:, None])[:, 0]
+            cand_res = _row_norms(_rowwise(cand, normal))
+            rows = todo[search]
+            ok = ((cand_value > value[rows] + 1e-4 * step * gain[search])
+                  | (cand_res < res[rows] * (1.0 - 1e-4 * step)))
+            z[rows[ok]], value[rows[ok]], res[rows[ok]] = cand[ok], cand_value[ok], cand_res[ok]
+            search = search[~ok]
             step *= 0.5
-        else:
+        if len(search):  # no acceptable step above 1e-14 for these rows
+            todo = todo[search]
             break
-        z, value, res = cand, cand_value, cand_res
-        best = min(best, res)
+        total += len(todo)
+        best[todo] = np.minimum(best[todo], res[todo])
+    worst = float(np.max(best[todo]))
     raise ConvergenceError(
-        f"slice normalisation stalled at residual {best:.3e}",
-        best_residual=best,
+        f"slice normalisation stalled at residual {worst:.3e}",
+        best_residual=worst,
         iterations=it,
     )
 

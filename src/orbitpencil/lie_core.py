@@ -14,7 +14,11 @@ Conventions used throughout the package:
     cached; every bracket afterwards is a tensor contraction.
   * Every ad(xi) is then a real skew matrix; subspace algebra works with
     these.  Group elements act by conjugating the n x n matrices instead
-    (:mod:`orbitpencil.orbit_charts`), projected back by ``coefficients``.
+    (:mod:`orbitpencil.orbit_charts`), projected back by ``coefficients``:
+    one real matmul of the (re, im) entries of each matrix against the
+    (2 d^2, n) ``coefficient_map``, built with the algebra.
+  * The build guard's residuals (closure, Jacobi identity, invariance) stay
+    on the algebra as ``residuals``, so nothing recomputes them.
   * Rank decisions use singular values with the relative cutoff RANK_RTOL.
     ``span`` and ``kernel`` take one 2-d matrix and return one Subspace;
     ``spans`` and ``kernels`` take a list of them (ragged allowed) or a
@@ -23,8 +27,6 @@ Conventions used throughout the package:
   * Subspaces are compared through their orthogonal projectors (Frobenius
     distance), which is basis independent.
 """
-
-from __future__ import annotations
 
 from typing import NamedTuple
 
@@ -46,6 +48,11 @@ SUBSPACE_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
+def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b one vector a[..., :] at a time, so a row's bits do not depend on the stack around it."""
+    return (a[..., None, :] @ b)[..., 0, :]
+
+
 class LieAlgebra(NamedTuple):
     """A compact matrix Lie algebra with an orthonormal basis.
 
@@ -56,12 +63,18 @@ class LieAlgebra(NamedTuple):
         structure: (n, n, n) real array c with [E_i, E_j] = sum_k c[i,j,k] E_k.
         ad_basis: (n, n, n) real array; ad_basis[i] is the matrix of ad(E_i)
             acting on coefficient vectors.
+        coefficient_map: (2 d^2, n) real array; the (re, im) entries of a
+            matrix M, row-major, times it give the coefficients -Re tr(B_k M).
+        residuals: the build guard's residuals, "closure", "jacobi" and
+            "invariance" (see :func:`algebra_from_matrices`).
     """
 
     name: str
     basis: np.ndarray
     structure: np.ndarray
     ad_basis: np.ndarray
+    coefficient_map: np.ndarray
+    residuals: dict
 
     @property
     def dim(self) -> int:
@@ -80,9 +93,12 @@ class LieAlgebra(NamedTuple):
         """Coefficients <B_k, M> = -Re tr(B_k M) of each matrix in a (..., d, d) stack.
 
         The orthogonal projection onto the basis span; unchecked, so callers
-        pass matrices that lie in the span up to rounding.
+        pass matrices that lie in the span up to rounding.  One row-wise real
+        matmul of each matrix's (re, im) entries against ``coefficient_map``.
         """
-        return -np.real(np.einsum("kij,...ji->...k", self.basis, mats))
+        d = self.matrix_dim
+        flat = np.ascontiguousarray(mats, dtype=complex).reshape(np.shape(mats)[:-2] + (d * d,))
+        return _rowwise(flat.view(float), self.coefficient_map)
 
     def element_from_matrix(self, mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         """Coefficients of a matrix, which must lie in the basis span."""
@@ -125,6 +141,7 @@ def algebra_from_matrices(name, matrices, check_tol: float = 1e-12) -> LieAlgebr
     Verifies, to ``check_tol`` (relative): closure of the matrix brackets in
     the span, antisymmetry and the Jacobi identity of the structure
     constants, and invariance of the trace product (skewness of every ad).
+    The three residuals are kept on the algebra as ``residuals``.
     """
     mats = np.asarray(matrices, dtype=complex)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -163,11 +180,16 @@ def algebra_from_matrices(name, matrices, check_tol: float = 1e-12) -> LieAlgebr
     if skew > check_tol:
         raise InputError(f"trace product is not ad-invariant (ad skewness {skew:.2e})")
 
+    # -Re tr(B_k M) = sum_ij Re(-conj(B_k[i, j])) Re M[j, i] + Im(-conj(B_k[i, j])) Im M[j, i]
+    d = basis.shape[1]
+    coefficient_map = np.ascontiguousarray(-np.conj(basis.transpose(0, 2, 1))).reshape(-1, d * d).view(float).T
     return LieAlgebra(
         name=str(name),
         basis=basis,
         structure=structure,
         ad_basis=ad_basis,
+        coefficient_map=coefficient_map,
+        residuals={"closure": closure, "jacobi": jac, "invariance": skew},
     )
 
 
@@ -386,7 +408,7 @@ def normalizer(alg: LieAlgebra, sub: Subspace) -> Subspace:
     return kernel(stacked)
 
 
-def orthogonal_complements(sub: Subspace, prods: InvariantProduct) -> list[Subspace]:
+def orthogonal_complements(sub: Subspace, prods: "InvariantProduct") -> list[Subspace]:
     """Complement of ``sub`` with respect to each product of the stack ``prods``, from one stacked SVD.
 
     Each returned basis is orthonormal for the *base* product; only its span

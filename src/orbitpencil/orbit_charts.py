@@ -15,8 +15,13 @@ fiber offset v0 maps coordinates (u, w) to
 a conjugation applied to an inner map, here the fiber line; an adapted chart
 (:class:`dirac_reduction.AdaptedChart`) conjugates another chart instead.
 Conjugation runs on the n x n defining matrices: with X the matrix of xi and
-iX = U diag(w) U^H, e^X = U diag(e^{-iw}) U^H and Ad(e^xi) y = e^X Y e^{-X}
-(:func:`exp_ad`).  Coordinate derivatives are exact, d/du_i Ad(e^xi) y =
+iX = U diag(w) U^H, e^X = U diag(e^{-iw}) U^H and Ad(e^xi) y = e^X Y e^{-X}.
+A point conjugates its own two matrices; the matrix of Ad(g) (:func:`exp_ad`)
+conjugates every basis matrix at once, since row-major vec(g B g^H) =
+(g kron conj(g)) vec(B), so its columns are one product of g kron conj(g)
+with the (dim, n^2) basis rows.  Either way the algebra's coefficient map
+takes the result back to coefficients in one real matmul per stack row.
+Coordinate derivatives are exact, d/du_i Ad(e^xi) y =
 Ad(e^xi) [t_i, y] with t_i = dexp_{-X}(M_i) = sum_k (-ad_X)^k M_i / (k+1)!,
 which the same eigenbasis diagonalises into the divided difference
 (e^{i theta} - 1) / (i theta), theta = w_j - w_k (:func:`dexp_apply`).
@@ -43,8 +48,6 @@ differences remain only in outer derivatives (closedness and Jacobi
 residuals) and in the check of the pushforward itself, the independent check.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +59,7 @@ from .errors import (
     DomainError,
     InputError,
 )
-from .lie_core import RANK_RTOL, LieAlgebra, Subspace, kernel, projector_distance, span, spans
+from .lie_core import RANK_RTOL, LieAlgebra, Subspace, _rowwise, kernel, projector_distance, span, spans
 
 FD_STEP_DEFAULT = 1e-4
 FD_STEP_MIN = 1e-6
@@ -160,11 +163,6 @@ def ambient_tangent_space(config: OrbitConfig, point: TangentBundlePoint) -> lis
 # ---------------------------------------------------------------------------
 
 
-def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b one vector a[..., :] at a time, so a row's bits do not depend on the stack around it."""
-    return (a[..., None, :] @ b)[..., 0, :]
-
-
 def _lincomb(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """sum_a coeffs[..., a] stack[a], e.g. the matrices or ad operators of a stack of elements."""
     return _rowwise(coeffs, stack.reshape(len(stack), -1)).reshape(coeffs.shape[:-1] + stack.shape[1:])
@@ -177,9 +175,14 @@ def _exp_eigh(alg: LieAlgebra, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _ad_of(alg: LieAlgebra, g: np.ndarray) -> np.ndarray:
-    """Ad(g) on coefficient vectors: column b holds the coefficients of g B_b g^{-1}."""
-    g = g[..., None, :, :]
-    return alg.coefficients(g @ alg.basis @ g.conj().mT).mT
+    """Ad(g) on coefficient vectors: column b holds the coefficients of g B_b g^{-1}, over g's leading axes.
+
+    Row b of B (g kron conj(g))^T, B the (dim, n^2) basis rows, is vec(g B_b g^H); each g's rows then
+    take one matmul with the coefficient map, a product per g, so a row's bits do not depend on the stack."""
+    n = alg.matrix_dim
+    kron = (g[..., :, None, :, None] * g.conj()[..., None, :, None, :]).reshape(g.shape[:-2] + (n * n, n * n))
+    moved = alg.basis.reshape(alg.dim, n * n) @ kron.mT
+    return (moved.view(float) @ alg.coefficient_map).mT
 
 
 def exp_ad(alg: LieAlgebra, xi: np.ndarray) -> np.ndarray:

@@ -17,17 +17,12 @@ The tolerance ladder is: certify below 1e-5, reject (negative controls)
 above 1e-3; the gap guards against silent miscalibration.
 """
 
-from __future__ import annotations
-
-import logging
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegeneracyError, InputError
 from .orbit_charts import FD_STEP_DEFAULT, CoordinateMemo, FormField, _check_fd_step, central_partials
-
-logger = logging.getLogger(__name__)
 
 # A pencil member counts as singular below this relative spectral cutoff.
 FORM_SINGULAR_RTOL = 1e-8
@@ -77,9 +72,6 @@ def invert_form(form_field: FormField) -> PoissonField:
         if np.any(singular):
             raise DegeneracyError("form matrix is singular at the sampled point",
                                   coords=coords[np.argmax(singular)])
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("inverting %s form at %d points, max cond %.3e", form_field.name, len(w),
-                         np.max(sig[:, 0] / sig[:, -1]))
         inv = np.linalg.inv(w)
         inv = 0.5 * (inv - inv.mT)
         resid = np.linalg.norm(inv @ w - np.eye(w.shape[-1]), axis=(-2, -1))

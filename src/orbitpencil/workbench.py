@@ -10,10 +10,10 @@ Checks run one after another on a shared :class:`PipelineContext`.  Data
 that several rows read (splitting reports, adapted block reports, slice
 normal forms, the invariant-product space of h) is computed by the first
 row that needs it and kept on the context for the rest of the run.  What
-the setup computes anyway (the setup residuals, the span [x0, k]) and the
-two pencils (:class:`dirac_reduction.ChartPencil`, one on the ambient
-chart and one on the sub chart) are read from ``ctx.setup`` and
-``ctx.data``.
+the algebra and the setup compute anyway (the algebra's build-guard
+residuals, the setup residuals, the span [x0, k]) and the two pencils
+(:class:`dirac_reduction.ChartPencil`, one on the ambient chart and one on
+the sub chart) are read from ``ctx.alg``, ``ctx.setup`` and ``ctx.data``.
 
 Check rows carry a short ``anchor`` sentence stating the mathematical
 claim being certified, a ``mode`` saying whether the value is an upper
@@ -22,8 +22,6 @@ used.  Negative controls assert that a deliberately broken input lands
 beyond a rejection threshold; the run verdict requires every positive
 check to pass and every control to fail as designed.
 """
-
-from __future__ import annotations
 
 import json
 import time
@@ -332,16 +330,11 @@ class CheckResult(NamedTuple):
         }
 
 
-def _algebra_closure(ctx):
-    return lc.closure_residual(ctx.alg.basis, ctx.alg.structure)
-
-
-def _algebra_jacobi(ctx):
-    return lc.jacobi_residual_of_structure(ctx.alg.structure)
-
-
-def _algebra_invariance(ctx):
-    return lc.ad_skewness(ctx.alg.ad_basis)
+def _algebra_row(key):
+    """The algebra row reading residual ``key``, computed by the build guard of ``algebra_from_matrices``."""
+    def fn(ctx):
+        return ctx.alg.residuals[key]
+    return fn
 
 
 def _orbit_splitting(ctx):
@@ -596,10 +589,10 @@ def _control_zero_section_transversality(ctx):
 
 
 def _slice_pairs(ctx):
-    # (y, slice normal form of y) for random unit tangent vectors y.
+    # (y, slice normal form of y) for random unit tangent vectors y, normalised as one stack.
     tangent = ctx.orbit.tangent
     ys = unit_rows(ctx.seed, "slice-normalization", range(ctx.samples), tangent.dim) @ tangent.basis.T
-    return [(y, dr.slice_normal_form(ctx.setup, y, max_iter=200, tol=1e-8)[0]) for y in ys]
+    return list(zip(ys, dr.slice_normal_form(ctx.setup, ys, max_iter=200, tol=1e-8)[0]))
 
 
 def _slice_normalization(ctx):
@@ -616,9 +609,9 @@ def _has_transversal(ctx):
 
 
 REGISTRY: list[CheckSpec] = [
-    CheckSpec("algebra_closure", "basis brackets stay inside the basis span", 1e-12, "max", "check", "algebra", _algebra_closure),
-    CheckSpec("algebra_jacobi", "structure constants satisfy the Jacobi identity", 1e-12, "max", "check", "algebra", _algebra_jacobi),
-    CheckSpec("algebra_invariance", "trace product is invariant: adjoint operators are skew", 1e-12, "max", "check", "algebra", _algebra_invariance),
+    CheckSpec("algebra_closure", "basis brackets stay inside the basis span", 1e-12, "max", "check", "algebra", _algebra_row("closure")),
+    CheckSpec("algebra_jacobi", "structure constants satisfy the Jacobi identity", 1e-12, "max", "check", "algebra", _algebra_row("jacobi")),
+    CheckSpec("algebra_invariance", "trace product is invariant: adjoint operators are skew", 1e-12, "max", "check", "algebra", _algebra_row("invariance")),
     CheckSpec("orbit_splitting", "stabilizer kernel and orbit tangent image split the algebra orthogonally", 1e-8, "max", "check", "orbit", _orbit_splitting),
     CheckSpec("chart_exactness", "chart derivatives match central finite differences", 1e-8, "max", "check", "orbit", _chart_exactness),
     CheckSpec("spectrum_preservation", "chart points keep the seed spectrum and tangent fibers", 1e-8, "max", "check", "orbit", _spectrum_preservation),

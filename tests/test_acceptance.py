@@ -217,7 +217,7 @@ def test_criterion_09_slice_identities(triple, setup_cp2, data_cp2):
     worst_res = 0.0
     worst_iters = 0
     for y in unit_rows(2024, "acceptance-slice", range(50), config.tangent.dim) @ config.tangent.basis.T:
-        z, iterations = dr.slice_normal_form(setup_cp2, y, max_iter=200, tol=1e-8)
+        [z], iterations = dr.slice_normal_form(setup_cp2, y[None], max_iter=200, tol=1e-8)
         worst_res = max(worst_res, float(np.linalg.norm(moved.basis.T @ z)))
         worst_iters = max(worst_iters, iterations)
     deficiency = 0

@@ -74,7 +74,7 @@ def test_setup_residuals_tight(setup_cp2, setup_su2, setup_su3_regular):
 
 def test_slice_normal_form_fixed_point(setup_cp2):
     y = 0.8 * setup_cp2.x0
-    z, iterations = dr.slice_normal_form(setup_cp2, y)
+    [z], iterations = dr.slice_normal_form(setup_cp2, y[None])
     assert iterations == 0
     assert np.array_equal(z, y)
 
@@ -89,7 +89,7 @@ def test_slice_normal_form_su2_quarter_turn(su2, pauli_elements):
     setup = setup._replace(
         x0=x0, slice_normal=lc.span(su2.ad(x0) @ config.stabilizer.basis), slice_space=lc.span(e1[:, None]),
     )
-    z, _ = dr.slice_normal_form(setup, e2)
+    [z], _ = dr.slice_normal_form(setup, e2[None])
     overlap = abs(np.dot(z, e1)) / (np.linalg.norm(z) * np.linalg.norm(e1))
     assert overlap >= 1.0 - 1e-9
     assert abs(np.linalg.norm(z) - np.linalg.norm(e2)) <= 1e-10
@@ -99,7 +99,7 @@ def test_slice_normal_form_batch_cp2(setup_cp2):
     config = setup_cp2.config
     moved = lc.span(setup_cp2.alg.ad(setup_cp2.x0) @ config.stabilizer.basis)
     for y in unit_rows(99, "slice-batch", range(50), config.tangent.dim) @ config.tangent.basis.T:
-        z, iterations = dr.slice_normal_form(setup_cp2, y, max_iter=200, tol=1e-8)
+        [z], iterations = dr.slice_normal_form(setup_cp2, y[None], max_iter=200, tol=1e-8)
         assert iterations <= 200
         assert np.linalg.norm(moved.basis.T @ z) <= 1e-8
         assert abs(np.linalg.norm(z) - 1.0) <= 1e-10
@@ -107,7 +107,7 @@ def test_slice_normal_form_batch_cp2(setup_cp2):
 
 def test_slice_normal_form_rejects_offspace_input(setup_cp2):
     with pytest.raises(DomainError):
-        dr.slice_normal_form(setup_cp2, setup_cp2.config.seed)
+        dr.slice_normal_form(setup_cp2, setup_cp2.config.seed[None])
 
 
 @pytest.mark.parametrize("setup_name", ["setup_cp2", "setup_cp3"])
@@ -565,7 +565,7 @@ def test_slice_normal_form_iteration_budget(setup_cp2):
 
     y = setup_cp2.config.tangent.basis @ unit_rows(4, "iteration-budget", [0], setup_cp2.config.tangent.dim)[0]
     with pytest.raises(ConvergenceError) as info:
-        dr.slice_normal_form(setup_cp2, y, max_iter=1, tol=1e-14)
+        dr.slice_normal_form(setup_cp2, y[None], max_iter=1, tol=1e-14)
     assert info.value.best_residual is not None
 
 

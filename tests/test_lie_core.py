@@ -17,6 +17,26 @@ def matrix_commutator_bracket(alg, x, y):
 # ---------------------------------------------------------------------------
 
 
+def _einsum_coefficients(alg, mats):
+    """Reference for ``coefficients``: -Re tr(B_k M) as one complex einsum."""
+    return -np.real(np.einsum("kij,...ji->...k", alg.basis, mats))
+
+
+@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 4), ("so", 4), ("so", 5)])
+def test_coefficients_match_the_einsum_reference(family, n):
+    alg = getattr(families, family)(n)
+    rng = np.random.default_rng(n)
+    coeffs = rng.standard_normal((7, 3, alg.dim))
+    coeffs /= np.linalg.norm(coeffs, axis=-1, keepdims=True)
+    mats = np.tensordot(coeffs, alg.basis, axes=(-1, 0))  # a (7, 3, n, n) stack of unit elements
+    off_span = 0.3 * (rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n)))
+    for stack in (mats, off_span, mats[0, 0], np.empty((0, n, n), dtype=complex)):
+        got = alg.coefficients(stack)
+        assert got.shape == stack.shape[:-2] + (alg.dim,)
+        assert np.max(np.abs(got - _einsum_coefficients(alg, stack)), initial=0.0) <= 1e-15
+    assert np.max(np.abs(alg.coefficients(mats) - coeffs)) <= 1e-15
+
+
 @pytest.mark.parametrize("build", [lambda: families.su(2), lambda: families.su(3), lambda: families.so(4)])
 def test_algebra_invariants(build):
     alg = build()

@@ -86,6 +86,19 @@ def test_exponential_and_dexp_match_scipy(family, n, kind):
         assert np.max(np.abs(big @ alg.ad(t) - frechet)) <= 1e-12
 
 
+@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 4), ("so", 4), ("so", 5)])
+def test_ad_of_a_group_element_is_the_conjugation(family, n):
+    # Ad(g) from g kron conj(g) against the scipy exponential: column b is e^X B_b e^{-X}
+    alg = getattr(families, family)(n)
+    for xi in 0.7 * np.random.default_rng(n).standard_normal((3, alg.dim)):
+        x = alg.matrix_of(xi)
+        g, g_inv = scipy.linalg.expm(x), scipy.linalg.expm(-x)
+        ad = oc._ad_of(alg, g)
+        assert np.max(np.abs(ad.T @ ad - np.eye(alg.dim))) <= 1e-14
+        moved = np.tensordot(ad.T, alg.basis, axes=(1, 0))  # matrix of column b
+        assert np.max(np.abs(moved - g @ alg.basis @ g_inv)) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # Charts
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def slice_space_widened_to_tangent(mp):
 
 
 def slice_steps_first_order(mp):
-    mp.setattr(dr, "exp_ad", lambda alg, xi: np.eye(alg.dim) + alg.ad(xi))
+    mp.setattr(dr, "exp_ad", lambda alg, xi: np.eye(alg.dim) + np.tensordot(xi, alg.ad_basis, axes=(-1, 0)))
 
 
 def isotropy_missing_a_direction(mp):

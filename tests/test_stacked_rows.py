@@ -214,6 +214,35 @@ def test_span_and_kernel_of_a_sequence_are_the_single_calls(su4):
             assert np.array_equal(got.basis, one(mat).basis)
 
 
+@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 4), ("so", 4), ("so", 5)])
+def test_coefficients_and_ad_on_the_stack_are_the_rows(family, n):
+    alg = getattr(families, family)(n)
+    xi = 0.4 * unit_rows(7, "stacked-kernels", range(6), alg.dim)
+    mats = oc._lincomb(xi, alg.basis)
+    coeffs = alg.coefficients(mats)
+    assert np.array_equal(coeffs, np.concatenate([alg.coefficients(m) for m in mats[:, None]]))
+    assert np.array_equal(coeffs, np.stack([alg.coefficients(m) for m in mats]))
+    assert np.array_equal(alg.coefficients(mats.reshape((2, 3) + mats.shape[1:])), coeffs.reshape(2, 3, -1))
+    big = oc.exp_ad(alg, xi)
+    assert np.array_equal(big, np.concatenate([oc.exp_ad(alg, x) for x in xi[:, None]]))
+    assert np.array_equal(big, np.stack([oc.exp_ad(alg, x) for x in xi]))
+
+
+@pytest.mark.parametrize("case", ["setup_cp2", "setup_cp3", "setup_su3_regular"])
+def test_slice_normal_forms_on_the_stack_are_the_rows(request, case):
+    setup = request.getfixturevalue(case)
+    tangent = setup.config.tangent
+    ys = unit_rows(21, "slice-stack", range(8), tangent.dim) @ tangent.basis.T
+    ys[3] = 0.8 * setup.x0  # in the slice already: a row that stops at once beside rows that iterate
+    zs, total = dr.slice_normal_form(setup, ys)
+    rows = [dr.slice_normal_form(setup, y[None]) for y in ys]
+    assert np.array_equal(zs, np.concatenate([z for z, _ in rows]))
+    assert type(total) is int and total == sum(iterations for _, iterations in rows)
+    assert rows[3][1] == 0 and len({iterations for _, iterations in rows}) > 1
+    with pytest.raises(InputError, match=r"expected an \(m, \d+\) stack"):
+        dr.slice_normal_form(setup, ys[0])
+
+
 # ---------------------------------------------------------------------------
 # Evaluation counts per run
 # ---------------------------------------------------------------------------

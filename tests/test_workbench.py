@@ -260,16 +260,17 @@ def test_shared_row_data_is_computed_once(monkeypatch):
     from orbitpencil import dirac_reduction as dr
 
     splitting = _counting(monkeypatch, dr, "splitting_orthogonality")
-    normal_forms = _counting(monkeypatch, dr, "slice_normal_form")
+    normal_form, normal_forms = dr.slice_normal_form, []
+    monkeypatch.setattr(dr, "slice_normal_form",
+                        lambda setup, ys, **kw: normal_forms.append(len(ys)) or normal_form(setup, ys, **kw))
     residuals = _counting(monkeypatch, dr, "setup_residuals")
     report = wb.run_pipeline(wb.config_from_dict(SU2_CONFIG))
     assert report.verdict == "pass"
-    samples = SU2_CONFIG["samples"]
     # splitting_pairing and splitting_nondegeneracy share one stacked call
     # over the regular points, which pairs all 5 pencil members at once
     assert len(splitting) == 1
-    # slice_normalization and slice_isometry share one normal form per sample
-    assert len(normal_forms) == samples
+    # slice_normalization and slice_isometry share one stacked call over all samples
+    assert normal_forms == [SU2_CONFIG["samples"]]
     # reduction_setup validates the setup with one call and keeps it for the ten setup rows
     assert len(residuals) == 1
 
@@ -385,7 +386,7 @@ def test_slice_normal_form_iterations_on_su3_regular():
         ctx = wb.prepare_context(wb.config_from_dict(dict(base, seed=seed)))
         tangent = ctx.orbit.tangent
         for y in unit_rows(seed, "slice-normalization", range(ctx.samples), tangent.dim) @ tangent.basis.T:
-            worst = max(worst, dr.slice_normal_form(ctx.setup, y, max_iter=200, tol=1e-8)[1])
+            worst = max(worst, dr.slice_normal_form(ctx.setup, y[None], max_iter=200, tol=1e-8)[1])
     assert worst <= 30
 
 
