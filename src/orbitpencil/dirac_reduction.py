@@ -436,64 +436,53 @@ def complement_product_independence(setup: ReductionSetup, points: TangentBundle
     return max(projector_distance(a, b) for a, b in zip(base, alt))
 
 
-class SplittingReport(NamedTuple):
-    """Pairing of a form across the canonical splitting at a regular point."""
+def block_structure(forms, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coupling, sigma_lead, sigma_trail) of each matrix of a (..., d, d) stack split after s coordinates.
 
-    pairing: float          # max |form(complement vector, stratum vector)|
-    sigma_complement: float  # smallest singular value of the complement block
-    sigma_stratum: float     # smallest singular value of the stratum block
+    ``coupling`` is max |forms[..., s:, :s]|, and each sigma the smallest
+    singular value of a diagonal block, one stacked SVD per block.  An empty
+    block couples to nothing and reads sigma inf: a trivial transversal is
+    vacuously orthogonal and nondegenerate.
+    """
+    forms = np.asarray(forms, dtype=float)
+    coupling = np.max(np.abs(forms[..., s:, :s]), axis=(-2, -1), initial=0.0)
+    return coupling, _sigma_min(forms[..., :s, :s]), _sigma_min(forms[..., s:, s:])
+
+
+def _sigma_min(blocks: np.ndarray) -> np.ndarray:
+    if blocks.shape[-1] == 0:
+        return np.full(blocks.shape[:-2], np.inf)
+    return np.linalg.svd(blocks, compute_uv=False)[..., -1]
 
 
 def splitting_orthogonality(setup: ReductionSetup, chart: Chart, coords,
-                            form_matrices) -> list[SplittingReport]:
-    """Evaluate ambient forms across the canonical splitting, one report per form and point.
+                            form_matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`block_structure` of ambient forms in each point's [stratum | complement] basis.
 
     ``coords`` is an (m, d) stack of coordinate rows, and ``form_matrices``
     the (m, F, d, d) stack of the forms in the chart frame at each row, such
-    as the members of a pencil.
+    as the members of a pencil; the three returned arrays are (m, F), lead
+    the stratum and trail the complement.
     The stratum and complement bases of every point are lifted into that
     frame by one stacked least-squares solve (a QR of the pushforward stack,
     whose full column rank the chart guards), and every form is paired with
-    them in one stacked product; points whose stratum or complement
-    dimension differs from the others' (regular points share both) go in a
-    stack of their own.  Reports run point by point, form by form.
-    For a trivial transversal the pairing is vacuously zero and the
-    complement block is reported as nondegenerate by convention.
-    Regularity is decided once, for both bases and every point.
+    them in one stacked product.  Regularity is decided once, for both bases
+    and every point; a point whose stratum is not of dimension
+    2 dim(O) - dim(p) raises DegeneracyError.
     """
     c = np.asarray(coords, dtype=float)
-    forms = np.asarray(form_matrices, dtype=float)
     points = chart.point(c)
     comps = canonical_complement(setup, points)
     strats = _stratum_tangent(setup, points)
-    pushes = chart.pushforward(c)
-    shapes = [(strat.dim, comp.dim) for strat, comp in zip(strats, comps)]
-    reports = [[]] * len(c)
-    for shape in dict.fromkeys(shapes):
-        group = [i for i, other in enumerate(shapes) if other == shape]
-        bases = np.stack([np.hstack([strats[i].basis, comps[i].basis]) for i in group])
-        for i, point_reports in zip(group, _splitting_reports(pushes[group], bases, forms[group], shape[0])):
-            reports[i] = point_reports
-    return [report for point_reports in reports for report in point_reports]
-
-
-def _splitting_reports(pushes: np.ndarray, bases: np.ndarray, forms: np.ndarray,
-                       s: int) -> list[list[SplittingReport]]:
-    """Reports of a stack of points sharing one shape, a list of F per point.
-
-    ``bases`` stacks each point's [stratum | complement] basis, the first
-    ``s`` columns the stratum, and ``forms`` is the (m, F, d, d) stack."""
-    q, r = np.linalg.qr(pushes)
+    s = 2 * setup.config.orbit_dim - setup.transversal.dim
+    for strat in strats:
+        if strat.dim != s:
+            raise DegeneracyError(f"regular stratum has dimension {strat.dim}, expected {s}, at a point of the stack")
+    bases = np.stack([np.hstack([strat.basis, comp.basis]) for strat, comp in zip(strats, comps)])
+    q, r = np.linalg.qr(chart.pushforward(c))
     lifts = np.linalg.solve(r, q.mT @ bases)
-    # Each form in the lifted basis [stratum | complement], an (m, F, s + p, s + p) stack.
-    blocks = lifts.mT[:, None] @ forms @ lifts[:, None]
-    sigma_strat = np.linalg.svd(blocks[..., :s, :s], compute_uv=False)[..., -1]
-    if bases.shape[-1] == s:
-        return [[SplittingReport(0.0, float("inf"), float(sigma)) for sigma in row] for row in sigma_strat]
-    sigma_comp = np.linalg.svd(blocks[..., s:, s:], compute_uv=False)[..., -1]
-    pairings = np.max(np.abs(blocks[..., s:, :s]), axis=(-2, -1))
-    return [[SplittingReport(*map(float, report)) for report in zip(*rows)]
-            for rows in zip(pairings, sigma_comp, sigma_strat)]
+    forms = np.asarray(form_matrices, dtype=float)
+    return block_structure(lifts.mT[:, None] @ forms @ lifts[:, None], s)
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +506,8 @@ class AdaptedChart(Chart):
         self._init_conjugation(sub_chart.config, setup.transversal.basis, None, box)
 
     @property
-    def transversal_dim(self) -> int:
-        return self.setup.transversal.dim
-
-    @property
     def coord_dim(self) -> int:
-        return self.transversal_dim + self.sub_chart.coord_dim
+        return self.setup.transversal.dim + self.sub_chart.coord_dim
 
     # Entry points of its own, bound here, so that timing Chart.point and
     # Chart.pushforward does not count adapted evaluations.
@@ -535,29 +520,6 @@ class AdaptedChart(Chart):
 
     def _inner_pushforward(self, s: np.ndarray) -> np.ndarray:
         return np.concatenate([self.sub_chart.pushforward(s), self.sub_chart.lifts(s)], axis=-2)
-
-
-class BlockReport(NamedTuple):
-    """Block structure of a form in adapted coordinates."""
-
-    off_diagonal: float      # max |entry| coupling transversal and stratum coords
-    sigma_transversal: float
-    sigma_stratum: float
-
-
-def adapted_block_report(adapted: AdaptedChart, form_matrix: np.ndarray) -> BlockReport:
-    p = adapted.transversal_dim
-    if p == 0:
-        sig = float(np.linalg.svd(form_matrix, compute_uv=False)[-1])
-        return BlockReport(off_diagonal=0.0, sigma_transversal=float("inf"), sigma_stratum=sig)
-    top = form_matrix[:p, :p]
-    off = form_matrix[:p, p:]
-    bottom = form_matrix[p:, p:]
-    return BlockReport(
-        off_diagonal=float(np.max(np.abs(off))),
-        sigma_transversal=float(np.linalg.svd(top, compute_uv=False)[-1]),
-        sigma_stratum=float(np.linalg.svd(bottom, compute_uv=False)[-1]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -724,41 +686,19 @@ def chart_differentials(chart, fns, coords) -> np.ndarray:
     return grads @ chart.pushforward(coords)
 
 
-class BracketAgreement(NamedTuple):
-    """Ambient and restricted bracket matrices {f_i, f_j}_t at one point."""
-
-    ambient: np.ndarray
-    restricted: np.ndarray
-
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(|ambient - restricted|, |ambient|) over the pairs i < j."""
-        upper = np.triu_indices(self.ambient.shape[0], k=1)
-        return np.abs(self.ambient - self.restricted)[upper], np.abs(self.ambient)[upper]
-
-    @property
-    def residual(self) -> float:
-        diff, _ = self._pairs()
-        return float(np.max(diff, initial=0.0))
-
-    @property
-    def relative_residual(self) -> float:
-        diff, size = self._pairs()
-        return float(np.max(diff / (1.0 + size), initial=0.0))
-
-
 def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, fns,
-                      coords, params) -> list[BracketAgreement]:
-    """Ambient versus restricted pencil brackets of a list of invariant functions.
+                      coords, params) -> tuple[np.ndarray, np.ndarray]:
+    """Ambient and restricted pencil brackets {f_i, f_j}_t of a list of invariant functions.
 
     ``fns`` are functions on TO with a ``gradient`` (see
     :func:`invariant_function`); ``coords`` is an (m, d) stack of sub-chart
-    coordinates of regular points; ``params`` are pencil
-    parameters with t1 + t2 != 0 so both members are invertible.  Both
-    bracket matrices are D Pi_t D^T, each side with its own chart's
-    differentials and bivector.  Regularity, the differentials of both
-    charts and the bivectors are evaluated once, on the whole stack, and
-    shared by every parameter; one report per point and parameter, point
-    by point, parameters in order.
+    coordinates of regular points; ``params`` are P pencil parameters with
+    t1 + t2 != 0 so both members are invertible.  Both bracket matrices are
+    D Pi_t D^T, each side with its own chart's differentials and bivector.
+    Regularity, the differentials of both charts and the bivectors are
+    evaluated once, on the whole stack, and shared by every parameter.
+    Returns the (ambient, restricted) pair of (m, P, k, k) stacks; see
+    :func:`relative_bracket_residual`.
     """
     params = [tuple(_as_parameter(t)) for t in params]
     if any(abs(t1 + t2) < 1e-12 for t1, t2 in params):
@@ -767,14 +707,20 @@ def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, fns,
     if not np.all(is_regular(setup, data.sub_chart.point(s))):
         raise DomainError("image point is not regular")
     c = data.pad_coords(s)
-    d_amb = chart_differentials(data.ambient_chart, fns, c)
-    d_sub = chart_differentials(data.sub_chart, fns, s)
-    amb = (data.ambient.p1(c), data.ambient.p2(c))
-    sub = (data.restricted.p1(s), data.restricted.p2(s))
-    return [BracketAgreement(
-        ambient=d_amb[i] @ (t1 * amb[0][i] + t2 * amb[1][i]) @ d_amb[i].T,
-        restricted=d_sub[i] @ (t1 * sub[0][i] + t2 * sub[1][i]) @ d_sub[i].T,
-    ) for i in range(len(s)) for t1, t2 in params]
+    t1, t2 = np.reshape(params, (-1, 2)).T[:, :, None, None]
+
+    def brackets(chart, pencil, coords):
+        d = chart_differentials(chart, fns, coords)[:, None]
+        return d @ (t1 * pencil.p1(coords)[:, None] + t2 * pencil.p2(coords)[:, None]) @ d.mT
+
+    return brackets(data.ambient_chart, data.ambient, c), brackets(data.sub_chart, data.restricted, s)
+
+
+def relative_bracket_residual(ambient: np.ndarray, restricted: np.ndarray) -> float:
+    """Max of |ambient - restricted| / (1 + |ambient|) over the pairs i < j of a stack of bracket matrices."""
+    upper = np.triu(np.ones(ambient.shape[-2:], dtype=bool), k=1)
+    return float(np.max(np.abs(ambient - restricted)[..., upper] / (1.0 + np.abs(ambient)[..., upper]),
+                        initial=0.0))
 
 
 # ---------------------------------------------------------------------------

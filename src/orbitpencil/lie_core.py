@@ -168,7 +168,7 @@ def algebra_from_matrices(name, matrices, check_tol: float = 1e-12) -> LieAlgebr
     structure = 0.5 * (structure - np.transpose(structure, (1, 0, 2)))
     ad_basis = np.transpose(structure, (0, 2, 1))
 
-    closure = closure_residual(basis, structure)
+    closure = closure_residual(comm, basis, structure)
     if closure > check_tol:
         raise InputError(f"matrix brackets leave the basis span (residual {closure:.2e})")
 
@@ -199,12 +199,11 @@ def _commutators(basis: np.ndarray) -> np.ndarray:
     return comm - np.transpose(comm, (1, 0, 2, 3))
 
 
-def closure_residual(basis: np.ndarray, structure: np.ndarray) -> float:
-    """Max over basis pairs of |[B_a, B_b] - sum_c structure[a,b,c] B_c|.
+def closure_residual(comm: np.ndarray, basis: np.ndarray, structure: np.ndarray) -> float:
+    """Max over basis pairs of |[B_a, B_b] - sum_c structure[a,b,c] B_c|, comm the stack of [B_a, B_b].
 
     Each pair's residual is relative to |[B_a, B_b]| floored at 1.
     """
-    comm = _commutators(basis)
     recon = np.einsum("abc,cij->abij", structure, basis)
     closure = np.linalg.norm(comm - recon, axis=(2, 3))
     comm_scale = np.maximum(np.linalg.norm(comm, axis=(2, 3)), 1.0)

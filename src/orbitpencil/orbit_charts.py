@@ -426,9 +426,8 @@ class FormField:
 
     ``fn`` maps a (k, d) stack of coordinates to (k, dim, dim) matrices."""
 
-    def __init__(self, fn, dim: int, name: str):
+    def __init__(self, fn, dim: int):
         self.dim = int(dim)
-        self.name = name
         self._values = CoordinateMemo(fn)
 
     def __call__(self, coords) -> np.ndarray:
@@ -436,11 +435,11 @@ class FormField:
 
 
 def canonical_form_field(chart: Chart) -> FormField:
-    return FormField(lambda c: canonical_form_matrix(chart, c), chart.coord_dim, "canonical")
+    return FormField(lambda c: canonical_form_matrix(chart, c), chart.coord_dim)
 
 
 def combined_form_field(chart: Chart) -> FormField:
-    return FormField(lambda c: omega2_matrix(chart, c), chart.coord_dim, "combined")
+    return FormField(lambda c: omega2_matrix(chart, c), chart.coord_dim)
 
 
 def closedness_residual(form_field, coords, fd_step: float = FD_STEP_DEFAULT) -> float:

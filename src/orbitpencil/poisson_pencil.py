@@ -119,25 +119,16 @@ def compatibility_residual(p1: PoissonField, p2: PoissonField, coords,
     return jacobi_residual(pencil(p1, p2, (1.0, 1.0)), coords, fd_step)
 
 
-class DegeneracySample(NamedTuple):
-    """Smallest singular value and numerical rank of one pencil member."""
-
-    t: tuple[float, float]
-    sigma_min: float
-    rank: int
-
-
-def degeneracy_profile(p1: PoissonField, p2: PoissonField, coords, t_samples) -> list[DegeneracySample]:
-    """sigma_min and rank of t1 P1 + t2 P2 at the one row of a (1, d) stack, over t samples: one stacked SVD."""
+def degeneracy_profile(p1: PoissonField, p2: PoissonField, coords, t_samples) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_min, rank) arrays of t1 P1 + t2 P2 over the t samples, at the one row of a (1, d) stack:
+    one stacked SVD."""
     c = np.asarray(coords, dtype=float)
     if c.shape[:1] != (1,):
         raise InputError(f"expected a (1, d) stack of one coordinate row, got shape {c.shape}")
     (m1,), (m2,) = p1(c), p2(c)
-    params = [_as_parameter(t) for t in t_samples]
-    sig = np.linalg.svd(np.stack([p.t1 * m1 + p.t2 * m2 for p in params]), compute_uv=False)
-    ranks = np.sum(sig > FORM_SINGULAR_RTOL * np.maximum(sig[:, :1], 1e-300), axis=-1)
-    return [DegeneracySample(t=(p.t1, p.t2), sigma_min=float(s[-1]), rank=int(r))
-            for p, s, r in zip(params, sig, ranks)]
+    members = [p.t1 * m1 + p.t2 * m2 for p in map(_as_parameter, t_samples)]
+    sig = np.linalg.svd(np.stack(members), compute_uv=False)
+    return sig[:, -1], np.sum(sig > FORM_SINGULAR_RTOL * np.maximum(sig[:, :1], 1e-300), axis=-1)
 
 
 def unit_circle_parameters(count: int = 16) -> list[tuple[float, float]]:

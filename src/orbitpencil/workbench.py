@@ -7,13 +7,14 @@ byte-identical across reruns.  Wall-clock timings are kept out of the JSON
 for that reason; the text rendering shows them.
 
 Checks run one after another on a shared :class:`PipelineContext`.  Data
-that several rows read (splitting reports, adapted block reports, slice
-normal forms, the invariant-product space of h) is computed by the first
-row that needs it and kept on the context for the rest of the run.  What
-the algebra and the setup compute anyway (the algebra's build-guard
-residuals, the setup residuals, the span [x0, k]) and the two pencils
-(:class:`dirac_reduction.ChartPencil`, one on the ambient chart and one on
-the sub chart) are read from ``ctx.alg``, ``ctx.setup`` and ``ctx.data``.
+that several rows read (the block structures of the splitting and of the
+adapted coordinates, slice normal forms, the invariant-product space of h)
+is computed by the first row that needs it and kept on the context for the
+rest of the run.  What the algebra and the setup compute anyway (the
+algebra's build-guard residuals, the setup residuals, the span [x0, k]) and
+the two pencils (:class:`dirac_reduction.ChartPencil`, one on the ambient
+chart and one on the sub chart) are read from ``ctx.alg``, ``ctx.setup``
+and ``ctx.data``.
 
 Check rows carry a short ``anchor`` sentence stating the mathematical
 claim being certified, a ``mode`` saying whether the value is an upper
@@ -456,7 +457,7 @@ def _control_corrupted_closedness(ctx):
         mat[..., 1, 0] -= bump
         return mat
 
-    bad = oc.FormField(corrupted, base.dim, "corrupted")
+    bad = oc.FormField(corrupted, base.dim)
     return oc.closedness_residual(bad, _control_coords(ctx), ctx.fd)
 
 
@@ -476,10 +477,10 @@ def _corrupted_field(ctx) -> pp.PoissonField:
 def _degeneracy(on_line: bool, chart):
     def fn(ctx):
         pencil, coords = chart(ctx)
-        profile = pp.degeneracy_profile(pencil.p1, pencil.p2, coords[:1], pp.unit_circle_parameters(16))
-        on = [s.sigma_min for s in profile if abs(s.t[0] + s.t[1]) < 1e-12]
-        off = [s.sigma_min for s in profile if abs(s.t[0] + s.t[1]) >= 1e-12]
-        return max(on) if on_line else min(off)
+        params = np.array(pp.unit_circle_parameters(16))
+        sigma, _ = pp.degeneracy_profile(pencil.p1, pencil.p2, coords[:1], params)
+        on = np.abs(params[:, 0] + params[:, 1]) < 1e-12
+        return np.max(sigma[on]) if on_line else np.min(sigma[~on])
     return fn
 
 
@@ -488,7 +489,7 @@ def _control_corrupted_jacobi(ctx):
     return pp.jacobi_residual(bad, _control_coords(ctx), ctx.fd)
 
 
-def _splitting_reports(ctx):
+def _splitting_blocks(ctx):
     members = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7), (2.0, -1.0)]
     coords = ctx.data.pad_coords(ctx.regular_coords)
     m1, m2 = ctx.data.ambient.w1(coords), ctx.data.ambient.w2(coords)
@@ -496,37 +497,37 @@ def _splitting_reports(ctx):
     return dr.splitting_orthogonality(ctx.setup, ctx.data.ambient_chart, coords, forms)
 
 
-def _splitting_pairing(ctx):
-    return max(r.pairing for r in ctx.once(_splitting_reports))
-
-
-def _splitting_nondegeneracy(ctx):
-    return min(min(r.sigma_complement, r.sigma_stratum) for r in ctx.once(_splitting_reports))
-
-
-def _adapted_reports(ctx):
-    # Block reports of both forms on the stratum, i.e. at zero transversal offset.
+def _adapted_blocks(ctx):
+    # Both forms on the stratum, i.e. at zero transversal offset, as one (2, 5, d, d) stack.
     stratum = ctx.regular_coords[:5]
     coords = np.hstack([np.zeros((len(stratum), ctx.setup.transversal.dim)), stratum])
-    return [dr.adapted_block_report(ctx.adapted, w)
-            for form in (oc.canonical_form_matrix, oc.omega2_matrix)
-            for w in form(ctx.adapted, coords)]
+    forms = np.stack([form(ctx.adapted, coords) for form in (oc.canonical_form_matrix, oc.omega2_matrix)])
+    return dr.block_structure(forms, ctx.setup.transversal.dim)
 
 
-def _adapted_off_diagonal(ctx):
-    return max(r.off_diagonal for r in ctx.once(_adapted_reports))
+# Row factories over one dr.block_structure result, shared through ctx.once(blocks).
 
 
-def _adapted_nondegeneracy(ctx):
-    return min(min(r.sigma_transversal, r.sigma_stratum) for r in ctx.once(_adapted_reports))
+def _coupling(blocks):
+    def fn(ctx):
+        coupling, _, _ = ctx.once(blocks)
+        return np.max(coupling)
+    return fn
+
+
+def _block_nondegeneracy(blocks):
+    def fn(ctx):
+        _, lead, trail = ctx.once(blocks)
+        return min(np.min(lead), np.min(trail))
+    return fn
 
 
 def _control_adapted_off(ctx):
     p_dim = ctx.setup.transversal.dim
     offsets = 0.05 * unit_rows(ctx.seed, "adapted-offsets", range(3), p_dim)
     coords = np.hstack([offsets, np.tile(ctx.regular_coords[0], (3, 1))])
-    return max(dr.adapted_block_report(ctx.adapted, w1).off_diagonal
-               for w1 in oc.canonical_form_matrix(ctx.adapted, coords))
+    coupling, _, _ = dr.block_structure(oc.canonical_form_matrix(ctx.adapted, coords), p_dim)
+    return np.max(coupling)
 
 
 def _invariant_products(ctx):
@@ -550,8 +551,8 @@ _BRACKET_WORDS = [("v", "v"), ("x", "x", "v", "v"), ("x", "v", "x", "v"), ("v", 
 def _bracket_agreement(ctx):
     fns = [dr.invariant_function(ctx.alg, w) for w in _BRACKET_WORDS]
     params = [t for t in ctx.config.t_samples if abs(t[0] + t[1]) > 1e-12]
-    return max(report.relative_residual
-               for report in dr.bracket_agreement(ctx.setup, ctx.data, fns, ctx.regular_coords[:5], params))
+    ambient, restricted = dr.bracket_agreement(ctx.setup, ctx.data, fns, ctx.regular_coords[:5], params)
+    return dr.relative_bracket_residual(ambient, restricted)
 
 
 def _invariant_function_invariance(ctx):
@@ -635,10 +636,10 @@ REGISTRY: list[CheckSpec] = [
     CheckSpec("pencil_jacobi_combined", "inverse of the combined form satisfies the Jacobi identity", 1e-5, "max", "check", "pencil", _jacobi(_ambient, "p2")),
     CheckSpec("pencil_compatibility", "the sum of the two inverse bivectors satisfies the Jacobi identity", 1e-5, "max", "check", "pencil", _compatibility(_ambient)),
     CheckSpec("control_corrupted_jacobi", "corrupting one bivector entry breaks the Jacobi identity", 1e-3, "min", "control", "pencil", _control_corrupted_jacobi),
-    CheckSpec("splitting_pairing", "invariant forms pair action complement and regular stratum to zero", 1e-8, "max", "check", "splitting", _splitting_pairing),
-    CheckSpec("splitting_nondegeneracy", "both restricted blocks of the splitting stay nondegenerate", 1e-6, "min", "check", "splitting", _splitting_nondegeneracy),
-    CheckSpec("adapted_off_diagonal", "adapted coordinates block-diagonalise invariant forms on the stratum", 1e-8, "max", "check", "splitting", _adapted_off_diagonal),
-    CheckSpec("adapted_nondegeneracy", "both diagonal blocks in adapted coordinates are nondegenerate", 1e-6, "min", "check", "splitting", _adapted_nondegeneracy),
+    CheckSpec("splitting_pairing", "invariant forms pair action complement and regular stratum to zero", 1e-8, "max", "check", "splitting", _coupling(_splitting_blocks)),
+    CheckSpec("splitting_nondegeneracy", "both restricted blocks of the splitting stay nondegenerate", 1e-6, "min", "check", "splitting", _block_nondegeneracy(_splitting_blocks)),
+    CheckSpec("adapted_off_diagonal", "adapted coordinates block-diagonalise invariant forms on the stratum", 1e-8, "max", "check", "splitting", _coupling(_adapted_blocks)),
+    CheckSpec("adapted_nondegeneracy", "both diagonal blocks in adapted coordinates are nondegenerate", 1e-6, "min", "check", "splitting", _block_nondegeneracy(_adapted_blocks)),
     CheckSpec("control_adapted_off_submanifold", "off the stratum the adapted blocks couple again", 1e-6, "min", "control", "splitting", _control_adapted_off, _has_transversal),
     CheckSpec("product_complement_independence", "complement of the normalizer plus isotropy is product independent", 1e-8, "max", "check", "splitting", _product_complement_independence),
     CheckSpec("action_complement_independence", "the canonical complement is independent of the invariant product", 1e-8, "max", "check", "splitting", _action_complement_independence),

@@ -103,10 +103,10 @@ def test_criterion_03_degeneracy_locus(triple, sample_points):
             (data.restricted.p1, data.restricted.p2, np.zeros((1, data.sub_chart.coord_dim)) + 0.02),
         ]
         for p1, p2, coords in pairs:
-            raw = pp.degeneracy_profile(p1, p2, coords, [(1.0, -1.0)])[0]
-            worst_on = max(worst_on, raw.sigma_min)
-            for sample in pp.degeneracy_profile(p1, p2, coords, off_circle):
-                worst_off = min(worst_off, sample.sigma_min)
+            [sigma_on], _ = pp.degeneracy_profile(p1, p2, coords, [(1.0, -1.0)])
+            worst_on = max(worst_on, sigma_on)
+            sigma_off, _ = pp.degeneracy_profile(p1, p2, coords, off_circle)
+            worst_off = min(worst_off, np.min(sigma_off))
     ok = worst_on <= 1e-8 and worst_off > 1e-4
     verdict(3, "pencil degenerates exactly where the parameters cancel",
             ok, f"sigma at (1,-1) {worst_on:.2e} <= 1e-8, min off-line sigma {worst_off:.2e} > 1e-4")
@@ -138,7 +138,8 @@ def test_criterion_05_bracket_agreement(setup_cp2, data_cp2, regular_coords_cp2)
     for t in params:
         for coords in regular_coords_cp2[:5, None]:
             # relative residual is the max over every pair i < j of fns
-            worst = max(worst, dr.bracket_agreement(setup_cp2, data_cp2, fns, coords, [t])[0].relative_residual)
+            ambient, restricted = dr.bracket_agreement(setup_cp2, data_cp2, fns, coords, [t])
+            worst = max(worst, dr.relative_bracket_residual(ambient, restricted))
     ok = worst <= 1e-5
     verdict(5, "ambient and restricted brackets agree on invariant functions",
             ok, f"max relative residual {worst:.2e} <= 1e-5 over {len(pairs)} pairs x 4 parameters x 5 points")
@@ -153,9 +154,10 @@ def test_criterion_06_splitting_orthogonality(setup_cp2, data_cp2, regular_coord
         padded = data_cp2.pad_coords(coords)
         m1, m2 = w1(padded), w2(padded)
         forms = np.stack([t1 * m1 + t2 * m2 for t1, t2 in members], axis=1)
-        for report in dr.splitting_orthogonality(setup_cp2, data_cp2.ambient_chart, padded, forms):
-            worst_pair = max(worst_pair, report.pairing)
-            worst_sigma = min(worst_sigma, report.sigma_complement, report.sigma_stratum)
+        pairing, sigma_stratum, sigma_complement = dr.splitting_orthogonality(
+            setup_cp2, data_cp2.ambient_chart, padded, forms)
+        worst_pair = max(worst_pair, np.max(pairing))
+        worst_sigma = min(worst_sigma, np.min(sigma_complement), np.min(sigma_stratum))
     ok = worst_pair <= 1e-8 and worst_sigma > 1e-6
     verdict(6, "every invariant form splits the regular stratum orthogonally",
             ok, f"max pairing {worst_pair:.2e} <= 1e-8, min block sigma {worst_sigma:.2e} > 1e-6")
@@ -168,12 +170,12 @@ def test_criterion_07_adapted_blocks(setup_cp2, data_cp2, regular_coords_cp2):
     for coords in regular_coords_cp2[:5, None]:
         full = np.hstack([np.zeros((1, p_dim)), coords])
         for matrix in (oc.canonical_form_matrix(adapted, full)[0], oc.omega2_matrix(adapted, full)[0]):
-            worst_off = max(worst_off, dr.adapted_block_report(adapted, matrix).off_diagonal)
+            worst_off = max(worst_off, dr.block_structure(matrix, p_dim)[0])
     control = 0.0
     for y in 0.05 * unit_rows(31, "adapted-control", range(3), p_dim):
         full = np.concatenate([y, regular_coords_cp2[0]])[None]
         matrix = oc.canonical_form_matrix(adapted, full)[0]
-        control = max(control, dr.adapted_block_report(adapted, matrix).off_diagonal)
+        control = max(control, dr.block_structure(matrix, p_dim)[0])
     ok = worst_off <= 1e-8 and control > 1e-6
     verdict(7, "adapted coordinates block-diagonalise the forms on the stratum",
             ok, f"on-stratum off-diagonal {worst_off:.2e} <= 1e-8, off-stratum control {control:.2e} > 1e-6")

@@ -5,7 +5,7 @@ from orbitpencil import dirac_reduction as dr
 from orbitpencil import lie_core as lc
 from orbitpencil import orbit_charts as oc
 from orbitpencil import poisson_pencil as pp
-from orbitpencil.errors import DomainError
+from orbitpencil.errors import DegeneracyError, DomainError
 from orbitpencil.seeding import unit_rows
 
 
@@ -202,10 +202,12 @@ def test_splitting_orthogonality_cp2(setup_cp2, data_cp2, regular_coords_cp2):
         padded = data_cp2.pad_coords(coords)
         m1, m2 = w1(padded), w2(padded)
         forms = np.stack([t1 * m1 + t2 * m2 for t1, t2 in members], axis=1)
-        for report in dr.splitting_orthogonality(setup_cp2, data_cp2.ambient_chart, padded, forms):
-            assert report.pairing <= 1e-8
-            assert report.sigma_complement > 1e-6
-            assert report.sigma_stratum > 1e-6
+        pairing, sigma_stratum, sigma_complement = dr.splitting_orthogonality(
+            setup_cp2, data_cp2.ambient_chart, padded, forms)
+        assert pairing.shape == sigma_stratum.shape == sigma_complement.shape == (1, len(members))
+        assert np.all(pairing <= 1e-8)
+        assert np.all(sigma_complement > 1e-6)
+        assert np.all(sigma_stratum > 1e-6)
 
 
 def test_splitting_orthogonality_decides_regularity_once(monkeypatch, setup_cp2, data_cp2, regular_coords_cp2):
@@ -226,43 +228,31 @@ def test_splitting_orthogonality_decides_regularity_once(monkeypatch, setup_cp2,
         dr.splitting_orthogonality(setup_cp2, zero_fiber, coords, np.eye(coords.shape[1])[None, None])
 
 
-def test_splitting_orthogonality_reports_points_of_mixed_shapes(monkeypatch, setup_cp2, data_cp2,
-                                                                regular_coords_cp2):
-    # Regular points share their stratum and complement dimensions; force three shapes into one stack
-    # (point 1 loses a stratum direction, point 2 its complement) and every point keeps its own reports.
-    chart, w1, w2 = data_cp2.ambient_chart, data_cp2.ambient.w1, data_cp2.ambient.w2
+def test_splitting_orthogonality_refuses_a_stratum_of_the_wrong_dimension(monkeypatch, setup_cp2, data_cp2,
+                                                                          regular_coords_cp2):
+    # Every regular stratum has dimension 2 dim(O) - dim(p); a point that loses a stratum
+    # direction is refused, not paired on a stack of its own.
+    chart, w1 = data_cp2.ambient_chart, data_cp2.ambient.w1
     coords = data_cp2.pad_coords(regular_coords_cp2[:4])
-    xs = chart.point(coords).x
-    stratum, complement, reports = dr._stratum_tangent, dr.canonical_complement, dr._splitting_reports
+    stratum = dr._stratum_tangent
 
-    def reshaped(spaces, points, target, fn):
-        return [fn(space) if np.allclose(x, target) else space for x, space in zip(points.x, spaces)]
+    def dropped(setup, points):
+        return [lc.Subspace(space.basis[:, :-1]) if i == 1 else space
+                for i, space in enumerate(stratum(setup, points))]
 
-    monkeypatch.setattr(dr, "_stratum_tangent", lambda setup, points: reshaped(
-        stratum(setup, points), points, xs[1], lambda space: lc.Subspace(space.basis[:, :-1])))
-    monkeypatch.setattr(dr, "canonical_complement", lambda setup, points: reshaped(
-        complement(setup, points), points, xs[2], lambda space: lc.zero_subspace(space.basis.shape[0])))
-    groups = []
-    monkeypatch.setattr(dr, "_splitting_reports", lambda pushes, *args: groups.append(len(pushes)) or
-                        reports(pushes, *args))
-    forms = np.stack([w1(coords), w2(coords), w1(coords) + w2(coords)], axis=1)
-    stacked = dr.splitting_orthogonality(setup_cp2, chart, coords, forms)
-    assert groups == [2, 1, 1]  # one stack per shape, in order of first appearance
-    single = [report for c, f in zip(coords[:, None], forms[:, None])
-              for report in dr.splitting_orthogonality(setup_cp2, chart, c, f)]
-    assert len(stacked) == len(single) == 12
-    assert np.allclose(np.array(stacked), np.array(single), rtol=1e-10, atol=1e-12)
-    assert [r.sigma_complement for r in stacked[6:9]] == [float("inf")] * 3
-    assert [r.pairing for r in stacked[6:9]] == [0.0] * 3
-    assert all(np.isfinite(r.sigma_complement) for r in stacked[:6] + stacked[9:])
+    monkeypatch.setattr(dr, "_stratum_tangent", dropped)
+    with pytest.raises(DegeneracyError, match="regular stratum has dimension"):
+        dr.splitting_orthogonality(setup_cp2, chart, coords, w1(coords)[:, None])
 
 
 def test_splitting_orthogonality_trivial_case(setup_su2, data_su2):
     coords = np.zeros((1, data_su2.ambient_chart.coord_dim))
     w1 = data_su2.ambient.w1
-    [report] = dr.splitting_orthogonality(setup_su2, data_su2.ambient_chart, coords, w1(coords)[:, None])
-    assert report.pairing == 0.0
-    assert report.sigma_stratum > 1e-6
+    [[pairing]], [[sigma_stratum]], [[sigma_complement]] = dr.splitting_orthogonality(
+        setup_su2, data_su2.ambient_chart, coords, w1(coords)[:, None])
+    assert pairing == 0.0
+    assert sigma_stratum > 1e-6
+    assert sigma_complement == float("inf")
 
 
 def test_adapted_chart_blocks(setup_cp2, data_cp2, regular_coords_cp2):
@@ -274,10 +264,10 @@ def test_adapted_chart_blocks(setup_cp2, data_cp2, regular_coords_cp2):
             oc.canonical_form_matrix(adapted, full)[0],
             oc.omega2_matrix(adapted, full)[0],
         ):
-            report = dr.adapted_block_report(adapted, matrix)
-            assert report.off_diagonal <= 1e-8
-            assert report.sigma_transversal > 1e-6
-            assert report.sigma_stratum > 1e-6
+            off_diagonal, sigma_transversal, sigma_stratum = dr.block_structure(matrix, p_dim)
+            assert off_diagonal <= 1e-8
+            assert sigma_transversal > 1e-6
+            assert sigma_stratum > 1e-6
 
 
 def test_adapted_chart_negative_control(setup_cp2, data_cp2, regular_coords_cp2):
@@ -288,7 +278,7 @@ def test_adapted_chart_negative_control(setup_cp2, data_cp2, regular_coords_cp2)
     for y in 0.05 * unit_rows(5, "negative-control", range(3), p_dim):
         full = np.concatenate([y, regular_coords_cp2[0]])[None]
         matrix = oc.canonical_form_matrix(adapted, full)[0]
-        best = max(best, dr.adapted_block_report(adapted, matrix).off_diagonal)
+        best = max(best, dr.block_structure(matrix, p_dim)[0])
     assert best > 1e-6
 
 
@@ -350,14 +340,14 @@ def test_restricted_pencil_certification_cp2(setup_cp2, data_cp2, regular_coords
 
 
 def test_restricted_degeneracy_profile(data_cp2, regular_coords_cp2):
-    profile = pp.degeneracy_profile(
-        data_cp2.restricted.p1, data_cp2.restricted.p2, regular_coords_cp2[:1], pp.unit_circle_parameters(16)
-    )
-    for sample in profile:
-        if abs(sample.t[0] + sample.t[1]) < 1e-12:
-            assert sample.sigma_min <= 1e-8
+    params = pp.unit_circle_parameters(16)
+    sigma, _ = pp.degeneracy_profile(data_cp2.restricted.p1, data_cp2.restricted.p2, regular_coords_cp2[:1], params)
+    assert sigma.shape == (len(params),)
+    for (t1, t2), sigma_min in zip(params, sigma):
+        if abs(t1 + t2) < 1e-12:
+            assert sigma_min <= 1e-8
         else:
-            assert sample.sigma_min > 1e-4
+            assert sigma_min > 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +463,14 @@ def test_bracket_agreement_catches_non_invariant_functions(request, setup_name, 
     fns = [_linear_function(setup.alg, b, "v"), _linear_function(setup.alg, b, "x")]
     for coords in dr.sample_regular_coords(setup, data, 3, seed=5)[:, None]:
         for t in ((1.0, 0.0), (1.0, 1.0)):
-            assert dr.bracket_agreement(setup, data, fns, coords, [t])[0].relative_residual > 1e-2
+            assert dr.relative_bracket_residual(*dr.bracket_agreement(setup, data, fns, coords, [t])) > 1e-2
 
 
 def test_bracket_agreement_skew_diagonal(setup_cp2, data_cp2, regular_coords_cp2):
     f = dr.invariant_function(setup_cp2.alg, ("v", "v"))
-    [report] = dr.bracket_agreement(setup_cp2, data_cp2, [f], regular_coords_cp2[:1], [(1.0, 1.0)])
-    assert abs(report.ambient[0, 0]) <= 1e-10
-    assert abs(report.restricted[0, 0]) <= 1e-10
+    [[ambient]], [[restricted]] = dr.bracket_agreement(setup_cp2, data_cp2, [f], regular_coords_cp2[:1], [(1.0, 1.0)])
+    assert abs(ambient[0, 0]) <= 1e-10
+    assert abs(restricted[0, 0]) <= 1e-10
 
 
 def test_bracket_agreement_trivial_reduction(setup_su2, data_su2):
@@ -493,8 +483,8 @@ def test_bracket_agreement_trivial_reduction(setup_su2, data_su2):
         coords = rng.uniform(-0.08, 0.08, (1, data_su2.sub_chart.coord_dim))
         if not dr.is_regular(setup_su2, data_su2.sub_chart.point(coords))[0]:
             continue
-        [report] = dr.bracket_agreement(setup_su2, data_su2, [f, g], coords, [(1.0, 1.0)])
-        assert report.residual <= 1e-10
+        [[ambient]], [[restricted]] = dr.bracket_agreement(setup_su2, data_su2, [f, g], coords, [(1.0, 1.0)])
+        assert abs(ambient[0, 1] - restricted[0, 1]) <= 1e-10
 
 
 def test_bracket_agreement_rejects_degenerate_parameter(setup_cp2, data_cp2, regular_coords_cp2):
@@ -596,16 +586,17 @@ def test_nonabelian_reduction_full_chain(setup_cp3, data_cp3):
         assert np.linalg.svd(data.restricted.w1(coords)[0], compute_uv=False)[-1] > 1e-6
         # canonical splitting stays form-orthogonal with an 8-dim complement
         padded = data.pad_coords(coords)
-        [report] = dr.splitting_orthogonality(setup, data.ambient_chart, padded, w1(padded)[:, None])
-        assert report.pairing <= 1e-8
-        assert min(report.sigma_complement, report.sigma_stratum) > 1e-6
+        [[pairing]], [[sigma_stratum]], [[sigma_complement]] = dr.splitting_orthogonality(
+            setup, data.ambient_chart, padded, w1(padded)[:, None])
+        assert pairing <= 1e-8
+        assert min(sigma_complement, sigma_stratum) > 1e-6
         # adapted blocks vanish on the stratum
         full = np.hstack([np.zeros((1, setup.transversal.dim)), coords])
-        block = dr.adapted_block_report(adapted, oc.canonical_form_matrix(adapted, full)[0])
-        assert block.off_diagonal <= 1e-8
+        off_diagonal, _, _ = dr.block_structure(oc.canonical_form_matrix(adapted, full)[0], setup.transversal.dim)
+        assert off_diagonal <= 1e-8
         # brackets agree ambient vs restricted
         for t in ((1.0, 1.0), (0.3, 0.7)):
-            assert dr.bracket_agreement(setup, data, [f, g], coords, [t])[0].relative_residual <= 1e-5
+            assert dr.relative_bracket_residual(*dr.bracket_agreement(setup, data, [f, g], coords, [t])) <= 1e-5
     assert dr.isotropy_excess(setup, data.sub_chart.point(coords_list)) == 0
     base = stack_of_one(setup.config.seed, setup.x0)
     assert dr.transversality_deficiency(setup, base) == 0

@@ -254,7 +254,7 @@ def fd_canonical_form_matrix(chart, coords, h=1e-4):
 
 def test_canonical_form_matches_finite_difference_reference(setup_su2, setup_cp2, data_cp2):
     adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
-    assert adapted.transversal_dim > 0
+    assert setup_cp2.transversal.dim > 0
     rng = np.random.default_rng(9)
     for chart in (make_chart(setup_su2), make_chart(setup_cp2), data_cp2.ambient_chart, adapted):
         for _ in range(2):
@@ -286,7 +286,7 @@ def test_pushforward_miss_takes_one_eigh_and_no_adjoint_matrix(monkeypatch, setu
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(lc.LieAlgebra, "ad", counted_ad)
     for ch, coords in ((chart, np.full((1, chart.coord_dim), 0.05)),
-                       (adapted, np.hstack([np.full((1, adapted.transversal_dim), 0.05), s]))):
+                       (adapted, np.hstack([np.full((1, setup_cp2.transversal.dim), 0.05), s]))):
         counts.update(eigh=0, ad=0)
         ch.pushforward(coords)
         assert counts == {"eigh": 1, "ad": 0}
@@ -385,7 +385,7 @@ def test_combined_form_nondegenerate_su3_regular(setup_su3_regular, data_su3_reg
 
 def test_closedness_residual_constant_field_and_control(setup_su2):
     chart = make_chart(setup_su2)
-    const = oc.FormField(lambda c: np.broadcast_to([[0.0, 1.0], [-1.0, 0.0]], (len(c), 2, 2)), 2, "const")
+    const = oc.FormField(lambda c: np.broadcast_to([[0.0, 1.0], [-1.0, 0.0]], (len(c), 2, 2)), 2)
     coords = np.zeros((1, 2))
     assert oc.closedness_residual(const, coords, 1e-4) <= 1e-12
     base = oc.canonical_form_field(chart)
@@ -396,7 +396,7 @@ def test_closedness_residual_constant_field_and_control(setup_su2):
         mat[..., 1, 0] -= np.sin(3.0 * c[..., 2])
         return mat
 
-    bad = oc.FormField(corrupted, chart.coord_dim, "bad")
+    bad = oc.FormField(corrupted, chart.coord_dim)
     coords = np.full((1, chart.coord_dim), 0.05)
     assert oc.closedness_residual(bad, coords, 1e-4) > 1e-2
 
@@ -498,7 +498,7 @@ def test_stacked_pushforward_rejects_a_rank_deficient_row(setup_cp2):
 def test_stacked_inverse_names_the_singular_row():
     # a constant nondegenerate form, except at rows whose first coordinate is 1
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    field = oc.FormField(lambda c: block * (c[:, :1, None] != 1.0), 2, "holed")
+    field = oc.FormField(lambda c: block * (c[:, :1, None] != 1.0), 2)
     inverse = pp.invert_form(field)
     coords = np.array([[0.0, 0.5], [0.2, 0.1], [1.0, 0.7], [0.3, 0.3]])
     with pytest.raises(DegeneracyError) as err:

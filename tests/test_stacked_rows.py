@@ -62,7 +62,7 @@ def test_partials_on_the_stack_are_the_rows(stacked_case, which):
     for member in ("w1", "w2"):
         calls = []
         field = getattr(stacked, member)
-        counted = oc.FormField(lambda c, f=field: calls.append(len(c)) or f(c), field.dim, "counted")
+        counted = oc.FormField(lambda c, f=field: calls.append(len(c)) or f(c), field.dim)
         got = oc.central_partials(counted, stack, 1e-4)
         assert calls == [2 * stack.size]  # every stencil of every row in one call
         assert np.array_equal(got, np.concatenate([oc.central_partials(getattr(rows, member), c, 1e-4)
@@ -83,13 +83,14 @@ def test_degeneracy_profile_is_one_svd_matching_one_per_parameter(monkeypatch, d
     p1(coords), p2(coords)  # inverted before counting
     svd, calls = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
-    profile = pp.degeneracy_profile(p1, p2, coords, params)
+    sigma, rank = pp.degeneracy_profile(p1, p2, coords, params)
     monkeypatch.undo()
     assert len(calls) == 1
-    for sample, (t1, t2) in zip(profile, params):
+    assert sigma.shape == rank.shape == (len(params),)
+    for sigma_min, r, (t1, t2) in zip(sigma, rank, params):
         sig = np.linalg.svd(t1 * p1(coords)[0] + t2 * p2(coords)[0], compute_uv=False)
-        assert sample.sigma_min == float(sig[-1])
-        assert sample.rank == int(np.sum(sig > pp.FORM_SINGULAR_RTOL * max(sig[0], 1e-300)))
+        assert sigma_min == sig[-1]
+        assert r == np.sum(sig > pp.FORM_SINGULAR_RTOL * max(sig[0], 1e-300))
 
 
 def _loop_complement_independence(alg, sub, norm, sols, seed, trials):
@@ -153,6 +154,7 @@ def test_principal_isotropy_stacks_its_draws(monkeypatch, family, n, spectrum):
 
 @pytest.mark.parametrize("case", ["cp2", "cp3"])
 def test_splitting_and_brackets_on_the_stack_are_the_point_reports(request, case):
+    # each (point, form) entry of a stacked call is the entry of that point's stack of one
     setup = request.getfixturevalue(f"setup_{case}")
     sampler = _fresh(setup)
     sub = dr.sample_regular_coords(setup, sampler, 3, seed=9)
@@ -165,19 +167,39 @@ def test_splitting_and_brackets_on_the_stack_are_the_point_reports(request, case
 
     padded = stacked.pad_coords(sub)
     got = dr.splitting_orthogonality(setup, stacked.ambient_chart, padded, forms(stacked, padded))
-    want = [report for s in sub[:, None]
-            for report in dr.splitting_orthogonality(setup, rows.ambient_chart, rows.pad_coords(s),
-                                                     forms(rows, rows.pad_coords(s)))]
-    assert got == want
+    want = zip(*(dr.splitting_orthogonality(setup, rows.ambient_chart, rows.pad_coords(s),
+                                            forms(rows, rows.pad_coords(s))) for s in sub[:, None]))
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == (len(sub), len(members)) and np.array_equal(a, np.concatenate(b))
 
     words = [("v", "v"), ("x", "x", "v", "v"), ("x", "v", "x", "v")]
     params = [(1.0, 1.0), (0.3, 0.7)]
     got = dr.bracket_agreement(setup, stacked, [dr.invariant_function(setup.alg, w) for w in words], sub, params)
     fns = [dr.invariant_function(setup.alg, w) for w in words]
-    want = [report for s in sub[:, None] for report in dr.bracket_agreement(setup, rows, fns, s, params)]
-    assert len(got) == len(want) == len(sub) * len(params)
-    for a, b in zip(got, want):
-        assert np.array_equal(a.ambient, b.ambient) and np.array_equal(a.restricted, b.restricted)
+    want = zip(*(dr.bracket_agreement(setup, rows, fns, s, params) for s in sub[:, None]))
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == (len(sub), len(params), len(words), len(words))
+        assert np.array_equal(a, np.concatenate(b))
+
+    # block_structure of a (2, m, d, d) stack: each entry is the max and SVDs of its matrix alone,
+    # and an empty lead or trail block couples nothing and reads sigma inf
+    adapted = dr.AdaptedChart(setup, stacked.sub_chart)
+    full = np.hstack([np.zeros((len(sub), setup.transversal.dim)), sub])
+    adapted_forms = np.stack([oc.canonical_form_matrix(adapted, full), oc.omega2_matrix(adapted, full)])
+    d = adapted.coord_dim
+    for split in (0, setup.transversal.dim, d):
+        coupling, lead, trail = dr.block_structure(adapted_forms, split)
+        assert coupling.shape == lead.shape == trail.shape == (2, len(sub))
+        for index in np.ndindex(2, len(sub)):
+            form = adapted_forms[index]
+            if 0 < split < d:
+                assert coupling[index] == np.max(np.abs(form[split:, :split]))
+                assert lead[index] == np.linalg.svd(form[:split, :split], compute_uv=False)[-1]
+                assert trail[index] == np.linalg.svd(form[split:, split:], compute_uv=False)[-1]
+            else:
+                whole = np.linalg.svd(form, compute_uv=False)[-1]
+                assert coupling[index] == 0.0
+                assert (lead[index], trail[index]) == ((np.inf, whole) if split == 0 else (whole, np.inf))
 
 
 def test_point_functions_on_the_stack_are_the_point_values(setup_cp3, data_cp3):
@@ -341,11 +363,12 @@ def _lstsq_splitting(setup, chart, coords, forms):
         for form in point_forms:
             sigma = np.linalg.svd(cs.T @ form @ cs, compute_uv=False)[-1]
             if comp.dim:
-                out.append((np.max(np.abs(cp.T @ form @ cs)),
-                            np.linalg.svd(cp.T @ form @ cp, compute_uv=False)[-1], sigma))
+                out.append((np.max(np.abs(cp.T @ form @ cs)), sigma,
+                            np.linalg.svd(cp.T @ form @ cp, compute_uv=False)[-1]))
             else:
-                out.append((0.0, float("inf"), sigma))
-    return out
+                out.append((0.0, sigma, float("inf")))
+    # (coupling, sigma_stratum, sigma_complement), each (m, F)
+    return np.array(out).reshape(forms.shape[:2] + (3,)).transpose(2, 0, 1)
 
 
 @pytest.mark.parametrize("case", ["cp2", "cp3", "su3_regular"])
@@ -358,9 +381,9 @@ def test_splitting_lifts_agree_with_lstsq(monkeypatch, request, case):
     want = _lstsq_splitting(setup, data.ambient_chart, coords, forms)
     monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: pytest.fail("lstsq called"))
     got = dr.splitting_orthogonality(setup, data.ambient_chart, coords, forms)
-    assert len(got) == len(want) == 12
-    for report, ref in zip(got, want):
-        assert np.allclose(tuple(report), ref, rtol=1e-12, atol=1e-12)
+    for array, ref in zip(got, want, strict=True):
+        assert array.shape == (4, 3)
+        assert np.allclose(array, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_a_bare_coordinate_row_is_refused(setup_cp2, data_cp2):

@@ -63,7 +63,7 @@ def test_memo_fields_take_the_evaluator_first_and_call_it_once_per_point(cls):
         calls.append(c.tolist())
         return c[:, :, None] * c[:, None, ::-1]
 
-    field = cls(evaluator, 2, "probe") if cls is orbit_charts.FormField else cls(evaluator, 2)
+    field = cls(evaluator, 2)
     for coords in ([[0.1, 0.2]], [[0.1, 0.2]], [[0.3, 0.2]], [[0.1, 0.2]]):
         field(coords)
     assert calls == [[[0.1, 0.2]], [[0.3, 0.2]]]
