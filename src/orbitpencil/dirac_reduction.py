@@ -37,6 +37,7 @@ from .lie_core import (
     RANK_RTOL,
     LieAlgebra,
     Subspace,
+    _lincomb,
     _rowwise,
     centralizer,
     complement_within,
@@ -53,14 +54,13 @@ from .lie_core import (
     subalgebra_residual,
     subspace_contains,
     subspace_sum,
-    zero_subspace,
 )
 from .orbit_charts import (
     Chart,
     FormField,
     OrbitConfig,
     TangentBundlePoint,
-    _lincomb,
+    ad_pairs,
     ambient_tangent_space,
     canonical_form_field,
     combined_form_field,
@@ -81,9 +81,7 @@ REGULARITY_TOL = 1e-8
 def stabilizer_within(alg: LieAlgebra, sub: Subspace, xs: np.ndarray) -> list[Subspace]:
     """{y in sub : [x, y] = 0} for each x of the (m, n) stack xs, via the kernel of ad(x)
     restricted to sub: one stacked kernel and one stacked span."""
-    if sub.dim == 0:
-        return [sub] * len(xs)
-    return spans([sub.basis @ c.basis for c in kernels([alg.ad(row) @ sub.basis for row in xs])])
+    return spans([sub.basis @ c.basis for c in kernels(_lincomb(xs, alg.ad_basis) @ sub.basis)])
 
 
 def principal_isotropy(config: OrbitConfig, samples: int = 16, seed: int = 0):
@@ -153,12 +151,7 @@ class ReductionSetup(NamedTuple):
 
 
 def _max_bracket_norm(alg: LieAlgebra, a: Subspace, b: Subspace) -> float:
-    worst = 0.0
-    for i in range(a.dim):
-        images = alg.ad(a.basis[:, i]) @ b.basis
-        if images.size:
-            worst = max(worst, float(np.max(np.linalg.norm(images, axis=0))))
-    return worst
+    return float(np.max(np.linalg.norm(alg.ads(a.basis) @ b.basis, axis=1), initial=0.0))
 
 
 def setup_residuals(setup: ReductionSetup) -> dict:
@@ -351,8 +344,7 @@ def slice_normal_form(setup: ReductionSetup, ys: np.ndarray, max_iter: int = 200
 
 def isotropy_algebra(setup: ReductionSetup, point: TangentBundlePoint):
     """All xi with [xi, x] = 0 and [xi, v] = 0; the list of them at a stack of points."""
-    alg = setup.alg
-    return kernels(np.concatenate([_lincomb(point.x, alg.ad_basis), _lincomb(point.v, alg.ad_basis)], axis=-2))
+    return kernels(ad_pairs(setup.alg, point))
 
 
 def regularity_distance(setup: ReductionSetup, point: TangentBundlePoint) -> np.ndarray:
@@ -374,13 +366,13 @@ def _stratum_tangent(setup: ReductionSetup, point: TangentBundlePoint) -> list[S
     """
     ambient = ambient_tangent_space(setup.config, point)
     iso = setup.isotropy
+    # For h = 0 the stratum is all of TO.  The empty stack below would give the
+    # same subspaces, but spans would re-orthonormalise the ambient bases and
+    # move the last bits of every splitting row; so they are returned as they are.
     if iso.dim == 0:
         return ambient
-    alg = setup.alg
-    n = alg.dim
-    ops = [alg.ad(iso.basis[:, j]) for j in range(iso.dim)]
-    coeffs = kernels([np.vstack([block for op in ops for block in (op @ a.basis[:n], op @ a.basis[n:])])
-                      for a in ambient])
+    ops = setup.alg.ads(iso.basis)[:, None]
+    coeffs = kernels([(ops @ a.basis.reshape(2, setup.alg.dim, -1)).reshape(-1, a.dim) for a in ambient])
     return spans([a.basis @ c.basis for a, c in zip(ambient, coeffs)])
 
 
@@ -390,30 +382,19 @@ def canonical_complement(setup: ReductionSetup, point: TangentBundlePoint) -> li
     Regularity is decided once, for every point of the stack."""
     if not np.all(is_regular(setup, point)):
         raise DomainError("point is not regular: isotropy algebra differs from h")
-    return _action_spans(setup, point)
+    return _action_spans(setup, point, setup.transversal.basis)
 
 
-def _action_spans(setup: ReductionSetup, points: TangentBundlePoint, transversals=None) -> list[Subspace]:
-    """Span of the action vectors of a transversal at each point of a stack.
+def _action_spans(setup: ReductionSetup, points: TangentBundlePoint, bases: np.ndarray) -> list[Subspace]:
+    """Span of the action vectors of a transversal at each point of a stack, from one evaluation.
 
-    ``transversals`` gives each point its own complement; by default every
-    point takes p, and the action vectors of all points are one evaluation."""
-    n = setup.alg.dim
-    m = len(points.x)
-    if transversals is None:
-        transversals = [setup.transversal] * m
-        cols = list(infinitesimal_action(setup.config, setup.transversal.basis, points))
-    else:
-        cols = [infinitesimal_action(setup.config, t.basis, TangentBundlePoint(x, v))
-                for t, x, v in zip(transversals, points.x, points.v)]
-    if not any(t.dim for t in transversals):
-        return [zero_subspace(2 * n)] * m
-    spaces = spans(cols)
-    for out, trans in zip(spaces, transversals):
-        if out.dim != trans.dim:
-            raise DegeneracyError(
-                f"action of the transversal dropped rank ({out.dim} < {trans.dim}) at the point"
-            )
+    ``bases`` is one (n, p) basis for every point or an (m, n, p) stack, a
+    basis per point; the action of a transversal must keep its rank p."""
+    p = np.shape(bases)[-1]
+    spaces = spans(infinitesimal_action(setup.config, bases, points))
+    for out in spaces:
+        if out.dim != p:
+            raise DegeneracyError(f"action of the transversal dropped rank ({out.dim} < {p}) at the point")
     return spaces
 
 
@@ -432,7 +413,7 @@ def complement_product_independence(setup: ReductionSetup, points: TangentBundle
     prods = draw_invariant_products(alg, setup.isotropy, sols, seed, range(len(points.x)), "action-products")
     alts = orthogonal_complements(setup.normalizer, prods)
     base = canonical_complement(setup, points)
-    alt = _action_spans(setup, points, alts)
+    alt = _action_spans(setup, points, np.stack([t.basis for t in alts]))
     return max(projector_distance(a, b) for a, b in zip(base, alt))
 
 
@@ -730,10 +711,7 @@ def relative_bracket_residual(ambient: np.ndarray, restricted: np.ndarray) -> fl
 
 def isotropy_excess(setup: ReductionSetup, points: TangentBundlePoint) -> int:
     """Max over the points of a stack of dim(isotropy within the centralizer) - dim(center)."""
-    alg = setup.alg
-    cent = setup.centralizer.basis
-    isos = kernels(np.concatenate([_lincomb(points.x, alg.ad_basis) @ cent,
-                                   _lincomb(points.v, alg.ad_basis) @ cent], axis=-2))
+    isos = kernels(ad_pairs(setup.alg, points) @ setup.centralizer.basis)
     return max(0, *(iso.dim - setup.center.dim for iso in isos))
 
 

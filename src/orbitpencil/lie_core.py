@@ -13,7 +13,9 @@ Conventions used throughout the package:
   * Structure constants are computed once from the matrix realisation and
     cached; every bracket afterwards is a tensor contraction.
   * Every ad(xi) is then a real skew matrix; subspace algebra works with
-    these.  Group elements act by conjugating the n x n matrices instead
+    these, as the stack ``ads(basis)`` over the columns of a basis, so a
+    zero subspace is the empty stack and needs no case of its own.  Group
+    elements act by conjugating the n x n matrices instead
     (:mod:`orbitpencil.orbit_charts`), projected back by ``coefficients``:
     one real matmul of the (re, im) entries of each matrix against the
     (2 d^2, n) ``coefficient_map``, built with the algebra.
@@ -51,6 +53,11 @@ SUBSPACE_TOL = 1e-8
 def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b one vector a[..., :] at a time, so a row's bits do not depend on the stack around it."""
     return (a[..., None, :] @ b)[..., 0, :]
+
+
+def _lincomb(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_a coeffs[..., a] stack[a], e.g. the matrices or ad operators of a stack of elements."""
+    return _rowwise(coeffs, stack.reshape(len(stack), -1)).reshape(coeffs.shape[:-1] + stack.shape[1:])
 
 
 class LieAlgebra(NamedTuple):
@@ -118,6 +125,10 @@ class LieAlgebra(NamedTuple):
         """Matrix of ad(x) on coefficient vectors: ad(x) y = [x, y]."""
         coeffs = _as_element(self, coeffs)
         return np.tensordot(coeffs, self.ad_basis, axes=(0, 0))
+
+    def ads(self, basis: np.ndarray) -> np.ndarray:
+        """(k, n, n) stack of ad(b) over the columns b of an (n, k) matrix; no columns give (0, n, n)."""
+        return _lincomb(np.asarray(basis, dtype=float).T, self.ad_basis)
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Lie bracket [x, y] through the cached structure constants."""
@@ -351,8 +362,6 @@ def projector_distance(a: Subspace, b: Subspace) -> float:
 
 def subspace_contains(outer: Subspace, inner: Subspace) -> float:
     """Residual of the inclusion inner <= outer (0 means contained)."""
-    if inner.dim == 0:
-        return 0.0
     rest = inner.basis - outer.projector() @ inner.basis
     return float(np.linalg.norm(rest))
 
@@ -367,14 +376,8 @@ def complement_within(inner: Subspace, outer: Subspace) -> Subspace:
 
 def subalgebra_residual(alg: LieAlgebra, sub: Subspace) -> float:
     """How far brackets of basis pairs stick out of the subspace."""
-    if sub.dim == 0:
-        return 0.0
-    proj = sub.projector()
-    worst = 0.0
-    for i in range(sub.dim):
-        images = alg.ad(sub.basis[:, i]) @ sub.basis
-        worst = max(worst, float(np.linalg.norm(images - proj @ images)))
-    return worst
+    images = alg.ads(sub.basis) @ sub.basis
+    return max((float(np.linalg.norm(rest)) for rest in images - sub.projector() @ images), default=0.0)
 
 
 def _require_subalgebra(alg: LieAlgebra, sub: Subspace, tol: float = 1e-10) -> None:
@@ -390,21 +393,14 @@ def _require_subalgebra(alg: LieAlgebra, sub: Subspace, tol: float = 1e-10) -> N
 
 def centralizer(alg: LieAlgebra, sub: Subspace) -> Subspace:
     """Joint kernel of ad over a basis of ``sub``: all y with [y, sub] = 0."""
-    if sub.dim == 0:
-        return full_subspace(alg.dim)
-    stacked = np.vstack([alg.ad(sub.basis[:, j]) for j in range(sub.dim)])
-    return kernel(stacked)
+    return kernel(alg.ads(sub.basis).reshape(-1, alg.dim))
 
 
 def normalizer(alg: LieAlgebra, sub: Subspace) -> Subspace:
     """All xi with [xi, sub] contained in sub; sub must be a subalgebra."""
     _require_subalgebra(alg, sub)
-    if sub.dim == 0:
-        return full_subspace(alg.dim)
-    out = np.eye(alg.dim) - sub.projector()
     # [xi, s_j] = -ad(s_j) xi, so project the images of -ad(s_j) off sub.
-    stacked = np.vstack([out @ alg.ad(sub.basis[:, j]) for j in range(sub.dim)])
-    return kernel(stacked)
+    return kernel(((np.eye(alg.dim) - sub.projector()) @ alg.ads(sub.basis)).reshape(-1, alg.dim))
 
 
 def orthogonal_complements(sub: Subspace, prods: "InvariantProduct") -> list[Subspace]:
@@ -427,17 +423,11 @@ def fixed_vector_space(alg: LieAlgebra, sub: Subspace, ambient: Subspace, tol: f
     ``ambient`` must be invariant under ad(sub); for ambient equal to the
     whole algebra this returns the centralizer of ``sub``.
     """
-    if sub.dim == 0:
-        return Subspace(basis=ambient.basis.copy())
-    proj_out = np.eye(alg.dim) - ambient.projector()
-    blocks = []
-    for j in range(sub.dim):
-        images = alg.ad(sub.basis[:, j]) @ ambient.basis
-        leak = np.linalg.norm(proj_out @ images)
-        if leak > tol:
-            raise DomainError(f"ambient subspace is not ad-invariant (leak {leak:.2e})")
-        blocks.append(images)
-    coeffs = kernel(np.vstack(blocks))
+    images = alg.ads(sub.basis) @ ambient.basis
+    leak = np.max(np.linalg.norm((np.eye(alg.dim) - ambient.projector()) @ images, axis=(1, 2)), initial=0.0)
+    if leak > tol:
+        raise DomainError(f"ambient subspace is not ad-invariant (leak {leak:.2e})")
+    coeffs = kernel(images.reshape(-1, ambient.dim))
     return span(ambient.basis @ coeffs.basis)
 
 
@@ -465,11 +455,9 @@ class InvariantProduct(NamedTuple("InvariantProduct", [("matrix", np.ndarray)]))
 
 def product_invariance_residual(alg: LieAlgebra, sub: Subspace, matrix: np.ndarray) -> float:
     """Max norm of M ad(z) + ad(z)^T M over a basis z of ``sub`` and over the (k, n, n) stack of M."""
-    if sub.dim == 0:
-        return 0.0
-    ads = np.tensordot(sub.basis.T, alg.ad_basis, axes=(1, 0))
+    ads = alg.ads(sub.basis)
     moved = np.asarray(matrix)[..., None, :, :] @ ads
-    return float(np.max(np.abs(moved + ads.mT @ np.asarray(matrix)[..., None, :, :])))
+    return float(np.max(np.abs(moved + ads.mT @ np.asarray(matrix)[..., None, :, :]), initial=0.0))
 
 
 def invariant_product_space(alg: LieAlgebra, sub: Subspace) -> list[np.ndarray]:
@@ -488,10 +476,7 @@ def invariant_product_space(alg: LieAlgebra, sub: Subspace) -> list[np.ndarray]:
     sym_basis = np.zeros((len(rows), n, n))
     sym_basis[np.arange(len(rows)), rows, cols] = 1.0 / weight
     sym_basis[np.arange(len(rows)), cols, rows] = 1.0 / weight
-    if sub.dim == 0:
-        return list(sym_basis)
-
-    moved = sym_basis @ np.tensordot(sub.basis.T, alg.ad_basis, axes=(1, 0))[:, None]
+    moved = sym_basis @ alg.ads(sub.basis)[:, None]
     images = (moved + moved.mT)[..., rows, cols] * weight  # [z, basis element, coordinate]
     # R of a QR has the singular values and right singular vectors of the tall stack, at half the SVD cost.
     coeffs = kernel(np.linalg.qr(images.mT.reshape(-1, len(rows)), mode="r"))
@@ -566,8 +551,6 @@ def complement_independence(alg: LieAlgebra, sub: Subspace, norm: Subspace, sols
     to each, and measures how far the sums (complement + sub) differ as
     subspaces.  All 2 x trials products, complements and sums are one stack.
     """
-    if trials <= 0:
-        return ComplementIndependence(paired=0.0, unpaired=0.0)
     prods = draw_invariant_products(alg, sub, sols, seed, range(2 * trials))
     comps = orthogonal_complements(norm, prods)
     sums = spans([np.hstack([comp.basis, sub.basis]) for comp in comps])

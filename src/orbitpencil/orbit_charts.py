@@ -59,7 +59,7 @@ from .errors import (
     DomainError,
     InputError,
 )
-from .lie_core import RANK_RTOL, LieAlgebra, Subspace, _rowwise, kernel, projector_distance, span, spans
+from .lie_core import RANK_RTOL, LieAlgebra, Subspace, _lincomb, _rowwise, kernel, projector_distance, span, spans
 
 FD_STEP_DEFAULT = 1e-4
 FD_STEP_MIN = 1e-6
@@ -124,18 +124,19 @@ def point_residuals(config: OrbitConfig, point: TangentBundlePoint) -> tuple[np.
     return spec_err, np.linalg.norm((v - fiber @ (fiber.mT @ v))[..., 0], axis=-1)
 
 
+def ad_pairs(alg: LieAlgebra, point: TangentBundlePoint) -> np.ndarray:
+    """The (..., 2n, n) stack (ad x; ad v) over the points (x, v) of a stack."""
+    return np.concatenate([_lincomb(point.x, alg.ad_basis), _lincomb(point.v, alg.ad_basis)], axis=-2)
+
+
 def infinitesimal_action(config: OrbitConfig, xi: np.ndarray, point: TangentBundlePoint) -> np.ndarray:
-    """Action vector field of xi at (x, v): the stacked pair ([xi,x], [xi,v]).
+    """Action vector field of xi at (x, v): the stacked pair ([xi,x], [xi,v]) = -(ad x; ad v) xi.
 
     ``xi`` is one generator (n,) or an (n, a) matrix of them as columns, which
-    gives (2n, a); at a stack of m points the result has a leading axis m.
+    gives (2n, a), or an (m, n, a) stack of such matrices, one per point; at
+    a stack of m points the result has a leading axis m.
     """
-    n = config.alg.dim
-    xi = np.asarray(xi, dtype=float)
-    lead = np.shape(point.x)[:-1]
-    y = np.stack([point.x, point.v], axis=-2).reshape(-1, n)
-    pairs = np.einsum("ai,pj,ijk->apk", xi.reshape(n, -1).T, y, config.alg.structure)
-    return np.moveaxis(pairs.reshape((-1,) + lead + (2 * n,)), 0, -1).reshape(lead + (2 * n,) + xi.shape[1:])
+    return -ad_pairs(config.alg, point) @ np.asarray(xi, dtype=float)
 
 
 def ambient_tangent_space(config: OrbitConfig, point: TangentBundlePoint) -> list[Subspace]:
@@ -144,12 +145,10 @@ def ambient_tangent_space(config: OrbitConfig, point: TangentBundlePoint) -> lis
     Spanned by the action pairs ([e_i,x],[e_i,v]) over the algebra basis
     together with the fiber directions (0, t) for t in im ad(x).
     """
-    alg = config.alg
-    ad_x = _lincomb(point.x, alg.ad_basis)
-    # columns: ([e_i,x],[e_i,v]) = -(ad x, ad v) e_i
-    action = -np.concatenate([ad_x, _lincomb(point.v, alg.ad_basis)], axis=-2)
-    spaces = spans([np.hstack([a, np.vstack([np.zeros_like(f.basis), f.basis])])
-                    for a, f in zip(action, spans(ad_x))])
+    pairs = ad_pairs(config.alg, point)
+    # columns: ([e_i,x],[e_i,v]) = -(ad x; ad v) e_i
+    spaces = spans([np.hstack([-a, np.vstack([np.zeros_like(f.basis), f.basis])])
+                    for a, f in zip(pairs, spans(pairs[..., :config.alg.dim, :]))])
     for space in spaces:
         if space.dim != 2 * config.orbit_dim:
             raise DegeneracyError(
@@ -161,11 +160,6 @@ def ambient_tangent_space(config: OrbitConfig, point: TangentBundlePoint) -> lis
 # ---------------------------------------------------------------------------
 # Exponential machinery
 # ---------------------------------------------------------------------------
-
-
-def _lincomb(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_a coeffs[..., a] stack[a], e.g. the matrices or ad operators of a stack of elements."""
-    return _rowwise(coeffs, stack.reshape(len(stack), -1)).reshape(coeffs.shape[:-1] + stack.shape[1:])
 
 
 def _exp_eigh(alg: LieAlgebra, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -340,11 +340,9 @@ def _algebra_row(key):
 
 def _orbit_splitting(ctx):
     orbit = ctx.orbit
-    comp = lc.kernel(orbit.stabilizer.basis.T)
-    worst = lc.projector_distance(orbit.tangent, comp)
-    for j in range(orbit.stabilizer.dim):
-        worst = max(worst, float(np.linalg.norm(ctx.alg.bracket(orbit.stabilizer.basis[:, j], orbit.seed))))
-    return worst
+    moved = ctx.alg.ads(orbit.stabilizer.basis) @ orbit.seed  # row j is [k_j, a]
+    return max(lc.projector_distance(orbit.tangent, lc.kernel(orbit.stabilizer.basis.T)),
+               *(float(np.linalg.norm(row)) for row in moved))
 
 
 def _exactness(chart, seed, label, count):
@@ -526,8 +524,7 @@ def _control_adapted_off(ctx):
     p_dim = ctx.setup.transversal.dim
     offsets = 0.05 * unit_rows(ctx.seed, "adapted-offsets", range(3), p_dim)
     coords = np.hstack([offsets, np.tile(ctx.regular_coords[0], (3, 1))])
-    coupling, _, _ = dr.block_structure(oc.canonical_form_matrix(ctx.adapted, coords), p_dim)
-    return np.max(coupling)
+    return np.max(np.abs(oc.canonical_form_matrix(ctx.adapted, coords)[:, p_dim:, :p_dim]))
 
 
 def _invariant_products(ctx):

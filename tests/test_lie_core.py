@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from orbitpencil import dirac_reduction as dr
 from orbitpencil import families
 from orbitpencil import lie_core as lc
 from orbitpencil.errors import DomainError, InputError
@@ -35,6 +36,17 @@ def test_coefficients_match_the_einsum_reference(family, n):
         assert got.shape == stack.shape[:-2] + (alg.dim,)
         assert np.max(np.abs(got - _einsum_coefficients(alg, stack)), initial=0.0) <= 1e-15
     assert np.max(np.abs(alg.coefficients(mats) - coeffs)) <= 1e-15
+
+
+@pytest.mark.parametrize("family,n", [("su", 3), ("su", 4), ("so", 4)])
+def test_ads_are_the_ad_of_each_column(family, n):
+    alg = getattr(families, family)(n)
+    basis = np.random.default_rng(n).standard_normal((alg.dim, 5))
+    stack = alg.ads(basis)
+    assert stack.shape == (5, alg.dim, alg.dim)
+    for column, ad in zip(basis.T, stack, strict=True):
+        assert np.array_equal(ad, alg.ad(column))
+    assert alg.ads(np.zeros((alg.dim, 0))).shape == (0, alg.dim, alg.dim)
 
 
 @pytest.mark.parametrize("build", [lambda: families.su(2), lambda: families.su(3), lambda: families.so(4)])
@@ -218,6 +230,19 @@ def test_centralizer_of_cp2_isotropy(su3, setup_cp2):
     assert lc.subalgebra_residual(su3, cent) <= 1e-10
 
 
+@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("so", 4)])
+def test_the_zero_subspace_is_the_empty_stack(family, n):
+    # h = 0 runs the same code as any h: the empty stack of ad operators
+    alg = getattr(families, family)(n)
+    zero, full = lc.zero_subspace(alg.dim), lc.full_subspace(alg.dim)
+    assert lc.projector_distance(lc.normalizer(alg, zero), full) == 0.0
+    assert lc.subalgebra_residual(alg, zero) == 0.0
+    assert lc.product_invariance_residual(alg, zero, np.eye(alg.dim)[None]) == 0.0
+    assert lc.subspace_contains(full, zero) == lc.subspace_contains(zero, zero) == 0.0
+    xs = np.random.default_rng(n).standard_normal((3, alg.dim))
+    assert [s.basis.shape for s in dr.stabilizer_within(alg, zero, xs)] == [(alg.dim, 0)] * 3
+
+
 def test_normalizer_su2(su2, pauli_elements):
     e1, e2, e3 = pauli_elements
     h = lc.span(e3[:, None])
@@ -321,6 +346,10 @@ def test_invariant_product_not_positive_definite():
 def test_invariant_product_space_no_constraints(su2):
     sols = lc.invariant_product_space(su2, lc.zero_subspace(3))
     assert len(sols) == 6  # n(n+1)/2
+    # every symmetric matrix, orthonormal for the Frobenius product
+    flat = np.reshape(sols, (6, 9))
+    assert np.max(np.abs(flat @ flat.T - np.eye(6))) <= 1e-15
+    assert all(np.array_equal(s, s.T) for s in sols)
 
 
 def test_invariant_product_space_su2_axis(su2, pauli_elements):

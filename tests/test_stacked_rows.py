@@ -224,6 +224,39 @@ def test_point_functions_on_the_stack_are_the_point_values(setup_cp3, data_cp3):
         assert np.array_equal(stratum.basis, dr._stratum_tangent(setup, p)[0].basis)
 
 
+def _einsum_action(alg, xi, point):
+    """Reference for ``infinitesimal_action``: ([xi, x], [xi, v]) as one einsum with the structure constants."""
+    n = alg.dim
+    lead = np.shape(point.x)[:-1]
+    y = np.stack([point.x, point.v], axis=-2).reshape(-1, n)
+    pairs = np.einsum("ai,pj,ijk->apk", xi.reshape(n, -1).T, y, alg.structure)
+    return np.moveaxis(pairs.reshape((-1,) + lead + (2 * n,)), 0, -1).reshape(lead + (2 * n,) + xi.shape[1:])
+
+
+def test_action_spans_of_a_stack_of_bases_are_the_point_calls(setup_cp3, data_cp3):
+    setup, alg = setup_cp3, setup_cp3.alg
+    coords = dr.sample_regular_coords(setup, data_cp3, 4, seed=13)
+    points = data_cp3.sub_chart.point(coords)
+    singles = [oc.TangentBundlePoint(x=x, v=v) for x, v in zip(points.x[:, None], points.v[:, None])]
+    # a transversal per point, each orthogonal to n(h) for a product of its own
+    prods = lc.draw_invariant_products(alg, setup.isotropy, lc.invariant_product_space(alg, setup.isotropy),
+                                       5, range(4))
+    bases = np.stack([comp.basis for comp in lc.orthogonal_complements(setup.normalizer, prods)])
+    for got, p, basis in zip(dr._action_spans(setup, points, bases), singles, bases, strict=True):
+        assert got.dim == setup.transversal.dim
+        assert np.array_equal(got.basis, dr._action_spans(setup, p, basis)[0].basis)
+        assert np.array_equal(got.basis, dr._action_spans(setup, p, basis[None])[0].basis)
+    # one generator, a matrix of them, a matrix per point; at the stack and at one unstacked point
+    for xi in (setup.transversal.basis[:, 0], setup.transversal.basis):
+        got = oc.infinitesimal_action(setup.config, xi, points)
+        assert np.max(np.abs(got - _einsum_action(alg, xi, points))) <= 1e-14
+    got = oc.infinitesimal_action(setup.config, bases, points)
+    for row, basis, x, v in zip(got, bases, points.x, points.v, strict=True):
+        point = oc.TangentBundlePoint(x=x, v=v)
+        assert np.max(np.abs(row - _einsum_action(alg, basis, point))) <= 1e-14
+        assert np.array_equal(row, oc.infinitesimal_action(setup.config, basis, point))
+
+
 def test_span_and_kernel_of_a_sequence_are_the_single_calls(su4):
     rng = np.random.default_rng(17)
     mats = [rng.standard_normal((15, 6)), rng.standard_normal((15, 6)) @ np.diag([1, 1, 1, 0, 0, 1.0]),
