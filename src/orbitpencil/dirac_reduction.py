@@ -13,7 +13,8 @@ module assembles:
 
 Points whose isotropy algebra equals h exactly are called regular.  At a
 regular point the action vectors of p span a canonical complement of the
-tangent space of the regular stratum, orthogonal to it for every invariant
+tangent space of the regular stratum (the kernel of the linearised action
+of h, read on the chart pushforward), orthogonal to it for every invariant
 nondegenerate 2-form; in adapted coordinates every such form is therefore
 block diagonal on the stratum.  Restricting both pencil forms to the
 sub-orbit bundle of the centralizer then produces a pencil of its own, and
@@ -61,7 +62,6 @@ from .orbit_charts import (
     OrbitConfig,
     TangentBundlePoint,
     ad_pairs,
-    ambient_tangent_space,
     canonical_form_field,
     combined_form_field,
     exp_ad,
@@ -358,22 +358,11 @@ def is_regular(setup: ReductionSetup, point: TangentBundlePoint, tol: float = RE
     return regularity_distance(setup, point) <= tol
 
 
-def _stratum_tangent(setup: ReductionSetup, point: TangentBundlePoint) -> list[Subspace]:
-    """Tangent spaces of the regular stratum, one per regular point of a stack.
-
-    Computed as the joint kernel of the linearised isotropy action
-    (dx, dv) -> ([z, dx], [z, dv]) inside the tangent space of TO.
-    """
-    ambient = ambient_tangent_space(setup.config, point)
-    iso = setup.isotropy
-    # For h = 0 the stratum is all of TO.  The empty stack below would give the
-    # same subspaces, but spans would re-orthonormalise the ambient bases and
-    # move the last bits of every splitting row; so they are returned as they are.
-    if iso.dim == 0:
-        return ambient
-    ops = setup.alg.ads(iso.basis)[:, None]
-    coeffs = kernels([(ops @ a.basis.reshape(2, setup.alg.dim, -1)).reshape(-1, a.dim) for a in ambient])
-    return spans([a.basis @ c.basis for a, c in zip(ambient, coeffs)])
+def _stratum_tangent(setup: ReductionSetup, push: np.ndarray) -> list[Subspace]:
+    """Tangent spaces of the regular stratum in chart coordinates, one per pushforward of an (m, 2n, d) stack:
+    the kernel of (dx, dv) -> ([z, dx], [z, dv]), z in h, on its columns; for h = 0, eye(d)."""
+    m, _, d = push.shape
+    return kernels((setup.alg.ads(setup.isotropy.basis)[:, None] @ push.reshape(m, 1, 2, -1, d)).reshape(m, -1, d))
 
 
 def canonical_complement(setup: ReductionSetup, point: TangentBundlePoint) -> list[Subspace]:
@@ -444,24 +433,23 @@ def splitting_orthogonality(setup: ReductionSetup, chart: Chart, coords,
     the (m, F, d, d) stack of the forms in the chart frame at each row, such
     as the members of a pencil; the three returned arrays are (m, F), lead
     the stratum and trail the complement.
-    The stratum and complement bases of every point are lifted into that
-    frame by one stacked least-squares solve (a QR of the pushforward stack,
-    whose full column rank the chart guards), and every form is paired with
-    them in one stacked product.  Regularity is decided once, for both bases
-    and every point; a point whose stratum is not of dimension
+    The stratum is read in chart coordinates (:func:`_stratum_tangent`), and
+    the complement's action vectors are lifted into them by one stacked
+    least-squares solve, a QR of the pushforward stack.  Regularity is decided
+    once, for every point; a point whose stratum is not of dimension
     2 dim(O) - dim(p) raises DegeneracyError.
     """
     c = np.asarray(coords, dtype=float)
-    points = chart.point(c)
-    comps = canonical_complement(setup, points)
-    strats = _stratum_tangent(setup, points)
+    comps = canonical_complement(setup, chart.point(c))
+    push = chart.pushforward(c)
+    strats = _stratum_tangent(setup, push)
     s = 2 * setup.config.orbit_dim - setup.transversal.dim
     for strat in strats:
         if strat.dim != s:
             raise DegeneracyError(f"regular stratum has dimension {strat.dim}, expected {s}, at a point of the stack")
-    bases = np.stack([np.hstack([strat.basis, comp.basis]) for strat, comp in zip(strats, comps)])
-    q, r = np.linalg.qr(chart.pushforward(c))
-    lifts = np.linalg.solve(r, q.mT @ bases)
+    q, r = np.linalg.qr(push)
+    comp_lifts = np.linalg.solve(r, q.mT @ np.stack([comp.basis for comp in comps]))
+    lifts = np.concatenate([np.stack([strat.basis for strat in strats]), comp_lifts], axis=-1)
     forms = np.asarray(form_matrices, dtype=float)
     return block_structure(lifts.mT[:, None] @ forms @ lifts[:, None], s)
 

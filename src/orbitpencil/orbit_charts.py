@@ -25,6 +25,7 @@ Coordinate derivatives are exact, d/du_i Ad(e^xi) y =
 Ad(e^xi) [t_i, y] with t_i = dexp_{-X}(M_i) = sum_k (-ad_X)^k M_i / (k+1)!,
 which the same eigenbasis diagonalises into the divided difference
 (e^{i theta} - 1) / (i theta), theta = w_j - w_k (:func:`dexp_apply`).
+The chart guards the pushforward's full column rank: its columns are TO's tangent space.
 
 Stacked coordinates: chart points and pushforwards, both forms and their
 fields take an (m, d) stack of coordinate rows, a single row being the stack
@@ -55,11 +56,10 @@ import numpy as np
 from .errors import (
     ChartDegeneracyError,
     ChartRangeError,
-    DegeneracyError,
     DomainError,
     InputError,
 )
-from .lie_core import RANK_RTOL, LieAlgebra, Subspace, _lincomb, _rowwise, kernel, projector_distance, span, spans
+from .lie_core import RANK_RTOL, LieAlgebra, Subspace, _lincomb, _rowwise, kernel, projector_distance, span
 
 FD_STEP_DEFAULT = 1e-4
 FD_STEP_MIN = 1e-6
@@ -137,24 +137,6 @@ def infinitesimal_action(config: OrbitConfig, xi: np.ndarray, point: TangentBund
     a stack of m points the result has a leading axis m.
     """
     return -ad_pairs(config.alg, point) @ np.asarray(xi, dtype=float)
-
-
-def ambient_tangent_space(config: OrbitConfig, point: TangentBundlePoint) -> list[Subspace]:
-    """Tangent spaces of TO inside g + g, one per point (x, v) of the stack.
-
-    Spanned by the action pairs ([e_i,x],[e_i,v]) over the algebra basis
-    together with the fiber directions (0, t) for t in im ad(x).
-    """
-    pairs = ad_pairs(config.alg, point)
-    # columns: ([e_i,x],[e_i,v]) = -(ad x; ad v) e_i
-    spaces = spans([np.hstack([-a, np.vstack([np.zeros_like(f.basis), f.basis])])
-                    for a, f in zip(pairs, spans(pairs[..., :config.alg.dim, :]))])
-    for space in spaces:
-        if space.dim != 2 * config.orbit_dim:
-            raise DegeneracyError(
-                f"tangent space of TO has rank {space.dim}, expected {2 * config.orbit_dim}"
-            )
-    return spaces
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .seeding import uniform_rows, unit_rows
 
 CHART_SCALE = 0.1  # sampling box for chart coordinates
 
-_FAMILY_LIMITS = {"su": (2, 4), "so": (3, 5)}
+_FAMILY_LIMITS = {"su": (2, 5), "so": (3, 5)}
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +89,44 @@ def encode_complex_matrix(mat: np.ndarray) -> list:
     return [[[float(np.real(e)), float(np.imag(e))] for e in row] for row in np.asarray(mat, dtype=complex)]
 
 
+def _integer(value) -> int:
+    """A JSON integer as it is: a float, a string or a bool is refused, not rounded or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    """A JSON number as a float: a string or a bool is refused, not parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _parameter(pair) -> tuple[float, float]:
+    """A pencil parameter [t1, t2]: a list of exactly two numbers, never cut to its first two."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"expected a pair [t1, t2], got {pair!r}")
+    return _number(pair[0]), _number(pair[1])
+
+
+def _tolerances(value) -> dict:
+    """A JSON object of numbers by check name; a list of pairs is refused, not read as one."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object of tolerances, got {value!r}")
+    return {name: _number(tol) for name, tol in value.items()}
+
+
 # Conversion of each JSON field into its WorkbenchConfig value; fields that
 # are absent take the default of WorkbenchConfig.__init__.
 _FIELD_PARSERS = {
     "algebra": lambda v: v,
     "seed_element": lambda v: v,
-    "samples": int,
-    "fd_step": float,
-    "tolerances": dict,
-    "t_samples": lambda v: [(float(t[0]), float(t[1])) for t in v],
-    "seed": int,
+    "samples": _integer,
+    "fd_step": _number,
+    "tolerances": _tolerances,
+    "t_samples": lambda v: [_parameter(t) for t in v],
+    "seed": _integer,
     "checks": lambda v: v,
 }
 
@@ -131,8 +159,8 @@ def validate_config(cfg: WorkbenchConfig) -> None:
     if cfg.seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     alg_spec = cfg.algebra
-    if not isinstance(alg_spec, dict):
-        raise ConfigError("algebra must be an object")
+    if not isinstance(alg_spec, dict) or len({"family", "custom"} & set(alg_spec)) != 1:
+        raise ConfigError("algebra must be an object giving exactly one of a family or a custom basis")
     if "family" in alg_spec:
         fam = alg_spec.get("family")
         if fam not in _FAMILY_LIMITS:
@@ -141,14 +169,11 @@ def validate_config(cfg: WorkbenchConfig) -> None:
         n = alg_spec.get("n")
         if not isinstance(n, int) or not (lo <= n <= hi):
             raise ConfigError(f"{fam}(n) supports {lo} <= n <= {hi}")
-    elif "custom" in alg_spec:
-        if not isinstance(alg_spec["custom"], list) or not alg_spec["custom"]:
-            raise ConfigError("custom algebra needs a nonempty list of basis matrices")
-    else:
-        raise ConfigError("algebra must give either a family or a custom basis")
+    elif not isinstance(alg_spec["custom"], list) or not alg_spec["custom"]:
+        raise ConfigError("custom algebra needs a nonempty list of basis matrices")
     se = cfg.seed_element
-    if not isinstance(se, dict) or not ({"diag_spectrum", "coeffs"} & set(se)):
-        raise ConfigError("seed_element must give diag_spectrum or coeffs")
+    if not isinstance(se, dict) or len({"diag_spectrum", "coeffs"} & set(se)) != 1:
+        raise ConfigError("seed_element must give exactly one of diag_spectrum or coeffs")
     try:
         spec = np.asarray(se.get("diag_spectrum", []), dtype=float)
         coeffs = np.asarray(se.get("coeffs", []), dtype=float)

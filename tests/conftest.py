@@ -87,6 +87,18 @@ def data_cp3(setup_cp3):
 
 
 @pytest.fixture(scope="session")
+def setup_su5():
+    # the partial flag U(5)/(U(1) x U(1) x U(3)), configs/su5_partial_flag.json
+    return _setup_for(families.su(5), [3, 1, -1, -1, -1])
+
+
+@pytest.fixture(scope="session")
+def data_su5(setup_su5):
+    base = oc.TangentBundlePoint(x=setup_su5.config.seed, v=setup_su5.x0)
+    return dr.restricted_pencil(setup_su5, base)
+
+
+@pytest.fixture(scope="session")
 def regular_coords_cp2(setup_cp2, data_cp2):
     return dr.sample_regular_coords(setup_cp2, data_cp2, 10, seed=7)
 

@@ -145,20 +145,44 @@ def test_isotropy_algebra_base_cases(setup_su2, setup_cp2):
     assert dr.is_regular(setup_cp2, point2)[0]
 
 
-def test_stratum_tangent(setup_su2, setup_cp2, data_cp2, regular_coords_cp2):
-    # trivial isotropy: the whole ambient tangent space
-    base = stack_of_one(setup_su2.config.seed, setup_su2.x0)
-    [full] = dr._stratum_tangent(setup_su2, base)
-    assert full.dim == 2 * setup_su2.config.orbit_dim
-    # nontrivial: dimension equals twice the sub-orbit dimension, and the
-    # sub-chart tangent image sits inside the fixed space
+def test_stratum_tangent(setup_su2, data_su2, setup_cp2, data_cp2, regular_coords_cp2):
+    # trivial isotropy: the empty stack of conditions leaves all of coordinate space, exactly
+    chart = data_su2.ambient_chart
+    [full] = dr._stratum_tangent(setup_su2, chart.pushforward(np.zeros((1, chart.coord_dim))))
+    assert np.array_equal(full.basis, np.eye(chart.coord_dim))
+    # nontrivial: dimension twice the sub-orbit dimension, killed by ad(h), and the
+    # sub-chart tangent image sits inside the image of the stratum
+    ads = setup_cp2.alg.ads(setup_cp2.isotropy.basis)[:, None]
+    n = setup_cp2.alg.dim
     for coords in regular_coords_cp2[:3, None]:
-        point = data_cp2.sub_chart.point(coords)
-        [fixed] = dr._stratum_tangent(setup_cp2, point)
+        push = data_cp2.ambient_chart.pushforward(data_cp2.pad_coords(coords))
+        [fixed] = dr._stratum_tangent(setup_cp2, push)
         assert fixed.dim == 2 * setup_cp2.sub_tangent.dim
-        push = data_cp2.sub_chart.pushforward(coords)[0]
-        inside = lc.span(push)
-        assert lc.subspace_contains(fixed, inside) <= 1e-8
+        image = push[0] @ fixed.basis
+        assert np.max(np.abs(ads @ image.reshape(2, n, -1))) <= 1e-12
+        inside = lc.span(data_cp2.sub_chart.pushforward(coords)[0])
+        assert lc.subspace_contains(lc.span(image), inside) <= 1e-8
+
+
+def test_brackets_are_order_one_on_the_su5_partial_flag(setup_su5, data_su5, setup_cp3, data_cp3):
+    # On a symmetric space such as CP^3 invariant functions Poisson-commute, so both sides of
+    # bracket_agreement read rounding; the su(5) partial flag is no symmetric space, and has h > 0
+    assert setup_su5.dims() == {
+        "k": 10, "m": 14, "h": 1, "n(h)": 16, "p": 8,
+        "g_hat": 16, "k_hat": 6, "m_hat": 10, "slice": 5, "z(g_hat)": 1,
+    }
+    words = [("v", "v"), ("x", "x", "v", "v"), ("x", "v", "x", "v"), ("v", "v", "v", "v")]
+
+    def brackets(setup, data):
+        fns = [dr.invariant_function(setup.alg, w) for w in words]
+        coords = dr.sample_regular_coords(setup, data, 3, seed=5)
+        return dr.bracket_agreement(setup, data, fns, coords, [(1.0, 1.0), (0.3, 0.7)])
+
+    ambient, _ = brackets(setup_cp3, data_cp3)
+    assert np.max(np.abs(ambient)) <= 1e-12
+    ambient, restricted = brackets(setup_su5, data_su5)
+    assert np.max(np.abs(ambient)) > 0.1
+    assert dr.relative_bracket_residual(ambient, restricted) <= 1e-12
 
 
 def test_splitting_rejects_irregular_points(setup_cp2):
@@ -176,8 +200,9 @@ def test_canonical_complement(setup_su2, setup_cp2, data_cp2, regular_coords_cp2
         point = data_cp2.sub_chart.point(coords)
         [comp] = dr.canonical_complement(setup_cp2, point)
         assert comp.dim == setup_cp2.transversal.dim
-        [strat] = dr._stratum_tangent(setup_cp2, point)
-        stacked = np.hstack([comp.basis, strat.basis])
+        push = data_cp2.ambient_chart.pushforward(data_cp2.pad_coords(coords))
+        [strat] = dr._stratum_tangent(setup_cp2, push)
+        stacked = np.hstack([comp.basis, lc.span(push[0] @ strat.basis).basis])
         sig = np.linalg.svd(stacked, compute_uv=False)
         assert sig[-1] > 1e-6  # trivial intersection
         assert comp.dim + strat.dim == 2 * setup_cp2.config.orbit_dim
@@ -236,9 +261,9 @@ def test_splitting_orthogonality_refuses_a_stratum_of_the_wrong_dimension(monkey
     coords = data_cp2.pad_coords(regular_coords_cp2[:4])
     stratum = dr._stratum_tangent
 
-    def dropped(setup, points):
+    def dropped(setup, push):
         return [lc.Subspace(space.basis[:, :-1]) if i == 1 else space
-                for i, space in enumerate(stratum(setup, points))]
+                for i, space in enumerate(stratum(setup, push))]
 
     monkeypatch.setattr(dr, "_stratum_tangent", dropped)
     with pytest.raises(DegeneracyError, match="regular stratum has dimension"):

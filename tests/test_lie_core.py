@@ -394,7 +394,7 @@ def _full_square_product_space(alg, sub):
     return [np.tensordot(coeffs.basis[:, c], sym_basis, axes=(0, 0)) for c in range(coeffs.dim)]
 
 
-@pytest.mark.parametrize("case", ["su2_axis", "cp2", "cp3", "so4_block"])
+@pytest.mark.parametrize("case", ["su2_axis", "cp2", "cp3", "su5", "so4_block"])
 def test_invariant_product_space_spans_the_full_square_solutions(request, case, su2, pauli_elements, so4):
     if case == "su2_axis":
         alg, sub = su2, lc.span(pauli_elements[2][:, None])
@@ -412,6 +412,20 @@ def test_invariant_product_space_spans_the_full_square_solutions(request, case, 
     assert len(got) == len(want)
     assert np.max(np.abs(projector(got) - projector(want))) <= 1e-12
     assert all(np.array_equal(s, s.T) for s in got)
+
+
+@pytest.mark.parametrize("case", ["cp2", "cp3", "su5"])
+def test_invariant_products_keep_the_centralizer_and_its_complement(request, case):
+    # ad(h) vanishes on the centralizer c and keeps its complement c', so every solution is
+    # block diagonal: all symmetric maps of c, then the constrained block on c'
+    setup = request.getfixturevalue(f"setup_{case}")
+    sols = lc.invariant_product_space(setup.alg, setup.isotropy)
+    cent = setup.centralizer
+    rest = lc.kernel(cent.basis.T)
+    assert max(np.max(np.abs(rest.basis.T @ s @ cent.basis)) for s in sols) <= 1e-14
+    fixed = cent.dim * (cent.dim + 1) // 2
+    assert all(np.max(np.abs(rest.basis.T @ s @ rest.basis)) <= 1e-14 for s in sols[:fixed])
+    assert all(np.max(np.abs(cent.basis.T @ s @ cent.basis)) <= 1e-14 for s in sols[fixed:])
 
 
 def _draw(alg, sub, seed):

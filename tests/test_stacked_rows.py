@@ -219,9 +219,10 @@ def test_point_functions_on_the_stack_are_the_point_values(setup_cp3, data_cp3):
     spans = dr.canonical_complement(setup, points)
     for span, p in zip(spans, singles):
         assert np.array_equal(span.basis, dr.canonical_complement(setup, p)[0].basis)
-    strata = dr._stratum_tangent(setup, points)
-    for stratum, p in zip(strata, singles):
-        assert np.array_equal(stratum.basis, dr._stratum_tangent(setup, p)[0].basis)
+    push = data_cp3.ambient_chart.pushforward(data_cp3.pad_coords(coords))
+    strata = dr._stratum_tangent(setup, push)
+    for stratum, single in zip(strata, push[:, None]):
+        assert np.array_equal(stratum.basis, dr._stratum_tangent(setup, single)[0].basis)
 
 
 def _einsum_action(alg, xi, point):
@@ -386,12 +387,14 @@ def test_sample_regular_coords_accepts_what_the_one_at_a_time_loop_accepts(monke
 
 
 def _lstsq_splitting(setup, chart, coords, forms):
-    # reference: two np.linalg.lstsq lifts per point, as before the stacked solve
+    # reference: the complement lifted by one np.linalg.lstsq per point, as before the stacked solve;
+    # the stratum basis is in chart coordinates already
     points = chart.point(coords)
+    pushes = chart.pushforward(coords)
     out = []
-    for push, comp, strat, point_forms in zip(chart.pushforward(coords), dr.canonical_complement(setup, points),
-                                              dr._stratum_tangent(setup, points), forms):
-        cs = np.linalg.lstsq(push, strat.basis, rcond=None)[0]
+    for push, comp, strat, point_forms in zip(pushes, dr.canonical_complement(setup, points),
+                                              dr._stratum_tangent(setup, pushes), forms):
+        cs = strat.basis
         cp = np.linalg.lstsq(push, comp.basis, rcond=None)[0]
         for form in point_forms:
             sigma = np.linalg.svd(cs.T @ form @ cs, compute_uv=False)[-1]

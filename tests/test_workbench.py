@@ -565,6 +565,28 @@ def test_cli_malformed_field_values_exit_2(tmp_path, capsys, mutation):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        {"samples": 8.7},
+        {"seed": 2.5},
+        {"samples": "9"},
+        {"t_samples": [[1, 0, 7]]},
+        {"seed_element": {"diag_spectrum": [1, -1], "coeffs": [1.0, 0.0, 0.0]}},
+        {"algebra": {"family": "su", "n": 2, "custom": [[[[0.0, 1.0]]]]}},
+        {"tolerances": {"algebra_closure": "1e-3"}},
+        {"tolerances": [["algebra_closure", 1e-3]]},
+    ],
+)
+def test_cli_lossy_field_values_exit_2(tmp_path, capsys, mutation):
+    # a value that would run only after rounding, parsing, cutting or dropping part of it is refused
+    payload = dict(SU2_CONFIG, **mutation)
+    with pytest.raises(ConfigError):
+        wb.config_from_dict(payload)
+    assert cli_main(["verify", "--config", write_config(tmp_path, payload)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_non_utf8_config_exit_2(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"algebra": {"family": "su", "n": 2}, "name": "\xe9t\xe9"}')
