@@ -11,6 +11,7 @@ Exit codes: 0 all checks passed, 1 a check failed or a stage errored,
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .errors import ConfigError
@@ -68,6 +69,9 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    # The objects alive now, mostly numpy's from the import, live until exit;
+    # frozen, the collections of interpreter finalisation skip them.
+    gc.freeze()
     args = _build_parser().parse_args(argv)
     if args.command == "list-checks":
         return _cmd_list_checks()

@@ -26,12 +26,17 @@ Ad(e^xi) [t_i, y] with t_i = dexp_{-X}(M_i) = sum_k (-ad_X)^k M_i / (k+1)!,
 which the same eigenbasis diagonalises into the divided difference
 (e^{i theta} - 1) / (i theta), theta = w_j - w_k (:func:`dexp_apply`).
 The chart guards the pushforward's full column rank: its columns are TO's tangent space.
+A stencil's rows lie within a step of their centre, so the guard takes one SVD
+per stencil centre and certifies the other rows by Weyl's inequality
+(:func:`_certify_rank`).
 
 Stacked coordinates: chart points and pushforwards, both forms and their
 fields take an (m, d) stack of coordinate rows, a single row being the stack
 of one, and the exponential machinery takes leading axes.  Each evaluation
-sits in a :class:`CoordinateMemo` whose fn receives, in one call, only the
-rows it has not seen.  The outer derivatives take the stack too:
+sits in a :class:`CoordinateMemo` keyed by the whole stack, which calls its
+fn once per distinct stack and returns the stored, read-only value on a
+repeat; a row that reads part of a shared stack slices that stack's value.
+The outer derivatives take the stack too:
 :func:`central_partials` evaluates the stencils of all m rows in one call and
 :func:`closedness_residual` returns the max over them, so a row of sample
 points costs one stacked eigh, SVD and inverse, not 2 d m each.  Stacked
@@ -199,26 +204,50 @@ def _check_rows(c: np.ndarray) -> None:
 
 
 class CoordinateMemo:
-    """``fn`` of float coordinate rows, evaluated once per row.
+    """``fn`` of an (m, d) stack of float coordinate rows, evaluated once per distinct stack.
 
-    Called with an (m, d) stack, returns the stack of the rows' values.  ``fn``
-    receives, in one call, the (k, d) stack of the rows not seen before, each
-    once, and returns k values (an array with leading axis k is one).  Keyed by
-    the bytes of the row; values live as long as the memo, so whatever ``fn``
-    reads must not change.
+    Keyed by the stack's shape and bytes: ``fn`` receives the caller's stack
+    as it is, rows in the caller's order, and returns m values (an array
+    with leading axis m).  The value is stored read-only and a repeated
+    stack returns that same array.  A row inside another stack is evaluated
+    again, with the bits it gets alone (see the module docstring).  Values
+    live as long as the memo, so whatever ``fn`` reads must not change.
     """
 
     def __init__(self, fn):
         self._fn = fn
-        self._values: dict[bytes, object] = {}
+        self._values: dict[tuple, np.ndarray] = {}
 
-    def __call__(self, c: np.ndarray):
+    def __call__(self, c: np.ndarray) -> np.ndarray:
         _check_rows(c)
-        keys = [row.tobytes() for row in c]
-        fresh = {key: row for key, row in zip(keys, c) if key not in self._values}
-        if fresh:
-            self._values.update(zip(fresh, self._fn(np.stack(list(fresh.values()))), strict=True))
-        return np.stack([self._values[key] for key in keys])
+        key = (c.shape, c.tobytes())
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = self._fn(c)
+            value.flags.writeable = False
+        return value
+
+
+def _certify_rank(mats: np.ndarray, run: int) -> None:
+    """Raise ChartDegeneracyError unless every matrix of the stack has sigma_min > RANK_RTOL sigma_max.
+
+    One values-only SVD per run of ``run`` consecutive matrices, of its
+    first, the layout of a :func:`central_partials` stencil.  By Weyl's
+    inequality, |sigma_i(A + E) - sigma_i(A)| <= |E|_2 <= |E|_F, a matrix at
+    Frobenius distance delta from its run's first has full rank when
+    sigma_min - delta > RANK_RTOL (sigma_max + delta); delta also carries
+    1e-12 sigma_max for the rounding of that SVD.  Every matrix this does
+    not certify takes an SVD of its own, in one stacked call.
+    """
+    first = np.arange(len(mats)) // run
+    sig = np.linalg.svd(mats[::run], compute_uv=False)[first]
+    top = sig[:, 0]
+    delta = np.linalg.norm(mats - mats[first * run], axis=(-2, -1)) + 1e-12 * top
+    doubt = sig[:, -1] - delta <= RANK_RTOL * (top + delta)
+    if np.any(doubt):
+        sig = np.linalg.svd(mats[doubt], compute_uv=False)
+        if np.any(sig[:, -1] <= RANK_RTOL * sig[:, 0]):
+            raise ChartDegeneracyError("chart pushforward lost column rank")
 
 
 class Chart:
@@ -230,7 +259,7 @@ class Chart:
     lift rows of each inner column.  ``rotation`` conjugates the whole chart by
     a fixed group element, given as its adjoint matrix on coefficients; used
     to transport charts when testing invariance.  Evaluations are cached per
-    coordinate row, so a chart instance must be treated as immutable.
+    coordinate stack, so a chart instance must be treated as immutable.
     """
 
     def __init__(self, config: OrbitConfig, base_v: np.ndarray, frame: np.ndarray,
@@ -323,9 +352,7 @@ class Chart:
         inner = self._inner_pushforward(c[:, f:]).reshape(-1, 3, n, rest)
         blocks = np.concatenate([moved, np.broadcast_to(inner, (k, 3, n, rest))], axis=-1)
         push = (big[:, None] @ blocks).reshape(k, 3 * n, self.coord_dim)
-        sig = np.linalg.svd(push[:, :2 * n], compute_uv=False)
-        if np.any(sig[:, -1] <= RANK_RTOL * sig[:, 0]):
-            raise ChartDegeneracyError("chart pushforward lost column rank")
+        _certify_rank(push[:, :2 * n], 2 * self.coord_dim)
         return push
 
 

@@ -171,9 +171,15 @@ def validate_config(cfg: WorkbenchConfig) -> None:
             raise ConfigError(f"{fam}(n) supports {lo} <= n <= {hi}")
     elif not isinstance(alg_spec["custom"], list) or not alg_spec["custom"]:
         raise ConfigError("custom algebra needs a nonempty list of basis matrices")
+    unknown = set(alg_spec) - ({"family", "n"} if "family" in alg_spec else {"custom", "name"})
+    if unknown:
+        raise ConfigError(f"unknown algebra keys: {sorted(unknown)}")
     se = cfg.seed_element
     if not isinstance(se, dict) or len({"diag_spectrum", "coeffs"} & set(se)) != 1:
         raise ConfigError("seed_element must give exactly one of diag_spectrum or coeffs")
+    unknown = set(se) - {"diag_spectrum", "coeffs"}
+    if unknown:
+        raise ConfigError(f"unknown seed_element keys: {sorted(unknown)}")
     try:
         spec = np.asarray(se.get("diag_spectrum", []), dtype=float)
         coeffs = np.asarray(se.get("coeffs", []), dtype=float)
@@ -450,14 +456,16 @@ def _worst(*rows):
 def _form_invariance(ctx):
     chart = ctx.data.ambient_chart
     zetas = 0.3 * unit_rows(ctx.seed, "form-invariance", range(3), ctx.alg.dim)
+    w1, w2 = ctx.data.ambient.w1(ctx.ambient_coords), ctx.data.ambient.w2(ctx.ambient_coords)
     worst = 0.0
     for i, rot in enumerate(oc.exp_ad(ctx.alg, zetas)):
         moved = oc.Chart(ctx.orbit, base_v=chart.base_v, frame=chart.frame, rotation=rot)
-        coords = ctx.ambient_coords[i % len(ctx.ambient_coords)][None]
+        j = i % len(ctx.ambient_coords)
+        coords = ctx.ambient_coords[j][None]
         worst = max(
             worst,
-            float(np.max(np.abs(oc.canonical_form_matrix(moved, coords) - ctx.data.ambient.w1(coords)))),
-            float(np.max(np.abs(oc.omega2_matrix(moved, coords) - ctx.data.ambient.w2(coords)))),
+            float(np.max(np.abs(oc.canonical_form_matrix(moved, coords)[0] - w1[j]))),
+            float(np.max(np.abs(oc.omega2_matrix(moved, coords)[0] - w2[j]))),
         )
     return worst
 
@@ -563,7 +571,8 @@ def _product_complement_independence(ctx):
 
 
 def _action_complement_independence(ctx):
-    points = ctx.data.sub_chart.point(ctx.regular_coords[:3])
+    points = ctx.data.sub_chart.point(ctx.regular_coords)
+    points = oc.TangentBundlePoint(x=points.x[:3], v=points.v[:3])
     return dr.complement_product_independence(ctx.setup, points, ctx.once(_invariant_products), ctx.seed)
 
 
@@ -579,7 +588,8 @@ def _bracket_agreement(ctx):
 
 def _invariant_function_invariance(ctx):
     fns = [dr.invariant_function(ctx.alg, w) for w in _BRACKET_WORDS]
-    point = ctx.data.sub_chart.point(ctx.regular_coords[:1])
+    points = ctx.data.sub_chart.point(ctx.regular_coords)
+    point = oc.TangentBundlePoint(x=points.x[:1], v=points.v[:1])
     rots = oc.exp_ad(ctx.alg, unit_rows(ctx.seed, "function-invariance", range(20), ctx.alg.dim))
     moved = oc.TangentBundlePoint(x=rots @ point.x[0], v=rots @ point.v[0])
     return max(float(np.max(np.abs(f(moved) - f(point)))) for f in fns)

@@ -265,8 +265,8 @@ def test_canonical_form_matches_finite_difference_reference(setup_su2, setup_cp2
 
 
 def test_pushforward_miss_takes_one_eigh_and_no_adjoint_matrix(monkeypatch, setup_cp2, data_cp2):
-    # one stacked eigendecomposition of the n x n matrices i X serves e^X and
-    # dexp for a batch of misses; the frame matrices are built once per chart
+    # one eigendecomposition of the n x n matrix i X serves e^X and dexp at a
+    # miss; the frame matrices are built once per chart
     counts = {"eigh": 0, "ad": 0}
     eigh, ad = np.linalg.eigh, lc.LieAlgebra.ad
 
@@ -292,10 +292,6 @@ def test_pushforward_miss_takes_one_eigh_and_no_adjoint_matrix(monkeypatch, setu
         assert counts == {"eigh": 1, "ad": 0}
         ch.pushforward(coords)  # memo hit
         assert counts == {"eigh": 1, "ad": 0}
-        # a batch of misses takes one stacked eigh, and the row seen above none
-        shifted = np.concatenate([coords, oc.shifted(coords, 0, 0.01), oc.shifted(coords, 1, -0.01)])
-        ch.pushforward(shifted)
-        assert counts == {"eigh": 2, "ad": 0}
 
 
 class SabotagedChart(oc.Chart):
@@ -451,22 +447,40 @@ def test_stacked_evaluation_matches_single_rows(request, setup_name, data_name):
         assert np.array_equal(p_stacked(coords), np.concatenate([p_single(c) for c in rows]))
 
 
-def test_memo_evaluates_unseen_rows_once_per_batch():
-    batches = []
+def test_memo_calls_fn_once_per_distinct_stack_and_returns_a_read_only_value():
+    stacks = []
 
     def fn(rows):
-        batches.append(rows.tolist())
+        stacks.append(rows.tolist())
         return 2.0 * rows
 
     memo = oc.CoordinateMemo(fn)
-    a, b, c = [0.1, 0.2], [0.3, 0.4], [0.5, 0.6]
-    assert np.array_equal(memo(np.array([a, b, a])), 2.0 * np.array([a, b, a]))
-    assert batches == [[a, b]]  # the duplicate row is evaluated once
-    assert np.array_equal(memo(np.array([b])), 2.0 * np.array([b]))
-    memo(np.array([c, b, a, c]))
-    assert batches == [[a, b], [c]]  # one call, on the unseen row only
-    memo(np.array([b, c]))
-    assert len(batches) == 2
+    a, b = [0.1, 0.2], [0.3, 0.4]
+    value = memo(np.array([a, b, a]))
+    assert stacks == [[a, b, a]]  # the caller's stack as it is, duplicate and order kept
+    assert memo(np.array([a, b, a])) is value
+    assert len(stacks) == 1
+    with pytest.raises(ValueError):
+        value[0, 0] = 1.0
+    # parts of a seen stack, a reversal and the same bytes in another shape are stacks of their own
+    for stack in ([a], [a, b], [b, a], [a + b]):
+        memo(np.array(stack))
+    assert stacks[1:] == [[a], [a, b], [b, a], [a + b]]
+
+
+@pytest.mark.parametrize("setup_name", ["setup_cp2", "setup_cp3"])
+def test_a_row_gets_the_same_bits_alone_inside_a_larger_stack_and_reversed(request, setup_name):
+    # Each stack is evaluated afresh, so a row's value must not depend on the stack around it.
+    setup = request.getfixturevalue(setup_name)
+    data = dr.restricted_pencil(setup, oc.TangentBundlePoint(x=setup.config.seed, v=setup.x0))
+    chart, pencil = data.ambient_chart, data.ambient
+    coords = np.random.default_rng(21).uniform(-0.1, 0.1, (5, chart.coord_dim))
+    for name, fn in {"x": lambda c: chart.point(c).x, "v": lambda c: chart.point(c).v,
+                     "pushforward": chart.pushforward, "lifts": chart.lifts,
+                     "w1": pencil.w1, "w2": pencil.w2, "p1": pencil.p1}.items():
+        stacked = fn(coords)
+        assert np.array_equal(fn(coords[::-1])[::-1], stacked), name
+        assert np.array_equal(np.concatenate([fn(c) for c in coords[:, None]]), stacked), name
 
 
 def test_stacked_chart_rejects_a_row_outside_the_box(setup_cp2):
@@ -484,6 +498,56 @@ class _FiberlessWhereW0IsLarge(oc.Chart):
 
     def _inner_pushforward(self, w):
         return self._fiber_push * (w[:, :1, None] <= 0.2)
+
+
+def _stencil_rows(centres, step):
+    """The (2 d m, d) stack that central_partials hands its fn: c + step e_l, then c - step e_l."""
+    rows = []
+    oc.central_partials(lambda c: rows.append(c) or c, centres, step)
+    return rows[0]
+
+
+@pytest.mark.parametrize("where", ["reference", "member", "trailing"])
+def test_grouped_rank_guard_refuses_every_rank_deficient_row(setup_cp2, where):
+    # The guard takes one SVD per run of 2 d rows, of the run's first row, and certifies the
+    # others by Weyl's inequality; row 2 f of a run is c + h e_f, the only row whose w_0 exceeds
+    # the centre's, so at w_0 = 0.2 - h / 2 it alone loses rank.
+    chart = _FiberlessWhereW0IsLarge(setup_cp2.config, base_v=setup_cp2.x0, frame=setup_cp2.config.tangent.basis)
+    d, f, h = chart.coord_dim, chart.frame_dim, 1e-4
+    centres = np.full((3, d), 0.05)
+    if where == "member":
+        centres[1, f] = 0.2 - h / 2
+    rows = _stencil_rows(centres, h)
+    if where == "reference":
+        bad = 2 * d
+        rows[bad, f] = 0.3
+    elif where == "member":
+        bad = 2 * d + 2 * f
+    else:  # a stencil and then two rows, a run of its own cut short
+        rows = np.concatenate([rows, np.full((2, d), 0.05)])
+        bad = len(rows) - 1
+        rows[bad, f] = 0.3
+    assert chart.pushforward(np.delete(rows, bad, axis=0)).shape[0] == len(rows) - 1
+    with pytest.raises(ChartDegeneracyError):
+        chart.pushforward(rows[bad:bad + 1])
+    with pytest.raises(ChartDegeneracyError):
+        chart.pushforward(rows)
+
+
+def test_grouped_rank_guard_takes_one_svd_per_stencil_centre(monkeypatch, setup_cp3):
+    # a healthy CP3 closedness stencil, 8 centres x 24 rows: every row but the reference rows is
+    # certified, so the guard's one SVD call takes the 8 reference rows alone
+    data = dr.restricted_pencil(setup_cp3, oc.TangentBundlePoint(x=setup_cp3.config.seed, v=setup_cp3.x0))
+    chart = data.ambient_chart
+    centres = np.random.default_rng(8).uniform(-0.1, 0.1, (8, chart.coord_dim))
+    assert 2 * chart.coord_dim == 24
+    rows = _stencil_rows(centres, 1e-4)
+    svd, seen = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: seen.append(a.copy()) or svd(a, *args, **kwargs))
+    oc.closedness_residual(data.ambient.w1, centres, 1e-4)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], chart.pushforward(rows[::24]))
 
 
 def test_stacked_pushforward_rejects_a_rank_deficient_row(setup_cp2):

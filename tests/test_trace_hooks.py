@@ -54,9 +54,9 @@ def test_adapted_chart_has_entry_points_of_its_own():
 
 
 @pytest.mark.parametrize("cls", [orbit_charts.FormField, poisson_pencil.PoissonField])
-def test_memo_fields_take_the_evaluator_first_and_call_it_once_per_point(cls):
+def test_memo_fields_take_the_evaluator_first_and_call_it_once_per_stack(cls):
     # The probe counts memo misses by wrapping the first constructor argument;
-    # a miss is one evaluator call on the stack of the rows not seen before.
+    # a miss is one evaluator call on a stack not seen before, whole.
     calls = []
 
     def evaluator(c):
@@ -67,8 +67,10 @@ def test_memo_fields_take_the_evaluator_first_and_call_it_once_per_point(cls):
     for coords in ([[0.1, 0.2]], [[0.1, 0.2]], [[0.3, 0.2]], [[0.1, 0.2]]):
         field(coords)
     assert calls == [[[0.1, 0.2]], [[0.3, 0.2]]]
-    field([[0.5, 0.6], [0.1, 0.2], [0.5, 0.6], [0.7, 0.8]])
-    assert calls[2:] == [[[0.5, 0.6], [0.7, 0.8]]]
+    stack = [[0.5, 0.6], [0.1, 0.2], [0.5, 0.6], [0.7, 0.8]]
+    value = field(stack)
+    assert field(stack) is value
+    assert calls[2:] == [stack]
 
 
 def test_rows_wrapped_as_the_probe_wraps_them_give_the_same_report():

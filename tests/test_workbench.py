@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import pathlib
@@ -585,6 +586,37 @@ def test_cli_lossy_field_values_exit_2(tmp_path, capsys, mutation):
         wb.config_from_dict(payload)
     assert cli_main(["verify", "--config", write_config(tmp_path, payload)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mutation,key",
+    [
+        ({"algebra": {"family": "su", "n": 2, "nmae": "x"}}, "nmae"),
+        ({"seed_element": {"coeffs": [0, 0, 1], "diag_spectrun": [5, -5]}}, "diag_spectrun"),
+    ],
+)
+def test_unknown_key_inside_algebra_or_seed_element_exits_2(tmp_path, capsys, mutation, key):
+    # a misspelled key would run without effect and be echoed into the report
+    payload = dict(SU2_CONFIG, **mutation)
+    with pytest.raises(ConfigError, match=key):
+        wb.config_from_dict(payload)
+    assert cli_main(["verify", "--config", write_config(tmp_path, payload)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_cli_freezes_the_heap_it_starts_with_and_run_pipeline_does_not(tmp_path, monkeypatch):
+    frozen = []
+    prepare = wb.prepare_context
+    monkeypatch.setattr(wb, "prepare_context", lambda cfg: frozen.append(gc.get_freeze_count()) or prepare(cfg))
+    gc.unfreeze()
+    try:
+        wb.run_pipeline(wb.config_from_dict(dict(SU2_CONFIG, checks=["algebra_closure"])))
+        assert frozen == [0] and gc.get_freeze_count() == 0
+        assert cli_main(["verify", "--config", write_config(tmp_path, SU2_CONFIG), "--checks", "algebra_closure",
+                         "--out", str(tmp_path / "report.json")]) == 0
+        assert frozen[1] > 0
+    finally:
+        gc.unfreeze()
 
 
 def test_cli_non_utf8_config_exit_2(tmp_path, capsys):
