@@ -469,10 +469,10 @@ class AdaptedChart(Chart):
     complement and the stratum tangent.
     """
 
-    def __init__(self, setup: ReductionSetup, sub_chart: Chart, box: float = 0.5):
+    def __init__(self, setup: ReductionSetup, sub_chart: Chart):
         self.setup = setup
         self.sub_chart = sub_chart
-        self._init_conjugation(sub_chart.config, setup.transversal.basis, None, box)
+        self._init_conjugation(sub_chart.config, setup.transversal.basis, None)
 
     @property
     def coord_dim(self) -> int:

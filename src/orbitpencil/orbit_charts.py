@@ -27,8 +27,8 @@ which the same eigenbasis diagonalises into the divided difference
 (e^{i theta} - 1) / (i theta), theta = w_j - w_k (:func:`dexp_apply`).
 The chart guards the pushforward's full column rank: its columns are TO's tangent space.
 A stencil's rows lie within a step of their centre, so the guard takes one SVD
-per stencil centre and certifies the other rows by Weyl's inequality
-(:func:`_certify_rank`).
+per stencil centre and certifies the other rows by Weyl's inequality; a stack
+no longer than one stencil takes one SVD of all its rows (:func:`_certify_rank`).
 
 Stacked coordinates: chart points and pushforwards, both forms and their
 fields take an (m, d) stack of coordinate rows, a single row being the stack
@@ -69,6 +69,7 @@ from .lie_core import RANK_RTOL, LieAlgebra, Subspace, _lincomb, _rowwise, kerne
 FD_STEP_DEFAULT = 1e-4
 FD_STEP_MIN = 1e-6
 FD_STEP_MAX = 1e-3
+CHART_BOX = 0.5  # validity box of chart coordinates, |c| <= CHART_BOX
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,7 @@ class OrbitConfig(NamedTuple):
     stabilizer: Subspace      # k = ker ad(a)
     tangent: Subspace         # m = im ad(a), identified with T_a O
     seed_spectrum: np.ndarray  # sorted eigenvalues of the matrix of a (times -i)
+    residuals: dict           # orbit_config's guard, "splitting": distance of m from k's orthocomplement
 
     @property
     def orbit_dim(self) -> int:
@@ -102,11 +104,12 @@ def orbit_config(alg: LieAlgebra, a: np.ndarray) -> OrbitConfig:
         raise DomainError("kernel and image of ad(seed) do not split the algebra")
     # For the invariant product, im ad(a) is exactly the orthocomplement of
     # the kernel; check rather than assume.
-    comp = kernel(stab.basis.T)
-    if projector_distance(tang, comp) > 1e-10:
+    splitting = projector_distance(tang, kernel(stab.basis.T))
+    if splitting > 1e-10:
         raise DomainError("image of ad(seed) is not the orthocomplement of its kernel")
     spectrum = np.sort(np.linalg.eigvalsh(1j * alg.matrix_of(a)))
-    return OrbitConfig(alg=alg, seed=a, stabilizer=stab, tangent=tang, seed_spectrum=spectrum)
+    return OrbitConfig(alg=alg, seed=a, stabilizer=stab, tangent=tang, seed_spectrum=spectrum,
+                       residuals={"splitting": splitting})
 
 
 class TangentBundlePoint(NamedTuple):
@@ -231,23 +234,26 @@ class CoordinateMemo:
 def _certify_rank(mats: np.ndarray, run: int) -> None:
     """Raise ChartDegeneracyError unless every matrix of the stack has sigma_min > RANK_RTOL sigma_max.
 
-    One values-only SVD per run of ``run`` consecutive matrices, of its
-    first, the layout of a :func:`central_partials` stencil.  By Weyl's
-    inequality, |sigma_i(A + E) - sigma_i(A)| <= |E|_2 <= |E|_F, a matrix at
-    Frobenius distance delta from its run's first has full rank when
-    sigma_min - delta > RANK_RTOL (sigma_max + delta); delta also carries
-    1e-12 sigma_max for the rounding of that SVD.  Every matrix this does
-    not certify takes an SVD of its own, in one stacked call.
+    A stack no longer than ``run`` takes one values-only SVD of all its
+    matrices.  A longer one takes one per run of ``run`` consecutive
+    matrices, of its first, the layout of a :func:`central_partials`
+    stencil.  By Weyl's inequality, |sigma_i(A + E) - sigma_i(A)| <= |E|_2
+    <= |E|_F, a matrix at Frobenius distance delta from its run's first has
+    full rank when sigma_min - delta > RANK_RTOL (sigma_max + delta); delta
+    also carries 1e-12 sigma_max for the rounding of that SVD.  Every matrix
+    this does not certify takes an SVD of its own, in one stacked call.
     """
-    first = np.arange(len(mats)) // run
-    sig = np.linalg.svd(mats[::run], compute_uv=False)[first]
-    top = sig[:, 0]
-    delta = np.linalg.norm(mats - mats[first * run], axis=(-2, -1)) + 1e-12 * top
-    doubt = sig[:, -1] - delta <= RANK_RTOL * (top + delta)
-    if np.any(doubt):
-        sig = np.linalg.svd(mats[doubt], compute_uv=False)
-        if np.any(sig[:, -1] <= RANK_RTOL * sig[:, 0]):
-            raise ChartDegeneracyError("chart pushforward lost column rank")
+    if len(mats) > run:
+        first = np.arange(len(mats)) // run
+        sig = np.linalg.svd(mats[::run], compute_uv=False)[first]
+        top = sig[:, 0]
+        delta = np.linalg.norm(mats - mats[first * run], axis=(-2, -1)) + 1e-12 * top
+        mats = mats[sig[:, -1] - delta <= RANK_RTOL * (top + delta)]
+        if not len(mats):
+            return
+    sig = np.linalg.svd(mats, compute_uv=False)
+    if np.any(sig[:, -1] <= RANK_RTOL * sig[:, 0]):
+        raise ChartDegeneracyError("chart pushforward lost column rank")
 
 
 class Chart:
@@ -263,7 +269,7 @@ class Chart:
     """
 
     def __init__(self, config: OrbitConfig, base_v: np.ndarray, frame: np.ndarray,
-                 rotation: np.ndarray | None = None, box: float = 0.5):
+                 rotation: np.ndarray | None = None):
         base_v = np.asarray(base_v, dtype=float)
         frame = np.asarray(frame, dtype=float)
         if frame.ndim != 2 or frame.shape[0] != config.alg.dim:
@@ -277,16 +283,14 @@ class Chart:
             raise InputError("frame columns must be orthonormal")
         self.base_v = base_v
         self._fiber_push = np.vstack([np.zeros_like(frame), frame, np.zeros_like(frame)])
-        self._init_conjugation(config, frame, rotation, box)
+        self._init_conjugation(config, frame, rotation)
 
-    def _init_conjugation(self, config: OrbitConfig, frame: np.ndarray,
-                          rotation: np.ndarray | None, box: float) -> None:
+    def _init_conjugation(self, config: OrbitConfig, frame: np.ndarray, rotation: np.ndarray | None) -> None:
         """State of the conjugation block, shared with subclasses; no checks."""
         self.config = config
         self.frame = frame
         self.frame_matrices = np.tensordot(frame.T, config.alg.basis, axes=(1, 0))
         self.rotation = None if rotation is None else np.asarray(rotation, dtype=float)
-        self.box = float(box)
         self._points = CoordinateMemo(self._point_at)
         self._pushes = CoordinateMemo(self._pushforward_at)
 
@@ -302,8 +306,8 @@ class Chart:
         c = np.asarray(coords, dtype=float)
         if c.ndim != 2 or c.shape[1] != self.coord_dim:
             raise InputError(f"expected an (m, {self.coord_dim}) stack of coordinate rows, got shape {c.shape}")
-        if np.max(np.abs(c), initial=0.0) > self.box:
-            raise ChartRangeError(f"coordinates leave the validity box |c| <= {self.box}")
+        if np.max(np.abs(c), initial=0.0) > CHART_BOX:
+            raise ChartRangeError(f"coordinates leave the validity box |c| <= {CHART_BOX}")
         return c
 
     def point(self, coords) -> TangentBundlePoint:

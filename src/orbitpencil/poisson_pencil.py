@@ -119,16 +119,10 @@ def compatibility_residual(p1: PoissonField, p2: PoissonField, coords,
     return jacobi_residual(pencil(p1, p2, (1.0, 1.0)), coords, fd_step)
 
 
-def degeneracy_profile(p1: PoissonField, p2: PoissonField, coords, t_samples) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_min, rank) arrays of t1 P1 + t2 P2 over the t samples, at the one row of a (1, d) stack:
-    one stacked SVD."""
-    c = np.asarray(coords, dtype=float)
-    if c.shape[:1] != (1,):
-        raise InputError(f"expected a (1, d) stack of one coordinate row, got shape {c.shape}")
-    (m1,), (m2,) = p1(c), p2(c)
+def degeneracy_profile(m1: np.ndarray, m2: np.ndarray, t_samples) -> np.ndarray:
+    """sigma_min of t1 m1 + t2 m2 per t sample, m1 and m2 two bivector matrices at one point: one stacked SVD."""
     members = [p.t1 * m1 + p.t2 * m2 for p in map(_as_parameter, t_samples)]
-    sig = np.linalg.svd(np.stack(members), compute_uv=False)
-    return sig[:, -1], np.sum(sig > FORM_SINGULAR_RTOL * np.maximum(sig[:, :1], 1e-300), axis=-1)
+    return np.linalg.svd(np.stack(members), compute_uv=False)[:, -1]
 
 
 def unit_circle_parameters(count: int = 16) -> list[tuple[float, float]]:

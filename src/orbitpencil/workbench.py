@@ -10,11 +10,14 @@ Checks run one after another on a shared :class:`PipelineContext`.  Data
 that several rows read (the block structures of the splitting and of the
 adapted coordinates, slice normal forms, the invariant-product space of h)
 is computed by the first row that needs it and kept on the context for the
-rest of the run.  What the algebra and the setup compute anyway (the
-algebra's build-guard residuals, the setup residuals, the span [x0, k]) and
-the two pencils (:class:`dirac_reduction.ChartPencil`, one on the ambient
-chart and one on the sub chart) are read from ``ctx.alg``, ``ctx.setup``
-and ``ctx.data``.
+rest of the run.  What the algebra, the orbit and the setup compute anyway
+(the build-guard residuals of the algebra and the orbit, the setup
+residuals, the span [x0, k]) and the two pencils
+(:class:`dirac_reduction.ChartPencil`, one on the ambient chart and one on
+the sub chart) are read from ``ctx.alg``, ``ctx.orbit``, ``ctx.setup`` and
+``ctx.data``.  Sample-point rows evaluate the two coordinate stacks whole,
+``ctx.ambient_coords`` and ``ctx.regular_coords`` (padded for the ambient
+chart), and slice the rows they report.
 
 Check rows carry a short ``anchor`` sentence stating the mathematical
 claim being certified, a ``mode`` saying whether the value is an upper
@@ -372,8 +375,7 @@ def _algebra_row(key):
 def _orbit_splitting(ctx):
     orbit = ctx.orbit
     moved = ctx.alg.ads(orbit.stabilizer.basis) @ orbit.seed  # row j is [k_j, a]
-    return max(lc.projector_distance(orbit.tangent, lc.kernel(orbit.stabilizer.basis.T)),
-               *(float(np.linalg.norm(row)) for row in moved))
+    return max(orbit.residuals["splitting"], *(float(np.linalg.norm(row)) for row in moved))
 
 
 def _exactness(chart, seed, label, count):
@@ -383,8 +385,9 @@ def _exactness(chart, seed, label, count):
         return np.concatenate([point.x, point.v], axis=-1)
 
     coords = uniform_rows(seed, label, range(count), chart.coord_dim, CHART_SCALE)
-    fd = oc.central_partials(stacked, coords, 1e-5).mT
-    return float(np.max(np.abs(chart.pushforward(coords) - fd)))
+    # The centres before their stencil: an adapted stencil repeats each centre's sub-chart row.
+    push = chart.pushforward(coords)
+    return float(np.max(np.abs(push - oc.central_partials(stacked, coords, 1e-5).mT)))
 
 
 def _chart_exactness(ctx):
@@ -509,7 +512,7 @@ def _degeneracy(on_line: bool, chart):
     def fn(ctx):
         pencil, coords = chart(ctx)
         params = np.array(pp.unit_circle_parameters(16))
-        sigma, _ = pp.degeneracy_profile(pencil.p1, pencil.p2, coords[:1], params)
+        sigma = pp.degeneracy_profile(pencil.p1(coords)[0], pencil.p2(coords)[0], params)
         on = np.abs(params[:, 0] + params[:, 1]) < 1e-12
         return np.max(sigma[on]) if on_line else np.min(sigma[~on])
     return fn
@@ -529,11 +532,11 @@ def _splitting_blocks(ctx):
 
 
 def _adapted_blocks(ctx):
-    # Both forms on the stratum, i.e. at zero transversal offset, as one (2, 5, d, d) stack.
-    stratum = ctx.regular_coords[:5]
+    # Both forms on the stratum, i.e. at zero transversal offset, over the whole regular stack; 5 rows are reported.
+    stratum = ctx.regular_coords
     coords = np.hstack([np.zeros((len(stratum), ctx.setup.transversal.dim)), stratum])
     forms = np.stack([form(ctx.adapted, coords) for form in (oc.canonical_form_matrix, oc.omega2_matrix)])
-    return dr.block_structure(forms, ctx.setup.transversal.dim)
+    return dr.block_structure(forms[:, :5], ctx.setup.transversal.dim)
 
 
 # Row factories over one dr.block_structure result, shared through ctx.once(blocks).
@@ -582,8 +585,8 @@ _BRACKET_WORDS = [("v", "v"), ("x", "x", "v", "v"), ("x", "v", "x", "v"), ("v", 
 def _bracket_agreement(ctx):
     fns = [dr.invariant_function(ctx.alg, w) for w in _BRACKET_WORDS]
     params = [t for t in ctx.config.t_samples if abs(t[0] + t[1]) > 1e-12]
-    ambient, restricted = dr.bracket_agreement(ctx.setup, ctx.data, fns, ctx.regular_coords[:5], params)
-    return dr.relative_bracket_residual(ambient, restricted)
+    ambient, restricted = dr.bracket_agreement(ctx.setup, ctx.data, fns, ctx.regular_coords, params)
+    return dr.relative_bracket_residual(ambient[:5], restricted[:5])
 
 
 def _invariant_function_invariance(ctx):
@@ -708,7 +711,7 @@ class ReductionReport(NamedTuple):
     verdict: str
     error: dict | None = None
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "config": self.config,
             "dims": self.dims,
@@ -719,14 +722,12 @@ class ReductionReport(NamedTuple):
         }
         if self.error is not None:
             out["error"] = self.error
-        if include_timing:
-            out["timing_ms"] = self.timing
         return out
 
     def to_json(self) -> str:
         # Timing is wall-clock noise and is deliberately left out so that
         # reruns with the same config and seed emit identical bytes.
-        return json.dumps(self.to_dict(include_timing=False), indent=2, allow_nan=False)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
     def to_text(self) -> str:
         lines = []

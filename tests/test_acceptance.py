@@ -103,9 +103,9 @@ def test_criterion_03_degeneracy_locus(triple, sample_points):
             (data.restricted.p1, data.restricted.p2, np.zeros((1, data.sub_chart.coord_dim)) + 0.02),
         ]
         for p1, p2, coords in pairs:
-            [sigma_on], _ = pp.degeneracy_profile(p1, p2, coords, [(1.0, -1.0)])
+            [sigma_on] = pp.degeneracy_profile(p1(coords)[0], p2(coords)[0], [(1.0, -1.0)])
             worst_on = max(worst_on, sigma_on)
-            sigma_off, _ = pp.degeneracy_profile(p1, p2, coords, off_circle)
+            sigma_off = pp.degeneracy_profile(p1(coords)[0], p2(coords)[0], off_circle)
             worst_off = min(worst_off, np.min(sigma_off))
     ok = worst_on <= 1e-8 and worst_off > 1e-4
     verdict(3, "pencil degenerates exactly where the parameters cancel",

@@ -559,6 +559,20 @@ def test_stacked_pushforward_rejects_a_rank_deficient_row(setup_cp2):
         chart.pushforward(coords)
 
 
+def test_short_stack_rank_guard_takes_one_svd(monkeypatch, setup_cp2):
+    # three rows, shorter than a stencil: one SVD of every row, which refuses the deficient one
+    chart = _FiberlessWhereW0IsLarge(setup_cp2.config, base_v=setup_cp2.x0, frame=setup_cp2.config.tangent.basis)
+    coords = np.full((3, chart.coord_dim), 0.05)
+    coords[1, chart.frame_dim] = 0.3
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(len(a)) or svd(a, *args, **kwargs))
+    with pytest.raises(ChartDegeneracyError):
+        chart.pushforward(coords)
+    assert calls == [3]
+    chart.pushforward(coords[[0, 2]])
+    assert calls == [3, 2]
+
+
 def test_stacked_inverse_names_the_singular_row():
     # a constant nondegenerate form, except at rows whose first coordinate is 1
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -78,19 +78,16 @@ def test_partials_on_the_stack_are_the_rows(stacked_case, which):
 
 def test_degeneracy_profile_is_one_svd_matching_one_per_parameter(monkeypatch, data_cp2, regular_coords_cp2):
     p1, p2 = data_cp2.restricted.p1, data_cp2.restricted.p2
-    coords = regular_coords_cp2[:1]
+    m1, m2 = p1(regular_coords_cp2)[0], p2(regular_coords_cp2)[0]  # inverted before counting
     params = pp.unit_circle_parameters(16)
-    p1(coords), p2(coords)  # inverted before counting
     svd, calls = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
-    sigma, rank = pp.degeneracy_profile(p1, p2, coords, params)
+    sigma = pp.degeneracy_profile(m1, m2, params)
     monkeypatch.undo()
     assert len(calls) == 1
-    assert sigma.shape == rank.shape == (len(params),)
-    for sigma_min, r, (t1, t2) in zip(sigma, rank, params):
-        sig = np.linalg.svd(t1 * p1(coords)[0] + t2 * p2(coords)[0], compute_uv=False)
-        assert sigma_min == sig[-1]
-        assert r == np.sum(sig > pp.FORM_SINGULAR_RTOL * max(sig[0], 1e-300))
+    assert sigma.shape == (len(params),)
+    for sigma_min, (t1, t2) in zip(sigma, params):
+        assert sigma_min == np.linalg.svd(t1 * m1 + t2 * m2, compute_uv=False)[-1]
 
 
 def _loop_complement_independence(alg, sub, norm, sols, seed, trials):
@@ -328,15 +325,43 @@ def _count_evaluations(monkeypatch):
 
 
 def test_evaluation_counts_per_run(monkeypatch):
-    # The parent of the stacked rows made 34 dexp_apply calls, 49 FormField and
-    # 74 PoissonField evaluator calls on this run, one chain per sample point.
-    # The memo keyed by row made 16, 13 and 12; keyed by stack it makes 20, 21 and 18,
-    # because the rows that read part of a stack in a call of their own (the
-    # bracket and degeneracy rows, the adapted off-stratum control) evaluate it again.
+    # Every row reads the stacks the run evaluates and slices them.  One chain per sample
+    # point made 34, 49 and 74 calls here; rows evaluating sub-stacks of their own, 20, 21 and 18.
     counts = _count_evaluations(monkeypatch)
     report = wb.run_pipeline(wb.load_config(CONFIGS / "su3_projective_plane.json"))
     assert report.verdict == "pass"
-    assert (counts["dexp_apply"], counts["FormField"], counts["PoissonField"]) == (20, 21, 18)
+    assert (counts["dexp_apply"], counts["FormField"], counts["PoissonField"]) == (16, 13, 12)
+
+
+def test_no_evaluation_repeats_rows_its_memo_has_evaluated(monkeypatch):
+    # A stack whose rows all lie in earlier evaluations of the same memo is a sub-stack the run
+    # has already paid for.  The one such stack is the off-stratum control's: three copies of
+    # the first regular point, whose offsets define the control, inside the adapted chart.
+    repeats = []
+    init = oc.CoordinateMemo.__init__
+
+    def __init__(self, fn):
+        seen = set()
+
+        def evaluator(c):
+            rows = {row.tobytes() for row in c}
+            if rows <= seen:
+                repeats.append((fn, c.copy()))
+            seen.update(rows)
+            return fn(c)
+        init(self, evaluator)
+
+    contexts = []
+    prepare = wb.prepare_context
+    monkeypatch.setattr(oc.CoordinateMemo, "__init__", __init__)
+    monkeypatch.setattr(wb, "prepare_context", lambda cfg: contexts.append(prepare(cfg)) or contexts[-1])
+    report = wb.run_pipeline(wb.load_config(CONFIGS / "su3_projective_plane.json"))
+    assert report.verdict == "pass"
+    [ctx] = contexts
+    sub = ctx.data.sub_chart
+    assert [fn for fn, _ in repeats] == [sub._point_at, sub._pushforward_at]
+    for _, c in repeats:
+        assert np.array_equal(c, np.tile(ctx.regular_coords[0], (3, 1)))
 
 
 ROWS = ["canonical_closedness", "combined_closedness", "pencil_jacobi_canonical", "pencil_jacobi_combined",
@@ -437,9 +462,6 @@ def test_a_bare_coordinate_row_is_refused(setup_cp2, data_cp2):
     for call in calls:
         with pytest.raises(InputError, match=r"expected an \(m, (d|\d+)\) stack"):
             call()
-    # the degeneracy profile is taken at one point, a stack of one
-    with pytest.raises(InputError, match=r"expected a \(1, d\) stack"):
-        pp.degeneracy_profile(p1, data_cp2.ambient.p2, np.zeros((2, chart.coord_dim)), [(1.0, 0.0)])
 
 
 def test_subspace_functions_take_one_shape(su2):

@@ -344,8 +344,8 @@ def test_bracket_agreement_takes_one_differential_per_word_point_chart(monkeypat
     monkeypatch.setattr(oc.Chart, "point", recording(oc.Chart.point))
     monkeypatch.setattr(oc.Chart, "pushforward", recording(oc.Chart.pushforward))
     assert wb._bracket_agreement(ctx) <= 1e-5
-    sampled = ctx.regular_coords[:5]
-    # 4 words x 2 charts, each on the stack of the 5 points, shared by every pencil parameter
+    sampled = ctx.regular_coords
+    # 4 words x 2 charts, each on the whole regular stack, shared by every pencil parameter
     assert len(gradients) == len(wb._BRACKET_WORDS) * 2
     allowed = {(len(s), s.tobytes()) for s in sampled}
     allowed |= {(len(c), c.tobytes()) for c in ctx.data.pad_coords(sampled)}
@@ -359,7 +359,7 @@ def test_bracket_agreement_decides_regularity_once_per_point(monkeypatch):
     ctx = wb.prepare_context(wb.load_config(path))
     regularity = _counting(monkeypatch, dr, "is_regular")
     assert wb._bracket_agreement(ctx) <= 1e-5
-    # one decision for the stack of 5 points, shared by the 4 off-line pencil parameters
+    # one decision for the regular stack, shared by the 4 off-line pencil parameters
     assert len(regularity) == 1
 
 
@@ -391,11 +391,17 @@ def test_slice_normal_form_iterations_on_su3_regular():
     assert worst <= 30
 
 
+# Each pair shares data: ctx.once blocks, setup residuals or a coordinate stack both rows read.
 _MEMO_SHARING_ROWS = [
     ["splitting_pairing", "splitting_nondegeneracy"],
-    ["adapted_off_diagonal", "adapted_nondegeneracy"],
     ["slice_normalization", "slice_isometry"],
     ["isotropy_in_stabilizer", "subalgebras_closed"],
+    ["adapted_off_diagonal", "restricted_nondegeneracy"],  # the sub chart at the regular stack
+    ["local_freeness", "adapted_nondegeneracy"],
+    ["pencil_jacobi_canonical", "degeneracy_on_line"],  # the ambient bivectors at the sample stack
+    ["degeneracy_off_line", "pencil_compatibility"],
+    ["restricted_compatibility", "restricted_degeneracy_on_line"],  # the restricted bivectors
+    ["restricted_degeneracy_off_line", "bracket_agreement"],
 ]
 
 
