@@ -35,7 +35,6 @@ from .errors import (
     SetupError,
 )
 from .lie_core import (
-    RANK_RTOL,
     LieAlgebra,
     Subspace,
     _lincomb,
@@ -50,6 +49,7 @@ from .lie_core import (
     normalizer,
     orthogonal_complements,
     projector_distance,
+    rank_mask,
     span,
     spans,
     subalgebra_residual,
@@ -57,6 +57,7 @@ from .lie_core import (
     subspace_sum,
 )
 from .orbit_charts import (
+    CHART_SCALE,
     Chart,
     FormField,
     OrbitConfig,
@@ -71,6 +72,7 @@ from .poisson_pencil import PoissonField, _as_parameter, invert_form
 from .seeding import uniform_rows, unit_rows
 
 REGULARITY_TOL = 1e-8
+SLICE_TOL = 1e-8  # residual |[x0, k]^T z| at which slice_normal_form stops
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +81,10 @@ REGULARITY_TOL = 1e-8
 
 
 def stabilizer_within(alg: LieAlgebra, sub: Subspace, xs: np.ndarray) -> list[Subspace]:
-    """{y in sub : [x, y] = 0} for each x of the (m, n) stack xs, via the kernel of ad(x)
-    restricted to sub: one stacked kernel and one stacked span."""
-    return spans([sub.basis @ c.basis for c in kernels(_lincomb(xs, alg.ad_basis) @ sub.basis)])
+    """{y in sub : [x, y] = 0} for each x of the (m, n) stack xs, in the coordinates of sub's basis:
+    the kernels c of ad(x) restricted to sub, from one stacked SVD; span(sub.basis @ c.basis) is the
+    stabilizer in the algebra."""
+    return kernels(_lincomb(xs, alg.ad_basis) @ sub.basis)
 
 
 def principal_isotropy(config: OrbitConfig, samples: int = 16, seed: int = 0):
@@ -90,22 +93,20 @@ def principal_isotropy(config: OrbitConfig, samples: int = 16, seed: int = 0):
     Draws ``samples`` unit elements of m, keeps the first one whose
     stabilizer dimension matches the minimum, and re-checks the minimum on
     a doubled draw; a mismatch raises GenericityError.  The stabilizers of
-    all 2 x samples draws are one stack.
+    all 2 x samples draws are one stack; only the kept one is taken into the algebra.
     """
     if samples < 8:
         raise InputError("principal isotropy sampling needs at least 8 samples")
     xs = unit_rows(seed, "principal-isotropy", range(2 * samples), config.tangent.dim) @ config.tangent.basis.T
-    draws = list(zip(xs, stabilizer_within(config.alg, config.stabilizer, xs)))
-    first_min = min(s.dim for _, s in draws[:samples])
-    full_min = min(s.dim for _, s in draws)
+    stabs = stabilizer_within(config.alg, config.stabilizer, xs)
+    dims = [s.dim for s in stabs]
+    first_min, full_min = min(dims[:samples]), min(dims)
     if first_min != full_min:
         raise GenericityError(
             f"stabilizer dimension unstable under doubling ({first_min} vs {full_min}); raise samples"
         )
-    for x0, stab in draws:
-        if stab.dim == full_min:
-            return x0, stab
-    raise GenericityError("unreachable: no draw achieved the minimum")  # pragma: no cover
+    first = dims.index(full_min)
+    return xs[first], span(config.stabilizer.basis @ stabs[first].basis)
 
 
 class ReductionSetup(NamedTuple):
@@ -204,7 +205,8 @@ def reduction_setup(config: OrbitConfig, samples: int = 16, seed: int = 0) -> Re
     norm = normalizer(alg, iso)
     transversal = kernel(norm.basis.T)
     cent = centralizer(alg, iso)
-    sub_stab, = stabilizer_within(alg, cent, config.seed[None])
+    seed_stab, = stabilizer_within(alg, cent, config.seed[None])
+    sub_stab = span(cent.basis @ seed_stab.basis)
     sub_tan = complement_within(sub_stab, cent)
     slice_normal = span(alg.ad(x0) @ config.stabilizer.basis)
     slice_space = complement_within(slice_normal, config.tangent)
@@ -252,7 +254,7 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 
 def slice_normal_form(setup: ReductionSetup, ys: np.ndarray, max_iter: int = 200,
-                      tol: float = 1e-8) -> tuple[np.ndarray, int]:
+                      tol: float = SLICE_TOL) -> tuple[np.ndarray, int]:
     """Rotate each row y of the (m, n) stack ys, in m, into the slice by stabilizer conjugations.
 
     Ascends f = <z, x0> over the orbit of y under the stabilizer K, which
@@ -353,9 +355,9 @@ def regularity_distance(setup: ReductionSetup, point: TangentBundlePoint) -> np.
                      else float("inf") for iso in isotropy_algebra(setup, point)])
 
 
-def is_regular(setup: ReductionSetup, point: TangentBundlePoint, tol: float = REGULARITY_TOL) -> np.ndarray:
+def is_regular(setup: ReductionSetup, point: TangentBundlePoint) -> np.ndarray:
     """Whether each point of a stack is regular, a boolean array."""
-    return regularity_distance(setup, point) <= tol
+    return regularity_distance(setup, point) <= REGULARITY_TOL
 
 
 def _stratum_tangent(setup: ReductionSetup, push: np.ndarray) -> list[Subspace]:
@@ -566,12 +568,11 @@ def restricted_pencil(setup: ReductionSetup, base_point: TangentBundlePoint) -> 
 
 
 def sample_regular_coords(setup: ReductionSetup, data: RestrictedPencilData, count: int,
-                          seed: int, stage: str = "regular-points", scale: float = 0.1,
-                          max_attempts: int = 400) -> np.ndarray:
+                          seed: int, stage: str = "regular-points", max_attempts: int = 400) -> np.ndarray:
     """Deterministic sub-chart coordinates whose images are regular points, a (count, d) stack.
 
     Candidate i is the row of the stream (seed, stage, i), uniform in the
-    ``scale`` box.  Candidates go in blocks of ``count``, each block one
+    CHART_SCALE box.  Candidates go in blocks of ``count``, each block one
     stacked chart evaluation and regularity test, and the first ``count``
     regular candidates in index order are kept: the ones a loop testing
     candidate after candidate would accept.  Only the first
@@ -582,7 +583,7 @@ def sample_regular_coords(setup: ReductionSetup, data: RestrictedPencilData, cou
         if len(out) >= count:
             break
         block = uniform_rows(seed, stage, range(start, min(start + count, max_attempts)),
-                             data.sub_chart.coord_dim, scale)
+                             data.sub_chart.coord_dim, CHART_SCALE)
         out = np.concatenate([out, block[is_regular(setup, data.sub_chart.point(block))]])
     if len(out) < count:
         raise GenericityError(f"could not find {count} regular points in {max_attempts} draws")
@@ -709,6 +710,5 @@ def transversality_deficiency(setup: ReductionSetup, points: TangentBundlePoint)
     fibers = np.vstack([np.zeros((n, setup.slice_space.dim)), setup.slice_space.basis])
     action = infinitesimal_action(setup.config, setup.centralizer.basis, points)
     mats = np.concatenate([action, np.broadcast_to(fibers, (len(points.x),) + fibers.shape)], axis=-1)
-    sig = np.linalg.svd(mats, compute_uv=False)
-    ranks = np.sum(sig > RANK_RTOL * np.maximum(sig[:, :1], 1e-300), axis=-1)
+    ranks = rank_mask(np.linalg.svd(mats, compute_uv=False)).sum(axis=-1)
     return int(2 * setup.sub_tangent.dim - np.min(ranks))

@@ -21,11 +21,10 @@ Conventions used throughout the package:
     (2 d^2, n) ``coefficient_map``, built with the algebra.
   * The build guard's residuals (closure, Jacobi identity, invariance) stay
     on the algebra as ``residuals``, so nothing recomputes them.
-  * Rank decisions use singular values with the relative cutoff RANK_RTOL.
-    ``span`` and ``kernel`` take one 2-d matrix and return one Subspace;
-    ``spans`` and ``kernels`` take a list of them (ragged allowed) or a
-    (k, r, c) stack and return a list, from one SVD per shape
-    (:func:`svd_each`), each with its own rank cutoff.
+  * Rank decisions follow one rule (:func:`rank_mask`): a singular value
+    counts above RANK_RTOL max(sigma_max, 1).  ``spans`` and ``kernels``
+    take one (k, r, c) stack and return a list of Subspaces from one SVD;
+    ``span`` and ``kernel`` take one 2-d matrix, the stack of one.
   * Subspaces are compared through their orthogonal projectors (Frobenius
     distance), which is basis independent.
 """
@@ -37,9 +36,11 @@ import numpy as np
 from .errors import DomainError, InputError
 from .seeding import normal_rows
 
-# Singular values below RANK_RTOL * sigma_max are treated as zero.  All
-# subspace data is O(1) after orthonormalisation, so one cutoff suffices.
+# Singular values up to RANK_RTOL * max(sigma_max, 1) count as zero (:func:`rank_mask`).
+# All subspace data is O(1) after orthonormalisation, so one cutoff suffices.
 RANK_RTOL = 1e-9
+
+ALGEBRA_CHECK_TOL = 1e-12  # relative bound of the algebra_from_matrices guard, and of the algebra rows
 
 # Frobenius distance of projectors below which two subspaces count as equal.
 SUBSPACE_TOL = 1e-8
@@ -107,7 +108,7 @@ class LieAlgebra(NamedTuple):
         flat = np.ascontiguousarray(mats, dtype=complex).reshape(np.shape(mats)[:-2] + (d * d,))
         return _rowwise(flat.view(float), self.coefficient_map)
 
-    def element_from_matrix(self, mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    def element_from_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Coefficients of a matrix, which must lie in the basis span."""
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (self.matrix_dim, self.matrix_dim):
@@ -117,7 +118,7 @@ class LieAlgebra(NamedTuple):
         coeffs = self.coefficients(mat)
         recon = self.matrix_of(coeffs)
         err = np.linalg.norm(recon - mat)
-        if err > tol * (1.0 + np.linalg.norm(mat)):
+        if err > 1e-10 * (1.0 + np.linalg.norm(mat)):
             raise DomainError(f"matrix is not in the span of the basis (residual {err:.2e})")
         return coeffs
 
@@ -146,10 +147,10 @@ def _as_element(alg: LieAlgebra, coeffs) -> np.ndarray:
     return vec
 
 
-def algebra_from_matrices(name, matrices, check_tol: float = 1e-12) -> LieAlgebra:
+def algebra_from_matrices(name, matrices) -> LieAlgebra:
     """Build a LieAlgebra from a spanning list of anti-Hermitian matrices.
 
-    Verifies, to ``check_tol`` (relative): closure of the matrix brackets in
+    Verifies, to ALGEBRA_CHECK_TOL (relative): closure of the matrix brackets in
     the span, antisymmetry and the Jacobi identity of the structure
     constants, and invariance of the trace product (skewness of every ad).
     The three residuals are kept on the algebra as ``residuals``.
@@ -180,15 +181,15 @@ def algebra_from_matrices(name, matrices, check_tol: float = 1e-12) -> LieAlgebr
     ad_basis = np.transpose(structure, (0, 2, 1))
 
     closure = closure_residual(comm, basis, structure)
-    if closure > check_tol:
+    if closure > ALGEBRA_CHECK_TOL:
         raise InputError(f"matrix brackets leave the basis span (residual {closure:.2e})")
 
     jac = jacobi_residual_of_structure(structure)
-    if jac > check_tol:
+    if jac > ALGEBRA_CHECK_TOL:
         raise InputError(f"structure constants violate the Jacobi identity ({jac:.2e})")
 
     skew = ad_skewness(ad_basis)
-    if skew > check_tol:
+    if skew > ALGEBRA_CHECK_TOL:
         raise InputError(f"trace product is not ad-invariant (ad skewness {skew:.2e})")
 
     # -Re tr(B_k M) = sum_ij Re(-conj(B_k[i, j])) Re M[j, i] + Im(-conj(B_k[i, j])) Im M[j, i]
@@ -270,54 +271,39 @@ class Subspace(NamedTuple("Subspace", [("basis", np.ndarray)])):
         return float(np.linalg.norm(vec - self.project(vec)))
 
 
-def svd_each(mats, **kwargs) -> list:
-    """``np.linalg.svd(m, **kwargs)`` of each matrix m of a sequence, in order.
+def rank_mask(s: np.ndarray) -> np.ndarray:
+    """Mask of the singular values that count, over the last axis of a stack of descending ones.
 
-    Matrices of one shape go in one stacked call: a stacked SVD factors each
-    matrix exactly as a call on that matrix alone would.
-    """
-    if len(mats) < 2 or len({np.shape(m) for m in mats}) > 1:
-        return [np.linalg.svd(m, **kwargs) for m in mats]
-    parts = np.linalg.svd(np.stack(mats), **kwargs)
-    return list(parts) if isinstance(parts, np.ndarray) else list(zip(*parts))
+    The one rank rule: sigma counts when sigma > RANK_RTOL max(sigma_max, 1), so an all-noise input
+    has rank zero rather than inherit rank from its own rounding errors; a rank is its mask's count."""
+    return s > RANK_RTOL * np.maximum(s[..., :1], 1.0)
 
 
-def _rank(s: np.ndarray, rtol: float) -> int:
-    return int(np.sum(s > rtol * max(s[0], 1.0))) if s.size else 0
+def _stack(mats, one: bool = False) -> np.ndarray:
+    """The float (k, r, c) stack of a 3-d array, or of one 2-d array as the stack of one if ``one``.
 
-
-def _stack(mats, one: bool = False) -> list[np.ndarray]:
-    """The float matrices of a list of 2-d arrays or a (k, r, c) array, or of one 2-d array if ``one``.
-
-    Anything else raises InputError: a tuple is no list, so a record (a NamedTuple) is refused."""
-    if one and isinstance(mats, np.ndarray) and mats.ndim == 2:
-        return [np.asarray(mats, dtype=float)]
-    if not one and (isinstance(mats, np.ndarray) and mats.ndim == 3 or type(mats) is list
-                    and all(isinstance(m, np.ndarray) and m.ndim == 2 for m in mats)):
-        return [np.asarray(m, dtype=float) for m in mats]
-    want = "one 2-d matrix" if one else "a list of 2-d matrices or a (k, r, c) stack"
+    Anything else raises InputError: a list, a tuple or a record (a NamedTuple) is refused."""
+    if isinstance(mats, np.ndarray) and mats.ndim == (2 if one else 3):
+        return np.asarray(mats[None] if one else mats, dtype=float)
+    want = "one 2-d matrix" if one else "a (k, r, c) stack"
     got = f"shape {mats.shape}" if isinstance(mats, np.ndarray) else type(mats).__name__
     raise InputError(f"expected {want}, got {got}")
 
 
-def spans(mats, rtol: float = RANK_RTOL) -> list[Subspace]:
-    """Orthonormalised span of the columns of each matrix of a list or (k, n, c) stack (rank-revealing).
+def spans(mats) -> list[Subspace]:
+    """Orthonormalised span of the columns of each matrix of a (k, n, c) stack, from one SVD (rank-revealing).
 
-    The rank cutoff is rtol times the largest singular value, floored at
-    rtol itself: every meaningful operator here is O(1) after basis
-    orthonormalisation, so an all-noise input must have rank zero rather
-    than inherit rank from its own rounding errors.
-    """
+    Ranks follow :func:`rank_mask`; a stack without entries spans zero subspaces and takes no SVD call."""
     mats = _stack(mats)
-    idx = [i for i, m in enumerate(mats) if m.shape[1]]
-    factored = dict(zip(idx, svd_each([mats[i] for i in idx], full_matrices=False)))
-    return [Subspace(basis=factored[i][0][:, :_rank(factored[i][1], rtol)]) if i in factored
-            else zero_subspace(m.shape[0]) for i, m in enumerate(mats)]
+    if not mats.size:
+        return [zero_subspace(mats.shape[1]) for _ in mats]
+    u, s, _ = np.linalg.svd(mats, full_matrices=False)
+    return [Subspace(basis=b[:, :r]) for b, r in zip(u, rank_mask(s).sum(axis=-1))]
 
 
-def span(mat, rtol: float = RANK_RTOL) -> Subspace:
+def span(mat) -> Subspace:
     """Span of the columns of one 2-d matrix: :func:`spans` of the stack of one."""
-    return spans(_stack(mat, one=True), rtol)[0]
+    return spans(_stack(mat, one=True))[0]
 
 
 def zero_subspace(n: int) -> Subspace:
@@ -328,28 +314,22 @@ def full_subspace(n: int) -> Subspace:
     return Subspace(basis=np.eye(n))
 
 
-def kernels(mats, rtol: float = RANK_RTOL) -> list[Subspace]:
-    """Right null space of each matrix of a list or (k, r, c) stack, as a Subspace of its column index space.
+def kernels(mats) -> list[Subspace]:
+    """Right null space of each matrix of a (k, r, c) stack, as a Subspace of its column index space, from one SVD.
 
-    Rank cutoff as in :func:`spans`: rtol times the largest singular value,
-    floored at rtol, so a matrix that vanishes to rounding has full kernel.
-    """
+    Ranks follow :func:`rank_mask`, so a matrix that vanishes to rounding has full kernel; a stack
+    without entries has full kernels and takes no SVD call."""
     mats = _stack(mats)
+    if not mats.size:
+        return [full_subspace(mats.shape[2]) for _ in mats]
     # A tall matrix has an economy V^T that is already square, i.e. the full V.
-    groups: dict[bool, list[int]] = {}
-    for i, m in enumerate(mats):
-        if m.size:
-            groups.setdefault(m.shape[0] < m.shape[1], []).append(i)
-    factored = {}
-    for wide, idx in groups.items():
-        factored.update(zip(idx, svd_each([mats[i] for i in idx], full_matrices=wide)))
-    return [Subspace(basis=factored[i][2][_rank(factored[i][1], rtol):].T.copy()) if i in factored
-            else full_subspace(m.shape[1]) for i, m in enumerate(mats)]
+    _, s, vt = np.linalg.svd(mats, full_matrices=mats.shape[1] < mats.shape[2])
+    return [Subspace(basis=v[r:].T.copy()) for v, r in zip(vt, rank_mask(s).sum(axis=-1))]
 
 
-def kernel(mat, rtol: float = RANK_RTOL) -> Subspace:
+def kernel(mat) -> Subspace:
     """Right null space of one 2-d matrix: :func:`kernels` of the stack of one."""
-    return kernels(_stack(mat, one=True), rtol)[0]
+    return kernels(_stack(mat, one=True))[0]
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -380,9 +360,9 @@ def subalgebra_residual(alg: LieAlgebra, sub: Subspace) -> float:
     return max((float(np.linalg.norm(rest)) for rest in images - sub.projector() @ images), default=0.0)
 
 
-def _require_subalgebra(alg: LieAlgebra, sub: Subspace, tol: float = 1e-10) -> None:
+def _require_subalgebra(alg: LieAlgebra, sub: Subspace) -> None:
     res = subalgebra_residual(alg, sub)
-    if res > tol:
+    if res > 1e-10:
         raise DomainError(f"subspace is not closed under the bracket (residual {res:.2e})")
 
 
@@ -417,7 +397,7 @@ def orthogonal_complements(sub: Subspace, prods: "InvariantProduct") -> list[Sub
     return comps
 
 
-def fixed_vector_space(alg: LieAlgebra, sub: Subspace, ambient: Subspace, tol: float = SUBSPACE_TOL) -> Subspace:
+def fixed_vector_space(alg: LieAlgebra, sub: Subspace, ambient: Subspace) -> Subspace:
     """Joint kernel of ad(z)|_ambient over z in ``sub``.
 
     ``ambient`` must be invariant under ad(sub); for ambient equal to the
@@ -425,7 +405,7 @@ def fixed_vector_space(alg: LieAlgebra, sub: Subspace, ambient: Subspace, tol: f
     """
     images = alg.ads(sub.basis) @ ambient.basis
     leak = np.max(np.linalg.norm((np.eye(alg.dim) - ambient.projector()) @ images, axis=(1, 2)), initial=0.0)
-    if leak > tol:
+    if leak > SUBSPACE_TOL:
         raise DomainError(f"ambient subspace is not ad-invariant (leak {leak:.2e})")
     coeffs = kernel(images.reshape(-1, ambient.dim))
     return span(ambient.basis @ coeffs.basis)
@@ -568,7 +548,7 @@ def complement_independence(alg: LieAlgebra, sub: Subspace, norm: Subspace, sols
     """
     prods = draw_invariant_products(alg, sub, sols, seed, range(2 * trials))
     comps = orthogonal_complements(norm, prods)
-    sums = spans([np.hstack([comp.basis, sub.basis]) for comp in comps])
+    sums = spans(np.stack([np.hstack([comp.basis, sub.basis]) for comp in comps]))
     return ComplementIndependence(
         paired=max(projector_distance(a, b) for a, b in zip(sums[0::2], sums[1::2])),
         unpaired=max(projector_distance(a, b) for a, b in zip(comps[0::2], comps[1::2])),

@@ -64,12 +64,13 @@ from .errors import (
     DomainError,
     InputError,
 )
-from .lie_core import RANK_RTOL, LieAlgebra, Subspace, _lincomb, _rowwise, kernel, projector_distance, span
+from .lie_core import RANK_RTOL, LieAlgebra, Subspace, _lincomb, _rowwise, kernel, projector_distance, rank_mask, span
 
 FD_STEP_DEFAULT = 1e-4
 FD_STEP_MIN = 1e-6
 FD_STEP_MAX = 1e-3
 CHART_BOX = 0.5  # validity box of chart coordinates, |c| <= CHART_BOX
+CHART_SCALE = 0.1  # box that sample chart coordinates are drawn from, |c| <= CHART_SCALE
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +123,12 @@ class TangentBundlePoint(NamedTuple):
 def point_residuals(config: OrbitConfig, point: TangentBundlePoint) -> tuple[np.ndarray, np.ndarray]:
     """(spectrum mismatch of x, fiber residual of v against im ad(x)), per point of a stack.
 
-    The fiber is span(ad x), with :func:`span`'s rank cutoff for each point."""
+    The fiber is span(ad x), ranked by :func:`lie_core.rank_mask` at each point."""
     alg = config.alg
     spec = np.sort(np.linalg.eigvalsh(1j * _lincomb(point.x, alg.basis)), axis=-1)
     spec_err = np.max(np.abs(spec - config.seed_spectrum), axis=-1)
     u, s, _ = np.linalg.svd(_lincomb(point.x, alg.ad_basis))
-    fiber = u * (s > RANK_RTOL * np.maximum(s[..., :1], 1.0))[..., None, :]
+    fiber = u * rank_mask(s)[..., None, :]
     v = point.v[..., None]
     return spec_err, np.linalg.norm((v - fiber @ (fiber.mT @ v))[..., 0], axis=-1)
 

@@ -125,8 +125,7 @@ def degeneracy_profile(m1: np.ndarray, m2: np.ndarray, t_samples) -> np.ndarray:
     return np.linalg.svd(np.stack(members), compute_uv=False)[:, -1]
 
 
-def unit_circle_parameters(count: int = 16) -> list[tuple[float, float]]:
-    """t-samples on the unit circle, phased so two land on t1 + t2 = 0."""
-    start = 3.0 * np.pi / 4.0
-    angles = start + 2.0 * np.pi * np.arange(count) / count
+def unit_circle_parameters() -> list[tuple[float, float]]:
+    """16 t-samples evenly spaced on the unit circle, phased so two land on t1 + t2 = 0."""
+    angles = 3.0 * np.pi / 4.0 + 2.0 * np.pi * np.arange(16) / 16
     return [(float(np.cos(a)), float(np.sin(a))) for a in angles]

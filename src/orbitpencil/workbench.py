@@ -42,8 +42,6 @@ from . import poisson_pencil as pp
 from .errors import ConfigError, DomainError, WorkbenchError
 from .seeding import uniform_rows, unit_rows
 
-CHART_SCALE = 0.1  # sampling box for chart coordinates
-
 _FAMILY_LIMITS = {"su": (2, 5), "so": (3, 5)}
 
 
@@ -75,7 +73,7 @@ class WorkbenchConfig:
             "tolerances": dict(sorted(self.tolerances.items())),
             "t_samples": [list(t) for t in self.t_samples],
             "seed": self.seed,
-            "checks": self.checks if self.checks == "all" else list(self.checks),
+            "checks": self.checks,
         }
 
 
@@ -107,8 +105,8 @@ def _number(value) -> float:
 
 
 def _parameter(pair) -> tuple[float, float]:
-    """A pencil parameter [t1, t2]: a list of exactly two numbers, never cut to its first two."""
-    if not isinstance(pair, list) or len(pair) != 2:
+    """A pencil parameter [t1, t2]: a list (or tuple) of exactly two numbers, never cut to its first two."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"expected a pair [t1, t2], got {pair!r}")
     return _number(pair[0]), _number(pair[1])
 
@@ -120,8 +118,18 @@ def _tolerances(value) -> dict:
     return {name: _number(tol) for name, tol in value.items()}
 
 
-# Conversion of each JSON field into its WorkbenchConfig value; fields that
-# are absent take the default of WorkbenchConfig.__init__.
+def _checks(value):
+    """"all" or a list (or tuple) of check names, as a list."""
+    if isinstance(value, str) and value == "all":
+        return value
+    if not isinstance(value, (list, tuple)) or not all(isinstance(n, str) for n in value):
+        raise TypeError(f"expected 'all' or a list of check names, got {value!r}")
+    return list(value)
+
+
+# Conversion of each field into its WorkbenchConfig value, applied by validate_config to
+# every configuration, read from JSON or built in Python; a parsed value parses unchanged.
+# Fields absent from the JSON take the default of WorkbenchConfig.__init__.
 _FIELD_PARSERS = {
     "algebra": lambda v: v,
     "seed_element": lambda v: v,
@@ -130,7 +138,7 @@ _FIELD_PARSERS = {
     "tolerances": _tolerances,
     "t_samples": lambda v: [_parameter(t) for t in v],
     "seed": _integer,
-    "checks": lambda v: v,
+    "checks": _checks,
 }
 
 
@@ -143,18 +151,21 @@ def config_from_dict(raw: dict) -> WorkbenchConfig:
     for required in ("algebra", "seed_element"):
         if required not in raw:
             raise ConfigError(f"missing required field '{required}'")
-    values = {}
+    cfg = WorkbenchConfig(raw["algebra"], raw["seed_element"])
     for name, value in raw.items():
-        try:
-            values[name] = _FIELD_PARSERS[name](value)
-        except (TypeError, ValueError, IndexError, OverflowError) as exc:
-            raise ConfigError(f"malformed value for '{name}': {exc}") from exc
-    cfg = WorkbenchConfig(**values)
+        setattr(cfg, name, value)
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: WorkbenchConfig) -> None:
+    """Parse every field in place by the JSON reader's rules, then check the values together: a configuration
+    built in Python runs and is echoed as the same one read from JSON.  A refused value raises ConfigError."""
+    for name, parse in _FIELD_PARSERS.items():
+        try:
+            setattr(cfg, name, parse(getattr(cfg, name)))
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
+            raise ConfigError(f"malformed value for '{name}': {exc}") from exc
     if not (oc.FD_STEP_MIN <= cfg.fd_step <= oc.FD_STEP_MAX):
         raise ConfigError(f"fd_step must lie in [{oc.FD_STEP_MIN}, {oc.FD_STEP_MAX}]")
     if cfg.samples < 8:
@@ -204,8 +215,6 @@ def validate_config(cfg: WorkbenchConfig) -> None:
     if all(abs(t[0] + t[1]) <= 1e-12 for t in cfg.t_samples):
         raise ConfigError("t_samples needs at least one parameter off the degenerate line t1 + t2 = 0")
     if cfg.checks != "all":
-        if not isinstance(cfg.checks, (list, tuple)) or not all(isinstance(n, str) for n in cfg.checks):
-            raise ConfigError("checks must be 'all' or a list of names")
         if not cfg.checks:
             raise ConfigError("checks must name at least one check")
         names = {spec.name for spec in REGISTRY}
@@ -215,13 +224,6 @@ def validate_config(cfg: WorkbenchConfig) -> None:
     unknown_tols = set(cfg.tolerances) - {spec.name for spec in REGISTRY}
     if unknown_tols:
         raise ConfigError(f"tolerances for unknown checks: {sorted(unknown_tols)}")
-    for name, tol in cfg.tolerances.items():
-        try:
-            finite = np.isfinite(float(tol))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"tolerance for '{name}' must be a number: {exc}") from exc
-        if not finite:
-            raise ConfigError(f"tolerance for '{name}' must be finite")
     # The report echoes the configuration as JSON, which has no NaN or infinity.
     try:
         json.dumps(cfg.resolved(), allow_nan=False)
@@ -319,9 +321,8 @@ def prepare_context(cfg: WorkbenchConfig) -> PipelineContext:
     data = dr.restricted_pencil(setup, base)
     adapted = dr.AdaptedChart(setup, data.sub_chart)
     ambient_coords = uniform_rows(cfg.seed, "ambient-points", range(cfg.samples),
-                                  data.ambient_chart.coord_dim, CHART_SCALE)
-    regular_coords = dr.sample_regular_coords(setup, data, cfg.samples, seed=cfg.seed,
-                                              scale=CHART_SCALE)
+                                  data.ambient_chart.coord_dim, oc.CHART_SCALE)
+    regular_coords = dr.sample_regular_coords(setup, data, cfg.samples, seed=cfg.seed)
     return PipelineContext(
         config=cfg, alg=alg, orbit=orbit, setup=setup, data=data, adapted=adapted,
         ambient_coords=ambient_coords, regular_coords=regular_coords,
@@ -384,7 +385,7 @@ def _exactness(chart, seed, label, count):
         point = chart.point(c)
         return np.concatenate([point.x, point.v], axis=-1)
 
-    coords = uniform_rows(seed, label, range(count), chart.coord_dim, CHART_SCALE)
+    coords = uniform_rows(seed, label, range(count), chart.coord_dim, oc.CHART_SCALE)
     # The centres before their stencil: an adapted stencil repeats each centre's sub-chart row.
     push = chart.pushforward(coords)
     return float(np.max(np.abs(push - oc.central_partials(stacked, coords, 1e-5).mT)))
@@ -397,7 +398,7 @@ def _chart_exactness(ctx):
 
 def _spectrum_preservation(ctx):
     chart = ctx.data.ambient_chart
-    coords = uniform_rows(ctx.seed, "spectrum-points", range(100), chart.coord_dim, CHART_SCALE)
+    coords = uniform_rows(ctx.seed, "spectrum-points", range(100), chart.coord_dim, oc.CHART_SCALE)
     return float(max(np.max(err) for err in oc.point_residuals(ctx.orbit, chart.point(coords))))
 
 
@@ -511,7 +512,7 @@ def _corrupted_field(ctx) -> pp.PoissonField:
 def _degeneracy(on_line: bool, chart):
     def fn(ctx):
         pencil, coords = chart(ctx)
-        params = np.array(pp.unit_circle_parameters(16))
+        params = np.array(pp.unit_circle_parameters())
         sigma = pp.degeneracy_profile(pencil.p1(coords)[0], pencil.p2(coords)[0], params)
         on = np.abs(params[:, 0] + params[:, 1]) < 1e-12
         return np.max(sigma[on]) if on_line else np.min(sigma[~on])
@@ -628,7 +629,7 @@ def _slice_pairs(ctx):
     # (y, slice normal form of y) for random unit tangent vectors y, normalised as one stack.
     tangent = ctx.orbit.tangent
     ys = unit_rows(ctx.seed, "slice-normalization", range(ctx.samples), tangent.dim) @ tangent.basis.T
-    return list(zip(ys, dr.slice_normal_form(ctx.setup, ys, max_iter=200, tol=1e-8)[0]))
+    return list(zip(ys, dr.slice_normal_form(ctx.setup, ys)[0]))
 
 
 def _slice_normalization(ctx):
@@ -645,9 +646,9 @@ def _has_transversal(ctx):
 
 
 REGISTRY: list[CheckSpec] = [
-    CheckSpec("algebra_closure", "basis brackets stay inside the basis span", 1e-12, "max", "check", "algebra", _algebra_row("closure")),
-    CheckSpec("algebra_jacobi", "structure constants satisfy the Jacobi identity", 1e-12, "max", "check", "algebra", _algebra_row("jacobi")),
-    CheckSpec("algebra_invariance", "trace product is invariant: adjoint operators are skew", 1e-12, "max", "check", "algebra", _algebra_row("invariance")),
+    CheckSpec("algebra_closure", "basis brackets stay inside the basis span", lc.ALGEBRA_CHECK_TOL, "max", "check", "algebra", _algebra_row("closure")),
+    CheckSpec("algebra_jacobi", "structure constants satisfy the Jacobi identity", lc.ALGEBRA_CHECK_TOL, "max", "check", "algebra", _algebra_row("jacobi")),
+    CheckSpec("algebra_invariance", "trace product is invariant: adjoint operators are skew", lc.ALGEBRA_CHECK_TOL, "max", "check", "algebra", _algebra_row("invariance")),
     CheckSpec("orbit_splitting", "stabilizer kernel and orbit tangent image split the algebra orthogonally", 1e-8, "max", "check", "orbit", _orbit_splitting),
     CheckSpec("chart_exactness", "chart derivatives match central finite differences", 1e-8, "max", "check", "orbit", _chart_exactness),
     CheckSpec("spectrum_preservation", "chart points keep the seed spectrum and tangent fibers", 1e-8, "max", "check", "orbit", _spectrum_preservation),
@@ -687,7 +688,7 @@ REGISTRY: list[CheckSpec] = [
     CheckSpec("control_zero_section_isotropy", "the zero section carries excess isotropy", 0.5, "min", "control", "freeness", _control_zero_section_isotropy),
     CheckSpec("transversality", "centralizer action plus slice fibers span the sub-orbit bundle tangent", 0.5, "max", "check", "freeness", _transversality),
     CheckSpec("control_zero_section_transversality", "the spanning audit fails on the zero section", 0.5, "min", "control", "freeness", _control_zero_section_transversality),
-    CheckSpec("slice_normalization", "stabilizer conjugations rotate any tangent vector into the slice", 1e-8, "max", "check", "freeness", _slice_normalization),
+    CheckSpec("slice_normalization", "stabilizer conjugations rotate any tangent vector into the slice", dr.SLICE_TOL, "max", "check", "freeness", _slice_normalization),
     CheckSpec("slice_isometry", "slice normalisation preserves norms", 1e-10, "max", "check", "freeness", _slice_isometry),
     CheckSpec("degeneracy_on_line", "the ambient pencil degenerates where the parameters cancel", 1e-8, "max", "check", "degeneracy", _degeneracy(True, _ambient)),
     CheckSpec("degeneracy_off_line", "away from the cancellation line the ambient pencil is nondegenerate", 1e-4, "min", "check", "degeneracy", _degeneracy(False, _ambient)),

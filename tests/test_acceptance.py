@@ -94,7 +94,7 @@ def test_criterion_02_pencil_compatibility(triple, sample_points):
 def test_criterion_03_degeneracy_locus(triple, sample_points):
     worst_on = 0.0
     worst_off = np.inf
-    circle = pp.unit_circle_parameters(16)
+    circle = pp.unit_circle_parameters()
     off_circle = [t for t in circle if abs(t[0] + t[1]) >= 1e-12]
     assert len(off_circle) == 14
     for name, (setup, data) in triple.items():

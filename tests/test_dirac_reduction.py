@@ -365,7 +365,7 @@ def test_restricted_pencil_certification_cp2(setup_cp2, data_cp2, regular_coords
 
 
 def test_restricted_degeneracy_profile(data_cp2, regular_coords_cp2):
-    params = pp.unit_circle_parameters(16)
+    params = pp.unit_circle_parameters()
     p1, p2 = data_cp2.restricted.p1, data_cp2.restricted.p2
     sigma = pp.degeneracy_profile(p1(regular_coords_cp2)[0], p2(regular_coords_cp2)[0], params)
     assert sigma.shape == (len(params),)
@@ -541,6 +541,17 @@ def test_transversality(setup_su2, setup_cp2):
             assert dr.transversality_deficiency(setup, point) == 0
         zero = stack_of_one(setup.config.seed, np.zeros(setup.alg.dim))
         assert dr.transversality_deficiency(setup, zero) > 0
+
+
+def test_transversality_ranks_by_the_shared_rank_rule(monkeypatch, setup_cp2):
+    # without slice fibers the audited matrices are the action vectors alone; all-noise ones have rank 0
+    # under lie_core.rank_mask, so the whole 2 dim(m_hat) is missing
+    setup = setup_cp2._replace(slice_space=lc.zero_subspace(setup_cp2.alg.dim))
+    noise = 1e-12 * np.random.default_rng(6).standard_normal((2, 2 * setup.alg.dim, setup.centralizer.dim))
+    monkeypatch.setattr(dr, "infinitesimal_action", lambda config, xi, points: noise)
+    points = oc.TangentBundlePoint(x=np.tile(setup.config.seed, (2, 1)), v=np.zeros((2, setup.alg.dim)))
+    assert lc.rank_mask(np.linalg.svd(noise, compute_uv=False)).sum() == 0
+    assert dr.transversality_deficiency(setup, points) == 2 * setup.sub_tangent.dim == 4
 
 
 def test_restricted_forms_match_intrinsic_suborbit_forms(setup_cp2, data_cp2):

@@ -230,6 +230,17 @@ def test_centralizer_of_cp2_isotropy(su3, setup_cp2):
     assert lc.subalgebra_residual(su3, cent) <= 1e-10
 
 
+def test_an_all_noise_stack_has_rank_zero():
+    # one rank rule, sigma > RANK_RTOL max(sigma_max, 1): rounding noise of O(1) operators carries no rank
+    noise = 1e-12 * np.random.default_rng(5).standard_normal((4, 6, 3))
+    assert not lc.rank_mask(np.linalg.svd(noise, compute_uv=False)).any()
+    assert [k.dim for k in lc.kernels(noise)] == [3] * 4
+    assert [s.dim for s in lc.spans(noise)] == [0] * 4
+    # above the floor the cutoff is relative to sigma_max
+    assert lc.rank_mask(np.array([[4.0, 1.0, 1e-8, 1e-9], [0.5, 1e-9, 0.0, 0.0]])).tolist() == [
+        [True, True, True, False], [True, False, False, False]]
+
+
 @pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("so", 4)])
 def test_the_zero_subspace_is_the_empty_stack(family, n):
     # h = 0 runs the same code as any h: the empty stack of ad operators
@@ -240,7 +251,7 @@ def test_the_zero_subspace_is_the_empty_stack(family, n):
     assert lc.product_invariance_residual(alg, zero, np.eye(alg.dim)[None]) == 0.0
     assert lc.subspace_contains(full, zero) == lc.subspace_contains(zero, zero) == 0.0
     xs = np.random.default_rng(n).standard_normal((3, alg.dim))
-    assert [s.basis.shape for s in dr.stabilizer_within(alg, zero, xs)] == [(alg.dim, 0)] * 3
+    assert [s.basis.shape for s in dr.stabilizer_within(alg, zero, xs)] == [(0, 0)] * 3  # in zero's coordinates
 
 
 def test_normalizer_su2(su2, pauli_elements):

@@ -181,7 +181,7 @@ def test_pencil_circle_bound(data_su2):
         pp.jacobi_residual(p2, coords, 1e-4),
         pp.compatibility_residual(p1, p2, coords, 1e-4),
     )
-    for t in pp.unit_circle_parameters(16):
+    for t in pp.unit_circle_parameters():
         assert pp.jacobi_residual(pp.pencil(p1, p2, t), coords, 1e-4) <= 4.0 * max(tol, 1e-12)
 
 
@@ -199,7 +199,7 @@ def test_degeneracy_profile(data_su2):
 
 
 def test_unit_circle_contains_the_degenerate_direction():
-    params = pp.unit_circle_parameters(16)
+    params = pp.unit_circle_parameters()
     on_line = [t for t in params if abs(t[0] + t[1]) < 1e-12]
     assert len(on_line) == 2
     for t in params:

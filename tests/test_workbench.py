@@ -595,6 +595,33 @@ def test_cli_lossy_field_values_exit_2(tmp_path, capsys, mutation):
 
 
 @pytest.mark.parametrize(
+    "fields",
+    [
+        {"seed": 1.5},
+        {"seed": True},
+        {"samples": 8.7},
+        {"samples": "9"},
+        {"fd_step": "1e-4"},
+        {"tolerances": {"algebra_closure": "1e-3"}},
+        {"t_samples": [(1.0, 0.0, 7.0)]},
+        {"t_samples": [[1.0, 0.0], (0.5, 0.5, 0.5)]},
+    ],
+)
+def test_python_built_configs_follow_the_json_rules(fields):
+    # run_pipeline parses a WorkbenchConfig built in Python as config_from_dict parses JSON
+    with pytest.raises(ConfigError, match="malformed value"):
+        wb.run_pipeline(wb.WorkbenchConfig(**dict(SU2_CONFIG, **fields)))
+
+
+def test_a_python_built_config_reports_as_its_json(tmp_path):
+    # an integer tolerance is echoed as the float JSON parsing makes of it; default t_samples are tuples
+    fields = dict(SU2_CONFIG, tolerances={"algebra_closure": 1})
+    built = wb.run_pipeline(wb.WorkbenchConfig(**fields)).to_json()
+    assert built == wb.run_pipeline(wb.load_config(write_config(tmp_path, fields))).to_json()
+    assert json.loads(built)["config"]["tolerances"] == {"algebra_closure": 1.0} and '"algebra_closure": 1.0' in built
+
+
+@pytest.mark.parametrize(
     "mutation,key",
     [
         ({"algebra": {"family": "su", "n": 2, "nmae": "x"}}, "nmae"),
