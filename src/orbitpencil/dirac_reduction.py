@@ -15,11 +15,12 @@ Points whose isotropy algebra equals h exactly are called regular.  At a
 regular point the action vectors of p span a canonical complement of the
 tangent space of the regular stratum (the kernel of the linearised action
 of h, read on the chart pushforward), orthogonal to it for every invariant
-nondegenerate 2-form; in adapted coordinates every such form is therefore
-block diagonal on the stratum.  Restricting both pencil forms to the
-sub-orbit bundle of the centralizer then produces a pencil of its own, and
-brackets of invariant functions computed ambiently or after restriction
-agree at regular points.  All of this is certified numerically here.
+nondegenerate 2-form; in the [stratum | complement] basis every such form
+is therefore block diagonal, and its restriction to the stratum stays
+nondegenerate.  Restricting both pencil forms to the sub-orbit bundle of
+the centralizer then produces a pencil of its own, and brackets of
+invariant functions computed ambiently or after restriction agree at
+regular points.  All of this is certified numerically here.
 """
 
 from typing import NamedTuple
@@ -454,43 +455,6 @@ def splitting_orthogonality(setup: ReductionSetup, chart: Chart, coords,
     lifts = np.concatenate([np.stack([strat.basis for strat in strats]), comp_lifts], axis=-1)
     forms = np.asarray(form_matrices, dtype=float)
     return block_structure(lifts.mT[:, None] @ forms @ lifts[:, None], s)
-
-
-# ---------------------------------------------------------------------------
-# Adapted coordinates
-# ---------------------------------------------------------------------------
-
-
-class AdaptedChart(Chart):
-    """Coordinates (y, s) -> exp(sum y_i p_i) . sub_chart(s).
-
-    A :class:`Chart` whose frame is the transversal p and whose inner map
-    is the sub chart: the first block of coordinates moves transversally to
-    the regular stratum along the action of p, the rest reuses a chart of
-    the stratum; at y = 0 the coordinate frame splits into the canonical
-    complement and the stratum tangent.
-    """
-
-    def __init__(self, setup: ReductionSetup, sub_chart: Chart):
-        self.setup = setup
-        self.sub_chart = sub_chart
-        self._init_conjugation(sub_chart.config, setup.transversal.basis, None)
-
-    @property
-    def coord_dim(self) -> int:
-        return self.setup.transversal.dim + self.sub_chart.coord_dim
-
-    # Entry points of its own, bound here, so that timing Chart.point and
-    # Chart.pushforward does not count adapted evaluations.
-    point = Chart.point
-    pushforward = Chart.pushforward
-
-    def _inner_point(self, s: np.ndarray) -> np.ndarray:
-        inner = self.sub_chart.point(s)
-        return np.stack([inner.x, inner.v], axis=-2)
-
-    def _inner_pushforward(self, s: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.sub_chart.pushforward(s), self.sub_chart.lifts(s)], axis=-2)
 
 
 # ---------------------------------------------------------------------------

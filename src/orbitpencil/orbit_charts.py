@@ -12,8 +12,7 @@ fiber offset v0 maps coordinates (u, w) to
 
     Ad(e^xi(u)) (a, v0 + W(w)),   xi(u) = sum u_i m_i,   W(w) = sum w_i m_i,
 
-a conjugation applied to an inner map, here the fiber line; an adapted chart
-(:class:`dirac_reduction.AdaptedChart`) conjugates another chart instead.
+the conjugate of a point of the fiber over a.
 Conjugation runs on the n x n defining matrices: with X the matrix of xi and
 iX = U diag(w) U^H, e^X = U diag(e^{-iw}) U^H and Ad(e^xi) y = e^X Y e^{-X}.
 A point conjugates its own two matrices; the matrix of Ad(g) (:func:`exp_ad`)
@@ -260,13 +259,11 @@ def _certify_rank(mats: np.ndarray, run: int) -> None:
 class Chart:
     """Local coordinates on TO around a base point (see module docstring).
 
-    Coordinates (u, s) give Ad(e^{frame @ u}) applied to the inner map at s;
-    subclasses replace ``_inner_point`` and ``_inner_pushforward``, which map
-    (k, d_inner) stacks to stacks, the latter with 3n rows: the x-, v- and
-    lift rows of each inner column.  ``rotation`` conjugates the whole chart by
-    a fixed group element, given as its adjoint matrix on coefficients; used
-    to transport charts when testing invariance.  Evaluations are cached per
-    coordinate stack, so a chart instance must be treated as immutable.
+    Coordinates (u, w) give Ad(e^{frame @ u}) (a, base_v + frame @ w).
+    ``rotation`` conjugates the whole chart by a fixed group element, given
+    as its adjoint matrix on coefficients; used to transport charts when
+    testing invariance.  Evaluations are cached per coordinate stack, so a
+    chart instance must be treated as immutable.
     """
 
     def __init__(self, config: OrbitConfig, base_v: np.ndarray, frame: np.ndarray,
@@ -282,13 +279,8 @@ class Chart:
             raise InputError("frame columns must lie in the tangent space at the seed")
         if np.linalg.norm(frame.T @ frame - np.eye(frame.shape[1])) > 1e-10:
             raise InputError("frame columns must be orthonormal")
-        self.base_v = base_v
-        self._fiber_push = np.vstack([np.zeros_like(frame), frame, np.zeros_like(frame)])
-        self._init_conjugation(config, frame, rotation)
-
-    def _init_conjugation(self, config: OrbitConfig, frame: np.ndarray, rotation: np.ndarray | None) -> None:
-        """State of the conjugation block, shared with subclasses; no checks."""
         self.config = config
+        self.base_v = base_v
         self.frame = frame
         self.frame_matrices = np.tensordot(frame.T, config.alg.basis, axes=(1, 0))
         self.rotation = None if rotation is None else np.asarray(rotation, dtype=float)
@@ -319,9 +311,8 @@ class Chart:
     def pushforward(self, coords) -> np.ndarray:
         """Ambient derivative matrices, (m, 2n, coord_dim) at an (m, d) stack.
 
-        Column i < f is the u_i-derivative (conjugation direction), the
-        rest are the inner map's columns; for this class column f + i is
-        the w_i-derivative (fiber direction).
+        Column i < f is the u_i-derivative (conjugation direction), column
+        f + i the w_i-derivative (fiber direction).
         """
         return self._pushes(self._coords(coords))[..., :2 * self.config.alg.dim, :]
 
@@ -329,33 +320,32 @@ class Chart:
         """Generators zeta with [x, zeta] = dx, one column per coordinate: (m, n, coord_dim)."""
         return self._pushes(self._coords(coords))[..., 2 * self.config.alg.dim:, :]
 
-    def _inner_point(self, w: np.ndarray) -> np.ndarray:
-        """(k, 2, n) stack of the inner points [x; v] at the rows of w."""
+    def _fiber_line(self, w: np.ndarray) -> np.ndarray:
+        """(k, 2, n) stack of the unconjugated points [a; base_v + frame w] at the rows of w."""
         z = np.empty((len(w), 2, self.config.alg.dim))
         z[:, 0], z[:, 1] = self.config.seed, self.base_v + _rowwise(w, self.frame.T)
         return z
 
-    def _inner_pushforward(self, w: np.ndarray) -> np.ndarray:
-        return self._fiber_push
-
     def _point_at(self, c: np.ndarray) -> np.ndarray:
         """(k, 2, n) stack of [x; v] at the coordinate rows c: one stacked eigh, no Ad(e^xi)."""
         f = self.frame_dim
-        moved = _conjugate(self.config.alg, _rowwise(c[:, :f], self.frame.T), self._inner_point(c[:, f:]))
+        moved = _conjugate(self.config.alg, _rowwise(c[:, :f], self.frame.T), self._fiber_line(c[:, f:]))
         return moved if self.rotation is None else moved @ self.rotation.T
 
     def _pushforward_at(self, c: np.ndarray) -> np.ndarray:
         f = self.frame_dim
         alg = self.config.alg
-        n, k, rest = alg.dim, len(c), self.coord_dim - f
+        n, k = alg.dim, len(c)
         big, trans = dexp_apply(alg, _rowwise(c[:, :f], self.frame.T), self.frame_matrices)
         if self.rotation is not None:
             big = self.rotation @ big
-        # Conjugation column i is big @ [t_i, z] = -big @ ad(z) t_i for z = x, v; its lift is -big @ t_i.
+        # The (x, v, lift) rows of each column before big.  Conjugation column i is
+        # big @ [t_i, z] = -big @ ad(z) t_i for z = x, v, its lift -big @ t_i; fiber column i is big @ (0, m_i, 0).
         trans = trans[:, None].mT
-        moved = -np.concatenate([_lincomb(self._inner_point(c[:, f:]), alg.ad_basis) @ trans, trans], axis=1)
-        inner = self._inner_pushforward(c[:, f:]).reshape(-1, 3, n, rest)
-        blocks = np.concatenate([moved, np.broadcast_to(inner, (k, 3, n, rest))], axis=-1)
+        blocks = np.zeros((k, 3, n, 2 * f))
+        blocks[:, :2, :, :f] = -(_lincomb(self._fiber_line(c[:, f:]), alg.ad_basis) @ trans)
+        blocks[:, 2:, :, :f] = -trans
+        blocks[:, 1, :, f:] = self.frame
         push = (big[:, None] @ blocks).reshape(k, 3 * n, self.coord_dim)
         _certify_rank(push[:, :2 * n], 2 * self.coord_dim)
         return push

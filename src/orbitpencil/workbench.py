@@ -7,15 +7,14 @@ byte-identical across reruns.  Wall-clock timings are kept out of the JSON
 for that reason; the text rendering shows them.
 
 Checks run one after another on a shared :class:`PipelineContext`.  Data
-that several rows read (the block structures of the splitting and of the
-adapted coordinates, slice normal forms, the invariant-product space of h)
-is computed by the first row that needs it and kept on the context for the
-rest of the run.  What the algebra, the orbit and the setup compute anyway
-(the build-guard residuals of the algebra and the orbit, the setup
-residuals, the span [x0, k]) and the two pencils
-(:class:`dirac_reduction.ChartPencil`, one on the ambient chart and one on
-the sub chart) are read from ``ctx.alg``, ``ctx.orbit``, ``ctx.setup`` and
-``ctx.data``.  Sample-point rows evaluate the two coordinate stacks whole,
+that several rows read (the block structure of the splitting, slice normal
+forms, the invariant-product space of h) is computed by the first row that
+needs it and kept on the context for the rest of the run.  What the
+algebra, the orbit and the setup compute anyway (the build-guard residuals
+of the algebra and the orbit, the setup residuals, the span [x0, k]) and
+the two pencils (:class:`dirac_reduction.ChartPencil`, one on the ambient
+chart and one on the sub chart) are read from ``ctx.alg``, ``ctx.orbit``,
+``ctx.setup`` and ``ctx.data``.  Sample-point rows evaluate the two coordinate stacks whole,
 ``ctx.ambient_coords`` and ``ctx.regular_coords`` (padded for the ambient
 chart), and slice the rows they report.
 
@@ -277,13 +276,13 @@ def build_seed(cfg: WorkbenchConfig, alg: lc.LieAlgebra) -> np.ndarray:
 class PipelineContext:
     """Everything the rows read, built once by :func:`prepare_context`, and the objects rows share."""
 
-    __slots__ = ("config", "alg", "orbit", "setup", "data", "adapted", "ambient_coords", "regular_coords", "_shared")
+    __slots__ = ("config", "alg", "orbit", "setup", "data", "ambient_coords", "regular_coords", "_shared")
 
     def __init__(self, config: WorkbenchConfig, alg: lc.LieAlgebra, orbit: oc.OrbitConfig,
-                 setup: dr.ReductionSetup, data: dr.RestrictedPencilData, adapted: dr.AdaptedChart,
+                 setup: dr.ReductionSetup, data: dr.RestrictedPencilData,
                  ambient_coords: np.ndarray, regular_coords: np.ndarray):
         self.config, self.alg, self.orbit, self.setup, self.data = config, alg, orbit, setup, data
-        self.adapted, self.ambient_coords, self.regular_coords = adapted, ambient_coords, regular_coords
+        self.ambient_coords, self.regular_coords = ambient_coords, regular_coords
         self._shared = {}
 
     def once(self, compute):
@@ -319,12 +318,11 @@ def prepare_context(cfg: WorkbenchConfig) -> PipelineContext:
     setup = dr.reduction_setup(orbit, samples=cfg.samples, seed=cfg.seed)
     base = oc.TangentBundlePoint(x=orbit.seed, v=setup.x0)
     data = dr.restricted_pencil(setup, base)
-    adapted = dr.AdaptedChart(setup, data.sub_chart)
     ambient_coords = uniform_rows(cfg.seed, "ambient-points", range(cfg.samples),
                                   data.ambient_chart.coord_dim, oc.CHART_SCALE)
     regular_coords = dr.sample_regular_coords(setup, data, cfg.samples, seed=cfg.seed)
     return PipelineContext(
-        config=cfg, alg=alg, orbit=orbit, setup=setup, data=data, adapted=adapted,
+        config=cfg, alg=alg, orbit=orbit, setup=setup, data=data,
         ambient_coords=ambient_coords, regular_coords=regular_coords,
     )
 
@@ -344,7 +342,6 @@ class CheckSpec:
     kind: str          # "check" or "control"
     stage: str
     fn: object
-    applicable: object = None  # optional predicate on the context
 
 
 class CheckResult(NamedTuple):
@@ -386,14 +383,13 @@ def _exactness(chart, seed, label, count):
         return np.concatenate([point.x, point.v], axis=-1)
 
     coords = uniform_rows(seed, label, range(count), chart.coord_dim, oc.CHART_SCALE)
-    # The centres before their stencil: an adapted stencil repeats each centre's sub-chart row.
-    push = chart.pushforward(coords)
-    return float(np.max(np.abs(push - oc.central_partials(stacked, coords, 1e-5).mT)))
+    return float(np.max(np.abs(chart.pushforward(coords) - oc.central_partials(stacked, coords, 1e-5).mT)))
 
 
 def _chart_exactness(ctx):
+    # Each chart a row reads: the ambient chart and the sub chart of the restricted rows.
     return max(_exactness(ctx.data.ambient_chart, ctx.seed, "chart-exactness", min(ctx.samples, 10)),
-               _exactness(ctx.adapted, ctx.seed, "adapted-exactness", min(ctx.samples, 3)))
+               _exactness(ctx.data.sub_chart, ctx.seed, "sub-chart-exactness", min(ctx.samples, 3)))
 
 
 def _spectrum_preservation(ctx):
@@ -532,36 +528,14 @@ def _splitting_blocks(ctx):
     return dr.splitting_orthogonality(ctx.setup, ctx.data.ambient_chart, coords, forms)
 
 
-def _adapted_blocks(ctx):
-    # Both forms on the stratum, i.e. at zero transversal offset, over the whole regular stack; 5 rows are reported.
-    stratum = ctx.regular_coords
-    coords = np.hstack([np.zeros((len(stratum), ctx.setup.transversal.dim)), stratum])
-    forms = np.stack([form(ctx.adapted, coords) for form in (oc.canonical_form_matrix, oc.omega2_matrix)])
-    return dr.block_structure(forms[:, :5], ctx.setup.transversal.dim)
+def _splitting_pairing(ctx):
+    coupling, _, _ = ctx.once(_splitting_blocks)
+    return np.max(coupling)
 
 
-# Row factories over one dr.block_structure result, shared through ctx.once(blocks).
-
-
-def _coupling(blocks):
-    def fn(ctx):
-        coupling, _, _ = ctx.once(blocks)
-        return np.max(coupling)
-    return fn
-
-
-def _block_nondegeneracy(blocks):
-    def fn(ctx):
-        _, lead, trail = ctx.once(blocks)
-        return min(np.min(lead), np.min(trail))
-    return fn
-
-
-def _control_adapted_off(ctx):
-    p_dim = ctx.setup.transversal.dim
-    offsets = 0.05 * unit_rows(ctx.seed, "adapted-offsets", range(3), p_dim)
-    coords = np.hstack([offsets, np.tile(ctx.regular_coords[0], (3, 1))])
-    return np.max(np.abs(oc.canonical_form_matrix(ctx.adapted, coords)[:, p_dim:, :p_dim]))
+def _splitting_nondegeneracy(ctx):
+    _, lead, trail = ctx.once(_splitting_blocks)
+    return min(np.min(lead), np.min(trail))
 
 
 def _invariant_products(ctx):
@@ -641,10 +615,6 @@ def _slice_isometry(ctx):
     return max(abs(np.linalg.norm(z) - np.linalg.norm(y)) for y, z in ctx.once(_slice_pairs))
 
 
-def _has_transversal(ctx):
-    return ctx.setup.transversal.dim > 0
-
-
 REGISTRY: list[CheckSpec] = [
     CheckSpec("algebra_closure", "basis brackets stay inside the basis span", lc.ALGEBRA_CHECK_TOL, "max", "check", "algebra", _algebra_row("closure")),
     CheckSpec("algebra_jacobi", "structure constants satisfy the Jacobi identity", lc.ALGEBRA_CHECK_TOL, "max", "check", "algebra", _algebra_row("jacobi")),
@@ -672,11 +642,8 @@ REGISTRY: list[CheckSpec] = [
     CheckSpec("pencil_jacobi_combined", "inverse of the combined form satisfies the Jacobi identity", 1e-5, "max", "check", "pencil", _jacobi(_ambient, "p2")),
     CheckSpec("pencil_compatibility", "the sum of the two inverse bivectors satisfies the Jacobi identity", 1e-5, "max", "check", "pencil", _compatibility(_ambient)),
     CheckSpec("control_corrupted_jacobi", "corrupting one bivector entry breaks the Jacobi identity", 1e-3, "min", "control", "pencil", _control_corrupted_jacobi),
-    CheckSpec("splitting_pairing", "invariant forms pair action complement and regular stratum to zero", 1e-8, "max", "check", "splitting", _coupling(_splitting_blocks)),
-    CheckSpec("splitting_nondegeneracy", "both restricted blocks of the splitting stay nondegenerate", 1e-6, "min", "check", "splitting", _block_nondegeneracy(_splitting_blocks)),
-    CheckSpec("adapted_off_diagonal", "adapted coordinates block-diagonalise invariant forms on the stratum", 1e-8, "max", "check", "splitting", _coupling(_adapted_blocks)),
-    CheckSpec("adapted_nondegeneracy", "both diagonal blocks in adapted coordinates are nondegenerate", 1e-6, "min", "check", "splitting", _block_nondegeneracy(_adapted_blocks)),
-    CheckSpec("control_adapted_off_submanifold", "off the stratum the adapted blocks couple again", 1e-6, "min", "control", "splitting", _control_adapted_off, _has_transversal),
+    CheckSpec("splitting_pairing", "invariant forms pair action complement and regular stratum to zero", 1e-8, "max", "check", "splitting", _splitting_pairing),
+    CheckSpec("splitting_nondegeneracy", "both restricted blocks of the splitting stay nondegenerate", 1e-6, "min", "check", "splitting", _splitting_nondegeneracy),
     CheckSpec("product_complement_independence", "complement of the normalizer plus isotropy is product independent", 1e-8, "max", "check", "splitting", _product_complement_independence),
     CheckSpec("action_complement_independence", "the canonical complement is independent of the invariant product", 1e-8, "max", "check", "splitting", _action_complement_independence),
     CheckSpec("restricted_closedness", "restricted forms stay closed on the sub-orbit bundle", 1e-5, "max", "check", "restricted", _closedness(_restricted, "w1", "w2")),
@@ -766,11 +733,10 @@ def _finite(value) -> float:
 
 
 def run_pipeline(cfg: WorkbenchConfig) -> ReductionReport:
-    """Run every enabled check and assemble the report.
+    """Run every selected check and assemble the report.
 
-    Raises ConfigError for invalid configurations; any other stage failure,
-    and a selection of which no check applies, is captured inside the
-    report with verdict "fail".
+    Raises ConfigError for invalid configurations; any other stage failure
+    is captured inside the report with verdict "fail".
     """
     validate_config(cfg)
     selected = set(s.name for s in REGISTRY) if cfg.checks == "all" else set(cfg.checks)
@@ -788,13 +754,9 @@ def run_pipeline(cfg: WorkbenchConfig) -> ReductionReport:
         )
     timing["prepare"] = (time.perf_counter() - t0) * 1e3
 
-    specs = [s for s in REGISTRY if s.name in selected and (s.applicable is None or s.applicable(ctx))]
-
     finished: list[tuple[CheckSpec, CheckResult]] = []
     error = None
-    if not specs:  # nothing certified is not a pass
-        error = {"stage": "select", "message": "none of the selected checks applies to this configuration"}
-    for spec in specs:
+    for spec in (s for s in REGISTRY if s.name in selected):
         start = time.perf_counter()
         try:
             value = _finite(spec.fn(ctx))

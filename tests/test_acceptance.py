@@ -163,24 +163,6 @@ def test_criterion_06_splitting_orthogonality(setup_cp2, data_cp2, regular_coord
             ok, f"max pairing {worst_pair:.2e} <= 1e-8, min block sigma {worst_sigma:.2e} > 1e-6")
 
 
-def test_criterion_07_adapted_blocks(setup_cp2, data_cp2, regular_coords_cp2):
-    adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
-    p_dim = setup_cp2.transversal.dim
-    worst_off = 0.0
-    for coords in regular_coords_cp2[:5, None]:
-        full = np.hstack([np.zeros((1, p_dim)), coords])
-        for matrix in (oc.canonical_form_matrix(adapted, full)[0], oc.omega2_matrix(adapted, full)[0]):
-            worst_off = max(worst_off, dr.block_structure(matrix, p_dim)[0])
-    control = 0.0
-    for y in 0.05 * unit_rows(31, "adapted-control", range(3), p_dim):
-        full = np.concatenate([y, regular_coords_cp2[0]])[None]
-        matrix = oc.canonical_form_matrix(adapted, full)[0]
-        control = max(control, dr.block_structure(matrix, p_dim)[0])
-    ok = worst_off <= 1e-8 and control > 1e-6
-    verdict(7, "adapted coordinates block-diagonalise the forms on the stratum",
-            ok, f"on-stratum off-diagonal {worst_off:.2e} <= 1e-8, off-stratum control {control:.2e} > 1e-6")
-
-
 def test_criterion_08_complement_independence(su2, setup_cp2, so4, pauli_elements):
     subjects = [
         (su2, lc.span(pauli_elements[2][:, None])),

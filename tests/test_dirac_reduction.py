@@ -216,7 +216,7 @@ def test_complement_product_independence(setup_cp2, data_cp2, regular_coords_cp2
 
 
 # ---------------------------------------------------------------------------
-# Splitting orthogonality and adapted coordinates
+# Splitting orthogonality
 # ---------------------------------------------------------------------------
 
 
@@ -278,57 +278,6 @@ def test_splitting_orthogonality_trivial_case(setup_su2, data_su2):
     assert pairing == 0.0
     assert sigma_stratum > 1e-6
     assert sigma_complement == float("inf")
-
-
-def test_adapted_chart_blocks(setup_cp2, data_cp2, regular_coords_cp2):
-    adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
-    p_dim = setup_cp2.transversal.dim
-    for coords in regular_coords_cp2[:5, None]:
-        full = np.hstack([np.zeros((1, p_dim)), coords])
-        for matrix in (
-            oc.canonical_form_matrix(adapted, full)[0],
-            oc.omega2_matrix(adapted, full)[0],
-        ):
-            off_diagonal, sigma_transversal, sigma_stratum = dr.block_structure(matrix, p_dim)
-            assert off_diagonal <= 1e-8
-            assert sigma_transversal > 1e-6
-            assert sigma_stratum > 1e-6
-
-
-def test_adapted_chart_negative_control(setup_cp2, data_cp2, regular_coords_cp2):
-    # off the stratum the coupling blocks wake up
-    adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
-    p_dim = setup_cp2.transversal.dim
-    best = 0.0
-    for y in 0.05 * unit_rows(5, "negative-control", range(3), p_dim):
-        full = np.concatenate([y, regular_coords_cp2[0]])[None]
-        matrix = oc.canonical_form_matrix(adapted, full)[0]
-        best = max(best, dr.block_structure(matrix, p_dim)[0])
-    assert best > 1e-6
-
-
-def test_adapted_chart_trivial_case(setup_su2, data_su2):
-    adapted = dr.AdaptedChart(setup_su2, data_su2.sub_chart)
-    assert adapted.coord_dim == data_su2.sub_chart.coord_dim
-    coords = np.full((1, adapted.coord_dim), 0.02)
-    direct = data_su2.sub_chart.point(coords)
-    via = adapted.point(coords)
-    assert np.allclose(via.x, direct.x, atol=1e-14)
-    assert np.allclose(via.v, direct.v, atol=1e-14)
-
-
-def test_adapted_pushforward_matches_finite_differences(setup_cp2, data_cp2):
-    adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
-    rng = np.random.default_rng(6)
-    coords = rng.uniform(-0.05, 0.05, (1, adapted.coord_dim))
-    push = adapted.pushforward(coords)[0]
-    h = 1e-5
-    fd = np.empty_like(push)
-    for j in range(adapted.coord_dim):
-        plus = adapted.point(oc.shifted(coords, j, +h))
-        minus = adapted.point(oc.shifted(coords, j, -h))
-        fd[:, j] = np.concatenate([plus.x - minus.x, plus.v - minus.v], axis=-1)[0] / (2 * h)
-    assert np.max(np.abs(push - fd)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +563,6 @@ def test_nonabelian_reduction_full_chain(setup_cp3, data_cp3):
 
     coords_list = dr.sample_regular_coords(setup, data, 3, seed=5)
     w1, w2, p1a, p2a = data.ambient
-    adapted = dr.AdaptedChart(setup, data.sub_chart)
     f = dr.invariant_function(setup.alg, ("v", "v"))
     g = dr.invariant_function(setup.alg, ("x", "v", "x", "v"))
     for coords in coords_list[:, None]:
@@ -627,10 +575,6 @@ def test_nonabelian_reduction_full_chain(setup_cp3, data_cp3):
             setup, data.ambient_chart, padded, w1(padded)[:, None])
         assert pairing <= 1e-8
         assert min(sigma_complement, sigma_stratum) > 1e-6
-        # adapted blocks vanish on the stratum
-        full = np.hstack([np.zeros((1, setup.transversal.dim)), coords])
-        off_diagonal, _, _ = dr.block_structure(oc.canonical_form_matrix(adapted, full)[0], setup.transversal.dim)
-        assert off_diagonal <= 1e-8
         # brackets agree ambient vs restricted
         for t in ((1.0, 1.0), (0.3, 0.7)):
             assert dr.relative_bracket_residual(*dr.bracket_agreement(setup, data, [f, g], coords, [t])) <= 1e-5

@@ -253,10 +253,8 @@ def fd_canonical_form_matrix(chart, coords, h=1e-4):
 
 
 def test_canonical_form_matches_finite_difference_reference(setup_su2, setup_cp2, data_cp2):
-    adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
-    assert setup_cp2.transversal.dim > 0
     rng = np.random.default_rng(9)
-    for chart in (make_chart(setup_su2), make_chart(setup_cp2), data_cp2.ambient_chart, adapted):
+    for chart in (make_chart(setup_su2), make_chart(setup_cp2), data_cp2.ambient_chart, data_cp2.sub_chart):
         for _ in range(2):
             coords = rng.uniform(-0.1, 0.1, (1, chart.coord_dim))
             exact = oc.canonical_form_matrix(chart, coords)[0]
@@ -278,15 +276,11 @@ def test_pushforward_miss_takes_one_eigh_and_no_adjoint_matrix(monkeypatch, setu
         counts["ad"] += 1
         return ad(self, coeffs)
 
-    chart = make_chart(setup_cp2)
-    adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
-    s = np.full((1, data_cp2.sub_chart.coord_dim), 0.03)
-    data_cp2.sub_chart.point(s)
-    data_cp2.sub_chart.pushforward(s)  # the adapted miss below reuses the sub chart's values
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(lc.LieAlgebra, "ad", counted_ad)
-    for ch, coords in ((chart, np.full((1, chart.coord_dim), 0.05)),
-                       (adapted, np.hstack([np.full((1, setup_cp2.transversal.dim), 0.05), s]))):
+    sub = data_cp2.sub_chart
+    for ch in (make_chart(setup_cp2), oc.Chart(setup_cp2.config, base_v=sub.base_v, frame=sub.frame)):
+        coords = np.full((1, ch.coord_dim), 0.05)
         counts.update(eigh=0, ad=0)
         ch.pushforward(coords)
         assert counts == {"eigh": 1, "ad": 0}
@@ -324,10 +318,9 @@ def test_pullback_matrix_kills_fiber_directions(setup_cp2):
 
 def test_pullback_matrix_matches_einsum_reference(setup_cp2, data_cp2):
     # reference: the four-operand contraction -lifts_ai lifts_bj c_abk x_k
-    adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
     alg = setup_cp2.alg
     rng = np.random.default_rng(10)
-    for chart in (make_chart(setup_cp2), adapted):
+    for chart in (make_chart(setup_cp2), data_cp2.sub_chart):
         coords = rng.uniform(-0.08, 0.08, (1, chart.coord_dim))
         x = chart.point(coords).x[0]
         lifts = np.linalg.lstsq(alg.ad(x), chart.pushforward(coords)[0, :alg.dim], rcond=None)[0]
@@ -337,21 +330,20 @@ def test_pullback_matrix_matches_einsum_reference(setup_cp2, data_cp2):
 
 
 def test_lifts_solve_ad_x_against_the_pushforward(setup_cp2, data_cp2):
-    # [x, zeta] = dx for every column, on the ambient, sub, adapted and a rotated chart;
+    # [x, zeta] = dx for every column, on the ambient, sub and a rotated chart;
     # a fiber column moves v only, and its lift is exactly 0
     alg = setup_cp2.alg
     chart, sub = data_cp2.ambient_chart, data_cp2.sub_chart
     rot = oc.exp_ad(alg, 0.3 * np.random.default_rng(13).standard_normal(alg.dim))
-    charts = [chart, sub, dr.AdaptedChart(setup_cp2, sub),
-              oc.Chart(setup_cp2.config, base_v=chart.base_v, frame=chart.frame, rotation=rot)]
+    charts = [chart, sub, oc.Chart(setup_cp2.config, base_v=chart.base_v, frame=chart.frame, rotation=rot)]
     rng = np.random.default_rng(14)
-    for ch, fiber in zip(charts, (chart.frame_dim, sub.frame_dim, sub.frame_dim, chart.frame_dim)):
+    for ch in charts:
         coords = rng.uniform(-0.1, 0.1, (3, ch.coord_dim))
         lifts = ch.lifts(coords)
         ad_x = np.stack([alg.ad(x) for x in ch.point(coords).x])
         assert lifts.shape == (3, alg.dim, ch.coord_dim)
         assert np.max(np.abs(ad_x @ lifts - ch.pushforward(coords)[:, :alg.dim])) <= 1e-13
-        assert not np.any(lifts[..., -fiber:])
+        assert not np.any(lifts[..., ch.frame_dim:])
 
 
 def test_combined_form_base_dependence_only(setup_cp2):
@@ -418,11 +410,9 @@ def test_form_invariance_under_moved_chart(setup_cp2, data_cp2):
 
 
 def _fresh_charts(setup, data):
-    """Two unevaluated copies of the ambient chart and of an adapted chart over the sub chart."""
-    chart = data.ambient_chart
-    copies = [oc.Chart(setup.config, base_v=chart.base_v, frame=chart.frame) for _ in range(2)]
-    subs = [oc.Chart(setup.config, base_v=data.sub_chart.base_v, frame=data.sub_chart.frame) for _ in range(2)]
-    return [(copies[0], copies[1]), tuple(dr.AdaptedChart(setup, sub) for sub in subs)]
+    """Two unevaluated copies of the ambient chart and of the sub chart."""
+    return [tuple(oc.Chart(setup.config, base_v=chart.base_v, frame=chart.frame) for _ in range(2))
+            for chart in (data.ambient_chart, data.sub_chart)]
 
 
 @pytest.mark.parametrize("setup_name,data_name", [("setup_cp2", "data_cp2"), ("setup_cp3", "data_cp3")])
@@ -493,13 +483,6 @@ def test_stacked_chart_rejects_a_row_outside_the_box(setup_cp2):
         chart.pushforward(coords)
 
 
-class _FiberlessWhereW0IsLarge(oc.Chart):
-    """Chart whose fiber columns vanish at rows with w_0 > 0.2: the pushforward loses rank there."""
-
-    def _inner_pushforward(self, w):
-        return self._fiber_push * (w[:, :1, None] <= 0.2)
-
-
 def _stencil_rows(centres, step):
     """The (2 d m, d) stack that central_partials hands its fn: c + step e_l, then c - step e_l."""
     rows = []
@@ -507,31 +490,29 @@ def _stencil_rows(centres, step):
     return rows[0]
 
 
+def _rank_deficient(mats, index):
+    """Copy of a stack of pushforwards whose matrix ``index`` has a zero first column."""
+    mats = np.array(mats, copy=True)
+    mats[index, :, 0] = 0.0
+    return mats
+
+
 @pytest.mark.parametrize("where", ["reference", "member", "trailing"])
 def test_grouped_rank_guard_refuses_every_rank_deficient_row(setup_cp2, where):
-    # The guard takes one SVD per run of 2 d rows, of the run's first row, and certifies the
-    # others by Weyl's inequality; row 2 f of a run is c + h e_f, the only row whose w_0 exceeds
-    # the centre's, so at w_0 = 0.2 - h / 2 it alone loses rank.
-    chart = _FiberlessWhereW0IsLarge(setup_cp2.config, base_v=setup_cp2.x0, frame=setup_cp2.config.tangent.basis)
-    d, f, h = chart.coord_dim, chart.frame_dim, 1e-4
-    centres = np.full((3, d), 0.05)
-    if where == "member":
-        centres[1, f] = 0.2 - h / 2
-    rows = _stencil_rows(centres, h)
-    if where == "reference":
-        bad = 2 * d
-        rows[bad, f] = 0.3
-    elif where == "member":
-        bad = 2 * d + 2 * f
-    else:  # a stencil and then two rows, a run of its own cut short
+    # The guard takes one SVD per run of 2 d matrices, of the run's first, and certifies the
+    # others by Weyl's inequality; one rank-deficient matrix, wherever it sits, is refused.
+    chart = make_chart(setup_cp2)
+    d = chart.coord_dim
+    rows = _stencil_rows(np.full((3, d), 0.05), 1e-4)
+    if where == "trailing":  # a stencil and then two rows, a run of its own cut short
         rows = np.concatenate([rows, np.full((2, d), 0.05)])
-        bad = len(rows) - 1
-        rows[bad, f] = 0.3
-    assert chart.pushforward(np.delete(rows, bad, axis=0)).shape[0] == len(rows) - 1
+    bad = {"reference": 2 * d, "member": 2 * d + 2 * chart.frame_dim, "trailing": len(rows) - 1}[where]
+    mats = _rank_deficient(chart.pushforward(rows), bad)
+    oc._certify_rank(np.delete(mats, bad, axis=0), 2 * d)
     with pytest.raises(ChartDegeneracyError):
-        chart.pushforward(rows[bad:bad + 1])
+        oc._certify_rank(mats[bad:bad + 1], 2 * d)
     with pytest.raises(ChartDegeneracyError):
-        chart.pushforward(rows)
+        oc._certify_rank(mats, 2 * d)
 
 
 def test_grouped_rank_guard_takes_one_svd_per_stencil_centre(monkeypatch, setup_cp3):
@@ -550,26 +531,34 @@ def test_grouped_rank_guard_takes_one_svd_per_stencil_centre(monkeypatch, setup_
     assert np.array_equal(seen[0], chart.pushforward(rows[::24]))
 
 
-def test_stacked_pushforward_rejects_a_rank_deficient_row(setup_cp2):
-    chart = _FiberlessWhereW0IsLarge(setup_cp2.config, base_v=setup_cp2.x0, frame=setup_cp2.config.tangent.basis)
+def test_stacked_pushforward_rejects_a_rank_deficient_row(monkeypatch, setup_cp2):
+    # conjugation column 0 vanishes at rows with u_0 > 0.2: the pushforward loses rank there
+    chart = make_chart(setup_cp2)
+    dexp = oc.dexp_apply
+
+    def stalled(alg, xi, frame_matrices):
+        big, trans = dexp(alg, xi, frame_matrices)
+        trans[xi @ chart.frame[:, 0] > 0.2, 0] = 0.0
+        return big, trans
+
+    monkeypatch.setattr(oc, "dexp_apply", stalled)
     coords = np.full((3, chart.coord_dim), 0.05)
     assert chart.pushforward(coords).shape == (3, 2 * setup_cp2.alg.dim, chart.coord_dim)
-    coords[1, chart.frame_dim] = 0.3
+    coords[1, 0] = 0.3
     with pytest.raises(ChartDegeneracyError):
         chart.pushforward(coords)
 
 
 def test_short_stack_rank_guard_takes_one_svd(monkeypatch, setup_cp2):
-    # three rows, shorter than a stencil: one SVD of every row, which refuses the deficient one
-    chart = _FiberlessWhereW0IsLarge(setup_cp2.config, base_v=setup_cp2.x0, frame=setup_cp2.config.tangent.basis)
-    coords = np.full((3, chart.coord_dim), 0.05)
-    coords[1, chart.frame_dim] = 0.3
+    # three matrices, fewer than a stencil: one SVD of every matrix, which refuses the deficient one
+    chart = make_chart(setup_cp2)
+    mats = _rank_deficient(chart.pushforward(np.full((3, chart.coord_dim), 0.05)), 1)
     svd, calls = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(len(a)) or svd(a, *args, **kwargs))
     with pytest.raises(ChartDegeneracyError):
-        chart.pushforward(coords)
+        oc._certify_rank(mats, 2 * chart.coord_dim)
     assert calls == [3]
-    chart.pushforward(coords[[0, 2]])
+    oc._certify_rank(mats[[0, 2]], 2 * chart.coord_dim)
     assert calls == [3, 2]
 
 

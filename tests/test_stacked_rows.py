@@ -181,15 +181,13 @@ def test_splitting_and_brackets_on_the_stack_are_the_point_reports(request, case
 
     # block_structure of a (2, m, d, d) stack: each entry is the max and SVDs of its matrix alone,
     # and an empty lead or trail block couples nothing and reads sigma inf
-    adapted = dr.AdaptedChart(setup, stacked.sub_chart)
-    full = np.hstack([np.zeros((len(sub), setup.transversal.dim)), sub])
-    adapted_forms = np.stack([oc.canonical_form_matrix(adapted, full), oc.omega2_matrix(adapted, full)])
-    d = adapted.coord_dim
-    for split in (0, setup.transversal.dim, d):
-        coupling, lead, trail = dr.block_structure(adapted_forms, split)
+    sub_forms = np.stack([stacked.restricted.w1(sub), stacked.restricted.w2(sub)])
+    d = stacked.sub_chart.coord_dim
+    for split in (0, stacked.sub_chart.frame_dim, d):
+        coupling, lead, trail = dr.block_structure(sub_forms, split)
         assert coupling.shape == lead.shape == trail.shape == (2, len(sub))
         for index in np.ndindex(2, len(sub)):
-            form = adapted_forms[index]
+            form = sub_forms[index]
             if 0 < split < d:
                 assert coupling[index] == np.max(np.abs(form[split:, :split]))
                 assert lead[index] == np.linalg.svd(form[:split, :split], compute_uv=False)[-1]
@@ -327,17 +325,17 @@ def _count_evaluations(monkeypatch):
 
 def test_evaluation_counts_per_run(monkeypatch):
     # Every row reads the stacks the run evaluates and slices them.  One chain per sample
-    # point made 34, 49 and 74 calls here; rows evaluating sub-stacks of their own, 20, 21 and 18.
+    # point made 34, 49 and 74 calls here; rows evaluating sub-stacks of their own, 20, 21 and 18;
+    # the adapted chart's rows and control, 16, 13 and 12.
     counts = _count_evaluations(monkeypatch)
     report = wb.run_pipeline(wb.load_config(CONFIGS / "su3_projective_plane.json"))
     assert report.verdict == "pass"
-    assert (counts["dexp_apply"], counts["FormField"], counts["PoissonField"]) == (16, 13, 12)
+    assert (counts["dexp_apply"], counts["FormField"], counts["PoissonField"]) == (12, 13, 12)
 
 
 def test_no_evaluation_repeats_rows_its_memo_has_evaluated(monkeypatch):
     # A stack whose rows all lie in earlier evaluations of the same memo is a sub-stack the run
-    # has already paid for.  The one such stack is the off-stratum control's: three copies of
-    # the first regular point, whose offsets define the control, inside the adapted chart.
+    # has already paid for; no row evaluates one.
     repeats = []
     init = oc.CoordinateMemo.__init__
 
@@ -352,17 +350,10 @@ def test_no_evaluation_repeats_rows_its_memo_has_evaluated(monkeypatch):
             return fn(c)
         init(self, evaluator)
 
-    contexts = []
-    prepare = wb.prepare_context
     monkeypatch.setattr(oc.CoordinateMemo, "__init__", __init__)
-    monkeypatch.setattr(wb, "prepare_context", lambda cfg: contexts.append(prepare(cfg)) or contexts[-1])
     report = wb.run_pipeline(wb.load_config(CONFIGS / "su3_projective_plane.json"))
     assert report.verdict == "pass"
-    [ctx] = contexts
-    sub = ctx.data.sub_chart
-    assert [fn for fn, _ in repeats] == [sub._point_at, sub._pushforward_at]
-    for _, c in repeats:
-        assert np.array_equal(c, np.tile(ctx.regular_coords[0], (3, 1)))
+    assert repeats == []
 
 
 ROWS = ["canonical_closedness", "combined_closedness", "pencil_jacobi_canonical", "pencil_jacobi_combined",
@@ -451,13 +442,11 @@ def test_splitting_lifts_agree_with_lstsq(monkeypatch, request, case):
         assert np.allclose(array, ref, rtol=1e-12, atol=1e-12)
 
 
-def test_a_bare_coordinate_row_is_refused(setup_cp2, data_cp2):
+def test_a_bare_coordinate_row_is_refused(data_cp2):
     # Coordinates are (m, d) stacks only; a (d,) row raises InputError naming that shape.
     chart, (w1, _, p1, _) = data_cp2.ambient_chart, data_cp2.ambient
-    adapted = dr.AdaptedChart(setup_cp2, data_cp2.sub_chart)
     row = np.zeros(chart.coord_dim)
-    calls = [lambda: chart.point(row), lambda: chart.pushforward(row),
-             lambda: adapted.pushforward(np.zeros(adapted.coord_dim)), lambda: w1(row), lambda: p1(row),
+    calls = [lambda: chart.point(row), lambda: chart.pushforward(row), lambda: w1(row), lambda: p1(row),
              lambda: oc.closedness_residual(w1, row), lambda: pp.jacobi_residual(p1, row),
              lambda: data_cp2.pad_coords(np.zeros(data_cp2.sub_chart.coord_dim))]
     for call in calls:

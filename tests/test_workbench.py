@@ -26,6 +26,9 @@ SU2_CONFIG = {
     "seed": 0,
 }
 
+# Every report of a full run carries every registry row: the checks, then the controls.
+ALL_ROWS = [spec.name for kind in ("check", "control") for spec in wb.REGISTRY if spec.kind == kind]
+
 
 @pytest.fixture(scope="module")
 def su2_report():
@@ -189,8 +192,7 @@ def test_cp2_pipeline_full_run_pin():
     assert report.verdict == "pass"
     assert report.reduction == "nontrivial"
     assert report.dims["h"] == 1
-    control_names = {row.name for row in report.negative_controls}
-    assert "control_adapted_off_submanifold" in control_names
+    assert [row.name for row in report.checks + report.negative_controls] == ALL_ROWS
 
 
 def test_cli_seed_override(tmp_path):
@@ -231,8 +233,7 @@ def test_pipeline_nonabelian_isotropy_with_trivial_transversal():
     assert report.dims["h"] == 3 and report.dims["p"] == 0
     assert report.dims["k"] + report.dims["m"] == 6
     assert report.dims["p"] + report.dims["n(h)"] == 6
-    control_names = {row.name for row in report.negative_controls}
-    assert "control_adapted_off_submanifold" not in control_names  # vacuous here
+    assert [row.name for row in report.checks + report.negative_controls] == ALL_ROWS  # p = 0 drops no row
 
 
 def test_determinism_repeated_runs(tmp_path):
@@ -396,8 +397,8 @@ _MEMO_SHARING_ROWS = [
     ["splitting_pairing", "splitting_nondegeneracy"],
     ["slice_normalization", "slice_isometry"],
     ["isotropy_in_stabilizer", "subalgebras_closed"],
-    ["adapted_off_diagonal", "restricted_nondegeneracy"],  # the sub chart at the regular stack
-    ["local_freeness", "adapted_nondegeneracy"],
+    ["action_complement_independence", "restricted_nondegeneracy"],  # the sub chart at the regular stack
+    ["local_freeness", "invariant_function_invariance"],
     ["pencil_jacobi_canonical", "degeneracy_on_line"],  # the ambient bivectors at the sample stack
     ["degeneracy_off_line", "pencil_compatibility"],
     ["restricted_compatibility", "restricted_degeneracy_on_line"],  # the restricted bivectors
@@ -520,19 +521,6 @@ def test_cli_empty_check_selection_is_config_error(tmp_path, capsys, selection):
 def test_cli_empty_checks_list_in_config_is_config_error(tmp_path, capsys):
     assert cli_main(["verify", "--config", write_config(tmp_path, dict(SU2_CONFIG, checks=[]))]) == 2
     assert "checks must name at least one check" in capsys.readouterr().err
-
-
-def test_cli_selection_with_no_applicable_check_fails(tmp_path):
-    # su(2) has a trivial transversal, so the adapted off-stratum control does not apply
-    cfg_path = write_config(tmp_path, SU2_CONFIG)
-    out_path = tmp_path / "report.json"
-    code = cli_main(["verify", "--config", cfg_path, "--checks", "control_adapted_off_submanifold",
-                     "--out", str(out_path)])
-    assert code == 1
-    report = json.loads(out_path.read_text(encoding="utf-8"))
-    assert report["verdict"] == "fail"
-    assert report["checks"] == [] and report["negative_controls"] == []
-    assert report["error"]["stage"] == "select"
 
 
 def test_negative_seed_is_config_error(tmp_path, capsys):
