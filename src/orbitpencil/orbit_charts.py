@@ -65,9 +65,7 @@ from .errors import (
 )
 from .lie_core import RANK_RTOL, LieAlgebra, Subspace, _lincomb, _rowwise, kernel, projector_distance, rank_mask, span
 
-FD_STEP_DEFAULT = 1e-4
-FD_STEP_MIN = 1e-6
-FD_STEP_MAX = 1e-3
+FD_STEP = 1e-4  # step of the outer central differences, the closedness and Jacobi residuals
 CHART_BOX = 0.5  # validity box of chart coordinates, |c| <= CHART_BOX
 CHART_SCALE = 0.1  # box that sample chart coordinates are drawn from, |c| <= CHART_SCALE
 
@@ -380,12 +378,6 @@ def central_partials(fn, coords: np.ndarray, step: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_fd_step(fd_step: float) -> float:
-    if not (FD_STEP_MIN <= fd_step <= FD_STEP_MAX):
-        raise InputError(f"fd_step must lie in [{FD_STEP_MIN}, {FD_STEP_MAX}]")
-    return float(fd_step)
-
-
 def canonical_form_matrix(chart: Chart, coords) -> np.ndarray:
     """Canonical 2-form (exterior derivative of theta) in chart coordinates.
 
@@ -440,9 +432,9 @@ def combined_form_field(chart: Chart) -> FormField:
     return FormField(lambda c: omega2_matrix(chart, c), chart.coord_dim)
 
 
-def closedness_residual(form_field, coords, fd_step: float = FD_STEP_DEFAULT) -> float:
+def closedness_residual(form_field, coords) -> float:
     """Max cyclic-sum residual d_i W_jk + d_j W_ki + d_k W_ij over index triples and over the rows
     of the (m, d) stack coords; the whole stencil is one call of ``form_field``."""
-    partials = central_partials(form_field, coords, _check_fd_step(fd_step))
+    partials = central_partials(form_field, coords, FD_STEP)
     cyc = partials + np.transpose(partials, (0, 2, 3, 1)) + np.transpose(partials, (0, 3, 1, 2))
     return float(np.max(np.abs(cyc)))

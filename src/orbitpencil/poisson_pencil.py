@@ -8,8 +8,9 @@ by the Leibniz rule:
 
 The inner derivatives are the field's partials: dP = -P dW P for P = W^-1,
 with dW the central differences that closedness takes of W (no inverse off
-the centre), and central differences of P for any other field; residuals
-land near the truncation error ~ fd_step^2 for genuine Poisson fields.
+the centre), and central differences of P for any other field, all with the
+one outer step :data:`orbit_charts.FD_STEP`; residuals land near the
+truncation error ~ FD_STEP^2 for genuine Poisson fields.
 Fields and residuals take an (m, d) stack of coordinate rows, and residuals
 return the max over them; a field and its partials are evaluated on the
 whole stack at once, so a row costs one evaluator call per field.
@@ -21,8 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import orbit_charts as oc
 from .errors import DegeneracyError, InputError
-from .orbit_charts import FD_STEP_DEFAULT, CoordinateMemo, FormField, _check_fd_step, central_partials
+from .orbit_charts import CoordinateMemo, FormField, central_partials
 
 # A pencil member counts as singular below this relative spectral cutoff.
 FORM_SINGULAR_RTOL = 1e-8
@@ -48,13 +50,13 @@ def _as_parameter(t) -> PencilParameter:
 
 class PoissonField:
     """A cached skew matrix field; ``evaluator`` as for FormField, and its values must be skew.
-    ``partials(coords, step)`` gives its derivatives, (m, d, dim, dim) at an (m, d) stack, by default
+    ``partials(coords)`` gives its derivatives, (m, d, dim, dim) at an (m, d) stack, by default
     central differences of the field."""
 
     def __init__(self, evaluator, dim: int, *, partials=None):
         self.dim = int(dim)
         self._values = CoordinateMemo(evaluator)
-        self.partials = partials or (lambda c, h: central_partials(self, c, h))
+        self.partials = partials or (lambda c: central_partials(self, c, oc.FD_STEP))
 
     def __call__(self, coords) -> np.ndarray:
         return self._values(np.asarray(coords, dtype=float))
@@ -83,9 +85,9 @@ def invert_form(form_field: FormField) -> PoissonField:
             )
         return inv
 
-    def partials(coords, step):
+    def partials(coords):
         p = field(coords)[..., None, :, :]
-        return -p @ central_partials(form_field, coords, step) @ p
+        return -p @ central_partials(form_field, coords, oc.FD_STEP) @ p
 
     field = PoissonField(evaluator, form_field.dim, partials=partials)
     return field
@@ -97,32 +99,35 @@ def pencil(p1: PoissonField, p2: PoissonField, t) -> PoissonField:
     if p1.dim != p2.dim:
         raise InputError(f"pencil members disagree in dimension: {p1.dim} vs {p2.dim}")
     return PoissonField(lambda c: param.t1 * p1(c) + param.t2 * p2(c), p1.dim,
-                        partials=lambda c, h: param.t1 * p1.partials(c, h) + param.t2 * p2.partials(c, h))
+                        partials=lambda c: param.t1 * p1.partials(c) + param.t2 * p2.partials(c))
 
 
-def jacobi_residual(field: PoissonField, coords, fd_step: float = FD_STEP_DEFAULT) -> float:
+def jacobi_residual(field: PoissonField, coords) -> float:
     """Max Jacobi-identity residual over coordinate-function triples and over the rows of the (m, d) stack coords.
 
     The contraction runs one row at a time: a stacked einsum may sum in
     another order, and each row's residual must not depend on its stack."""
-    h = _check_fd_step(fd_step)
     c = np.asarray(coords, dtype=float)
     mixed = np.stack([np.einsum("li,ljk->ijk", center, partials)
-                      for center, partials in zip(field(c), field.partials(c, h))])
+                      for center, partials in zip(field(c), field.partials(c))])
     cyc = mixed + np.transpose(mixed, (0, 2, 3, 1)) + np.transpose(mixed, (0, 3, 1, 2))
     return float(np.max(np.abs(cyc)))
 
 
-def compatibility_residual(p1: PoissonField, p2: PoissonField, coords,
-                           fd_step: float = FD_STEP_DEFAULT) -> float:
+def compatibility_residual(p1: PoissonField, p2: PoissonField, coords) -> float:
     """Jacobi residual of the sum; small values certify the pair at the points."""
-    return jacobi_residual(pencil(p1, p2, (1.0, 1.0)), coords, fd_step)
+    return jacobi_residual(pencil(p1, p2, (1.0, 1.0)), coords)
 
 
 def degeneracy_profile(m1: np.ndarray, m2: np.ndarray, t_samples) -> np.ndarray:
     """sigma_min of t1 m1 + t2 m2 per t sample, m1 and m2 two bivector matrices at one point: one stacked SVD."""
     members = [p.t1 * m1 + p.t2 * m2 for p in map(_as_parameter, t_samples)]
     return np.linalg.svd(np.stack(members), compute_uv=False)[:, -1]
+
+
+# Pencil parameters off the degenerate line t1 + t2 = 0, where both members are invertible;
+# the bracket row compares the ambient and restricted brackets at each.
+OFF_LINE_PARAMETERS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7))
 
 
 def unit_circle_parameters() -> list[tuple[float, float]]:

@@ -20,10 +20,10 @@ chart), and slice the rows they report.
 
 Check rows carry a short ``anchor`` sentence stating the mathematical
 claim being certified, a ``mode`` saying whether the value is an upper
-("max") or lower ("min") bounded quantity, and the tolerance actually
-used.  Negative controls assert that a deliberately broken input lands
-beyond a rejection threshold; the run verdict requires every positive
-check to pass and every control to fail as designed.
+("max") or lower ("min") bounded quantity, and its tolerance.  Negative
+controls assert that a deliberately broken input lands beyond a rejection
+threshold; the run verdict requires every positive check to pass and every
+control to fail as designed.
 """
 
 import json
@@ -52,14 +52,10 @@ _FAMILY_LIMITS = {"su": (2, 5), "so": (3, 5)}
 class WorkbenchConfig:
     """The settings of one run; mutable, since the command line overrides ``seed`` and ``checks``."""
 
-    __slots__ = ("algebra", "seed_element", "samples", "fd_step", "tolerances", "t_samples", "seed", "checks")
+    __slots__ = ("algebra", "seed_element", "samples", "seed", "checks")
 
-    def __init__(self, algebra: dict, seed_element: dict, samples: int = 10, fd_step: float = 1e-4,
-                 tolerances: dict | None = None, t_samples: list | None = None, seed: int = 0,
-                 checks: object = "all"):
-        self.algebra, self.seed_element, self.samples, self.fd_step = algebra, seed_element, samples, fd_step
-        self.tolerances = {} if tolerances is None else tolerances
-        self.t_samples = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7), (1.0, -1.0)] if t_samples is None else t_samples
+    def __init__(self, algebra: dict, seed_element: dict, samples: int = 10, seed: int = 0, checks: object = "all"):
+        self.algebra, self.seed_element, self.samples = algebra, seed_element, samples
         self.seed, self.checks = seed, checks
 
     def resolved(self) -> dict:
@@ -68,9 +64,6 @@ class WorkbenchConfig:
             "algebra": self.algebra,
             "seed_element": self.seed_element,
             "samples": self.samples,
-            "fd_step": self.fd_step,
-            "tolerances": dict(sorted(self.tolerances.items())),
-            "t_samples": [list(t) for t in self.t_samples],
             "seed": self.seed,
             "checks": self.checks,
         }
@@ -96,27 +89,6 @@ def _integer(value) -> int:
     return value
 
 
-def _number(value) -> float:
-    """A JSON number as a float: a string or a bool is refused, not parsed."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _parameter(pair) -> tuple[float, float]:
-    """A pencil parameter [t1, t2]: a list (or tuple) of exactly two numbers, never cut to its first two."""
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"expected a pair [t1, t2], got {pair!r}")
-    return _number(pair[0]), _number(pair[1])
-
-
-def _tolerances(value) -> dict:
-    """A JSON object of numbers by check name; a list of pairs is refused, not read as one."""
-    if not isinstance(value, dict):
-        raise TypeError(f"expected an object of tolerances, got {value!r}")
-    return {name: _number(tol) for name, tol in value.items()}
-
-
 def _checks(value):
     """"all" or a list (or tuple) of check names, as a list."""
     if isinstance(value, str) and value == "all":
@@ -133,9 +105,6 @@ _FIELD_PARSERS = {
     "algebra": lambda v: v,
     "seed_element": lambda v: v,
     "samples": _integer,
-    "fd_step": _number,
-    "tolerances": _tolerances,
-    "t_samples": lambda v: [_parameter(t) for t in v],
     "seed": _integer,
     "checks": _checks,
 }
@@ -165,8 +134,6 @@ def validate_config(cfg: WorkbenchConfig) -> None:
             setattr(cfg, name, parse(getattr(cfg, name)))
         except (TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ConfigError(f"malformed value for '{name}': {exc}") from exc
-    if not (oc.FD_STEP_MIN <= cfg.fd_step <= oc.FD_STEP_MAX):
-        raise ConfigError(f"fd_step must lie in [{oc.FD_STEP_MIN}, {oc.FD_STEP_MAX}]")
     if cfg.samples < 8:
         raise ConfigError("samples must be at least 8")
     if cfg.seed < 0:
@@ -208,11 +175,6 @@ def validate_config(cfg: WorkbenchConfig) -> None:
                 raise ConfigError("diag_spectrum is degenerate: all rotation angles vanish")
         elif np.allclose(spec - np.mean(spec), 0.0):
             raise ConfigError("diag_spectrum is degenerate: all entries equal")
-    for t in cfg.t_samples:
-        if t[0] == 0.0 and t[1] == 0.0:
-            raise ConfigError("t_samples must avoid (0, 0)")
-    if all(abs(t[0] + t[1]) <= 1e-12 for t in cfg.t_samples):
-        raise ConfigError("t_samples needs at least one parameter off the degenerate line t1 + t2 = 0")
     if cfg.checks != "all":
         if not cfg.checks:
             raise ConfigError("checks must name at least one check")
@@ -220,9 +182,6 @@ def validate_config(cfg: WorkbenchConfig) -> None:
         unknown = set(cfg.checks) - names
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
-    unknown_tols = set(cfg.tolerances) - {spec.name for spec in REGISTRY}
-    if unknown_tols:
-        raise ConfigError(f"tolerances for unknown checks: {sorted(unknown_tols)}")
     # The report echoes the configuration as JSON, which has no NaN or infinity.
     try:
         json.dumps(cfg.resolved(), allow_nan=False)
@@ -294,10 +253,6 @@ class PipelineContext:
         if compute not in self._shared:
             self._shared[compute] = compute(self)
         return self._shared[compute]
-
-    @property
-    def fd(self) -> float:
-        return self.config.fd_step
 
     @property
     def samples(self) -> int:
@@ -420,7 +375,7 @@ def _restricted(ctx):
 def _closedness(chart, *members):
     def fn(ctx):
         pencil, coords = chart(ctx)
-        return max(oc.closedness_residual(getattr(pencil, m), coords, ctx.fd) for m in members)
+        return max(oc.closedness_residual(getattr(pencil, m), coords) for m in members)
     return fn
 
 
@@ -435,14 +390,14 @@ def _nondegeneracy(chart, *members):
 def _jacobi(chart, *members):
     def fn(ctx):
         pencil, coords = chart(ctx)
-        return max(pp.jacobi_residual(getattr(pencil, m), coords, ctx.fd) for m in members)
+        return max(pp.jacobi_residual(getattr(pencil, m), coords) for m in members)
     return fn
 
 
 def _compatibility(chart):
     def fn(ctx):
         pencil, coords = chart(ctx)
-        return pp.compatibility_residual(pencil.p1, pencil.p2, coords, ctx.fd)
+        return pp.compatibility_residual(pencil.p1, pencil.p2, coords)
     return fn
 
 
@@ -489,7 +444,7 @@ def _control_corrupted_closedness(ctx):
         return mat
 
     bad = oc.FormField(corrupted, base.dim)
-    return oc.closedness_residual(bad, _control_coords(ctx), ctx.fd)
+    return oc.closedness_residual(bad, _control_coords(ctx))
 
 
 def _corrupted_field(ctx) -> pp.PoissonField:
@@ -517,7 +472,7 @@ def _degeneracy(on_line: bool, chart):
 
 def _control_corrupted_jacobi(ctx):
     bad = _corrupted_field(ctx)
-    return pp.jacobi_residual(bad, _control_coords(ctx), ctx.fd)
+    return pp.jacobi_residual(bad, _control_coords(ctx))
 
 
 def _splitting_blocks(ctx):
@@ -559,9 +514,8 @@ _BRACKET_WORDS = [("v", "v"), ("x", "x", "v", "v"), ("x", "v", "x", "v"), ("v", 
 
 def _bracket_agreement(ctx):
     fns = [dr.invariant_function(ctx.alg, w) for w in _BRACKET_WORDS]
-    params = [t for t in ctx.config.t_samples if abs(t[0] + t[1]) > 1e-12]
-    ambient, restricted = dr.bracket_agreement(ctx.setup, ctx.data, fns, ctx.regular_coords, params)
-    return dr.relative_bracket_residual(ambient[:5], restricted[:5])
+    ambient, restricted = dr.bracket_agreement(ctx.setup, ctx.data, fns, ctx.regular_coords, pp.OFF_LINE_PARAMETERS)
+    return dr.relative_bracket_residual(ambient, restricted)
 
 
 def _invariant_function_invariance(ctx):
@@ -764,9 +718,8 @@ def run_pipeline(cfg: WorkbenchConfig) -> ReductionReport:
             error = {"stage": spec.stage, "check": spec.name, "message": str(exc)}
             break
         timing[spec.stage] = timing.get(spec.stage, 0.0) + (time.perf_counter() - start) * 1e3
-        tol = float(cfg.tolerances.get(spec.name, spec.tolerance))
-        passed = value <= tol if spec.mode == "max" else value >= tol
-        finished.append((spec, CheckResult(spec.name, spec.anchor, value, tol, spec.mode, passed)))
+        passed = value <= spec.tolerance if spec.mode == "max" else value >= spec.tolerance
+        finished.append((spec, CheckResult(spec.name, spec.anchor, value, spec.tolerance, spec.mode, passed)))
 
     checks = [r for s, r in finished if s.kind == "check"]
     controls = [r for s, r in finished if s.kind == "control"]

@@ -51,7 +51,7 @@ def test_criterion_01_ambient_symplectic(triple, sample_points):
         w1, w2, _, _ = data.ambient
         for coords in sample_points[name]:
             for form in (w1, w2):
-                worst_closed = max(worst_closed, oc.closedness_residual(form, coords, 1e-4))
+                worst_closed = max(worst_closed, oc.closedness_residual(form, coords))
                 worst_sigma = min(worst_sigma, np.linalg.svd(form(coords)[0], compute_uv=False)[-1])
     ok = worst_closed <= 1e-5 and worst_sigma > 1e-6
     verdict(1, "ambient forms closed and nondegenerate",
@@ -65,9 +65,9 @@ def test_criterion_02_pencil_compatibility(triple, sample_points):
         for coords in sample_points[name]:
             worst = max(
                 worst,
-                pp.jacobi_residual(p1, coords, 1e-4),
-                pp.jacobi_residual(p2, coords, 1e-4),
-                pp.compatibility_residual(p1, p2, coords, 1e-4),
+                pp.jacobi_residual(p1, coords),
+                pp.jacobi_residual(p2, coords),
+                pp.compatibility_residual(p1, p2, coords),
             )
     # quadratic homogeneity meta-check on a field away from the cancellation
     # floor: scaling the bivector scales the residual by the square
@@ -81,11 +81,11 @@ def test_criterion_02_pencil_compatibility(triple, sample_points):
         return mat
 
     bad = pp.PoissonField(corrupted, p1.dim)
-    ref = pp.jacobi_residual(bad, coords, 1e-4)
+    ref = pp.jacobi_residual(bad, coords)
     homog = 0.0
     for lam in (2.0, 10.0):
         scaled = pp.PoissonField(lambda c, s=lam: s * bad(c), bad.dim)
-        homog = max(homog, abs(pp.jacobi_residual(scaled, coords, 1e-4) - lam ** 2 * ref) / (lam ** 2 * ref))
+        homog = max(homog, abs(pp.jacobi_residual(scaled, coords) - lam ** 2 * ref) / (lam ** 2 * ref))
     ok = worst <= 1e-5 and homog <= 1e-6
     verdict(2, "pencil members satisfy the Jacobi identity",
             ok, f"max residual {worst:.2e} <= 1e-5, homogeneity error {homog:.2e} <= 1e-6")
@@ -119,10 +119,10 @@ def test_criterion_04_restricted_pencil(setup_cp2, data_cp2, regular_coords_cp2)
     worst_jacobi = 0.0
     for coords in regular_coords_cp2[:, None]:
         for form in (data_cp2.restricted.w1, data_cp2.restricted.w2):
-            worst_closed = max(worst_closed, oc.closedness_residual(form, coords, 1e-4))
+            worst_closed = max(worst_closed, oc.closedness_residual(form, coords))
             worst_sigma = min(worst_sigma, np.linalg.svd(form(coords)[0], compute_uv=False)[-1])
         worst_jacobi = max(worst_jacobi, pp.compatibility_residual(
-            data_cp2.restricted.p1, data_cp2.restricted.p2, coords, 1e-4))
+            data_cp2.restricted.p1, data_cp2.restricted.p2, coords))
     ok = worst_closed <= 1e-5 and worst_sigma > 1e-6 and worst_jacobi <= 1e-5
     verdict(4, "restricted pair stays a compatible symplectic pencil",
             ok, f"closedness {worst_closed:.2e}, min sigma {worst_sigma:.2e}, sum-Jacobi {worst_jacobi:.2e}")

@@ -306,11 +306,11 @@ def test_restricted_pencil_base_validation(setup_cp2):
 
 def test_restricted_pencil_certification_cp2(setup_cp2, data_cp2, regular_coords_cp2):
     for coords in regular_coords_cp2[:, None]:
-        assert oc.closedness_residual(data_cp2.restricted.w1, coords, 1e-4) <= 1e-5
-        assert oc.closedness_residual(data_cp2.restricted.w2, coords, 1e-4) <= 1e-5
+        assert oc.closedness_residual(data_cp2.restricted.w1, coords) <= 1e-5
+        assert oc.closedness_residual(data_cp2.restricted.w2, coords) <= 1e-5
         for form in (data_cp2.restricted.w1, data_cp2.restricted.w2):
             assert np.linalg.svd(form(coords)[0], compute_uv=False)[-1] > 1e-6
-        assert pp.compatibility_residual(data_cp2.restricted.p1, data_cp2.restricted.p2, coords, 1e-4) <= 1e-5
+        assert pp.compatibility_residual(data_cp2.restricted.p1, data_cp2.restricted.p2, coords) <= 1e-5
 
 
 def test_restricted_degeneracy_profile(data_cp2, regular_coords_cp2):
@@ -567,7 +567,7 @@ def test_nonabelian_reduction_full_chain(setup_cp3, data_cp3):
     g = dr.invariant_function(setup.alg, ("x", "v", "x", "v"))
     for coords in coords_list[:, None]:
         # restricted pencil stays compatible and symplectic
-        assert pp.compatibility_residual(data.restricted.p1, data.restricted.p2, coords, 1e-4) <= 1e-5
+        assert pp.compatibility_residual(data.restricted.p1, data.restricted.p2, coords) <= 1e-5
         assert np.linalg.svd(data.restricted.w1(coords)[0], compute_uv=False)[-1] > 1e-6
         # canonical splitting stays form-orthogonal with an 8-dim complement
         padded = data.pad_coords(coords)

@@ -234,7 +234,7 @@ def test_canonical_form_closedness(setup_su2):
     rng = np.random.default_rng(5)
     for _ in range(10):
         coords = rng.uniform(-0.1, 0.1, (1, chart.coord_dim))
-        assert oc.closedness_residual(field, coords, 1e-4) <= 1e-5
+        assert oc.closedness_residual(field, coords) <= 1e-5
 
 
 def fd_canonical_form_matrix(chart, coords, h=1e-4):
@@ -301,8 +301,8 @@ def test_canonical_closedness_catches_sabotaged_pushforward(setup_cp2, data_cp2,
     chart = data_cp2.ambient_chart
     bad = SabotagedChart(setup_cp2.config, base_v=chart.base_v, frame=chart.frame)
     coords = ambient_coords(chart, 3)
-    good_res = oc.closedness_residual(oc.canonical_form_field(chart), coords, 1e-4)
-    bad_res = oc.closedness_residual(oc.canonical_form_field(bad), coords, 1e-4)
+    good_res = oc.closedness_residual(oc.canonical_form_field(chart), coords)
+    bad_res = oc.closedness_residual(oc.canonical_form_field(bad), coords)
     assert good_res <= 1e-5
     assert bad_res > 1e-2
 
@@ -375,7 +375,7 @@ def test_closedness_residual_constant_field_and_control(setup_su2):
     chart = make_chart(setup_su2)
     const = oc.FormField(lambda c: np.broadcast_to([[0.0, 1.0], [-1.0, 0.0]], (len(c), 2, 2)), 2)
     coords = np.zeros((1, 2))
-    assert oc.closedness_residual(const, coords, 1e-4) <= 1e-12
+    assert oc.closedness_residual(const, coords) <= 1e-12
     base = oc.canonical_form_field(chart)
 
     def corrupted(c):
@@ -386,7 +386,7 @@ def test_closedness_residual_constant_field_and_control(setup_su2):
 
     bad = oc.FormField(corrupted, chart.coord_dim)
     coords = np.full((1, chart.coord_dim), 0.05)
-    assert oc.closedness_residual(bad, coords, 1e-4) > 1e-2
+    assert oc.closedness_residual(bad, coords) > 1e-2
 
 
 def test_form_invariance_under_moved_chart(setup_cp2, data_cp2):
@@ -522,10 +522,10 @@ def test_grouped_rank_guard_takes_one_svd_per_stencil_centre(monkeypatch, setup_
     chart = data.ambient_chart
     centres = np.random.default_rng(8).uniform(-0.1, 0.1, (8, chart.coord_dim))
     assert 2 * chart.coord_dim == 24
-    rows = _stencil_rows(centres, 1e-4)
+    rows = _stencil_rows(centres, oc.FD_STEP)
     svd, seen = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: seen.append(a.copy()) or svd(a, *args, **kwargs))
-    oc.closedness_residual(data.ambient.w1, centres, 1e-4)
+    oc.closedness_residual(data.ambient.w1, centres)
     monkeypatch.undo()
     assert len(seen) == 1
     assert np.array_equal(seen[0], chart.pushforward(rows[::24]))

@@ -89,7 +89,7 @@ def test_pencil_dim_mismatch(data_su2, data_cp2):
 
 def test_jacobi_constant_field_is_zero():
     field = pp.PoissonField(lambda c: np.broadcast_to(symplectic_block(2), (len(c), 4, 4)), 4)
-    assert pp.jacobi_residual(field, np.zeros((1, 4)), 1e-4) <= 1e-15
+    assert pp.jacobi_residual(field, np.zeros((1, 4))) <= 1e-15
 
 
 def test_jacobi_su2_canonical(data_su2):
@@ -97,7 +97,7 @@ def test_jacobi_su2_canonical(data_su2):
     rng = np.random.default_rng(0)
     for _ in range(10):
         coords = rng.uniform(-0.1, 0.1, (1, data_su2.sub_chart.coord_dim))
-        assert pp.jacobi_residual(p1, coords, 1e-4) <= 1e-5
+        assert pp.jacobi_residual(p1, coords) <= 1e-5
 
 
 def test_jacobi_negative_control(data_su2):
@@ -111,7 +111,7 @@ def test_jacobi_negative_control(data_su2):
 
     bad = pp.PoissonField(corrupted, base.dim)
     coords = 0.09 * np.array([[1.0, -1.0, 1.0, -1.0]])
-    assert pp.jacobi_residual(bad, coords, 1e-4) > 1e-3
+    assert pp.jacobi_residual(bad, coords) > 1e-3
 
 
 def test_jacobi_quadratic_homogeneity(data_su2):
@@ -125,10 +125,10 @@ def test_jacobi_quadratic_homogeneity(data_su2):
 
     bad = pp.PoissonField(corrupted, base.dim)
     coords = 0.09 * np.array([[1.0, -1.0, 1.0, -1.0]])
-    ref = pp.jacobi_residual(bad, coords, 1e-4)
+    ref = pp.jacobi_residual(bad, coords)
     for lam in (2.0, 10.0):
         scaled = pp.PoissonField(lambda c, s=lam: s * bad(c), bad.dim)
-        got = pp.jacobi_residual(scaled, coords, 1e-4)
+        got = pp.jacobi_residual(scaled, coords)
         assert abs(got - lam ** 2 * ref) <= 1e-6 * lam ** 2 * ref
 
 
@@ -138,7 +138,7 @@ def test_partials_match_central_differences_of_the_field(data_cp3, ambient_coord
     coords = ambient_coords(data_cp3.ambient_chart, 1)
     for field in (p1, p2, pp.pencil(p1, p2, (0.3, 0.7))):
         fd = oc.central_partials(field, coords, 1e-4)
-        assert np.max(np.abs(field.partials(coords, 1e-4) - fd)) <= 1e-6
+        assert np.max(np.abs(field.partials(coords) - fd)) <= 1e-6
 
 
 def test_jacobi_of_inverse_forms_inverts_the_centre_row_only(monkeypatch, data_cp2, ambient_coords):
@@ -150,14 +150,14 @@ def test_jacobi_of_inverse_forms_inverts_the_centre_row_only(monkeypatch, data_c
     coords = ambient_coords(chart, 1, seed=21)
     for w in forms:
         w(coords)  # the centre, as the nondegeneracy rows evaluate it
-        oc.closedness_residual(w, coords, 1e-4)
+        oc.closedness_residual(w, coords)
     seen = sum(rows)
     inverted = []
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(len(a)) or inv(a))
     p1, p2 = (pp.invert_form(w) for w in forms)
-    pp.jacobi_residual(p1, coords, 1e-4)
-    pp.compatibility_residual(p1, p2, coords, 1e-4)
+    pp.jacobi_residual(p1, coords)
+    pp.compatibility_residual(p1, p2, coords)
     assert inverted == [1, 1]  # the centre of P1, then of P2
     assert sum(rows) == seen
 
@@ -167,9 +167,9 @@ def test_compatibility_su3_regular(data_su3_regular):
     rng = np.random.default_rng(1)
     for _ in range(3):
         coords = rng.uniform(-0.1, 0.1, (1, data_su3_regular.ambient_chart.coord_dim))
-        assert pp.compatibility_residual(p1, p2, coords, 1e-4) <= 1e-5
+        assert pp.compatibility_residual(p1, p2, coords) <= 1e-5
         # a third generic parameter certifies the whole pencil
-        assert pp.jacobi_residual(pp.pencil(p1, p2, (0.3, 0.7)), coords, 1e-4) <= 1e-5
+        assert pp.jacobi_residual(pp.pencil(p1, p2, (0.3, 0.7)), coords) <= 1e-5
 
 
 def test_pencil_circle_bound(data_su2):
@@ -177,12 +177,12 @@ def test_pencil_circle_bound(data_su2):
     p1, p2 = data_su2.restricted.p1, data_su2.restricted.p2
     coords = np.full((1, data_su2.sub_chart.coord_dim), 0.03)
     tol = max(
-        pp.jacobi_residual(p1, coords, 1e-4),
-        pp.jacobi_residual(p2, coords, 1e-4),
-        pp.compatibility_residual(p1, p2, coords, 1e-4),
+        pp.jacobi_residual(p1, coords),
+        pp.jacobi_residual(p2, coords),
+        pp.compatibility_residual(p1, p2, coords),
     )
     for t in pp.unit_circle_parameters():
-        assert pp.jacobi_residual(pp.pencil(p1, p2, t), coords, 1e-4) <= 4.0 * max(tol, 1e-12)
+        assert pp.jacobi_residual(pp.pencil(p1, p2, t), coords) <= 4.0 * max(tol, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +207,22 @@ def test_unit_circle_contains_the_degenerate_direction():
 
 
 # ---------------------------------------------------------------------------
-# Outer central differences: truncation error ~ fd_step^2
+# Outer central differences: truncation error ~ FD_STEP^2
 # ---------------------------------------------------------------------------
 
 
-def test_outer_derivative_residuals_scale_like_step_squared(data_cp2, ambient_coords):
-    # a tenfold smaller step must shrink the residual about a hundredfold;
-    # rounding would instead make it grow
+def test_outer_derivative_residuals_scale_like_step_squared(monkeypatch, data_cp2, ambient_coords):
+    # at FD_STEP the residual must be about a hundredth of its value at ten times FD_STEP;
+    # if rounding dominated, the smaller step would give the larger residual
     w1, w2, _, p2 = data_cp2.ambient
     residuals = {"w1": (oc.closedness_residual, w1), "w2": (oc.closedness_residual, w2),
                  "p2": (pp.jacobi_residual, p2)}
     for coords in ambient_coords(data_cp2.ambient_chart, 2)[:, None]:
         for name, (residual, field) in residuals.items():
-            ratio = residual(field, coords, 1e-3) / residual(field, coords, 1e-4)
+            at_step = residual(field, coords)
+            monkeypatch.setattr(oc, "FD_STEP", 10.0 * oc.FD_STEP)
+            ratio = residual(field, coords) / at_step
+            monkeypatch.undo()
             assert 30.0 <= ratio <= 300.0, (name, ratio)
 
 
@@ -241,11 +244,11 @@ def test_residuals_match_the_loop_reference_bit_for_bit(data_cp2, ambient_coords
             counted = oc.FormField(lambda c, f=field: calls.append(len(c)) or f(c), field.dim)
             assert np.array_equal(oc.central_partials(counted, coords, 1e-4), _loop_partials(field, coords, 1e-4))
             assert calls == [2 * coords.size]  # the whole stencil in one call
-        partials, = _loop_partials(w1, coords, 1e-4)
+        partials, = _loop_partials(w1, coords, oc.FD_STEP)
         cyc = partials + np.transpose(partials, (1, 2, 0)) + np.transpose(partials, (2, 0, 1))
-        assert oc.closedness_residual(w1, coords, 1e-4) == float(np.max(np.abs(cyc)))
+        assert oc.closedness_residual(w1, coords) == float(np.max(np.abs(cyc)))
         # the partials of an inverse form are -P dW P
         p, = p1(coords)
         mixed = np.einsum("li,ljk->ijk", p, -p @ partials @ p)
         cyc = mixed + np.transpose(mixed, (1, 2, 0)) + np.transpose(mixed, (2, 0, 1))
-        assert pp.jacobi_residual(p1, coords, 1e-4) == float(np.max(np.abs(cyc)))
+        assert pp.jacobi_residual(p1, coords) == float(np.max(np.abs(cyc)))

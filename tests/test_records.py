@@ -3,8 +3,7 @@
 A ``@dataclass`` decoration generates and compiles its methods when the
 module is imported, which every ``workbench verify`` process pays again.
 The records below keep the semantics the dataclasses gave them: frozen
-records refuse assignment, validated records keep their checks, and
-mutable defaults are fresh per instance.
+records refuse assignment and validated records keep their checks.
 """
 
 import dataclasses
@@ -19,7 +18,6 @@ import orbitpencil
 from orbitpencil import lie_core as lc
 from orbitpencil import orbit_charts as oc
 from orbitpencil import poisson_pencil as pp
-from orbitpencil import workbench as wb
 from orbitpencil.errors import InputError
 
 
@@ -61,14 +59,3 @@ def test_validated_records_keep_their_checks():
     assert lc.Subspace(basis=[[1], [0]]).basis.dtype == float
     param = pp.PencilParameter(t1=0.0, t2=2.0)
     assert (param.t1, param.t2) == (0.0, 2.0)
-
-
-def test_workbench_configs_do_not_share_defaults():
-    first = wb.WorkbenchConfig({"family": "su", "n": 2}, {"diag_spectrum": [1, -1]})
-    second = wb.WorkbenchConfig({"family": "su", "n": 2}, {"diag_spectrum": [1, -1]})
-    assert first.tolerances == {} and first.tolerances is not second.tolerances
-    assert first.t_samples == second.t_samples and first.t_samples is not second.t_samples
-    first.tolerances["bracket_agreement"] = 1e-4
-    first.t_samples.append((2.0, 1.0))
-    first.seed = 3  # the command line overrides seed and checks after loading
-    assert second.tolerances == {} and len(second.t_samples) == 5 and second.seed == 0

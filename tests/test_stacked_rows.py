@@ -45,13 +45,13 @@ def test_residuals_on_the_stack_are_the_max_of_the_rows(stacked_case, which):
     stack = coords[which]
     rows, stacked = getattr(_fresh(setup), which), getattr(_fresh(setup), which)
     for member in ("w1", "w2"):
-        assert oc.closedness_residual(getattr(stacked, member), stack, 1e-4) == max(
-            oc.closedness_residual(getattr(rows, member), c, 1e-4) for c in stack[:, None])
+        assert oc.closedness_residual(getattr(stacked, member), stack) == max(
+            oc.closedness_residual(getattr(rows, member), c) for c in stack[:, None])
     for member in ("p1", "p2"):
-        assert pp.jacobi_residual(getattr(stacked, member), stack, 1e-4) == max(
-            pp.jacobi_residual(getattr(rows, member), c, 1e-4) for c in stack[:, None])
-    assert pp.compatibility_residual(stacked.p1, stacked.p2, stack, 1e-4) == max(
-        pp.compatibility_residual(rows.p1, rows.p2, c, 1e-4) for c in stack[:, None])
+        assert pp.jacobi_residual(getattr(stacked, member), stack) == max(
+            pp.jacobi_residual(getattr(rows, member), c) for c in stack[:, None])
+    assert pp.compatibility_residual(stacked.p1, stacked.p2, stack) == max(
+        pp.compatibility_residual(rows.p1, rows.p2, c) for c in stack[:, None])
 
 
 @pytest.mark.parametrize("which", ["ambient", "restricted"])
@@ -68,12 +68,12 @@ def test_partials_on_the_stack_are_the_rows(stacked_case, which):
         assert np.array_equal(got, np.concatenate([oc.central_partials(getattr(rows, member), c, 1e-4)
                                                    for c in stack[:, None]]))
     for member in ("p1", "p2"):
-        got = getattr(stacked, member).partials(stack, 1e-4)
-        assert np.array_equal(got, np.concatenate([getattr(rows, member).partials(c, 1e-4) for c in stack[:, None]]))
+        got = getattr(stacked, member).partials(stack)
+        assert np.array_equal(got, np.concatenate([getattr(rows, member).partials(c) for c in stack[:, None]]))
     pencil = pp.pencil(stacked.p1, stacked.p2, (0.3, 0.7))
     reference = pp.pencil(rows.p1, rows.p2, (0.3, 0.7))
-    assert np.array_equal(pencil.partials(stack, 1e-4),
-                          np.concatenate([reference.partials(c, 1e-4) for c in stack[:, None]]))
+    assert np.array_equal(pencil.partials(stack),
+                          np.concatenate([reference.partials(c) for c in stack[:, None]]))
 
 
 def test_degeneracy_profile_is_one_svd_matching_one_per_parameter(monkeypatch, data_cp2, regular_coords_cp2):

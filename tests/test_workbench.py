@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from orbitpencil import orbit_charts as oc
 from orbitpencil import workbench as wb
 from orbitpencil.cli import main as cli_main
 from orbitpencil.errors import ConfigError
@@ -46,7 +47,7 @@ def test_load_valid_config(tmp_path):
                                    "seed_element": {"diag_spectrum": [1, -1]}})
     cfg = wb.load_config(path)
     assert wb.build_algebra(cfg).dim == 3
-    assert cfg.samples == 10 and cfg.fd_step == 1e-4
+    assert cfg.samples == 10 and cfg.seed == 0 and cfg.checks == "all"
 
 
 def test_cp2_spectrum_is_centered_and_valid(tmp_path):
@@ -57,34 +58,42 @@ def test_cp2_spectrum_is_centered_and_valid(tmp_path):
     seed = wb.build_seed(cfg, alg)
     mat = alg.matrix_of(seed)
     assert abs(np.trace(mat)) <= 1e-12
-    from orbitpencil import orbit_charts as oc
-
     assert oc.orbit_config(alg, seed).stabilizer.dim == 4
 
 
 @pytest.mark.parametrize(
     "mutation",
     [
-        {"fd_step": 1e-2},
-        {"fd_step": 1e-7},
+        {"fd_step": 1e-4},
+        {"seed_element": {"diag_spectrum": []}},
         {"samples": 4},
         {"algebra": {"family": "su", "n": 9}},
         {"algebra": {"family": "sp", "n": 2}},
         {"algebra": {}},
         {"seed_element": {}},
         {"seed_element": {"diag_spectrum": [1, 1]}},
-        {"t_samples": [[0, 0]]},
-        {"t_samples": [[1, -1], [-2, 2]]},
+        {"t_samples": [[1, 0]]},
+        {"algebra": {"custom": []}},
         {"checks": ["no_such_check"]},
-        {"tolerances": {"no_such_check": 1.0}},
+        {"tolerances": {}},
         {"bogus_field": 1},
     ],
 )
-def test_invalid_configs_rejected(mutation):
-    payload = dict(SU2_CONFIG)
-    payload.update(mutation)
-    with pytest.raises(ConfigError):
+def test_invalid_configs_rejected(tmp_path, capsys, mutation):
+    # fd_step, tolerances and t_samples are not fields: a config carrying one is refused like any unknown field
+    payload = dict(SU2_CONFIG, **mutation)
+    with pytest.raises(ConfigError) as refused:
         wb.config_from_dict(payload)
+    if set(mutation) - set(wb._FIELD_PARSERS):
+        assert "unknown configuration fields" in str(refused.value)
+    assert cli_main(["verify", "--config", write_config(tmp_path, payload)]) == 2
+    assert f"configuration error: {refused.value}" in capsys.readouterr().err
+
+
+def test_config_fields_are_one_list():
+    # the record, the parsers and the report's echo name the same fields, in the same order
+    cfg = wb.WorkbenchConfig(SU2_CONFIG["algebra"], SU2_CONFIG["seed_element"])
+    assert list(wb.WorkbenchConfig.__slots__) == list(wb._FIELD_PARSERS) == list(cfg.resolved())
 
 
 def test_malformed_json_rejected(tmp_path):
@@ -174,10 +183,17 @@ def test_check_subset_selection():
     assert report.verdict == "pass"
 
 
-def test_tolerance_override_can_fail_a_check():
-    cfg = wb.config_from_dict(dict(SU2_CONFIG, tolerances={"canonical_nondegeneracy": 1e9},
-                                   checks=["canonical_nondegeneracy"]))
-    report = wb.run_pipeline(cfg)
+def _canonical_form_scaled(monkeypatch):
+    """Scale the canonical 2-form by 1e-9, so that canonical_nondegeneracy reads below its bound."""
+    form = oc.canonical_form_matrix
+    monkeypatch.setattr(oc, "canonical_form_matrix", lambda chart, coords: 1e-9 * form(chart, coords))
+
+
+def test_a_row_beyond_its_bound_fails_the_run(monkeypatch):
+    _canonical_form_scaled(monkeypatch)
+    report = wb.run_pipeline(wb.config_from_dict(dict(SU2_CONFIG, checks=["canonical_nondegeneracy"])))
+    row, = report.checks
+    assert report.error is None and row.residual < row.tolerance and not row.passed
     assert report.verdict == "fail"
 
 
@@ -320,8 +336,6 @@ def test_bracket_agreement_takes_one_differential_per_word_point_chart(monkeypat
     import pathlib
 
     from orbitpencil import dirac_reduction as dr
-    from orbitpencil import orbit_charts as oc
-
     path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "su3_projective_plane.json"
     ctx = wb.prepare_context(wb.load_config(path))
     gradients = []
@@ -462,16 +476,18 @@ def test_verify_runs_on_numpy_alone(tmp_path):
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, dict(SU2_CONFIG, fd_step=1e-2))
+    cfg_path = write_config(tmp_path, dict(SU2_CONFIG, samples=4))
     assert cli_main(["verify", "--config", cfg_path]) == 2
     assert cli_main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
 
 
-def test_cli_check_failure_exit_code(tmp_path):
-    payload = dict(SU2_CONFIG, tolerances={"canonical_nondegeneracy": 1e9},
-                   checks=["canonical_nondegeneracy"])
-    cfg_path = write_config(tmp_path, payload)
-    assert cli_main(["verify", "--config", cfg_path]) == 1
+def test_cli_check_failure_exit_code(monkeypatch, tmp_path):
+    _canonical_form_scaled(monkeypatch)
+    cfg_path = write_config(tmp_path, dict(SU2_CONFIG, checks=["canonical_nondegeneracy"]))
+    out_path = tmp_path / "report.json"
+    assert cli_main(["verify", "--config", cfg_path, "--out", str(out_path)]) == 1
+    report = json.loads(out_path.read_text())
+    assert "error" not in report and [row["pass"] for row in report["checks"]] == [False]
 
 
 def test_cli_checks_flag_and_text_format(tmp_path, capsys):
@@ -532,26 +548,26 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "mutation",
     [
-        {"t_samples": [[1]]},
-        {"t_samples": 5},
-        {"t_samples": [["a", 1]]},
-        {"fd_step": "x"},
-        {"fd_step": None},
+        {"checks": "algebra_closure"},
+        {"seed": None},
+        {"samples": True},
+        {"algebra": "su2"},
+        {"algebra": {"family": "su", "n": "2"}},
         {"samples": "many"},
         {"samples": [8]},
         {"seed": "zero"},
-        {"tolerances": "tight"},
-        {"tolerances": {"algebra_closure": "tight"}},
+        {"seed_element": [1, -1]},
+        {"checks": {"algebra_closure": True}},
         {"checks": [["algebra_closure"]]},
         {"seed_element": {"diag_spectrum": ["a", "b"]}},
         {"seed_element": {"coeffs": ["a", "b", "c"]}},
         {"samples": 1e400},
         {"algebra": {"family": "so", "n": 4}, "seed_element": {"diag_spectrum": [[1, 1], [1, 1]]}},
         {"seed_element": {"coeffs": [0.0, 0.0, float("nan")]}},
-        {"t_samples": [[float("nan"), 1.0]]},
-        {"t_samples": [[1.0, float("inf")], [1.0, 0.0]]},
-        {"tolerances": {"algebra_closure": float("nan")}},
-        {"tolerances": {"algebra_closure": float("inf")}},
+        {"seed_element": {"diag_spectrum": 1}},
+        {"seed_element": {"coeffs": [0.0, 0.0, float("inf")]}},
+        {"algebra": {"custom": "x"}},
+        {"algebra": {"family": "su"}},
     ],
 )
 def test_cli_malformed_field_values_exit_2(tmp_path, capsys, mutation):
@@ -566,11 +582,11 @@ def test_cli_malformed_field_values_exit_2(tmp_path, capsys, mutation):
         {"samples": 8.7},
         {"seed": 2.5},
         {"samples": "9"},
-        {"t_samples": [[1, 0, 7]]},
+        {"algebra": {"family": "su", "n": 2.0}},
         {"seed_element": {"diag_spectrum": [1, -1], "coeffs": [1.0, 0.0, 0.0]}},
         {"algebra": {"family": "su", "n": 2, "custom": [[[[0.0, 1.0]]]]}},
-        {"tolerances": {"algebra_closure": "1e-3"}},
-        {"tolerances": [["algebra_closure", 1e-3]]},
+        {"seed": 2.0},
+        {"checks": "algebra_closure,algebra_jacobi"},
     ],
 )
 def test_cli_lossy_field_values_exit_2(tmp_path, capsys, mutation):
@@ -589,10 +605,10 @@ def test_cli_lossy_field_values_exit_2(tmp_path, capsys, mutation):
         {"seed": True},
         {"samples": 8.7},
         {"samples": "9"},
-        {"fd_step": "1e-4"},
-        {"tolerances": {"algebra_closure": "1e-3"}},
-        {"t_samples": [(1.0, 0.0, 7.0)]},
-        {"t_samples": [[1.0, 0.0], (0.5, 0.5, 0.5)]},
+        {"checks": "algebra_closure"},
+        {"seed": None},
+        {"checks": ("algebra_closure", 1)},
+        {"samples": None},
     ],
 )
 def test_python_built_configs_follow_the_json_rules(fields):
@@ -602,11 +618,12 @@ def test_python_built_configs_follow_the_json_rules(fields):
 
 
 def test_a_python_built_config_reports_as_its_json(tmp_path):
-    # an integer tolerance is echoed as the float JSON parsing makes of it; default t_samples are tuples
-    fields = dict(SU2_CONFIG, tolerances={"algebra_closure": 1})
-    built = wb.run_pipeline(wb.WorkbenchConfig(**fields)).to_json()
+    # a tuple of check names is kept as the list JSON parsing makes of it
+    fields = dict(SU2_CONFIG, checks=("algebra_closure", "algebra_jacobi"))
+    cfg = wb.WorkbenchConfig(**fields)
+    built = wb.run_pipeline(cfg).to_json()
     assert built == wb.run_pipeline(wb.load_config(write_config(tmp_path, fields))).to_json()
-    assert json.loads(built)["config"]["tolerances"] == {"algebra_closure": 1.0} and '"algebra_closure": 1.0' in built
+    assert cfg.checks == ["algebra_closure", "algebra_jacobi"]
 
 
 @pytest.mark.parametrize(
