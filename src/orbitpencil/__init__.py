@@ -14,8 +14,8 @@ from .errors import (
 )
 from .families import so, su
 from .lie_core import LieAlgebra, Subspace, algebra_from_matrices
-from .orbit_charts import Chart, OrbitConfig, TangentBundlePoint, orbit_config
-from .poisson_pencil import PencilParameter, PoissonField
+from .orbit_charts import Chart, OrbitConfig, orbit_config
+from .poisson_pencil import PoissonField
 from .workbench import ReductionReport, WorkbenchConfig, load_config, run_pipeline
 
 __version__ = "0.1.0"
@@ -38,9 +38,7 @@ __all__ = [
     "su",
     "Chart",
     "OrbitConfig",
-    "TangentBundlePoint",
     "orbit_config",
-    "PencilParameter",
     "PoissonField",
     "ReductionReport",
     "WorkbenchConfig",

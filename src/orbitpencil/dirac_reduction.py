@@ -62,14 +62,13 @@ from .orbit_charts import (
     Chart,
     FormField,
     OrbitConfig,
-    TangentBundlePoint,
     ad_pairs,
     canonical_form_field,
     combined_form_field,
     exp_ad,
     infinitesimal_action,
 )
-from .poisson_pencil import PoissonField, _as_parameter, invert_form
+from .poisson_pencil import PoissonField, invert_form
 from .seeding import uniform_rows, unit_rows
 
 REGULARITY_TOL = 1e-8
@@ -345,20 +344,20 @@ def slice_normal_form(setup: ReductionSetup, ys: np.ndarray, max_iter: int = 200
 # ---------------------------------------------------------------------------
 
 
-def isotropy_algebra(setup: ReductionSetup, point: TangentBundlePoint):
-    """All xi with [xi, x] = 0 and [xi, v] = 0; the list of them at a stack of points."""
-    return kernels(ad_pairs(setup.alg, point))
+def isotropy_algebra(setup: ReductionSetup, points: np.ndarray):
+    """All xi with [xi, x] = 0 and [xi, v] = 0; the list of them over an (m, 2, n) stack of points."""
+    return kernels(ad_pairs(setup.alg, points))
 
 
-def regularity_distance(setup: ReductionSetup, point: TangentBundlePoint) -> np.ndarray:
-    """Projector distance between each point's isotropy algebra and h, over a stack of points."""
+def regularity_distance(setup: ReductionSetup, points: np.ndarray) -> np.ndarray:
+    """Projector distance between each point's isotropy algebra and h, over an (m, 2, n) stack of points."""
     return np.array([projector_distance(iso, setup.isotropy) if iso.dim == setup.isotropy.dim
-                     else float("inf") for iso in isotropy_algebra(setup, point)])
+                     else float("inf") for iso in isotropy_algebra(setup, points)])
 
 
-def is_regular(setup: ReductionSetup, point: TangentBundlePoint) -> np.ndarray:
-    """Whether each point of a stack is regular, a boolean array."""
-    return regularity_distance(setup, point) <= REGULARITY_TOL
+def is_regular(setup: ReductionSetup, points: np.ndarray) -> np.ndarray:
+    """Whether each point of an (m, 2, n) stack is regular, a boolean array."""
+    return regularity_distance(setup, points) <= REGULARITY_TOL
 
 
 def _stratum_tangent(setup: ReductionSetup, push: np.ndarray) -> list[Subspace]:
@@ -368,16 +367,16 @@ def _stratum_tangent(setup: ReductionSetup, push: np.ndarray) -> list[Subspace]:
     return kernels((setup.alg.ads(setup.isotropy.basis)[:, None] @ push.reshape(m, 1, 2, -1, d)).reshape(m, -1, d))
 
 
-def canonical_complement(setup: ReductionSetup, point: TangentBundlePoint) -> list[Subspace]:
-    """Span of the action vectors of the transversal p, one per regular point of a stack.
+def canonical_complement(setup: ReductionSetup, points: np.ndarray) -> list[Subspace]:
+    """Span of the action vectors of the transversal p, one per regular point of an (m, 2, n) stack.
 
     Regularity is decided once, for every point of the stack."""
-    if not np.all(is_regular(setup, point)):
+    if not np.all(is_regular(setup, points)):
         raise DomainError("point is not regular: isotropy algebra differs from h")
-    return _action_spans(setup, point, setup.transversal.basis)
+    return _action_spans(setup, points, setup.transversal.basis)
 
 
-def _action_spans(setup: ReductionSetup, points: TangentBundlePoint, bases: np.ndarray) -> list[Subspace]:
+def _action_spans(setup: ReductionSetup, points: np.ndarray, bases: np.ndarray) -> list[Subspace]:
     """Span of the action vectors of a transversal at each point of a stack, from one evaluation.
 
     ``bases`` is one (n, p) basis for every point or an (m, n, p) stack, a
@@ -390,11 +389,11 @@ def _action_spans(setup: ReductionSetup, points: TangentBundlePoint, bases: np.n
     return spaces
 
 
-def complement_product_independence(setup: ReductionSetup, points: TangentBundlePoint,
+def complement_product_independence(setup: ReductionSetup, points: np.ndarray,
                                     sols: list[np.ndarray], seed: int) -> float:
     """Canonical complement recomputed from random invariant products.
 
-    Returns the largest projector distance, over the points of a stack,
+    Returns the largest projector distance, over the points of an (m, 2, n) stack,
     between the action span of the base transversal and of the transversal
     taken orthogonal with respect to a random h-invariant product drawn from
     ``sols``, the ``invariant_product_space`` of h, point i taking its
@@ -402,7 +401,7 @@ def complement_product_independence(setup: ReductionSetup, points: TangentBundle
     agree at regular points.
     """
     alg = setup.alg
-    prods = draw_invariant_products(alg, setup.isotropy, sols, seed, range(len(points.x)), "action-products")
+    prods = draw_invariant_products(alg, setup.isotropy, sols, seed, range(len(points)), "action-products")
     alts = orthogonal_complements(setup.normalizer, prods)
     base = canonical_complement(setup, points)
     alt = _action_spans(setup, points, np.stack([t.basis for t in alts]))
@@ -503,25 +502,24 @@ class RestrictedPencilData(NamedTuple):
         return c
 
 
-def restricted_pencil(setup: ReductionSetup, base_point: TangentBundlePoint) -> RestrictedPencilData:
+def restricted_pencil(setup: ReductionSetup, base_v: np.ndarray) -> RestrictedPencilData:
     """Charts and form fields for the pencil restricted to the sub-orbit bundle.
 
-    The base point must be (a, y) with y in the slice; the sub chart uses
-    the moving part of the centralizer as frame, the ambient chart extends
-    that frame to all of m so that sub coordinates embed by zero padding.
+    The base point is (a, base_v) over the orbit seed a, with base_v in the
+    slice; the sub chart uses the moving part of the centralizer as frame,
+    the ambient chart extends that frame to all of m so that sub
+    coordinates embed by zero padding.
     """
     cfg = setup.config
-    if np.linalg.norm(base_point.x - cfg.seed) > 1e-10 * max(1.0, np.linalg.norm(cfg.seed)):
-        raise DomainError("restriction base must sit over the orbit seed")
-    if setup.slice_space.residual(base_point.v) > REGULARITY_TOL * max(1.0, np.linalg.norm(base_point.v)):
+    if setup.slice_space.residual(base_v) > REGULARITY_TOL * max(1.0, np.linalg.norm(base_v)):
         raise DomainError("restriction base fiber must lie in the slice")
-    if not is_regular(setup, TangentBundlePoint(x=base_point.x[None], v=base_point.v[None]))[0]:
+    if not is_regular(setup, np.stack([cfg.seed, base_v])[None])[0]:
         raise DomainError("restriction base point is not regular")
     sub_frame = setup.sub_tangent.basis
     rest = complement_within(setup.sub_tangent, cfg.tangent)
     ambient_frame = np.hstack([sub_frame, rest.basis])
-    sub_chart = Chart(cfg, base_v=base_point.v, frame=sub_frame)
-    ambient_chart = Chart(cfg, base_v=base_point.v, frame=ambient_frame)
+    sub_chart = Chart(cfg, base_v=base_v, frame=sub_frame)
+    ambient_chart = Chart(cfg, base_v=base_v, frame=ambient_frame)
     return RestrictedPencilData(
         setup=setup,
         ambient_chart=ambient_chart,
@@ -563,8 +561,8 @@ def invariant_function(alg: LieAlgebra, word):
     """Trace of a word in the matrices of x and v, as a function on TO.
 
     ``word`` is a nonempty sequence over {"x", "v"}; conjugation-invariance
-    of the trace makes the function invariant under the group action.  At a
-    stack of points, ``fn`` gives the array of values and ``fn.gradient`` the
+    of the trace makes the function invariant under the group action.  At an
+    (m, 2, n) stack of points, ``fn`` gives the array of values and ``fn.gradient`` the
     stack of exact ambient gradients, 2n-vectors of d/dx_a then d/dv_a (the
     row order of a chart pushforward).  With M_1..M_L the matrices of the
     word, cyclicity of the trace gives
@@ -578,19 +576,20 @@ def invariant_function(alg: LieAlgebra, word):
     if not symbols or any(s not in ("x", "v") for s in symbols):
         raise InputError("word must be a nonempty sequence over {'x', 'v'}")
 
-    def matrices(point: TangentBundlePoint) -> list[np.ndarray]:
-        mats = {"x": _lincomb(point.x, alg.basis), "v": _lincomb(point.v, alg.basis)}
+    def matrices(points: np.ndarray) -> list[np.ndarray]:
+        xv = _lincomb(points, alg.basis)
+        mats = {"x": xv[..., 0, :, :], "v": xv[..., 1, :, :]}
         return [mats[s] for s in symbols]
 
-    def fn(point: TangentBundlePoint) -> np.ndarray:
-        mats = matrices(point)
+    def fn(points: np.ndarray) -> np.ndarray:
+        mats = matrices(points)
         acc = mats[0]
         for m in mats[1:]:
             acc = acc @ m
         return np.real(np.trace(acc, axis1=-2, axis2=-1))
 
-    def gradient(point: TangentBundlePoint) -> np.ndarray:
-        mats = matrices(point)
+    def gradient(points: np.ndarray) -> np.ndarray:
+        mats = matrices(points)
         eye = np.broadcast_to(np.eye(alg.matrix_dim, dtype=complex), mats[0].shape)
         cofactors = {"x": np.zeros_like(eye), "v": np.zeros_like(eye)}
         for k, s in enumerate(symbols):
@@ -615,8 +614,8 @@ def chart_differentials(chart, fns, coords) -> np.ndarray:
     Chain rule: each function's exact ambient gradient times the chart
     pushforward, so no chart point besides ``coords`` is evaluated.
     """
-    point = chart.point(coords)
-    grads = np.stack([fn.gradient(point) for fn in fns], axis=-2)
+    points = chart.point(coords)
+    grads = np.stack([fn.gradient(points) for fn in fns], axis=-2)
     return grads @ chart.pushforward(coords)
 
 
@@ -626,22 +625,22 @@ def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, fns,
 
     ``fns`` are functions on TO with a ``gradient`` (see
     :func:`invariant_function`); ``coords`` is an (m, d) stack of sub-chart
-    coordinates of regular points; ``params`` are P pencil parameters with
-    t1 + t2 != 0 so both members are invertible.  Both bracket matrices are
-    D Pi_t D^T, each side with its own chart's differentials and bivector.
+    coordinates of regular points; ``params`` is a (P, 2) array of pencil
+    parameters (t1, t2) with t1 + t2 != 0, so both members are invertible.
+    Both bracket matrices are D Pi_t D^T, each side with its own chart's
+    differentials and bivector.
     Regularity, the differentials of both charts and the bivectors are
     evaluated once, on the whole stack, and shared by every parameter.
     Returns the (ambient, restricted) pair of (m, P, k, k) stacks; see
     :func:`relative_bracket_residual`.
     """
-    params = [tuple(_as_parameter(t)) for t in params]
-    if any(abs(t1 + t2) < 1e-12 for t1, t2 in params):
+    t1, t2 = np.asarray(params, dtype=float).T[:, :, None, None]
+    if np.any(np.abs(t1 + t2) < 1e-12):
         raise DomainError("pencil parameter lies on the degenerate line t1 + t2 = 0")
     s = np.asarray(coords, dtype=float)
     if not np.all(is_regular(setup, data.sub_chart.point(s))):
         raise DomainError("image point is not regular")
     c = data.pad_coords(s)
-    t1, t2 = np.reshape(params, (-1, 2)).T[:, :, None, None]
 
     def brackets(chart, pencil, coords):
         d = chart_differentials(chart, fns, coords)[:, None]
@@ -662,17 +661,17 @@ def relative_bracket_residual(ambient: np.ndarray, restricted: np.ndarray) -> fl
 # ---------------------------------------------------------------------------
 
 
-def isotropy_excess(setup: ReductionSetup, points: TangentBundlePoint) -> int:
-    """Max over the points of a stack of dim(isotropy within the centralizer) - dim(center)."""
+def isotropy_excess(setup: ReductionSetup, points: np.ndarray) -> int:
+    """Max over the points of an (m, 2, n) stack of dim(isotropy within the centralizer) - dim(center)."""
     isos = kernels(ad_pairs(setup.alg, points) @ setup.centralizer.basis)
     return max(0, *(iso.dim - setup.center.dim for iso in isos))
 
 
-def transversality_deficiency(setup: ReductionSetup, points: TangentBundlePoint) -> int:
-    """Max rank deficit of centralizer action plus slice fibers over a stack of slice points."""
+def transversality_deficiency(setup: ReductionSetup, points: np.ndarray) -> int:
+    """Max rank deficit of centralizer action plus slice fibers over an (m, 2, n) stack of slice points."""
     n = setup.alg.dim
     fibers = np.vstack([np.zeros((n, setup.slice_space.dim)), setup.slice_space.basis])
     action = infinitesimal_action(setup.config, setup.centralizer.basis, points)
-    mats = np.concatenate([action, np.broadcast_to(fibers, (len(points.x),) + fibers.shape)], axis=-1)
+    mats = np.concatenate([action, np.broadcast_to(fibers, (len(points),) + fibers.shape)], axis=-1)
     ranks = rank_mask(np.linalg.svd(mats, compute_uv=False)).sum(axis=-1)
     return int(2 * setup.sub_tangent.dim - np.min(ranks))

@@ -64,14 +64,14 @@ def diagonal_seed(alg: LieAlgebra, spectrum) -> np.ndarray:
     """Seed element from a spectrum, as coefficients in the algebra basis.
 
     For su(n): i * diag(spectrum - mean), the mean subtracted to enforce a
-    vanishing trace.  For so(n): the entries are rotation angles of the
-    2x2 diagonal blocks (floor(n/2) of them are used).
+    vanishing trace.  For so(n): the entries are the rotation angles of the
+    floor(n/2) 2x2 diagonal blocks, exactly one per block.
     """
     spec = np.asarray(spectrum, dtype=float)
     d = alg.matrix_dim
     if alg.name.startswith("so"):
         blocks = d // 2
-        if spec.size < blocks:
+        if spec.size != blocks:
             raise InputError(f"so({d}) seed needs {blocks} rotation angles, got {spec.size}")
         mat = np.zeros((d, d), dtype=complex)
         for b in range(blocks):

@@ -383,14 +383,14 @@ def normalizer(alg: LieAlgebra, sub: Subspace) -> Subspace:
     return kernel(((np.eye(alg.dim) - sub.projector()) @ alg.ads(sub.basis)).reshape(-1, alg.dim))
 
 
-def orthogonal_complements(sub: Subspace, prods: "InvariantProduct") -> list[Subspace]:
-    """Complement of ``sub`` with respect to each product of the stack ``prods``, from one stacked SVD.
+def orthogonal_complements(sub: Subspace, prods: np.ndarray) -> list[Subspace]:
+    """Complement of ``sub`` with respect to each product of the (k, n, n) stack ``prods``, from one stacked SVD.
 
     Each returned basis is orthonormal for the *base* product; only its span
     is determined by the product.  The base-product complement is
     ``kernel(sub.basis.T)``.
     """
-    comps = kernels(sub.basis.T @ prods.matrix)
+    comps = kernels(sub.basis.T @ prods)
     for comp in comps:
         if comp.dim + sub.dim != len(sub.basis):
             raise DomainError(f"complement has dimension {comp.dim}, expected {len(sub.basis) - sub.dim}")
@@ -414,23 +414,6 @@ def fixed_vector_space(alg: LieAlgebra, sub: Subspace, ambient: Subspace) -> Sub
 # ---------------------------------------------------------------------------
 # Invariant scalar products
 # ---------------------------------------------------------------------------
-
-
-class InvariantProduct(NamedTuple("InvariantProduct", [("matrix", np.ndarray)])):
-    """A (k, n, n) stack of symmetric positive-definite matrices, each representing a scalar product."""
-
-    __slots__ = ()
-
-    def __new__(cls, matrix):
-        mat = np.asarray(matrix, dtype=float)
-        if mat.ndim != 3 or mat.shape[-2] != mat.shape[-1]:
-            raise InputError("product matrix must be a (k, n, n) stack of square matrices")
-        size = np.linalg.norm(mat, axis=(-2, -1))
-        if np.any(np.linalg.norm(mat - mat.mT, axis=(-2, -1)) > 1e-12 * np.maximum(1.0, size)):
-            raise InputError("product matrix must be symmetric")
-        if np.min(np.linalg.eigvalsh(mat)) <= 0.0:
-            raise InputError("product matrix must be positive definite")
-        return super().__new__(cls, mat)
 
 
 def product_invariance_residual(alg: LieAlgebra, sub: Subspace, matrix: np.ndarray) -> float:
@@ -485,8 +468,8 @@ def invariant_product_space(alg: LieAlgebra, sub: Subspace) -> list[np.ndarray]:
 
 
 def draw_invariant_products(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarray], seed: int,
-                            indices, stage: str = "invariant-products") -> InvariantProduct:
-    """Base product plus a seeded random combination of ``sols``, kept SPD, one per index.
+                            indices, stage: str = "invariant-products") -> np.ndarray:
+    """Base product plus a seeded random combination of ``sols``, kept SPD, one per index: a (k, n, n) stack.
 
     ``sols`` is :func:`invariant_product_space` of ``sub``.  Product i takes
     its weights from the stream (seed, stage, indices[i]), and its
@@ -520,7 +503,7 @@ def draw_invariant_products(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarra
     inv_res = product_invariance_residual(alg, sub, products)
     if inv_res > 1e-10:
         raise DomainError(f"sampled product lost invariance (residual {inv_res:.2e})")
-    return InvariantProduct(matrix=products)
+    return products
 
 
 class ComplementIndependence(NamedTuple):

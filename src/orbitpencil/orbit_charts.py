@@ -3,7 +3,8 @@
 The orbit O through a seed element a of a compact algebra g carries the
 stabilizer splitting g = k + m with k = ker ad(a) and m = im ad(a); m is
 identified with the tangent space at a.  Points of TO are pairs (x, v) of
-algebra elements with x on the orbit and v tangent at x.  The ambient
+algebra elements with x on the orbit and v tangent at x; a stack of m points
+is one (m, 2, n) array whose row i is [x_i; v_i].  The ambient
 invariant product identifies T*O with TO, so the canonical 1-form becomes
 theta_(x,v)(dx, dv) = <v, dx>.
 
@@ -110,39 +111,32 @@ def orbit_config(alg: LieAlgebra, a: np.ndarray) -> OrbitConfig:
                        residuals={"splitting": splitting})
 
 
-class TangentBundlePoint(NamedTuple):
-    """A point (x, v) of TO: x on the orbit, v tangent at x."""
-
-    x: np.ndarray
-    v: np.ndarray
-
-
-def point_residuals(config: OrbitConfig, point: TangentBundlePoint) -> tuple[np.ndarray, np.ndarray]:
-    """(spectrum mismatch of x, fiber residual of v against im ad(x)), per point of a stack.
+def point_residuals(config: OrbitConfig, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(spectrum mismatch of x, fiber residual of v against im ad(x)), per point of an (m, 2, n) stack.
 
     The fiber is span(ad x), ranked by :func:`lie_core.rank_mask` at each point."""
     alg = config.alg
-    spec = np.sort(np.linalg.eigvalsh(1j * _lincomb(point.x, alg.basis)), axis=-1)
+    x, v = points[..., 0, :], points[..., 1, :, None]
+    spec = np.sort(np.linalg.eigvalsh(1j * _lincomb(x, alg.basis)), axis=-1)
     spec_err = np.max(np.abs(spec - config.seed_spectrum), axis=-1)
-    u, s, _ = np.linalg.svd(_lincomb(point.x, alg.ad_basis))
+    u, s, _ = np.linalg.svd(_lincomb(x, alg.ad_basis))
     fiber = u * rank_mask(s)[..., None, :]
-    v = point.v[..., None]
     return spec_err, np.linalg.norm((v - fiber @ (fiber.mT @ v))[..., 0], axis=-1)
 
 
-def ad_pairs(alg: LieAlgebra, point: TangentBundlePoint) -> np.ndarray:
-    """The (..., 2n, n) stack (ad x; ad v) over the points (x, v) of a stack."""
-    return np.concatenate([_lincomb(point.x, alg.ad_basis), _lincomb(point.v, alg.ad_basis)], axis=-2)
+def ad_pairs(alg: LieAlgebra, points: np.ndarray) -> np.ndarray:
+    """The (..., 2n, n) stack (ad x; ad v) over the points [x; v] of a (..., 2, n) stack."""
+    return _lincomb(points, alg.ad_basis).reshape(points.shape[:-2] + (2 * alg.dim, alg.dim))
 
 
-def infinitesimal_action(config: OrbitConfig, xi: np.ndarray, point: TangentBundlePoint) -> np.ndarray:
+def infinitesimal_action(config: OrbitConfig, xi: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Action vector field of xi at (x, v): the stacked pair ([xi,x], [xi,v]) = -(ad x; ad v) xi.
 
     ``xi`` is one generator (n,) or an (n, a) matrix of them as columns, which
     gives (2n, a), or an (m, n, a) stack of such matrices, one per point; at
-    a stack of m points the result has a leading axis m.
+    an (m, 2, n) stack of points the result has a leading axis m.
     """
-    return -ad_pairs(config.alg, point) @ np.asarray(xi, dtype=float)
+    return -ad_pairs(config.alg, points) @ np.asarray(xi, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +295,9 @@ class Chart:
             raise ChartRangeError(f"coordinates leave the validity box |c| <= {CHART_BOX}")
         return c
 
-    def point(self, coords) -> TangentBundlePoint:
-        """The points at an (m, d) stack of coordinates: x and v are (m, n) stacks."""
-        xv = self._points(self._coords(coords))
-        return TangentBundlePoint(x=xv[..., 0, :], v=xv[..., 1, :])
+    def point(self, coords) -> np.ndarray:
+        """The points at an (m, d) stack of coordinates, a read-only (m, 2, n) stack whose row i is [x_i; v_i]."""
+        return self._points(self._coords(coords))
 
     def pushforward(self, coords) -> np.ndarray:
         """Ambient derivative matrices, (m, 2n, coord_dim) at an (m, d) stack.
@@ -400,7 +393,7 @@ def orbit_form_pullback_matrix(chart: Chart, coords) -> np.ndarray:
     fixed up to the stabilizer of x, which the form does not see."""
     c = chart._coords(coords)
     n = chart.config.alg.dim
-    x = chart.point(c).x
+    x = chart.point(c)[:, 0]
     lifts = chart.lifts(c)
     matrix = -lifts.mT @ _rowwise(x, chart.config.alg.structure.reshape(-1, n).T).reshape(x.shape + (n,)) @ lifts
     return 0.5 * (matrix - matrix.mT)

@@ -18,8 +18,6 @@ The tolerance ladder is: certify below 1e-5, reject (negative controls)
 above 1e-3; the gap guards against silent miscalibration.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from . import orbit_charts as oc
@@ -28,24 +26,6 @@ from .orbit_charts import CoordinateMemo, FormField, central_partials
 
 # A pencil member counts as singular below this relative spectral cutoff.
 FORM_SINGULAR_RTOL = 1e-8
-
-
-class PencilParameter(NamedTuple("PencilParameter", [("t1", float), ("t2", float)])):
-    """A point (t1, t2) of the pencil plane, away from the origin."""
-
-    __slots__ = ()
-
-    def __new__(cls, t1, t2):
-        if t1 == 0.0 and t2 == 0.0:
-            raise InputError("pencil parameter (0, 0) is excluded")
-        return super().__new__(cls, t1, t2)
-
-
-def _as_parameter(t) -> PencilParameter:
-    if isinstance(t, PencilParameter):
-        return t
-    t1, t2 = (float(v) for v in t)
-    return PencilParameter(t1, t2)
 
 
 class PoissonField:
@@ -93,15 +73,6 @@ def invert_form(form_field: FormField) -> PoissonField:
     return field
 
 
-def pencil(p1: PoissonField, p2: PoissonField, t) -> PoissonField:
-    """Pointwise linear combination t1 P1 + t2 P2, with partials t1 dP1 + t2 dP2."""
-    param = _as_parameter(t)
-    if p1.dim != p2.dim:
-        raise InputError(f"pencil members disagree in dimension: {p1.dim} vs {p2.dim}")
-    return PoissonField(lambda c: param.t1 * p1(c) + param.t2 * p2(c), p1.dim,
-                        partials=lambda c: param.t1 * p1.partials(c) + param.t2 * p2.partials(c))
-
-
 def jacobi_residual(field: PoissonField, coords) -> float:
     """Max Jacobi-identity residual over coordinate-function triples and over the rows of the (m, d) stack coords.
 
@@ -115,22 +86,26 @@ def jacobi_residual(field: PoissonField, coords) -> float:
 
 
 def compatibility_residual(p1: PoissonField, p2: PoissonField, coords) -> float:
-    """Jacobi residual of the sum; small values certify the pair at the points."""
-    return jacobi_residual(pencil(p1, p2, (1.0, 1.0)), coords)
+    """Jacobi residual of the sum P1 + P2, with partials dP1 + dP2; small values certify the pair at the points."""
+    if p1.dim != p2.dim:
+        raise InputError(f"pencil members disagree in dimension: {p1.dim} vs {p2.dim}")
+    total = PoissonField(lambda c: p1(c) + p2(c), p1.dim, partials=lambda c: p1.partials(c) + p2.partials(c))
+    return jacobi_residual(total, coords)
 
 
 def degeneracy_profile(m1: np.ndarray, m2: np.ndarray, t_samples) -> np.ndarray:
-    """sigma_min of t1 m1 + t2 m2 per t sample, m1 and m2 two bivector matrices at one point: one stacked SVD."""
-    members = [p.t1 * m1 + p.t2 * m2 for p in map(_as_parameter, t_samples)]
-    return np.linalg.svd(np.stack(members), compute_uv=False)[:, -1]
+    """sigma_min of t1 m1 + t2 m2 per row (t1, t2) of the (P, 2) array t_samples, m1 and m2 two bivector
+    matrices at one point: one stacked SVD."""
+    t1, t2 = np.asarray(t_samples, dtype=float).T[:, :, None, None]
+    return np.linalg.svd(t1 * m1 + t2 * m2, compute_uv=False)[:, -1]
 
 
-# Pencil parameters off the degenerate line t1 + t2 = 0, where both members are invertible;
+# Pencil parameters (t1, t2) off the degenerate line t1 + t2 = 0, where both members are invertible;
 # the bracket row compares the ambient and restricted brackets at each.
-OFF_LINE_PARAMETERS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7))
+OFF_LINE_PARAMETERS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.3, 0.7]])
 
 
-def unit_circle_parameters() -> list[tuple[float, float]]:
-    """16 t-samples evenly spaced on the unit circle, phased so two land on t1 + t2 = 0."""
+def unit_circle_parameters() -> np.ndarray:
+    """(16, 2) array of parameters (t1, t2) evenly spaced on the unit circle, phased so two land on t1 + t2 = 0."""
     angles = 3.0 * np.pi / 4.0 + 2.0 * np.pi * np.arange(16) / 16
-    return [(float(np.cos(a)), float(np.sin(a))) for a in angles]
+    return np.array([(np.cos(a), np.sin(a)) for a in angles])

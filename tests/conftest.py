@@ -59,20 +59,17 @@ def setup_su3_regular(su3):
 
 @pytest.fixture(scope="session")
 def data_su2(setup_su2):
-    base = oc.TangentBundlePoint(x=setup_su2.config.seed, v=setup_su2.x0)
-    return dr.restricted_pencil(setup_su2, base)
+    return dr.restricted_pencil(setup_su2, setup_su2.x0)
 
 
 @pytest.fixture(scope="session")
 def data_cp2(setup_cp2):
-    base = oc.TangentBundlePoint(x=setup_cp2.config.seed, v=setup_cp2.x0)
-    return dr.restricted_pencil(setup_cp2, base)
+    return dr.restricted_pencil(setup_cp2, setup_cp2.x0)
 
 
 @pytest.fixture(scope="session")
 def data_su3_regular(setup_su3_regular):
-    base = oc.TangentBundlePoint(x=setup_su3_regular.config.seed, v=setup_su3_regular.x0)
-    return dr.restricted_pencil(setup_su3_regular, base)
+    return dr.restricted_pencil(setup_su3_regular, setup_su3_regular.x0)
 
 
 @pytest.fixture(scope="session")
@@ -82,8 +79,7 @@ def setup_cp3(su4):
 
 @pytest.fixture(scope="session")
 def data_cp3(setup_cp3):
-    base = oc.TangentBundlePoint(x=setup_cp3.config.seed, v=setup_cp3.x0)
-    return dr.restricted_pencil(setup_cp3, base)
+    return dr.restricted_pencil(setup_cp3, setup_cp3.x0)
 
 
 @pytest.fixture(scope="session")
@@ -94,8 +90,7 @@ def setup_su5():
 
 @pytest.fixture(scope="session")
 def data_su5(setup_su5):
-    base = oc.TangentBundlePoint(x=setup_su5.config.seed, v=setup_su5.x0)
-    return dr.restricted_pencil(setup_su5, base)
+    return dr.restricted_pencil(setup_su5, setup_su5.x0)
 
 
 @pytest.fixture(scope="session")

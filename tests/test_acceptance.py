@@ -206,9 +206,9 @@ def test_criterion_09_slice_identities(triple, setup_cp2, data_cp2):
         worst_iters = max(worst_iters, iterations)
     deficiency = 0
     for name, (setup, data) in triple.items():
-        point = oc.TangentBundlePoint(x=setup.config.seed[None], v=setup.x0[None])
+        point = np.stack([setup.config.seed, setup.x0])[None]
         deficiency = max(deficiency, dr.transversality_deficiency(setup, point))
-    zero = oc.TangentBundlePoint(x=setup_cp2.config.seed[None], v=np.zeros((1, setup_cp2.alg.dim)))
+    zero = np.stack([setup_cp2.config.seed, np.zeros(setup_cp2.alg.dim)])[None]
     zero_deficiency = dr.transversality_deficiency(setup_cp2, zero)
     ok = (worst_commute <= 1e-10 and worst_res <= 1e-8 and worst_iters <= 200
           and deficiency == 0 and zero_deficiency > 0)

@@ -11,7 +11,7 @@ from orbitpencil.seeding import unit_rows
 
 def stack_of_one(x, v):
     """The point (x, v) as a stack of one."""
-    return oc.TangentBundlePoint(x=x[None], v=v[None])
+    return np.stack([x, v])[None]
 
 
 def stabilizer_dim_oracle(alg, stab_basis, x):
@@ -296,12 +296,11 @@ def test_restricted_pencil_trivial_case_is_ambient(setup_su2, data_su2):
 
 def test_restricted_pencil_base_validation(setup_cp2):
     with pytest.raises(DomainError):
-        bad = oc.TangentBundlePoint(x=setup_cp2.config.seed, v=setup_cp2.config.tangent.basis[:, 0] * 0.0)
-        dr.restricted_pencil(setup_cp2, bad)  # zero fiber is not regular
+        dr.restricted_pencil(setup_cp2, setup_cp2.config.tangent.basis[:, 0] * 0.0)  # zero fiber is not regular
     with pytest.raises(DomainError):
         off_slice = setup_cp2.sub_tangent.basis @ np.array([1.0, 1.0])
         off_slice = off_slice - setup_cp2.slice_space.project(off_slice)
-        dr.restricted_pencil(setup_cp2, oc.TangentBundlePoint(x=setup_cp2.config.seed, v=off_slice))
+        dr.restricted_pencil(setup_cp2, off_slice)
 
 
 def test_restricted_pencil_certification_cp2(setup_cp2, data_cp2, regular_coords_cp2):
@@ -350,7 +349,7 @@ def test_invariant_function_conjugation_invariance(su3, data_cp2, regular_coords
     rng = np.random.default_rng(8)
     for _ in range(20):
         rot = scipy.linalg.expm(su3.ad(rng.standard_normal(su3.dim)))
-        moved = oc.TangentBundlePoint(x=point.x @ rot.T, v=point.v @ rot.T)
+        moved = point @ rot.T
         for f in fns:
             assert abs(f(moved) - f(point)) <= 1e-10
 
@@ -405,23 +404,23 @@ def test_gradient_of_vv_is_minus_twice_v(su3, data_cp2, regular_coords_cp2):
     # orthonormal basis: tr(VV) = -|v|^2, so the gradient is (0, -2v)
     f = dr.invariant_function(su3, ("v", "v"))
     point = data_cp2.sub_chart.point(regular_coords_cp2[:1])
-    expected = np.concatenate([np.zeros(su3.dim), -2.0 * point.v[0]])
+    expected = np.concatenate([np.zeros(su3.dim), -2.0 * point[0, 1]])
     assert np.max(np.abs(f.gradient(point) - expected)) <= 1e-13
-    assert abs(f(point) + np.dot(point.v[0], point.v[0])) <= 1e-13
+    assert abs(f(point) + np.dot(point[0, 1], point[0, 1])) <= 1e-13
 
 
 def _linear_function(alg, b, part):
     """The non-invariant function b . x or b . v on a stack of points, with its exact gradient."""
     n = alg.dim
 
-    def fn(point):
-        return (point.x if part == "x" else point.v) @ b
+    def fn(points):
+        return points[..., "xv".index(part), :] @ b
 
-    def gradient(point):
+    def gradient(points):
         out = np.zeros(2 * n)
         out[:n] = b if part == "x" else 0.0
         out[n:] = b if part == "v" else 0.0
-        return np.broadcast_to(out, point.x.shape[:-1] + (2 * n,))
+        return np.broadcast_to(out, points.shape[:-2] + (2 * n,))
 
     fn.gradient = gradient
     return fn
@@ -498,7 +497,7 @@ def test_transversality_ranks_by_the_shared_rank_rule(monkeypatch, setup_cp2):
     setup = setup_cp2._replace(slice_space=lc.zero_subspace(setup_cp2.alg.dim))
     noise = 1e-12 * np.random.default_rng(6).standard_normal((2, 2 * setup.alg.dim, setup.centralizer.dim))
     monkeypatch.setattr(dr, "infinitesimal_action", lambda config, xi, points: noise)
-    points = oc.TangentBundlePoint(x=np.tile(setup.config.seed, (2, 1)), v=np.zeros((2, setup.alg.dim)))
+    points = np.stack([np.tile(setup.config.seed, (2, 1)), np.zeros((2, setup.alg.dim))], axis=1)
     assert lc.rank_mask(np.linalg.svd(noise, compute_uv=False)).sum() == 0
     assert dr.transversality_deficiency(setup, points) == 2 * setup.sub_tangent.dim == 4
 

@@ -41,8 +41,9 @@ def test_diagonal_seed_so_blocks():
     expected[0, 1], expected[1, 0] = -1.0, 1.0
     expected[2, 3], expected[3, 2] = -0.4, 0.4
     assert np.allclose(mat, expected, atol=1e-12)
-    with pytest.raises(InputError):
-        families.diagonal_seed(alg, [1.0])
+    for angles in ([1.0], [1.0, 0.4, 7.0]):  # exactly one angle per block, none dropped
+        with pytest.raises(InputError):
+            families.diagonal_seed(alg, angles)
 
 
 def test_seed_must_match_dimension():

@@ -62,7 +62,9 @@ def _xi(alg, kind):
         return np.zeros(alg.dim)
     if kind == "cartan":
         # diagonal span: ad(xi) has repeated eigenvalues (0 at least rank-fold)
-        return families.diagonal_seed(alg, [0.7, -0.2, 0.4, -0.9][:alg.matrix_dim])
+        # so(n) takes one rotation angle per 2x2 block, su(n) one eigenvalue per row
+        count = alg.matrix_dim // 2 if alg.name.startswith("so") else alg.matrix_dim
+        return families.diagonal_seed(alg, [0.7, -0.2, 0.4, -0.9][:count])
     vec = np.random.default_rng(5).standard_normal(alg.dim)
     return 3.0 * vec / np.linalg.norm(vec)  # |xi| = 3, far outside the chart box
 
@@ -112,8 +114,8 @@ def make_chart(setup_like):
 def test_chart_map_base_point(setup_su2):
     chart = make_chart(setup_su2)
     base = chart.point(np.zeros((1, chart.coord_dim)))
-    assert np.allclose(base.x, setup_su2.config.seed, atol=1e-14)
-    assert np.allclose(base.v, setup_su2.x0, atol=1e-14)
+    assert np.allclose(base[:, 0], setup_su2.config.seed, atol=1e-14)
+    assert np.allclose(base[:, 1], setup_su2.x0, atol=1e-14)
 
 
 def test_chart_map_against_matrix_conjugation(setup_cp2):
@@ -130,8 +132,8 @@ def test_chart_map_against_matrix_conjugation(setup_cp2):
         ginv = scipy.linalg.expm(-xi_mat)
         x_mat = g @ alg.matrix_of(setup_cp2.config.seed) @ ginv
         v_mat = g @ alg.matrix_of(setup_cp2.x0 + chart.frame @ coords[f:]) @ ginv
-        assert np.allclose(alg.matrix_of(point.x[0]), x_mat, atol=1e-12)
-        assert np.allclose(alg.matrix_of(point.v[0]), v_mat, atol=1e-12)
+        assert np.allclose(alg.matrix_of(point[0, 0]), x_mat, atol=1e-12)
+        assert np.allclose(alg.matrix_of(point[0, 1]), v_mat, atol=1e-12)
 
 
 def test_chart_spectrum_preservation(setup_su3_regular):
@@ -154,7 +156,7 @@ def test_chart_injectivity_spot_check(setup_su2):
         if np.linalg.norm(c1 - c2) < 1e-6:
             continue
         p1, p2 = chart.point(c1[None]), chart.point(c2[None])
-        gap = np.linalg.norm(np.concatenate([p1.x - p2.x, p1.v - p2.v]))
+        gap = np.linalg.norm(p1 - p2)
         assert gap > 1e-8 * np.linalg.norm(c1 - c2)
 
 
@@ -178,7 +180,7 @@ def test_su2_one_parameter_great_circle(su2, pauli_elements):
     w = su2.bracket(u_dir, e3)
     rate = np.linalg.norm(w) / np.linalg.norm(e3)
     for u in np.linspace(-0.4, 0.4, 9):
-        x = chart.point(np.array([[u, 0.0, 0.0, 0.0]])).x[0]
+        x = chart.point(np.array([[u, 0.0, 0.0, 0.0]]))[0, 0]
         assert abs(np.linalg.norm(x) - np.linalg.norm(e3)) <= 1e-12
         exact = np.cos(rate * u) * e3 + np.sin(rate * u) * w / rate
         assert np.allclose(x, exact, atol=1e-10)
@@ -195,7 +197,7 @@ def test_pushforward_matches_finite_differences(setup_su3_regular):
         for j in range(chart.coord_dim):
             plus = chart.point(oc.shifted(coords, j, +h))
             minus = chart.point(oc.shifted(coords, j, -h))
-            fd[:, j] = np.concatenate([plus.x - minus.x, plus.v - minus.v], axis=-1)[0] / (2 * h)
+            fd[:, j] = (plus - minus)[0].ravel() / (2 * h)
         assert np.max(np.abs(push - fd)) <= 1e-8
 
 
@@ -243,7 +245,7 @@ def fd_canonical_form_matrix(chart, coords, h=1e-4):
     c = np.asarray(coords, dtype=float)
 
     def theta(cc):
-        return chart.pushforward(cc)[0, :n].T @ chart.point(cc).v[0]
+        return chart.pushforward(cc)[0, :n].T @ chart.point(cc)[0, 1]
 
     grad = np.stack([
         (theta(oc.shifted(c, i, +h)) - theta(oc.shifted(c, i, -h))) / (2.0 * h)
@@ -322,7 +324,7 @@ def test_pullback_matrix_matches_einsum_reference(setup_cp2, data_cp2):
     rng = np.random.default_rng(10)
     for chart in (make_chart(setup_cp2), data_cp2.sub_chart):
         coords = rng.uniform(-0.08, 0.08, (1, chart.coord_dim))
-        x = chart.point(coords).x[0]
+        x = chart.point(coords)[0, 0]
         lifts = np.linalg.lstsq(alg.ad(x), chart.pushforward(coords)[0, :alg.dim], rcond=None)[0]
         ref = -np.einsum("ai,bj,abk,k->ij", lifts, lifts, alg.structure, x)
         ref = 0.5 * (ref - ref.T)
@@ -340,7 +342,7 @@ def test_lifts_solve_ad_x_against_the_pushforward(setup_cp2, data_cp2):
     for ch in charts:
         coords = rng.uniform(-0.1, 0.1, (3, ch.coord_dim))
         lifts = ch.lifts(coords)
-        ad_x = np.stack([alg.ad(x) for x in ch.point(coords).x])
+        ad_x = np.stack([alg.ad(x) for x in ch.point(coords)[:, 0]])
         assert lifts.shape == (3, alg.dim, ch.coord_dim)
         assert np.max(np.abs(ad_x @ lifts - ch.pushforward(coords)[:, :alg.dim])) <= 1e-13
         assert not np.any(lifts[..., ch.frame_dim:])
@@ -426,9 +428,8 @@ def test_stacked_evaluation_matches_single_rows(request, setup_name, data_name):
         rows = coords[:, None]
         points = [single.point(c) for c in rows]
         point = stacked.point(coords)
-        assert point.x.shape == point.v.shape == (6, setup.alg.dim)
-        assert np.array_equal(point.x, np.concatenate([p.x for p in points]))
-        assert np.array_equal(point.v, np.concatenate([p.v for p in points]))
+        assert point.shape == (6, 2, setup.alg.dim)
+        assert np.array_equal(point, np.concatenate(points))
         assert np.array_equal(stacked.pushforward(coords), np.concatenate([single.pushforward(c) for c in rows]))
         for form in (oc.canonical_form_matrix, oc.omega2_matrix):
             assert np.array_equal(form(stacked, coords), np.concatenate([form(single, c) for c in rows]))
@@ -462,11 +463,10 @@ def test_memo_calls_fn_once_per_distinct_stack_and_returns_a_read_only_value():
 def test_a_row_gets_the_same_bits_alone_inside_a_larger_stack_and_reversed(request, setup_name):
     # Each stack is evaluated afresh, so a row's value must not depend on the stack around it.
     setup = request.getfixturevalue(setup_name)
-    data = dr.restricted_pencil(setup, oc.TangentBundlePoint(x=setup.config.seed, v=setup.x0))
+    data = dr.restricted_pencil(setup, setup.x0)
     chart, pencil = data.ambient_chart, data.ambient
     coords = np.random.default_rng(21).uniform(-0.1, 0.1, (5, chart.coord_dim))
-    for name, fn in {"x": lambda c: chart.point(c).x, "v": lambda c: chart.point(c).v,
-                     "pushforward": chart.pushforward, "lifts": chart.lifts,
+    for name, fn in {"point": chart.point, "pushforward": chart.pushforward, "lifts": chart.lifts,
                      "w1": pencil.w1, "w2": pencil.w2, "p1": pencil.p1}.items():
         stacked = fn(coords)
         assert np.array_equal(fn(coords[::-1])[::-1], stacked), name
@@ -518,7 +518,7 @@ def test_grouped_rank_guard_refuses_every_rank_deficient_row(setup_cp2, where):
 def test_grouped_rank_guard_takes_one_svd_per_stencil_centre(monkeypatch, setup_cp3):
     # a healthy CP3 closedness stencil, 8 centres x 24 rows: every row but the reference rows is
     # certified, so the guard's one SVD call takes the 8 reference rows alone
-    data = dr.restricted_pencil(setup_cp3, oc.TangentBundlePoint(x=setup_cp3.config.seed, v=setup_cp3.x0))
+    data = dr.restricted_pencil(setup_cp3, setup_cp3.x0)
     chart = data.ambient_chart
     centres = np.random.default_rng(8).uniform(-0.1, 0.1, (8, chart.coord_dim))
     assert 2 * chart.coord_dim == 24
@@ -577,7 +577,7 @@ def test_stacked_inverse_names_the_singular_row():
 def test_infinitesimal_action(su2, pauli_elements, setup_su2):
     e1, e2, e3 = pauli_elements
     config = oc.orbit_config(su2, e3)
-    point = oc.TangentBundlePoint(x=e3, v=e1)
+    point = np.stack([e3, e1])
     # stabiliser of both components gives the zero pair
     iso = lc.kernel(np.vstack([su2.ad(e3), su2.ad(e1)]))
     assert iso.dim == 0

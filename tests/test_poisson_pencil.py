@@ -10,6 +10,12 @@ def constant_field(mat, dim):
     return oc.FormField(lambda c: np.broadcast_to(np.array(mat, dtype=float), (len(c), dim, dim)), dim)
 
 
+def member(p1, p2, t1, t2):
+    """The pencil member t1 P1 + t2 P2, with partials t1 dP1 + t2 dP2."""
+    return pp.PoissonField(lambda c: t1 * p1(c) + t2 * p2(c), p1.dim,
+                           partials=lambda c: t1 * p1.partials(c) + t2 * p2.partials(c))
+
+
 def symplectic_block(n):
     j = np.zeros((2 * n, 2 * n))
     j[:n, n:] = np.eye(n)
@@ -62,24 +68,22 @@ def test_invert_singular_field_raises():
 # ---------------------------------------------------------------------------
 
 
-def test_pencil_parameter_rules():
-    with pytest.raises(InputError):
-        pp.PencilParameter(0.0, 0.0)
-    assert pp.PencilParameter(1.0, -1.0).t1 == 1.0
-
-
 def test_pencil_combinations(data_su2):
     coords = np.full((1, data_su2.sub_chart.coord_dim), 0.01)
-    p1, p2 = data_su2.restricted.p1, data_su2.restricted.p2
-    assert np.array_equal(pp.pencil(p1, p2, (1.0, 0.0))(coords), p1(coords))
-    assert np.max(np.abs(pp.pencil(p1, p1, (1.0, -1.0))(coords))) == 0.0
-    lhs = pp.pencil(p1, p2, (1.0, 1.0))(coords)
-    assert np.allclose(lhs, p1(coords) + p2(coords), atol=1e-15)
+    p1 = data_su2.restricted.p1
+    # the sum field of compatibility_residual adds values and partials: P1 + P1 = 2 P1 scales
+    # every Jacobi term by exactly 4
+    residual = pp.jacobi_residual(p1, coords)
+    assert residual > 0.0 and pp.compatibility_residual(p1, p1, coords) == 4.0 * residual
+    # degeneracy_profile forms t1 m1 + t2 m2 per row of a (P, 2) array
+    m1 = p1(coords)[0]
+    sigma = pp.degeneracy_profile(m1, m1, np.array([[1.0, 0.0], [1.0, -1.0], [0.5, 0.5]]))
+    assert sigma[0] == sigma[2] == np.linalg.svd(m1, compute_uv=False)[-1] and sigma[1] == 0.0
 
 
 def test_pencil_dim_mismatch(data_su2, data_cp2):
     with pytest.raises(InputError):
-        pp.pencil(data_su2.restricted.p1, data_cp2.ambient.p1, (1.0, 1.0))
+        pp.compatibility_residual(data_su2.restricted.p1, data_cp2.ambient.p1, np.zeros((1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +140,7 @@ def test_partials_match_central_differences_of_the_field(data_cp3, ambient_coord
     # the Jacobi residual is blind to a sign error in dP = -P dW P; this pins dP itself
     _, _, p1, p2 = data_cp3.ambient
     coords = ambient_coords(data_cp3.ambient_chart, 1)
-    for field in (p1, p2, pp.pencil(p1, p2, (0.3, 0.7))):
+    for field in (p1, p2):
         fd = oc.central_partials(field, coords, 1e-4)
         assert np.max(np.abs(field.partials(coords) - fd)) <= 1e-6
 
@@ -169,7 +173,7 @@ def test_compatibility_su3_regular(data_su3_regular):
         coords = rng.uniform(-0.1, 0.1, (1, data_su3_regular.ambient_chart.coord_dim))
         assert pp.compatibility_residual(p1, p2, coords) <= 1e-5
         # a third generic parameter certifies the whole pencil
-        assert pp.jacobi_residual(pp.pencil(p1, p2, (0.3, 0.7)), coords) <= 1e-5
+        assert pp.jacobi_residual(member(p1, p2, 0.3, 0.7), coords) <= 1e-5
 
 
 def test_pencil_circle_bound(data_su2):
@@ -181,8 +185,8 @@ def test_pencil_circle_bound(data_su2):
         pp.jacobi_residual(p2, coords),
         pp.compatibility_residual(p1, p2, coords),
     )
-    for t in pp.unit_circle_parameters():
-        assert pp.jacobi_residual(pp.pencil(p1, p2, t), coords) <= 4.0 * max(tol, 1e-12)
+    for t1, t2 in pp.unit_circle_parameters():
+        assert pp.jacobi_residual(member(p1, p2, t1, t2), coords) <= 4.0 * max(tol, 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ import pytest
 
 import orbitpencil
 from orbitpencil import lie_core as lc
-from orbitpencil import orbit_charts as oc
-from orbitpencil import poisson_pencil as pp
 from orbitpencil.errors import InputError
 
 
@@ -36,8 +34,7 @@ def test_check_spec_is_the_only_dataclass():
 
 def test_frozen_records_refuse_assignment(setup_su2):
     sub = lc.Subspace(np.eye(3)[:, :2])
-    point = oc.TangentBundlePoint(x=np.zeros(3), v=np.ones(3))
-    for record, name in ((sub, "basis"), (setup_su2, "x0"), (point, "v")):
+    for record, name in ((sub, "basis"), (setup_su2, "x0")):
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
         with pytest.raises(AttributeError):
@@ -49,13 +46,5 @@ def test_validated_records_keep_their_checks():
         lc.Subspace(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InputError, match="2-d array"):
         lc.Subspace(np.ones(3))
-    with pytest.raises(InputError, match="positive definite"):
-        lc.InvariantProduct([np.diag([1.0, -1.0])])
-    with pytest.raises(InputError, match="symmetric"):
-        lc.InvariantProduct([np.array([[1.0, 0.5], [0.0, 1.0]])])
-    with pytest.raises(InputError, match="excluded"):
-        pp.PencilParameter(0.0, 0.0)
     # validation converts as before: the stored basis is a float array
     assert lc.Subspace(basis=[[1], [0]]).basis.dtype == float
-    param = pp.PencilParameter(t1=0.0, t2=2.0)
-    assert (param.t1, param.t2) == (0.0, 2.0)

@@ -223,8 +223,9 @@ def trace_word_reads_one_entry(mp):
     def faulty(alg, word):
         fn = build(alg, word)
 
-        def entry(point):
-            mats = {"x": oc._lincomb(point.x, alg.basis), "v": oc._lincomb(point.v, alg.basis)}
+        def entry(points):
+            xv = oc._lincomb(points, alg.basis)
+            mats = {"x": xv[..., 0, :, :], "v": xv[..., 1, :, :]}
             values = np.real(functools.reduce(np.matmul, [mats[s] for s in fn.word])[..., 0, 0])
             return values if values.ndim else float(values)
 

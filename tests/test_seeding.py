@@ -87,7 +87,7 @@ def test_a_verify_never_imports_numpy_random(tmp_path):
         "from orbitpencil.cli import main\n"
         f"code = main(['verify', '--config', {str(ROOT / 'configs' / 'su2_sphere.json')!r},"
         f" '--out', {str(tmp_path / 'report.json')!r}])\n"
-        "print(sorted(m for m in ('numpy.random', 'secrets', 'hashlib', 'logging') if m in sys.modules))\n"
+        "print(sorted(m for m in ('numpy.random', 'secrets', 'hashlib', 'logging', 'scipy') if m in sys.modules))\n"
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))

@@ -26,7 +26,7 @@ CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 def _fresh(setup):
     """Charts and pencils of their own: nothing shared with another call's memos."""
-    return dr.restricted_pencil(setup, oc.TangentBundlePoint(x=setup.config.seed, v=setup.x0))
+    return dr.restricted_pencil(setup, setup.x0)
 
 
 @pytest.fixture(scope="module", params=["cp2", "cp3"])
@@ -70,10 +70,8 @@ def test_partials_on_the_stack_are_the_rows(stacked_case, which):
     for member in ("p1", "p2"):
         got = getattr(stacked, member).partials(stack)
         assert np.array_equal(got, np.concatenate([getattr(rows, member).partials(c) for c in stack[:, None]]))
-    pencil = pp.pencil(stacked.p1, stacked.p2, (0.3, 0.7))
-    reference = pp.pencil(rows.p1, rows.p2, (0.3, 0.7))
-    assert np.array_equal(pencil.partials(stack),
-                          np.concatenate([reference.partials(c) for c in stack[:, None]]))
+    assert pp.compatibility_residual(stacked.p1, stacked.p2, stack) == max(
+        pp.compatibility_residual(rows.p1, rows.p2, c) for c in stack[:, None])
 
 
 def test_degeneracy_profile_is_one_svd_matching_one_per_parameter(monkeypatch, data_cp2, regular_coords_cp2):
@@ -125,8 +123,8 @@ def test_stacked_draws_are_the_single_draws(setup_cp3):
     alg, sub = setup_cp3.alg, setup_cp3.isotropy
     sols = lc.invariant_product_space(alg, sub)
     indices = [3, 4, 11, 2 ** 20]
-    stacked = lc.draw_invariant_products(alg, sub, sols, 5, indices).matrix
-    assert np.array_equal(stacked, np.stack([lc.draw_invariant_products(alg, sub, sols, 5, [i]).matrix[0]
+    stacked = lc.draw_invariant_products(alg, sub, sols, 5, indices)
+    assert np.array_equal(stacked, np.stack([lc.draw_invariant_products(alg, sub, sols, 5, [i])[0]
                                              for i in indices]))
 
 
@@ -202,7 +200,7 @@ def test_point_functions_on_the_stack_are_the_point_values(setup_cp3, data_cp3):
     setup = setup_cp3
     coords = dr.sample_regular_coords(setup, data_cp3, 4, seed=13)
     points = data_cp3.sub_chart.point(coords)
-    singles = [oc.TangentBundlePoint(x=x, v=v) for x, v in zip(points.x[:, None], points.v[:, None])]
+    singles = points[:, None]
     for word in [("v", "v"), ("x", "v", "x", "v"), ("v", "v", "v", "v")]:
         fn = dr.invariant_function(setup.alg, word)
         assert np.array_equal(fn(points), np.concatenate([fn(p) for p in singles]))
@@ -221,11 +219,11 @@ def test_point_functions_on_the_stack_are_the_point_values(setup_cp3, data_cp3):
         assert np.array_equal(stratum.basis, dr._stratum_tangent(setup, single)[0].basis)
 
 
-def _einsum_action(alg, xi, point):
+def _einsum_action(alg, xi, points):
     """Reference for ``infinitesimal_action``: ([xi, x], [xi, v]) as one einsum with the structure constants."""
     n = alg.dim
-    lead = np.shape(point.x)[:-1]
-    y = np.stack([point.x, point.v], axis=-2).reshape(-1, n)
+    lead = points.shape[:-2]
+    y = points.reshape(-1, n)
     pairs = np.einsum("ai,pj,ijk->apk", xi.reshape(n, -1).T, y, alg.structure)
     return np.moveaxis(pairs.reshape((-1,) + lead + (2 * n,)), 0, -1).reshape(lead + (2 * n,) + xi.shape[1:])
 
@@ -234,7 +232,7 @@ def test_action_spans_of_a_stack_of_bases_are_the_point_calls(setup_cp3, data_cp
     setup, alg = setup_cp3, setup_cp3.alg
     coords = dr.sample_regular_coords(setup, data_cp3, 4, seed=13)
     points = data_cp3.sub_chart.point(coords)
-    singles = [oc.TangentBundlePoint(x=x, v=v) for x, v in zip(points.x[:, None], points.v[:, None])]
+    singles = points[:, None]
     # a transversal per point, each orthogonal to n(h) for a product of its own
     prods = lc.draw_invariant_products(alg, setup.isotropy, lc.invariant_product_space(alg, setup.isotropy),
                                        5, range(4))
@@ -248,8 +246,7 @@ def test_action_spans_of_a_stack_of_bases_are_the_point_calls(setup_cp3, data_cp
         got = oc.infinitesimal_action(setup.config, xi, points)
         assert np.max(np.abs(got - _einsum_action(alg, xi, points))) <= 1e-14
     got = oc.infinitesimal_action(setup.config, bases, points)
-    for row, basis, x, v in zip(got, bases, points.x, points.v, strict=True):
-        point = oc.TangentBundlePoint(x=x, v=v)
+    for row, basis, point in zip(got, bases, points, strict=True):
         assert np.max(np.abs(row - _einsum_action(alg, basis, point))) <= 1e-14
         assert np.array_equal(row, oc.infinitesimal_action(setup.config, basis, point))
 
@@ -389,11 +386,11 @@ def test_sample_regular_coords_accepts_what_the_one_at_a_time_loop_accepts(monke
     data = _fresh(setup_cp2)
     if reject_half:  # a forced rejection: every point whose first v entry is positive counts as singular
         regular = dr.is_regular
-        monkeypatch.setattr(dr, "is_regular", lambda setup, point: regular(setup, point) & (point.v[..., 0] <= 0))
+        monkeypatch.setattr(dr, "is_regular", lambda setup, points: regular(setup, points) & (points[:, 1, 0] <= 0))
     want = _one_candidate_at_a_time(setup_cp2, data, 6, seed=4)
     tested = []
     is_regular = dr.is_regular
-    monkeypatch.setattr(dr, "is_regular", lambda setup, point: tested.append(len(point.x)) or is_regular(setup, point))
+    monkeypatch.setattr(dr, "is_regular", lambda setup, points: tested.append(len(points)) or is_regular(setup, points))
     got = dr.sample_regular_coords(setup_cp2, data, 6, seed=4)
     assert len(got) == 6 and all(np.array_equal(a, b) for a, b in zip(got, want))
     assert set(tested) == {6}
@@ -458,7 +455,7 @@ def test_subspace_functions_take_one_shape(su2):
     # span/kernel take one 2-d matrix, spans/kernels a (k, r, c) array, products a stack;
     # a record is a tuple, and a tuple is refused rather than read as a sequence
     mat = np.eye(3)[:, :2]
-    not_one_matrix = (lc.Subspace(mat), lc.InvariantProduct([np.eye(3)]), su2, np.ones(3), np.ones((2, 3, 3)), [mat])
+    not_one_matrix = (lc.Subspace(mat), su2, np.ones(3), np.ones((2, 3, 3)), [mat])
     for fn in (lc.span, lc.kernel):
         for bad in not_one_matrix:
             with pytest.raises(InputError, match="expected one 2-d matrix"):
@@ -467,5 +464,5 @@ def test_subspace_functions_take_one_shape(su2):
         for bad in (mat, (mat, mat), [mat, np.ones(3)], [mat, mat]):
             with pytest.raises(InputError, match=r"expected a \(k, r, c\) stack"):
                 fn(bad)
-    with pytest.raises(InputError, match=r"\(k, n, n\) stack"):
-        lc.InvariantProduct(np.eye(3))
+    with pytest.raises(InputError, match=r"expected a \(k, r, c\) stack"):
+        lc.orthogonal_complements(lc.span(mat), np.eye(3))

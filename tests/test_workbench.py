@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from orbitpencil import families
 from orbitpencil import orbit_charts as oc
 from orbitpencil import workbench as wb
 from orbitpencil.cli import main as cli_main
@@ -26,6 +27,9 @@ SU2_CONFIG = {
     "samples": 8,
     "seed": 0,
 }
+
+# The su(2) basis as a custom algebra, under a name that would read as so(n)
+SU2_CUSTOM = {"custom": [wb.encode_complex_matrix(m) for m in families.su_generators(2)], "name": "so-named-su2"}
 
 # Every report of a full run carries every registry row: the checks, then the controls.
 ALL_ROWS = [spec.name for kind in ("check", "control") for spec in wb.REGISTRY if spec.kind == kind]
@@ -77,6 +81,7 @@ def test_cp2_spectrum_is_centered_and_valid(tmp_path):
         {"checks": ["no_such_check"]},
         {"tolerances": {}},
         {"bogus_field": 1},
+        {"algebra": SU2_CUSTOM},  # diag_spectrum needs a built-in family, whatever the custom name
     ],
 )
 def test_invalid_configs_rejected(tmp_path, capsys, mutation):
@@ -107,8 +112,6 @@ def test_malformed_json_rejected(tmp_path):
 
 
 def test_custom_algebra_roundtrip():
-    from orbitpencil import families
-
     mats = families.su_generators(2)
     payload = {
         "algebra": {"custom": [wb.encode_complex_matrix(m) for m in mats], "name": "custom-su2"},
@@ -507,6 +510,8 @@ def test_cli_checks_flag_and_text_format(tmp_path, capsys):
         # central seeds, whose orbit is a point
         {"algebra": {"family": "su", "n": 2}, "seed_element": {"coeffs": [0, 0, 0]}},
         {"algebra": {"custom": [[[[0.0, 1.0]]]], "name": "u(1)"}, "seed_element": {"coeffs": [1]}},
+        # so(5) takes exactly two rotation angles; a third is refused, not dropped
+        {"algebra": {"family": "so", "n": 5}, "seed_element": {"diag_spectrum": [2, 1, 7]}},
     ],
 )
 def test_cli_seed_rejected_by_the_algebra_exits_2(tmp_path, capsys, payload):
@@ -615,6 +620,12 @@ def test_python_built_configs_follow_the_json_rules(fields):
     # run_pipeline parses a WorkbenchConfig built in Python as config_from_dict parses JSON
     with pytest.raises(ConfigError, match="malformed value"):
         wb.run_pipeline(wb.WorkbenchConfig(**dict(SU2_CONFIG, **fields)))
+
+
+def test_a_python_built_config_json_cannot_encode_is_refused():
+    cfg = wb.WorkbenchConfig({"family": "su", "n": 2}, {"coeffs": np.array([1.0, 0.0, 0.0])})
+    with pytest.raises(ConfigError, match="cannot echo"):
+        wb.run_pipeline(cfg)
 
 
 def test_a_python_built_config_reports_as_its_json(tmp_path):
