@@ -55,7 +55,6 @@ def _cmd_verify(args) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    rendered = report.to_json() if args.format == "json" else report.to_text()
     if args.out:
         try:
             emit_report(report, args.out, fmt=args.format)
@@ -64,6 +63,7 @@ def _cmd_verify(args) -> int:
             return 1
         print(f"report written to {args.out}")
     else:
+        rendered = report.to_json() if args.format == "json" else report.to_text()
         print(rendered, end="" if rendered.endswith("\n") else "\n")
     return 0 if report.verdict == "pass" else 1
 

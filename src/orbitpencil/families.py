@@ -63,13 +63,15 @@ def so(n: int) -> LieAlgebra:
 def diagonal_seed(alg: LieAlgebra, spectrum) -> np.ndarray:
     """Seed element from a spectrum, as coefficients in the algebra basis.
 
-    For su(n): i * diag(spectrum - mean), the mean subtracted to enforce a
-    vanishing trace.  For so(n): the entries are the rotation angles of the
-    floor(n/2) 2x2 diagonal blocks, exactly one per block.
+    The convention follows the basis, not the algebra's name.  A real basis
+    (no imaginary entry, as for so(n)) takes the rotation angles of the
+    floor(n/2) 2x2 diagonal blocks, exactly one per block.  Any other (as
+    for su(n)) takes a spectrum: i * diag(spectrum - mean), the mean
+    subtracted to enforce a vanishing trace.
     """
     spec = np.asarray(spectrum, dtype=float)
     d = alg.matrix_dim
-    if alg.name.startswith("so"):
+    if not np.any(alg.basis.imag):
         blocks = d // 2
         if spec.size != blocks:
             raise InputError(f"so({d}) seed needs {blocks} rotation angles, got {spec.size}")

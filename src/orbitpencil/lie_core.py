@@ -19,8 +19,8 @@ Conventions used throughout the package:
     (:mod:`orbitpencil.orbit_charts`), projected back by ``coefficients``:
     one real matmul of the (re, im) entries of each matrix against the
     (2 d^2, n) ``coefficient_map``, built with the algebra.
-  * The build guard's residuals (closure, Jacobi identity, invariance) stay
-    on the algebra as ``residuals``, so nothing recomputes them.
+  * The build guard (closure, Jacobi identity, invariance) refuses a basis
+    that fails it, and is the one certificate of those identities.
   * Rank decisions follow one rule (:func:`rank_mask`): a singular value
     counts above RANK_RTOL max(sigma_max, 1).  ``spans`` and ``kernels``
     take one (k, r, c) stack and return a list of Subspaces from one SVD;
@@ -40,7 +40,7 @@ from .seeding import normal_rows
 # All subspace data is O(1) after orthonormalisation, so one cutoff suffices.
 RANK_RTOL = 1e-9
 
-ALGEBRA_CHECK_TOL = 1e-12  # relative bound of the algebra_from_matrices guard, and of the algebra rows
+ALGEBRA_CHECK_TOL = 1e-12  # relative bound of the algebra_from_matrices guard
 
 # Frobenius distance of projectors below which two subspaces count as equal.
 SUBSPACE_TOL = 1e-8
@@ -73,8 +73,6 @@ class LieAlgebra(NamedTuple):
             acting on coefficient vectors.
         coefficient_map: (2 d^2, n) real array; the (re, im) entries of a
             matrix M, row-major, times it give the coefficients -Re tr(B_k M).
-        residuals: the build guard's residuals, "closure", "jacobi" and
-            "invariance" (see :func:`algebra_from_matrices`).
     """
 
     name: str
@@ -82,7 +80,6 @@ class LieAlgebra(NamedTuple):
     structure: np.ndarray
     ad_basis: np.ndarray
     coefficient_map: np.ndarray
-    residuals: dict
 
     @property
     def dim(self) -> int:
@@ -153,7 +150,7 @@ def algebra_from_matrices(name, matrices) -> LieAlgebra:
     Verifies, to ALGEBRA_CHECK_TOL (relative): closure of the matrix brackets in
     the span, antisymmetry and the Jacobi identity of the structure
     constants, and invariance of the trace product (skewness of every ad).
-    The three residuals are kept on the algebra as ``residuals``.
+    A basis that fails one is refused.
     """
     mats = np.asarray(matrices, dtype=complex)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -201,7 +198,6 @@ def algebra_from_matrices(name, matrices) -> LieAlgebra:
         structure=structure,
         ad_basis=ad_basis,
         coefficient_map=coefficient_map,
-        residuals={"closure": closure, "jacobi": jac, "invariance": skew},
     )
 
 

@@ -84,7 +84,6 @@ class OrbitConfig(NamedTuple):
     stabilizer: Subspace      # k = ker ad(a)
     tangent: Subspace         # m = im ad(a), identified with T_a O
     seed_spectrum: np.ndarray  # sorted eigenvalues of the matrix of a (times -i)
-    residuals: dict           # orbit_config's guard, "splitting": distance of m from k's orthocomplement
 
     @property
     def orbit_dim(self) -> int:
@@ -103,12 +102,10 @@ def orbit_config(alg: LieAlgebra, a: np.ndarray) -> OrbitConfig:
         raise DomainError("kernel and image of ad(seed) do not split the algebra")
     # For the invariant product, im ad(a) is exactly the orthocomplement of
     # the kernel; check rather than assume.
-    splitting = projector_distance(tang, kernel(stab.basis.T))
-    if splitting > 1e-10:
+    if projector_distance(tang, kernel(stab.basis.T)) > 1e-10:
         raise DomainError("image of ad(seed) is not the orthocomplement of its kernel")
     spectrum = np.sort(np.linalg.eigvalsh(1j * alg.matrix_of(a)))
-    return OrbitConfig(alg=alg, seed=a, stabilizer=stab, tangent=tang, seed_spectrum=spectrum,
-                       residuals={"splitting": splitting})
+    return OrbitConfig(alg=alg, seed=a, stabilizer=stab, tangent=tang, seed_spectrum=spectrum)
 
 
 def point_residuals(config: OrbitConfig, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,16 +7,24 @@ byte-identical across reruns.  Wall-clock timings are kept out of the JSON
 for that reason; the text rendering shows them.
 
 Checks run one after another on a shared :class:`PipelineContext`.  Data
-that several rows read (the block structure of the splitting, slice normal
-forms, the invariant-product space of h) is computed by the first row that
-needs it and kept on the context for the rest of the run.  What the
-algebra, the orbit and the setup compute anyway (the build-guard residuals
-of the algebra and the orbit, the setup residuals, the span [x0, k]) and
-the two pencils (:class:`dirac_reduction.ChartPencil`, one on the ambient
-chart and one on the sub chart) are read from ``ctx.alg``, ``ctx.orbit``,
-``ctx.setup`` and ``ctx.data``.  Sample-point rows evaluate the two coordinate stacks whole,
-``ctx.ambient_coords`` and ``ctx.regular_coords`` (padded for the ambient
-chart), and slice the rows they report.
+that several rows read (the block structure of the splitting, the
+invariant-product space of h) is computed by the first row that needs it
+and kept on the context for the rest of the run.  What the setup computes
+anyway (the setup residuals, the span [x0, k]) and the two pencils
+(:class:`dirac_reduction.ChartPencil`, one on the ambient chart and one on
+the sub chart) are read from ``ctx.setup`` and ``ctx.data``.  Sample-point
+rows evaluate the two coordinate stacks whole, ``ctx.ambient_coords`` and
+``ctx.regular_coords`` (padded for the ambient chart), and slice the rows
+they report.
+
+A claim that a construction guard refuses at the same bound, or that
+another row certifies, gets no row: the algebra's identities
+(:func:`lie_core.algebra_from_matrices`), the slice normalisation
+(:func:`dirac_reduction.slice_normal_form`) and the Jacobi identity of one
+inverse form, which is the closedness of that form (``pencil_jacobi_combined``
+stays while the benchmark's ``sweep_small`` selects it).  The setup rows,
+which report what :func:`dirac_reduction.reduction_setup` validates, are the
+exception.
 
 Check rows carry a short ``anchor`` sentence stating the mathematical
 claim being certified, a ``mode`` saying whether the value is an upper
@@ -318,18 +326,16 @@ class CheckResult(NamedTuple):
             "pass": self.passed,
         }
 
-
-def _algebra_row(key):
-    """The algebra row reading residual ``key``, computed by the build guard of ``algebra_from_matrices``."""
-    def fn(ctx):
-        return ctx.alg.residuals[key]
-    return fn
+    def to_text(self) -> str:
+        """The row's line in the text report, under the header of :meth:`ReductionReport.to_text`."""
+        verdict = "pass" if self.passed else "FAIL"
+        return f"{self.name:38s} {self.mode:4s} {self.residual:13.4e} {self.tolerance:10.1e} {verdict:>8s}"
 
 
 def _orbit_splitting(ctx):
     orbit = ctx.orbit
     moved = ctx.alg.ads(orbit.stabilizer.basis) @ orbit.seed  # row j is [k_j, a]
-    return max(orbit.residuals["splitting"], *(float(np.linalg.norm(row)) for row in moved))
+    return max(float(np.linalg.norm(row)) for row in moved)
 
 
 def _exactness(chart, seed, label, count):
@@ -396,13 +402,6 @@ def _compatibility(chart):
     def fn(ctx):
         pencil, coords = chart(ctx)
         return pp.compatibility_residual(pencil.p1, pencil.p2, coords)
-    return fn
-
-
-def _worst(*rows):
-    """A max-mode row reporting the largest value of ``rows``."""
-    def fn(ctx):
-        return max(row(ctx) for row in rows)
     return fn
 
 
@@ -549,26 +548,15 @@ def _control_zero_section_transversality(ctx):
     return float(dr.transversality_deficiency(ctx.setup, zero))
 
 
-def _slice_pairs(ctx):
-    # (y, slice normal form of y) for random unit tangent vectors y, normalised as one stack.
+def _slice_isometry(ctx):
+    # random unit tangent vectors y against their slice normal forms z, normalised as one stack
     tangent = ctx.orbit.tangent
     ys = unit_rows(ctx.seed, "slice-normalization", range(ctx.samples), tangent.dim) @ tangent.basis.T
-    return list(zip(ys, dr.slice_normal_form(ctx.setup, ys)[0]))
-
-
-def _slice_normalization(ctx):
-    normal = ctx.setup.slice_normal.basis
-    return max(float(np.linalg.norm(normal.T @ z)) for _, z in ctx.once(_slice_pairs))
-
-
-def _slice_isometry(ctx):
-    return max(abs(np.linalg.norm(z) - np.linalg.norm(y)) for y, z in ctx.once(_slice_pairs))
+    zs = dr.slice_normal_form(ctx.setup, ys)[0]
+    return max(abs(np.linalg.norm(z) - np.linalg.norm(y)) for y, z in zip(ys, zs))
 
 
 REGISTRY: list[CheckSpec] = [
-    CheckSpec("algebra_closure", "basis brackets stay inside the basis span", lc.ALGEBRA_CHECK_TOL, "max", "check", "algebra", _algebra_row("closure")),
-    CheckSpec("algebra_jacobi", "structure constants satisfy the Jacobi identity", lc.ALGEBRA_CHECK_TOL, "max", "check", "algebra", _algebra_row("jacobi")),
-    CheckSpec("algebra_invariance", "trace product is invariant: adjoint operators are skew", lc.ALGEBRA_CHECK_TOL, "max", "check", "algebra", _algebra_row("invariance")),
     CheckSpec("orbit_splitting", "stabilizer kernel and orbit tangent image split the algebra orthogonally", 1e-8, "max", "check", "orbit", _orbit_splitting),
     CheckSpec("chart_exactness", "chart derivatives match central finite differences", 1e-8, "max", "check", "orbit", _chart_exactness),
     CheckSpec("spectrum_preservation", "chart points keep the seed spectrum and tangent fibers", 1e-8, "max", "check", "orbit", _spectrum_preservation),
@@ -588,7 +576,6 @@ REGISTRY: list[CheckSpec] = [
     CheckSpec("combined_nondegeneracy", "combined 2-form is nondegenerate at sampled points", 1e-6, "min", "check", "forms", _nondegeneracy(_ambient, "w2")),
     CheckSpec("form_invariance", "both forms are invariant under the group action", 1e-8, "max", "check", "forms", _form_invariance),
     CheckSpec("control_corrupted_closedness", "corrupting one entry breaks closedness beyond the rejection bar", 1e-2, "min", "control", "forms", _control_corrupted_closedness),
-    CheckSpec("pencil_jacobi_canonical", "inverse of the canonical form satisfies the Jacobi identity", 1e-5, "max", "check", "pencil", _jacobi(_ambient, "p1")),
     CheckSpec("pencil_jacobi_combined", "inverse of the combined form satisfies the Jacobi identity", 1e-5, "max", "check", "pencil", _jacobi(_ambient, "p2")),
     CheckSpec("pencil_compatibility", "the sum of the two inverse bivectors satisfies the Jacobi identity", 1e-5, "max", "check", "pencil", _compatibility(_ambient)),
     CheckSpec("control_corrupted_jacobi", "corrupting one bivector entry breaks the Jacobi identity", 1e-3, "min", "control", "pencil", _control_corrupted_jacobi),
@@ -598,14 +585,13 @@ REGISTRY: list[CheckSpec] = [
     CheckSpec("action_complement_independence", "the canonical complement is independent of the invariant product", 1e-8, "max", "check", "splitting", _action_complement_independence),
     CheckSpec("restricted_closedness", "restricted forms stay closed on the sub-orbit bundle", 1e-5, "max", "check", "restricted", _closedness(_restricted, "w1", "w2")),
     CheckSpec("restricted_nondegeneracy", "restricted forms stay nondegenerate on the sub-orbit bundle", 1e-6, "min", "check", "restricted", _nondegeneracy(_restricted, "w1", "w2")),
-    CheckSpec("restricted_compatibility", "restricted inverse bivectors form a compatible pair", 1e-5, "max", "check", "restricted", _worst(_jacobi(_restricted, "p1", "p2"), _compatibility(_restricted))),
+    CheckSpec("restricted_compatibility", "restricted inverse bivectors form a compatible pair", 1e-5, "max", "check", "restricted", _compatibility(_restricted)),
     CheckSpec("invariant_function_invariance", "trace-word functions are invariant under random conjugations", 1e-10, "max", "check", "brackets", _invariant_function_invariance),
     CheckSpec("bracket_agreement", "ambient and restricted pencil brackets agree on invariant functions", 1e-5, "max", "check", "brackets", _bracket_agreement),
     CheckSpec("local_freeness", "isotropy inside the centralizer never exceeds its center at regular points", 0.5, "max", "check", "freeness", _local_freeness),
     CheckSpec("control_zero_section_isotropy", "the zero section carries excess isotropy", 0.5, "min", "control", "freeness", _control_zero_section_isotropy),
     CheckSpec("transversality", "centralizer action plus slice fibers span the sub-orbit bundle tangent", 0.5, "max", "check", "freeness", _transversality),
     CheckSpec("control_zero_section_transversality", "the spanning audit fails on the zero section", 0.5, "min", "control", "freeness", _control_zero_section_transversality),
-    CheckSpec("slice_normalization", "stabilizer conjugations rotate any tangent vector into the slice", dr.SLICE_TOL, "max", "check", "freeness", _slice_normalization),
     CheckSpec("slice_isometry", "slice normalisation preserves norms", 1e-10, "max", "check", "freeness", _slice_isometry),
     CheckSpec("degeneracy_on_line", "the ambient pencil degenerates where the parameters cancel", 1e-8, "max", "check", "degeneracy", _degeneracy(True, _ambient)),
     CheckSpec("degeneracy_off_line", "away from the cancellation line the ambient pencil is nondegenerate", 1e-4, "min", "check", "degeneracy", _degeneracy(False, _ambient)),
@@ -655,18 +641,10 @@ class ReductionReport(NamedTuple):
         header = f"{'check':38s} {'mode':4s} {'residual':>13s} {'tolerance':>10s} {'verdict':>8s}"
         lines.append(header)
         lines.append("-" * len(header))
-        for row in self.checks:
-            lines.append(
-                f"{row.name:38s} {row.mode:4s} {row.residual:13.4e} {row.tolerance:10.1e} "
-                f"{'pass' if row.passed else 'FAIL':>8s}"
-            )
+        lines += [row.to_text() for row in self.checks]
         if self.negative_controls:
             lines.append("negative controls (these must trip):")
-            for row in self.negative_controls:
-                lines.append(
-                    f"{row.name:38s} {row.mode:4s} {row.residual:13.4e} {row.tolerance:10.1e} "
-                    f"{'pass' if row.passed else 'FAIL':>8s}"
-                )
+            lines += [row.to_text() for row in self.negative_controls]
         if self.error is not None:
             lines.append(f"error at stage {self.error['stage']}: {self.error['message']}")
         if self.timing:
@@ -700,7 +678,7 @@ def run_pipeline(cfg: WorkbenchConfig) -> ReductionReport:
         return ReductionReport(
             config=cfg.resolved(), dims={}, reduction="unknown", checks=[],
             negative_controls=[], timing={}, verdict="fail",
-            error={"stage": "setup", "message": str(exc)},
+            error={"stage": "setup", "type": type(exc).__name__, "message": str(exc)},
         )
     timing["prepare"] = (time.perf_counter() - t0) * 1e3
 
@@ -711,7 +689,7 @@ def run_pipeline(cfg: WorkbenchConfig) -> ReductionReport:
         try:
             value = _finite(spec.fn(ctx))
         except Exception as exc:  # report the stage, fail the run
-            error = {"stage": spec.stage, "check": spec.name, "message": str(exc)}
+            error = {"stage": spec.stage, "check": spec.name, "type": type(exc).__name__, "message": str(exc)}
             break
         timing[spec.stage] = timing.get(spec.stage, 0.0) + (time.perf_counter() - start) * 1e3
         passed = value <= spec.tolerance if spec.mode == "max" else value >= spec.tolerance

@@ -46,6 +46,17 @@ def test_diagonal_seed_so_blocks():
             families.diagonal_seed(alg, angles)
 
 
+@pytest.mark.parametrize("generators,spectrum", [
+    (families.su_generators(2), [1.0, -1.0]),
+    (families.so_generators(4), [1.0, 1.0]),
+])
+def test_diagonal_seed_follows_the_basis_not_the_name(generators, spectrum):
+    # a real basis takes rotation angles and a complex one a spectrum, whatever the algebra is called
+    seeds = [families.diagonal_seed(lc.algebra_from_matrices(name, generators), spectrum)
+             for name in ("su(2)", "so(4)", "so-named-su2", "custom")]
+    assert all(np.array_equal(seed, seeds[0]) for seed in seeds)
+
+
 def test_seed_must_match_dimension():
     with pytest.raises(InputError):
         families.diagonal_seed(families.su(3), [1, -1])

@@ -353,7 +353,7 @@ def test_no_evaluation_repeats_rows_its_memo_has_evaluated(monkeypatch):
     assert repeats == []
 
 
-ROWS = ["canonical_closedness", "combined_closedness", "pencil_jacobi_canonical", "pencil_jacobi_combined",
+ROWS = ["canonical_closedness", "combined_closedness", "pencil_jacobi_combined",
         "pencil_compatibility", "restricted_closedness", "restricted_compatibility"]
 
 

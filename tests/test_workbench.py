@@ -132,6 +132,17 @@ def test_custom_algebra_bad_entries_rejected():
         wb.build_algebra(cfg)
 
 
+def test_custom_basis_that_does_not_close_exits_2(tmp_path, capsys):
+    # [B_0, B_1] is the third su(2) generator, outside the span of the first two; the build guard
+    # is the one certificate of closure, so the run stops before any row
+    payload = {"algebra": {"custom": [wb.encode_complex_matrix(m) for m in families.su_generators(2)[:2]]},
+               "seed_element": {"coeffs": [1.0, 0.0]}}
+    out_path = tmp_path / "report.json"
+    assert cli_main(["verify", "--config", write_config(tmp_path, payload), "--out", str(out_path)]) == 2
+    assert "configuration error: custom basis rejected: matrix brackets leave the basis span" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # Pipeline and report
 # ---------------------------------------------------------------------------
@@ -179,11 +190,39 @@ def test_report_roundtrip_and_formats(tmp_path, su2_report):
 
 
 def test_check_subset_selection():
-    cfg = wb.config_from_dict(dict(SU2_CONFIG, checks=["algebra_closure", "algebra_jacobi"]))
+    cfg = wb.config_from_dict(dict(SU2_CONFIG, checks=["orbit_splitting", "isotropy_in_stabilizer"]))
     report = wb.run_pipeline(cfg)
-    assert [row.name for row in report.checks] == ["algebra_closure", "algebra_jacobi"]
+    assert [row.name for row in report.checks] == ["orbit_splitting", "isotropy_in_stabilizer"]
     assert report.negative_controls == []
     assert report.verdict == "pass"
+
+
+def test_a_row_that_raises_reports_its_exception(monkeypatch, tmp_path):
+    # a vanishing canonical form is singular: inverting it raises inside the pencil row
+    monkeypatch.setattr(oc, "canonical_form_matrix",
+                        lambda chart, coords: np.zeros((len(coords), chart.coord_dim, chart.coord_dim)))
+    cfg_path = write_config(tmp_path, dict(SU2_CONFIG, checks=["canonical_closedness", "pencil_compatibility"]))
+    out_path = tmp_path / "report.json"
+    assert cli_main(["verify", "--config", cfg_path, "--out", str(out_path)]) == 1
+    report = json.loads(out_path.read_text())
+    assert [row["name"] for row in report["checks"]] == ["canonical_closedness"]
+    assert report["verdict"] == "fail"
+    assert report["error"] == {"stage": "pencil", "check": "pencil_compatibility", "type": "DegeneracyError",
+                               "message": report["error"]["message"]}
+    assert report["error"]["message"].startswith("form matrix is singular")
+
+
+def test_a_setup_that_raises_reports_its_exception(monkeypatch):
+    from orbitpencil import dirac_reduction as dr
+    from orbitpencil.errors import GenericityError
+
+    def exhausted(*args, **kwargs):
+        raise GenericityError("no regular point drawn")
+
+    monkeypatch.setattr(dr, "sample_regular_coords", exhausted)
+    report = wb.run_pipeline(wb.config_from_dict(SU2_CONFIG))
+    assert report.verdict == "fail" and report.checks == []
+    assert report.error == {"stage": "setup", "type": "GenericityError", "message": "no regular point drawn"}
 
 
 def _canonical_form_scaled(monkeypatch):
@@ -217,7 +256,7 @@ def test_cp2_pipeline_full_run_pin():
 def test_cli_seed_override(tmp_path):
     cfg_path = write_config(tmp_path, SU2_CONFIG)
     assert cli_main(["verify", "--config", cfg_path, "--seed", "5",
-                     "--checks", "algebra_closure"]) == 0
+                     "--checks", "orbit_splitting"]) == 0
 
 
 def test_shipped_configs_are_valid():
@@ -290,7 +329,7 @@ def test_shared_row_data_is_computed_once(monkeypatch):
     # splitting_pairing and splitting_nondegeneracy share one stacked call
     # over the regular points, which pairs all 5 pencil members at once
     assert len(splitting) == 1
-    # slice_normalization and slice_isometry share one stacked call over all samples
+    # slice_isometry takes one stacked call over all samples
     assert normal_forms == [SU2_CONFIG["samples"]]
     # reduction_setup validates the setup with one call and keeps it for the ten setup rows
     assert len(residuals) == 1
@@ -387,11 +426,11 @@ SO5_FLAG = {"algebra": {"family": "so", "n": 5}, "seed_element": {"diag_spectrum
 @pytest.mark.parametrize("seed", range(20))
 def test_slice_rows_pass_on_so5_flag(seed):
     # K is a 2-torus and <Ad_k y, x0> has non-global critical points here; each lies in the slice
-    cfg = wb.config_from_dict(dict(SO5_FLAG, seed=seed, checks=["slice_normalization", "slice_isometry"]))
+    # slice_normal_form raises above its bound, so the isometry row passing is the normalisation holding too
+    cfg = wb.config_from_dict(dict(SO5_FLAG, seed=seed, checks=["slice_isometry"]))
     report = wb.run_pipeline(cfg)
-    assert [(row.name, row.passed) for row in report.checks] == [
-        ("slice_normalization", True), ("slice_isometry", True)]
-    assert report.verdict == "pass"
+    assert [(row.name, row.passed) for row in report.checks] == [("slice_isometry", True)]
+    assert report.error is None and report.verdict == "pass"
 
 
 def test_slice_normal_form_iterations_on_su3_regular():
@@ -412,11 +451,10 @@ def test_slice_normal_form_iterations_on_su3_regular():
 # Each pair shares data: ctx.once blocks, setup residuals or a coordinate stack both rows read.
 _MEMO_SHARING_ROWS = [
     ["splitting_pairing", "splitting_nondegeneracy"],
-    ["slice_normalization", "slice_isometry"],
     ["isotropy_in_stabilizer", "subalgebras_closed"],
     ["action_complement_independence", "restricted_nondegeneracy"],  # the sub chart at the regular stack
     ["local_freeness", "invariant_function_invariance"],
-    ["pencil_jacobi_canonical", "degeneracy_on_line"],  # the ambient bivectors at the sample stack
+    ["canonical_nondegeneracy", "degeneracy_on_line"],  # the ambient canonical form at the sample stack
     ["degeneracy_off_line", "pencil_compatibility"],
     ["restricted_compatibility", "restricted_degeneracy_on_line"],  # the restricted bivectors
     ["restricted_degeneracy_off_line", "bracket_agreement"],
@@ -496,10 +534,10 @@ def test_cli_check_failure_exit_code(monkeypatch, tmp_path):
 def test_cli_checks_flag_and_text_format(tmp_path, capsys):
     cfg_path = write_config(tmp_path, SU2_CONFIG)
     code = cli_main(["verify", "--config", cfg_path, "--format", "text",
-                     "--checks", "algebra_closure"])
+                     "--checks", "orbit_splitting"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "algebra_closure" in out and "verdict: pass" in out
+    assert "orbit_splitting" in out and "verdict: pass" in out
 
 
 @pytest.mark.parametrize(
@@ -553,7 +591,7 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "mutation",
     [
-        {"checks": "algebra_closure"},
+        {"checks": "orbit_splitting"},
         {"seed": None},
         {"samples": True},
         {"algebra": "su2"},
@@ -562,8 +600,8 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
         {"samples": [8]},
         {"seed": "zero"},
         {"seed_element": [1, -1]},
-        {"checks": {"algebra_closure": True}},
-        {"checks": [["algebra_closure"]]},
+        {"checks": {"orbit_splitting": True}},
+        {"checks": [["orbit_splitting"]]},
         {"seed_element": {"diag_spectrum": ["a", "b"]}},
         {"seed_element": {"coeffs": ["a", "b", "c"]}},
         {"samples": 1e400},
@@ -591,7 +629,7 @@ def test_cli_malformed_field_values_exit_2(tmp_path, capsys, mutation):
         {"seed_element": {"diag_spectrum": [1, -1], "coeffs": [1.0, 0.0, 0.0]}},
         {"algebra": {"family": "su", "n": 2, "custom": [[[[0.0, 1.0]]]]}},
         {"seed": 2.0},
-        {"checks": "algebra_closure,algebra_jacobi"},
+        {"checks": "orbit_splitting,isotropy_in_stabilizer"},
     ],
 )
 def test_cli_lossy_field_values_exit_2(tmp_path, capsys, mutation):
@@ -610,9 +648,9 @@ def test_cli_lossy_field_values_exit_2(tmp_path, capsys, mutation):
         {"seed": True},
         {"samples": 8.7},
         {"samples": "9"},
-        {"checks": "algebra_closure"},
+        {"checks": "orbit_splitting"},
         {"seed": None},
-        {"checks": ("algebra_closure", 1)},
+        {"checks": ("orbit_splitting", 1)},
         {"samples": None},
     ],
 )
@@ -630,11 +668,11 @@ def test_a_python_built_config_json_cannot_encode_is_refused():
 
 def test_a_python_built_config_reports_as_its_json(tmp_path):
     # a tuple of check names is kept as the list JSON parsing makes of it
-    fields = dict(SU2_CONFIG, checks=("algebra_closure", "algebra_jacobi"))
+    fields = dict(SU2_CONFIG, checks=("orbit_splitting", "isotropy_in_stabilizer"))
     cfg = wb.WorkbenchConfig(**fields)
     built = wb.run_pipeline(cfg).to_json()
     assert built == wb.run_pipeline(wb.load_config(write_config(tmp_path, fields))).to_json()
-    assert cfg.checks == ["algebra_closure", "algebra_jacobi"]
+    assert cfg.checks == ["orbit_splitting", "isotropy_in_stabilizer"]
 
 
 @pytest.mark.parametrize(
@@ -659,9 +697,9 @@ def test_cli_freezes_the_heap_it_starts_with_and_run_pipeline_does_not(tmp_path,
     monkeypatch.setattr(wb, "prepare_context", lambda cfg: frozen.append(gc.get_freeze_count()) or prepare(cfg))
     gc.unfreeze()
     try:
-        wb.run_pipeline(wb.config_from_dict(dict(SU2_CONFIG, checks=["algebra_closure"])))
+        wb.run_pipeline(wb.config_from_dict(dict(SU2_CONFIG, checks=["orbit_splitting"])))
         assert frozen == [0] and gc.get_freeze_count() == 0
-        assert cli_main(["verify", "--config", write_config(tmp_path, SU2_CONFIG), "--checks", "algebra_closure",
+        assert cli_main(["verify", "--config", write_config(tmp_path, SU2_CONFIG), "--checks", "orbit_splitting",
                          "--out", str(tmp_path / "report.json")]) == 0
         assert frozen[1] > 0
     finally:
