@@ -239,8 +239,9 @@ def reduction_setup(config: OrbitConfig, samples: int = 16, seed: int = 0) -> Re
 
 def orbit_hessian(alg: LieAlgebra, basis: np.ndarray, z: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """<[k_a, [k_b, z]], x0> over the columns k_a of ``basis`` K, as one contraction per leading index of z:
-    K^T (C x0) (K^T C_z)^T, C x0 and C_z the structure constants contracted in the last and middle slot."""
-    moved = basis.T @ _lincomb(z, np.moveaxis(alg.structure, 1, 0))
+    K^T (C x0) (K^T C_z)^T, C x0 and C_z the structure constants contracted in the last and middle slot;
+    C is antisymmetric in its first two slots, so C_z is minus z contracted in the first."""
+    moved = -(basis.T @ _lincomb(z, alg.structure))
     return basis.T @ (alg.structure @ x0) @ moved.mT
 
 
@@ -479,7 +480,6 @@ def chart_pencil(chart: Chart) -> ChartPencil:
 class RestrictedPencilData(NamedTuple):
     """The pencil on the ambient chart and its restriction to the sub chart."""
 
-    setup: ReductionSetup
     ambient_chart: Chart
     sub_chart: Chart
     ambient: ChartPencil
@@ -521,7 +521,6 @@ def restricted_pencil(setup: ReductionSetup, base_v: np.ndarray) -> RestrictedPe
     sub_chart = Chart(cfg, base_v=base_v, frame=sub_frame)
     ambient_chart = Chart(cfg, base_v=base_v, frame=ambient_frame)
     return RestrictedPencilData(
-        setup=setup,
         ambient_chart=ambient_chart,
         sub_chart=sub_chart,
         ambient=chart_pencil(ambient_chart),

@@ -70,7 +70,8 @@ class LieAlgebra(NamedTuple):
             orthonormal for <X, Y> = -Re tr(XY).
         structure: (n, n, n) real array c with [E_i, E_j] = sum_k c[i,j,k] E_k.
         ad_basis: (n, n, n) real array; ad_basis[i] is the matrix of ad(E_i)
-            acting on coefficient vectors.
+            acting on coefficient vectors, stored contiguous so that
+            :func:`_lincomb` reshapes it without a copy.
         coefficient_map: (2 d^2, n) real array; the (re, im) entries of a
             matrix M, row-major, times it give the coefficients -Re tr(B_k M).
     """
@@ -175,7 +176,7 @@ def algebra_from_matrices(name, matrices) -> LieAlgebra:
     comm = _commutators(basis)
     structure = -np.real(np.einsum("abij,cji->abc", comm, basis))
     structure = 0.5 * (structure - np.transpose(structure, (1, 0, 2)))
-    ad_basis = np.transpose(structure, (0, 2, 1))
+    ad_basis = np.ascontiguousarray(np.transpose(structure, (0, 2, 1)))
 
     closure = closure_residual(comm, basis, structure)
     if closure > ALGEBRA_CHECK_TOL:
@@ -502,33 +503,18 @@ def draw_invariant_products(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarra
     return products
 
 
-class ComplementIndependence(NamedTuple):
-    """Distances observed while varying the invariant product.
-
-    paired: max Frobenius distance between projectors onto complement + sub;
-        the quantity that must vanish.
-    unpaired: max distance between the complements alone; can be large,
-        which is what makes the paired identity non-trivial.
-    """
-
-    paired: float
-    unpaired: float
-
-
 def complement_independence(alg: LieAlgebra, sub: Subspace, norm: Subspace, sols: list[np.ndarray],
-                            seed: int, trials: int) -> ComplementIndependence:
-    """Compare complements of the normalizer across random invariant products.
+                            seed: int, trials: int) -> float:
+    """Max Frobenius distance between the projectors onto complement + sub across random invariant products.
 
     ``norm`` is the normalizer of ``sub`` and ``sols`` its
     :func:`invariant_product_space`.  For each trial draws two invariant
     products from ``sols``, takes the complements of ``norm`` with respect
     to each, and measures how far the sums (complement + sub) differ as
-    subspaces.  All 2 x trials products, complements and sums are one stack.
+    subspaces; the complements alone may differ.  All 2 x trials products,
+    complements and sums are one stack.
     """
     prods = draw_invariant_products(alg, sub, sols, seed, range(2 * trials))
     comps = orthogonal_complements(norm, prods)
     sums = spans(np.stack([np.hstack([comp.basis, sub.basis]) for comp in comps]))
-    return ComplementIndependence(
-        paired=max(projector_distance(a, b) for a, b in zip(sums[0::2], sums[1::2])),
-        unpaired=max(projector_distance(a, b) for a, b in zip(comps[0::2], comps[1::2])),
-    )
+    return max(projector_distance(a, b) for a, b in zip(sums[0::2], sums[1::2]))

@@ -64,7 +64,7 @@ from .errors import (
     DomainError,
     InputError,
 )
-from .lie_core import RANK_RTOL, LieAlgebra, Subspace, _lincomb, _rowwise, kernel, projector_distance, rank_mask, span
+from .lie_core import RANK_RTOL, LieAlgebra, Subspace, _lincomb, _rowwise, kernel, projector_distance, span
 
 FD_STEP = 1e-4  # step of the outer central differences, the closedness and Jacobi residuals
 CHART_BOX = 0.5  # validity box of chart coordinates, |c| <= CHART_BOX
@@ -111,14 +111,18 @@ def orbit_config(alg: LieAlgebra, a: np.ndarray) -> OrbitConfig:
 def point_residuals(config: OrbitConfig, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(spectrum mismatch of x, fiber residual of v against im ad(x)), per point of an (m, 2, n) stack.
 
-    The fiber is span(ad x), ranked by :func:`lie_core.rank_mask` at each point."""
+    One eigh of each iX = U diag(w) U^H gives both.  The spectrum is w, ascending.  In that
+    eigenbasis ad x scales entry (j, k) by -i (w_j - w_k), so the entries of U^H V U whose gap
+    |w_j - w_k| does not count, by the rule of :func:`lie_core.rank_mask` with the largest gap
+    for sigma_max, are v's centralizer component; the trace form is the Frobenius product, so
+    their norm is the coefficient distance of v from im ad(x)."""
     alg = config.alg
-    x, v = points[..., 0, :], points[..., 1, :, None]
-    spec = np.sort(np.linalg.eigvalsh(1j * _lincomb(x, alg.basis)), axis=-1)
-    spec_err = np.max(np.abs(spec - config.seed_spectrum), axis=-1)
-    u, s, _ = np.linalg.svd(_lincomb(x, alg.ad_basis))
-    fiber = u * rank_mask(s)[..., None, :]
-    return spec_err, np.linalg.norm((v - fiber @ (fiber.mT @ v))[..., 0], axis=-1)
+    w, u = np.linalg.eigh(1j * _lincomb(points[..., 0, :], alg.basis))
+    spec_err = np.max(np.abs(w - config.seed_spectrum), axis=-1)
+    gap = np.abs(w[..., :, None] - w[..., None, :])
+    central = gap <= RANK_RTOL * np.maximum(w[..., -1:, None] - w[..., :1, None], 1.0)
+    vu = u.conj().mT @ _lincomb(points[..., 1, :], alg.basis) @ u
+    return spec_err, np.linalg.norm(np.where(central, vu, 0.0), axis=(-2, -1))
 
 
 def ad_pairs(alg: LieAlgebra, points: np.ndarray) -> np.ndarray:

@@ -497,7 +497,7 @@ def _invariant_products(ctx):
 def _product_complement_independence(ctx):
     trials = max(20, ctx.samples)
     return lc.complement_independence(ctx.alg, ctx.setup.isotropy, ctx.setup.normalizer,
-                                      ctx.once(_invariant_products), seed=ctx.seed, trials=trials).paired
+                                      ctx.once(_invariant_products), seed=ctx.seed, trials=trials)
 
 
 def _action_complement_independence(ctx):

@@ -147,6 +147,50 @@ def test_chart_spectrum_preservation(setup_su3_regular):
         assert fiber_err <= 1e-8
 
 
+def _adjoint_svd_residuals(config, points):
+    # reference: the spectrum from eigvalsh, the fiber as the span of ad x from its SVD
+    alg = config.alg
+    x, v = points[..., 0, :], points[..., 1, :, None]
+    spec = np.sort(np.linalg.eigvalsh(1j * lc._lincomb(x, alg.basis)), axis=-1)
+    u, s, _ = np.linalg.svd(lc._lincomb(x, alg.ad_basis))
+    fiber = u * lc.rank_mask(s)[..., None, :]
+    fiber_err = np.linalg.norm((v - fiber @ (fiber.mT @ v))[..., 0], axis=-1)
+    return np.max(np.abs(spec - config.seed_spectrum), axis=-1), fiber_err
+
+
+@pytest.mark.parametrize("family, n, spectrum", [
+    ("su", 2, [1, -1]), ("su", 3, [2, -1, -1]), ("su", 4, [3, -1, -1, -1]), ("su", 5, [3, 1, -1, -1, -1]),
+    ("so", 3, [1]), ("so", 4, [1, 1]), ("so", 5, [2, 1]), ("custom-su", 3, [1, 2, -3]),
+])
+def test_point_residuals_match_the_adjoint_svd(family, n, spectrum):
+    if family == "custom-su":
+        alg = lc.algebra_from_matrices(family, families.su_generators(n))
+    else:
+        alg = getattr(families, family)(n)
+    config = oc.orbit_config(alg, families.diagonal_seed(alg, spectrum))
+    chart = oc.Chart(config, base_v=config.tangent.basis[:, 0], frame=config.tangent.basis)
+    points = chart.point(np.random.default_rng(5).uniform(-0.1, 0.1, (20, chart.coord_dim)))
+    spec_err, fiber_err = oc.point_residuals(config, points)
+    ref_spec, ref_fiber = _adjoint_svd_residuals(config, points)
+    assert np.max(spec_err) <= 1e-13 and np.max(fiber_err) <= 1e-13
+    assert np.allclose(spec_err, ref_spec, rtol=0.0, atol=1e-14)
+    assert np.allclose(fiber_err, ref_fiber, rtol=0.0, atol=1e-14)
+    # a unit centralizer element of x, planted in v at 1e-6, is what leaves the fiber
+    rng = np.random.default_rng(6)
+    off_fiber = points.copy()
+    for point in off_fiber:
+        cent = lc.kernel(alg.ad(point[0])).basis @ rng.normal(size=config.stabilizer.dim)
+        point[1] += 1e-6 * cent / np.linalg.norm(cent)
+    for err in (oc.point_residuals(config, off_fiber)[1], _adjoint_svd_residuals(config, off_fiber)[1]):
+        assert np.allclose(err, 1e-6, rtol=1e-8, atol=0.0)
+    # x scaled off the orbit moves its spectrum by 1e-6 of the seed's
+    off_orbit = points.copy()
+    off_orbit[:, 0] *= 1 + 1e-6
+    expected = 1e-6 * np.max(np.abs(config.seed_spectrum))
+    for err in (oc.point_residuals(config, off_orbit)[0], _adjoint_svd_residuals(config, off_orbit)[0]):
+        assert np.allclose(err, expected, rtol=1e-6, atol=0.0)
+
+
 def test_chart_injectivity_spot_check(setup_su2):
     chart = make_chart(setup_su2)
     rng = np.random.default_rng(2)

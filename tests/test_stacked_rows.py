@@ -99,13 +99,13 @@ def _loop_complement_independence(alg, sub, norm, sols, seed, trials):
         comp_a, comp_b = complement(2 * t), complement(2 * t + 1)
         paired = max(paired, lc.projector_distance(lc.subspace_sum(comp_a, sub), lc.subspace_sum(comp_b, sub)))
         unpaired = max(unpaired, lc.projector_distance(comp_a, comp_b))
-    return lc.ComplementIndependence(paired=paired, unpaired=unpaired)
+    return paired, unpaired
 
 
 @pytest.mark.parametrize("case", ["cp2", "cp3", "so4_block"])
 def test_complement_independence_matches_the_per_trial_loop(monkeypatch, request, case, so4):
+    from test_lie_core import complement_motion, so3_block_subalgebra
     if case == "so4_block":
-        from test_lie_core import so3_block_subalgebra
         alg, sub = so4, so3_block_subalgebra(so4)
     else:
         setup = request.getfixturevalue(f"setup_{case}")
@@ -114,8 +114,9 @@ def test_complement_independence_matches_the_per_trial_loop(monkeypatch, request
     draw, draws = lc.draw_invariant_products, []
     monkeypatch.setattr(lc, "draw_invariant_products", lambda *args: draws.append(len(args[4])) or draw(*args))
     for seed in (0, 7):
-        assert lc.complement_independence(alg, sub, norm, sols, seed, trials=20) == \
-            _loop_complement_independence(alg, sub, norm, sols, seed, trials=20)
+        paired = lc.complement_independence(alg, sub, norm, sols, seed, trials=20)
+        unpaired = complement_motion(alg, sub, seed, trials=20)
+        assert (paired, unpaired) == _loop_complement_independence(alg, sub, norm, sols, seed, trials=20)
     assert draws[:1] == [40]  # all 2 x 20 products of a run in one stack
 
 
@@ -328,6 +329,20 @@ def test_evaluation_counts_per_run(monkeypatch):
     report = wb.run_pipeline(wb.load_config(CONFIGS / "su3_projective_plane.json"))
     assert report.verdict == "pass"
     assert (counts["dexp_apply"], counts["FormField"], counts["PoissonField"]) == (12, 13, 12)
+
+
+@pytest.mark.parametrize("name, calls", [("su3_projective_plane", (76, 36, 3)),
+                                         ("su4_projective_space", (75, 36, 3))])
+def test_linalg_calls_per_run(monkeypatch, name, calls):
+    # (svd, eigh, eigvalsh) calls of a seed-0 verify; point_residuals reads one eigh of its stack.
+    counts = collections.Counter()
+    for fn in ("svd", "eigh", "eigvalsh"):
+        wrapped = getattr(np.linalg, fn)
+        monkeypatch.setattr(np.linalg, fn, lambda *args, fn=fn, wrapped=wrapped, **kwargs:
+                            counts.update([fn]) or wrapped(*args, **kwargs))
+    report = wb.run_pipeline(wb.load_config(CONFIGS / f"{name}.json"))
+    assert report.verdict == "pass"
+    assert (counts["svd"], counts["eigh"], counts["eigvalsh"]) == calls
 
 
 def test_no_evaluation_repeats_rows_its_memo_has_evaluated(monkeypatch):
