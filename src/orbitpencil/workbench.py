@@ -17,6 +17,12 @@ rows evaluate the two coordinate stacks whole, ``ctx.ambient_coords`` and
 ``ctx.regular_coords`` (padded for the ambient chart), and slice the rows
 they report.
 
+Every selected row runs on its own: a row that raises becomes one entry of
+the report's ``errors``, and the next row still runs.  A stage build that
+raises a :class:`WorkbenchError` leaves its object and the later ones unbuilt,
+and reading one raises that error again, so it fails exactly the rows that
+read them.  A :class:`ConfigError` (the caller's input) propagates.
+
 A claim that a construction guard refuses at the same bound, or that
 another row certifies, gets no row: the algebra's identities
 (:func:`lie_core.algebra_from_matrices`), the slice normalisation
@@ -77,12 +83,19 @@ class WorkbenchConfig:
         }
 
 
+def _complex_entry(entry) -> complex:
+    """An [re, im] pair of JSON numbers as it is: another length, a bool or a string is refused, not cut or parsed."""
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)):
+        raise ConfigError(f"custom matrix entries must be [re, im] pairs of numbers, got {entry!r}")
+    return complex(entry[0], entry[1])
+
+
 def _parse_complex_matrix(rows):
     try:
-        mat = np.asarray([[complex(entry[0], entry[1]) for entry in row] for row in rows])
-    except (TypeError, IndexError) as exc:
+        return np.asarray([[_complex_entry(entry) for entry in row] for row in rows])
+    except TypeError as exc:
         raise ConfigError(f"custom matrices must be nested [re, im] pairs: {exc}") from exc
-    return mat
 
 
 def encode_complex_matrix(mat: np.ndarray) -> list:
@@ -243,16 +256,18 @@ def build_seed(cfg: WorkbenchConfig, alg: lc.LieAlgebra) -> np.ndarray:
 
 
 class PipelineContext:
-    """Everything the rows read, built once by :func:`prepare_context`, and the objects rows share."""
+    """Everything the rows read, built once by :func:`prepare_context`, and the objects rows share.
 
-    __slots__ = ("config", "alg", "orbit", "setup", "data", "ambient_coords", "regular_coords", "_shared")
+    Reading a stage object that was never built raises the first build error, ``failure``."""
 
-    def __init__(self, config: WorkbenchConfig, alg: lc.LieAlgebra, orbit: oc.OrbitConfig,
-                 setup: dr.ReductionSetup, data: dr.RestrictedPencilData,
-                 ambient_coords: np.ndarray, regular_coords: np.ndarray):
-        self.config, self.alg, self.orbit, self.setup, self.data = config, alg, orbit, setup, data
-        self.ambient_coords, self.regular_coords = ambient_coords, regular_coords
-        self._shared = {}
+    __slots__ = ("config", "alg", "orbit", "setup", "data", "ambient_coords", "regular_coords", "failure", "_shared")
+
+    def __init__(self, config: WorkbenchConfig, alg: lc.LieAlgebra, orbit: oc.OrbitConfig):
+        self.config, self.alg, self.orbit = config, alg, orbit
+        self.failure, self._shared = None, {}
+
+    def __getattr__(self, name):  # called only for a slot that was never set
+        raise (self.failure or AttributeError(name)).with_traceback(None)
 
     def once(self, compute):
         """compute(self), evaluated on first request and shared for the rest of the run.
@@ -274,21 +289,23 @@ class PipelineContext:
 
 
 def prepare_context(cfg: WorkbenchConfig) -> PipelineContext:
+    """Build the stage objects in order; the first WorkbenchError stops the builds and is kept as ``failure``."""
     alg = build_algebra(cfg)
     seed_elt = build_seed(cfg, alg)
     try:
         orbit = oc.orbit_config(alg, seed_elt)
     except DomainError as exc:  # e.g. a central seed, whose orbit is a point
         raise ConfigError(f"seed element rejected: {exc}") from exc
-    setup = dr.reduction_setup(orbit, samples=cfg.samples, seed=cfg.seed)
-    data = dr.restricted_pencil(setup, setup.x0)
-    ambient_coords = uniform_rows(cfg.seed, "ambient-points", range(cfg.samples),
-                                  data.ambient_chart.coord_dim, oc.CHART_SCALE)
-    regular_coords = dr.sample_regular_coords(setup, data, cfg.samples, seed=cfg.seed)
-    return PipelineContext(
-        config=cfg, alg=alg, orbit=orbit, setup=setup, data=data,
-        ambient_coords=ambient_coords, regular_coords=regular_coords,
-    )
+    ctx = PipelineContext(cfg, alg, orbit)
+    try:
+        ctx.setup = dr.reduction_setup(orbit, samples=cfg.samples, seed=cfg.seed)
+        ctx.data = dr.restricted_pencil(ctx.setup, ctx.setup.x0)
+        ctx.ambient_coords = uniform_rows(cfg.seed, "ambient-points", range(cfg.samples),
+                                          ctx.data.ambient_chart.coord_dim, oc.CHART_SCALE)
+        ctx.regular_coords = dr.sample_regular_coords(ctx.setup, ctx.data, cfg.samples, seed=cfg.seed)
+    except WorkbenchError as exc:
+        ctx.failure = exc
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +630,7 @@ class ReductionReport(NamedTuple):
     negative_controls: list
     timing: dict
     verdict: str
-    error: dict | None = None
+    errors: list  # one {stage, check, type, message} per row that raised
 
     def to_dict(self) -> dict:
         out = {
@@ -624,8 +641,8 @@ class ReductionReport(NamedTuple):
             "negative_controls": [c.to_dict() for c in self.negative_controls],
             "verdict": self.verdict,
         }
-        if self.error is not None:
-            out["error"] = self.error
+        if self.errors:
+            out["errors"] = self.errors
         return out
 
     def to_json(self) -> str:
@@ -645,8 +662,7 @@ class ReductionReport(NamedTuple):
         if self.negative_controls:
             lines.append("negative controls (these must trip):")
             lines += [row.to_text() for row in self.negative_controls]
-        if self.error is not None:
-            lines.append(f"error at stage {self.error['stage']}: {self.error['message']}")
+        lines += [f"error in {e['check']} (stage {e['stage']}): {e['type']}: {e['message']}" for e in self.errors]
         if self.timing:
             lines.append("timing (ms): " + ", ".join(f"{k}={v:.1f}" for k, v in self.timing.items()))
         return "\n".join(lines) + "\n"
@@ -661,52 +677,45 @@ def _finite(value) -> float:
 
 
 def run_pipeline(cfg: WorkbenchConfig) -> ReductionReport:
-    """Run every selected check and assemble the report.
+    """Run every selected check, each on its own, and assemble the report.
 
-    Raises ConfigError for invalid configurations; any other stage failure
-    is captured inside the report with verdict "fail".
+    Raises ConfigError for invalid configurations.  A row that raises,
+    itself or by reading a stage object whose build failed, becomes one
+    entry of the report's ``errors`` and fails the run; the other rows
+    still run.
     """
     validate_config(cfg)
     selected = set(s.name for s in REGISTRY) if cfg.checks == "all" else set(cfg.checks)
-    timing: dict = {}
     t0 = time.perf_counter()
-    try:
-        ctx = prepare_context(cfg)
-    except ConfigError:
-        raise  # e.g. a seed the algebra rejects: the caller's input, not a stage failure
-    except WorkbenchError as exc:
-        return ReductionReport(
-            config=cfg.resolved(), dims={}, reduction="unknown", checks=[],
-            negative_controls=[], timing={}, verdict="fail",
-            error={"stage": "setup", "type": type(exc).__name__, "message": str(exc)},
-        )
-    timing["prepare"] = (time.perf_counter() - t0) * 1e3
+    ctx = prepare_context(cfg)
+    timing = {"prepare": (time.perf_counter() - t0) * 1e3}
 
     finished: list[tuple[CheckSpec, CheckResult]] = []
-    error = None
+    errors = []
     for spec in (s for s in REGISTRY if s.name in selected):
         start = time.perf_counter()
         try:
             value = _finite(spec.fn(ctx))
-        except Exception as exc:  # report the stage, fail the run
-            error = {"stage": spec.stage, "check": spec.name, "type": type(exc).__name__, "message": str(exc)}
-            break
+        except Exception as exc:  # fails this row and the run; the next row still runs
+            errors.append({"stage": spec.stage, "check": spec.name, "type": type(exc).__name__, "message": str(exc)})
+            continue
         timing[spec.stage] = timing.get(spec.stage, 0.0) + (time.perf_counter() - start) * 1e3
         passed = value <= spec.tolerance if spec.mode == "max" else value >= spec.tolerance
         finished.append((spec, CheckResult(spec.name, spec.anchor, value, spec.tolerance, spec.mode, passed)))
 
-    checks = [r for s, r in finished if s.kind == "check"]
-    controls = [r for s, r in finished if s.kind == "control"]
-    verdict = "pass" if error is None and all(r.passed for _, r in finished) else "fail"
+    try:
+        dims, reduction = ctx.setup.dims(), "trivial" if ctx.setup.isotropy.dim == 0 else "nontrivial"
+    except WorkbenchError:  # the setup itself failed
+        dims, reduction = {}, "unknown"
     return ReductionReport(
         config=cfg.resolved(),
-        dims=ctx.setup.dims(),
-        reduction="trivial" if ctx.setup.isotropy.dim == 0 else "nontrivial",
-        checks=checks,
-        negative_controls=controls,
+        dims=dims,
+        reduction=reduction,
+        checks=[r for s, r in finished if s.kind == "check"],
+        negative_controls=[r for s, r in finished if s.kind == "control"],
         timing=timing,
-        verdict=verdict,
-        error=error,
+        verdict="pass" if not errors and all(r.passed for _, r in finished) else "fail",
+        errors=errors,
     )
 
 

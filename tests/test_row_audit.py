@@ -2,25 +2,23 @@
 
 A row earns its place in the report only if some real fault in the
 pipeline makes it fail.  Each fault below changes one site of the pipeline
-by monkeypatch.  For each fault one :class:`workbench.PipelineContext` is
-prepared on the fault's configuration and every ``REGISTRY`` row is called
-directly, each inside its own ``try``, because ``run_pipeline`` stops at
-the first row that raises.  Each (fault, row) cell is one of
+(or, for ``seed_spectrum_nearly_degenerate``, the seed it runs on) by
+monkeypatch, and ``run_pipeline`` runs every ``REGISTRY`` row on the
+fault's configuration.  Each row runs on its own there, and a stage object
+whose build raised fails the rows that read it, so each (fault, row) cell
+is one of
 
     passes   the row's value is within its bound
     trips    the value crosses the bound
-    errors   the row raised
-
-and a fault under which the context cannot be prepared is a setup-stage
-error for the whole column.
+    errors   the row raised, itself or through a stage object it reads
 
 ``EXPECTED`` lists, per fault, the rows that do not pass; every other row
 must pass.  ``UNTRIPPED`` gives the reason for each row that no fault
 trips, in one of three kinds:
 
     guard echo       a construction guard with the same bound stops every
-                     fault first (a configuration error, a setup-stage error
-                     or an exception inside the row);
+                     fault first (a configuration error, or an exception
+                     that makes the row error);
     equivalent-only  every fault that leaves the guards quiet is an
                      equivalent mutant for this row;
     escape           a fault the row should catch goes unseen.
@@ -36,15 +34,15 @@ import numpy as np
 import pytest
 
 from orbitpencil import dirac_reduction as dr
+from orbitpencil import families
 from orbitpencil import lie_core as lc
 from orbitpencil import orbit_charts as oc
 from orbitpencil import workbench as wb
-from orbitpencil.errors import WorkbenchError
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 CP2, CP3, SU5 = "su3_projective_plane", "su4_projective_space", "su5_partial_flag"
 
-PASSES, TRIPS, ERRORS, SETUP = "passes", "trips", "errors", "setup-stage error"
+PASSES, TRIPS, ERRORS = "passes", "trips", "errors"
 GUARD_ECHO, EQUIVALENT, ESCAPE = "guard echo", "equivalent-only", "escape"
 
 
@@ -235,6 +233,12 @@ def trace_word_reads_one_entry(mp):
     mp.setattr(dr, "invariant_function", faulty)
 
 
+def seed_spectrum_nearly_degenerate(mp):
+    # two spectrum entries 5e-8 apart: ad(seed) has singular values 5e-8, which the stabilizer, its
+    # numerical kernel, takes in; those directions move the seed by 5e-8
+    mp.setattr(wb, "build_seed", lambda cfg, alg: families.diagonal_seed(alg, [100, 100.00000005, -200]))
+
+
 # name -> (configuration, installer)
 FAULTS = {
     "pushforward_column_scaled": (CP2, pushforward_column_scaled),
@@ -259,6 +263,7 @@ FAULTS = {
     "restricted_p1_scaled": (CP3, restricted_p1_scaled),
     "restricted_p1_scaled_su5": (SU5, restricted_p1_scaled),
     "trace_word_reads_one_entry": (CP2, trace_word_reads_one_entry),
+    "seed_spectrum_nearly_degenerate": (CP2, seed_spectrum_nearly_degenerate),
 }
 
 
@@ -282,7 +287,15 @@ _ORBIT_FORM_ROWS = {
     "pencil_compatibility": TRIPS,
 }
 
-# fault -> {row: outcome} for every row that does not pass, or SETUP
+# Every row but orbit_splitting reads the setup: a setup the guard refuses (SetupError) errors them all.
+_SETUP_REFUSED = {spec.name: ERRORS for spec in wb.REGISTRY if spec.name != "orbit_splitting"}
+
+# The rows that read the orbit and the setup alone, not the pencil data or a coordinate stack.
+_SETUP_READERS = {"orbit_splitting", *dr.SETUP_TOLERANCES, "product_complement_independence",
+                  "control_zero_section_isotropy", "transversality", "control_zero_section_transversality",
+                  "slice_isometry"}
+
+# fault -> {row: outcome} for every row that does not pass
 EXPECTED = {
     "pushforward_column_scaled": _CHART_ROWS,
     "dexp_phase_flipped": _CHART_ROWS,
@@ -331,10 +344,17 @@ EXPECTED = {
         "action_complement_independence": TRIPS,
     },
     "slice_normal_turned": {"slice_isometry": ERRORS},
-    "slice_space_turned": SETUP,
+    "slice_space_turned": _SETUP_REFUSED,
     "slice_space_widened_to_tangent": {"transversality": TRIPS, "control_zero_section_transversality": TRIPS},
     "slice_steps_first_order": {"slice_isometry": TRIPS},
-    "isotropy_missing_a_direction": SETUP,
+    # the guard passes, but the pencil data cannot be built at a base point the short isotropy leaves
+    # irregular (DomainError), so every row that reads it errors; the invariant-product solve refuses
+    # the short isotropy too, since it is not bracket-closed
+    "isotropy_missing_a_direction": {
+        **{spec.name: ERRORS for spec in wb.REGISTRY if spec.name not in _SETUP_READERS},
+        "product_complement_independence": ERRORS,
+        "transversality": TRIPS,
+    },
     "centralizer_missing_a_direction": {"control_zero_section_isotropy": TRIPS},
     "center_missing_a_direction": {"local_freeness": TRIPS},
     "ambient_p1_scaled": {"degeneracy_on_line": TRIPS},
@@ -343,21 +363,19 @@ EXPECTED = {
     "restricted_p1_scaled": {"restricted_degeneracy_on_line": TRIPS},
     "restricted_p1_scaled_su5": {"bracket_agreement": TRIPS, "restricted_degeneracy_on_line": TRIPS},
     "trace_word_reads_one_entry": {"invariant_function_invariance": TRIPS},
+    # [k_j, a] reads 5.0e-8 > 1e-8; the setup guard refuses orbit_seed_in_centralizer (3.5e-8 > 1e-10)
+    "seed_spectrum_nearly_degenerate": {**_SETUP_REFUSED, "orbit_splitting": TRIPS},
 }
 
 _SETUP_GUARD = ("the row reports the residual reduction_setup validated against the same "
-                "SETUP_TOLERANCES bound (slice_space_turned: setup-stage error)")
+                "SETUP_TOLERANCES bound (slice_space_turned, seed_spectrum_nearly_degenerate: the guard "
+                "raises SetupError and the row errors)")
 _OFF_LINE = ("off t1 + t2 = 0 the member is W1^-1 ((t1 + t2) W1 + t1 B) W2^-1 with B pulled back "
              "from the orbit, nondegenerate whenever W1 and W2 are; a fault that degenerates either "
              "is stopped by invert_form first (canonical_form_from_x_rows: errors)")
 
 # row -> (kind, reason) for every row that no fault trips
 UNTRIPPED = {
-    "orbit_splitting": (GUARD_ECHO, "the stabilizer is the numerical kernel of ad(seed), so [k_j, a] exceeds "
-                                    "the row's 1e-8 only for a seed with nearly equal spectrum entries, and "
-                                    "there the setup guard stops the run first (su(3) diag_spectrum "
-                                    "[100, 100.00000005, -200]: [k_j, a] reads 5.0e-8, but "
-                                    "orbit_seed_in_centralizer reads 3.5e-8 > 1e-10, a setup-stage error)"),
     **{name: (GUARD_ECHO, _SETUP_GUARD) for name in dr.SETUP_TOLERANCES},
     "degeneracy_off_line": (EQUIVALENT, _OFF_LINE),
     "restricted_degeneracy_off_line": (EQUIVALENT, _OFF_LINE),
@@ -369,52 +387,40 @@ UNTRIPPED = {
 # ---------------------------------------------------------------------------
 
 
-def _outcome(spec, ctx) -> str:
-    try:
-        value = spec.fn(ctx)
-    except Exception:  # the audit records the failure and goes on to the next row
-        return ERRORS
-    within = value <= spec.tolerance if spec.mode == "max" else value >= spec.tolerance
-    return PASSES if within else TRIPS
-
-
 def _column(config, install):
-    """{row: outcome} over the rows, or SETUP."""
+    """{row: outcome} over the rows of the report on the fault's configuration."""
     cfg = wb.load_config(CONFIGS / f"{config}.json")
     with pytest.MonkeyPatch.context() as mp:
         install(mp)
-        try:
-            ctx = wb.prepare_context(cfg)
-        except WorkbenchError:  # what run_pipeline reports as a setup-stage error
-            return SETUP
-        return {spec.name: _outcome(spec, ctx) for spec in wb.REGISTRY}
+        report = wb.run_pipeline(cfg)
+    column = {row.name: PASSES if row.passed else TRIPS for row in report.checks + report.negative_controls}
+    return {**column, **{error["check"]: ERRORS for error in report.errors}}
 
 
 def _render(matrix) -> str:
-    marks = {PASSES: ".", TRIPS: "T", ERRORS: "E", SETUP: "S"}
+    marks = {PASSES: ".", TRIPS: "T", ERRORS: "E"}
     names = list(matrix)
     width = max(len(spec.name) for spec in wb.REGISTRY)
     lines = [f"{i:3d} {name} ({FAULTS[name][0]})" for i, name in enumerate(names)]
     lines.append(" " * width + " " + "".join(f"{i % 10}" for i in range(len(names))))
     for spec in wb.REGISTRY:
-        cells = [marks[col] if col == SETUP else marks[col.get(spec.name, PASSES)] for col in matrix.values()]
+        cells = [marks[col[spec.name]] for col in matrix.values()]
         lines.append(f"{spec.name:{width}s} " + "".join(cells))
-    lines.append(". passes  T trips  E errors  S setup-stage error")
+    lines.append(". passes  T trips  E errors")
     return "\n".join(lines)
 
 
 def test_fault_row_matrix():
     matrix = {name: _column(config, install) for name, (config, install) in FAULTS.items()}
+    assert all(sorted(column) == sorted(spec.name for spec in wb.REGISTRY) for column in matrix.values())
     print("\n" + _render(matrix))
-    observed = {name: column if column == SETUP else {row: o for row, o in column.items() if o != PASSES}
-                for name, column in matrix.items()}
+    observed = {name: {row: o for row, o in column.items() if o != PASSES} for name, column in matrix.items()}
     assert observed == EXPECTED
 
 
 def test_every_row_is_tripped_or_explained():
     names = {spec.name for spec in wb.REGISTRY}
-    tripped = {row for column in EXPECTED.values() if column != SETUP
-               for row, outcome in column.items() if outcome == TRIPS}
+    tripped = {row for column in EXPECTED.values() for row, outcome in column.items() if outcome == TRIPS}
     assert set(EXPECTED) == set(FAULTS)
     assert tripped <= names
     assert set(UNTRIPPED) == names - tripped

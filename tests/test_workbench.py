@@ -122,14 +122,20 @@ def test_custom_algebra_roundtrip():
     assert alg.dim == 3 and alg.name == "custom-su2"
 
 
-def test_custom_algebra_bad_entries_rejected():
-    payload = {
-        "algebra": {"custom": [[[1.0, 2.0]]]},  # entries must be [re, im] pairs per row
-        "seed_element": {"coeffs": [1.0]},
-    }
-    with pytest.raises(ConfigError):
-        cfg = wb.config_from_dict(payload)
-        wb.build_algebra(cfg)
+def test_custom_algebra_bad_entries_rejected(tmp_path, capsys):
+    # each entry must be an [re, im] pair of numbers: a bare number, a third number (which would be
+    # dropped) and bools (which would read as 0 and 1) are refused, not cut or parsed
+    su2 = [wb.encode_complex_matrix(m) for m in families.su_generators(2)]
+    customs = [[[[1.0, 2.0]]]]
+    for entry in ([0.0, 1.0, 7.0], [False, True]):
+        customs.append(json.loads(json.dumps(su2)))
+        customs[-1][0][0][0] = entry
+    for custom in customs:
+        payload = {"algebra": {"custom": custom}, "seed_element": {"coeffs": [1.0] * len(custom)}}
+        with pytest.raises(ConfigError):
+            wb.build_algebra(wb.config_from_dict(payload))
+        assert cli_main(["verify", "--config", write_config(tmp_path, payload)]) == 2
+        assert "configuration error: custom matri" in capsys.readouterr().err
 
 
 def test_custom_basis_that_does_not_close_exits_2(tmp_path, capsys):
@@ -198,21 +204,26 @@ def test_check_subset_selection():
 
 
 def test_a_row_that_raises_reports_its_exception(monkeypatch, tmp_path):
-    # a vanishing canonical form is singular: inverting it raises inside the pencil row
+    # a vanishing canonical form is singular: inverting it raises inside the pencil row, and the rows
+    # on either side of it still run
     monkeypatch.setattr(oc, "canonical_form_matrix",
                         lambda chart, coords: np.zeros((len(coords), chart.coord_dim, chart.coord_dim)))
-    cfg_path = write_config(tmp_path, dict(SU2_CONFIG, checks=["canonical_closedness", "pencil_compatibility"]))
+    checks = ["canonical_closedness", "pencil_compatibility", "local_freeness"]
+    cfg_path = write_config(tmp_path, dict(SU2_CONFIG, checks=checks))
     out_path = tmp_path / "report.json"
     assert cli_main(["verify", "--config", cfg_path, "--out", str(out_path)]) == 1
     report = json.loads(out_path.read_text())
-    assert [row["name"] for row in report["checks"]] == ["canonical_closedness"]
+    assert [row["name"] for row in report["checks"]] == ["canonical_closedness", "local_freeness"]
     assert report["verdict"] == "fail"
-    assert report["error"] == {"stage": "pencil", "check": "pencil_compatibility", "type": "DegeneracyError",
-                               "message": report["error"]["message"]}
-    assert report["error"]["message"].startswith("form matrix is singular")
+    error, = report["errors"]
+    assert error == {"stage": "pencil", "check": "pencil_compatibility", "type": "DegeneracyError",
+                     "message": error["message"]}
+    assert error["message"].startswith("form matrix is singular")
 
 
 def test_a_setup_that_raises_reports_its_exception(monkeypatch):
+    # no regular coordinates are drawn: the rows that read them error with the sampler's exception,
+    # the others run on the stage objects built before it, and nothing is rebuilt
     from orbitpencil import dirac_reduction as dr
     from orbitpencil.errors import GenericityError
 
@@ -220,9 +231,20 @@ def test_a_setup_that_raises_reports_its_exception(monkeypatch):
         raise GenericityError("no regular point drawn")
 
     monkeypatch.setattr(dr, "sample_regular_coords", exhausted)
+    setups = _counting(monkeypatch, dr, "reduction_setup")
     report = wb.run_pipeline(wb.config_from_dict(SU2_CONFIG))
-    assert report.verdict == "fail" and report.checks == []
-    assert report.error == {"stage": "setup", "type": "GenericityError", "message": "no regular point drawn"}
+    assert len(setups) == 1
+    assert report.verdict == "fail" and report.reduction == "trivial" and report.dims["h"] == 0
+    readers = {"splitting_pairing", "splitting_nondegeneracy", "action_complement_independence",
+               "restricted_closedness", "restricted_nondegeneracy", "restricted_compatibility",
+               "invariant_function_invariance", "bracket_agreement", "local_freeness",
+               "restricted_degeneracy_on_line", "restricted_degeneracy_off_line"}
+    assert [e["check"] for e in report.errors] == [spec.name for spec in wb.REGISTRY if spec.name in readers]
+    assert {(e["type"], e["message"]) for e in report.errors} == {("GenericityError", "no regular point drawn")}
+    assert "error in bracket_agreement (stage brackets): GenericityError: no regular point drawn" in report.to_text()
+    ran = [row.name for row in report.checks + report.negative_controls]
+    assert sorted(ran) == sorted(set(ALL_ROWS) - readers)
+    assert all(row.passed for row in report.checks + report.negative_controls)
 
 
 def _canonical_form_scaled(monkeypatch):
@@ -235,7 +257,7 @@ def test_a_row_beyond_its_bound_fails_the_run(monkeypatch):
     _canonical_form_scaled(monkeypatch)
     report = wb.run_pipeline(wb.config_from_dict(dict(SU2_CONFIG, checks=["canonical_nondegeneracy"])))
     row, = report.checks
-    assert report.error is None and row.residual < row.tolerance and not row.passed
+    assert not report.errors and row.residual < row.tolerance and not row.passed
     assert report.verdict == "fail"
 
 
@@ -430,7 +452,7 @@ def test_slice_rows_pass_on_so5_flag(seed):
     cfg = wb.config_from_dict(dict(SO5_FLAG, seed=seed, checks=["slice_isometry"]))
     report = wb.run_pipeline(cfg)
     assert [(row.name, row.passed) for row in report.checks] == [("slice_isometry", True)]
-    assert report.error is None and report.verdict == "pass"
+    assert not report.errors and report.verdict == "pass"
 
 
 def test_slice_normal_form_iterations_on_su3_regular():
@@ -528,7 +550,7 @@ def test_cli_check_failure_exit_code(monkeypatch, tmp_path):
     out_path = tmp_path / "report.json"
     assert cli_main(["verify", "--config", cfg_path, "--out", str(out_path)]) == 1
     report = json.loads(out_path.read_text())
-    assert "error" not in report and [row["pass"] for row in report["checks"]] == [False]
+    assert "errors" not in report and [row["pass"] for row in report["checks"]] == [False]
 
 
 def test_cli_checks_flag_and_text_format(tmp_path, capsys):
