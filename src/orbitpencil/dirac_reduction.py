@@ -112,11 +112,9 @@ def principal_isotropy(config: OrbitConfig, samples: int = 16, seed: int = 0):
 class ReductionSetup(NamedTuple):
     """All subalgebra data entering the restriction argument.
 
-    Built once per run by :func:`reduction_setup`, which also keeps what it
-    computed on the way: ``slice_normal``, the subspace the slice is
-    normalised against, and ``residuals``, the :func:`setup_residuals` it
-    validated the setup with.  Readers take both from here instead of
-    recomputing them.
+    Built once per run by :func:`reduction_setup`, which validates it with
+    :func:`setup_residuals` and also keeps ``slice_normal``, the subspace the
+    slice is normalised against, so that readers need not recompute it.
     """
 
     config: OrbitConfig
@@ -130,7 +128,6 @@ class ReductionSetup(NamedTuple):
     slice_normal: Subspace       # [x0, k], tangent to the k-orbit of x0
     slice_space: Subspace        # orthocomplement of [x0, k] inside m
     center: Subspace             # center of the centralizer
-    residuals: dict              # name -> residual of each setup identity
 
     @property
     def alg(self) -> LieAlgebra:
@@ -182,8 +179,8 @@ def setup_residuals(setup: ReductionSetup) -> dict:
     }
 
 
-# Bound of each setup identity, both for the guard in reduction_setup and
-# for the report rows of the same names.
+# Bound of each setup identity in the guard of reduction_setup, the one check
+# of these identities: no report row re-reads them.
 SETUP_TOLERANCES = {
     "isotropy_in_stabilizer": 1e-10,
     "seed_commutes_with_isotropy": 1e-10,
@@ -223,13 +220,11 @@ def reduction_setup(config: OrbitConfig, samples: int = 16, seed: int = 0) -> Re
         slice_normal=slice_normal,
         slice_space=slice_space,
         center=center,
-        residuals={},
     )
-    residuals = setup_residuals(setup)
-    for name, value in residuals.items():
+    for name, value in setup_residuals(setup).items():
         if value > SETUP_TOLERANCES[name]:
             raise SetupError(f"setup identity '{name}' failed with residual {value:.3e}")
-    return setup._replace(residuals=residuals)
+    return setup
 
 
 # ---------------------------------------------------------------------------

@@ -93,19 +93,7 @@ def compatibility_residual(p1: PoissonField, p2: PoissonField, coords) -> float:
     return jacobi_residual(total, coords)
 
 
-def degeneracy_profile(m1: np.ndarray, m2: np.ndarray, t_samples) -> np.ndarray:
-    """sigma_min of t1 m1 + t2 m2 per row (t1, t2) of the (P, 2) array t_samples, m1 and m2 two bivector
-    matrices at one point: one stacked SVD."""
-    t1, t2 = np.asarray(t_samples, dtype=float).T[:, :, None, None]
-    return np.linalg.svd(t1 * m1 + t2 * m2, compute_uv=False)[:, -1]
-
-
 # Pencil parameters (t1, t2) off the degenerate line t1 + t2 = 0, where both members are invertible;
 # the bracket row compares the ambient and restricted brackets at each.
 OFF_LINE_PARAMETERS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.3, 0.7]])
 
-
-def unit_circle_parameters() -> np.ndarray:
-    """(16, 2) array of parameters (t1, t2) evenly spaced on the unit circle, phased so two land on t1 + t2 = 0."""
-    angles = 3.0 * np.pi / 4.0 + 2.0 * np.pi * np.arange(16) / 16
-    return np.array([(np.cos(a), np.sin(a)) for a in angles])

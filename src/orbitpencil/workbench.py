@@ -10,7 +10,7 @@ Checks run one after another on a shared :class:`PipelineContext`.  Data
 that several rows read (the block structure of the splitting, the
 invariant-product space of h) is computed by the first row that needs it
 and kept on the context for the rest of the run.  What the setup computes
-anyway (the setup residuals, the span [x0, k]) and the two pencils
+anyway (the span [x0, k]) and the two pencils
 (:class:`dirac_reduction.ChartPencil`, one on the ambient chart and one on
 the sub chart) are read from ``ctx.setup`` and ``ctx.data``.  Sample-point
 rows evaluate the two coordinate stacks whole, ``ctx.ambient_coords`` and
@@ -25,12 +25,11 @@ read them.  A :class:`ConfigError` (the caller's input) propagates.
 
 A claim that a construction guard refuses at the same bound, or that
 another row certifies, gets no row: the algebra's identities
-(:func:`lie_core.algebra_from_matrices`), the slice normalisation
+(:func:`lie_core.algebra_from_matrices`), the setup identities
+(:func:`dirac_reduction.reduction_setup`), the slice normalisation
 (:func:`dirac_reduction.slice_normal_form`) and the Jacobi identity of one
 inverse form, which is the closedness of that form (``pencil_jacobi_combined``
-stays while the benchmark's ``sweep_small`` selects it).  The setup rows,
-which report what :func:`dirac_reduction.reduction_setup` validates, are the
-exception.
+stays while the benchmark's ``sweep_small`` selects it).
 
 Check rows carry a short ``anchor`` sentence stating the mathematical
 claim being certified, a ``mode`` saying whether the value is an upper
@@ -83,10 +82,14 @@ class WorkbenchConfig:
         }
 
 
+def _is_number(value) -> bool:
+    """A JSON number as it is: a bool or a string is no number, so it is never read as 0/1 or parsed."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _complex_entry(entry) -> complex:
     """An [re, im] pair of JSON numbers as it is: another length, a bool or a string is refused, not cut or parsed."""
-    if not (isinstance(entry, (list, tuple)) and len(entry) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)):
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and all(_is_number(x) for x in entry)):
         raise ConfigError(f"custom matrix entries must be [re, im] pairs of numbers, got {entry!r}")
     return complex(entry[0], entry[1])
 
@@ -155,6 +158,11 @@ def validate_config(cfg: WorkbenchConfig) -> None:
             setattr(cfg, name, parse(getattr(cfg, name)))
         except (TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ConfigError(f"malformed value for '{name}': {exc}") from exc
+    # The report echoes the configuration as JSON, which has no NaN, no infinity and no numpy array.
+    try:
+        json.dumps(cfg.resolved(), allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"configuration holds a value a JSON report cannot echo: {exc}") from exc
     if cfg.samples < 8:
         raise ConfigError("samples must be at least 8")
     if cfg.seed < 0:
@@ -181,13 +189,13 @@ def validate_config(cfg: WorkbenchConfig) -> None:
     unknown = set(se) - {"diag_spectrum", "coeffs"}
     if unknown:
         raise ConfigError(f"unknown seed_element keys: {sorted(unknown)}")
+    entries = se.get("diag_spectrum", se.get("coeffs"))
+    if not isinstance(entries, (list, tuple)) or not all(_is_number(x) for x in entries):
+        raise ConfigError(f"seed_element entries must be a flat list of numbers, got {entries!r}")
     try:
-        spec = np.asarray(se.get("diag_spectrum", []), dtype=float)
-        coeffs = np.asarray(se.get("coeffs", []), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        spec = np.asarray(entries, dtype=float)
+    except OverflowError as exc:
         raise ConfigError(f"seed_element entries must be numbers: {exc}") from exc
-    if spec.ndim != 1 or coeffs.ndim != 1:
-        raise ConfigError("seed_element entries must be flat lists of numbers")
     if "diag_spectrum" in se:
         if "custom" in alg_spec:
             raise ConfigError("diag_spectrum needs a built-in family; give a custom algebra's seed as coeffs")
@@ -205,11 +213,6 @@ def validate_config(cfg: WorkbenchConfig) -> None:
         unknown = set(cfg.checks) - names
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
-    # The report echoes the configuration as JSON, which has no NaN, no infinity and no numpy array.
-    try:
-        json.dumps(cfg.resolved(), allow_nan=False)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"configuration holds a value a JSON report cannot echo: {exc}") from exc
 
 
 def load_config(path) -> WorkbenchConfig:
@@ -374,13 +377,6 @@ def _spectrum_preservation(ctx):
     return float(max(np.max(err) for err in oc.point_residuals(ctx.orbit, chart.point(coords))))
 
 
-def _setup_row(name, anchor):
-    """The row reporting setup identity ``name``, bounded as in the setup guard."""
-    def fn(ctx):
-        return ctx.setup.residuals[name]
-    return CheckSpec(name, anchor, dr.SETUP_TOLERANCES[name], "max", "check", "setup", fn)
-
-
 # Row factories over one pencil: ``chart(ctx)`` gives the (ChartPencil,
 # coordinates) pair, _ambient or _restricted; ``members`` name its fields.
 
@@ -419,6 +415,21 @@ def _compatibility(chart):
     def fn(ctx):
         pencil, coords = chart(ctx)
         return pp.compatibility_residual(pencil.p1, pencil.p2, coords)
+    return fn
+
+
+def _nilpotency(chart):
+    """Max over the stack of |N^2| / |N|^2 (Frobenius), N = P1 W2 - I = W1^-1 (W2 - W1); a zero N reads inf.
+
+    N^2 = 0 is the pencil's whole Jordan type: t1 P1 + t2 P2 = ((t1 + t2) I + t1 N) P2 degenerates
+    exactly on t1 + t2 = 0.  N is formed from the bivector P1 and the form W2 = P2^-1, not as
+    P1 (W2 - W1), whose ratio a rescaled P1 leaves unchanged."""
+    def fn(ctx):
+        pencil, coords = chart(ctx)
+        n = pencil.p1(coords) @ pencil.w2(coords) - np.eye(pencil.w2.dim)
+        size = np.linalg.norm(n, axis=(-2, -1)) ** 2
+        square = np.linalg.norm(n @ n, axis=(-2, -1))
+        return np.max(np.divide(square, size, out=np.full_like(size, np.inf), where=size > 0))
     return fn
 
 
@@ -472,16 +483,6 @@ def _corrupted_field(ctx) -> pp.PoissonField:
         return mat
 
     return pp.PoissonField(corrupted, base.dim)
-
-
-def _degeneracy(on_line: bool, chart):
-    def fn(ctx):
-        pencil, coords = chart(ctx)
-        params = pp.unit_circle_parameters()
-        sigma = pp.degeneracy_profile(pencil.p1(coords)[0], pencil.p2(coords)[0], params)
-        on = np.abs(params[:, 0] + params[:, 1]) < 1e-12
-        return np.max(sigma[on]) if on_line else np.min(sigma[~on])
-    return fn
 
 
 def _control_corrupted_jacobi(ctx):
@@ -577,16 +578,6 @@ REGISTRY: list[CheckSpec] = [
     CheckSpec("orbit_splitting", "stabilizer kernel and orbit tangent image split the algebra orthogonally", 1e-8, "max", "check", "orbit", _orbit_splitting),
     CheckSpec("chart_exactness", "chart derivatives match central finite differences", 1e-8, "max", "check", "orbit", _chart_exactness),
     CheckSpec("spectrum_preservation", "chart points keep the seed spectrum and tangent fibers", 1e-8, "max", "check", "orbit", _spectrum_preservation),
-    _setup_row("isotropy_in_stabilizer", "principal isotropy algebra sits inside the orbit stabilizer"),
-    _setup_row("seed_commutes_with_isotropy", "slice seed commutes with the principal isotropy algebra"),
-    _setup_row("slice_commutes_with_isotropy", "the whole slice commutes with the principal isotropy algebra"),
-    _setup_row("slice_inside_sub_tangent", "slice lies inside the moving part of the centralizer"),
-    _setup_row("slice_matches_sub_complement", "slice equals the complement of the moved sub-stabilizer"),
-    _setup_row("orbit_seed_in_centralizer", "orbit seed lies in the centralizer of the isotropy algebra"),
-    _setup_row("normalizer_splitting", "normalizer and its orthocomplement span the algebra"),
-    _setup_row("fixed_plus_isotropy_is_normalizer", "fixed vectors plus the isotropy algebra give the normalizer"),
-    _setup_row("centralizer_inside_normalizer", "centralizer is contained in the normalizer"),
-    _setup_row("subalgebras_closed", "every constructed subalgebra is bracket-closed"),
     CheckSpec("canonical_closedness", "canonical 2-form is closed", 1e-5, "max", "check", "forms", _closedness(_ambient, "w1")),
     CheckSpec("combined_closedness", "canonical plus pulled-back orbit form is closed", 1e-5, "max", "check", "forms", _closedness(_ambient, "w2")),
     CheckSpec("canonical_nondegeneracy", "canonical 2-form is nondegenerate at sampled points", 1e-6, "min", "check", "forms", _nondegeneracy(_ambient, "w1")),
@@ -610,10 +601,8 @@ REGISTRY: list[CheckSpec] = [
     CheckSpec("transversality", "centralizer action plus slice fibers span the sub-orbit bundle tangent", 0.5, "max", "check", "freeness", _transversality),
     CheckSpec("control_zero_section_transversality", "the spanning audit fails on the zero section", 0.5, "min", "control", "freeness", _control_zero_section_transversality),
     CheckSpec("slice_isometry", "slice normalisation preserves norms", 1e-10, "max", "check", "freeness", _slice_isometry),
-    CheckSpec("degeneracy_on_line", "the ambient pencil degenerates where the parameters cancel", 1e-8, "max", "check", "degeneracy", _degeneracy(True, _ambient)),
-    CheckSpec("degeneracy_off_line", "away from the cancellation line the ambient pencil is nondegenerate", 1e-4, "min", "check", "degeneracy", _degeneracy(False, _ambient)),
-    CheckSpec("restricted_degeneracy_on_line", "the restricted pencil degenerates where the parameters cancel", 1e-8, "max", "check", "degeneracy", _degeneracy(True, _restricted)),
-    CheckSpec("restricted_degeneracy_off_line", "away from the cancellation line the restricted pencil is nondegenerate", 1e-4, "min", "check", "degeneracy", _degeneracy(False, _restricted)),
+    CheckSpec("pencil_nilpotency", "the ambient recursion operator N squares to zero", 1e-8, "max", "check", "degeneracy", _nilpotency(_ambient)),
+    CheckSpec("restricted_pencil_nilpotency", "the restricted recursion operator N squares to zero", 1e-8, "max", "check", "degeneracy", _nilpotency(_restricted)),
 ]
 
 

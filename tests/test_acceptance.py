@@ -92,24 +92,26 @@ def test_criterion_02_pencil_compatibility(triple, sample_points):
 
 
 def test_criterion_03_degeneracy_locus(triple, sample_points):
-    worst_on = 0.0
-    worst_off = np.inf
-    circle = pp.unit_circle_parameters()
-    off_circle = [t for t in circle if abs(t[0] + t[1]) >= 1e-12]
-    assert len(off_circle) == 14
+    # N = W1^-1 (W2 - W1), read as P1 W2 - I: N^2 = 0 and rank N = dim O make t1 P1 + t2 P2
+    # = ((t1 + t2) I + t1 N) P2 degenerate exactly on t1 + t2 = 0, with corank dim O there
+    worst_square = 0.0
+    worst_rank = 0
     for name, (setup, data) in triple.items():
-        pairs = [
-            (data.ambient.p1, data.ambient.p2, sample_points[name][0]),
-            (data.restricted.p1, data.restricted.p2, np.zeros((1, data.sub_chart.coord_dim)) + 0.02),
+        sub_coords = uniform_rows(2024, f"acceptance-sub:{name}", range(10), data.sub_chart.coord_dim, 0.1)
+        charts = [
+            (data.ambient, sample_points[name][:, 0], setup.config.tangent.dim),
+            (data.restricted, sub_coords, setup.sub_tangent.dim),
         ]
-        for p1, p2, coords in pairs:
-            [sigma_on] = pp.degeneracy_profile(p1(coords)[0], p2(coords)[0], [(1.0, -1.0)])
-            worst_on = max(worst_on, sigma_on)
-            sigma_off = pp.degeneracy_profile(p1(coords)[0], p2(coords)[0], off_circle)
-            worst_off = min(worst_off, np.min(sigma_off))
-    ok = worst_on <= 1e-8 and worst_off > 1e-4
-    verdict(3, "pencil degenerates exactly where the parameters cancel",
-            ok, f"sigma at (1,-1) {worst_on:.2e} <= 1e-8, min off-line sigma {worst_off:.2e} > 1e-4")
+        for pencil, coords, orbit_dim in charts:
+            n = pencil.p1(coords) @ pencil.w2(coords) - np.eye(pencil.w2.dim)
+            square = np.linalg.norm(n @ n, axis=(-2, -1)) / np.linalg.norm(n, axis=(-2, -1)) ** 2
+            sigma = np.linalg.svd(n, compute_uv=False)
+            rank = np.sum(sigma > 1e-8 * sigma[:, :1], axis=1)
+            worst_square = max(worst_square, float(np.max(square)))
+            worst_rank = max(worst_rank, int(np.max(np.abs(rank - orbit_dim))))
+    ok = worst_square <= 1e-12 and worst_rank == 0
+    verdict(3, "the recursion operator N is nilpotent of rank dim O",
+            ok, f"max |N^2| / |N|^2 {worst_square:.2e} <= 1e-12, max rank error {worst_rank} == 0")
 
 
 def test_criterion_04_restricted_pencil(setup_cp2, data_cp2, regular_coords_cp2):

@@ -312,18 +312,6 @@ def test_restricted_pencil_certification_cp2(setup_cp2, data_cp2, regular_coords
         assert pp.compatibility_residual(data_cp2.restricted.p1, data_cp2.restricted.p2, coords) <= 1e-5
 
 
-def test_restricted_degeneracy_profile(data_cp2, regular_coords_cp2):
-    params = pp.unit_circle_parameters()
-    p1, p2 = data_cp2.restricted.p1, data_cp2.restricted.p2
-    sigma = pp.degeneracy_profile(p1(regular_coords_cp2)[0], p2(regular_coords_cp2)[0], params)
-    assert sigma.shape == (len(params),)
-    for (t1, t2), sigma_min in zip(params, sigma):
-        if abs(t1 + t2) < 1e-12:
-            assert sigma_min <= 1e-8
-        else:
-            assert sigma_min > 1e-4
-
-
 # ---------------------------------------------------------------------------
 # Invariant functions and bracket agreement
 # ---------------------------------------------------------------------------

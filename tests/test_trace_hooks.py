@@ -44,6 +44,8 @@ def probe():
 RETIRED = {
     ("dirac_reduction", "AdaptedChart.pushforward"): "the adapted chart and its rows were deleted: the "
     "[stratum | complement] splitting rows certify the same block structure",
+    ("poisson_pencil", "degeneracy_profile"): "the four sigma_min sweeps over unit-circle parameters were "
+    "deleted: the nilpotency rows certify the pencil's whole Jordan type, N^2 = 0",
 }
 
 

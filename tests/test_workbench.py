@@ -167,7 +167,7 @@ def test_su2_pipeline_passes(su2_report):
     rows = su2_report.checks + su2_report.negative_controls
     names = [row.name for row in rows]
     assert len(names) == len(set(names))  # every enabled check appears exactly once
-    assert "bracket_agreement" in names and "degeneracy_on_line" in names
+    assert "bracket_agreement" in names and "pencil_nilpotency" in names
 
 
 def test_report_rows_have_anchors_and_full_precision(su2_report):
@@ -196,9 +196,9 @@ def test_report_roundtrip_and_formats(tmp_path, su2_report):
 
 
 def test_check_subset_selection():
-    cfg = wb.config_from_dict(dict(SU2_CONFIG, checks=["orbit_splitting", "isotropy_in_stabilizer"]))
+    cfg = wb.config_from_dict(dict(SU2_CONFIG, checks=["orbit_splitting", "slice_isometry"]))
     report = wb.run_pipeline(cfg)
-    assert [row.name for row in report.checks] == ["orbit_splitting", "isotropy_in_stabilizer"]
+    assert [row.name for row in report.checks] == ["orbit_splitting", "slice_isometry"]
     assert report.negative_controls == []
     assert report.verdict == "pass"
 
@@ -238,7 +238,7 @@ def test_a_setup_that_raises_reports_its_exception(monkeypatch):
     readers = {"splitting_pairing", "splitting_nondegeneracy", "action_complement_independence",
                "restricted_closedness", "restricted_nondegeneracy", "restricted_compatibility",
                "invariant_function_invariance", "bracket_agreement", "local_freeness",
-               "restricted_degeneracy_on_line", "restricted_degeneracy_off_line"}
+               "restricted_pencil_nilpotency"}
     assert [e["check"] for e in report.errors] == [spec.name for spec in wb.REGISTRY if spec.name in readers]
     assert {(e["type"], e["message"]) for e in report.errors} == {("GenericityError", "no regular point drawn")}
     assert "error in bracket_agreement (stage brackets): GenericityError: no regular point drawn" in report.to_text()
@@ -259,6 +259,29 @@ def test_a_row_beyond_its_bound_fails_the_run(monkeypatch):
     row, = report.checks
     assert not report.errors and row.residual < row.tolerance and not row.passed
     assert report.verdict == "fail"
+
+
+def test_nilpotency_row_reads_zero_for_a_pencil_and_inf_for_one_structure():
+    # W1 = J, whose inverse -J is exact, and W2 = J + c B with B pairing the first two coordinates:
+    # N = -c J B squares to exactly zero for c != 0, and is exactly zero at c = 0, where P1 = P2
+    from orbitpencil import dirac_reduction as dr
+    from orbitpencil import poisson_pencil as pp
+
+    j = np.zeros((4, 4))
+    j[:2, 2:], j[2:, :2] = np.eye(2), -np.eye(2)
+    b = np.zeros((4, 4))
+    b[0, 1], b[1, 0] = 1.0, -1.0
+    w1 = oc.FormField(lambda c: np.broadcast_to(j, (len(c), 4, 4)), 4)
+    w2 = oc.FormField(lambda c: j + c[:, 0, None, None] * b, 4)
+    pencil = dr.ChartPencil(w1, w2, pp.invert_form(w1), pp.invert_form(w2))
+
+    def row(first_coords):
+        coords = np.zeros((len(first_coords), 4))
+        coords[:, 0] = first_coords
+        return wb._finite(wb._nilpotency(lambda ctx: (pencil, coords))(None))
+
+    assert row([1.0, 2.0]) == 0.0
+    assert row([1.0, 0.0]) == 1e300  # the zero N reads inf, not 0 / 0, and the report clamps it
 
 
 def test_cp2_pipeline_full_run_pin():
@@ -353,7 +376,7 @@ def test_shared_row_data_is_computed_once(monkeypatch):
     assert len(splitting) == 1
     # slice_isometry takes one stacked call over all samples
     assert normal_forms == [SU2_CONFIG["samples"]]
-    # reduction_setup validates the setup with one call and keeps it for the ten setup rows
+    # reduction_setup validates the setup with one call, and no row computes the residuals again
     assert len(residuals) == 1
 
 
@@ -470,16 +493,15 @@ def test_slice_normal_form_iterations_on_su3_regular():
     assert worst <= 30
 
 
-# Each pair shares data: ctx.once blocks, setup residuals or a coordinate stack both rows read.
+# Each pair shares data: ctx.once blocks or a coordinate stack both rows read.
 _MEMO_SHARING_ROWS = [
     ["splitting_pairing", "splitting_nondegeneracy"],
-    ["isotropy_in_stabilizer", "subalgebras_closed"],
     ["action_complement_independence", "restricted_nondegeneracy"],  # the sub chart at the regular stack
     ["local_freeness", "invariant_function_invariance"],
-    ["canonical_nondegeneracy", "degeneracy_on_line"],  # the ambient canonical form at the sample stack
-    ["degeneracy_off_line", "pencil_compatibility"],
-    ["restricted_compatibility", "restricted_degeneracy_on_line"],  # the restricted bivectors
-    ["restricted_degeneracy_off_line", "bracket_agreement"],
+    ["canonical_nondegeneracy", "pencil_nilpotency"],  # the ambient W1 at the sample stack, which P1 inverts
+    ["combined_nondegeneracy", "pencil_compatibility"],  # the ambient W2 at the sample stack, which P2 inverts
+    ["restricted_closedness", "restricted_compatibility"],  # the restricted W stencils, which dP reads
+    ["restricted_pencil_nilpotency", "bracket_agreement"],  # the restricted bivectors at the regular stack
 ]
 
 
@@ -651,7 +673,10 @@ def test_cli_malformed_field_values_exit_2(tmp_path, capsys, mutation):
         {"seed_element": {"diag_spectrum": [1, -1], "coeffs": [1.0, 0.0, 0.0]}},
         {"algebra": {"family": "su", "n": 2, "custom": [[[[0.0, 1.0]]]]}},
         {"seed": 2.0},
-        {"checks": "orbit_splitting,isotropy_in_stabilizer"},
+        {"checks": "orbit_splitting,slice_isometry"},
+        {"seed_element": {"coeffs": ["1.5", 0, 0]}},
+        {"seed_element": {"coeffs": [True, False, False]}},
+        {"seed_element": {"diag_spectrum": ["1", "-1"]}},
     ],
 )
 def test_cli_lossy_field_values_exit_2(tmp_path, capsys, mutation):
@@ -690,11 +715,11 @@ def test_a_python_built_config_json_cannot_encode_is_refused():
 
 def test_a_python_built_config_reports_as_its_json(tmp_path):
     # a tuple of check names is kept as the list JSON parsing makes of it
-    fields = dict(SU2_CONFIG, checks=("orbit_splitting", "isotropy_in_stabilizer"))
+    fields = dict(SU2_CONFIG, checks=("orbit_splitting", "slice_isometry"))
     cfg = wb.WorkbenchConfig(**fields)
     built = wb.run_pipeline(cfg).to_json()
     assert built == wb.run_pipeline(wb.load_config(write_config(tmp_path, fields))).to_json()
-    assert cfg.checks == ["orbit_splitting", "isotropy_in_stabilizer"]
+    assert cfg.checks == ["orbit_splitting", "slice_isometry"]
 
 
 @pytest.mark.parametrize(
