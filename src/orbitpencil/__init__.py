@@ -14,8 +14,7 @@ from .errors import (
 )
 from .families import so, su
 from .lie_core import LieAlgebra, Subspace, algebra_from_matrices
-from .orbit_charts import Chart, OrbitConfig, orbit_config
-from .poisson_pencil import PoissonField
+from .orbit_charts import Chart, FormField, OrbitConfig, orbit_config
 from .workbench import ReductionReport, WorkbenchConfig, load_config, run_pipeline
 
 __version__ = "0.1.0"
@@ -37,9 +36,9 @@ __all__ = [
     "so",
     "su",
     "Chart",
+    "FormField",
     "OrbitConfig",
     "orbit_config",
-    "PoissonField",
     "ReductionReport",
     "WorkbenchConfig",
     "load_config",

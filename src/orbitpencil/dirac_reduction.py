@@ -68,7 +68,7 @@ from .orbit_charts import (
     exp_ad,
     infinitesimal_action,
 )
-from .poisson_pencil import PoissonField, invert_form
+from .poisson_pencil import invert_form
 from .seeding import uniform_rows, unit_rows
 
 REGULARITY_TOL = 1e-8
@@ -462,8 +462,8 @@ class ChartPencil(NamedTuple):
 
     w1: FormField        # canonical form
     w2: FormField        # canonical plus pulled-back orbit form
-    p1: PoissonField     # inverse of w1
-    p2: PoissonField     # inverse of w2
+    p1: FormField        # inverse of w1
+    p2: FormField        # inverse of w2
 
 
 def chart_pencil(chart: Chart) -> ChartPencil:

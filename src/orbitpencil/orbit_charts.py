@@ -49,9 +49,10 @@ plus the pullback of the orbit form  omega_x([x,s1],[x,s2]) = -<x,[s1,s2]>
 under the bundle projection.  Both are exact from the chart: with
 P = (Px; Pv) the stacked x- and v-rows, d theta = sum dv ^ dx has matrix
 Pv^T Px - Px^T Pv, and the orbit form reads the lifts zeta, [x, zeta] = dx,
-that the pushforward's evaluation also gives (:meth:`Chart.lifts`).  Finite
-differences remain only in outer derivatives (closedness and Jacobi
-residuals) and in the check of the pushforward itself, the independent check.
+that the pushforward's evaluation also gives (:meth:`Chart.lifts`).  A
+:class:`FormField`, a form or the bivector inverse to one, carries its
+partials, by default the outer central differences at FD_STEP, so one
+stencil of a form serves its closedness and its inverse's Jacobi residual.
 """
 
 from typing import NamedTuple
@@ -253,14 +254,11 @@ class Chart:
     """Local coordinates on TO around a base point (see module docstring).
 
     Coordinates (u, w) give Ad(e^{frame @ u}) (a, base_v + frame @ w).
-    ``rotation`` conjugates the whole chart by a fixed group element, given
-    as its adjoint matrix on coefficients; used to transport charts when
-    testing invariance.  Evaluations are cached per coordinate stack, so a
-    chart instance must be treated as immutable.
+    Evaluations are cached per coordinate stack, so a chart instance must be
+    treated as immutable.
     """
 
-    def __init__(self, config: OrbitConfig, base_v: np.ndarray, frame: np.ndarray,
-                 rotation: np.ndarray | None = None):
+    def __init__(self, config: OrbitConfig, base_v: np.ndarray, frame: np.ndarray):
         base_v = np.asarray(base_v, dtype=float)
         frame = np.asarray(frame, dtype=float)
         if frame.ndim != 2 or frame.shape[0] != config.alg.dim:
@@ -276,7 +274,6 @@ class Chart:
         self.base_v = base_v
         self.frame = frame
         self.frame_matrices = np.tensordot(frame.T, config.alg.basis, axes=(1, 0))
-        self.rotation = None if rotation is None else np.asarray(rotation, dtype=float)
         self._points = CoordinateMemo(self._point_at)
         self._pushes = CoordinateMemo(self._pushforward_at)
 
@@ -321,16 +318,13 @@ class Chart:
     def _point_at(self, c: np.ndarray) -> np.ndarray:
         """(k, 2, n) stack of [x; v] at the coordinate rows c: one stacked eigh, no Ad(e^xi)."""
         f = self.frame_dim
-        moved = _conjugate(self.config.alg, _rowwise(c[:, :f], self.frame.T), self._fiber_line(c[:, f:]))
-        return moved if self.rotation is None else moved @ self.rotation.T
+        return _conjugate(self.config.alg, _rowwise(c[:, :f], self.frame.T), self._fiber_line(c[:, f:]))
 
     def _pushforward_at(self, c: np.ndarray) -> np.ndarray:
         f = self.frame_dim
         alg = self.config.alg
         n, k = alg.dim, len(c)
         big, trans = dexp_apply(alg, _rowwise(c[:, :f], self.frame.T), self.frame_matrices)
-        if self.rotation is not None:
-            big = self.rotation @ big
         # The (x, v, lift) rows of each column before big.  Conjugation column i is
         # big @ [t_i, z] = -big @ ad(z) t_i for z = x, v, its lift -big @ t_i; fiber column i is big @ (0, m_i, 0).
         trans = trans[:, None].mT
@@ -406,13 +400,16 @@ def omega2_matrix(chart: Chart, coords) -> np.ndarray:
 
 
 class FormField:
-    """A cached matrix field coords -> skew matrix over a fixed chart.
+    """A cached skew matrix field coords -> (dim, dim), a 2-form or a bivector.
 
-    ``fn`` maps a (k, d) stack of coordinates to (k, dim, dim) matrices."""
+    ``fn`` maps a (k, d) stack of coordinates to (k, dim, dim) matrices.
+    ``partials(coords)`` gives the field's derivatives, (m, d, dim, dim) at an
+    (m, d) stack, by default central differences of the field at FD_STEP."""
 
-    def __init__(self, fn, dim: int):
+    def __init__(self, fn, dim: int, *, partials=None):
         self.dim = int(dim)
         self._values = CoordinateMemo(fn)
+        self.partials = partials or (lambda c: central_partials(self, c, FD_STEP))
 
     def __call__(self, coords) -> np.ndarray:
         return self._values(np.asarray(coords, dtype=float))
@@ -426,9 +423,9 @@ def combined_form_field(chart: Chart) -> FormField:
     return FormField(lambda c: omega2_matrix(chart, c), chart.coord_dim)
 
 
-def closedness_residual(form_field, coords) -> float:
+def closedness_residual(form_field: FormField, coords) -> float:
     """Max cyclic-sum residual d_i W_jk + d_j W_ki + d_k W_ij over index triples and over the rows
-    of the (m, d) stack coords; the whole stencil is one call of ``form_field``."""
-    partials = central_partials(form_field, coords, FD_STEP)
+    of the (m, d) stack coords, with the field's partials (by default one stencil call)."""
+    partials = form_field.partials(np.asarray(coords, dtype=float))
     cyc = partials + np.transpose(partials, (0, 2, 3, 1)) + np.transpose(partials, (0, 3, 1, 2))
     return float(np.max(np.abs(cyc)))

@@ -6,11 +6,11 @@ by the Leibniz rule:
 
     J_ijk = sum_l ( P_li d_l P_jk + P_lj d_l P_ki + P_lk d_l P_ij ) = 0.
 
-The inner derivatives are the field's partials: dP = -P dW P for P = W^-1,
-with dW the central differences that closedness takes of W (no inverse off
-the centre), and central differences of P for any other field, all with the
-one outer step :data:`orbit_charts.FD_STEP`; residuals land near the
-truncation error ~ FD_STEP^2 for genuine Poisson fields.
+A bivector is an :class:`orbit_charts.FormField`; the inner derivatives are
+its partials: dP = -P dW P for P = W^-1, dW the form's own partials, which
+closedness reads too (no inverse off the centre), and by default central
+differences of P, at the one outer step :data:`orbit_charts.FD_STEP`;
+residuals land near the truncation error ~ FD_STEP^2 for Poisson fields.
 Fields and residuals take an (m, d) stack of coordinate rows, and residuals
 return the max over them; a field and its partials are evaluated on the
 whole stack at once, so a row costs one evaluator call per field.
@@ -20,29 +20,14 @@ above 1e-3; the gap guards against silent miscalibration.
 
 import numpy as np
 
-from . import orbit_charts as oc
 from .errors import DegeneracyError, InputError
-from .orbit_charts import CoordinateMemo, FormField, central_partials
+from .orbit_charts import FormField
 
 # A pencil member counts as singular below this relative spectral cutoff.
 FORM_SINGULAR_RTOL = 1e-8
 
 
-class PoissonField:
-    """A cached skew matrix field; ``evaluator`` as for FormField, and its values must be skew.
-    ``partials(coords)`` gives its derivatives, (m, d, dim, dim) at an (m, d) stack, by default
-    central differences of the field."""
-
-    def __init__(self, evaluator, dim: int, *, partials=None):
-        self.dim = int(dim)
-        self._values = CoordinateMemo(evaluator)
-        self.partials = partials or (lambda c: central_partials(self, c, oc.FD_STEP))
-
-    def __call__(self, coords) -> np.ndarray:
-        return self._values(np.asarray(coords, dtype=float))
-
-
-def invert_form(form_field: FormField) -> PoissonField:
+def invert_form(form_field: FormField) -> FormField:
     """Pointwise inverse of a nondegenerate form field, re-skew-symmetrised.
 
     One stacked SVD and inverse per stack; both guards act per row and name its coordinates."""
@@ -67,13 +52,13 @@ def invert_form(form_field: FormField) -> PoissonField:
 
     def partials(coords):
         p = field(coords)[..., None, :, :]
-        return -p @ central_partials(form_field, coords, oc.FD_STEP) @ p
+        return -p @ form_field.partials(coords) @ p
 
-    field = PoissonField(evaluator, form_field.dim, partials=partials)
+    field = FormField(evaluator, form_field.dim, partials=partials)
     return field
 
 
-def jacobi_residual(field: PoissonField, coords) -> float:
+def jacobi_residual(field: FormField, coords) -> float:
     """Max Jacobi-identity residual over coordinate-function triples and over the rows of the (m, d) stack coords.
 
     The contraction runs one row at a time: a stacked einsum may sum in
@@ -85,11 +70,11 @@ def jacobi_residual(field: PoissonField, coords) -> float:
     return float(np.max(np.abs(cyc)))
 
 
-def compatibility_residual(p1: PoissonField, p2: PoissonField, coords) -> float:
+def compatibility_residual(p1: FormField, p2: FormField, coords) -> float:
     """Jacobi residual of the sum P1 + P2, with partials dP1 + dP2; small values certify the pair at the points."""
     if p1.dim != p2.dim:
         raise InputError(f"pencil members disagree in dimension: {p1.dim} vs {p2.dim}")
-    total = PoissonField(lambda c: p1(c) + p2(c), p1.dim, partials=lambda c: p1.partials(c) + p2.partials(c))
+    total = FormField(lambda c: p1(c) + p2(c), p1.dim, partials=lambda c: p1.partials(c) + p2.partials(c))
     return jacobi_residual(total, coords)
 
 

@@ -94,11 +94,12 @@ def _complex_entry(entry) -> complex:
     return complex(entry[0], entry[1])
 
 
-def _parse_complex_matrix(rows):
+def _parse_complex_matrices(mats):
+    """One (k, rows, cols) stack: ragged rows or matrices of unequal size are refused, not padded."""
     try:
-        return np.asarray([[_complex_entry(entry) for entry in row] for row in rows])
-    except TypeError as exc:
-        raise ConfigError(f"custom matrices must be nested [re, im] pairs: {exc}") from exc
+        return np.asarray([[[_complex_entry(entry) for entry in row] for row in rows] for rows in mats])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"custom matrices must be equal-size nests of [re, im] pairs: {exc}") from exc
 
 
 def encode_complex_matrix(mat: np.ndarray) -> list:
@@ -232,10 +233,9 @@ def build_algebra(cfg: WorkbenchConfig) -> lc.LieAlgebra:
     spec = cfg.algebra
     if "family" in spec:
         return families.su(spec["n"]) if spec["family"] == "su" else families.so(spec["n"])
-    mats = [_parse_complex_matrix(m) for m in spec["custom"]]
-    name = spec.get("name", "custom")
+    mats = _parse_complex_matrices(spec["custom"])
     try:
-        return lc.algebra_from_matrices(name, np.asarray(mats))
+        return lc.algebra_from_matrices(spec.get("name", "custom"), mats)
     except WorkbenchError as exc:
         raise ConfigError(f"custom basis rejected: {exc}") from exc
 
@@ -434,12 +434,17 @@ def _nilpotency(chart):
 
 
 def _form_invariance(ctx):
-    chart = ctx.data.ambient_chart
+    """Both forms on the ambient chart against the chart moved by R = Ad(e^zeta): the chart of the
+    moved orbit record, base offset and frame, which maps each coordinate to R of its point, since
+    Ad(g) Ad(e^xi) y = Ad(e^{Ad(g) xi}) Ad(g) y."""
+    chart, orbit = ctx.data.ambient_chart, ctx.orbit
     zetas = 0.3 * unit_rows(ctx.seed, "form-invariance", range(3), ctx.alg.dim)
     w1, w2 = ctx.data.ambient.w1(ctx.ambient_coords), ctx.data.ambient.w2(ctx.ambient_coords)
     worst = 0.0
     for i, rot in enumerate(oc.exp_ad(ctx.alg, zetas)):
-        moved = oc.Chart(ctx.orbit, base_v=chart.base_v, frame=chart.frame, rotation=rot)
+        moved_orbit = orbit._replace(seed=rot @ orbit.seed, stabilizer=lc.Subspace(rot @ orbit.stabilizer.basis),
+                                     tangent=lc.Subspace(rot @ orbit.tangent.basis))
+        moved = oc.Chart(moved_orbit, base_v=rot @ chart.base_v, frame=rot @ chart.frame)
         j = i % len(ctx.ambient_coords)
         coords = ctx.ambient_coords[j][None]
         worst = max(
@@ -472,7 +477,7 @@ def _control_corrupted_closedness(ctx):
     return oc.closedness_residual(bad, _control_coords(ctx))
 
 
-def _corrupted_field(ctx) -> pp.PoissonField:
+def _corrupted_field(ctx) -> oc.FormField:
     base = ctx.data.ambient.p1
 
     def corrupted(c):
@@ -482,7 +487,7 @@ def _corrupted_field(ctx) -> pp.PoissonField:
         mat[..., 1, 0] -= bump
         return mat
 
-    return pp.PoissonField(corrupted, base.dim)
+    return oc.FormField(corrupted, base.dim)
 
 
 def _control_corrupted_jacobi(ctx):

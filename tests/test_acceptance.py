@@ -80,11 +80,11 @@ def test_criterion_02_pencil_compatibility(triple, sample_points):
         mat[..., 1, 0] -= c[..., 2] * c[..., 3]
         return mat
 
-    bad = pp.PoissonField(corrupted, p1.dim)
+    bad = oc.FormField(corrupted, p1.dim)
     ref = pp.jacobi_residual(bad, coords)
     homog = 0.0
     for lam in (2.0, 10.0):
-        scaled = pp.PoissonField(lambda c, s=lam: s * bad(c), bad.dim)
+        scaled = oc.FormField(lambda c, s=lam: s * bad(c), bad.dim)
         homog = max(homog, abs(pp.jacobi_residual(scaled, coords) - lam ** 2 * ref) / (lam ** 2 * ref))
     ok = worst <= 1e-5 and homog <= 1e-6
     verdict(2, "pencil members satisfy the Jacobi identity",

@@ -10,6 +10,15 @@ from orbitpencil import poisson_pencil as pp
 from orbitpencil.errors import ChartDegeneracyError, ChartRangeError, DegeneracyError, DomainError
 
 
+def moved_chart(chart, rot):
+    """The chart moved by the group element whose adjoint matrix is ``rot``: the chart of the moved
+    orbit record, base offset and frame, which maps each coordinate to rot of its point."""
+    config = chart.config
+    moved = config._replace(seed=rot @ config.seed, stabilizer=lc.Subspace(rot @ config.stabilizer.basis),
+                            tangent=lc.Subspace(rot @ config.tangent.basis))
+    return oc.Chart(moved, base_v=rot @ chart.base_v, frame=rot @ chart.frame)
+
+
 def kernel_dim_oracle(alg, a):
     """dim ker ad(a) through the matrix realisation."""
     cols = []
@@ -381,7 +390,7 @@ def test_lifts_solve_ad_x_against_the_pushforward(setup_cp2, data_cp2):
     alg = setup_cp2.alg
     chart, sub = data_cp2.ambient_chart, data_cp2.sub_chart
     rot = oc.exp_ad(alg, 0.3 * np.random.default_rng(13).standard_normal(alg.dim))
-    charts = [chart, sub, oc.Chart(setup_cp2.config, base_v=chart.base_v, frame=chart.frame, rotation=rot)]
+    charts = [chart, sub, moved_chart(chart, rot)]
     rng = np.random.default_rng(14)
     for ch in charts:
         coords = rng.uniform(-0.1, 0.1, (3, ch.coord_dim))
@@ -443,7 +452,8 @@ def test_form_invariance_under_moved_chart(setup_cp2, data_cp2):
     coords = rng.uniform(-0.08, 0.08, (1, chart.coord_dim))
     for _ in range(3):
         rot = scipy.linalg.expm(alg.ad(0.4 * rng.standard_normal(alg.dim)))
-        moved = oc.Chart(setup_cp2.config, base_v=chart.base_v, frame=chart.frame, rotation=rot)
+        moved = moved_chart(chart, rot)
+        assert np.max(np.abs(moved.point(coords) - chart.point(coords) @ rot.T)) <= 1e-12
         w1_moved = oc.canonical_form_matrix(moved, coords)
         w2_moved = w1_moved + oc.orbit_form_pullback_matrix(moved, coords)
         assert np.max(np.abs(w1_moved - w1_field(coords))) <= 1e-8

@@ -12,8 +12,8 @@ def constant_field(mat, dim):
 
 def member(p1, p2, t1, t2):
     """The pencil member t1 P1 + t2 P2, with partials t1 dP1 + t2 dP2."""
-    return pp.PoissonField(lambda c: t1 * p1(c) + t2 * p2(c), p1.dim,
-                           partials=lambda c: t1 * p1.partials(c) + t2 * p2.partials(c))
+    return oc.FormField(lambda c: t1 * p1(c) + t2 * p2(c), p1.dim,
+                        partials=lambda c: t1 * p1.partials(c) + t2 * p2.partials(c))
 
 
 def symplectic_block(n):
@@ -87,8 +87,23 @@ def test_pencil_dim_mismatch(data_su2, data_cp2):
 # ---------------------------------------------------------------------------
 
 
+def test_declared_partials_are_what_closedness_and_the_inverse_read():
+    # A constant field whose declared partials, d_0 W_12 = 1, are not closed: its central
+    # differences vanish, so closedness reads 1 only through the declared partials B, and the
+    # inverse's partials are -P B P.
+    b = np.zeros((4, 4, 4))
+    b[0, 1, 2], b[0, 2, 1] = 1.0, -1.0
+    field = oc.FormField(lambda c: np.broadcast_to(symplectic_block(2), (len(c), 4, 4)), 4,
+                         partials=lambda c: np.broadcast_to(b, (len(c), 4, 4, 4)))
+    coords = np.zeros((2, 4))
+    assert oc.closedness_residual(field, coords) == 1.0
+    inverse = pp.invert_form(field)
+    p = inverse(coords)[:, None]
+    assert np.array_equal(inverse.partials(coords), -p @ b @ p)
+
+
 def test_jacobi_constant_field_is_zero():
-    field = pp.PoissonField(lambda c: np.broadcast_to(symplectic_block(2), (len(c), 4, 4)), 4)
+    field = oc.FormField(lambda c: np.broadcast_to(symplectic_block(2), (len(c), 4, 4)), 4)
     assert pp.jacobi_residual(field, np.zeros((1, 4))) <= 1e-15
 
 
@@ -109,7 +124,7 @@ def test_jacobi_negative_control(data_su2):
         mat[..., 1, 0] -= c[..., 2] * c[..., 3]
         return mat
 
-    bad = pp.PoissonField(corrupted, base.dim)
+    bad = oc.FormField(corrupted, base.dim)
     coords = 0.09 * np.array([[1.0, -1.0, 1.0, -1.0]])
     assert pp.jacobi_residual(bad, coords) > 1e-3
 
@@ -123,11 +138,11 @@ def test_jacobi_quadratic_homogeneity(data_su2):
         mat[..., 1, 0] -= c[..., 2] * c[..., 3]
         return mat
 
-    bad = pp.PoissonField(corrupted, base.dim)
+    bad = oc.FormField(corrupted, base.dim)
     coords = 0.09 * np.array([[1.0, -1.0, 1.0, -1.0]])
     ref = pp.jacobi_residual(bad, coords)
     for lam in (2.0, 10.0):
-        scaled = pp.PoissonField(lambda c, s=lam: s * bad(c), bad.dim)
+        scaled = oc.FormField(lambda c, s=lam: s * bad(c), bad.dim)
         got = pp.jacobi_residual(scaled, coords)
         assert abs(got - lam ** 2 * ref) <= 1e-6 * lam ** 2 * ref
 

@@ -86,7 +86,7 @@ def _scale_p1(mp, member):
     def faulty(*a, **k):
         data = build(*a, **k)
         p1 = getattr(data, member).p1
-        scaled = dr.PoissonField(lambda c: (1.0 + 1e-3) * p1(c), p1.dim)
+        scaled = oc.FormField(lambda c: (1.0 + 1e-3) * p1(c), p1.dim)
         return data._replace(**{member: getattr(data, member)._replace(p1=scaled)})
 
     mp.setattr(dr, "restricted_pencil", faulty)

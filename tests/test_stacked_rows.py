@@ -301,7 +301,6 @@ def _count_evaluations(monkeypatch):
         monkeypatch.setattr(cls, "__init__", __init__)
 
     counting(oc.FormField, "FormField")
-    counting(pp.PoissonField, "PoissonField")
     dexp = oc.dexp_apply
     monkeypatch.setattr(oc, "dexp_apply", lambda *args: counts.update(["dexp_apply"]) or dexp(*args))
     return counts
@@ -314,7 +313,8 @@ def test_evaluation_counts_per_run(monkeypatch):
     counts = _count_evaluations(monkeypatch)
     report = wb.run_pipeline(wb.load_config(CONFIGS / "su3_projective_plane.json"))
     assert report.verdict == "pass"
-    assert (counts["dexp_apply"], counts["FormField"], counts["PoissonField"]) == (12, 13, 12)
+    # 13 forms and 12 bivectors, all FormFields
+    assert (counts["dexp_apply"], counts["FormField"]) == (12, 25)
 
 
 @pytest.mark.parametrize("name, calls", [("su3_projective_plane", (72, 36, 3)),

@@ -27,7 +27,6 @@ OTHER_HOOKS = [
     ("dirac_reduction", "slice_normal_form"), ("dirac_reduction", "sample_regular_coords"),
     ("dirac_reduction", "is_regular"), ("orbit_charts", "dexp_apply"),
     ("orbit_charts", "FormField.__init__"), ("orbit_charts", "FormField.__call__"),
-    ("poisson_pencil", "PoissonField.__init__"), ("poisson_pencil", "PoissonField.__call__"),
 ]
 
 
@@ -56,7 +55,7 @@ def test_every_traced_name_resolves(probe):
     assert [f"{module}.{path}" for module, path in names if (module, path) not in found | set(RETIRED)] == []
 
 
-@pytest.mark.parametrize("cls", [orbit_charts.FormField, poisson_pencil.PoissonField])
+@pytest.mark.parametrize("cls", [orbit_charts.FormField])
 def test_memo_fields_take_the_evaluator_first_and_call_it_once_per_stack(cls):
     # The probe counts memo misses by wrapping the first constructor argument;
     # a miss is one evaluator call on a stack not seen before, whole.

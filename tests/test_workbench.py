@@ -124,9 +124,11 @@ def test_custom_algebra_roundtrip():
 
 def test_custom_algebra_bad_entries_rejected(tmp_path, capsys):
     # each entry must be an [re, im] pair of numbers: a bare number, a third number (which would be
-    # dropped) and bools (which would read as 0 and 1) are refused, not cut or parsed
+    # dropped) and bools (which would read as 0 and 1) are refused, not cut or parsed; so are ragged
+    # rows and matrices of unequal size, which no stack holds
     su2 = [wb.encode_complex_matrix(m) for m in families.su_generators(2)]
-    customs = [[[[1.0, 2.0]]]]
+    customs = [[[[1.0, 2.0]]], [[[[0, 0], [1, 0]], [[-1, 0]]]],
+               [[[[0, 1]]], [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]]]]
     for entry in ([0.0, 1.0, 7.0], [False, True]):
         customs.append(json.loads(json.dumps(su2)))
         customs[-1][0][0][0] = entry
