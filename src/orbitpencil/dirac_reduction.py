@@ -45,6 +45,7 @@ from .lie_core import (
     draw_invariant_products,
     fixed_vector_space,
     full_subspace,
+    invariant_product_space,
     kernel,
     kernels,
     normalizer,
@@ -385,19 +386,18 @@ def _action_spans(setup: ReductionSetup, points: np.ndarray, bases: np.ndarray) 
     return spaces
 
 
-def complement_product_independence(setup: ReductionSetup, points: np.ndarray,
-                                    sols: list[np.ndarray], seed: int) -> float:
+def complement_product_independence(setup: ReductionSetup, points: np.ndarray, seed: int) -> float:
     """Canonical complement recomputed from random invariant products.
 
     Returns the largest projector distance, over the points of an (m, 2, n) stack,
     between the action span of the base transversal and of the transversal
-    taken orthogonal with respect to a random h-invariant product drawn from
-    ``sols``, the ``invariant_product_space`` of h, point i taking its
-    product from the stream (seed, "action-products", i); the spans must
-    agree at regular points.
+    taken orthogonal with respect to a random h-invariant product, point i
+    taking its product from the stream (seed, "action-products", i) over the
+    ``invariant_product_space`` of h; the spans must agree at regular points.
     """
     alg = setup.alg
-    prods = draw_invariant_products(alg, setup.isotropy, sols, seed, range(len(points)), "action-products")
+    sols = invariant_product_space(alg, setup.isotropy)
+    prods = draw_invariant_products(alg, setup.isotropy, sols, seed, range(len(points)))
     alts = orthogonal_complements(setup.normalizer, prods)
     base = canonical_complement(setup, points)
     alt = _action_spans(setup, points, np.stack([t.basis for t in alts]))
@@ -429,7 +429,7 @@ def splitting_orthogonality(setup: ReductionSetup, chart: Chart, coords,
 
     ``coords`` is an (m, d) stack of coordinate rows, and ``form_matrices``
     the (m, F, d, d) stack of the forms in the chart frame at each row, such
-    as the members of a pencil; the three returned arrays are (m, F), lead
+    as a pencil's two generators; the three returned arrays are (m, F), lead
     the stratum and trail the complement.
     The stratum is read in chart coordinates (:func:`_stratum_tangent`), and
     the complement's action vectors are lifted into them by one stacked
@@ -614,23 +614,21 @@ def chart_differentials(chart, fns, coords) -> np.ndarray:
 
 
 def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, fns,
-                      coords, params) -> tuple[np.ndarray, np.ndarray]:
-    """Ambient and restricted pencil brackets {f_i, f_j}_t of a list of invariant functions.
+                      coords) -> tuple[np.ndarray, np.ndarray]:
+    """Ambient and restricted brackets {f_i, f_j} of a list of invariant functions under the pencil's generators.
 
     ``fns`` are functions on TO with a ``gradient`` (see
     :func:`invariant_function`); ``coords`` is an (m, d) stack of sub-chart
-    coordinates of regular points; ``params`` is a (P, 2) array of pencil
-    parameters (t1, t2) with t1 + t2 != 0, so both members are invertible.
-    Both bracket matrices are D Pi_t D^T, each side with its own chart's
-    differentials and bivector.
+    coordinates of regular points.  Each bracket matrix is D P D^T, each side
+    with its own chart's differentials D and bivectors P1, P2.  A member's
+    bracket {f, g}_t = t1 {f, g}_1 + t2 {f, g}_2 is linear in (t1, t2) and
+    needs no inverse of that member, so the two generators certify every
+    member, the degenerate ones on t1 + t2 = 0 included.
     Regularity, the differentials of both charts and the bivectors are
-    evaluated once, on the whole stack, and shared by every parameter.
-    Returns the (ambient, restricted) pair of (m, P, k, k) stacks; see
-    :func:`relative_bracket_residual`.
+    evaluated once, on the whole stack.
+    Returns the (ambient, restricted) pair of (m, 2, k, k) stacks, P1 then P2;
+    see :func:`relative_bracket_residual`.
     """
-    t1, t2 = np.asarray(params, dtype=float).T[:, :, None, None]
-    if np.any(np.abs(t1 + t2) < 1e-12):
-        raise DomainError("pencil parameter lies on the degenerate line t1 + t2 = 0")
     s = np.asarray(coords, dtype=float)
     if not np.all(is_regular(setup, data.sub_chart.point(s))):
         raise DomainError("image point is not regular")
@@ -638,7 +636,7 @@ def bracket_agreement(setup: ReductionSetup, data: RestrictedPencilData, fns,
 
     def brackets(chart, pencil, coords):
         d = chart_differentials(chart, fns, coords)[:, None]
-        return d @ (t1 * pencil.p1(coords)[:, None] + t2 * pencil.p2(coords)[:, None]) @ d.mT
+        return d @ np.stack([pencil.p1(coords), pencil.p2(coords)], axis=1) @ d.mT
 
     return brackets(data.ambient_chart, data.ambient, c), brackets(data.sub_chart, data.restricted, s)
 

@@ -465,11 +465,11 @@ def invariant_product_space(alg: LieAlgebra, sub: Subspace) -> list[np.ndarray]:
 
 
 def draw_invariant_products(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarray], seed: int,
-                            indices, stage: str = "invariant-products") -> np.ndarray:
+                            indices) -> np.ndarray:
     """Base product plus a seeded random combination of ``sols``, kept SPD, one per index: a (k, n, n) stack.
 
     ``sols`` is :func:`invariant_product_space` of ``sub``.  Product i takes
-    its weights from the stream (seed, stage, indices[i]), and its
+    its weights from the stream (seed, "action-products", indices[i]), and its
     perturbation is halved until the smallest eigenvalue stays above 0.1
     times the base one, which keeps every sampled product well conditioned.
     Every step runs on the whole stack (one weight draw, one ``eigvalsh``
@@ -477,7 +477,7 @@ def draw_invariant_products(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarra
     its index alone gives.
     """
     n = alg.dim
-    weights = normal_rows(seed, stage, indices, len(sols))
+    weights = normal_rows(seed, "action-products", indices, len(sols))
     perturb = sum(w[:, None, None] * s for w, s in zip(weights.T, sols))
     # np.linalg.norm of one matrix is a dot product, not the pairwise sum of a stacked norm.
     perturb = perturb / np.array([max(1.0, np.linalg.norm(p)) for p in perturb])[:, None, None]
@@ -502,19 +502,3 @@ def draw_invariant_products(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarra
         raise DomainError(f"sampled product lost invariance (residual {inv_res:.2e})")
     return products
 
-
-def complement_independence(alg: LieAlgebra, sub: Subspace, norm: Subspace, sols: list[np.ndarray],
-                            seed: int, trials: int) -> float:
-    """Max Frobenius distance between the projectors onto complement + sub across random invariant products.
-
-    ``norm`` is the normalizer of ``sub`` and ``sols`` its
-    :func:`invariant_product_space`.  For each trial draws two invariant
-    products from ``sols``, takes the complements of ``norm`` with respect
-    to each, and measures how far the sums (complement + sub) differ as
-    subspaces; the complements alone may differ.  All 2 x trials products,
-    complements and sums are one stack.
-    """
-    prods = draw_invariant_products(alg, sub, sols, seed, range(2 * trials))
-    comps = orthogonal_complements(norm, prods)
-    sums = spans(np.stack([np.hstack([comp.basis, sub.basis]) for comp in comps]))
-    return max(projector_distance(a, b) for a, b in zip(sums[0::2], sums[1::2]))

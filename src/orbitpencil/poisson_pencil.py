@@ -77,8 +77,3 @@ def compatibility_residual(p1: FormField, p2: FormField, coords) -> float:
     total = FormField(lambda c: p1(c) + p2(c), p1.dim, partials=lambda c: p1.partials(c) + p2.partials(c))
     return jacobi_residual(total, coords)
 
-
-# Pencil parameters (t1, t2) off the degenerate line t1 + t2 = 0, where both members are invertible;
-# the bracket row compares the ambient and restricted brackets at each.
-OFF_LINE_PARAMETERS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.3, 0.7]])
-

@@ -133,18 +133,18 @@ def test_criterion_04_restricted_pencil(setup_cp2, data_cp2, regular_coords_cp2)
 def test_criterion_05_bracket_agreement(setup_cp2, data_cp2, regular_coords_cp2):
     words = [("v", "v"), ("x", "x", "v", "v"), ("x", "v", "x", "v"), ("v", "v", "v", "v")]
     fns = [dr.invariant_function(setup_cp2.alg, w) for w in words]
-    params = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7)]
     pairs = list(itertools.combinations(fns, 2))
     assert len(pairs) >= 6
     worst = 0.0
-    for t in params:
-        for coords in regular_coords_cp2[:5, None]:
-            # relative residual is the max over every pair i < j of fns
-            ambient, restricted = dr.bracket_agreement(setup_cp2, data_cp2, fns, coords, [t])
-            worst = max(worst, dr.relative_bracket_residual(ambient, restricted))
+    for coords in regular_coords_cp2[:5, None]:
+        # relative residual is the max over every pair i < j of fns and both generators P1, P2,
+        # whose brackets span every member's
+        ambient, restricted = dr.bracket_agreement(setup_cp2, data_cp2, fns, coords)
+        assert ambient.shape == (1, 2, len(fns), len(fns))
+        worst = max(worst, dr.relative_bracket_residual(ambient, restricted))
     ok = worst <= 1e-5
     verdict(5, "ambient and restricted brackets agree on invariant functions",
-            ok, f"max relative residual {worst:.2e} <= 1e-5 over {len(pairs)} pairs x 4 parameters x 5 points")
+            ok, f"max relative residual {worst:.2e} <= 1e-5 over {len(pairs)} pairs x 2 generators x 5 points")
 
 
 def test_criterion_06_splitting_orthogonality(setup_cp2, data_cp2, regular_coords_cp2):
@@ -166,15 +166,14 @@ def test_criterion_06_splitting_orthogonality(setup_cp2, data_cp2, regular_coord
 
 
 def test_criterion_08_complement_independence(su2, setup_cp2, so4, pauli_elements):
-    from test_lie_core import complement_motion
+    from test_lie_core import complement_motion, paired_distance
     subjects = [
         (su2, lc.span(pauli_elements[2][:, None])),
         (setup_cp2.alg, setup_cp2.isotropy),
     ]
     worst_paired = 0.0
     for alg, sub in subjects:
-        paired = lc.complement_independence(alg, sub, lc.normalizer(alg, sub), lc.invariant_product_space(alg, sub),
-                                            seed=5, trials=20)
+        paired = paired_distance(alg, sub, seed=5, trials=20)
         worst_paired = max(worst_paired, paired)
     # witness configuration: a nonabelian subalgebra whose adjoint-type
     # representation also occurs in its complement, so the complements move
@@ -182,8 +181,7 @@ def test_criterion_08_complement_independence(su2, setup_cp2, so4, pauli_element
     order = [i for i, (a, b) in enumerate(
         [(i, j) for i in range(4) for j in range(i + 1, 4)]) if (a, b) in [(0, 1), (0, 2), (1, 2)]]
     block = lc.span(np.column_stack([so4.element_from_matrix(gens[i]) for i in order]))
-    paired = lc.complement_independence(so4, block, lc.normalizer(so4, block),
-                                        lc.invariant_product_space(so4, block), seed=3, trials=20)
+    paired = paired_distance(so4, block, seed=3, trials=20)
     worst_paired = max(worst_paired, paired)
     motion = complement_motion(so4, block, seed=3, trials=20)
     ok = worst_paired <= 1e-8 and motion > 1e-3

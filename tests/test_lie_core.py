@@ -438,15 +438,22 @@ def _draw(alg, sub, seed):
     return lc.draw_invariant_products(alg, sub, lc.invariant_product_space(alg, sub), seed, [0])
 
 
-def _independence(alg, sub, seed):
-    return lc.complement_independence(alg, sub, lc.normalizer(alg, sub), lc.invariant_product_space(alg, sub),
-                                      seed=seed, trials=20)
+def _paired_complements(alg, sub, seed, trials):
+    """Complements of the normalizer of ``sub`` for 2 x trials random invariant products, paired in order."""
+    prods = lc.draw_invariant_products(alg, sub, lc.invariant_product_space(alg, sub), seed, range(2 * trials))
+    return lc.orthogonal_complements(lc.normalizer(alg, sub), prods)
+
+
+def paired_distance(alg, sub, seed, trials=20):
+    """Max projector distance between the sums complement + sub of the product pairs; 0 when they agree."""
+    comps = _paired_complements(alg, sub, seed, trials)
+    sums = lc.spans(np.stack([np.hstack([comp.basis, sub.basis]) for comp in comps]))
+    return max(lc.projector_distance(a, b) for a, b in zip(sums[0::2], sums[1::2]))
 
 
 def complement_motion(alg, sub, seed, trials=20):
-    """Max distance between the complements alone of the product pairs complement_independence draws."""
-    prods = lc.draw_invariant_products(alg, sub, lc.invariant_product_space(alg, sub), seed, range(2 * trials))
-    comps = lc.orthogonal_complements(lc.normalizer(alg, sub), prods)
+    """Max distance between the complements alone of the product pairs paired_distance draws."""
+    comps = _paired_complements(alg, sub, seed, trials)
     return max(lc.projector_distance(a, b) for a, b in zip(comps[0::2], comps[1::2]))
 
 
@@ -479,7 +486,7 @@ def test_complement_independence_same_product_is_zero(su2, pauli_elements):
 def test_complement_independence_su2(su2, pauli_elements):
     _, _, e3 = pauli_elements
     h = lc.span(e3[:, None])
-    assert _independence(su2, h, seed=5) <= 1e-8
+    assert paired_distance(su2, h, seed=5) <= 1e-8
     # here both complements coincide outright (single isotypic block)
     assert complement_motion(su2, h, seed=5) <= 1e-8
 
@@ -502,7 +509,7 @@ def test_complement_rigidity_with_abelian_isotropy(su3, setup_cp2):
     # with an abelian isotropy algebra the normalizer coincides with the
     # full fixed-point subalgebra, and invariant pairings between distinct
     # isotypic components vanish, so the complement cannot move at all
-    assert _independence(su3, setup_cp2.isotropy, seed=11) <= 1e-8
+    assert paired_distance(su3, setup_cp2.isotropy, seed=11) <= 1e-8
     assert complement_motion(su3, setup_cp2.isotropy, seed=11) <= 1e-8
 
 
@@ -512,7 +519,7 @@ def test_complement_independence_witness_on_so4(so4):
     # their sums with the subalgebra agree.
     h = so3_block_subalgebra(so4)
     assert lc.subalgebra_residual(so4, h) <= 1e-12
-    assert _independence(so4, h, seed=3) <= 1e-8
+    assert paired_distance(so4, h, seed=3) <= 1e-8
     assert complement_motion(so4, h, seed=3) > 1e-3
 
 

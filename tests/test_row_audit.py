@@ -298,8 +298,7 @@ _ORBIT_FORM_ROWS = {
 _SETUP_REFUSED = {spec.name: ERRORS for spec in wb.REGISTRY if spec.name != "orbit_splitting"}
 
 # The rows that read the orbit and the setup alone, not the pencil data or a coordinate stack.
-_SETUP_READERS = {"orbit_splitting", "product_complement_independence",
-                  "control_zero_section_isotropy", "transversality", "control_zero_section_transversality",
+_SETUP_READERS = {"orbit_splitting", "control_zero_section_isotropy", "transversality", "control_zero_section_transversality",
                   "slice_isometry"}
 
 # fault -> {row: outcome} for every row that does not pass
@@ -346,20 +345,15 @@ EXPECTED = {
         "splitting_pairing": TRIPS,
         "action_complement_independence": TRIPS,
     },
-    "normalizer_missing_a_direction": {
-        "product_complement_independence": TRIPS,
-        "action_complement_independence": TRIPS,
-    },
+    "normalizer_missing_a_direction": {"action_complement_independence": TRIPS},
     "slice_normal_turned": {"slice_isometry": ERRORS},
     "slice_space_turned": _SETUP_REFUSED,
     "slice_space_widened_to_tangent": {"transversality": TRIPS, "control_zero_section_transversality": TRIPS},
     "slice_steps_first_order": {"slice_isometry": TRIPS},
     # the guard passes, but the pencil data cannot be built at a base point the short isotropy leaves
-    # irregular (DomainError), so every row that reads it errors; the invariant-product solve refuses
-    # the short isotropy too, since it is not bracket-closed
+    # irregular (DomainError), so every row that reads it errors
     "isotropy_missing_a_direction": {
         **{spec.name: ERRORS for spec in wb.REGISTRY if spec.name not in _SETUP_READERS},
-        "product_complement_independence": ERRORS,
         "transversality": TRIPS,
     },
     "centralizer_missing_a_direction": {"control_zero_section_isotropy": TRIPS},

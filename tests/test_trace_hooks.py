@@ -45,6 +45,8 @@ RETIRED = {
     "[stratum | complement] splitting rows certify the same block structure",
     ("poisson_pencil", "degeneracy_profile"): "the four sigma_min sweeps over unit-circle parameters were "
     "deleted: the nilpotency rows certify the pencil's whole Jordan type, N^2 = 0",
+    ("lie_core", "complement_independence"): "its row was deleted: at a regular point the kernel of the "
+    "action map is h, so action_complement_independence certifies complement + h through the action spans",
 }
 
 

@@ -82,6 +82,8 @@ def test_cp2_spectrum_is_centered_and_valid(tmp_path):
         {"tolerances": {}},
         {"bogus_field": 1},
         {"algebra": SU2_CUSTOM},  # diag_spectrum needs a built-in family, whatever the custom name
+        {"algebra": {"family": ["su"], "n": 3}},  # an unhashable family is unknown, not a TypeError
+        {"algebra": {"family": {"x": 1}, "n": 3}},
     ],
 )
 def test_invalid_configs_rejected(tmp_path, capsys, mutation):
@@ -374,7 +376,7 @@ def test_shared_row_data_is_computed_once(monkeypatch):
     report = wb.run_pipeline(wb.config_from_dict(SU2_CONFIG))
     assert report.verdict == "pass"
     # splitting_pairing and splitting_nondegeneracy share one stacked call
-    # over the regular points, which pairs all 5 pencil members at once
+    # over the regular points, which pairs both pencil generators at once
     assert len(splitting) == 1
     # slice_isometry takes one stacked call over all samples
     assert normal_forms == [SU2_CONFIG["samples"]]
@@ -386,7 +388,7 @@ def test_run_builds_each_setup_object_once(monkeypatch):
     from orbitpencil import dirac_reduction as dr
     from orbitpencil import lie_core as lc
 
-    products = _counting(monkeypatch, lc, "invariant_product_space")
+    products = _counting(monkeypatch, dr, "invariant_product_space")
     # reduction_setup calls its own imported name, the lie_core layer the module one
     normalizers = [_counting(monkeypatch, lc, "normalizer"), _counting(monkeypatch, dr, "normalizer")]
     residuals = _counting(monkeypatch, dr, "setup_residuals")
