@@ -47,9 +47,9 @@ def _cmd_verify(args) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = int(args.seed)
+            cfg = cfg._replace(seed=args.seed)
         if args.checks is not None:
-            cfg.checks = [name.strip() for name in args.checks.split(",") if name.strip()]
+            cfg = cfg._replace(checks=[name.strip() for name in args.checks.split(",") if name.strip()])
         report = run_pipeline(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

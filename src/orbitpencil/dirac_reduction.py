@@ -74,6 +74,8 @@ from .seeding import uniform_rows, unit_rows
 
 REGULARITY_TOL = 1e-8
 SLICE_TOL = 1e-8  # residual |[x0, k]^T z| at which slice_normal_form stops
+SLICE_MAX_ITER = 200  # iterations slice_normal_form takes before it raises ConvergenceError
+REGULAR_DRAWS = 400  # candidates sample_regular_coords tries
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +90,7 @@ def stabilizer_within(alg: LieAlgebra, sub: Subspace, xs: np.ndarray) -> list[Su
     return kernels(_lincomb(xs, alg.ad_basis) @ sub.basis)
 
 
-def principal_isotropy(config: OrbitConfig, samples: int = 16, seed: int = 0):
+def principal_isotropy(config: OrbitConfig, samples: int, seed: int):
     """Generic slice seed x0 in m and its stabilizer h inside k.
 
     Draws ``samples`` unit elements of m, keeps the first one whose
@@ -196,7 +198,7 @@ SETUP_TOLERANCES = {
 }
 
 
-def reduction_setup(config: OrbitConfig, samples: int = 16, seed: int = 0) -> ReductionSetup:
+def reduction_setup(config: OrbitConfig, samples: int, seed: int) -> ReductionSetup:
     """Assemble and validate every subspace entering the restriction."""
     alg = config.alg
     x0, iso = principal_isotropy(config, samples=samples, seed=seed)
@@ -250,8 +252,7 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(a, a))
 
 
-def slice_normal_form(setup: ReductionSetup, ys: np.ndarray, max_iter: int = 200,
-                      tol: float = SLICE_TOL) -> tuple[np.ndarray, int]:
+def slice_normal_form(setup: ReductionSetup, ys: np.ndarray) -> tuple[np.ndarray, int]:
     """Rotate each row y of the (m, n) stack ys, in m, into the slice by stabilizer conjugations.
 
     Ascends f = <z, x0> over the orbit of y under the stabilizer K, which
@@ -274,10 +275,10 @@ def slice_normal_form(setup: ReductionSetup, ys: np.ndarray, max_iter: int = 200
 
     All rows share one loop, each with its own step, stop rule and
     iteration count; every product is taken row by row, so a row's normal
-    form and iterations are those it gets as a stack of one.
-    Returns (normalised stack, iterations summed over the rows); raises
-    ConvergenceError when a row finds no acceptable step above 1e-14 or the
-    budget runs out.
+    form and iterations are those it gets as a stack of one.  A row stops
+    once its residual is at most SLICE_TOL.  Returns (normalised stack,
+    iterations summed over the rows); raises ConvergenceError when a row
+    finds no acceptable step above 1e-14 or SLICE_MAX_ITER iterations run out.
     """
     alg = setup.alg
     cfg = setup.config
@@ -297,11 +298,11 @@ def slice_normal_form(setup: ReductionSetup, ys: np.ndarray, max_iter: int = 200
     best = res.copy()
     todo = np.arange(len(z))
     total = 0
-    for it in range(max_iter + 1):
-        todo = todo[res[todo] > tol]
+    for it in range(SLICE_MAX_ITER + 1):
+        todo = todo[res[todo] > SLICE_TOL]
         if not len(todo):
             return z, total
-        if it == max_iter:
+        if it == SLICE_MAX_ITER:
             break
         zt = z[todo]
         grad = _rowwise(zt, grad_map)
@@ -523,26 +524,25 @@ def restricted_pencil(setup: ReductionSetup, base_v: np.ndarray) -> RestrictedPe
     )
 
 
-def sample_regular_coords(setup: ReductionSetup, data: RestrictedPencilData, count: int,
-                          seed: int, stage: str = "regular-points", max_attempts: int = 400) -> np.ndarray:
+def sample_regular_coords(setup: ReductionSetup, data: RestrictedPencilData, count: int, seed: int) -> np.ndarray:
     """Deterministic sub-chart coordinates whose images are regular points, a (count, d) stack.
 
-    Candidate i is the row of the stream (seed, stage, i), uniform in the
-    CHART_SCALE box.  Candidates go in blocks of ``count``, each block one
-    stacked chart evaluation and regularity test, and the first ``count``
-    regular candidates in index order are kept: the ones a loop testing
-    candidate after candidate would accept.  Only the first
-    ``max_attempts`` candidates are tried.
+    Candidate i is the row of the stream (seed, "regular-points", i),
+    uniform in the CHART_SCALE box.  Candidates go in blocks of ``count``,
+    each block one stacked chart evaluation and regularity test, and the
+    first ``count`` regular candidates in index order are kept: the ones a
+    loop testing candidate after candidate would accept.  Only the first
+    REGULAR_DRAWS candidates are tried.
     """
     out = np.empty((0, data.sub_chart.coord_dim))
-    for start in range(0, max_attempts, max(count, 1)):
+    for start in range(0, REGULAR_DRAWS, max(count, 1)):
         if len(out) >= count:
             break
-        block = uniform_rows(seed, stage, range(start, min(start + count, max_attempts)),
+        block = uniform_rows(seed, "regular-points", range(start, min(start + count, REGULAR_DRAWS)),
                              data.sub_chart.coord_dim, CHART_SCALE)
         out = np.concatenate([out, block[is_regular(setup, data.sub_chart.point(block))]])
     if len(out) < count:
-        raise GenericityError(f"could not find {count} regular points in {max_attempts} draws")
+        raise GenericityError(f"could not find {count} regular points in {REGULAR_DRAWS} draws")
     return out[:count]
 
 

@@ -64,24 +64,15 @@ _FAMILY_LIMITS = {"su": (2, 5), "so": (3, 5)}
 # ---------------------------------------------------------------------------
 
 
-class WorkbenchConfig:
-    """The settings of one run; mutable, since the command line overrides ``seed`` and ``checks``."""
+class WorkbenchConfig(NamedTuple):
+    """The settings of one run, an immutable record: the command line overrides ``seed`` and ``checks`` by
+    ``_replace``, and :func:`validate_config` returns the parsed record."""
 
-    __slots__ = ("algebra", "seed_element", "samples", "seed", "checks")
-
-    def __init__(self, algebra: dict, seed_element: dict, samples: int = 10, seed: int = 0, checks: object = "all"):
-        self.algebra, self.seed_element, self.samples = algebra, seed_element, samples
-        self.seed, self.checks = seed, checks
-
-    def resolved(self) -> dict:
-        """Plain representation echoed into reports."""
-        return {
-            "algebra": self.algebra,
-            "seed_element": self.seed_element,
-            "samples": self.samples,
-            "seed": self.seed,
-            "checks": self.checks,
-        }
+    algebra: dict
+    seed_element: dict
+    samples: int = 10
+    seed: int = 0
+    checks: object = "all"
 
 
 def _is_number(value) -> bool:
@@ -127,7 +118,7 @@ def _checks(value):
 
 # Conversion of each field into its WorkbenchConfig value, applied by validate_config to
 # every configuration, read from JSON or built in Python; a parsed value parses unchanged.
-# Fields absent from the JSON take the default of WorkbenchConfig.__init__.
+# Fields absent from the JSON take the defaults of WorkbenchConfig.
 _FIELD_PARSERS = {
     "algebra": lambda v: v,
     "seed_element": lambda v: v,
@@ -146,28 +137,28 @@ def config_from_dict(raw: dict) -> WorkbenchConfig:
     for required in ("algebra", "seed_element"):
         if required not in raw:
             raise ConfigError(f"missing required field '{required}'")
-    cfg = WorkbenchConfig(raw["algebra"], raw["seed_element"])
-    for name, value in raw.items():
-        setattr(cfg, name, value)
-    validate_config(cfg)
-    return cfg
+    return validate_config(WorkbenchConfig(**raw))
 
 
-def validate_config(cfg: WorkbenchConfig) -> None:
-    """Parse every field in place by the JSON reader's rules, then check the values together: a configuration
-    built in Python runs and is echoed as the same one read from JSON.  A refused value raises ConfigError."""
+def validate_config(cfg: WorkbenchConfig) -> WorkbenchConfig:
+    """The record with every field parsed by the JSON reader's rules, after checking the values together: a
+    configuration built in Python runs and is echoed as the same one read from JSON.  A refused value raises
+    ConfigError; ``cfg`` itself is left as it is."""
+    parsed = {}
     for name, parse in _FIELD_PARSERS.items():
         try:
-            setattr(cfg, name, parse(getattr(cfg, name)))
+            parsed[name] = parse(getattr(cfg, name))
         except (TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ConfigError(f"malformed value for '{name}': {exc}") from exc
+    cfg = cfg._replace(**parsed)
     # The report echoes the configuration as JSON, which has no NaN, no infinity and no numpy array.
     try:
-        json.dumps(cfg.resolved(), allow_nan=False)
+        json.dumps(cfg._asdict(), allow_nan=False)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"configuration holds a value a JSON report cannot echo: {exc}") from exc
-    if cfg.samples < 8:
-        raise ConfigError("samples must be at least 8")
+    # sample_regular_coords tries REGULAR_DRAWS candidates, so no run can keep more regular points.
+    if not 8 <= cfg.samples <= dr.REGULAR_DRAWS:
+        raise ConfigError(f"samples must be between 8 and {dr.REGULAR_DRAWS}")
     if cfg.seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     alg_spec = cfg.algebra
@@ -216,6 +207,7 @@ def validate_config(cfg: WorkbenchConfig) -> None:
         unknown = set(cfg.checks) - names
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
+    return cfg
 
 
 def load_config(path) -> WorkbenchConfig:
@@ -307,7 +299,7 @@ def prepare_context(cfg: WorkbenchConfig) -> PipelineContext:
         ctx.data = dr.restricted_pencil(ctx.setup, ctx.setup.x0)
         ctx.ambient_coords = uniform_rows(cfg.seed, "ambient-points", range(cfg.samples),
                                           ctx.data.ambient_chart.coord_dim, oc.CHART_SCALE)
-        ctx.regular_coords = dr.sample_regular_coords(ctx.setup, ctx.data, cfg.samples, seed=cfg.seed)
+        ctx.regular_coords = dr.sample_regular_coords(ctx.setup, ctx.data, cfg.samples, cfg.seed)
     except WorkbenchError as exc:
         ctx.failure = exc
     return ctx
@@ -661,14 +653,14 @@ def _finite(value) -> float:
 
 
 def run_pipeline(cfg: WorkbenchConfig) -> ReductionReport:
-    """Run every selected check, each on its own, and assemble the report.
+    """Run every selected check, each on its own, on the parsed record, and assemble the report.
 
     Raises ConfigError for invalid configurations.  A row that raises,
     itself or by reading a stage object whose build failed, becomes one
     entry of the report's ``errors`` and fails the run; the other rows
     still run.
     """
-    validate_config(cfg)
+    cfg = validate_config(cfg)
     selected = set(s.name for s in REGISTRY) if cfg.checks == "all" else set(cfg.checks)
     t0 = time.perf_counter()
     ctx = prepare_context(cfg)
@@ -692,7 +684,7 @@ def run_pipeline(cfg: WorkbenchConfig) -> ReductionReport:
     except WorkbenchError:  # the setup itself failed
         dims, reduction = {}, "unknown"
     return ReductionReport(
-        config=cfg.resolved(),
+        config=cfg._asdict(),
         dims=dims,
         reduction=reduction,
         checks=[r for s, r in finished if s.kind == "check"],

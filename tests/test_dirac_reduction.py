@@ -99,7 +99,7 @@ def test_slice_normal_form_batch_cp2(setup_cp2):
     config = setup_cp2.config
     moved = lc.span(setup_cp2.alg.ad(setup_cp2.x0) @ config.stabilizer.basis)
     for y in unit_rows(99, "slice-batch", range(50), config.tangent.dim) @ config.tangent.basis.T:
-        [z], iterations = dr.slice_normal_form(setup_cp2, y[None], max_iter=200, tol=1e-8)
+        [z], iterations = dr.slice_normal_form(setup_cp2, y[None])
         assert iterations <= 200
         assert np.linalg.norm(moved.basis.T @ z) <= 1e-8
         assert abs(np.linalg.norm(z) - 1.0) <= 1e-10
@@ -533,12 +533,14 @@ def test_restricted_forms_match_intrinsic_suborbit_forms(setup_cp2, data_cp2):
         assert np.max(np.abs(w2_intrinsic - data_cp2.restricted.w2(coords))) <= 1e-9
 
 
-def test_slice_normal_form_iteration_budget(setup_cp2):
+def test_slice_normal_form_iteration_budget(monkeypatch, setup_cp2):
     from orbitpencil.errors import ConvergenceError
 
+    monkeypatch.setattr(dr, "SLICE_MAX_ITER", 1)
+    monkeypatch.setattr(dr, "SLICE_TOL", 1e-14)
     y = setup_cp2.config.tangent.basis @ unit_rows(4, "iteration-budget", [0], setup_cp2.config.tangent.dim)[0]
     with pytest.raises(ConvergenceError) as info:
-        dr.slice_normal_form(setup_cp2, y[None], max_iter=1, tol=1e-14)
+        dr.slice_normal_form(setup_cp2, y[None])
     assert info.value.best_residual is not None
 
 

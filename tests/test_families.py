@@ -67,9 +67,10 @@ def test_principal_isotropy_needs_enough_samples(setup_su2):
         dr.principal_isotropy(setup_su2.config, samples=4, seed=0)
 
 
-def test_sample_regular_coords_exhaustion(setup_cp2, data_cp2):
+def test_sample_regular_coords_exhaustion(monkeypatch, setup_cp2, data_cp2):
+    monkeypatch.setattr(dr, "REGULAR_DRAWS", 2)
     with pytest.raises(GenericityError):
-        dr.sample_regular_coords(setup_cp2, data_cp2, count=5, seed=0, max_attempts=2)
+        dr.sample_regular_coords(setup_cp2, data_cp2, count=5, seed=0)
 
 
 def test_so4_isoclinic_configuration_has_nonabelian_isotropy():

@@ -363,11 +363,12 @@ def test_sample_regular_coords_accepts_what_the_one_at_a_time_loop_accepts(monke
     assert len(got) == 6 and all(np.array_equal(a, b) for a, b in zip(got, want))
     assert set(tested) == {6}
     assert (len(tested) > 1) == reject_half  # one block of six, unless half the candidates are rejected
-    if reject_half:  # the last block stops at max_attempts
+    if reject_half:  # the last block stops at REGULAR_DRAWS
+        monkeypatch.setattr(dr, "REGULAR_DRAWS", 7)
         with pytest.raises(GenericityError):
             _one_candidate_at_a_time(setup_cp2, data, 6, seed=4, max_attempts=7)
         with pytest.raises(GenericityError):
-            dr.sample_regular_coords(setup_cp2, data, 6, seed=4, max_attempts=7)
+            dr.sample_regular_coords(setup_cp2, data, 6, seed=4)
         assert tested[-1] == 1
 
 

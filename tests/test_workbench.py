@@ -84,6 +84,9 @@ def test_cp2_spectrum_is_centered_and_valid(tmp_path):
         {"algebra": SU2_CUSTOM},  # diag_spectrum needs a built-in family, whatever the custom name
         {"algebra": {"family": ["su"], "n": 3}},  # an unhashable family is unknown, not a TypeError
         {"algebra": {"family": {"x": 1}, "n": 3}},
+        # more than the REGULAR_DRAWS candidates sample_regular_coords tries: no run could keep that many
+        {"samples": 401},
+        {"samples": 10**8},
     ],
 )
 def test_invalid_configs_rejected(tmp_path, capsys, mutation):
@@ -98,9 +101,15 @@ def test_invalid_configs_rejected(tmp_path, capsys, mutation):
 
 
 def test_config_fields_are_one_list():
-    # the record, the parsers and the report's echo name the same fields, in the same order
-    cfg = wb.WorkbenchConfig(SU2_CONFIG["algebra"], SU2_CONFIG["seed_element"])
-    assert list(wb.WorkbenchConfig.__slots__) == list(wb._FIELD_PARSERS) == list(cfg.resolved())
+    # the record and the parsers name the same fields, in the same order; the report echoes the record's
+    assert list(wb._FIELD_PARSERS) == list(wb.WorkbenchConfig._fields)
+
+
+def test_the_largest_samples_value_runs():
+    # samples is bounded by the candidates sample_regular_coords tries, and su(2) finds that many regular points
+    report = wb.run_pipeline(wb.config_from_dict(dict(SU2_CONFIG, samples=wb.dr.REGULAR_DRAWS)))
+    assert report.config["samples"] == 400
+    assert report.verdict == "pass" and not report.errors
 
 
 def test_malformed_json_rejected(tmp_path):
@@ -493,7 +502,7 @@ def test_slice_normal_form_iterations_on_su3_regular():
         ctx = wb.prepare_context(wb.config_from_dict(dict(base, seed=seed)))
         tangent = ctx.orbit.tangent
         for y in unit_rows(seed, "slice-normalization", range(ctx.samples), tangent.dim) @ tangent.basis.T:
-            worst = max(worst, dr.slice_normal_form(ctx.setup, y[None], max_iter=200, tol=1e-8)[1])
+            worst = max(worst, dr.slice_normal_form(ctx.setup, y[None])[1])
     assert worst <= 30
 
 
@@ -721,9 +730,10 @@ def test_a_python_built_config_reports_as_its_json(tmp_path):
     # a tuple of check names is kept as the list JSON parsing makes of it
     fields = dict(SU2_CONFIG, checks=("orbit_splitting", "slice_isometry"))
     cfg = wb.WorkbenchConfig(**fields)
-    built = wb.run_pipeline(cfg).to_json()
-    assert built == wb.run_pipeline(wb.load_config(write_config(tmp_path, fields))).to_json()
-    assert cfg.checks == ["orbit_splitting", "slice_isometry"]
+    built = wb.run_pipeline(cfg)
+    assert built.to_json() == wb.run_pipeline(wb.load_config(write_config(tmp_path, fields))).to_json()
+    assert cfg.checks == ("orbit_splitting", "slice_isometry")  # run_pipeline leaves the caller's record as it is
+    assert built.config["checks"] == ["orbit_splitting", "slice_isometry"]
 
 
 @pytest.mark.parametrize(
