@@ -40,10 +40,9 @@ class SetupError(WorkbenchError):
 class ConvergenceError(WorkbenchError):
     """An iteration hit its step limit before reaching the requested residual."""
 
-    def __init__(self, message, best_residual=None, iterations=None):
+    def __init__(self, message, best_residual=None):
         super().__init__(message)
         self.best_residual = best_residual
-        self.iterations = iterations
 
 
 class ConfigError(WorkbenchError, ValueError):

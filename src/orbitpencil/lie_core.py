@@ -470,32 +470,21 @@ def draw_invariant_products(alg: LieAlgebra, sub: Subspace, sols: list[np.ndarra
 
     ``sols`` is :func:`invariant_product_space` of ``sub``.  Product i takes
     its weights from the stream (seed, "action-products", indices[i]), and its
-    perturbation is halved until the smallest eigenvalue stays above 0.1
-    times the base one, which keeps every sampled product well conditioned.
-    Every step runs on the whole stack (one weight draw, one ``eigvalsh``
-    per halving round, one invariance check), and each product is the one
-    its index alone gives.
+    perturbation p, scaled to Frobenius norm at most 1, is halved once when
+    the smallest eigenvalue of I + p is not above 0.1 times the base one:
+    |p|_2 <= 1, so I + p/2 has every eigenvalue >= 1/2, which keeps every
+    sampled product well conditioned.  Every step runs on the whole stack
+    (one weight draw, one ``eigvalsh``, one invariance check), and each
+    product is the one its index alone gives.
     """
     n = alg.dim
     weights = normal_rows(seed, "action-products", indices, len(sols))
     perturb = sum(w[:, None, None] * s for w, s in zip(weights.T, sols))
     # np.linalg.norm of one matrix is a dot product, not the pairwise sum of a stacked norm.
     perturb = perturb / np.array([max(1.0, np.linalg.norm(p)) for p in perturb])[:, None, None]
-
-    scale = np.ones(len(perturb))
-    products = np.empty_like(perturb)
-    todo = np.arange(len(perturb))
-    floor = 0.1  # 0.1 x the smallest eigenvalue of the base product (identity)
-    for _ in range(80):
-        candidate = np.eye(n) + scale[todo, None, None] * perturb[todo]
-        done = np.min(np.linalg.eigvalsh(candidate), axis=-1) > floor
-        products[todo[done]] = candidate[done]
-        todo = todo[~done]
-        if not len(todo):
-            break
-        scale[todo] *= 0.5
-    else:  # pragma: no cover - the base product is an interior point
-        products[todo] = np.eye(n)
+    # 0.1 x the smallest eigenvalue of the base product (identity)
+    halve = np.min(np.linalg.eigvalsh(np.eye(n) + perturb), axis=-1) <= 0.1
+    products = np.eye(n) + np.where(halve, 0.5, 1.0)[:, None, None] * perturb
 
     inv_res = product_invariance_residual(alg, sub, products)
     if inv_res > 1e-10:

@@ -66,6 +66,7 @@ from .errors import (
     InputError,
 )
 from .lie_core import RANK_RTOL, LieAlgebra, Subspace, _lincomb, _rowwise, kernel, projector_distance, span
+from .seeding import uniform_rows
 
 FD_STEP = 1e-4  # step of the outer central differences, the closedness and Jacobi residuals
 CHART_BOX = 0.5  # validity box of chart coordinates, |c| <= CHART_BOX
@@ -284,6 +285,10 @@ class Chart:
     @property
     def coord_dim(self) -> int:
         return 2 * self.frame.shape[1]
+
+    def sample(self, seed: int, label: str, count: int) -> np.ndarray:
+        """Rows 0..count-1 of the stream (seed, label), a (count, coord_dim) stack uniform in the CHART_SCALE box."""
+        return uniform_rows(seed, label, range(count), self.coord_dim, CHART_SCALE)
 
     def _coords(self, coords) -> np.ndarray:
         c = np.asarray(coords, dtype=float)

@@ -54,9 +54,10 @@ from . import lie_core as lc
 from . import orbit_charts as oc
 from . import poisson_pencil as pp
 from .errors import ConfigError, DomainError, WorkbenchError
-from .seeding import uniform_rows, unit_rows
+from .seeding import unit_rows
 
 _FAMILY_LIMITS = {"su": (2, 5), "so": (3, 5)}
+MAX_SAMPLES = 400  # memory grows with samples: about 4 MB per sample on su(5)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +157,8 @@ def validate_config(cfg: WorkbenchConfig) -> WorkbenchConfig:
         json.dumps(cfg._asdict(), allow_nan=False)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"configuration holds a value a JSON report cannot echo: {exc}") from exc
-    # sample_regular_coords tries REGULAR_DRAWS candidates, so no run can keep more regular points.
-    if not 8 <= cfg.samples <= dr.REGULAR_DRAWS:
-        raise ConfigError(f"samples must be between 8 and {dr.REGULAR_DRAWS}")
+    if not 8 <= cfg.samples <= MAX_SAMPLES:
+        raise ConfigError(f"samples must be between 8 and {MAX_SAMPLES}")
     if cfg.seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     alg_spec = cfg.algebra
@@ -276,14 +276,6 @@ class PipelineContext:
             self._shared[compute] = compute(self)
         return self._shared[compute]
 
-    @property
-    def samples(self) -> int:
-        return self.config.samples
-
-    @property
-    def seed(self) -> int:
-        return self.config.seed
-
 
 def prepare_context(cfg: WorkbenchConfig) -> PipelineContext:
     """Build the stage objects in order; the first WorkbenchError stops the builds and is kept as ``failure``."""
@@ -297,8 +289,7 @@ def prepare_context(cfg: WorkbenchConfig) -> PipelineContext:
     try:
         ctx.setup = dr.reduction_setup(orbit, samples=cfg.samples, seed=cfg.seed)
         ctx.data = dr.restricted_pencil(ctx.setup, ctx.setup.x0)
-        ctx.ambient_coords = uniform_rows(cfg.seed, "ambient-points", range(cfg.samples),
-                                          ctx.data.ambient_chart.coord_dim, oc.CHART_SCALE)
+        ctx.ambient_coords = ctx.data.ambient_chart.sample(cfg.seed, "ambient-points", cfg.samples)
         ctx.regular_coords = dr.sample_regular_coords(ctx.setup, ctx.data, cfg.samples, cfg.seed)
     except WorkbenchError as exc:
         ctx.failure = exc
@@ -354,20 +345,21 @@ def _orbit_splitting(ctx):
 
 def _exactness(chart, seed, label, count):
     """Max |pushforward - central differences of the point| over ``count`` sampled coordinates."""
-    coords = uniform_rows(seed, label, range(count), chart.coord_dim, oc.CHART_SCALE)
+    coords = chart.sample(seed, label, count)
     fd = oc.central_partials(lambda c: chart.point(c).reshape(len(c), -1), coords, 1e-5)
     return float(np.max(np.abs(chart.pushforward(coords) - fd.mT)))
 
 
 def _chart_exactness(ctx):
     # Each chart a row reads: the ambient chart and the sub chart of the restricted rows.
-    return max(_exactness(ctx.data.ambient_chart, ctx.seed, "chart-exactness", min(ctx.samples, 10)),
-               _exactness(ctx.data.sub_chart, ctx.seed, "sub-chart-exactness", min(ctx.samples, 3)))
+    cfg = ctx.config
+    return max(_exactness(ctx.data.ambient_chart, cfg.seed, "chart-exactness", min(cfg.samples, 10)),
+               _exactness(ctx.data.sub_chart, cfg.seed, "sub-chart-exactness", min(cfg.samples, 3)))
 
 
 def _spectrum_preservation(ctx):
     chart = ctx.data.ambient_chart
-    coords = uniform_rows(ctx.seed, "spectrum-points", range(100), chart.coord_dim, oc.CHART_SCALE)
+    coords = chart.sample(ctx.config.seed, "spectrum-points", 100)
     return float(max(np.max(err) for err in oc.point_residuals(ctx.orbit, chart.point(coords))))
 
 
@@ -432,7 +424,7 @@ def _form_invariance(ctx):
     moved orbit record, base offset and frame, which maps each coordinate to R of its point, since
     Ad(g) Ad(e^xi) y = Ad(e^{Ad(g) xi}) Ad(g) y."""
     chart, orbit = ctx.data.ambient_chart, ctx.orbit
-    zetas = 0.3 * unit_rows(ctx.seed, "form-invariance", range(3), ctx.alg.dim)
+    zetas = 0.3 * unit_rows(ctx.config.seed, "form-invariance", range(3), ctx.alg.dim)
     w1, w2 = ctx.data.ambient.w1(ctx.ambient_coords), ctx.data.ambient.w2(ctx.ambient_coords)
     worst = 0.0
     for i, rot in enumerate(oc.exp_ad(ctx.alg, zetas)):
@@ -508,7 +500,7 @@ def _splitting_nondegeneracy(ctx):
 
 def _action_complement_independence(ctx):
     points = ctx.data.sub_chart.point(ctx.regular_coords)[:3]
-    return dr.complement_product_independence(ctx.setup, points, ctx.seed)
+    return dr.complement_product_independence(ctx.setup, points, ctx.config.seed)
 
 
 _BRACKET_WORDS = [("v", "v"), ("x", "x", "v", "v"), ("x", "v", "x", "v"), ("v", "v", "v", "v")]
@@ -523,7 +515,7 @@ def _bracket_agreement(ctx):
 def _invariant_function_invariance(ctx):
     fns = [dr.invariant_function(ctx.alg, w) for w in _BRACKET_WORDS]
     point = ctx.data.sub_chart.point(ctx.regular_coords)[:1]
-    rots = oc.exp_ad(ctx.alg, unit_rows(ctx.seed, "function-invariance", range(20), ctx.alg.dim))
+    rots = oc.exp_ad(ctx.alg, unit_rows(ctx.config.seed, "function-invariance", range(20), ctx.alg.dim))
     # x and v are rotated one vector at a time: a product over an (n, 2) block may round differently
     moved = np.stack([rots @ point[0, 0], rots @ point[0, 1]], axis=1)
     return max(float(np.max(np.abs(f(moved) - f(point)))) for f in fns)
@@ -539,8 +531,8 @@ def _control_zero_section_isotropy(ctx):
 
 
 def _transversality(ctx):
-    slice_basis = ctx.setup.slice_space.basis
-    ys = unit_rows(ctx.seed, "slice-points", range(min(ctx.samples, 5)), slice_basis.shape[1]) @ slice_basis.T
+    cfg, slice_basis = ctx.config, ctx.setup.slice_space.basis
+    ys = unit_rows(cfg.seed, "slice-points", range(min(cfg.samples, 5)), slice_basis.shape[1]) @ slice_basis.T
     points = np.stack([np.broadcast_to(ctx.orbit.seed, ys.shape), ys], axis=1)
     regular = dr.is_regular(ctx.setup, points)
     if not np.any(regular):
@@ -557,7 +549,7 @@ def _control_zero_section_transversality(ctx):
 def _slice_isometry(ctx):
     # random unit tangent vectors y against their slice normal forms z, normalised as one stack
     tangent = ctx.orbit.tangent
-    ys = unit_rows(ctx.seed, "slice-normalization", range(ctx.samples), tangent.dim) @ tangent.basis.T
+    ys = unit_rows(ctx.config.seed, "slice-normalization", range(ctx.config.samples), tangent.dim) @ tangent.basis.T
     zs = dr.slice_normal_form(ctx.setup, ys)[0]
     return max(abs(np.linalg.norm(z) - np.linalg.norm(y)) for y, z in zip(ys, zs))
 

@@ -67,9 +67,11 @@ def test_principal_isotropy_needs_enough_samples(setup_su2):
         dr.principal_isotropy(setup_su2.config, samples=4, seed=0)
 
 
-def test_sample_regular_coords_exhaustion(monkeypatch, setup_cp2, data_cp2):
-    monkeypatch.setattr(dr, "REGULAR_DRAWS", 2)
-    with pytest.raises(GenericityError):
+def test_sample_regular_coords_refuses_an_irregular_row(monkeypatch, setup_cp2, data_cp2):
+    # the stack is drawn once: an irregular row is an error, not a reason to draw more
+    regular = dr.is_regular
+    monkeypatch.setattr(dr, "is_regular", lambda setup, points: regular(setup, points) & (np.arange(len(points)) != 3))
+    with pytest.raises(GenericityError, match="1 of 5 sampled"):
         dr.sample_regular_coords(setup_cp2, data_cp2, count=5, seed=0)
 
 

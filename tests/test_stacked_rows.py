@@ -19,7 +19,7 @@ from orbitpencil import orbit_charts as oc
 from orbitpencil import poisson_pencil as pp
 from orbitpencil import workbench as wb
 from orbitpencil.errors import GenericityError, InputError
-from orbitpencil.seeding import uniform_rows, unit_rows
+from orbitpencil.seeding import normal_rows, uniform_rows, unit_rows
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -81,6 +81,35 @@ def test_stacked_draws_are_the_single_draws(setup_cp3):
     stacked = lc.draw_invariant_products(alg, sub, sols, 5, indices)
     assert np.array_equal(stacked, np.stack([lc.draw_invariant_products(alg, sub, sols, 5, [i])[0]
                                              for i in indices]))
+
+
+def _halving_rounds(alg, sols, seed, indices):
+    # reference: the loop that halved each perturbation until the smallest eigenvalue stayed above 0.1
+    perturb = sum(w[:, None, None] * s for w, s in zip(normal_rows(seed, "action-products", indices, len(sols)).T, sols))
+    perturb = perturb / np.array([max(1.0, np.linalg.norm(p)) for p in perturb])[:, None, None]
+    scale, products, todo = np.ones(len(perturb)), np.empty_like(perturb), np.arange(len(perturb))
+    for _ in range(80):
+        candidate = np.eye(alg.dim) + scale[todo, None, None] * perturb[todo]
+        done = np.min(np.linalg.eigvalsh(candidate), axis=-1) > 0.1
+        products[todo[done]] = candidate[done]
+        todo = todo[~done]
+        if not len(todo):
+            return products, scale
+        scale[todo] *= 0.5
+    raise AssertionError("80 halvings did not bring the product above the floor")
+
+
+@pytest.mark.parametrize("seed, halved", [(7, 1), (8, 2)])
+def test_one_halving_is_the_halving_loop(seed, halved):
+    # with no invariance constraint every symmetric matrix is a direction, and some products halve
+    alg = families.su(2)
+    sub = lc.zero_subspace(alg.dim)
+    sols = lc.invariant_product_space(alg, sub)
+    want, scale = _halving_rounds(alg, sols, seed, range(3))
+    got = lc.draw_invariant_products(alg, sub, sols, seed, range(3))
+    assert np.array_equal(got, want)
+    assert np.count_nonzero(scale < 1) == halved and set(scale) <= {0.5, 1.0}
+    assert np.all(np.linalg.eigvalsh(got[scale < 1])[:, 0] >= 0.5)
 
 
 @pytest.mark.parametrize("family, n, spectrum", [("su", 2, [1, -1]), ("su", 3, [2, -1, -1]), ("so", 4, [1.0, 1.0])])
@@ -336,11 +365,11 @@ def test_each_outer_derivative_row_calls_each_evaluator_at_most_once(monkeypatch
             assert max(per_field.values()) <= 1, spec.name
 
 
-def _one_candidate_at_a_time(setup, data, count, seed, max_attempts=400):
-    # reference: the loop that drew and tested one candidate per step
+def _one_candidate_at_a_time(setup, data, count, seed):
+    # reference: the loop that drew and tested one candidate per step, among the first 400
     out, attempt = [], 0
     while len(out) < count:
-        if attempt >= max_attempts:
+        if attempt >= 400:
             raise GenericityError("exhausted")
         coords = uniform_rows(seed, "regular-points", [attempt], data.sub_chart.coord_dim, 0.1)
         attempt += 1
@@ -349,27 +378,15 @@ def _one_candidate_at_a_time(setup, data, count, seed, max_attempts=400):
     return out
 
 
-@pytest.mark.parametrize("reject_half", [False, True])
-def test_sample_regular_coords_accepts_what_the_one_at_a_time_loop_accepts(monkeypatch, setup_cp2, reject_half):
+def test_sample_regular_coords_accepts_what_the_one_at_a_time_loop_accepts(monkeypatch, setup_cp2):
     data = _fresh(setup_cp2)
-    if reject_half:  # a forced rejection: every point whose first v entry is positive counts as singular
-        regular = dr.is_regular
-        monkeypatch.setattr(dr, "is_regular", lambda setup, points: regular(setup, points) & (points[:, 1, 0] <= 0))
     want = _one_candidate_at_a_time(setup_cp2, data, 6, seed=4)
     tested = []
     is_regular = dr.is_regular
     monkeypatch.setattr(dr, "is_regular", lambda setup, points: tested.append(len(points)) or is_regular(setup, points))
     got = dr.sample_regular_coords(setup_cp2, data, 6, seed=4)
     assert len(got) == 6 and all(np.array_equal(a, b) for a, b in zip(got, want))
-    assert set(tested) == {6}
-    assert (len(tested) > 1) == reject_half  # one block of six, unless half the candidates are rejected
-    if reject_half:  # the last block stops at REGULAR_DRAWS
-        monkeypatch.setattr(dr, "REGULAR_DRAWS", 7)
-        with pytest.raises(GenericityError):
-            _one_candidate_at_a_time(setup_cp2, data, 6, seed=4, max_attempts=7)
-        with pytest.raises(GenericityError):
-            dr.sample_regular_coords(setup_cp2, data, 6, seed=4)
-        assert tested[-1] == 1
+    assert tested == [6]  # one regularity call on the whole stack
 
 
 def _lstsq_splitting(setup, chart, coords, forms):

@@ -84,7 +84,7 @@ def test_cp2_spectrum_is_centered_and_valid(tmp_path):
         {"algebra": SU2_CUSTOM},  # diag_spectrum needs a built-in family, whatever the custom name
         {"algebra": {"family": ["su"], "n": 3}},  # an unhashable family is unknown, not a TypeError
         {"algebra": {"family": {"x": 1}, "n": 3}},
-        # more than the REGULAR_DRAWS candidates sample_regular_coords tries: no run could keep that many
+        # more than MAX_SAMPLES, which bounds a run's memory
         {"samples": 401},
         {"samples": 10**8},
     ],
@@ -106,8 +106,8 @@ def test_config_fields_are_one_list():
 
 
 def test_the_largest_samples_value_runs():
-    # samples is bounded by the candidates sample_regular_coords tries, and su(2) finds that many regular points
-    report = wb.run_pipeline(wb.config_from_dict(dict(SU2_CONFIG, samples=wb.dr.REGULAR_DRAWS)))
+    # samples is bounded by MAX_SAMPLES, and su(2) draws that many regular points
+    report = wb.run_pipeline(wb.config_from_dict(dict(SU2_CONFIG, samples=wb.MAX_SAMPLES)))
     assert report.config["samples"] == 400
     assert report.verdict == "pass" and not report.errors
 
@@ -501,7 +501,7 @@ def test_slice_normal_form_iterations_on_su3_regular():
     for seed in range(20):
         ctx = wb.prepare_context(wb.config_from_dict(dict(base, seed=seed)))
         tangent = ctx.orbit.tangent
-        for y in unit_rows(seed, "slice-normalization", range(ctx.samples), tangent.dim) @ tangent.basis.T:
+        for y in unit_rows(seed, "slice-normalization", range(ctx.config.samples), tangent.dim) @ tangent.basis.T:
             worst = max(worst, dr.slice_normal_form(ctx.setup, y[None])[1])
     assert worst <= 30
 
