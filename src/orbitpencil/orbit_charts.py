@@ -330,14 +330,20 @@ class Chart:
         alg = self.config.alg
         n, k = alg.dim, len(c)
         big, trans = dexp_apply(alg, _rowwise(c[:, :f], self.frame.T), self.frame_matrices)
-        # The (x, v, lift) rows of each column before big.  Conjugation column i is
-        # big @ [t_i, z] = -big @ ad(z) t_i for z = x, v, its lift -big @ t_i; fiber column i is big @ (0, m_i, 0).
-        trans = trans[:, None].mT
-        blocks = np.zeros((k, 3, n, 2 * f))
-        blocks[:, :2, :, :f] = -(_lincomb(self._fiber_line(c[:, f:]), alg.ad_basis) @ trans)
-        blocks[:, 2:, :, :f] = -trans
-        blocks[:, 1, :, f:] = self.frame
-        push = (big[:, None] @ blocks).reshape(k, 3 * n, self.coord_dim)
+        # The (x, v, lift) row blocks of each column.  Conjugation column i is big @ [t_i, z] =
+        # -big @ ad(z) t_i for z = x, v, its lift -big @ t_i; fiber column i is big @ (0, m_i, 0).
+        # Each nonzero block is one matmul with big, written in place: a matmul's columns do not
+        # depend on its other columns, so no zero block is multiplied.  Before big, x is the
+        # seed on every row (see _fiber_line), so ad(x) is one matrix.
+        trans = trans.mT
+        v = self.base_v + _rowwise(c[:, f:], self.frame.T)
+        push = np.zeros((k, 3, n, 2 * f))
+        np.matmul(big, -(_lincomb(self.config.seed, alg.ad_basis) @ trans), out=push[:, 0, :, :f])
+        np.matmul(big, -(_lincomb(v, alg.ad_basis) @ trans), out=push[:, 1, :, :f])
+        np.matmul(big, self.frame, out=push[:, 1, :, f:])
+        np.matmul(big, -trans, out=push[:, 2, :, :f])
+        del big, trans  # so that the rank guard's temporaries do not stack on them
+        push = push.reshape(k, 3 * n, self.coord_dim)
         _certify_rank(push[:, :2 * n], 2 * self.coord_dim)
         return push
 

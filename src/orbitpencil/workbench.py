@@ -57,7 +57,7 @@ from .errors import ConfigError, DomainError, WorkbenchError
 from .seeding import unit_rows
 
 _FAMILY_LIMITS = {"su": (2, 5), "so": (3, 5)}
-MAX_SAMPLES = 400  # memory grows with samples: about 4 MB per sample on su(5)
+MAX_SAMPLES = 400  # memory grows with samples: about 3 MB per sample on su(5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The package's records: plain NamedTuples and classes, no dataclass code generation at import.
 
 A ``@dataclass`` decoration generates and compiles its methods when the
-module is imported, which every ``workbench verify`` process pays again.
+module is imported, which every ``workbench verify`` process pays again;
+so does a module the command line front end imports, such as argparse.
 The records below keep the semantics the dataclasses gave them: frozen
 records refuse assignment and validated records keep their checks.
 """
@@ -9,7 +10,11 @@ records refuse assignment and validated records keep their checks.
 import dataclasses
 import importlib
 import inspect
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +35,17 @@ def test_check_spec_is_the_only_dataclass():
         "each @dataclass decoration costs about 1 ms of import in every verify process "
         "(a typing.NamedTuple about 0.15 ms); use a NamedTuple or a __slots__ class for "
         + ", ".join(name for name in found if name != "orbitpencil.workbench.CheckSpec"))
+
+
+def test_cli_import_loads_neither_argparse_nor_locale():
+    # a fresh interpreter, so modules imported by other tests do not count
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = "import sys, orbitpencil.cli\nprint(sorted({'argparse', 'locale'} & set(sys.modules)))\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # argparse, with the gettext lookups that load locale, costs every verify about 0.4 MB resident
+    assert done.stdout.split() == ["[]"]
 
 
 def test_frozen_records_refuse_assignment(setup_su2):

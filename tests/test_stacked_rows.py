@@ -112,6 +112,28 @@ def test_one_halving_is_the_halving_loop(seed, halved):
     assert np.all(np.linalg.eigvalsh(got[scale < 1])[:, 0] >= 0.5)
 
 
+def _padded_pushforward(chart, c):
+    # reference: the assembly that multiplied big into a zero-padded (k, 3, n, 2f) stack of blocks
+    f, alg = chart.frame_dim, chart.config.alg
+    n, k = alg.dim, len(c)
+    big, trans = oc.dexp_apply(alg, lc._rowwise(c[:, :f], chart.frame.T), chart.frame_matrices)
+    trans = trans[:, None].mT
+    blocks = np.zeros((k, 3, n, 2 * f))
+    blocks[:, :2, :, :f] = -(lc._lincomb(chart._fiber_line(c[:, f:]), alg.ad_basis) @ trans)
+    blocks[:, 2:, :, :f] = -trans
+    blocks[:, 1, :, f:] = chart.frame
+    return (big[:, None] @ blocks).reshape(k, 3 * n, chart.coord_dim)
+
+
+@pytest.mark.parametrize("case", ["cp2", "cp3", "su5"])
+@pytest.mark.parametrize("which", ["ambient_chart", "sub_chart"])
+def test_pushforward_blocks_are_the_padded_assembly(request, case, which):
+    chart = getattr(request.getfixturevalue(f"data_{case}"), which)
+    stencils = []
+    oc.central_partials(lambda c: stencils.append(c) or c, chart.sample(0, "ambient-points", 10), oc.FD_STEP)
+    assert np.array_equal(chart._pushforward_at(stencils[0]), _padded_pushforward(chart, stencils[0]))
+
+
 @pytest.mark.parametrize("family, n, spectrum", [("su", 2, [1, -1]), ("su", 3, [2, -1, -1]), ("so", 4, [1.0, 1.0])])
 def test_principal_isotropy_stacks_its_draws(monkeypatch, family, n, spectrum):
     alg = families.su(n) if family == "su" else families.so(n)

@@ -313,8 +313,14 @@ def test_cp2_pipeline_full_run_pin():
 
 def test_cli_seed_override(tmp_path):
     cfg_path = write_config(tmp_path, SU2_CONFIG)
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
     assert cli_main(["verify", "--config", cfg_path, "--seed", "5",
-                     "--checks", "orbit_splitting"]) == 0
+                     "--checks", "orbit_splitting", "--out", str(spaced)]) == 0
+    assert json.loads(spaced.read_text(encoding="utf-8"))["config"]["seed"] == 5
+    # an option's value may also follow an '='
+    assert cli_main(["verify", f"--config={cfg_path}", "--seed=5",
+                     "--checks=orbit_splitting", f"--out={joined}"]) == 0
+    assert joined.read_bytes() == spaced.read_bytes()
 
 
 def test_shipped_configs_are_valid():
@@ -772,6 +778,39 @@ def test_cli_non_utf8_config_exit_2(tmp_path, capsys):
     path.write_bytes(b'{"algebra": {"family": "su", "n": 2}, "name": "\xe9t\xe9"}')
     assert cli_main(["verify", "--config", str(path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--config", "cfg.json", "--nope", "1"],
+        ["verify", "--config"],
+        ["verify", "--config", "cfg.json", "--seed", "x"],
+        ["verify", "--config", "cfg.json", "--format", "xml"],
+        ["check", "--config", "cfg.json"],
+        ["verify", "--seed", "1"],
+        ["list-checks", "--seed", "1"],
+    ],
+    ids=["unknown-option", "no-value", "seed-not-int", "unknown-format", "unknown-command", "no-config",
+         "list-checks-option"],
+)
+def test_cli_malformed_command_line_exits_2(tmp_path, capsys, argv):
+    write_config(tmp_path, SU2_CONFIG)
+    argv = [str(tmp_path / arg) if arg == "cfg.json" else arg for arg in argv]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: workbench verify --config PATH")
+    assert len([line for line in captured.err.splitlines() if line.startswith("workbench: error: ")]) == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "-h"], ["list-checks", "--help"]])
+def test_cli_help_prints_the_usage(capsys, argv):
+    assert cli_main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: workbench verify --config PATH") and captured.err == ""
+    assert "--opt=value" in captured.out
 
 
 def test_cli_list_checks(capsys):
