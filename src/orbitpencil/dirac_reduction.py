@@ -65,7 +65,7 @@ from .orbit_charts import (
     ad_pairs,
     canonical_form_field,
     combined_form_field,
-    exp_ad,
+    conjugate,
     infinitesimal_action,
 )
 from .poisson_pencil import invert_form
@@ -313,7 +313,7 @@ def slice_normal_form(setup: ReductionSetup, ys: np.ndarray) -> tuple[np.ndarray
         gain = _row_dots(grad, delta)
         step, search = 1.0, np.arange(len(todo))
         while len(search) and step > 1e-14:
-            cand = (exp_ad(alg, _rowwise(step * delta[search], stab_basis.T)) @ zt[search, :, None])[..., 0]
+            cand = conjugate(alg, _rowwise(step * delta[search], stab_basis.T), zt[search, None])[:, 0]
             cand_value = _rowwise(cand, setup.x0[:, None])[:, 0]
             cand_res = _row_norms(_rowwise(cand, normal))
             rows = todo[search]

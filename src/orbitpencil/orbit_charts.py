@@ -15,24 +15,26 @@ fiber offset v0 maps coordinates (u, w) to
 
 the conjugate of a point of the fiber over a.
 Conjugation runs on the n x n defining matrices: with X the matrix of xi and
-iX = U diag(w) U^H, e^X = U diag(e^{-iw}) U^H and Ad(e^xi) y = e^X Y e^{-X}.
-A point conjugates its own two matrices; the matrix of Ad(g) (:func:`exp_ad`)
-conjugates every basis matrix at once, since row-major vec(g B g^H) =
-(g kron conj(g)) vec(B), so its columns are one product of g kron conj(g)
-with the (dim, n^2) basis rows.  Either way the algebra's coefficient map
-takes the result back to coefficients in one real matmul per stack row.
-Coordinate derivatives are exact, d/du_i Ad(e^xi) y =
+iX = U diag(w) U^H, e^X = U diag(e^{-iw}) U^H and Ad(e^xi) y = e^X Y e^{-X}
+(:func:`conjugate`, the one application of Ad(e^xi)); the algebra's
+coefficient map takes the result back to coefficients in one real matmul
+per stack row.  Coordinate derivatives are exact, d/du_i Ad(e^xi) y =
 Ad(e^xi) [t_i, y] with t_i = dexp_{-X}(M_i) = sum_k (-ad_X)^k M_i / (k+1)!,
 which the same eigenbasis diagonalises into the divided difference
 (e^{i theta} - 1) / (i theta), theta = w_j - w_k (:func:`dexp_apply`).
-The chart guards the pushforward's full column rank: its columns are TO's tangent space.
+The chart's frame evaluation (:meth:`Chart.frame_blocks`) holds these
+derivatives before conjugation, at the fiber point over a; the pushforward
+is its x- and v-blocks moved by :func:`conjugate`.  Ad(e^xi) is orthogonal,
+so both have the same singular values, and the chart guards the frame
+blocks' full column rank: the pushforward's columns are TO's tangent space.
 A stencil's rows lie within a step of their centre, so the guard takes one SVD
 per stencil centre and certifies the other rows by Weyl's inequality; a stack
 no longer than one stencil takes one SVD of all its rows (:func:`_certify_rank`).
 
-Stacked coordinates: chart points and pushforwards, both forms and their
-fields take an (m, d) stack of coordinate rows, a single row being the stack
-of one, and the exponential machinery takes leading axes.  Each evaluation
+Stacked coordinates: chart points, frame blocks and pushforwards, both
+forms and their fields take an (m, d) stack of coordinate rows, a single
+row being the stack of one, and the exponential machinery takes leading
+axes.  Each evaluation
 sits in a :class:`CoordinateMemo` keyed by the whole stack, which calls its
 fn once per distinct stack and returns the stored, read-only value on a
 repeat; a row that reads part of a shared stack slices that stack's value.
@@ -46,10 +48,11 @@ need not, so per-row sums stay per row.
 Two invariant 2-forms are realised as matrix fields in chart coordinates:
 the canonical form (exterior derivative of theta) and the canonical form
 plus the pullback of the orbit form  omega_x([x,s1],[x,s2]) = -<x,[s1,s2]>
-under the bundle projection.  Both are exact from the chart: with
-P = (Px; Pv) the stacked x- and v-rows, d theta = sum dv ^ dx has matrix
-Pv^T Px - Px^T Pv, and the orbit form reads the lifts zeta, [x, zeta] = dx,
-that the pushforward's evaluation also gives (:meth:`Chart.lifts`).  A
+under the bundle projection.  Both are invariant, so both read the frame
+blocks and no chart point: with P = (Px; Pv) the stacked x- and v-rows,
+d theta = sum dv ^ dx has matrix Pv^T Px - Px^T Pv, which Ad(e^xi) leaves
+alone, and the orbit form reads the lifts, [x, zeta] = dx, as
+-<x, [zeta_a, zeta_b]> = -<a, [l_a, l_b]> with l the lifts at a.  A
 :class:`FormField`, a form or the bivector inverse to one, carries its
 partials, by default the outer central differences at FD_STEP, so one
 stencil of a form serves its closedness and its inverse's Jacobi residual.
@@ -147,36 +150,15 @@ def infinitesimal_action(config: OrbitConfig, xi: np.ndarray, points: np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _exp_eigh(alg: LieAlgebra, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e^X, w, u) with iX = u diag(w) u^H, X the n x n matrix of xi; leading axes of xi stack."""
+def conjugate(alg: LieAlgebra, xi: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Ad(e^xi) z as e^X Z e^{-X}, one eigh of iX = u diag(w) u^H per xi; z has shape xi.shape[:-1] + (j, n)."""
     w, u = np.linalg.eigh(1j * _lincomb(xi, alg.basis))
-    return (u * np.exp(-1j * w)[..., None, :]) @ u.conj().mT, w, u
-
-
-def _ad_of(alg: LieAlgebra, g: np.ndarray) -> np.ndarray:
-    """Ad(g) on coefficient vectors: column b holds the coefficients of g B_b g^{-1}, over g's leading axes.
-
-    Row b of B (g kron conj(g))^T, B the (dim, n^2) basis rows, is vec(g B_b g^H); each g's rows then
-    take one matmul with the coefficient map, a product per g, so a row's bits do not depend on the stack."""
-    n = alg.matrix_dim
-    kron = (g[..., :, None, :, None] * g.conj()[..., None, :, None, :]).reshape(g.shape[:-2] + (n * n, n * n))
-    moved = alg.basis.reshape(alg.dim, n * n) @ kron.mT
-    return (moved.view(float) @ alg.coefficient_map).mT
-
-
-def exp_ad(alg: LieAlgebra, xi: np.ndarray) -> np.ndarray:
-    """Ad(e^xi) on coefficient vectors, one matrix per vector of the (..., n) stack xi."""
-    return _ad_of(alg, _exp_eigh(alg, xi)[0])
-
-
-def _conjugate(alg: LieAlgebra, xi: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Ad(e^xi) z as e^X Z e^{-X}, without forming Ad(e^xi); z has shape xi.shape[:-1] + (j, n)."""
-    g = _exp_eigh(alg, xi)[0][..., None, :, :]
+    g = ((u * np.exp(-1j * w)[..., None, :]) @ u.conj().mT)[..., None, :, :]
     return alg.coefficients(g @ _lincomb(z, alg.basis) @ g.conj().mT)
 
 
-def dexp_apply(alg: LieAlgebra, xi: np.ndarray, frame_matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Ad(e^xi), coefficient rows t_i of dexp_{-X}(M_i)) from one eigh of i X, over xi's leading axes.
+def dexp_apply(alg: LieAlgebra, xi: np.ndarray, frame_matrices: np.ndarray) -> np.ndarray:
+    """Coefficient rows t_i of dexp_{-X}(M_i) from one eigh of i X, over xi's leading axes.
 
     ``frame_matrices`` is the (f, n, n) stack of the M_i.  In the eigenbasis
     u of i X, -ad_X multiplies entry (j, k) by i theta_jk, theta_jk = w_j -
@@ -184,11 +166,11 @@ def dexp_apply(alg: LieAlgebra, xi: np.ndarray, frame_matrices: np.ndarray) -> t
     e^{i theta/2} sinc(theta / 2 pi), exactly for any size of xi.  Then
     d/du_i Ad(e^{xi + u m_i}) = Ad(e^xi) ad(t_i) at u = 0.
     """
-    g, w, u = _exp_eigh(alg, xi)
+    w, u = np.linalg.eigh(1j * _lincomb(xi, alg.basis))
     theta = w[..., :, None] - w[..., None, :]
     phi = np.exp(0.5j * theta) * np.sinc(theta / (2.0 * np.pi))
     u, uh = u[..., None, :, :], u.conj().mT[..., None, :, :]
-    return _ad_of(alg, g), alg.coefficients(u @ ((uh @ frame_matrices @ u) * phi[..., None, :, :]) @ uh)
+    return alg.coefficients(u @ ((uh @ frame_matrices @ u) * phi[..., None, :, :]) @ uh)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +258,7 @@ class Chart:
         self.frame = frame
         self.frame_matrices = np.tensordot(frame.T, config.alg.basis, axes=(1, 0))
         self._points = CoordinateMemo(self._point_at)
+        self._frames = CoordinateMemo(self._frame_at)
         self._pushes = CoordinateMemo(self._pushforward_at)
 
     @property
@@ -302,17 +285,22 @@ class Chart:
         """The points at an (m, d) stack of coordinates, a read-only (m, 2, n) stack whose row i is [x_i; v_i]."""
         return self._points(self._coords(coords))
 
-    def pushforward(self, coords) -> np.ndarray:
-        """Ambient derivative matrices, (m, 2n, coord_dim) at an (m, d) stack.
+    def frame_blocks(self, coords) -> np.ndarray:
+        """The derivatives before conjugation, a read-only (m, 3, n, coord_dim) stack at an (m, d) stack.
 
-        Column i < f is the u_i-derivative (conjugation direction), column
-        f + i the w_i-derivative (fiber direction).
+        Blocks 0, 1 and 2 are the x-rows, the v-rows and the lifts (the
+        generators zeta with [x, zeta] = dx) at the fiber point (a, v0 + W(w)):
+        column i < f is ([t_i, a], [t_i, v0 + W(w)], -t_i), the u_i-derivative,
+        and column f + i is (0, m_i, 0), the w_i-derivative.  Ad(e^xi) moves
+        them to the chart point's (see :meth:`pushforward`).
         """
-        return self._pushes(self._coords(coords))[..., :2 * self.config.alg.dim, :]
+        return self._frames(self._coords(coords))
 
-    def lifts(self, coords) -> np.ndarray:
-        """Generators zeta with [x, zeta] = dx, one column per coordinate: (m, n, coord_dim)."""
-        return self._pushes(self._coords(coords))[..., 2 * self.config.alg.dim:, :]
+    def pushforward(self, coords) -> np.ndarray:
+        """Ambient derivative matrices, a read-only (m, 2n, coord_dim) stack at an (m, d) stack: the x- and
+        v-blocks of :meth:`frame_blocks` moved by Ad(e^xi), so column i < f is the u_i-derivative
+        (conjugation direction) and column f + i the w_i-derivative (fiber direction)."""
+        return self._pushes(self._coords(coords))
 
     def _fiber_line(self, w: np.ndarray) -> np.ndarray:
         """(k, 2, n) stack of the unconjugated points [a; base_v + frame w] at the rows of w."""
@@ -323,29 +311,29 @@ class Chart:
     def _point_at(self, c: np.ndarray) -> np.ndarray:
         """(k, 2, n) stack of [x; v] at the coordinate rows c: one stacked eigh, no Ad(e^xi)."""
         f = self.frame_dim
-        return _conjugate(self.config.alg, _rowwise(c[:, :f], self.frame.T), self._fiber_line(c[:, f:]))
+        return conjugate(self.config.alg, _rowwise(c[:, :f], self.frame.T), self._fiber_line(c[:, f:]))
 
-    def _pushforward_at(self, c: np.ndarray) -> np.ndarray:
+    def _frame_at(self, c: np.ndarray) -> np.ndarray:
         f = self.frame_dim
         alg = self.config.alg
         n, k = alg.dim, len(c)
-        big, trans = dexp_apply(alg, _rowwise(c[:, :f], self.frame.T), self.frame_matrices)
-        # The (x, v, lift) row blocks of each column.  Conjugation column i is big @ [t_i, z] =
-        # -big @ ad(z) t_i for z = x, v, its lift -big @ t_i; fiber column i is big @ (0, m_i, 0).
-        # Each nonzero block is one matmul with big, written in place: a matmul's columns do not
-        # depend on its other columns, so no zero block is multiplied.  Before big, x is the
-        # seed on every row (see _fiber_line), so ad(x) is one matrix.
-        trans = trans.mT
+        # Conjugation column i is [t_i, z] = -ad(z) t_i for z = a, v, its lift -t_i; fiber column i is
+        # (0, m_i, 0).  Before conjugation x is the seed on every row, so ad(x) is one matrix.
+        trans = dexp_apply(alg, _rowwise(c[:, :f], self.frame.T), self.frame_matrices).mT
         v = self.base_v + _rowwise(c[:, f:], self.frame.T)
-        push = np.zeros((k, 3, n, 2 * f))
-        np.matmul(big, -(_lincomb(self.config.seed, alg.ad_basis) @ trans), out=push[:, 0, :, :f])
-        np.matmul(big, -(_lincomb(v, alg.ad_basis) @ trans), out=push[:, 1, :, :f])
-        np.matmul(big, self.frame, out=push[:, 1, :, f:])
-        np.matmul(big, -trans, out=push[:, 2, :, :f])
-        del big, trans  # so that the rank guard's temporaries do not stack on them
-        push = push.reshape(k, 3 * n, self.coord_dim)
-        _certify_rank(push[:, :2 * n], 2 * self.coord_dim)
-        return push
+        blocks = np.zeros((k, 3, n, 2 * f))
+        blocks[:, 0, :, :f] = -(_lincomb(self.config.seed, alg.ad_basis) @ trans)
+        blocks[:, 1, :, :f] = -(_lincomb(v, alg.ad_basis) @ trans)
+        blocks[:, 1, :, f:] = self.frame
+        blocks[:, 2, :, :f] = -trans
+        _certify_rank(blocks[:, :2].reshape(k, 2 * n, 2 * f), 2 * self.coord_dim)
+        return blocks
+
+    def _pushforward_at(self, c: np.ndarray) -> np.ndarray:
+        k, n, d = len(c), self.config.alg.dim, self.coord_dim
+        cols = self._frames(c)[:, :2].mT.reshape(k, 2 * d, n)
+        moved = conjugate(self.config.alg, _rowwise(c[:, :self.frame_dim], self.frame.T), cols)
+        return moved.reshape(k, 2, d, n).mT.reshape(k, 2 * n, d)
 
 
 def shifted(coords: np.ndarray, index, step) -> np.ndarray:
@@ -380,28 +368,26 @@ def central_partials(fn, coords: np.ndarray, step: float) -> np.ndarray:
 def canonical_form_matrix(chart: Chart, coords) -> np.ndarray:
     """Canonical 2-form (exterior derivative of theta) in chart coordinates.
 
-    Exact from the pushforward: d theta = sum dv ^ dx, so W = A - A^T with
-    A = Pv^T Px; skew by construction, and no finite differences (those
+    Exact from the frame blocks: d theta = sum dv ^ dx, so W = A - A^T with
+    A = Pv^T Px, and Ad(e^xi) is orthogonal, so the blocks before
+    conjugation give A; skew by construction, and no finite differences (those
     remain only in outer derivatives such as :func:`closedness_residual`).
-    Works for any chart exposing ``pushforward`` and ``config``, over an
-    (m, d) stack of coordinate rows.
+    Works for any chart exposing ``frame_blocks``, over an (m, d) stack of
+    coordinate rows.
     """
-    push = chart.pushforward(coords)
-    n = chart.config.alg.dim
-    a = push[..., n:, :].mT @ push[..., :n, :]
+    blocks = chart.frame_blocks(coords)
+    a = blocks[:, 1].mT @ blocks[:, 0]
     return a - a.mT
 
 
 def orbit_form_pullback_matrix(chart: Chart, coords) -> np.ndarray:
     """Pullback of the orbit 2-form under the bundle projection, in chart coords.
 
-    omega(d_a x, d_b x) = -<x, [zeta_a, zeta_b]> with the chart's lifts, [x, zeta] = dx; a lift is
-    fixed up to the stabilizer of x, which the form does not see."""
-    c = chart._coords(coords)
-    n = chart.config.alg.dim
-    x = chart.point(c)[:, 0]
-    lifts = chart.lifts(c)
-    matrix = -lifts.mT @ _rowwise(x, chart.config.alg.structure.reshape(-1, n).T).reshape(x.shape + (n,)) @ lifts
+    omega(d_a x, d_b x) = -<x, [zeta_a, zeta_b]> = -<a, [l_a, l_b]>, with the lifts zeta = Ad(e^xi) l,
+    [x, zeta] = dx, and l the lifts of :meth:`Chart.frame_blocks`; a lift is fixed up to the
+    stabilizer of x, which the form does not see."""
+    lifts = chart.frame_blocks(coords)[:, 2]
+    matrix = -lifts.mT @ (chart.config.alg.structure @ chart.config.seed) @ lifts
     return 0.5 * (matrix - matrix.mT)
 
 

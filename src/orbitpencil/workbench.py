@@ -420,17 +420,19 @@ def _nilpotency(chart):
 
 
 def _form_invariance(ctx):
-    """Both forms on the ambient chart against the chart moved by R = Ad(e^zeta): the chart of the
-    moved orbit record, base offset and frame, which maps each coordinate to R of its point, since
-    Ad(g) Ad(e^xi) y = Ad(e^{Ad(g) xi}) Ad(g) y."""
+    """Both forms on the ambient chart against the chart moved by Ad(e^zeta): the chart of the moved
+    orbit record, base offset and frame, which maps each coordinate to Ad(e^zeta) of its point, since
+    Ad(g) Ad(e^xi) y = Ad(e^{Ad(g) xi}) Ad(g) y.  One conjugation per zeta moves all of those vectors."""
     chart, orbit = ctx.data.ambient_chart, ctx.orbit
     zetas = 0.3 * unit_rows(ctx.config.seed, "form-invariance", range(3), ctx.alg.dim)
     w1, w2 = ctx.data.ambient.w1(ctx.ambient_coords), ctx.data.ambient.w2(ctx.ambient_coords)
+    vectors = np.vstack([orbit.seed, orbit.stabilizer.basis.T, orbit.tangent.basis.T, chart.base_v, chart.frame.T])
+    cuts = np.cumsum([1, orbit.stabilizer.dim, orbit.tangent.dim, 1])
     worst = 0.0
-    for i, rot in enumerate(oc.exp_ad(ctx.alg, zetas)):
-        moved_orbit = orbit._replace(seed=rot @ orbit.seed, stabilizer=lc.Subspace(rot @ orbit.stabilizer.basis),
-                                     tangent=lc.Subspace(rot @ orbit.tangent.basis))
-        moved = oc.Chart(moved_orbit, base_v=rot @ chart.base_v, frame=rot @ chart.frame)
+    for i, zeta in enumerate(zetas):
+        seed, stab, tang, base_v, frame = np.split(oc.conjugate(ctx.alg, zeta, vectors), cuts)
+        moved_orbit = orbit._replace(seed=seed[0], stabilizer=lc.Subspace(stab.T), tangent=lc.Subspace(tang.T))
+        moved = oc.Chart(moved_orbit, base_v=base_v[0], frame=frame.T)
         j = i % len(ctx.ambient_coords)
         coords = ctx.ambient_coords[j][None]
         worst = max(
@@ -447,37 +449,27 @@ def _control_coords(ctx) -> np.ndarray:
     return 0.09 * np.array([[1.0 if i % 2 == 0 else -1.0 for i in range(dim)]])
 
 
+def _bumped(field: oc.FormField, bump) -> oc.FormField:
+    """``field`` with ``bump(c)`` added to entry (0, 1) and taken from entry (1, 0), a field of its own."""
+    def corrupted(c):
+        mat = np.array(field(c), copy=True)
+        b = bump(c)
+        mat[..., 0, 1] += b
+        mat[..., 1, 0] -= b
+        return mat
+
+    return oc.FormField(corrupted, field.dim)
+
+
 def _control_corrupted_closedness(ctx):
     # Replace one entry by a nonlinear function of a coordinate the entry
     # does not otherwise couple to; closedness must reject it.
-    base = ctx.data.ambient.w1
-
-    def corrupted(c):
-        mat = np.array(base(c), copy=True)
-        bump = np.sin(3.0 * c[..., 2])
-        mat[..., 0, 1] += bump
-        mat[..., 1, 0] -= bump
-        return mat
-
-    bad = oc.FormField(corrupted, base.dim)
+    bad = _bumped(ctx.data.ambient.w1, lambda c: np.sin(3.0 * c[..., 2]))
     return oc.closedness_residual(bad, _control_coords(ctx))
 
 
-def _corrupted_field(ctx) -> oc.FormField:
-    base = ctx.data.ambient.p1
-
-    def corrupted(c):
-        mat = np.array(base(c), copy=True)
-        bump = c[..., 2] * c[..., 3]
-        mat[..., 0, 1] += bump
-        mat[..., 1, 0] -= bump
-        return mat
-
-    return oc.FormField(corrupted, base.dim)
-
-
 def _control_corrupted_jacobi(ctx):
-    bad = _corrupted_field(ctx)
+    bad = _bumped(ctx.data.ambient.p1, lambda c: c[..., 2] * c[..., 3])
     return pp.jacobi_residual(bad, _control_coords(ctx))
 
 
@@ -515,9 +507,8 @@ def _bracket_agreement(ctx):
 def _invariant_function_invariance(ctx):
     fns = [dr.invariant_function(ctx.alg, w) for w in _BRACKET_WORDS]
     point = ctx.data.sub_chart.point(ctx.regular_coords)[:1]
-    rots = oc.exp_ad(ctx.alg, unit_rows(ctx.config.seed, "function-invariance", range(20), ctx.alg.dim))
-    # x and v are rotated one vector at a time: a product over an (n, 2) block may round differently
-    moved = np.stack([rots @ point[0, 0], rots @ point[0, 1]], axis=1)
+    zetas = unit_rows(ctx.config.seed, "function-invariance", range(20), ctx.alg.dim)
+    moved = oc.conjugate(ctx.alg, zetas, np.broadcast_to(point, (len(zetas), 2, ctx.alg.dim)))
     return max(float(np.max(np.abs(f(moved) - f(point)))) for f in fns)
 
 

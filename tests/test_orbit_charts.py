@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,10 @@ from orbitpencil import families
 from orbitpencil import lie_core as lc
 from orbitpencil import orbit_charts as oc
 from orbitpencil import poisson_pencil as pp
+from orbitpencil import workbench as wb
 from orbitpencil.errors import ChartDegeneracyError, ChartRangeError, DegeneracyError, DomainError
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def moved_chart(chart, rot):
@@ -81,33 +86,20 @@ def _xi(alg, kind):
 @pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 4), ("so", 4), ("so", 5)])
 @pytest.mark.parametrize("kind", ["zero", "cartan", "far"])
 def test_exponential_and_dexp_match_scipy(family, n, kind):
-    # The adjoint-matrix exponential is the independent reference for the
+    # scipy's exponential of ad(xi) is the independent reference for the
     # conjugation computed on the defining matrices.
     alg = getattr(families, family)(n)
     xi = _xi(alg, kind)
     m = alg.ad(xi)
-    big = oc.exp_ad(alg, xi)
+    big = oc.conjugate(alg, xi, np.eye(alg.dim)).T  # column b is Ad(e^xi) e_b
     assert np.max(np.abs(big - scipy.linalg.expm(m))) <= 1e-12
     assert np.max(np.abs(big.T @ big - np.eye(alg.dim))) <= 1e-13
     directions = np.concatenate([np.eye(alg.dim), np.random.default_rng(6).standard_normal((2, alg.dim))])
-    big_too, trans = oc.dexp_apply(alg, xi, np.array([alg.matrix_of(d) for d in directions]))
-    assert np.max(np.abs(big_too - big)) <= 1e-12
+    trans = oc.dexp_apply(alg, xi, np.array([alg.matrix_of(d) for d in directions]))
+    assert trans.shape == directions.shape
     for d, t in zip(directions, trans):
         frechet = scipy.linalg.expm_frechet(m, alg.ad(d), compute_expm=False)
         assert np.max(np.abs(big @ alg.ad(t) - frechet)) <= 1e-12
-
-
-@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 4), ("so", 4), ("so", 5)])
-def test_ad_of_a_group_element_is_the_conjugation(family, n):
-    # Ad(g) from g kron conj(g) against the scipy exponential: column b is e^X B_b e^{-X}
-    alg = getattr(families, family)(n)
-    for xi in 0.7 * np.random.default_rng(n).standard_normal((3, alg.dim)):
-        x = alg.matrix_of(xi)
-        g, g_inv = scipy.linalg.expm(x), scipy.linalg.expm(-x)
-        ad = oc._ad_of(alg, g)
-        assert np.max(np.abs(ad.T @ ad - np.eye(alg.dim))) <= 1e-14
-        moved = np.tensordot(ad.T, alg.basis, axes=(1, 0))  # matrix of column b
-        assert np.max(np.abs(moved - g @ alg.basis @ g_inv)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +310,8 @@ def test_canonical_form_matches_finite_difference_reference(setup_su2, setup_cp2
 
 
 def test_pushforward_miss_takes_one_eigh_and_no_adjoint_matrix(monkeypatch, setup_cp2, data_cp2):
-    # one eigendecomposition of the n x n matrix i X serves e^X and dexp at a
-    # miss; the frame matrices are built once per chart
+    # one eigendecomposition of the n x n matrix i X serves dexp at a frame miss, and one more e^X
+    # at a pushforward miss, which conjugates the frame blocks; the frame matrices are built once per chart
     counts = {"eigh": 0, "ad": 0}
     eigh, ad = np.linalg.eigh, lc.LieAlgebra.ad
 
@@ -337,19 +329,21 @@ def test_pushforward_miss_takes_one_eigh_and_no_adjoint_matrix(monkeypatch, setu
     for ch in (make_chart(setup_cp2), oc.Chart(setup_cp2.config, base_v=sub.base_v, frame=sub.frame)):
         coords = np.full((1, ch.coord_dim), 0.05)
         counts.update(eigh=0, ad=0)
+        ch.frame_blocks(coords)
+        assert counts == {"eigh": 1, "ad": 0}
         ch.pushforward(coords)
-        assert counts == {"eigh": 1, "ad": 0}
-        ch.pushforward(coords)  # memo hit
-        assert counts == {"eigh": 1, "ad": 0}
+        assert counts == {"eigh": 2, "ad": 0}
+        ch.frame_blocks(coords), ch.pushforward(coords)  # memo hits
+        assert counts == {"eigh": 2, "ad": 0}
 
 
 class SabotagedChart(oc.Chart):
-    """Chart whose pushforward column 0 is scaled by 1 + 0.5 c[1] at each row c: no longer a derivative."""
+    """Chart whose frame column 0 is scaled by 1 + 0.5 c[1] at each row c: no longer a derivative."""
 
-    def pushforward(self, coords):
-        push = np.array(super().pushforward(coords), copy=True)
-        push[..., 0] *= 1.0 + 0.5 * np.asarray(coords, dtype=float)[:, 1:2]
-        return push
+    def _frame_at(self, c):
+        blocks = super()._frame_at(c)
+        blocks[..., 0] *= 1.0 + 0.5 * c[:, 1:2, None]
+        return blocks
 
 
 def test_canonical_closedness_catches_sabotaged_pushforward(setup_cp2, data_cp2, ambient_coords):
@@ -385,19 +379,19 @@ def test_pullback_matrix_matches_einsum_reference(setup_cp2, data_cp2):
 
 
 def test_lifts_solve_ad_x_against_the_pushforward(setup_cp2, data_cp2):
-    # [x, zeta] = dx for every column, on the ambient, sub and a rotated chart;
-    # a fiber column moves v only, and its lift is exactly 0
+    # conjugate([a, l]) = dx for every column, on the ambient, sub and a rotated chart, where l are the
+    # lifts of the frame blocks; a fiber column moves v only, and its lift is exactly 0
     alg = setup_cp2.alg
     chart, sub = data_cp2.ambient_chart, data_cp2.sub_chart
-    rot = oc.exp_ad(alg, 0.3 * np.random.default_rng(13).standard_normal(alg.dim))
+    rot = scipy.linalg.expm(alg.ad(0.3 * np.random.default_rng(13).standard_normal(alg.dim)))
     charts = [chart, sub, moved_chart(chart, rot)]
     rng = np.random.default_rng(14)
     for ch in charts:
         coords = rng.uniform(-0.1, 0.1, (3, ch.coord_dim))
-        lifts = ch.lifts(coords)
-        ad_x = np.stack([alg.ad(x) for x in ch.point(coords)[:, 0]])
+        lifts = ch.frame_blocks(coords)[:, 2]
         assert lifts.shape == (3, alg.dim, ch.coord_dim)
-        assert np.max(np.abs(ad_x @ lifts - ch.pushforward(coords)[:, :alg.dim])) <= 1e-13
+        moved = oc.conjugate(alg, coords[:, :ch.frame_dim] @ ch.frame.T, (alg.ad(ch.config.seed) @ lifts).mT)
+        assert np.max(np.abs(moved.mT - ch.pushforward(coords)[:, :alg.dim])) <= 1e-13
         assert not np.any(lifts[..., ch.frame_dim:])
 
 
@@ -460,6 +454,41 @@ def test_form_invariance_under_moved_chart(setup_cp2, data_cp2):
         assert np.max(np.abs(w2_moved - w2_field(coords))) <= 1e-8
 
 
+def _conjugated_forms(chart, coords):
+    """Reference: the canonical form from the conjugated pushforward, and the orbit form from the point's
+    x and the conjugated lifts, -<x, [zeta_a, zeta_b]>."""
+    alg, n = chart.config.alg, chart.config.alg.dim
+    push = chart.pushforward(coords)
+    a = push[:, n:].mT @ push[:, :n]
+    x = chart.point(coords)[:, 0]
+    xi = coords[:, :chart.frame_dim] @ chart.frame.T
+    lifts = oc.conjugate(alg, xi, chart.frame_blocks(coords)[:, 2].mT).mT
+    orbit = -lifts.mT @ (x @ alg.structure.reshape(-1, n).T).reshape(x.shape + (n,)) @ lifts
+    return a - a.mT, a - a.mT + 0.5 * (orbit - orbit.mT)
+
+
+@pytest.mark.parametrize("name", ["su3_projective_plane", "su4_projective_space", "su5_partial_flag"])
+def test_forms_read_the_frame_blocks_and_agree_with_the_conjugated_forms(monkeypatch, name):
+    # Both forms are invariant, so the frame blocks before conjugation give them: on the closedness
+    # stencils of both charts, w1 and w2 call neither the conjugation nor the chart point and agree
+    # with the forms read from the conjugated pushforward, point and lifts to 1e-12 relative.
+    ctx = wb.prepare_context(wb.load_config(CONFIGS / f"{name}.json"))
+    calls = []
+    conjugate, point_at = oc.conjugate, oc.Chart._point_at
+    monkeypatch.setattr(oc, "conjugate", lambda *a: calls.append("conjugate") or conjugate(*a))
+    monkeypatch.setattr(oc.Chart, "_point_at", lambda self, c: calls.append("point") or point_at(self, c))
+    data = dr.restricted_pencil(ctx.setup, ctx.setup.x0)  # charts built after the patch
+    for chart, pencil, centres in ((data.ambient_chart, data.ambient, ctx.ambient_coords),
+                                   (data.sub_chart, data.restricted, ctx.regular_coords)):
+        rows = _stencil_rows(centres, oc.FD_STEP)
+        calls.clear()
+        w1, w2 = pencil.w1(rows), pencil.w2(rows)
+        assert calls == []
+        ref1, ref2 = _conjugated_forms(chart, rows)
+        assert np.max(np.abs(w1 - ref1)) <= 1e-12 * np.max(np.abs(ref1))
+        assert np.max(np.abs(w2 - ref2)) <= 1e-12 * np.max(np.abs(ref2))
+
+
 # ---------------------------------------------------------------------------
 # Stacked coordinates
 # ---------------------------------------------------------------------------
@@ -520,7 +549,7 @@ def test_a_row_gets_the_same_bits_alone_inside_a_larger_stack_and_reversed(reque
     data = dr.restricted_pencil(setup, setup.x0)
     chart, pencil = data.ambient_chart, data.ambient
     coords = np.random.default_rng(21).uniform(-0.1, 0.1, (5, chart.coord_dim))
-    for name, fn in {"point": chart.point, "pushforward": chart.pushforward, "lifts": chart.lifts,
+    for name, fn in {"point": chart.point, "pushforward": chart.pushforward, "frame_blocks": chart.frame_blocks,
                      "w1": pencil.w1, "w2": pencil.w2, "p1": pencil.p1}.items():
         stacked = fn(coords)
         assert np.array_equal(fn(coords[::-1])[::-1], stacked), name
@@ -544,8 +573,14 @@ def _stencil_rows(centres, step):
     return rows[0]
 
 
+def _guarded(chart, rows):
+    """The (m, 2n, d) stack of x- and v-blocks that the rank guard reads at a frame evaluation."""
+    blocks = chart.frame_blocks(rows)
+    return blocks[:, :2].reshape(len(rows), -1, chart.coord_dim)
+
+
 def _rank_deficient(mats, index):
-    """Copy of a stack of pushforwards whose matrix ``index`` has a zero first column."""
+    """Copy of a stack of frame blocks whose matrix ``index`` has a zero first column."""
     mats = np.array(mats, copy=True)
     mats[index, :, 0] = 0.0
     return mats
@@ -561,7 +596,7 @@ def test_grouped_rank_guard_refuses_every_rank_deficient_row(setup_cp2, where):
     if where == "trailing":  # a stencil and then two rows, a run of its own cut short
         rows = np.concatenate([rows, np.full((2, d), 0.05)])
     bad = {"reference": 2 * d, "member": 2 * d + 2 * chart.frame_dim, "trailing": len(rows) - 1}[where]
-    mats = _rank_deficient(chart.pushforward(rows), bad)
+    mats = _rank_deficient(_guarded(chart, rows), bad)
     oc._certify_rank(np.delete(mats, bad, axis=0), 2 * d)
     with pytest.raises(ChartDegeneracyError):
         oc._certify_rank(mats[bad:bad + 1], 2 * d)
@@ -582,23 +617,26 @@ def test_grouped_rank_guard_takes_one_svd_per_stencil_centre(monkeypatch, setup_
     oc.closedness_residual(data.ambient.w1, centres)
     monkeypatch.undo()
     assert len(seen) == 1
-    assert np.array_equal(seen[0], chart.pushforward(rows[::24]))
+    assert np.array_equal(seen[0], _guarded(chart, rows[::24]))
 
 
 def test_stacked_pushforward_rejects_a_rank_deficient_row(monkeypatch, setup_cp2):
-    # conjugation column 0 vanishes at rows with u_0 > 0.2: the pushforward loses rank there
+    # conjugation column 0 vanishes at rows with u_0 > 0.2: the frame blocks, and so the pushforward,
+    # lose rank there, and the guard of the frame evaluation refuses the stack
     chart = make_chart(setup_cp2)
     dexp = oc.dexp_apply
 
     def stalled(alg, xi, frame_matrices):
-        big, trans = dexp(alg, xi, frame_matrices)
+        trans = dexp(alg, xi, frame_matrices)
         trans[xi @ chart.frame[:, 0] > 0.2, 0] = 0.0
-        return big, trans
+        return trans
 
     monkeypatch.setattr(oc, "dexp_apply", stalled)
     coords = np.full((3, chart.coord_dim), 0.05)
     assert chart.pushforward(coords).shape == (3, 2 * setup_cp2.alg.dim, chart.coord_dim)
     coords[1, 0] = 0.3
+    with pytest.raises(ChartDegeneracyError):
+        chart.frame_blocks(coords)
     with pytest.raises(ChartDegeneracyError):
         chart.pushforward(coords)
 
@@ -606,7 +644,7 @@ def test_stacked_pushforward_rejects_a_rank_deficient_row(monkeypatch, setup_cp2
 def test_short_stack_rank_guard_takes_one_svd(monkeypatch, setup_cp2):
     # three matrices, fewer than a stencil: one SVD of every matrix, which refuses the deficient one
     chart = make_chart(setup_cp2)
-    mats = _rank_deficient(chart.pushforward(np.full((3, chart.coord_dim), 0.05)), 1)
+    mats = _rank_deficient(_guarded(chart, np.full((3, chart.coord_dim), 0.05)), 1)
     svd, calls = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(len(a)) or svd(a, *args, **kwargs))
     with pytest.raises(ChartDegeneracyError):

@@ -112,17 +112,16 @@ def test_one_halving_is_the_halving_loop(seed, halved):
     assert np.all(np.linalg.eigvalsh(got[scale < 1])[:, 0] >= 0.5)
 
 
-def _padded_pushforward(chart, c):
-    # reference: the assembly that multiplied big into a zero-padded (k, 3, n, 2f) stack of blocks
+def _padded_frame_blocks(chart, c):
+    # reference: the zero-padded (k, 3, n, 2f) assembly, with ad(x) and ad(v) taken per row of the fiber line
     f, alg = chart.frame_dim, chart.config.alg
     n, k = alg.dim, len(c)
-    big, trans = oc.dexp_apply(alg, lc._rowwise(c[:, :f], chart.frame.T), chart.frame_matrices)
-    trans = trans[:, None].mT
+    trans = oc.dexp_apply(alg, lc._rowwise(c[:, :f], chart.frame.T), chart.frame_matrices)[:, None].mT
     blocks = np.zeros((k, 3, n, 2 * f))
     blocks[:, :2, :, :f] = -(lc._lincomb(chart._fiber_line(c[:, f:]), alg.ad_basis) @ trans)
     blocks[:, 2:, :, :f] = -trans
     blocks[:, 1, :, f:] = chart.frame
-    return (big[:, None] @ blocks).reshape(k, 3 * n, chart.coord_dim)
+    return blocks
 
 
 @pytest.mark.parametrize("case", ["cp2", "cp3", "su5"])
@@ -131,7 +130,7 @@ def test_pushforward_blocks_are_the_padded_assembly(request, case, which):
     chart = getattr(request.getfixturevalue(f"data_{case}"), which)
     stencils = []
     oc.central_partials(lambda c: stencils.append(c) or c, chart.sample(0, "ambient-points", 10), oc.FD_STEP)
-    assert np.array_equal(chart._pushforward_at(stencils[0]), _padded_pushforward(chart, stencils[0]))
+    assert np.array_equal(chart._frame_at(stencils[0]), _padded_frame_blocks(chart, stencils[0]))
 
 
 @pytest.mark.parametrize("family, n, spectrum", [("su", 2, [1, -1]), ("su", 3, [2, -1, -1]), ("so", 4, [1.0, 1.0])])
@@ -277,9 +276,13 @@ def test_coefficients_and_ad_on_the_stack_are_the_rows(family, n):
     assert np.array_equal(coeffs, np.concatenate([alg.coefficients(m) for m in mats[:, None]]))
     assert np.array_equal(coeffs, np.stack([alg.coefficients(m) for m in mats]))
     assert np.array_equal(alg.coefficients(mats.reshape((2, 3) + mats.shape[1:])), coeffs.reshape(2, 3, -1))
-    big = oc.exp_ad(alg, xi)
-    assert np.array_equal(big, np.concatenate([oc.exp_ad(alg, x) for x in xi[:, None]]))
-    assert np.array_equal(big, np.stack([oc.exp_ad(alg, x) for x in xi]))
+    eye = np.broadcast_to(np.eye(alg.dim), (len(xi), alg.dim, alg.dim))
+    moved = oc.conjugate(alg, xi, eye)
+    assert np.array_equal(moved, np.concatenate([oc.conjugate(alg, x, eye[:1]) for x in xi[:, None]]))
+    assert np.array_equal(moved, np.stack([oc.conjugate(alg, x, eye[0]) for x in xi]))
+    trans = oc.dexp_apply(alg, xi, mats[:3])
+    assert np.array_equal(trans, np.concatenate([oc.dexp_apply(alg, x, mats[:3]) for x in xi[:, None]]))
+    assert np.array_equal(trans, np.stack([oc.dexp_apply(alg, x, mats[:3]) for x in xi]))
 
 
 @pytest.mark.parametrize("case", ["setup_cp2", "setup_cp3", "setup_su3_regular"])
@@ -303,7 +306,7 @@ def test_slice_normal_forms_on_the_stack_are_the_rows(request, case):
 
 
 def _count_evaluations(monkeypatch):
-    """Counter of dexp_apply calls and of evaluator calls, per field and in total."""
+    """Counter of dexp_apply calls, chart-point stacks and evaluator calls, per field and in total."""
     counts = collections.Counter()
 
     def counting(cls, key):
@@ -319,8 +322,9 @@ def _count_evaluations(monkeypatch):
         monkeypatch.setattr(cls, "__init__", __init__)
 
     counting(oc.FormField, "FormField")
-    dexp = oc.dexp_apply
+    dexp, point_at = oc.dexp_apply, oc.Chart._point_at
     monkeypatch.setattr(oc, "dexp_apply", lambda *args: counts.update(["dexp_apply"]) or dexp(*args))
+    monkeypatch.setattr(oc.Chart, "_point_at", lambda self, c: counts.update(["point"]) or point_at(self, c))
     return counts
 
 
@@ -331,11 +335,12 @@ def test_evaluation_counts_per_run(monkeypatch):
     counts = _count_evaluations(monkeypatch)
     report = wb.run_pipeline(wb.load_config(CONFIGS / "su3_projective_plane.json"))
     assert report.verdict == "pass"
-    # 13 forms and 12 bivectors, all FormFields
-    assert (counts["dexp_apply"], counts["FormField"]) == (12, 25)
+    # 13 forms and 12 bivectors, all FormFields; the forms read no chart point, so only the rows that
+    # read points evaluate point stacks
+    assert (counts["dexp_apply"], counts["FormField"], counts["point"]) == (12, 25, 5)
 
 
-@pytest.mark.parametrize("name, calls", [("su3_projective_plane", (70, 36, 2)),
+@pytest.mark.parametrize("name, calls", [("su3_projective_plane", (69, 36, 2)),
                                          ("su4_projective_space", (69, 36, 2))])
 def test_linalg_calls_per_run(monkeypatch, name, calls):
     # (svd, eigh, eigvalsh) calls of a seed-0 verify; point_residuals reads one eigh of its stack.

@@ -7,7 +7,9 @@ so(5) with rotation angles [2, 1] at 0-2 and the su(3) basis as a custom
 algebra at 0-2.  Per run the file holds the verdict, ``dims`` and each row's
 residual as ``float.hex``, and it records the numpy version it was written
 with.  A change that moves a report rewrites the file with this script, so
-the diff shows which rows moved and by how much.
+the diff shows which rows moved and by how much.  Before it writes, the
+script prints each row's largest relative move against the file it
+replaces, over all runs, and every run whose verdict or ``dims`` changed.
 """
 
 import json
@@ -48,9 +50,39 @@ def record(report) -> dict:
             "rows": {row.name: float.hex(row.residual) for row in report.checks + report.negative_controls}}
 
 
+def _relative_move(old: float, new: float) -> float:
+    """|new - old| relative to the larger of the two; 0 when they are equal, inf when one is not finite."""
+    if old == new:
+        return 0.0
+    if not np.isfinite([old, new]).all():
+        return float("inf")
+    return abs(new - old) / max(abs(old), abs(new))
+
+
+def print_moves(old: dict, new: dict) -> None:
+    """Print each row's largest relative move from the runs ``old`` to ``new`` and every changed verdict or ``dims``."""
+    largest = {}
+    for label, got in new.items():
+        ref = old.get(label)
+        if ref is None:
+            print(f"{label}: not in the previous file")
+            continue
+        if (got["verdict"], got["dims"]) != (ref["verdict"], ref["dims"]):
+            print(f"{label}: verdict {ref['verdict']} -> {got['verdict']}, dims {ref['dims']} -> {got['dims']}")
+        for row, value in got["rows"].items():
+            if row in ref["rows"]:
+                a, b = float.fromhex(ref["rows"][row]), float.fromhex(value)
+                if row not in largest or _relative_move(a, b) > largest[row][0]:
+                    largest[row] = (_relative_move(a, b), label, a, b)
+    for row, (move, label, a, b) in largest.items():
+        print(f"{row:38s} {move:9.2e}  {label}: {a:.3g} -> {b:.3g}")
+
+
 def main() -> None:
     out = {"numpy": np.__version__,
            "runs": {label: record(run_pipeline(config_from_dict(config))) for label, config in runs()}}
+    if PATH.exists():
+        print_moves(json.loads(PATH.read_text(encoding="utf-8"))["runs"], out["runs"])
     PATH.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
 
 
